@@ -16,11 +16,11 @@ is modelled.
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..comm.message import MessageKind, PhysicalMessage
 from ..comm.network import Network
+from ..core.window_controller import WindowObservation
 from ..gvt.manager import GVTAlgorithm
 from ..kernel.errors import SchedulingError, TerminationError
 from ..kernel.lp import LogicalProcess
@@ -46,7 +46,7 @@ class Executive:
         self.lps = lps
         self.config = config
         self._heap: list[tuple[float, int, int, object]] = []
-        self._seq = itertools.count()
+        self._seq = 0  # FIFO tie-break among entries due at the same instant
         if config.faults is not None:
             from ..faults.network import FaultyNetwork
 
@@ -59,6 +59,10 @@ class Executive:
         else:
             self.network = Network(config.network, self._schedule_delivery)
         self.gvt_algorithm: GVTAlgorithm = None  # type: ignore[assignment]
+        #: optional observer invoked for every DATA message handed to its
+        #: LP (distributed GVT algorithms colour-count receipts with it,
+        #: as ``Network.on_data_send`` does for sends)
+        self.on_data_receive: Callable[[PhysicalMessage], None] | None = None
         self.gvt_history: list[tuple[float, float]] = []
         self._pending_deliveries = 0
         self._pending_data = 0
@@ -102,7 +106,8 @@ class Executive:
     # scheduling primitives
     # ------------------------------------------------------------------ #
     def _push(self, when: float, kind: int, data: object) -> None:
-        heapq.heappush(self._heap, (when, next(self._seq), kind, data))
+        self._seq += 1
+        heapq.heappush(self._heap, (when, self._seq, kind, data))
 
     def _schedule_delivery(
         self, dst_lp: int, arrival: float, message: PhysicalMessage
@@ -110,7 +115,8 @@ class Executive:
         self._pending_deliveries += 1
         if message.kind is MessageKind.DATA:
             self._pending_data += 1
-        self._push(arrival, _DELIVER, message)
+        self._seq += 1
+        heapq.heappush(self._heap, (arrival, self._seq, _DELIVER, message))
 
     def _make_flush_scheduler(self, lp: LogicalProcess):
         def schedule_flush(dst_lp: int, at: float, generation: int) -> None:
@@ -118,10 +124,27 @@ class Executive:
 
         return schedule_flush
 
-    def _schedule_turn(self, lp: LogicalProcess, at: float) -> None:
+    def _schedule_turn(self, lp: LogicalProcess) -> None:
+        """Give ``lp`` a turn at its own wall clock (at most one pending)."""
         if not self._turn_scheduled[lp.lp_id]:
             self._turn_scheduled[lp.lp_id] = True
-            self._push(max(at, lp.clock), _TURN, lp.lp_id)
+            self._seq += 1
+            heapq.heappush(self._heap, (lp.clock, self._seq, _TURN, lp.lp_id))
+
+    def _wake(self, lp: LogicalProcess) -> None:
+        """After anything that may have changed ``lp``'s work: schedule
+        its next turn, or run its idle hook if it has none.
+
+        The idle hook matters after a delivery too — an anti-message can
+        annihilate everything a rollback re-queued — and expiring
+        comparisons on idle can itself create local work (intra-LP
+        anti-messages), hence the second look.
+        """
+        if lp.next_work() is None:
+            lp.on_idle()
+            if lp.next_work() is None:
+                return
+        self._schedule_turn(lp)
 
     def _schedule_gvt_tick(self, at: float) -> None:
         if not self._gvt_tick_scheduled:
@@ -146,7 +169,7 @@ class Executive:
             for lp in self.lps:
                 lp.optimism_bound = self._window_width  # anchored at GVT 0
         for lp in self.lps:
-            self._schedule_turn(lp, lp.clock)
+            self._schedule_turn(lp)
         self._schedule_gvt_tick(self.gvt_period)
         for when, adjustment in self.config.external_script:
             self._push(when, _EXTERNAL, adjustment)
@@ -158,7 +181,7 @@ class Executive:
         self.terminated = False
         for lp in self.lps:
             if lp.has_work():
-                self._schedule_turn(lp, lp.clock)
+                self._schedule_turn(lp)
         self._schedule_gvt_tick(self.wallclock + self.gvt_period)
 
     def on_new_gvt(self, estimate: float) -> None:
@@ -175,13 +198,8 @@ class Executive:
 
     def _run_window_control(self, gvt: float) -> None:
         """Extension: adapt and re-anchor the optimism window at each GVT."""
-        from ..core.window_controller import WindowObservation
-
         executed = self._executed_events
-        rolled = sum(
-            ctx.stats.events_rolled_back
-            for lp in self.lps for ctx in lp.members.values()
-        )
+        rolled = sum(lp.events_rolled_back for lp in self.lps)
         observation = WindowObservation(
             executed=executed - self._last_window_executed,
             rolled_back=rolled - self._last_window_rolled,
@@ -208,7 +226,7 @@ class Executive:
             lp.optimism_bound = bound
             # a wider (or re-anchored) window can unblock an idle LP
             if lp.has_work():
-                self._schedule_turn(lp, lp.clock)
+                self._schedule_turn(lp)
 
     @property
     def gvt(self) -> float:
@@ -249,7 +267,7 @@ class Executive:
             )
         # the moved events are new work for the target host
         if target.has_work():
-            self._schedule_turn(target, target.clock)
+            self._schedule_turn(target)
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -260,7 +278,8 @@ class Executive:
         heap = self._heap
         while heap:
             when, _, kind, data = heapq.heappop(heap)
-            self.wallclock = max(self.wallclock, when)
+            if when > self.wallclock:
+                self.wallclock = when
 
             if kind == _DELIVER:
                 self._handle_delivery(when, data)  # type: ignore[arg-type]
@@ -273,7 +292,7 @@ class Executive:
                 data(self)  # type: ignore[operator]
                 for lp in self.lps:
                     if lp.has_work():
-                        self._schedule_turn(lp, lp.clock)
+                        self._schedule_turn(lp)
             elif kind == _CALLBACK:
                 self._pending_callbacks -= 1
                 data(when)  # type: ignore[operator]
@@ -291,51 +310,35 @@ class Executive:
                 raise TerminationError(
                     f"executed more than {limit} events without terminating"
                 )
-            if self._quiescent():
+            # nothing can be quiescent with a delivery still on the heap
+            if not self._pending_deliveries and self._quiescent():
                 break
         self.terminated = True
 
     def _handle_delivery(self, when: float, message: PhysicalMessage) -> None:
         self._pending_deliveries -= 1
-        if message.kind is MessageKind.DATA:
-            self._pending_data -= 1
         self.network.on_delivered(message)
         lp = self.lps[message.dst_lp]
         lp.advance_clock_to(when)
         if message.kind is MessageKind.DATA:
-            self.gvt_algorithm.observe_receive(message)
+            self._pending_data -= 1
+            if self.on_data_receive is not None:
+                self.on_data_receive(message)
             lp.receive_physical(message.size_bytes(), message.events)
         else:
             self.gvt_algorithm.handle_control(message)
-        if lp.has_work():
-            self._schedule_turn(lp, lp.clock)
-        else:
-            # A delivery can consume the LP's last work (e.g. an
-            # anti-message annihilating everything a rollback re-queued):
-            # run the idle hook so dangling lazy comparisons are resolved
-            # and aggregates flushed, exactly as an idle turn would.
-            lp.on_idle()
-            if lp.has_work():
-                self._schedule_turn(lp, lp.clock)
+        self._wake(lp)
 
     def _handle_turn(self, when: float, lp_id: int) -> None:
         self._turn_scheduled[lp_id] = False
         lp = self.lps[lp_id]
         lp.advance_clock_to(when)
         executed = 0
-        while executed < self.config.events_per_turn:
-            if not lp.execute_one():
-                break
+        budget = self.config.events_per_turn
+        while executed < budget and lp.execute_one():
             executed += 1
         self._executed_events += executed
-        if lp.has_work():
-            self._schedule_turn(lp, lp.clock)
-        else:
-            lp.on_idle()
-            # Expiring comparisons on idle can create new local work
-            # (intra-LP anti-messages); re-check before sleeping.
-            if lp.has_work():
-                self._schedule_turn(lp, lp.clock)
+        self._wake(lp)
 
     def _handle_flush(self, when: float, data: tuple[int, int, int]) -> None:
         lp_id, dst_lp, generation = data

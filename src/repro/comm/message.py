@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from ..kernel.event import Event, VirtualTime
@@ -28,32 +28,62 @@ class MessageKind(enum.Enum):
     GVT_BROADCAST = "gvt-broadcast"
 
 
-@dataclass(slots=True, frozen=True)
-class PhysicalMessage:
-    """One wire-level message between two LPs."""
+_MESSAGE_FIELDS = ("src_lp", "dst_lp", "kind", "events", "control", "serial")
+_message_fields = attrgetter(*_MESSAGE_FIELDS)
 
-    src_lp: int
-    dst_lp: int
-    kind: MessageKind
-    events: tuple[Event, ...] = ()
-    control: Any = None
-    serial: int = field(default_factory=lambda: next(_serial_counter))
-    # memoized wire size — charged at send, receive and network transit,
-    # so computed once (identity-irrelevant: excluded from eq/hash)
-    _size: "int | None" = field(default=None, init=False, repr=False, compare=False)
+
+class PhysicalMessage:
+    """One wire-level message between two LPs (immutable by convention).
+
+    Equality and hashing cover the six public fields.  The wire size is
+    charged at send, receive and network transit, so it is computed once
+    here; the comm package reads ``_size`` directly and
+    :meth:`size_bytes` returns the same value to everyone else.
+    """
+
+    __slots__ = _MESSAGE_FIELDS + ("_size",)
+
+    def __init__(
+        self,
+        src_lp: int,
+        dst_lp: int,
+        kind: MessageKind,
+        events: tuple[Event, ...] = (),
+        control: Any = None,
+        serial: int | None = None,
+    ) -> None:
+        self.src_lp = src_lp
+        self.dst_lp = dst_lp
+        self.kind = kind
+        self.events = events
+        self.control = control
+        self.serial = next(_serial_counter) if serial is None else serial
+        if kind is MessageKind.DATA:
+            size = PHYSICAL_HEADER_BYTES
+            for event in events:
+                size += event.size_bytes()
+        else:
+            # Control messages are small and fixed-size.
+            size = PHYSICAL_HEADER_BYTES + 32
+        self._size = size
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PhysicalMessage:
+            return NotImplemented
+        return _message_fields(self) == _message_fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_message_fields(self))
+
+    def __repr__(self) -> str:
+        pairs = zip(_MESSAGE_FIELDS, _message_fields(self))
+        return "PhysicalMessage(" + ", ".join(f"{n}={v!r}" for n, v in pairs) + ")"
+
+    def __reduce__(self):
+        return (PhysicalMessage, _message_fields(self))
 
     def size_bytes(self) -> int:
-        size = self._size
-        if size is None:
-            if self.kind is MessageKind.DATA:
-                size = PHYSICAL_HEADER_BYTES + sum(
-                    e.size_bytes() for e in self.events
-                )
-            else:
-                # Control messages are small and fixed-size.
-                size = PHYSICAL_HEADER_BYTES + 32
-            object.__setattr__(self, "_size", size)
-        return size
+        return self._size
 
     def min_event_time(self) -> VirtualTime | None:
         """Smallest receive timestamp carried (for GVT accounting)."""

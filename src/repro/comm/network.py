@@ -70,15 +70,16 @@ class Network:
 
     def send(self, message: PhysicalMessage, completion_clock: float) -> float:
         """Inject ``message`` at ``completion_clock``; returns arrival time."""
-        size = message.size_bytes()
+        size = message._size
+        model = self.model
         channel = (message.src_lp, message.dst_lp)
-        index = self._channel_counts.get(channel, 0)
-        self._channel_counts[channel] = index + 1
-        jitter = _jitter_unit(
-            message.src_lp, message.dst_lp, index, self.model.seed
-        )
-        latency = self.model.delivery_latency(size, jitter)
-        arrival = completion_clock + latency
+        if model.jitter:
+            index = self._channel_counts.get(channel, 0)
+            self._channel_counts[channel] = index + 1
+            jitter = _jitter_unit(message.src_lp, message.dst_lp, index, model.seed)
+            arrival = completion_clock + model.delivery_latency(size, jitter)
+        else:  # a quiet segment: no background load to hash
+            arrival = completion_clock + model.delivery_latency(size)
         previous = self._last_arrival.get(channel)
         if previous is not None and arrival <= previous:
             arrival = previous + CHANNEL_EPSILON
@@ -88,7 +89,7 @@ class Network:
             self.on_data_send(message)
         self.messages_sent += 1
         self.bytes_sent += size
-        self.events_carried += message.event_count()
+        self.events_carried += len(message.events)
         self._deliver(message.dst_lp, arrival, message)
         return arrival
 

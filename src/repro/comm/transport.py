@@ -28,12 +28,11 @@ class TransportHost(Protocol):
     @property
     def clock(self) -> float: ...
 
-    def charge(self, cost: float) -> None: ...
-
     def schedule_flush(self, dst_lp: int, at: float, generation: int) -> None: ...
 
-    def note_physical_sent(self) -> None:
-        """Statistics hook: one physical message left this host."""
+    def on_physical_sent(self, cost: float) -> None:
+        """One physical message left this host: charge its send-side CPU
+        ``cost`` to the host's wall clock and count it."""
         ...
 
 
@@ -73,14 +72,15 @@ class CommModule:
     def enqueue(self, event: Event) -> None:
         """Queue one application event for a remote LP (called post-routing,
         so ``event.receiver`` is known to live on another LP)."""
-        dst_lp = self._dst_lp_of(event)
+        # the receiver -> LP map is the kernel's own routing table, shared
+        dst_lp = self._routing[event.receiver]
         if self.window <= 0.0:
             self._transmit(dst_lp, (event,))
             return
         buffer = self._buffers.get(dst_lp)
         if buffer is None:
             buffer = self._buffers[dst_lp] = AggregateBuffer(dst_lp=dst_lp)
-        if event.is_anti and buffer.try_annihilate(event):
+        if event.sign < 0 and buffer.try_annihilate(event):
             self.antis_annihilated_in_buffer += 1
             return
         if not buffer.events:
@@ -91,11 +91,6 @@ class CommModule:
         buffer.append(event)
         if len(buffer) >= self.MAX_AGGREGATE_EVENTS:
             self._send_aggregate(buffer, trigger="capacity")
-
-    def _dst_lp_of(self, event: Event) -> int:
-        # The LP resolves receiver -> LP before calling us and stashes it on
-        # a routing side-table to keep Event immutable and compact.
-        return self._routing[event.receiver]
 
     def set_routing(self, routing: dict[int, int]) -> None:
         """Install the receiver-object -> LP map (built by the kernel)."""
@@ -151,15 +146,10 @@ class CommModule:
                 )
 
     def _transmit(self, dst_lp: int, events: tuple[Event, ...]) -> None:
-        message = PhysicalMessage(
-            src_lp=self.host.lp_id,
-            dst_lp=dst_lp,
-            kind=MessageKind.DATA,
-            events=events,
-        )
-        self.host.charge(self.costs.physical_send(message.size_bytes()))
-        self.host.note_physical_sent()
-        self.network.send(message, self.host.clock)
+        host = self.host
+        message = PhysicalMessage(host.lp_id, dst_lp, MessageKind.DATA, events)
+        host.on_physical_sent(self.costs.physical_send(message._size))
+        self.network.send(message, host.clock)
         self.aggregates_sent += 1
         self.events_sent += len(events)
 
@@ -170,8 +160,7 @@ class CommModule:
         message = PhysicalMessage(
             src_lp=self.host.lp_id, dst_lp=dst_lp, kind=kind, control=control
         )
-        self.host.charge(self.costs.physical_send(message.size_bytes()))
-        self.host.note_physical_sent()
+        self.host.on_physical_sent(self.costs.physical_send(message._size))
         self.network.send(message, self.host.clock)
 
     # ------------------------------------------------------------------ #

@@ -300,7 +300,7 @@ class MetaController:
         for lp in executive.lps:
             for ctx in lp.members.values():
                 objects += 1
-                state = ctx.state
+                state = ctx.obj.state
                 if hasattr(state, "size_bytes"):
                     total += state.size_bytes()
         mean = total / max(1, objects)

@@ -120,6 +120,6 @@ def set_optimism_window(window: float) -> Adjustment:
         for lp in executive.lps:
             lp.optimism_bound = bound
             if lp.has_work():
-                executive._schedule_turn(lp, lp.clock)
+                executive._schedule_turn(lp)
 
     return adjust

@@ -43,27 +43,12 @@ class GVTAlgorithm(Protocol):
         """Process an arriving GVT control message (token / broadcast)."""
         ...
 
-    def observe_send(self, message: PhysicalMessage) -> None:
-        """Observe an application physical message entering the network."""
-        ...
-
-    def observe_receive(self, message: PhysicalMessage) -> None:
-        """Observe an application physical message being delivered."""
-        ...
-
     @property
     def round_active(self) -> bool: ...
 
 
 def true_global_minimum(executive: "Executive") -> VirtualTime:
-    """The exact GVT bound, computed from complete global state.
-
-    Each LP's :meth:`~repro.kernel.lp.LogicalProcess.local_min` is the
-    hot part of this scan: on the numpy fast path it is one vectorized
-    pass over the LP's :class:`~repro.kernel.arena.EventArena` time
-    column instead of a per-member heap peek (the per-event Python mins
-    this sweep used to pay).
-    """
+    """The exact GVT bound, computed from complete global state."""
     best = min((lp.local_min() for lp in executive.lps), default=float("inf"))
     wire = executive.network.min_in_flight_time()
     if wire is not None and wire < best:
@@ -108,9 +93,3 @@ class OmniscientGVT:
 
     def handle_control(self, message: PhysicalMessage) -> None:  # pragma: no cover
         raise AssertionError("omniscient GVT sends no control messages")
-
-    def observe_send(self, message: PhysicalMessage) -> None:
-        pass
-
-    def observe_receive(self, message: PhysicalMessage) -> None:
-        pass

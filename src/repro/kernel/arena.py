@@ -198,8 +198,10 @@ class EventArena:
         needs the values — and a row inserted and popped between two
         scans (the common Time Warp fate) never touches numpy at all.
         """
-        self._ensure(1)
         n = self._n
+        if n >= self._cap:
+            self._ensure(1)
+            n = self._n  # a compaction moves the high-water mark
         self.events[n] = event
         self._staged.append(n)
         self._n = n + 1
@@ -312,20 +314,6 @@ class EventArena:
             self.events[slot] = event
         return event
 
-    def key_of(self, slot: int) -> EventKey:
-        """Total-order key of a row (boxed handle first: staged rows have
-        no column values yet, and the boxed path is cheaper anyway)."""
-        event = self.events[slot]
-        if event is not None:
-            return event.key()
-        return EventKey(
-            float(self.recv_times[slot]),
-            int(self.receivers[slot]),
-            int(self.senders[slot]),
-            float(self.send_times[slot]),
-            int(self.serials[slot]),
-        )
-
     # ------------------------------------------------------------------ #
     # removal and compaction
     # ------------------------------------------------------------------ #
@@ -425,7 +413,7 @@ class ArrayInputQueue(InputQueue):
     differential suite holds the two implementations against each other.
     """
 
-    __slots__ = ("_arena", "_stale", "_events", "_top")
+    __slots__ = ("_arena", "_stale", "_events")
 
     def __init__(self, arena: EventArena) -> None:
         super().__init__()
@@ -437,23 +425,18 @@ class ArrayInputQueue(InputQueue):
         #: hot path skips two attribute hops; compaction replaces the
         #: list, and :meth:`_remap_slots` re-reads it
         self._events = arena.events
-        #: memoized ``(key, event)`` of the heap top — the scheduler
-        #: re-peeks every member each step, and only one member mutates
-        #: between steps; every mutator resets this to ``None``
-        self._top: tuple[EventKey, Event] | None = None
         arena.register(self)
 
     # ------------------------------------------------------------------ #
     # insertion and annihilation
     # ------------------------------------------------------------------ #
     def insert_positive(self, event: Event) -> bool:
-        self._top = None
-        eid = event.event_id()
+        eid = event._eid
         if eid in self._pending_antis:
             del self._pending_antis[eid]
             return False
         slot = self._arena.insert(event)
-        heapq.heappush(self._future, (event.key(), slot))
+        heapq.heappush(self._future, (event._key, slot))
         self._future_ids[eid] = slot
         self._live_future += 1
         return True
@@ -465,12 +448,11 @@ class ArrayInputQueue(InputQueue):
         by stashed anti-messages annihilate on the spot, exactly as in
         :meth:`insert_positive`).
         """
-        self._top = None
         pending = self._pending_antis
         if pending:
             live = []
             for event in events:
-                eid = event.event_id()
+                eid = event._eid
                 if eid in pending:
                     del pending[eid]
                 else:
@@ -484,26 +466,24 @@ class ArrayInputQueue(InputQueue):
         future = self._future
         ids = self._future_ids
         for event, slot in zip(events, slots):
-            future.append((event.key(), slot))
-            ids[event.event_id()] = slot
+            future.append((event._key, slot))
+            ids[event._eid] = slot
         heapq.heapify(future)  # keys are unique: pop order is unchanged
         self._live_future += len(events)
         return len(events)
 
     def insert_anti(self, anti: Event) -> Event | None:
-        self._top = None
-        eid = anti.event_id()
+        eid = anti._eid
         slot = self._future_ids.pop(eid, None)
         if slot is not None:
             self._live_future -= 1
             self._stale += 1
-            self._arena.kill(slot)  # may compact, which resets _stale
+            self._arena.kill(slot)
             return None
         processed = self._processed_ids.get(eid)
-        if processed is not None:
-            return processed
-        self._pending_antis[eid] = anti
-        return None
+        if processed is None:
+            self._pending_antis[eid] = anti
+        return processed
 
     def annihilate_batch(self, antis: Sequence[Event]) -> list[Event]:
         """Annihilate a batch of antis against the future side at once.
@@ -516,7 +496,6 @@ class ArrayInputQueue(InputQueue):
         """
         if not antis:
             return []
-        self._top = None
         arena = self._arena
         matched = arena.match_antis(
             [a.sender for a in antis], [a.serial for a in antis]
@@ -527,7 +506,7 @@ class ArrayInputQueue(InputQueue):
         }
         leftovers: list[Event] = []
         for anti in antis:
-            eid = anti.event_id()
+            eid = anti._eid
             # re-read the dict each round: a kill can compact the arena,
             # which rebuilds it with remapped slots
             ids = self._future_ids
@@ -563,28 +542,21 @@ class ArrayInputQueue(InputQueue):
         self._stale = stale
 
     def peek_next(self) -> Event | None:
-        entry = self._top or self.peek_next_entry()
-        return entry[1] if entry is not None else None
-
-    def peek_next_entry(self) -> tuple[EventKey, Event] | None:
-        top = self._top
-        if top is not None:
-            return top
         if self._stale:
             self._skip_stale()
         future = self._future
         if not future:
             return None
-        key, slot = future[0]
-        event = self._events[slot]
-        if event is None:
-            event = self._arena.handle(slot)
-        top = (key, event)
-        self._top = top
-        return top
+        slot = future[0][1]
+        return self._events[slot] or self._arena.handle(slot)
+
+    def head_key(self) -> EventKey | None:
+        if self._stale:
+            self._skip_stale()
+        future = self._future
+        return future[0][0] if future else None
 
     def pop_next(self) -> Event:
-        self._top = None
         if self._stale:
             self._skip_stale()
         if not self._future:
@@ -595,7 +567,7 @@ class ArrayInputQueue(InputQueue):
         if event is None:
             event = arena.handle(slot)
         arena.kill(slot)
-        eid = event.event_id()
+        eid = event._eid
         del self._future_ids[eid]
         self._live_future -= 1
         self.processed.append(event)
@@ -607,12 +579,6 @@ class ArrayInputQueue(InputQueue):
             self._skip_stale()
         return bool(self._future)
 
-    def min_unprocessed_time(self) -> VirtualTime | None:
-        if self._stale:
-            self._skip_stale()
-        future = self._future
-        return future[0][0].recv_time if future else None
-
     def iter_future(self) -> Iterable[Event]:
         arena = self._arena
         for slot in self._future_ids.values():
@@ -622,9 +588,8 @@ class ArrayInputQueue(InputQueue):
     # rollback
     # ------------------------------------------------------------------ #
     def rollback(self, key: EventKey) -> list[Event]:
-        self._top = None
         split = len(self.processed)
-        while split > 0 and self.processed[split - 1].key() >= key:
+        while split > 0 and self.processed[split - 1]._key >= key:
             split -= 1
         rolled = self.processed[split:]
         del self.processed[split:]
@@ -633,10 +598,10 @@ class ArrayInputQueue(InputQueue):
         future = self._future
         ids = self._future_ids
         for event in rolled:
-            eid = event.event_id()
+            eid = event._eid
             del processed_ids[eid]
             slot = arena.insert(event)
-            heapq.heappush(future, (event.key(), slot))
+            heapq.heappush(future, (event._key, slot))
             ids[eid] = slot
         self._live_future += len(rolled)
         return rolled
@@ -648,7 +613,6 @@ class ArrayInputQueue(InputQueue):
         events leave with the checkpoint, so their rows must die here or
         the arena's local-min scan would keep seeing a departed member.
         """
-        self._top = None
         arena = self._arena
         ids = self._future_ids
         while ids:
@@ -684,5 +648,4 @@ class ArrayInputQueue(InputQueue):
         self._future_ids.clear()
         self._future_ids.update(new_ids)
         self._stale = 0
-        self._top = None
         self._events = self._arena.events  # compaction rebuilt the list

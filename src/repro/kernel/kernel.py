@@ -61,7 +61,7 @@ class TimeWarpSimulation:
             lp = LogicalProcess(
                 lp_index,
                 self.config.costs_for_lp(lp_index),
-                resolve_name=self._resolve,
+                resolve_name=self._name_to_oid.__getitem__,
                 lp_of=self._oid_to_lp.__getitem__,
                 end_time=self.config.end_time,
                 fastpath=fastpath,
@@ -109,6 +109,7 @@ class TimeWarpSimulation:
         if self.config.gvt_algorithm == "mattern":
             gvt = MatternGVT(self.executive)
             self.executive.network.on_data_send = gvt.observe_send
+            self.executive.on_data_receive = gvt.observe_receive
         else:
             gvt = OmniscientGVT(self.executive)
         self.executive.gvt_algorithm = gvt

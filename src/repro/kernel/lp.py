@@ -11,7 +11,9 @@ their configured periods.  All CPU work is charged to the LP's wall clock
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from ..cluster.costmodel import CostModel
@@ -24,6 +26,7 @@ from .checkpointing import MAX_INTERVAL, CheckpointPolicy, CheckpointWindow
 from .errors import (
     ApplicationError,
     CausalityViolationError,
+    ConfigurationError,
     SchedulingError,
     TimeWarpError,
 )
@@ -64,31 +67,27 @@ class ObjectContext:
     comparisons_since_control: int = 0
     events_since_ckpt_control: int = 0
     stats: ObjectStats = field(default_factory=ObjectStats)
-
-    @property
-    def state(self):
-        return self.obj.state
-
-    @state.setter
-    def state(self, value) -> None:
-        self.obj.state = value
+    #: key of this member's lowest unprocessed event, as filed in the
+    #: LP's schedule heap (kept equal to ``iq.head_key()`` by the LP)
+    head_key: EventKey | None = None
+    #: modelled CPU cost of executing one event here on the hosting LP
+    exec_cost: float = 0.0
 
 
 class _ObjectServices:
     """The :class:`KernelServices` adapter handed to application objects."""
 
-    __slots__ = ("_lp", "_ctx")
+    __slots__ = ("_ctx", "send")
 
     def __init__(self, lp: "LogicalProcess", ctx: ObjectContext) -> None:
-        self._lp = lp
         self._ctx = ctx
+        #: ``send(dest, delay, payload)``: the LP's send path with the
+        #: sending context pre-bound, so a send crosses no adapter frame
+        self.send = partial(lp.send_from, ctx)
 
     @property
     def now(self) -> VirtualTime:
         return self._ctx.lvt
-
-    def send(self, dest: str, delay: VirtualTime, payload: Any) -> None:
-        self._lp.send_from(self._ctx, dest, delay, payload)
 
 
 class LogicalProcess:
@@ -119,11 +118,21 @@ class LogicalProcess:
         self._lp_of = lp_of
         self.members: dict[int, ObjectContext] = {}
         self._member_list: list[ObjectContext] = []
+        #: the LP-wide schedule: one ``(head key, oid, member)`` entry per
+        #: change of a member's lowest unprocessed event.  Entries are
+        #: never removed in place; one whose key is no longer its member's
+        #: ``head_key`` is stale and dropped when it surfaces.  Keys are
+        #: unique, so the top live entry is the event the per-member scan
+        #: this replaces would have picked.
+        self._sched: list[tuple[EventKey, int, ObjectContext]] = []
         self.comm: "CommModule" = None  # type: ignore[assignment]
         #: absolute virtual-time optimism bound (GVT + window), set by the
         #: executive when a time-window policy is active
         self.optimism_bound: VirtualTime = float("inf")
         self.stats = LPStats()
+        #: running total of events un-processed by rollbacks on this LP
+        #: (the time-window controller samples it every GVT round)
+        self.events_rolled_back = 0
         #: structured observability tracer (repro.trace); NULL_TRACER when
         #: tracing is off, so emission sites cost one attribute check
         self.tracer = NULL_TRACER
@@ -159,10 +168,27 @@ class LogicalProcess:
         ctx.ckpt_policy = ckpt_policy
         ctx.mode = cancel_policy.initial_mode()
         ctx.chi = max(1, min(MAX_INTERVAL, ckpt_policy.initial_interval()))
-        obj.bind(_ObjectServices(self, ctx))
-        self.members[oid] = ctx
-        self._member_list.append(ctx)
+        self.adopt(ctx)
         return ctx
+
+    def adopt(self, ctx: ObjectContext) -> None:
+        """Make ``ctx`` a member: bind its object to this LP's services,
+        price its events on this host and file it in the schedule."""
+        ctx.exec_cost = self.costs.event_execution(ctx.obj.grain_factor)
+        ctx.obj.bind(_ObjectServices(self, ctx))
+        self.members[ctx.oid] = ctx
+        self._member_list.append(ctx)
+        self._note_head(ctx)
+
+    def release(self, ctx: ObjectContext) -> None:
+        """Undo :meth:`adopt` (live migration detaches members mid-run)."""
+        del self.members[ctx.oid]
+        self._member_list.remove(ctx)
+        # purge rather than leave stale entries: a later re-adoption of the
+        # same oid would put an equal (key, oid) pair beside them
+        self._sched = [entry for entry in self._sched if entry[2] is not ctx]
+        heapq.heapify(self._sched)
+        ctx.obj._services = None  # sever the stale kernel binding
 
     def initialize(self) -> None:
         """Create initial states, run app initializers, take snapshot zero.
@@ -175,7 +201,7 @@ class LogicalProcess:
         than the one whose messages are already in the system.
         """
         for ctx in self._member_list:
-            ctx.state = ctx.obj.initial_state()
+            ctx.obj.state = ctx.obj.initial_state()
         for ctx in self._member_list:
             ctx.current_cause_key = INITIAL_KEY
             ctx.obj.initialize()
@@ -183,7 +209,7 @@ class LogicalProcess:
                 last_key=None,
                 lvt=0.0,
                 event_count=0,
-                state=self.snapshot_strategy.snapshot(ctx.state),
+                state=self.snapshot_strategy.snapshot(ctx.obj.state),
             )
             ctx.sq.save(saved)
             oracle = self.oracle
@@ -206,19 +232,28 @@ class LogicalProcess:
         """Installed by the executive (transport host hook)."""
         raise SchedulingError("LP is not attached to an executive")
 
-    def note_physical_sent(self) -> None:
-        self.stats.physical_messages_sent += 1
+    def on_physical_sent(self, cost: float) -> None:
+        """Transport host hook: one physical message left this LP."""
+        stats = self.stats
+        self.clock += cost
+        stats.busy_time += cost
+        stats.physical_messages_sent += 1
 
     # ------------------------------------------------------------------ #
     # delivery path
     # ------------------------------------------------------------------ #
     def receive_physical(self, size_bytes: int, events: tuple[Event, ...]) -> None:
         """Receive one arrived physical message and deliver its events."""
-        self.stats.physical_messages_received += 1
-        self.stats.remote_events_received += len(events)
-        self.charge(self.costs.physical_recv(size_bytes))
+        stats = self.stats
+        stats.physical_messages_received += 1
+        stats.remote_events_received += len(events)
+        cost = self.costs.physical_recv(size_bytes)
+        self.clock += cost
+        stats.busy_time += cost
+        handle_cost = self.costs.event_handle_cost
         for event in events:
-            self.charge(self.costs.event_handle_cost)
+            self.clock += handle_cost
+            stats.busy_time += handle_cost
             self.deliver_event(event)
 
     def deliver_event(self, event: Event) -> None:
@@ -230,28 +265,42 @@ class LogicalProcess:
             raise SchedulingError(
                 f"event for object {event.receiver} delivered to LP {self.lp_id}"
             )
-        if event.is_anti:
-            self._handle_anti(ctx, event)
+        iq = ctx.iq
+        key = event._key
+        if event.sign > 0:
+            done = iq.processed
+            if done and key < done[-1]._key:
+                self._rollback(ctx, key, primary=True)
+                iq.insert_positive(event)
+            else:
+                # the common arrival: no straggler, so the member's head
+                # can only move down to this event (and not at all if a
+                # stashed anti-message annihilated it on arrival)
+                if iq.insert_positive(event):
+                    head = ctx.head_key
+                    if head is None or key < head:
+                        ctx.head_key = key
+                        heapq.heappush(self._sched, (key, ctx.oid, ctx))
+                return
         else:
-            self._handle_positive(ctx, event)
+            processed = iq.insert_anti(event)
+            if processed is not None:
+                # The positive was already executed: roll back to just
+                # before it, then annihilate the (now unprocessed) pair.
+                self._rollback(ctx, processed._key, primary=False)
+                if iq.insert_anti(event) is not None:  # pragma: no cover - invariant
+                    raise CausalityViolationError(
+                        "anti-message did not annihilate after rollback"
+                    )
+        self._note_head(ctx)
 
-    def _handle_positive(self, ctx: ObjectContext, event: Event) -> None:
-        last = ctx.iq.last_processed_key()
-        if last is not None and event.key() < last:
-            self._rollback(ctx, event.key(), primary=True)
-        ctx.iq.insert_positive(event)
-
-    def _handle_anti(self, ctx: ObjectContext, anti: Event) -> None:
-        processed = ctx.iq.insert_anti(anti)
-        if processed is not None:
-            # The positive was already executed: roll back to just before
-            # it, then annihilate the (now unprocessed) pair.
-            self._rollback(ctx, processed.key(), primary=False)
-            leftover = ctx.iq.insert_anti(anti)
-            if leftover is not None:  # pragma: no cover - invariant
-                raise CausalityViolationError(
-                    "anti-message did not annihilate after rollback"
-                )
+    def _note_head(self, ctx: ObjectContext) -> None:
+        """Re-file ``ctx`` in the schedule after its input queue changed."""
+        key = ctx.iq.head_key()
+        if key is not ctx.head_key:
+            ctx.head_key = key
+            if key is not None:
+                heapq.heappush(self._sched, (key, ctx.oid, ctx))
 
     # ------------------------------------------------------------------ #
     # rollback machinery
@@ -267,12 +316,15 @@ class LogicalProcess:
 
         rolled = ctx.iq.rollback(key)
         stats.events_rolled_back += len(rolled)
+        self.events_rolled_back += len(rolled)
 
         snapshot = ctx.sq.restore_for(key)
         size = snapshot.state.size_bytes()
-        self.charge(self.costs.rollback_base + self.costs.state_restore(size))
+        cost = self.costs.rollback_base + self.costs.state_restore(size)
+        self.clock += cost
+        self.stats.busy_time += cost
         stats.state_restores += 1
-        ctx.state = self.snapshot_strategy.snapshot(snapshot.state)
+        ctx.obj.state = self.snapshot_strategy.snapshot(snapshot.state)
         ctx.lvt = snapshot.lvt
         ctx.event_count = snapshot.event_count
         ctx.events_since_save = 0
@@ -281,7 +333,7 @@ class LogicalProcess:
         if oracle.enabled:
             oracle.on_rollback(self.clock, self.lp_id, ctx.obj.name, key.recv_time)
             oracle.on_state_restore(
-                self.clock, self.lp_id, ctx.obj.name, snapshot, ctx.state
+                self.clock, self.lp_id, ctx.obj.name, snapshot, ctx.obj.state
             )
 
         # Undo sends caused at or after the rollback point, according to
@@ -322,14 +374,14 @@ class LogicalProcess:
         if snapshot.last_key is None:
             start = 0
         else:
-            while start > 0 and processed[start - 1].key() > snapshot.last_key:
+            while start > 0 and processed[start - 1]._key > snapshot.last_key:
                 start -= 1
         to_replay = processed[start:]
         if not to_replay:
             return
         ctx.coasting = True
         try:
-            grain = ctx.obj.grain_factor
+            cost = self.costs.coast_forward_event(ctx.obj.grain_factor)
             for event in to_replay:
                 ctx.lvt = event.recv_time
                 try:
@@ -341,8 +393,8 @@ class LogicalProcess:
                         ctx.obj.name, event.recv_time, event.payload,
                         coasting=True,
                     ) from exc
-                cost = self.costs.coast_forward_event(grain)
-                self.charge(cost)
+                self.clock += cost
+                self.stats.busy_time += cost
                 ctx.ckpt_window.coast_events += 1
                 ctx.ckpt_window.coast_cost += cost
                 ctx.stats.coast_forward_events += 1
@@ -352,10 +404,11 @@ class LogicalProcess:
             ctx.coasting = False
 
     def _emit_anti(self, ctx: ObjectContext, record: SentRecord) -> None:
-        anti = record.event.anti_message()
-        self.charge(self.costs.anti_send_cost)
+        cost = self.costs.anti_send_cost
+        self.clock += cost
+        self.stats.busy_time += cost
         ctx.stats.antis_sent += 1
-        self._route(anti)
+        self._route(record.event.anti_message())
 
     # ------------------------------------------------------------------ #
     # send path
@@ -365,20 +418,19 @@ class LogicalProcess:
     ) -> None:
         if ctx.coasting:
             return  # previously sent messages are still correct
-        receiver = self._resolve_name(dest)
-        event = Event(
-            sender=ctx.oid,
-            receiver=receiver,
-            send_time=ctx.lvt,
-            recv_time=ctx.lvt + delay,
-            payload=payload,
-            serial=ctx.send_serial,
-        )
+        try:
+            receiver = self._resolve_name(dest)
+        except KeyError:
+            raise ConfigurationError(f"unknown simulation object {dest!r}") from None
+        lvt = ctx.lvt
+        event = Event(ctx.oid, receiver, lvt, lvt + delay, payload, ctx.send_serial)
         ctx.send_serial += 1
         ctx.stats.sends += 1
 
-        if ctx.cmp_buffer.pending():
-            self.charge(self.costs.lazy_compare_cost)
+        if ctx.cmp_buffer._by_content:  # pending(), without the call
+            cost = self.costs.lazy_compare_cost
+            self.clock += cost
+            self.stats.busy_time += cost
             entry = ctx.cmp_buffer.match(event)
             if entry is not None:
                 self._resolve_comparison(ctx, hit=True, lazy_entry=entry.lazy)
@@ -396,13 +448,15 @@ class LogicalProcess:
         self._route(event)
 
     def _route(self, event: Event) -> None:
-        dst_lp = self._lp_of(event.receiver)
-        if dst_lp == self.lp_id:
-            self.charge(self.costs.intra_send_cost)
-            self.stats.intra_lp_events += 1
+        stats = self.stats
+        if self._lp_of(event.receiver) == self.lp_id:
+            cost = self.costs.intra_send_cost
+            self.clock += cost
+            stats.busy_time += cost
+            stats.intra_lp_events += 1
             self.deliver_event(event)
         else:
-            self.stats.remote_events_sent += 1
+            stats.remote_events_sent += 1
             self.comm.enqueue(event)
 
     # ------------------------------------------------------------------ #
@@ -459,12 +513,8 @@ class LogicalProcess:
             self._resolve_comparison(ctx, hit=False, lazy_entry=entry.lazy)
 
     def _run_checkpoint_control(self, ctx: ObjectContext) -> None:
-        period = ctx.ckpt_policy.period
-        if period is None:
-            return
-        ctx.events_since_ckpt_control += 1
-        if ctx.events_since_ckpt_control < period:
-            return
+        """One invocation of the checkpoint-interval controller (the
+        caller counts events up to the policy's period)."""
         ctx.events_since_ckpt_control = 0
         self.charge(self.costs.control_invocation_cost)
         ctx.stats.control_invocations += 1
@@ -490,91 +540,90 @@ class LogicalProcess:
     # ------------------------------------------------------------------ #
     # forward execution
     # ------------------------------------------------------------------ #
-    def next_work(self) -> tuple[ObjectContext, Event] | None:
-        """Member with the lowest-key unprocessed event within the
-        virtual-time horizon and the optimism window."""
-        best_ctx: ObjectContext | None = None
-        best_key: EventKey | None = None
-        best_event: Event | None = None
-        end_time = self.end_time
-        if self.optimism_bound < end_time:
-            end_time = self.optimism_bound
-        for ctx in self._member_list:
-            entry = ctx.iq.peek_next_entry()
-            if entry is None:
-                continue
-            key, event = entry
-            if event.recv_time > end_time:
-                continue
-            if best_key is None or key < best_key:
-                best_ctx, best_key, best_event = ctx, key, event
-        if best_ctx is None:
-            return None
-        return best_ctx, best_event  # type: ignore[return-value]
+    def next_work(self, *, ignore_window: bool = False) -> ObjectContext | None:
+        """Member holding the LP's lowest-key unprocessed event, if that
+        event lies within the virtual-time horizon and the optimism window
+        (``ignore_window=True``: within the horizon alone)."""
+        sched = self._sched
+        while sched:
+            key, _, ctx = sched[0]
+            if ctx.head_key is key:
+                end_time = self.end_time
+                if not ignore_window and self.optimism_bound < end_time:
+                    end_time = self.optimism_bound
+                return ctx if key[0] <= end_time else None
+            heapq.heappop(sched)  # stale: that member's head has moved
+        return None
 
     def execute_one(self) -> bool:
-        """Execute the LP's next event; False if the LP has no work."""
-        work = self.next_work()
-        if work is None:
+        """Execute the LP's next event; False if the LP has no work.
+
+        One frame from the schedule to the model: the pop, the execution
+        charge, the periodic state save and the controller period count
+        all happen here, and nothing that only applies to a configured
+        controller or a pending comparison is called unless it is due.
+        """
+        ctx = self.next_work()
+        if ctx is None:
             return False
-        ctx, _ = work
         event = ctx.iq.pop_next()
+        self._note_head(ctx)
+        key = event._key
         ctx.lvt = event.recv_time
-        ctx.current_cause_key = event.key()
+        ctx.current_cause_key = key
+        obj = ctx.obj
         try:
-            ctx.obj.execute_process(event.payload)
+            obj.execute_process(event.payload)
         except TimeWarpError:
             raise
         except Exception as exc:
-            raise ApplicationError(
-                ctx.obj.name, event.recv_time, event.payload
-            ) from exc
-        self.charge(self.costs.event_execution(ctx.obj.grain_factor))
+            raise ApplicationError(obj.name, event.recv_time, event.payload) from exc
+        cost = ctx.exec_cost
+        self.clock += cost
+        self.stats.busy_time += cost
         ctx.event_count += 1
-        ctx.events_since_save += 1
         ctx.stats.events_executed += 1
-        ctx.ckpt_window.events += 1
+        window = ctx.ckpt_window
+        window.events += 1
 
+        ctx.events_since_save += 1
         if ctx.events_since_save >= ctx.chi:
-            self._save_state(ctx, event.key())
+            state = obj.state
+            cost = self.costs.state_save(state.size_bytes())
+            self.clock += cost
+            self.stats.busy_time += cost
+            saved = SavedState(
+                key, ctx.lvt, ctx.event_count, self.snapshot_strategy.snapshot(state), cost
+            )
+            ctx.sq.save(saved)
+            oracle = self.oracle
+            if oracle.enabled:
+                oracle.on_state_save(self.clock, self.lp_id, obj.name, saved)
+            ctx.events_since_save = 0
+            ctx.stats.state_saves += 1
+            window.saves += 1
+            window.save_cost += cost
 
         # Pending comparisons caused at or before this event can no longer
         # be regenerated: resolve them as misses.
-        if ctx.cmp_buffer.pending():
-            self._expire_comparisons(ctx, event.key())
+        if ctx.cmp_buffer._by_content:
+            self._expire_comparisons(ctx, key)
 
-        self._run_checkpoint_control(ctx)
+        period = ctx.ckpt_policy.period
+        if period is not None:
+            ctx.events_since_ckpt_control += 1
+            if ctx.events_since_ckpt_control >= period:
+                self._run_checkpoint_control(ctx)
         return True
-
-    def _save_state(self, ctx: ObjectContext, last_key: EventKey) -> None:
-        size = ctx.state.size_bytes()
-        cost = self.costs.state_save(size)
-        self.charge(cost)
-        saved = SavedState(
-            last_key=last_key,
-            lvt=ctx.lvt,
-            event_count=ctx.event_count,
-            state=self.snapshot_strategy.snapshot(ctx.state),
-            save_cost=cost,
-        )
-        ctx.sq.save(saved)
-        oracle = self.oracle
-        if oracle.enabled:
-            oracle.on_state_save(self.clock, self.lp_id, ctx.obj.name, saved)
-        ctx.events_since_save = 0
-        ctx.stats.state_saves += 1
-        ctx.ckpt_window.saves += 1
-        ctx.ckpt_window.save_cost += cost
 
     def on_idle(self) -> None:
         """Called by the executive when the LP runs out of work: flush
         aggregates and resolve dangling comparisons so the system drains."""
         for ctx in self._member_list:
-            if not ctx.cmp_buffer.pending():
-                continue
-            event = ctx.iq.peek_next()
-            if event is None or event.recv_time > self.end_time:
-                self._expire_comparisons(ctx, None)
+            if ctx.cmp_buffer._by_content:
+                key = ctx.head_key
+                if key is None or key[0] > self.end_time:
+                    self._expire_comparisons(ctx, None)
         if self.comm is not None:
             flushed = self.comm.flush_all()
             self.stats.aggregates_flushed_idle += flushed
@@ -585,27 +634,10 @@ class LogicalProcess:
     def local_min(self) -> VirtualTime:
         """Lower bound on any virtual time this LP can still affect."""
         best = float("inf")
-        arena = self.arena
-        if arena is not None:
-            # One vectorized scan of the arena's time column covers every
-            # member's unprocessed events at once (the per-member heap
-            # peeks below would each skip tombstones in Python).
-            t = arena.min_alive_time()
-            if t is not None:
-                best = t
-            for ctx in self._member_list:
-                t = ctx.cmp_buffer.min_live_time()
-                if t is not None and t < best:
-                    best = t
-            if self.comm is not None:
-                t = self.comm.min_buffered_time()
-                if t is not None and t < best:
-                    best = t
-            return best
         for ctx in self._member_list:
-            t = ctx.iq.min_unprocessed_time()
-            if t is not None and t < best:
-                best = t
+            key = ctx.head_key  # the member's lowest unprocessed event
+            if key is not None and key[0] < best:
+                best = key[0]
             t = ctx.cmp_buffer.min_live_time()
             if t is not None and t < best:
                 best = t
@@ -691,13 +723,7 @@ class LogicalProcess:
         remains, even if the optimism window currently blocks it —
         termination detection must not confuse "throttled" with "done".
         """
-        if not ignore_window:
-            return self.next_work() is not None
-        for ctx in self._member_list:
-            event = ctx.iq.peek_next()
-            if event is not None and event.recv_time <= self.end_time:
-                return True
-        return False
+        return self.next_work(ignore_window=ignore_window) is not None
 
     def object_stats(self) -> dict[str, ObjectStats]:
         return {ctx.obj.name: ctx.stats for ctx in self._member_list}

@@ -8,9 +8,8 @@ serial, cancellation mode, checkpoint interval chi, controller phase).
 "Canonical" means two checkpoints of equivalent contexts pickle to the
 same bytes:
 
-* events are flattened to plain field tuples — a live :class:`Event`
-  memoizes its key/id/size on first use (``init=False`` slots), so two
-  equal events can pickle differently depending on access history;
+* events are flattened to plain field tuples, so the checkpoint format
+  does not depend on how :class:`Event` chooses to pickle itself;
 * unordered collections are serialized in a deterministic order (the
   future heap by key, pending anti-messages by event id, comparisons by
   park sequence) and rebuilt on restore;
@@ -38,7 +37,7 @@ from .cancellation import Mode
 from .checkpointing import CheckpointWindow
 from .errors import SchedulingError
 from .event import Event, EventKey, SentRecord, VirtualTime
-from .lp import INITIAL_KEY, LogicalProcess, ObjectContext, _ObjectServices
+from .lp import INITIAL_KEY, LogicalProcess, ObjectContext
 from .state import SavedState
 from ..stats.counters import ObjectStats
 
@@ -57,11 +56,7 @@ def _event_tuple(event: Event) -> EventTuple:
 
 
 def _event_from(fields: EventTuple) -> Event:
-    sender, receiver, send_time, recv_time, payload, serial, sign = fields
-    return Event(
-        sender=sender, receiver=receiver, send_time=send_time,
-        recv_time=recv_time, payload=payload, serial=serial, sign=sign,
-    )
+    return Event(*fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,13 +200,11 @@ def detach_object(lp: LogicalProcess, oid: int) -> ObjectCheckpoint:
     if ctx is None:
         raise SchedulingError(f"LP {lp.lp_id} does not host object {oid}")
     ckpt = checkpoint_object(ctx)
-    del lp.members[oid]
-    lp._member_list.remove(ctx)
+    lp.release(ctx)
     if isinstance(ctx.iq, ArrayInputQueue):
         # the member's unprocessed events leave with the checkpoint; their
-        # arena rows must die or the LP's local-min scan keeps seeing them
+        # arena rows must die with them
         ctx.iq.detach()
-    ctx.obj._services = None  # sever the stale kernel binding
     return ckpt
 
 
@@ -253,19 +246,19 @@ def restore_object(lp: LogicalProcess, ckpt: ObjectCheckpoint) -> ObjectContext:
     for fields in ckpt.processed:
         event = _event_from(fields)
         iq.processed.append(event)
-        iq._processed_ids[event.event_id()] = event
+        iq._processed_ids[event._eid] = event
     if lp.arena is not None:
         iq.insert_batch([_event_from(fields) for fields in ckpt.future])
     else:
         # key-sorted list == valid binary heap
         for fields in ckpt.future:
             event = _event_from(fields)
-            iq._future.append((event.key(), event))
-            iq._future_ids[event.event_id()] = event
+            iq._future.append((event._key, event))
+            iq._future_ids[event._eid] = event
         iq._live_future = len(ckpt.future)
     for fields in ckpt.pending_antis:
         anti = _event_from(fields)
-        iq._pending_antis[anti.event_id()] = anti
+        iq._pending_antis[anti._eid] = anti
 
     for fields, cause_key in ckpt.sent:
         ctx.oq.records.append(
@@ -281,8 +274,6 @@ def restore_object(lp: LogicalProcess, ckpt: ObjectCheckpoint) -> ObjectContext:
         record = SentRecord(event=_event_from(fields), cause_key=cause_key)
         ctx.cmp_buffer.park(record, lazy=is_lazy)
 
-    obj.bind(_ObjectServices(lp, ctx))
-    lp.members[ckpt.oid] = ctx
-    lp._member_list.append(ctx)
+    lp.adopt(ctx)
     lp._member_list.sort(key=lambda member: member.oid)
     return ctx

@@ -71,18 +71,14 @@ class InputQueue:
         annihilated on arrival by a previously received anti-message (the
         network may deliver the pair in either order).
         """
-        eid = event.event_id()
+        eid = event._eid
         if eid in self._pending_antis:
             del self._pending_antis[eid]
             return False
-        heapq.heappush(self._future, (event.key(), event))
+        heapq.heappush(self._future, (event._key, event))
         self._future_ids[eid] = event
         self._live_future += 1
         return True
-
-    def find_processed(self, eid: EventId) -> Event | None:
-        """Return the processed positive message with identity ``eid``."""
-        return self._processed_ids.get(eid)
 
     def insert_anti(self, anti: Event) -> Event | None:
         """Handle an arriving anti-message.
@@ -95,7 +91,7 @@ class InputQueue:
         rollback, at which point the positive is unprocessed and the pair
         annihilates.
         """
-        eid = anti.event_id()
+        eid = anti._eid
         if eid in self._future_ids:
             del self._future_ids[eid]
             self._tombstones.add(eid)
@@ -106,11 +102,10 @@ class InputQueue:
             ):
                 self._compact()
             return None
-        processed = self.find_processed(eid)
-        if processed is not None:
-            return processed
-        self._pending_antis[eid] = anti
-        return None
+        processed = self._processed_ids.get(eid)
+        if processed is None:
+            self._pending_antis[eid] = anti
+        return processed
 
     def _compact(self) -> None:
         """Drop dead heap entries everywhere, not just at the top.
@@ -126,15 +121,13 @@ class InputQueue:
         future_ids = self._future_ids
         keep: list[tuple[EventKey, Event]] = []
         for entry in self._future:
-            eid = entry[1].event_id()
+            eid = entry[1]._eid
             if eid in tombstones and eid not in future_ids:
                 continue
             keep.append(entry)
         heapq.heapify(keep)
         self._future = keep
-        tombstones.intersection_update(
-            {entry[1].event_id() for entry in keep}
-        )
+        tombstones.intersection_update({entry[1]._eid for entry in keep})
 
     # ------------------------------------------------------------------ #
     # scheduling
@@ -143,8 +136,7 @@ class InputQueue:
         if not self._tombstones:  # fast path: no stale entries anywhere
             return
         while self._future:
-            key, event = self._future[0]
-            eid = event.event_id()
+            eid = self._future[0][1]._eid
             if eid in self._tombstones and eid not in self._future_ids:
                 heapq.heappop(self._future)
                 self._tombstones.discard(eid)
@@ -158,14 +150,13 @@ class InputQueue:
         future = self._future
         return future[0][1] if future else None
 
-    def peek_next_entry(self) -> tuple[EventKey, Event] | None:
-        """Smallest (key, event) pair without reconstructing the key —
-        the LP scheduler scans every member per event, so this is hot
-        (the tombstone check is inlined to skip a call frame per scan)."""
+    def head_key(self) -> EventKey | None:
+        """Key of the smallest unprocessed event, or ``None`` — what the
+        LP's schedule heap files this queue under after every change."""
         if self._tombstones:
             self._skip_tombstones()
         future = self._future
-        return future[0] if future else None
+        return future[0][0] if future else None
 
     def pop_next(self) -> Event:
         """Remove and return the smallest unprocessed event, marking it
@@ -175,7 +166,7 @@ class InputQueue:
         if not self._future:
             raise TimeWarpError("pop_next on an empty input queue")
         _, event = heapq.heappop(self._future)
-        eid = event.event_id()
+        eid = event._eid
         del self._future_ids[eid]
         self._live_future -= 1
         self.processed.append(event)
@@ -183,7 +174,7 @@ class InputQueue:
         return event
 
     def last_processed_key(self) -> EventKey | None:
-        return self.processed[-1].key() if self.processed else None
+        return self.processed[-1]._key if self.processed else None
 
     def has_future(self) -> bool:
         if self._tombstones:  # same inlined fast path as peek_next
@@ -196,8 +187,7 @@ class InputQueue:
     def iter_future(self) -> Iterable[Event]:
         """All live unprocessed events (unordered; for GVT accounting)."""
         for _, event in self._future:
-            eid = event.event_id()
-            if eid in self._future_ids:
+            if event._eid in self._future_ids:
                 yield event
 
     # ------------------------------------------------------------------ #
@@ -210,15 +200,15 @@ class InputQueue:
         returned in their original execution order.
         """
         split = len(self.processed)
-        while split > 0 and self.processed[split - 1].key() >= key:
+        while split > 0 and self.processed[split - 1]._key >= key:
             split -= 1
         rolled = self.processed[split:]
         del self.processed[split:]
         processed_ids = self._processed_ids
         for event in rolled:
-            eid = event.event_id()
+            eid = event._eid
             del processed_ids[eid]
-            heapq.heappush(self._future, (event.key(), event))
+            heapq.heappush(self._future, (event._key, event))
             self._future_ids[eid] = event
             self._live_future += 1
         return rolled
@@ -237,7 +227,7 @@ class InputQueue:
         split = 0
         processed = self.processed
         while split < len(processed) and processed[split].recv_time < gvt:
-            if limit_key is not None and processed[split].key() > limit_key:
+            if limit_key is not None and processed[split]._key > limit_key:
                 break
             split += 1
         committed = processed[:split]
@@ -245,12 +235,8 @@ class InputQueue:
             self.processed = processed[split:]
             processed_ids = self._processed_ids
             for event in committed:
-                del processed_ids[event.event_id()]
+                del processed_ids[event._eid]
         return committed
-
-    def min_unprocessed_time(self) -> VirtualTime | None:
-        event = self.peek_next()
-        return event.recv_time if event is not None else None
 
     def pending_anti_count(self) -> int:
         return len(self._pending_antis)

@@ -78,7 +78,7 @@ class SimulationObject:
             raise ConfigurationError(
                 f"{self.name}: send_event delay must be > 0, got {delay!r}"
             )
-        self._bound_services().send(dest, delay, payload)
+        (self._services or self._bound_services()).send(dest, delay, payload)
 
     # ------------------------------------------------------------------ #
     # application-overridable behaviour

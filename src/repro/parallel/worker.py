@@ -38,7 +38,7 @@ from ..comm.transport import CommModule
 from ..gvt.mattern import ColourAgent
 from ..kernel.arena import resolve_fastpath
 from ..kernel.config import SimulationConfig
-from ..kernel.errors import ConfigurationError, SchedulingError, TerminationError
+from ..kernel.errors import SchedulingError, TerminationError
 from ..kernel.lp import LogicalProcess
 from ..kernel.migration import ObjectCheckpoint, detach_object, restore_object
 from ..kernel.simobject import SimulationObject
@@ -165,7 +165,7 @@ class _ShardRuntime:
         lp = LogicalProcess(
             shard_id,
             config.costs_for_lp(shard_id),
-            resolve_name=self._resolve,
+            resolve_name=plan.name_to_oid.__getitem__,
             lp_of=plan.oid_to_shard.__getitem__,
             end_time=config.end_time,
             # resolved per worker: a heterogeneous fleet (some interpreters
@@ -235,12 +235,6 @@ class _ShardRuntime:
         self._report_loads = bool(plan.extras.get("report_loads"))
 
     # ------------------------------------------------------------------ #
-    def _resolve(self, name: str) -> int:
-        try:
-            return self.plan.name_to_oid[name]
-        except KeyError:
-            raise ConfigurationError(f"unknown simulation object {name!r}") from None
-
     def _forward_event(self, event) -> None:
         """Re-route an event for an object this shard no longer hosts."""
         dst = self.plan.oid_to_shard[event.receiver]
@@ -637,7 +631,7 @@ class _ShardRuntime:
             "lp_stats": lp.stats,
             "object_stats": lp.object_stats(),
             "final_states": {
-                ctx.obj.name: ctx.state for ctx in lp.members.values()
+                ctx.obj.name: ctx.obj.state for ctx in lp.members.values()
             },
             "clock": lp.clock,
             "violations": list(oracle.violations),

@@ -1,5 +1,7 @@
 """Unit tests for physical messages."""
 
+import pickle
+
 from repro.comm.message import (
     PHYSICAL_HEADER_BYTES,
     MessageKind,
@@ -40,3 +42,48 @@ class TestPhysicalMessage:
     def test_event_count(self):
         msg = PhysicalMessage(0, 1, MessageKind.DATA, events=(make_event(),))
         assert msg.event_count() == 1
+
+
+class TestValueSemantics:
+    """PhysicalMessage is a plain ``__slots__`` class; value behaviour is
+    over its six public fields (the memoized wire size is derived)."""
+
+    def message(self, **overrides):
+        fields = dict(src_lp=0, dst_lp=1, kind=MessageKind.DATA,
+                      events=(make_event(payload=(1, 2)),), control=None, serial=77)
+        return PhysicalMessage(**{**fields, **overrides})
+
+    def test_equality_and_hash_cover_the_six_public_fields(self):
+        base = self.message()
+        assert base == self.message() and hash(base) == hash(self.message())
+        for name, other in [("src_lp", 5), ("dst_lp", 5), ("kind", MessageKind.GVT_TOKEN),
+                            ("events", ()), ("control", "token"), ("serial", 78)]:
+            assert base != self.message(**{name: other}), name
+        assert base != "message"
+
+    def test_repr_names_the_public_fields_only(self):
+        text = repr(self.message(events=()))
+        assert text == (
+            "PhysicalMessage(src_lp=0, dst_lp=1, kind=<MessageKind.DATA: 'data'>, "
+            "events=(), control=None, serial=77)"
+        )
+
+    def test_pickle_round_trip_keeps_serial_and_size(self):
+        message = self.message()
+        clone = pickle.loads(pickle.dumps(message))
+        assert clone == message
+        assert clone.serial == 77
+        assert clone.size_bytes() == message.size_bytes()
+
+    def test_wire_round_trip_decodes_to_an_equal_message(self):
+        from repro.parallel.wire import decode_batch, encode_batch
+
+        message = self.message(
+            events=(make_event(payload=(1, "two", 3.0)), make_event(serial=1).anti_message())
+        )
+        batch = decode_batch(encode_batch(0, ((5, message),)))
+        (stamp, decoded), = batch.envelopes
+        assert stamp == 5
+        assert decoded.events == message.events
+        assert [e.key() for e in decoded.events] == [e.key() for e in message.events]
+        assert decoded.size_bytes() == message.size_bytes()

@@ -19,13 +19,11 @@ class FakeHost:
         self.flushes = []
         self.physical_sent = 0
 
-    def charge(self, cost):
-        self.clock += cost
-
     def schedule_flush(self, dst_lp, at, generation):
         self.flushes.append((dst_lp, at, generation))
 
-    def note_physical_sent(self):
+    def on_physical_sent(self, cost):
+        self.clock += cost
         self.physical_sent += 1
 
 

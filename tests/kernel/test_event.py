@@ -1,5 +1,7 @@
 """Unit tests for the event layer: total order, anti-messages, sizes."""
 
+import pickle
+
 import pytest
 
 from repro.kernel.event import (
@@ -122,3 +124,92 @@ class TestSizes:
     def test_event_size_includes_header(self):
         event = make_event(payload=(1, 2))
         assert event.size_bytes() == EVENT_HEADER_BYTES + 16
+
+
+class TestValueSemantics:
+    """Event is a plain ``__slots__`` class; these pin the value behaviour
+    the frozen dataclass used to generate."""
+
+    FIELDS = dict(sender=3, receiver=4, send_time=1.5, recv_time=2.5,
+                  payload=("job", 7), serial=11, sign=1)
+
+    def test_equality_and_hash_cover_the_seven_public_fields(self):
+        base = Event(**self.FIELDS)
+        assert base == Event(**self.FIELDS)
+        assert hash(base) == hash(Event(**self.FIELDS))
+        for name, other in [("sender", 9), ("receiver", 9), ("send_time", 0.5),
+                            ("recv_time", 9.5), ("payload", ("job", 8)),
+                            ("serial", 12), ("sign", -1)]:
+            assert base != Event(**{**self.FIELDS, name: other}), name
+
+    def test_derived_fields_are_not_part_of_the_value(self):
+        sized, fresh = Event(**self.FIELDS), Event(**self.FIELDS)
+        assert sized.size_bytes() == EVENT_HEADER_BYTES + 11
+        assert sized == fresh and hash(sized) == hash(fresh)
+        assert pickle.dumps(sized) == pickle.dumps(fresh)
+
+    def test_not_equal_to_other_types(self):
+        event = Event(**self.FIELDS)
+        assert event != tuple(self.FIELDS.values())
+        assert event != "event"
+
+    def test_repr_names_the_public_fields_only(self):
+        assert repr(Event(**self.FIELDS)) == (
+            "Event(sender=3, receiver=4, send_time=1.5, recv_time=2.5, "
+            "payload=('job', 7), serial=11, sign=1)"
+        )
+
+    def test_pickle_round_trip_rebuilds_key_and_identity(self):
+        event = Event(**self.FIELDS)
+        clone = pickle.loads(pickle.dumps(event))
+        assert clone == event
+        assert clone.key() == EventKey(2.5, 4, 3, 1.5, 11)
+        assert type(clone.key()) is EventKey and type(clone.event_id()) is EventId
+        assert clone.event_id() == EventId(3, 11)
+
+    def test_equal_time_events_order_by_the_rest_of_the_key(self):
+        events = [
+            make_event(recv_time=5.0, receiver=r, sender=s, send_time=t, serial=n)
+            for r, s, t, n in [(2, 0, 0.0, 0), (1, 2, 0.0, 0), (1, 1, 2.0, 0),
+                               (1, 1, 1.0, 9), (1, 1, 1.0, 3)]
+        ]
+        ordered = sorted(events, key=Event.key)
+        assert [(e.receiver, e.sender, e.send_time, e.serial) for e in ordered] == [
+            (1, 1, 1.0, 3), (1, 1, 1.0, 9), (1, 1, 2.0, 0), (1, 2, 0.0, 0), (2, 0, 0.0, 0)
+        ]
+
+
+class TestPayloadSizeTable:
+    """The exact-type fast path must return what the isinstance chain did."""
+
+    class Sized:
+        def size_bytes(self):
+            return 100
+
+    class SizedTuple(tuple):
+        def size_bytes(self):  # a tuple is sized as a tuple, hook or not
+            return 1000
+
+    class Name(str):
+        pass
+
+    @pytest.mark.parametrize(
+        "payload,expected",
+        [
+            ((), 0),
+            ((None,), 0),
+            ((True, False), 2),
+            ((1, 2.0), 16),
+            (("ab", b"cde"), 5),
+            ((1, (2, (3, "x"))), 25),
+            ((1, None, True, 2.5, "s", b"b", (4,)), 8 + 0 + 1 + 8 + 1 + 1 + 8),
+            ((Sized(), 1), 108),
+            (SizedTuple((1, 2)), 16),
+            (Name("abc"), 3),
+            ((Name("abc"), object()), 35),
+            (2**70, 8),
+            (frozenset({1}), 32),
+        ],
+    )
+    def test_sizes(self, payload, expected):
+        assert payload_size_bytes(payload) == expected

@@ -8,14 +8,22 @@ commit the same trace as ``fastpath="python"``.  These tests hold the two
 implementations against each other under hypothesis-driven interleavings.
 """
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.cluster.costmodel import CostModel
 from repro.kernel.arena import ArrayInputQueue, EventArena, SOA_LAYOUT
+from repro.kernel.cancellation import Mode, StaticCancellation
+from repro.kernel.checkpointing import StaticCheckpoint
+from repro.kernel.lp import LogicalProcess
 from repro.kernel.queues import InputQueue
+from repro.kernel.simobject import SimulationObject
+from repro.kernel.state import RecordState
 from tests.helpers import make_event
 
 # Coarse time grid: EventKey ties on recv_time are frequent, so the
@@ -100,7 +108,7 @@ def test_array_queue_matches_python_queue(script_data):
 
     for op, arg in script:
         assert _apply(ref, events, op, arg) == _apply(arr, events, op, arg)
-        assert ref.min_unprocessed_time() == arr.min_unprocessed_time()
+        assert ref.head_key() == arr.head_key()
         assert sorted(ref.iter_future(), key=lambda e: e.key()) == \
             sorted(arr.iter_future(), key=lambda e: e.key())
 
@@ -194,3 +202,94 @@ def test_fastpath_trace_is_byte_identical(app):
         traces[fastpath] = sim.sorted_trace()
     assert traces["python"] == traces["numpy"]
     assert repr(traces["python"]).encode() == repr(traces["numpy"]).encode()
+
+
+# --------------------------------------------------------------------- #
+# both event stores behind the LP's schedule heap
+# --------------------------------------------------------------------- #
+class _Sink(SimulationObject):
+    """Counts events; sends nothing, so a script fully decides the order."""
+
+    def initial_state(self):
+        return _Ticks()
+
+    def execute_process(self, payload):
+        self.state.ticks += 1
+
+
+@dataclass
+class _Ticks(RecordState):
+    ticks: int = 0
+
+
+def _sink_lp(fastpath, members=3):
+    lp = LogicalProcess(
+        0, CostModel(), resolve_name=int, lp_of=lambda oid: 0,
+        fastpath=fastpath,
+    )
+    for oid in range(members):
+        lp.attach(
+            _Sink(str(oid)), oid,
+            cancel_policy=StaticCancellation(Mode.AGGRESSIVE),
+            ckpt_policy=StaticCheckpoint(2),
+        )
+    lp.initialize()
+    return lp
+
+
+@st.composite
+def lp_scripts(draw):
+    """Deliveries (stragglers included), antis for earlier deliveries and
+    execution bursts, in a random order."""
+    n = draw(st.integers(3, 25))
+    script = []
+    for serial in range(n):
+        event = make_event(
+            sender=9, receiver=draw(st.integers(0, 2)),
+            send_time=draw(st.sampled_from([0.0, 5.0])),
+            recv_time=draw(tie_times), serial=serial,
+        )
+        script.append(("deliver", event))
+        if draw(st.integers(0, 3)) == 0:
+            script.append(("deliver", event.anti_message()))
+    for _ in range(draw(st.integers(1, 12))):
+        script.append(("execute", draw(st.integers(1, 4))))
+    draw(st.randoms()).shuffle(script)
+    return script
+
+
+def _scan(lp):
+    """What the per-member scan the schedule heap replaced would pick."""
+    heads = [(ctx.iq.head_key(), ctx) for ctx in lp.members.values()]
+    live = [(key, ctx) for key, ctx in heads if key is not None]
+    return min(live, key=lambda pair: pair[0])[1] if live else None
+
+
+@given(lp_scripts())
+@settings(max_examples=200, deadline=None)
+def test_lp_schedule_pops_both_stores_in_the_same_order(script):
+    lps = {fastpath: _sink_lp(fastpath) for fastpath in ("python", "numpy")}
+    executed = {fastpath: [] for fastpath in lps}
+    for fastpath, lp in lps.items():
+        for op, arg in script:
+            if op == "deliver":
+                lp.deliver_event(arg)
+            else:
+                for _ in range(arg):
+                    ctx = lp.next_work()
+                    assert ctx is _scan(lp)
+                    if not lp.execute_one():
+                        break
+                    executed[fastpath].append(ctx.iq.processed[-1].key())
+            # the schedule agrees with a fresh scan after every step
+            assert lp.next_work() is _scan(lp)
+            for ctx in lp.members.values():
+                assert ctx.head_key == ctx.iq.head_key()
+        while lp.execute_one():
+            pass
+    assert executed["python"] == executed["numpy"]
+    assert lps["python"].clock == lps["numpy"].clock
+    for oid, ctx in lps["python"].members.items():
+        other = lps["numpy"].members[oid]
+        assert ctx.iq.processed == other.iq.processed
+        assert ctx.stats.rollbacks == other.stats.rollbacks

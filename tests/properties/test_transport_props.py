@@ -25,14 +25,11 @@ class Host:
         self.clock = 0.0
         self.flushes = []
 
-    def charge(self, cost):
-        self.clock += cost
-
     def schedule_flush(self, dst_lp, at, generation):
         self.flushes.append((dst_lp, at, generation))
 
-    def note_physical_sent(self):
-        pass
+    def on_physical_sent(self, cost):
+        self.clock += cost
 
 
 @st.composite
