@@ -7,10 +7,15 @@ creates one ring per *directed* shard pair before forking, so rings are
 inherited, never pickled).  Handoff is by a pair of monotonically
 increasing byte cursors in the segment header — the producer owns
 ``tail``, the consumer owns ``head``, and each side publishes its cursor
-exactly once per operation *after* the corresponding data write, which
-is the whole synchronization protocol (single-producer/single-consumer
-plus x86-TSO/compiler-barrier-per-bytecode store ordering; no locks, no
-syscalls on the hot path).  That ordering assumption is load-bearing:
+once per operation, as one aligned 8-byte store, *after* the
+corresponding data write, which is the whole synchronization protocol
+(single-producer/single-consumer plus x86-TSO/compiler-barrier-per-
+bytecode store ordering; no locks, no syscalls on the hot path).
+``struct`` must never touch a cursor: ``pack_into`` zeroes its
+destination before packing — two stores — and a concurrent reader then
+sees a cursor of 0 (tests/parallel/test_ring_xproc.py hammers this), so
+the cursors are items of a ``"Q"``-cast memoryview over the header.
+The ordering assumption is load-bearing too:
 :func:`shm_wire_supported` answers whether the current machine provides
 it, and the parallel backend silently degrades ``wire="shm"`` to the
 queue wire where it does not (weakly ordered CPUs could observe a
@@ -39,18 +44,19 @@ import platform
 import struct
 from multiprocessing import shared_memory
 
+from .wire import WireFormatError
+
 #: default per-ring data capacity used by the parallel backend, bytes.
 #: Bounded memory: a pool of P workers allocates P*(P-1) rings.
 RING_CAPACITY = 1 << 18
 
 _HEADER_BYTES = 64
-_HEAD_OFF = 0  # consumer cursor (u64, monotonic)
-_TAIL_OFF = 16  # producer cursor (u64, monotonic)
+_HEAD = 0  # consumer cursor (u64 slot of the header, byte 0, monotonic)
+_TAIL = 2  # producer cursor (u64 slot of the header, byte 16, monotonic)
 _WAIT_OFF = 32  # consumer-waiting flag (u8)
 _WRAP = 0xFFFFFFFF
 
 _U32 = struct.Struct("<I")
-_U64 = struct.Struct("<Q")
 
 #: machines whose store ordering satisfies the ring protocol (x86-TSO).
 _TSO_MACHINES = frozenset(
@@ -78,14 +84,24 @@ class RingRecordTooLarge(ValueError):
     """The record can never fit this ring; use the queue fallback."""
 
 
+class RingCorruptError(WireFormatError):
+    """The cursors and the length prefix do not describe a record."""
+
+    def __init__(self, ring: str, head: int, tail: int, n: int | None) -> None:
+        super().__init__(f"ring {ring}: head={head} tail={tail} length={n} is not a record")
+        self.ring, self.head, self.tail, self.n = ring, head, tail, n
+
+
 class ShmRing:
     """One directed single-producer/single-consumer frame ring."""
 
-    __slots__ = ("_shm", "_buf", "_capacity", "max_record", "_owner")
+    __slots__ = ("_shm", "_buf", "_cursors", "_capacity", "max_record", "_owner")
 
     def __init__(self, shm: shared_memory.SharedMemory, *, owner: bool = False):
         self._shm = shm
         self._buf = shm.buf
+        #: the header as u64 slots: item access is one aligned load/store
+        self._cursors = shm.buf[:_HEADER_BYTES].cast("Q")
         self._capacity = shm.size - _HEADER_BYTES
         #: largest pushable record.  Half the capacity (minus the length
         #: prefix) guarantees progress: at any write offset either the
@@ -121,9 +137,9 @@ class ShmRing:
             )
         buf = self._buf
         cap = self._capacity
-        head = _U64.unpack_from(buf, _HEAD_OFF)[0]
-        tail = _U64.unpack_from(buf, _TAIL_OFF)[0]
-        free = cap - (tail - head)
+        cursors = self._cursors
+        tail = cursors[_TAIL]
+        free = cap - (tail - cursors[_HEAD])
         offset = tail % cap
         contiguous = cap - offset
         if contiguous < need:
@@ -140,7 +156,7 @@ class ShmRing:
         _U32.pack_into(buf, start, n)
         buf[start + 4:start + 4 + n] = payload
         # publish: the single store that makes the record visible
-        _U64.pack_into(buf, _TAIL_OFF, tail + need)
+        cursors[_TAIL] = tail + need
         return True
 
     def take_waiting(self) -> bool:
@@ -155,13 +171,20 @@ class ShmRing:
     # consumer side
     # ------------------------------------------------------------------ #
     def try_pop(self) -> bytes | None:
-        """Remove and return the oldest record, or ``None`` when empty."""
+        """Remove and return the oldest record, or ``None`` when empty.
+
+        ``head != tail`` alone is not trusted (the bytes are another
+        process's): a span or length that cannot be a record raises.
+        """
         buf = self._buf
         cap = self._capacity
-        head = _U64.unpack_from(buf, _HEAD_OFF)[0]
-        tail = _U64.unpack_from(buf, _TAIL_OFF)[0]
+        cursors = self._cursors
+        head = cursors[_HEAD]
+        tail = cursors[_TAIL]
         if head == tail:
             return None
+        if not 4 <= tail - head <= cap:
+            raise RingCorruptError(self.name, head, tail, None)
         offset = head % cap
         contiguous = cap - offset
         if contiguous < 4:
@@ -172,9 +195,11 @@ class ShmRing:
             offset = 0
         start = _HEADER_BYTES + offset
         n = _U32.unpack_from(buf, start)[0]
+        if 4 + n > tail - head:
+            raise RingCorruptError(self.name, head, tail, n)
         payload = bytes(buf[start + 4:start + 4 + n])
         # publish: frees the space for the producer
-        _U64.pack_into(buf, _HEAD_OFF, head + 4 + n)
+        cursors[_HEAD] = head + 4 + n
         return payload
 
     def set_waiting(self) -> None:
@@ -192,9 +217,7 @@ class ShmRing:
 
     @property
     def used(self) -> int:
-        buf = self._buf
-        return (_U64.unpack_from(buf, _TAIL_OFF)[0]
-                - _U64.unpack_from(buf, _HEAD_OFF)[0])
+        return self._cursors[_TAIL] - self._cursors[_HEAD]
 
     @property
     def empty(self) -> bool:
@@ -206,6 +229,7 @@ class ShmRing:
 
     def close(self) -> None:
         self._buf = None
+        self._cursors.release()  # the mmap cannot close under a live view
         self._shm.close()
 
     def destroy(self) -> None:

@@ -94,6 +94,9 @@ _TAG_STR = 5  # u32 length + utf-8 bytes
 _TAG_BYTES = 6  # u32 length + raw bytes
 _TAG_TUPLE = 7  # u32 count + nested tagged values
 _TAG_PICKLE = 8  # u32 length + pickle bytes (the escape hatch)
+_LENGTH_PREFIXED = frozenset({_TAG_STR, _TAG_BYTES, _TAG_PICKLE})
+#: bytes one event takes across an envelope's six field blocks
+_ROW_BYTES = sum(width for _attr, _fmt, _dtype, width in SOA_LAYOUT)
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -102,7 +105,9 @@ _U64_MAX = (1 << 64) - 1
 
 
 class WireFormatError(ValueError):
-    """A frame's magic/version/kind is not one this decoder speaks."""
+    """A frame this decoder does not speak (magic/version/kind) or whose
+    lengths run past its end.  Frames arrive from another process, so
+    these checks stay on in production."""
 
 
 class WireEncodeError(ValueError):
@@ -150,6 +155,14 @@ def _encode_payload(value, parts: list[bytes]) -> None:
         parts.append(b"\x08" + _U32.pack(len(blob)) + blob)
 
 
+def _field_end(buf, offset: int, nbytes: int) -> int:
+    """End offset of an ``nbytes`` field at ``offset``, which must fit."""
+    end = offset + nbytes
+    if end > len(buf):
+        raise WireFormatError(f"{nbytes} bytes at offset {offset} overrun a {len(buf)}-byte frame")
+    return end
+
+
 def _decode_payload(buf, offset: int):
     tag = buf[offset]
     offset += 1
@@ -163,14 +176,16 @@ def _decode_payload(buf, offset: int):
         return _I64.unpack_from(buf, offset)[0], offset + 8
     if tag == _TAG_FLOAT:
         return _F64.unpack_from(buf, offset)[0], offset + 8
-    if tag == _TAG_STR:
+    if tag in _LENGTH_PREFIXED:
         n = _U32.unpack_from(buf, offset)[0]
         offset += 4
-        return bytes(buf[offset:offset + n]).decode("utf-8"), offset + n
-    if tag == _TAG_BYTES:
-        n = _U32.unpack_from(buf, offset)[0]
-        offset += 4
-        return bytes(buf[offset:offset + n]), offset + n
+        end = _field_end(buf, offset, n)
+        body = bytes(buf[offset:end])
+        if tag == _TAG_STR:
+            return body.decode("utf-8"), end
+        if tag == _TAG_PICKLE:
+            return pickle.loads(body), end
+        return body, end
     if tag == _TAG_TUPLE:
         count = _U32.unpack_from(buf, offset)[0]
         offset += 4
@@ -179,10 +194,6 @@ def _decode_payload(buf, offset: int):
             item, offset = _decode_payload(buf, offset)
             items.append(item)
         return tuple(items), offset
-    if tag == _TAG_PICKLE:
-        n = _U32.unpack_from(buf, offset)[0]
-        offset += 4
-        return pickle.loads(bytes(buf[offset:offset + n])), offset + n
     raise WireFormatError(f"unknown payload tag {tag}")
 
 
@@ -256,8 +267,8 @@ def encode_batch(src_shard: int, envelopes: tuple[Envelope, ...]) -> bytes:
     return b"".join(parts)
 
 
-def decode_batch(frame) -> DataBatch:
-    """Inverse of :func:`encode_batch` (accepts bytes or a memoryview)."""
+def _decode_header(frame) -> tuple[int, int]:
+    """Check magic/version/kind; return ``(src_shard, n_envelopes)``."""
     magic, version, kind, src_shard, n_envelopes = _HEADER.unpack_from(frame, 0)
     if magic != _MAGIC:
         raise WireFormatError(f"bad frame magic 0x{magic:04x}")
@@ -267,34 +278,44 @@ def decode_batch(frame) -> DataBatch:
         )
     if kind != _FRAME_DATA_BATCH:
         raise WireFormatError(f"unknown frame kind {kind}")
-    offset = _HEADER.size
-    envelopes: list[Envelope] = []
-    for _ in range(n_envelopes):
-        stamp, src_lp, dst_lp, n = _ENVELOPE.unpack_from(frame, offset)
-        offset += _ENVELOPE.size
-        blocks = []
-        for _attr, fmt, np_dtype, width in SOA_LAYOUT:
-            block, offset = _unpack_block(frame, offset, n, fmt, np_dtype, width)
-            blocks.append(block)
-        senders, receivers, serials, signs, send_times, recv_times = blocks
-        events = []
-        for i in range(n):
-            payload, offset = _decode_payload(frame, offset)
-            events.append(Event(
-                sender=senders[i],
-                receiver=receivers[i],
-                send_time=send_times[i],
-                recv_time=recv_times[i],
-                payload=payload,
-                serial=serials[i],
-                sign=signs[i],
-            ))
-        envelopes.append((stamp, PhysicalMessage(
-            src_lp=src_lp,
-            dst_lp=dst_lp,
-            kind=MessageKind.DATA,
-            events=tuple(events),
-        )))
+    return src_shard, n_envelopes
+
+
+def decode_batch(frame) -> DataBatch:
+    """Inverse of :func:`encode_batch` (accepts bytes or a memoryview)."""
+    try:
+        src_shard, n_envelopes = _decode_header(frame)
+        offset = _HEADER.size
+        envelopes: list[Envelope] = []
+        for _ in range(n_envelopes):
+            stamp, src_lp, dst_lp, n = _ENVELOPE.unpack_from(frame, offset)
+            offset += _ENVELOPE.size
+            _field_end(frame, offset, n * _ROW_BYTES)
+            blocks = []
+            for _attr, fmt, np_dtype, width in SOA_LAYOUT:
+                block, offset = _unpack_block(frame, offset, n, fmt, np_dtype, width)
+                blocks.append(block)
+            senders, receivers, serials, signs, send_times, recv_times = blocks
+            events = []
+            for i in range(n):
+                payload, offset = _decode_payload(frame, offset)
+                events.append(Event(
+                    sender=senders[i],
+                    receiver=receivers[i],
+                    send_time=send_times[i],
+                    recv_time=recv_times[i],
+                    payload=payload,
+                    serial=serials[i],
+                    sign=signs[i],
+                ))
+            envelopes.append((stamp, PhysicalMessage(
+                src_lp=src_lp,
+                dst_lp=dst_lp,
+                kind=MessageKind.DATA,
+                events=tuple(events),
+            )))
+    except (struct.error, IndexError) as exc:  # a field cut off by the end
+        raise WireFormatError(f"truncated {len(frame)}-byte frame: {exc}") from exc
     return DataBatch(src_shard, tuple(envelopes))
 
 
@@ -310,32 +331,28 @@ def decode_batch_soa(frame):
     envelope, with Event handles materialized lazily only for rows the
     scheduler actually touches.
     """
-    magic, version, kind, src_shard, n_envelopes = _HEADER.unpack_from(frame, 0)
-    if magic != _MAGIC:
-        raise WireFormatError(f"bad frame magic 0x{magic:04x}")
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"wire version {version} not supported (speaking {WIRE_VERSION})"
-        )
-    if kind != _FRAME_DATA_BATCH:
-        raise WireFormatError(f"unknown frame kind {kind}")
-    offset = _HEADER.size
-    envelopes = []
-    for _ in range(n_envelopes):
-        stamp, src_lp, dst_lp, n = _ENVELOPE.unpack_from(frame, offset)
-        offset += _ENVELOPE.size
-        columns = []
-        for _attr, fmt, np_dtype, width in SOA_LAYOUT:
-            if _np is not None:
-                column = _np.frombuffer(frame, dtype=np_dtype, count=n,
-                                        offset=offset)
-            else:
-                column = struct.unpack_from(f"<{n}{fmt}", frame, offset)
-            columns.append(column)
-            offset += n * width
-        payloads = []
-        for _ in range(n):
-            payload, offset = _decode_payload(frame, offset)
-            payloads.append(payload)
-        envelopes.append((stamp, src_lp, dst_lp, tuple(columns), payloads))
+    try:
+        src_shard, n_envelopes = _decode_header(frame)
+        offset = _HEADER.size
+        envelopes = []
+        for _ in range(n_envelopes):
+            stamp, src_lp, dst_lp, n = _ENVELOPE.unpack_from(frame, offset)
+            offset += _ENVELOPE.size
+            _field_end(frame, offset, n * _ROW_BYTES)
+            columns = []
+            for _attr, fmt, np_dtype, width in SOA_LAYOUT:
+                if _np is not None:
+                    column = _np.frombuffer(frame, dtype=np_dtype, count=n,
+                                            offset=offset)
+                else:
+                    column = struct.unpack_from(f"<{n}{fmt}", frame, offset)
+                columns.append(column)
+                offset += n * width
+            payloads = []
+            for _ in range(n):
+                payload, offset = _decode_payload(frame, offset)
+                payloads.append(payload)
+            envelopes.append((stamp, src_lp, dst_lp, tuple(columns), payloads))
+    except (struct.error, IndexError) as exc:  # a field cut off by the end
+        raise WireFormatError(f"truncated {len(frame)}-byte frame: {exc}") from exc
     return src_shard, envelopes

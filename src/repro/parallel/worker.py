@@ -67,13 +67,18 @@ from .ipc import (
 from .transport import ShardTransport
 from .wire import WireEncodeError, decode_batch, encode_batch
 
-#: events executed between inbox polls.  This is the arrival-latency /
-#: throughput trade-off: long slices amortize queue polls but let a shard
-#: race ahead of in-flight stragglers, and measured on PHOLD the rollback
-#: cost dominates far earlier than the polling cost (slice 128 ran at
-#: ~0.26 efficiency where 32 reached ~0.6).  Override per run with
-#: ``ShardPlan.extras["execute_slice"]``.
+#: events executed between polls of the inbox *queue*: one syscall per
+#: poll, and on the shm wire only control traffic (GVT, Stop, elastic
+#: epochs) rides it.  A single shard runs everything at this cadence.
 EXECUTE_SLICE = 32
+
+#: events a shard with peers executes between looks at its *data wire*
+#: (inbound rings handled, outbox flushed): the arrival latency both
+#: ways, hence how far a shard outruns stragglers already in flight.
+#: Measured, not guessed: at 32 two shards traded rollback echoes at
+#: commit efficiency 0.33; throughput is flat from 2 to 8, best at 8
+#: (sweep in EXPERIMENTS.md, "Why two workers were slower than one").
+RING_SLICE = 8
 
 #: idle blocking-wait granularity on the inbox, seconds
 IDLE_WAIT_S = 0.005
@@ -212,7 +217,6 @@ class _ShardRuntime:
         # slips through, re-route it instead of crashing the shard.
         lp.forward = self._forward_event
 
-        self._slice = int(plan.extras.get("execute_slice", EXECUTE_SLICE))
         self._pending_gvt: GvtStart | None = None
         self._stop: Stop | None = None
         self._committed_gvt = 0.0
@@ -263,23 +267,34 @@ class _ShardRuntime:
         lp = self.lp
         lp.initialize()  # initial sends land in the DyMA buffers
         max_events = self.plan.config.max_executed_events
+        # Two cadences, one loop: every pass looks at the data wire, the
+        # queue is polled once `queue_slice` events have run since its
+        # last poll.  Without rings the queue IS the data wire.
+        data_slice = RING_SLICE if self.plan.n_shards > 1 else EXECUTE_SLICE
+        queue_slice = EXECUTE_SLICE if self._rings_in else data_slice
+        since_queue = queue_slice
         while self._stop is None and not self._retired:
-            handled = self._drain_inbox()
+            poll_queue = since_queue >= queue_slice
+            handled = self._drain_inbox(poll_queue)
+            if poll_queue:
+                since_queue = 0
             if self._stop is not None or self._retired:
                 break
             if self._paused_epoch is not None:
                 # Elastic epoch: no forward execution, no on_idle (it
                 # expires comparison entries, which are checkpoint state);
                 # just drain, flush, and answer the coordinator.
+                since_queue = queue_slice  # paused passes read everything
                 self._elastic_tick(handled)
                 continue
             executed = 0
-            while executed < self._slice and self._stop is None:
+            while executed < data_slice and self._stop is None:
                 if not lp.execute_one():
                     break
                 executed += 1
                 self._pop_due_flushes()
             self._executed += executed
+            since_queue += executed
             if max_events is not None and self._executed > max_events:
                 raise TerminationError(
                     f"shard {self.shard_id} exceeded max_executed_events="
@@ -298,10 +313,10 @@ class _ShardRuntime:
     # ------------------------------------------------------------------ #
     # inbox
     # ------------------------------------------------------------------ #
-    def _drain_inbox(self) -> int:
+    def _drain_inbox(self, poll_queue: bool) -> int:
         handled = 0
         while True:
-            message = self._next_nowait()
+            message = self._next_nowait(poll_queue)
             if message is None:
                 return handled
             handled += 1
@@ -309,7 +324,7 @@ class _ShardRuntime:
             if self._stop is not None:
                 return handled
 
-    def _next_nowait(self):
+    def _next_nowait(self, poll_queue: bool = True):
         """Next deliverable message: absorbed backlog, rings, then queue."""
         if self._pending:
             return self._pending.popleft()
@@ -318,6 +333,8 @@ class _ShardRuntime:
             if frame is not None:
                 self._frames_received += 1
                 return decode_batch(frame)
+        if not poll_queue:
+            return None
         try:
             return self.inbox.get_nowait()
         except queue_mod.Empty:

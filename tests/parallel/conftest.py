@@ -11,6 +11,8 @@ import signal
 
 import pytest
 
+from repro.parallel.shm import ShmRing
+
 #: generous per-test ceiling; the parallel suite normally finishes in
 #: a few seconds, and ParallelSimulation's own stall timeout is 120 s
 GUARD_SECONDS = 300
@@ -37,3 +39,11 @@ def parallel_hang_guard(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture()
+def ring():
+    """A small (4 KiB) shm ring, destroyed after the test."""
+    r = ShmRing.create(1 << 12)
+    yield r
+    r.destroy()

@@ -9,6 +9,9 @@ delivery across wraparound with honest backpressure (``try_push`` ->
 """
 
 import multiprocessing
+import queue as queue_mod
+import types
+from collections import deque
 
 import pytest
 
@@ -16,8 +19,12 @@ from repro.comm.message import MessageKind, PhysicalMessage
 from repro.kernel.config import SimulationConfig
 from repro.kernel.errors import ConfigurationError
 from repro.kernel.event import Event
+from repro.parallel import shm as shm_mod
+from repro.parallel import worker as worker_mod
+from repro.parallel.ipc import DataBatch, Stop
 from repro.parallel.shm import (
     RING_CAPACITY,
+    RingCorruptError,
     RingRecordTooLarge,
     ShmRing,
     shm_wire_supported,
@@ -27,6 +34,7 @@ from repro.parallel.wire import (
     WireEncodeError,
     WireFormatError,
     decode_batch,
+    decode_batch_soa,
     encode_batch,
 )
 
@@ -174,11 +182,47 @@ class TestCodecRejections:
             decode_batch(bytes(frame))
 
 
-@pytest.fixture()
-def ring():
-    r = ShmRing.create(1 << 12)
-    yield r
-    r.destroy()
+def _multi_envelope_frame() -> bytes:
+    """Three envelopes covering every variable-length field: the struct
+    and the numpy block paths, and str / bytes / tuple / pickle bodies."""
+    payloads = ["text", b"\x00\x01\x02", (1, "two", (3.0, None)), {"k": 2**70},
+                7, -0.5, None, True]
+    envelopes = tuple(
+        (stamp, PhysicalMessage(
+            src_lp=stamp, dst_lp=stamp + 1, kind=MessageKind.DATA,
+            events=tuple(
+                _event(serial=i, payload=payloads[i % len(payloads)])
+                for i in range(n)
+            ),
+        ))
+        for stamp, n in enumerate((3, 40, 8))  # 40 >= _NP_MIN_EVENTS
+    )
+    return encode_batch(1, envelopes)
+
+
+@pytest.mark.parametrize("decode", [decode_batch, decode_batch_soa])
+class TestTruncatedFrames:
+    """Bytes from another process: a frame whose lengths run past its end
+    is a typed error at the decoder, not a ``struct.error`` further in."""
+
+    def test_every_proper_prefix_rejected(self, decode):
+        frame = _multi_envelope_frame()
+        decode(frame)  # the whole frame is fine
+        for cut in range(len(frame)):
+            with pytest.raises(WireFormatError):
+                decode(frame[:cut])
+
+    @pytest.mark.parametrize("offset, value", [
+        (8, 3),                        # header: n_envelopes
+        (12 + 12, 3),                  # first envelope: n_events
+        (12 + 16 + 3 * 33 + 1, 4),     # first payload: len("text")
+    ])
+    def test_flipped_length_field_rejected(self, decode, offset, value):
+        frame = bytearray(_multi_envelope_frame())
+        assert int.from_bytes(frame[offset:offset + 4], "little") == value
+        frame[offset + 3] ^= 0x40  # + 2**30 in a little-endian u32
+        with pytest.raises(WireFormatError):
+            decode(bytes(frame))
 
 
 class TestShmRing:
@@ -279,6 +323,25 @@ class TestShmRing:
         with pytest.raises(ValueError):
             ShmRing.create(16)
 
+    @pytest.mark.parametrize("tail", [1, 3, (1 << 12) + 1, 1 << 40])
+    def test_span_that_cannot_be_a_record_is_located(self, ring, tail):
+        # head != tail is not "a record is there"
+        ring._cursors[shm_mod._TAIL] = tail
+        with pytest.raises(RingCorruptError) as caught:
+            ring.try_pop()
+        error = caught.value
+        assert isinstance(error, WireFormatError)
+        assert (error.ring, error.head, error.tail) == (ring.name, 0, tail)
+        assert ring.name in str(error) and str(tail) in str(error)
+
+    def test_length_beyond_the_published_span_is_located(self, ring):
+        assert ring.try_push(b"abcd")
+        ring._buf[shm_mod._HEADER_BYTES:shm_mod._HEADER_BYTES + 4] = \
+            (5).to_bytes(4, "little")
+        with pytest.raises(RingCorruptError) as caught:
+            ring.try_pop()
+        assert (caught.value.head, caught.value.tail, caught.value.n) == (0, 8, 5)
+
 
 class TestShmWireSupported:
     @pytest.mark.parametrize("machine", ["x86_64", "AMD64", "amd64", "i686"])
@@ -295,9 +358,6 @@ class TestBackpressureFallback:
     """A full ring that never drains must not wedge the producer."""
 
     def test_send_batch_gives_up_on_stuck_ring(self, monkeypatch):
-        from repro.parallel import worker as worker_mod
-        from repro.parallel.ipc import DataBatch
-
         monkeypatch.setattr(worker_mod, "_BACKPRESSURE_YIELDS", 2)
         monkeypatch.setattr(worker_mod, "_BACKPRESSURE_MAX_WAITS", 3)
         monkeypatch.setattr(worker_mod, "BACKPRESSURE_WAIT_S", 0.0)
@@ -336,6 +396,143 @@ class TestBackpressureFallback:
             assert fallback.envelopes == envelopes
         finally:
             ring.destroy()
+
+
+class _CadenceProbe:
+    """A ``_ShardRuntime`` with every collaborator of ``run`` replaced by
+    a recording stand-in: an LP that always has work, one inbound ring,
+    the outbox and the inbox queue.  ``log`` is the order things happened
+    in; the inbox delivers ``Stop`` once ``events`` have executed."""
+
+    def __init__(self, *, n_shards, with_ring, events=400, frames=()):
+        log = self.log = []
+        executed = [0]
+        frames = list(frames)
+
+        class Lp:
+            clock = 0.0
+
+            def initialize(self):
+                pass
+
+            def execute_one(self):
+                executed[0] += 1
+                log.append("exec")
+                return True
+
+        class Ring:
+            def try_pop(self):
+                log.append("ring")
+                return frames.pop(0) if frames else None
+
+        class Inbox:
+            def get_nowait(self):
+                log.append("queue")
+                if executed[0] >= events:
+                    return Stop(final_gvt=0.0, total_sent=0, total_received=0)
+                raise queue_mod.Empty
+
+        class Runtime(worker_mod._ShardRuntime):
+            def __init__(self):  # none of the real construction
+                pass
+
+            def _handle(self, message):
+                if isinstance(message, Stop):
+                    self._stop = message
+                else:
+                    (_stamp, physical), = message.envelopes
+                    log.append(("handled", physical.events[0].payload))
+
+            def _flush_outbox(self):
+                log.append("flush")
+
+            def _pop_due_flushes(self):
+                pass
+
+            def _finish(self, stop):
+                log.append("finish")
+
+        runtime = self.runtime = Runtime()
+        runtime.plan = types.SimpleNamespace(
+            config=types.SimpleNamespace(max_executed_events=None),
+            n_shards=n_shards,
+        )
+        runtime.lp = Lp()
+        runtime.inbox = Inbox()
+        runtime._rings_in = {1: Ring()} if with_ring else {}
+        runtime._pending = deque()
+        runtime._frames_received = 0
+        runtime._stop = None
+        runtime._retired = False
+        runtime._paused_epoch = None
+        runtime._pending_gvt = None
+        runtime._executed = 0
+
+    def run(self):
+        self.runtime.run()
+        assert self.log[-1] == "finish"
+        return self.log
+
+    def gaps(self, marker):
+        """Executed events between consecutive ``marker`` entries."""
+        gaps, run = [], 0
+        for entry in self.log:
+            if entry == "exec":
+                run += 1
+            elif entry == marker:
+                gaps.append(run)
+                run = 0
+        return gaps
+
+
+class TestPollCadence:
+    """The worker loop's two cadences (worker.RING_SLICE / EXECUTE_SLICE).
+
+    Structure only — how often the loop looks at each source per executed
+    event.  What the cadence buys (commit efficiency) depends on OS
+    scheduling and is measured by benchmarks/e2e, not gated here.
+    """
+
+    def test_shm_wire_polls_rings_and_flushes_every_ring_slice(self):
+        probe = _CadenceProbe(n_shards=2, with_ring=True)
+        probe.run()
+        assert max(probe.gaps("ring")) == worker_mod.RING_SLICE
+        assert max(probe.gaps("flush")) == worker_mod.RING_SLICE
+        # the control queue costs a syscall: at most one poll per 32 events
+        # ([0] is the poll before any event)
+        assert set(probe.gaps("queue")[1:]) == {worker_mod.EXECUTE_SLICE}
+
+    def test_queue_wire_with_peers_takes_the_short_cadence(self):
+        probe = _CadenceProbe(n_shards=2, with_ring=False)
+        probe.run()
+        assert set(probe.gaps("queue")[1:]) == {worker_mod.RING_SLICE}
+        assert set(probe.gaps("flush")) == {worker_mod.RING_SLICE}
+
+    def test_single_shard_keeps_the_long_slice(self):
+        probe = _CadenceProbe(n_shards=1, with_ring=False)
+        log = probe.run()
+        # no peer to hear from: one queue poll per EXECUTE_SLICE events
+        assert set(probe.gaps("queue")[1:]) == {worker_mod.EXECUTE_SLICE}
+        assert set(probe.gaps("flush")) == {worker_mod.EXECUTE_SLICE}
+        assert log.count("queue") == 1 + log.count("exec") // worker_mod.EXECUTE_SLICE
+
+    def test_absorbed_backlog_is_handled_before_newer_ring_frames(self):
+        def batch(label):
+            return _batch([_event(payload=label)], src_shard=1)
+
+        probe = _CadenceProbe(
+            n_shards=2, with_ring=True,
+            frames=[encode_batch(*batch("ring-1")), encode_batch(*batch("ring-2"))],
+        )
+        # what _absorb_rings parks while a send is blocked on a full ring
+        probe.runtime._pending.extend(
+            DataBatch(*batch(label)) for label in ("absorbed-1", "absorbed-2")
+        )
+        log = probe.run()
+        handled = [entry[1] for entry in log if isinstance(entry, tuple)]
+        assert handled == ["absorbed-1", "absorbed-2", "ring-1", "ring-2"]
+        assert log.index(("handled", "ring-2")) < log.index("exec")
+        assert probe.runtime._frames_received == 2
 
 
 class TestWireConfig:
