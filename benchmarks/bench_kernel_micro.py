@@ -122,82 +122,12 @@ def test_micro_rollback_storm(benchmark):
     assert rollbacks == 9
 
 
-def _numpy_or_skip():
-    import pytest
-
-    from repro.kernel.arena import HAVE_NUMPY
-
-    if not HAVE_NUMPY:
-        pytest.skip("numpy fast path unavailable in this environment")
-
-
-def test_micro_queue_insert_batch(benchmark):
-    """Bulk column-fill insert into the array queue (numpy fast path)."""
-
-    _numpy_or_skip()
-    from repro.kernel.arena import ArrayInputQueue, EventArena
-
-    events = [make_event(recv_time=float((i * 7919) % 1000), serial=i)
-              for i in range(2000)]
-
-    def run():
-        q = ArrayInputQueue(EventArena())
-        q.insert_batch(events)
-        n = 0
-        while q.peek_next() is not None:
-            q.pop_next()
-            n += 1
-        return n
-
-    assert benchmark(run) == 2000
-
-
-def test_micro_annihilate_scan(benchmark):
-    """Vectorized anti-message matching over the arena columns."""
-
-    _numpy_or_skip()
-    from repro.kernel.arena import ArrayInputQueue, EventArena
-
-    events = [make_event(recv_time=float((i * 7919) % 1000), serial=i)
-              for i in range(2000)]
-    antis = [e.anti_message() for e in events[::2]]
-
-    def run():
-        q = ArrayInputQueue(EventArena())
-        q.insert_batch(events)
-        leftovers = q.annihilate_batch(antis)
-        assert not leftovers
-        return q.future_count()
-
-    assert benchmark(run) == 1000
-
-
-def test_micro_gvt_local_min(benchmark):
-    """The GVT local lower bound as one reduction over the time column."""
-
-    _numpy_or_skip()
-    from repro.kernel.arena import EventArena
-
-    arena = EventArena()
-    arena.insert_batch([
-        make_event(recv_time=float(1 + (i * 7919) % 1000), serial=i)
-        for i in range(4000)
-    ])
-
-    def run():
-        total = 0.0
-        for _ in range(100):
-            total += arena.min_alive_time()
-        return total
-
-    assert benchmark(run) > 0.0
-
-
 def test_micro_snapshot_array(benchmark):
     """Block ndarray.copy() checkpointing of an array-backed state."""
 
-    _numpy_or_skip()
-    import numpy as np
+    import pytest
+
+    np = pytest.importorskip("numpy")
 
     from dataclasses import dataclass, field
     from repro.kernel.state import RecordState, resolve_snapshot_strategy

@@ -11,10 +11,6 @@ Subcommands::
     repro-bench parallel --workers 2       # validate the parallel backend
     repro-bench ablate --knob checkpoint   # static-best vs on-line control
     repro-bench verify fuzz --budget 40    # forwards to repro-verify
-
-Back-compat: the original flat spellings keep working — ``repro-bench
---fig 5``, ``repro-bench --faults``, ``repro-bench --all`` and friends
-dispatch to the same runners as their subcommand forms.
 """
 
 from __future__ import annotations
@@ -36,9 +32,6 @@ _SERIES_META = {
     "9": ("agg age (us)", "Figure 9 — RAID: DyMA execution time vs aggregate age"),
 }
 
-_SUBCOMMANDS = ("figures", "faults", "perf", "parallel", "ablate", "verify")
-
-
 def render(fig: str, results) -> str:
     if fig == "5":
         return render_fig5(results)
@@ -49,7 +42,7 @@ def render(fig: str, results) -> str:
 
 
 # --------------------------------------------------------------------- #
-# argument groups (shared between subcommand and legacy spellings)
+# argument groups
 # --------------------------------------------------------------------- #
 def _add_figure_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fig", choices=sorted(FIGURES),
@@ -72,11 +65,6 @@ def _add_figure_args(parser: argparse.ArgumentParser) -> None:
                              "docs/observability.md) per replicate into DIR")
 
 
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--plans", type=int, default=100,
-                        help="seeded fault plans to sweep")
-
-
 def _add_perf_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized workloads (~1 min for the full suite)")
@@ -96,16 +84,6 @@ def _add_perf_args(parser: argparse.ArgumentParser) -> None:
                         help="with --compare: exit non-zero if any "
                              "benchmark's rate drops more than PCT percent "
                              "or its deterministic counters drift")
-    parser.add_argument("--wire-gate", type=float, default=None,
-                        metavar="RATIO",
-                        help="exit non-zero unless every parallel shm "
-                             "benchmark beats its in-document .queue twin "
-                             "by at least RATIO x (same machine, same run)")
-    parser.add_argument("--fastpath-gate", type=float, default=None,
-                        metavar="RATIO",
-                        help="exit non-zero unless every numpy-fastpath "
-                             "benchmark beats its in-document .python twin "
-                             "by at least RATIO x (same machine, same run)")
 
 
 # --------------------------------------------------------------------- #
@@ -177,8 +155,6 @@ def run_parallel(args: argparse.Namespace) -> int:
         argv += ["--gvt-period", str(args.gvt_period)]
     if args.wire:
         argv += ["--wire", args.wire]
-    if args.fastpath:
-        argv += ["--fastpath", args.fastpath]
     return validate_main(argv)
 
 
@@ -186,11 +162,9 @@ def run_perf(args: argparse.Namespace) -> int:
     from .perf.report import (
         DEFAULT_OUTPUT,
         compare_documents,
-        fastpath_gate,
         load_document,
         make_document,
         render_document,
-        wire_gate,
         write_document,
     )
     from .perf.suite import run_suite
@@ -227,18 +201,6 @@ def run_perf(args: argparse.Namespace) -> int:
             failed = True
     elif args.fail_on_regress is not None:
         raise SystemExit("--fail-on-regress requires --compare BASELINE.json")
-    if args.wire_gate is not None:
-        gate = wire_gate(document, min_speedup=args.wire_gate)
-        print()
-        print(gate.render())
-        if not gate.ok:
-            failed = True
-    if args.fastpath_gate is not None:
-        gate = fastpath_gate(document, min_speedup=args.fastpath_gate)
-        print()
-        print(gate.render())
-        if not gate.ok:
-            failed = True
     return 1 if failed else 0
 
 
@@ -322,7 +284,7 @@ def _add_ablate_args(parser: argparse.ArgumentParser) -> None:
 # --------------------------------------------------------------------- #
 # entry point
 # --------------------------------------------------------------------- #
-def _build_subcommand_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Benchmarks for the Time Warp reproduction: paper "
@@ -336,7 +298,8 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
     figures.set_defaults(runner=run_figures)
     faults = subparsers.add_parser(
         "faults", help="differential fault-injection fuzz sweep")
-    _add_fault_args(faults)
+    faults.add_argument("--plans", type=int, default=100,
+                        help="seeded fault plans to sweep")
     faults.set_defaults(runner=run_faults)
     perf = subparsers.add_parser(
         "perf", help="wall-clock performance suite (emits BENCH_3.json)")
@@ -371,10 +334,6 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
     parallel.add_argument("--wire", default=None, choices=("shm", "queue"),
                           help="inter-shard data wire (default: shm); the "
                                "CI parity matrix runs both")
-    parallel.add_argument("--fastpath", default=None,
-                          choices=("python", "numpy"),
-                          help="hot-core pin (default: numpy when "
-                               "available); the CI parity leg runs both")
     parallel.set_defaults(runner=run_parallel)
     ablate = subparsers.add_parser(
         "ablate",
@@ -385,23 +344,6 @@ def _build_subcommand_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_legacy_parser() -> argparse.ArgumentParser:
-    """The original flat interface, kept as an alias layer."""
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="Regenerate the figures of 'On-line Configuration of a "
-                    "Time Warp Parallel Discrete Event Simulator' (ICPP 98).",
-    )
-    _add_figure_args(parser)
-    parser.add_argument("--faults", action="store_true",
-                        help="alias for the 'faults' subcommand")
-    parser.add_argument("--perf", action="store_true",
-                        help="alias for the 'perf' subcommand")
-    _add_fault_args(parser)
-    _add_perf_args(parser)
-    return parser
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "verify":
@@ -409,21 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         from ..verify.cli import main as verify_main
 
         return verify_main(argv[1:])
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = _build_subcommand_parser()
-        args = parser.parse_args(argv)
-        return args.runner(args)
-
-    parser = _build_legacy_parser()
-    args = parser.parse_args(argv)
-    if args.faults:
-        return run_faults(args)
-    if args.perf:
-        return run_perf(args)
-    if not (args.fig or args.all or args.ablation):
-        parser.error("choose a subcommand (figures/faults/perf) or "
-                     "--fig N, --all, --ablation NAME, --faults, --perf")
-    return run_figures(args)
+    args = _build_parser().parse_args(argv)
+    return args.runner(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

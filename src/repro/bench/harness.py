@@ -30,7 +30,7 @@ from ..trace.tracer import Tracer
 
 Builder = Callable[[], Sequence[Sequence[SimulationObject]]]
 
-#: When set (``repro-bench --trace DIR`` or :func:`set_trace_dir`), every
+#: When set (``repro-bench figures --trace DIR`` or :func:`set_trace_dir`), every
 #: :func:`run_cell` replicate dumps its controller-decision trace here as
 #: ``<label>_x<x>_s<seed>.jsonl`` alongside the figure's results.
 _trace_dir: Path | None = None

@@ -82,9 +82,6 @@ def make_document(
             # the inter-shard data path; null for modelled benchmarks,
             # which have no wire at all
             "wire": bench.wire,
-            # the hot core the workload pins ("python"/"numpy"); null
-            # for workloads that trust the config default
-            "fastpath": bench.fastpath,
             "worker_timeline": [[int(at), int(n)] for at, n in timeline],
             "ops": measurement.ops,
             "rate_per_s": round(measurement.rate_per_s, 3),
@@ -261,11 +258,8 @@ def _render_cfg(
     backend: str,
     timeline: tuple[tuple[int, int], ...],
     wire: str | None = None,
-    fastpath: str | None = None,
 ) -> str:
     prefix = backend if wire is None else f"{backend}({wire})"
-    if fastpath is not None:
-        prefix += f"+{fastpath}"
     if len(timeline) == 1:
         return f"{prefix}/{timeline[0][1]}w"
     return prefix + "/" + "->".join(f"{n}w@{at}" for at, n in timeline)
@@ -300,19 +294,16 @@ def compare_documents(
         # backend/workers/worker_timeline were emitted).
         base_cfg = (base_entry.get("backend", "modelled"),
                     base_entry.get("wire"),
-                    base_entry.get("fastpath"),
                     _worker_timeline(base_entry))
         current_cfg = (current_entry.get("backend", "modelled"),
                        current_entry.get("wire"),
-                       current_entry.get("fastpath"),
                        _worker_timeline(current_entry))
         if base_cfg != current_cfg:
             report.incomparable.append((
                 name,
-                f"backend/wire/fastpath/workers changed: "
-                f"{_render_cfg(base_cfg[0], base_cfg[3], base_cfg[1], base_cfg[2])}"
-                f" -> "
-                f"{_render_cfg(current_cfg[0], current_cfg[3], current_cfg[1], current_cfg[2])}",
+                f"backend/wire/workers changed: "
+                f"{_render_cfg(base_cfg[0], base_cfg[2], base_cfg[1])} -> "
+                f"{_render_cfg(current_cfg[0], current_cfg[2], current_cfg[1])}",
             ))
             continue
         drift = {
@@ -334,179 +325,3 @@ def compare_documents(
             report.incomparable.append((name, "only in current"))
     return report
 
-
-# --------------------------------------------------------------------- #
-# shm-vs-queue wire gate
-# --------------------------------------------------------------------- #
-@dataclass
-class WirePair:
-    """One shm benchmark paired with its ``.queue`` twin."""
-
-    name: str
-    shm_rate: float
-    queue_rate: float
-
-    @property
-    def speedup(self) -> float:
-        if self.queue_rate <= 0.0:
-            return 0.0
-        return self.shm_rate / self.queue_rate
-
-
-@dataclass
-class WireGateReport:
-    """Outcome of the in-document shm-vs-queue fast-path gate.
-
-    Unlike :func:`compare_documents`, both sides come from the *same*
-    document — same machine, same run — so the ratio is an honest
-    apples-to-apples measurement rather than a cross-hardware guess.
-    The gate fails when any pair's speedup falls below ``min_speedup``,
-    when a ``.queue`` twin has no shm counterpart, or when the document
-    contains no pairs at all (a suite filter that excludes the twins
-    must not silently pass the gate).
-    """
-
-    min_speedup: float
-    pairs: list[WirePair] = field(default_factory=list)
-    #: ``.queue`` twins whose shm counterpart is missing from the document
-    unpaired: list[str] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[WirePair]:
-        return [p for p in self.pairs if p.speedup < self.min_speedup]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.pairs) and not self.failures and not self.unpaired
-
-    def render(self) -> str:
-        rows = [
-            f"wire gate (shm >= {self.min_speedup:g}x queue, in-document):"
-        ]
-        for pair in self.pairs:
-            marker = "" if pair.speedup >= self.min_speedup else "  << BELOW FLOOR"
-            rows.append(
-                f"  {pair.name}: {pair.speedup:.2f}x "
-                f"({pair.shm_rate:,.0f} shm vs {pair.queue_rate:,.0f} queue "
-                f"events/s){marker}"
-            )
-        for name in self.unpaired:
-            rows.append(f"  {name}: queue twin without an shm counterpart")
-        if not self.pairs:
-            rows.append("  no shm/queue twin pairs in document")
-        rows.append(f"wire gate: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(rows)
-
-
-def wire_gate(document: dict[str, Any], *, min_speedup: float) -> WireGateReport:
-    """Gate the shm wire's measured speedup over the queue wire.
-
-    Pairs every ``<name>.queue`` entry (wire="queue") with its ``<name>``
-    twin (wire="shm") in the same document and requires
-    ``shm_rate / queue_rate >= min_speedup`` for each.
-    """
-    report = WireGateReport(min_speedup=min_speedup)
-    benchmarks = document["benchmarks"]
-    for name, entry in sorted(benchmarks.items()):
-        if entry.get("wire") != "queue" or not name.endswith(".queue"):
-            continue
-        shm_name = name[: -len(".queue")]
-        shm_entry = benchmarks.get(shm_name)
-        if shm_entry is None or shm_entry.get("wire") != "shm":
-            report.unpaired.append(name)
-            continue
-        report.pairs.append(WirePair(
-            name=shm_name,
-            shm_rate=shm_entry["rate_per_s"],
-            queue_rate=entry["rate_per_s"],
-        ))
-    return report
-
-
-# --------------------------------------------------------------------- #
-# numpy-vs-python fastpath gate
-# --------------------------------------------------------------------- #
-@dataclass
-class FastpathPair:
-    """One numpy-fastpath benchmark paired with its ``.python`` twin."""
-
-    name: str
-    numpy_rate: float
-    python_rate: float
-
-    @property
-    def speedup(self) -> float:
-        if self.python_rate <= 0.0:
-            return 0.0
-        return self.numpy_rate / self.python_rate
-
-
-@dataclass
-class FastpathGateReport:
-    """Outcome of the in-document numpy-vs-python fast-path gate.
-
-    Same shape as :class:`WireGateReport`: both sides come from the same
-    document — same machine, same run — so the ratio is an honest
-    apples-to-apples measurement.  The gate fails when any pair's
-    speedup falls below ``min_speedup``, when a ``.python`` twin has no
-    numpy counterpart, or when the document contains no pairs at all.
-    """
-
-    min_speedup: float
-    pairs: list[FastpathPair] = field(default_factory=list)
-    #: ``.python`` twins whose numpy counterpart is missing
-    unpaired: list[str] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[FastpathPair]:
-        return [p for p in self.pairs if p.speedup < self.min_speedup]
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.pairs) and not self.failures and not self.unpaired
-
-    def render(self) -> str:
-        rows = [
-            f"fastpath gate (numpy >= {self.min_speedup:g}x python, "
-            f"in-document):"
-        ]
-        for pair in self.pairs:
-            marker = "" if pair.speedup >= self.min_speedup else "  << BELOW FLOOR"
-            rows.append(
-                f"  {pair.name}: {pair.speedup:.2f}x "
-                f"({pair.numpy_rate:,.0f} numpy vs {pair.python_rate:,.0f} "
-                f"python events/s){marker}"
-            )
-        for name in self.unpaired:
-            rows.append(f"  {name}: python twin without a numpy counterpart")
-        if not self.pairs:
-            rows.append("  no numpy/python twin pairs in document")
-        rows.append(f"fastpath gate: {'PASS' if self.ok else 'FAIL'}")
-        return "\n".join(rows)
-
-
-def fastpath_gate(
-    document: dict[str, Any], *, min_speedup: float
-) -> FastpathGateReport:
-    """Gate the numpy hot core's measured speedup over the python path.
-
-    Pairs every ``<name>.python`` entry (fastpath="python") with its
-    ``<name>`` twin (fastpath="numpy") in the same document and requires
-    ``numpy_rate / python_rate >= min_speedup`` for each.
-    """
-    report = FastpathGateReport(min_speedup=min_speedup)
-    benchmarks = document["benchmarks"]
-    for name, entry in sorted(benchmarks.items()):
-        if entry.get("fastpath") != "python" or not name.endswith(".python"):
-            continue
-        numpy_name = name[: -len(".python")]
-        numpy_entry = benchmarks.get(numpy_name)
-        if numpy_entry is None or numpy_entry.get("fastpath") != "numpy":
-            report.unpaired.append(name)
-            continue
-        report.pairs.append(FastpathPair(
-            name=numpy_name,
-            numpy_rate=numpy_entry["rate_per_s"],
-            python_rate=entry["rate_per_s"],
-        ))
-    return report

@@ -43,9 +43,6 @@ class Benchmark:
     #: inter-shard data wire for parallel benchmarks ("shm"/"queue");
     #: ``None`` for modelled benchmarks, which have no wire
     wire: str | None = None
-    #: hot-core selection the workload pins ("python"/"numpy"); ``None``
-    #: for workloads that trust the config default
-    fastpath: str | None = None
 
     def run(self, *, quick: bool = False, reps: int = 3, warmup: int = 1) -> Measurement:
         return measure(self.make(quick), reps=reps, warmup=warmup)
@@ -55,8 +52,7 @@ REGISTRY: dict[str, Benchmark] = {}
 
 
 def benchmark(name: str, kind: str, unit: str, *, backend: str = "modelled",
-              workers: int = 1, wire: str | None = None,
-              fastpath: str | None = None):
+              workers: int = 1, wire: str | None = None):
     """Register ``fn(quick) -> Workload`` under ``name``."""
 
     def register(fn: Callable[[bool], Workload]):
@@ -64,7 +60,7 @@ def benchmark(name: str, kind: str, unit: str, *, backend: str = "modelled",
             raise ValueError(f"duplicate benchmark name {name!r}")
         REGISTRY[name] = Benchmark(
             name=name, kind=kind, unit=unit, make=fn,
-            backend=backend, workers=workers, wire=wire, fastpath=fastpath,
+            backend=backend, workers=workers, wire=wire,
         )
         return fn
 
@@ -205,17 +201,18 @@ class _ArrayBenchState(RecordState):
 def _snapshot_array(quick: bool) -> Workload:
     """The 'array' strategy on ndarray-heavy state: block ndarray.copy()
     instead of element-wise container walks."""
-    from ...kernel.arena import HAVE_NUMPY
     from ...kernel.state import resolve_snapshot_strategy
 
-    if HAVE_NUMPY:
+    try:
         import numpy as np
-
-        table = np.arange(4_096, dtype="<f8")
-        shards = [np.zeros(512, dtype="<i8") for _ in range(4)]
-    else:  # degraded: the strategy falls back to RecordState.copy()
+    except ImportError:  # degraded: the strategy falls back to RecordState.copy()
+        have_numpy = False
         table = list(range(4_096))
         shards = [[0] * 512 for _ in range(4)]
+    else:
+        have_numpy = True
+        table = np.arange(4_096, dtype="<f8")
+        shards = [np.zeros(512, dtype="<i8") for _ in range(4)]
     state = _ArrayBenchState(counter=7, table=table, shards=shards)
     strategy = resolve_snapshot_strategy("array")
     iterations = 200 if quick else 1_000
@@ -227,7 +224,7 @@ def _snapshot_array(quick: bool) -> Workload:
             restored = strategy.snapshot(snap)
         ok = restored.counter == state.counter
         return 2 * iterations, {
-            "equal_roundtrip": ok, "have_numpy": HAVE_NUMPY,
+            "equal_roundtrip": ok, "have_numpy": have_numpy,
         }
 
     return run
@@ -385,7 +382,9 @@ def _macro_counters(stats) -> dict[str, Any]:
     }
 
 
-def _macro_phold_workload(quick: bool, fastpath: str) -> Workload:
+@benchmark("macro.phold", "macro", "events")
+def _macro_phold(quick: bool) -> Workload:
+    """PHOLD under LVT skew: the rollback-heavy reference macro load."""
     from ...apps.phold import PHOLDParams, build_phold
     from ...kernel.config import SimulationConfig
     from ...kernel.kernel import TimeWarpSimulation
@@ -395,8 +394,7 @@ def _macro_phold_workload(quick: bool, fastpath: str) -> Workload:
 
     def run() -> tuple[int, dict[str, Any]]:
         config = SimulationConfig(
-            end_time=end_time, lp_speed_factors={1: 1.3, 2: 1.6, 3: 2.0},
-            fastpath=fastpath,
+            end_time=end_time, lp_speed_factors={1: 1.3, 2: 1.6, 3: 2.0}
         )
         stats = TimeWarpSimulation(build_phold(params), config).run()
         return stats.committed_events, _macro_counters(stats)
@@ -404,7 +402,9 @@ def _macro_phold_workload(quick: bool, fastpath: str) -> Workload:
     return run
 
 
-def _macro_smmp_workload(quick: bool, fastpath: str) -> Workload:
+@benchmark("macro.smmp", "macro", "events")
+def _macro_smmp(quick: bool) -> Workload:
+    """SMMP: communication-heavy, lazy-cancellation-friendly."""
     from ...apps.smmp import SMMPParams, build_smmp
     from ...bench.harness import SMMP_PROFILE
     from ...kernel.kernel import TimeWarpSimulation
@@ -412,14 +412,16 @@ def _macro_smmp_workload(quick: bool, fastpath: str) -> Workload:
     params = SMMPParams(requests_per_processor=40 if quick else 160)
 
     def run() -> tuple[int, dict[str, Any]]:
-        config = SMMP_PROFILE.config(seed=0, fastpath=fastpath)
+        config = SMMP_PROFILE.config(seed=0)
         stats = TimeWarpSimulation(build_smmp(params), config).run()
         return stats.committed_events, _macro_counters(stats)
 
     return run
 
 
-def _macro_raid_workload(quick: bool, fastpath: str) -> Workload:
+@benchmark("macro.raid", "macro", "events")
+def _macro_raid(quick: bool) -> Workload:
+    """RAID: heterogeneous grains (sources, forks, disks)."""
     from ...apps.raid import RAIDParams, build_raid
     from ...bench.harness import RAID_PROFILE
     from ...kernel.kernel import TimeWarpSimulation
@@ -427,53 +429,11 @@ def _macro_raid_workload(quick: bool, fastpath: str) -> Workload:
     params = RAIDParams(requests_per_source=25 if quick else 100)
 
     def run() -> tuple[int, dict[str, Any]]:
-        config = RAID_PROFILE.config(seed=0, fastpath=fastpath)
+        config = RAID_PROFILE.config(seed=0)
         stats = TimeWarpSimulation(build_raid(params), config).run()
         return stats.committed_events, _macro_counters(stats)
 
     return run
-
-
-# The macro mains pin fastpath="numpy" (silently degrading to python on
-# interpreters without numpy); the ``.python`` twins pin the boxed-heap
-# path so the SoA hot core's speedup is measured in-document on the same
-# machine (report.fastpath_gate, the CI floor — same pattern as the
-# parallel ``.queue`` wire twins).
-
-@benchmark("macro.phold", "macro", "events", fastpath="numpy")
-def _macro_phold(quick: bool) -> Workload:
-    """PHOLD under LVT skew: the rollback-heavy reference macro load."""
-    return _macro_phold_workload(quick, "numpy")
-
-
-@benchmark("macro.phold.python", "macro", "events", fastpath="python")
-def _macro_phold_python(quick: bool) -> Workload:
-    """Boxed-heap twin of macro.phold: the SoA fast-path denominator."""
-    return _macro_phold_workload(quick, "python")
-
-
-@benchmark("macro.smmp", "macro", "events", fastpath="numpy")
-def _macro_smmp(quick: bool) -> Workload:
-    """SMMP: communication-heavy, lazy-cancellation-friendly."""
-    return _macro_smmp_workload(quick, "numpy")
-
-
-@benchmark("macro.smmp.python", "macro", "events", fastpath="python")
-def _macro_smmp_python(quick: bool) -> Workload:
-    """Boxed-heap twin of macro.smmp: the SoA fast-path denominator."""
-    return _macro_smmp_workload(quick, "python")
-
-
-@benchmark("macro.raid", "macro", "events", fastpath="numpy")
-def _macro_raid(quick: bool) -> Workload:
-    """RAID: heterogeneous grains (sources, forks, disks)."""
-    return _macro_raid_workload(quick, "numpy")
-
-
-@benchmark("macro.raid.python", "macro", "events", fastpath="python")
-def _macro_raid_python(quick: bool) -> Workload:
-    """Boxed-heap twin of macro.raid: the SoA fast-path denominator."""
-    return _macro_raid_workload(quick, "python")
 
 
 # --------------------------------------------------------------------- #
@@ -505,9 +465,7 @@ def _parallel_smmp_model(quick: bool):
 _PARALLEL_MODELS = {"phold": _parallel_phold_model, "smmp": _parallel_smmp_model}
 
 
-def _parallel_workload(
-    app: str, workers: int, quick: bool, wire: str = "shm"
-) -> Workload:
+def _parallel_workload(app: str, workers: int, quick: bool) -> Workload:
     """Differentially-validated parallel run of ``app``.
 
     Golden result and shard assignment are computed once at make() time,
@@ -515,10 +473,7 @@ def _parallel_workload(
     committed counters are checked against the sequential golden every
     repetition — a mismatch raises, which both fails the benchmark and
     keeps the reported counters deterministic (timing.measure flags any
-    cross-repetition counter drift as corruption).  ``wire`` selects the
-    inter-shard data path; the ``.queue`` twins exist so the shm
-    fast-path speedup is measured in-document on the same machine
-    (report.wire_gate, the CI floor).
+    cross-repetition counter drift as corruption).
     """
     from collections import Counter
 
@@ -548,7 +503,7 @@ def _parallel_workload(
 
         config = SimulationConfig(
             backend="parallel", workers=workers, end_time=end_time,
-            max_executed_events=2_000_000, wire=wire,
+            max_executed_events=2_000_000,
             # a modest FAW window so the IPC path runs batched, as a
             # deployment would (docs/parallel.md)
             aggregation=lambda _lp: FixedWindow(50.0),
@@ -615,20 +570,6 @@ def _parallel_smmp(quick: bool) -> Workload:
 def _parallel_smmp_1w(quick: bool) -> Workload:
     """Single-worker baseline for the parallel.smmp speedup ratio."""
     return _parallel_workload("smmp", 1, quick)
-
-
-@benchmark("parallel.phold.queue", "macro", "events", backend="parallel",
-           workers=2, wire="queue")
-def _parallel_phold_queue(quick: bool) -> Workload:
-    """Queue-wire twin of parallel.phold: the shm fast-path denominator."""
-    return _parallel_workload("phold", 2, quick, wire="queue")
-
-
-@benchmark("parallel.smmp.queue", "macro", "events", backend="parallel",
-           workers=2, wire="queue")
-def _parallel_smmp_queue(quick: bool) -> Workload:
-    """Queue-wire twin of parallel.smmp: the shm fast-path denominator."""
-    return _parallel_workload("smmp", 2, quick, wire="queue")
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,7 @@ A seeded :class:`FaultPlan` describes drop/duplicate/delay/reorder
 behaviour; configuring one (``SimulationConfig(faults=plan)``) swaps the
 perfect wire for a :class:`FaultyNetwork` with a reliable transport on
 top.  :mod:`repro.faults.fuzz` sweeps plans differentially against the
-sequential kernel (``repro-bench --faults``).
+sequential kernel (``repro-bench faults``).
 """
 
 from .network import FaultCounters, FaultyNetwork

@@ -11,7 +11,7 @@ oracle armed — and asserts two properties:
 
 Plans alternate the GVT algorithm (omniscient / Mattern) per seed so the
 distributed GVT's colouring is fuzzed too.  Used by the property tests in
-``tests/properties/test_fault_fuzz.py`` and by ``repro-bench --faults``
+``tests/properties/test_fault_fuzz.py`` and by ``repro-bench faults``
 (docs/robustness.md).
 """
 

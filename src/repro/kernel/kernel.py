@@ -20,7 +20,6 @@ from ..gvt.mattern import MatternGVT
 from ..oracle.invariants import NULL_ORACLE
 from ..stats.counters import RunStats
 from ..trace.tracer import NULL_TRACER
-from .arena import resolve_fastpath
 from .config import SimulationConfig
 from .errors import ConfigurationError
 from .event import Event
@@ -55,7 +54,6 @@ class TimeWarpSimulation:
                 self._oid_to_lp[oid] = lp_index
 
         # --- logical processes ------------------------------------------
-        fastpath = resolve_fastpath(self.config.fastpath)
         self.lps: list[LogicalProcess] = []
         for lp_index in range(len(partition)):
             lp = LogicalProcess(
@@ -64,7 +62,6 @@ class TimeWarpSimulation:
                 resolve_name=self._name_to_oid.__getitem__,
                 lp_of=self._oid_to_lp.__getitem__,
                 end_time=self.config.end_time,
-                fastpath=fastpath,
             )
             self.lps.append(lp)
         for oid, obj in enumerate(self._objects):

@@ -20,7 +20,6 @@ from ..cluster.costmodel import CostModel
 from ..oracle.invariants import NULL_ORACLE
 from ..stats.counters import LPStats, ObjectStats
 from ..trace.tracer import NULL_TRACER
-from .arena import ArrayInputQueue, EventArena, resolve_fastpath
 from .cancellation import CancellationPolicy, ComparisonBuffer, Mode
 from .checkpointing import MAX_INTERVAL, CheckpointPolicy, CheckpointWindow
 from .errors import (
@@ -101,17 +100,9 @@ class LogicalProcess:
         resolve_name: Callable[[str], int],
         lp_of: Callable[[int], int],
         end_time: VirtualTime = float("inf"),
-        fastpath: str | None = "python",
     ) -> None:
         self.lp_id = lp_id
         self.costs = costs
-        #: resolved hot-loop implementation ("python" or "numpy"); the
-        #: arena is the LP-wide struct-of-arrays future-event store backing
-        #: every member's :class:`ArrayInputQueue` on the numpy path
-        self.fastpath = resolve_fastpath(fastpath)
-        self.arena: EventArena | None = (
-            EventArena() if self.fastpath == "numpy" else None
-        )
         self.clock: float = 0.0
         self.end_time = end_time
         self._resolve_name = resolve_name
@@ -162,8 +153,6 @@ class LogicalProcess:
         ckpt_policy: CheckpointPolicy,
     ) -> ObjectContext:
         ctx = ObjectContext(obj=obj, oid=oid)
-        if self.arena is not None:
-            ctx.iq = ArrayInputQueue(self.arena)
         ctx.cancel_policy = cancel_policy
         ctx.ckpt_policy = ckpt_policy
         ctx.mode = cancel_policy.initial_mode()

@@ -32,7 +32,6 @@ import pickle
 from dataclasses import dataclass
 from typing import Any
 
-from .arena import ArrayInputQueue
 from .cancellation import Mode
 from .checkpointing import CheckpointWindow
 from .errors import SchedulingError
@@ -201,10 +200,6 @@ def detach_object(lp: LogicalProcess, oid: int) -> ObjectCheckpoint:
         raise SchedulingError(f"LP {lp.lp_id} does not host object {oid}")
     ckpt = checkpoint_object(ctx)
     lp.release(ctx)
-    if isinstance(ctx.iq, ArrayInputQueue):
-        # the member's unprocessed events leave with the checkpoint; their
-        # arena rows must die with them
-        ctx.iq.detach()
     return ckpt
 
 
@@ -240,22 +235,17 @@ def restore_object(lp: LogicalProcess, ckpt: ObjectCheckpoint) -> ObjectContext:
     ctx.current_cause_key = INITIAL_KEY
     ctx.coasting = False
 
-    if lp.arena is not None:
-        ctx.iq = ArrayInputQueue(lp.arena)
     iq = ctx.iq
     for fields in ckpt.processed:
         event = _event_from(fields)
         iq.processed.append(event)
         iq._processed_ids[event._eid] = event
-    if lp.arena is not None:
-        iq.insert_batch([_event_from(fields) for fields in ckpt.future])
-    else:
-        # key-sorted list == valid binary heap
-        for fields in ckpt.future:
-            event = _event_from(fields)
-            iq._future.append((event._key, event))
-            iq._future_ids[event._eid] = event
-        iq._live_future = len(ckpt.future)
+    # key-sorted list == valid binary heap
+    for fields in ckpt.future:
+        event = _event_from(fields)
+        iq._future.append((event._key, event))
+        iq._future_ids[event._eid] = event
+    iq._live_future = len(ckpt.future)
     for fields in ckpt.pending_antis:
         anti = _event_from(fields)
         iq._pending_antis[anti._eid] = anti

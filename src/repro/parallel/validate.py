@@ -28,7 +28,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..faults.fuzz import APPS
-from ..kernel.arena import resolve_fastpath
 from ..kernel.config import SimulationConfig
 from ..oracle.invariants import InvariantOracle
 from ..sequential import SequentialSimulation
@@ -82,8 +81,6 @@ class DifferentialResult:
     migrations: int = 0
     #: inter-shard data wire actually used ("shm" or "queue")
     wire: str = "shm"
-    #: hot core the workers ran ("python" or "numpy", after degradation)
-    fastpath: str = "python"
 
     @property
     def elastic(self) -> bool:
@@ -103,8 +100,7 @@ class DifferentialResult:
     def render(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         lines = [
-            f"{status} {self.app} workers={self.workers} wire={self.wire} "
-            f"fastpath={self.fastpath}: "
+            f"{status} {self.app} workers={self.workers} wire={self.wire}: "
             f"committed {self.committed}/{self.expected}, "
             f"{self.rollbacks} rollback(s), {self.gvt_rounds} GVT round(s), "
             f"{self.oracle_checks} oracle check(s), {self.wall_s:.2f}s wall"
@@ -138,7 +134,6 @@ def run_differential(
     churn: dict | None = None,
     gvt_period: float | None = None,
     wire: str | None = None,
-    fastpath: str | None = None,
 ) -> DifferentialResult:
     """One differential run of ``app`` over ``workers`` shards.
 
@@ -149,9 +144,7 @@ def run_differential(
     past fire on the quiet fleet, so every feasible step takes effect.
     ``wire`` selects the inter-shard data path ("shm"/"queue"; ``None``
     keeps the config default) — both must commit identical results,
-    which is exactly what the CI parity matrix checks.  ``fastpath``
-    pins the hot core the same way ("python"/"numpy"): both cores must
-    commit the same golden, so the SoA arena cannot silently reorder.
+    which is exactly what the CI parity matrix checks.
     """
     build, end_time = APPS[app]
     golden_counts, golden_states, expected = sequential_golden(app)
@@ -164,12 +157,10 @@ def run_differential(
         churn=churn,
         **({} if gvt_period is None else {"gvt_period": gvt_period}),
         **({} if wire is None else {"wire": wire}),
-        **({} if fastpath is None else {"fastpath": fastpath}),
     )
     started = time.perf_counter()
     error = ""
     wire_used = config.wire
-    fastpath_used = resolve_fastpath(config.fastpath)
     committed = rollbacks = gvt_rounds = oracle_checks = 0
     count_mismatches: list[tuple[str, int, int]] = []
     state_mismatches: list[str] = []
@@ -217,7 +208,6 @@ def run_differential(
         worker_timeline=worker_timeline,
         migrations=migrations,
         wire=wire_used,
-        fastpath=fastpath_used,
     )
 
 
@@ -257,11 +247,6 @@ def main(argv=None) -> int:
              "the CI parity matrix runs both and compares digests",
     )
     parser.add_argument(
-        "--fastpath", default=None, choices=("python", "numpy"),
-        help="hot-core pin (default: the config default, numpy when "
-             "available); the CI parity leg runs both against one golden",
-    )
-    parser.add_argument(
         "--gvt-period", type=float, default=None,
         help="wall-clock GVT period in microseconds (churn plans want a "
              "short one so every step's commit index is reached)",
@@ -287,7 +272,7 @@ def main(argv=None) -> int:
             app, args.workers,
             strategy=args.strategy, timeout_s=args.timeout,
             trace_dir=args.trace_dir, churn=churn, gvt_period=gvt_period,
-            wire=args.wire, fastpath=args.fastpath,
+            wire=args.wire,
         )
         for app in apps
     ]

@@ -5,8 +5,7 @@ objects, which rebuilds every ``Event``/``PhysicalMessage`` dataclass
 through the generic pickle machinery on both sides of every hop.  This
 module replaces that with a versioned ``struct``-packed frame: the fixed
 numeric event fields travel as struct-of-arrays blocks (one contiguous
-``u32``/``u64``/``f64`` run per field, vectorized through numpy when it
-is installed and the batch is large enough to pay for the call), and
+``u32``/``u64``/``f64`` run per field, one ``struct`` call each), and
 payloads travel as one tag byte plus an inline little-endian body for
 the common immutable types, with a pickle *escape hatch* for anything
 odd or oversized (big ints, application objects, non-UTF-8 strings).
@@ -48,11 +47,8 @@ Frame layout (all little-endian)::
       recv_times n*f64
       payloads   n * (u8 tag + body)       -- see _TAG_* below
 
-The block order and dtypes are :data:`repro.kernel.arena.SOA_LAYOUT` —
-the same struct-of-arrays layout the :class:`~repro.kernel.arena.EventArena`
-stores — so a decoded envelope's columns can land in an arena
-(:func:`decode_batch_soa` + ``EventArena.insert_columns``) as six block
-copies, without boxing each row into an :class:`Event` first.
+The block order and widths are this module's own field table,
+:data:`SOA_LAYOUT`.
 """
 
 from __future__ import annotations
@@ -61,22 +57,24 @@ import pickle
 import struct
 
 from ..comm.message import MessageKind, PhysicalMessage
-from ..kernel.arena import SOA_LAYOUT
 from ..kernel.event import Event
 from .ipc import DataBatch, Envelope
-
-try:  # optional vectorized field blocks (pure-struct fallback below)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on bare installs
-    _np = None
 
 #: bump on ANY layout change; decoders reject unknown versions
 WIRE_VERSION = 1
 _MAGIC = 0x5257  # "RW"
 _FRAME_DATA_BATCH = 1
 
-#: batches smaller than this skip numpy (call overhead beats the win)
-_NP_MIN_EVENTS = 32
+#: the envelope's field blocks, in frame order: ``(Event attribute,
+#: struct format, byte width)`` per scalar field
+SOA_LAYOUT = (
+    ("sender", "I", 4),
+    ("receiver", "I", 4),
+    ("serial", "Q", 8),
+    ("sign", "b", 1),
+    ("send_time", "d", 8),
+    ("recv_time", "d", 8),
+)
 
 _HEADER = struct.Struct("<HBBII")
 _ENVELOPE = struct.Struct("<IIII")
@@ -96,7 +94,7 @@ _TAG_TUPLE = 7  # u32 count + nested tagged values
 _TAG_PICKLE = 8  # u32 length + pickle bytes (the escape hatch)
 _LENGTH_PREFIXED = frozenset({_TAG_STR, _TAG_BYTES, _TAG_PICKLE})
 #: bytes one event takes across an envelope's six field blocks
-_ROW_BYTES = sum(width for _attr, _fmt, _dtype, width in SOA_LAYOUT)
+_ROW_BYTES = sum(width for _attr, _fmt, width in SOA_LAYOUT)
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
@@ -200,24 +198,11 @@ def _decode_payload(buf, offset: int):
 # --------------------------------------------------------------------- #
 # struct-of-arrays field blocks
 # --------------------------------------------------------------------- #
-def _pack_block(values: list, fmt: str, np_dtype: str) -> bytes:
-    n = len(values)
-    if _np is not None and n >= _NP_MIN_EVENTS:
-        try:
-            return _np.asarray(values, dtype=np_dtype).tobytes()
-        except OverflowError as exc:
-            raise WireEncodeError(str(exc)) from exc
+def _pack_block(values: list, fmt: str) -> bytes:
     try:
-        return struct.pack(f"<{n}{fmt}", *values)
+        return struct.pack(f"<{len(values)}{fmt}", *values)
     except struct.error as exc:
         raise WireEncodeError(str(exc)) from exc
-
-
-def _unpack_block(buf, offset: int, n: int, fmt: str, np_dtype: str, width: int):
-    end = offset + n * width
-    if _np is not None and n >= _NP_MIN_EVENTS:
-        return _np.frombuffer(buf, dtype=np_dtype, count=n, offset=offset).tolist(), end
-    return struct.unpack_from(f"<{n}{fmt}", buf, offset), end
 
 
 # --------------------------------------------------------------------- #
@@ -260,8 +245,8 @@ def encode_batch(src_shard: int, envelopes: tuple[Envelope, ...]) -> bytes:
             send_times.append(event.send_time)
             recv_times.append(event.recv_time)
         columns = (senders, receivers, serials, signs, send_times, recv_times)
-        for values, (_attr, fmt, np_dtype, _width) in zip(columns, SOA_LAYOUT):
-            parts.append(_pack_block(values, fmt, np_dtype))
+        for values, (_attr, fmt, _width) in zip(columns, SOA_LAYOUT):
+            parts.append(_pack_block(values, fmt))
         for event in events:
             _encode_payload(event.payload, parts)
     return b"".join(parts)
@@ -292,9 +277,9 @@ def decode_batch(frame) -> DataBatch:
             offset += _ENVELOPE.size
             _field_end(frame, offset, n * _ROW_BYTES)
             blocks = []
-            for _attr, fmt, np_dtype, width in SOA_LAYOUT:
-                block, offset = _unpack_block(frame, offset, n, fmt, np_dtype, width)
-                blocks.append(block)
+            for _attr, fmt, width in SOA_LAYOUT:
+                blocks.append(struct.unpack_from(f"<{n}{fmt}", frame, offset))
+                offset += n * width
             senders, receivers, serials, signs, send_times, recv_times = blocks
             events = []
             for i in range(n):
@@ -317,42 +302,3 @@ def decode_batch(frame) -> DataBatch:
     except (struct.error, IndexError) as exc:  # a field cut off by the end
         raise WireFormatError(f"truncated {len(frame)}-byte frame: {exc}") from exc
     return DataBatch(src_shard, tuple(envelopes))
-
-
-def decode_batch_soa(frame):
-    """Decode a frame into struct-of-arrays columns, without boxing Events.
-
-    Returns ``(src_shard, envelopes)`` where each envelope is
-    ``(stamp, src_lp, dst_lp, columns, payloads)`` and ``columns`` holds
-    the six :data:`~repro.kernel.arena.SOA_LAYOUT` blocks — numpy arrays
-    of the layout dtypes when numpy is available (zero-copy views over
-    the frame buffer), plain tuples otherwise.  The columns feed
-    ``EventArena.insert_columns`` directly: six block copies per
-    envelope, with Event handles materialized lazily only for rows the
-    scheduler actually touches.
-    """
-    try:
-        src_shard, n_envelopes = _decode_header(frame)
-        offset = _HEADER.size
-        envelopes = []
-        for _ in range(n_envelopes):
-            stamp, src_lp, dst_lp, n = _ENVELOPE.unpack_from(frame, offset)
-            offset += _ENVELOPE.size
-            _field_end(frame, offset, n * _ROW_BYTES)
-            columns = []
-            for _attr, fmt, np_dtype, width in SOA_LAYOUT:
-                if _np is not None:
-                    column = _np.frombuffer(frame, dtype=np_dtype, count=n,
-                                            offset=offset)
-                else:
-                    column = struct.unpack_from(f"<{n}{fmt}", frame, offset)
-                columns.append(column)
-                offset += n * width
-            payloads = []
-            for _ in range(n):
-                payload, offset = _decode_payload(frame, offset)
-                payloads.append(payload)
-            envelopes.append((stamp, src_lp, dst_lp, tuple(columns), payloads))
-    except (struct.error, IndexError) as exc:  # a field cut off by the end
-        raise WireFormatError(f"truncated {len(frame)}-byte frame: {exc}") from exc
-    return src_shard, envelopes

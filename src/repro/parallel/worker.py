@@ -36,7 +36,6 @@ from typing import Any
 from ..comm.message import MessageKind
 from ..comm.transport import CommModule
 from ..gvt.mattern import ColourAgent
-from ..kernel.arena import resolve_fastpath
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import SchedulingError, TerminationError
 from ..kernel.lp import LogicalProcess
@@ -173,9 +172,6 @@ class _ShardRuntime:
             resolve_name=plan.name_to_oid.__getitem__,
             lp_of=plan.oid_to_shard.__getitem__,
             end_time=config.end_time,
-            # resolved per worker: a heterogeneous fleet (some interpreters
-            # without numpy) still commits byte-identical results
-            fastpath=resolve_fastpath(config.fastpath),
         )
         self.lp = lp
         if plan.trace_dir is not None:

@@ -67,9 +67,6 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
         # the wire only exists on the parallel backend; "default" marks a
         # scenario that trusts the config default rather than pinning one
         features.add(f"wire:{s.wire or 'default'}")
-    if s.backend != "conservative":
-        # hot-core selection only exists on the Time Warp backends
-        features.add(f"fastpath:{s.fastpath or 'default'}")
     if "migrations" in raw:
         features.add(f"migrations:{bucket(raw['migrations'])}")
     stats = raw.get("stats")

@@ -177,14 +177,6 @@ def generate_scenario(
             [(v, f"snapshot:{v}") for v in SNAPSHOT_VARIANTS],
         )
         kwargs["gvt_period"] = rng.choice(GVT_PERIODS)
-        # the hot core: pin python, pin numpy, or trust the config
-        # default — pinned paths must commit identical results (the
-        # numpy pin silently degrades where numpy is absent)
-        kwargs["fastpath"] = _draw(
-            rng, coverage,
-            [(None, "fastpath:default"), ("python", "fastpath:python"),
-             ("numpy", "fastpath:numpy")],
-        )
     if backend == "modelled":
         kwargs["gvt_algorithm"] = _draw(
             rng, coverage, [(v, f"gvt:{v}") for v in GVT_VARIANTS]

@@ -17,8 +17,6 @@ The knob fields mirror the paper's configuration space:
 * ``aggregation`` — ``none`` / ``fixed`` (FAW) / ``saaw``, with
   ``aggregation_window`` as the initial window;
 * ``snapshot`` — ``copy`` / ``pickle`` / ``deepcopy`` / ``array``;
-* ``fastpath`` — ``python`` / ``numpy`` hot-core selection (unset =
-  config default, i.e. numpy when available);
 * ``gvt_algorithm`` — ``omniscient`` / ``mattern``;
 * ``time_window`` — ``none`` / ``adaptive``;
 * ``meta_control`` — ``off`` / ``on``: the unified MetaController over
@@ -52,7 +50,6 @@ from ..core.cancellation_controller import (
 from ..core.checkpoint_controller import DynamicCheckpoint
 from ..core.window_controller import AdaptiveTimeWindow
 from ..faults.plan import FaultPlan
-from ..kernel.arena import FASTPATHS
 from ..kernel.cancellation import Mode, StaticCancellation
 from ..kernel.checkpointing import MAX_INTERVAL, StaticCheckpoint
 from ..kernel.config import SimulationConfig, validate_churn_plan
@@ -211,11 +208,6 @@ class Scenario:
     #: ``None`` means the config default, and is omitted from the JSON
     #: form so pre-wire corpus entries keep their scenario ids.
     wire: str | None = None
-    #: hot-core selection ("python" / "numpy"; Time Warp backends only).
-    #: ``None`` means the config default (numpy when available, silently
-    #: degrading to python), and is omitted from the JSON form so
-    #: pre-fastpath corpus entries keep their scenario ids.
-    fastpath: str | None = None
 
     cancellation: str = "aggressive"
     #: static chi in [1, MAX_INTERVAL] or "dynamic"
@@ -270,17 +262,6 @@ class Scenario:
                 raise ConfigurationError(
                     "wire selects the inter-shard data path, which only "
                     "the parallel backend has; leave it unset"
-                )
-        if self.fastpath is not None:
-            if self.fastpath not in FASTPATHS:
-                raise ConfigurationError(
-                    f"unknown fastpath {self.fastpath!r} "
-                    f"(known: {FASTPATHS})"
-                )
-            if self.backend == "conservative":
-                raise ConfigurationError(
-                    "fastpath selects the Time Warp hot core, which the "
-                    "conservative kernel does not have; leave it unset"
                 )
         if self.cancellation not in CANCELLATION_VARIANTS:
             raise ConfigurationError(
@@ -432,8 +413,6 @@ class Scenario:
         )
         if self.wire is not None:
             kwargs["wire"] = self.wire
-        if self.fastpath is not None:
-            kwargs["fastpath"] = self.fastpath
         if self.time_window == "adaptive":
             kwargs["time_window"] = lambda: AdaptiveTimeWindow()
         if self.meta_control == "on":
@@ -450,8 +429,8 @@ class Scenario:
             value = getattr(self, f.name)
             if f.name == "end_time" and value == float("inf"):
                 value = None  # JSON has no Infinity; None means app default
-            if f.name in ("churn", "wire", "fastpath") and value is None:
-                # keep pre-churn/pre-wire/pre-fastpath corpus ids stable
+            if f.name in ("churn", "wire") and value is None:
+                # keep pre-churn/pre-wire corpus ids stable
                 continue
             doc[f.name] = value
         return doc

@@ -41,8 +41,6 @@ def _knob_resets(s: Scenario) -> Iterator[Scenario]:
             yield s.with_(churn={**s.churn, "steps": steps[:1]})
     if s.wire is not None:
         yield s.with_(wire=None)
-    if s.fastpath is not None:
-        yield s.with_(fastpath=None)
     if s.backend != "modelled":
         yield s.with_(backend="modelled", workers=1, churn=None, wire=None)
     if s.backend == "parallel" and s.workers > 1:

@@ -6,9 +6,8 @@ modelled PHOLD of the ``phold_skew`` shape runs under ``cProfile`` and the
 total calls — Python frames and C built-ins, as ``benchmarks/e2e`` counts
 ``calls_per_event`` — per committed event must stay within a budget set
 5 % above the reading taken when the per-event path was put on its call
-diet (ISSUE 16: 134.1 under pytest with the numpy event store, 127 with the
-python one, where the commit before read 230.8).  The failure message names the
-modules that grew.
+diet (ISSUE 16: 127 under pytest, where the commit before read 230.8).
+The failure message names the modules that grew.
 """
 
 import cProfile
@@ -20,7 +19,7 @@ import repro
 from repro import SimulationConfig, TimeWarpSimulation
 from repro.apps import PHOLDParams, build_phold
 
-CALLS_PER_COMMITTED_EVENT_BUDGET = 140.8
+CALLS_PER_COMMITTED_EVENT_BUDGET = 133.4
 
 REPRO_ROOT = Path(repro.__file__).resolve().parent
 

@@ -5,7 +5,6 @@ import pytest
 from repro.bench.perf.report import (
     SCHEMA_VERSION,
     compare_documents,
-    fastpath_gate,
     load_document,
     make_document,
     render_document,
@@ -76,9 +75,8 @@ class TestRegistry:
         "snapshot.copy", "snapshot.pickle", "snapshot.array",
         "rollback.storm", "gvt.local_min",
         "macro.phold", "macro.smmp", "macro.raid",
-        "macro.phold.python", "macro.smmp.python", "macro.raid.python",
-        "parallel.phold", "parallel.phold.1w", "parallel.phold.queue",
-        "parallel.smmp", "parallel.smmp.1w", "parallel.smmp.queue",
+        "parallel.phold", "parallel.phold.1w",
+        "parallel.smmp", "parallel.smmp.1w",
     }
 
     def test_registered_benchmarks(self):
@@ -100,9 +98,7 @@ class TestRegistry:
                     # registration must match the path actually run
                     assert bench.wire is None
                 else:
-                    assert bench.wire == (
-                        "queue" if name.endswith(".queue") else "shm"
-                    )
+                    assert bench.wire == "shm"
             else:
                 assert bench.backend == "modelled"
                 assert bench.workers == 1
@@ -253,7 +249,7 @@ class TestComparison:
         assert report.ok
         assert report.deltas == []
         assert report.incomparable == [
-            ("fake.bench", "backend/wire/fastpath/workers changed: "
+            ("fake.bench", "backend/wire/workers changed: "
                            "modelled/1w -> parallel/2w")
         ]
         assert "incomparable: fake.bench" in report.render()
@@ -298,7 +294,7 @@ class TestComparison:
         report = compare_documents(base, current, fail_on_regress=25.0)
         assert report.ok
         assert report.incomparable == [
-            ("fake.bench", "backend/wire/fastpath/workers changed: "
+            ("fake.bench", "backend/wire/workers changed: "
                            "parallel/2w -> parallel/2w@0->1w@2")
         ]
 
@@ -320,52 +316,3 @@ class TestComparison:
         assert report.ok  # no threshold, no regressions
         assert "gate" not in report.render()
 
-
-def _gate_doc(entries):
-    """A minimal document for the in-document fastpath gate."""
-    return {"benchmarks": {
-        name: {"rate_per_s": rate, "fastpath": fastpath}
-        for name, rate, fastpath in entries
-    }}
-
-
-class TestFastpathGate:
-    def test_pair_at_or_above_floor_passes(self):
-        doc = _gate_doc([("macro.x", 200.0, "numpy"),
-                         ("macro.x.python", 100.0, "python")])
-        report = fastpath_gate(doc, min_speedup=1.5)
-        assert report.ok
-        assert [p.name for p in report.pairs] == ["macro.x"]
-        assert report.pairs[0].speedup == pytest.approx(2.0)
-        assert "PASS" in report.render()
-
-    def test_below_floor_fails(self):
-        doc = _gate_doc([("macro.x", 104.0, "numpy"),
-                         ("macro.x.python", 100.0, "python")])
-        report = fastpath_gate(doc, min_speedup=1.1)
-        assert not report.ok
-        assert [p.name for p in report.failures] == ["macro.x"]
-        assert "BELOW FLOOR" in report.render()
-
-    def test_unpaired_python_twin_fails(self):
-        # filtering the numpy side out of the run must not pass the gate
-        doc = _gate_doc([("macro.x.python", 100.0, "python")])
-        report = fastpath_gate(doc, min_speedup=1.0)
-        assert not report.ok
-        assert report.unpaired == ["macro.x.python"]
-
-    def test_document_without_pairs_fails(self):
-        report = fastpath_gate(_gate_doc([("micro.y", 50.0, None)]),
-                               min_speedup=1.0)
-        assert not report.ok
-        assert report.pairs == []
-
-    def test_degraded_twin_does_not_pair(self):
-        # a numpy entry that silently degraded (no numpy available) would
-        # carry fastpath="python"-equivalent work; the gate refuses to
-        # compare unless the provenance really says numpy
-        doc = _gate_doc([("macro.x", 100.0, "python"),
-                         ("macro.x.python", 100.0, "python")])
-        report = fastpath_gate(doc, min_speedup=1.0)
-        assert not report.ok
-        assert report.unpaired == ["macro.x.python"]

@@ -32,12 +32,6 @@ class TestSubcommandSpellings:
         assert FAST in doc["benchmarks"]
         assert "perf suite" in capsys.readouterr().out
 
-    def test_perf_legacy_flag(self, capsys):
-        rc = cli_main(["--perf", "--quick", "--reps", "1", "--warmup", "0",
-                       "--only", FAST, "--out", "-"])
-        assert rc == 0
-        assert "perf suite" in capsys.readouterr().out
-
     def test_figures_subcommand(self, capsys):
         rc = cli_main(["figures", "--fig", "baseline", "--scale", "0.01",
                        "--replicates", "1"])
@@ -53,9 +47,14 @@ class TestSubcommandSpellings:
         assert rc == 0
         assert "fuzzed" in capsys.readouterr().out.lower()
 
-    def test_unknown_subcommand_falls_back_to_legacy_error(self):
-        with pytest.raises(SystemExit):
-            cli_main(["bogus-subcommand"])
+    @pytest.mark.parametrize("argv", [
+        ["bogus-subcommand"], ["--fig", "baseline"], ["--perf"], ["--faults"],
+    ])
+    def test_non_subcommand_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "figures" in capsys.readouterr().err  # argparse lists them
 
 
 class TestPerfGate:

@@ -9,8 +9,6 @@ shapes of ``benchmarks/e2e/workloads.py`` at sub-seed 40 (``--seed 5``,
 instance 0), rebuilt here from the public API.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation
@@ -66,12 +64,11 @@ PINNED = {
 }
 
 
-@pytest.mark.parametrize("fastpath", ["python", "numpy"])
 @pytest.mark.parametrize("workload", sorted(PINNED))
-def test_counters_and_modelled_rate_do_not_move(workload, fastpath):
+def test_counters_and_modelled_rate_do_not_move(workload):
     build, want = PINNED[workload]
     partition, config = build()
-    stats = TimeWarpSimulation(partition, replace(config, fastpath=fastpath)).run()
+    stats = TimeWarpSimulation(partition, config).run()
     got = {
         "committed": stats.committed_events,
         "rate": repr(stats.committed_events_per_second),

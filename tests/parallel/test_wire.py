@@ -30,11 +30,11 @@ from repro.parallel.shm import (
     shm_wire_supported,
 )
 from repro.parallel.wire import (
+    SOA_LAYOUT,
     WIRE_VERSION,
     WireEncodeError,
     WireFormatError,
     decode_batch,
-    decode_batch_soa,
     encode_batch,
 )
 
@@ -96,7 +96,7 @@ class TestCodecRoundTrip:
             _event(serial=s, sign=-1 if s % 3 == 0 else 1,
                    send_time=s * 0.1, recv_time=s * 0.1 + 0.7,
                    payload=s)
-            for s in range(40)  # > _NP_MIN_EVENTS: numpy block path
+            for s in range(40)  # a large envelope
         ]
         batch = _roundtrip(events, stamp=5, src_lp=2, dst_lp=9, src_shard=1)
         (stamp, message), = batch.envelopes
@@ -108,8 +108,7 @@ class TestCodecRoundTrip:
             assert decoded.serial == original.serial
             assert decoded.sign == original.sign
 
-    def test_small_batch_struct_path_matches_large_numpy_path(self):
-        # the two _pack_block paths must produce interchangeable bytes
+    def test_small_and_large_envelopes_round_trip(self):
         small = [_event(serial=s) for s in range(4)]
         large = [_event(serial=s) for s in range(64)]
         for events in (small, large):
@@ -137,6 +136,13 @@ class TestCodecRoundTrip:
         frame = memoryview(encode_batch(src_shard, envelopes))
         (_stamp, message), = decode_batch(frame).envelopes
         assert message.events[0].payload == "mv"
+
+    def test_soa_layout_matches_event_scalar_fields(self):
+        # frames are packed in this exact block order; a drifted field
+        # order would decode every event into the wrong fields
+        assert [attr for attr, _fmt, _width in SOA_LAYOUT] == [
+            "sender", "receiver", "serial", "sign", "send_time", "recv_time"
+        ]
 
 
 class TestCodecRejections:
@@ -183,8 +189,8 @@ class TestCodecRejections:
 
 
 def _multi_envelope_frame() -> bytes:
-    """Three envelopes covering every variable-length field: the struct
-    and the numpy block paths, and str / bytes / tuple / pickle bodies."""
+    """Three envelopes covering every variable-length field: small and
+    large field blocks, and str / bytes / tuple / pickle bodies."""
     payloads = ["text", b"\x00\x01\x02", (1, "two", (3.0, None)), {"k": 2**70},
                 7, -0.5, None, True]
     envelopes = tuple(
@@ -195,34 +201,33 @@ def _multi_envelope_frame() -> bytes:
                 for i in range(n)
             ),
         ))
-        for stamp, n in enumerate((3, 40, 8))  # 40 >= _NP_MIN_EVENTS
+        for stamp, n in enumerate((3, 40, 8))
     )
     return encode_batch(1, envelopes)
 
 
-@pytest.mark.parametrize("decode", [decode_batch, decode_batch_soa])
 class TestTruncatedFrames:
     """Bytes from another process: a frame whose lengths run past its end
     is a typed error at the decoder, not a ``struct.error`` further in."""
 
-    def test_every_proper_prefix_rejected(self, decode):
+    def test_every_proper_prefix_rejected(self):
         frame = _multi_envelope_frame()
-        decode(frame)  # the whole frame is fine
+        decode_batch(frame)  # the whole frame is fine
         for cut in range(len(frame)):
             with pytest.raises(WireFormatError):
-                decode(frame[:cut])
+                decode_batch(frame[:cut])
 
     @pytest.mark.parametrize("offset, value", [
         (8, 3),                        # header: n_envelopes
         (12 + 12, 3),                  # first envelope: n_events
         (12 + 16 + 3 * 33 + 1, 4),     # first payload: len("text")
     ])
-    def test_flipped_length_field_rejected(self, decode, offset, value):
+    def test_flipped_length_field_rejected(self, offset, value):
         frame = bytearray(_multi_envelope_frame())
         assert int.from_bytes(frame[offset:offset + 4], "little") == value
         frame[offset + 3] ^= 0x40  # + 2**30 in a little-endian u32
         with pytest.raises(WireFormatError):
-            decode(bytes(frame))
+            decode_batch(bytes(frame))
 
 
 class TestShmRing:

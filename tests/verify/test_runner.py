@@ -64,16 +64,6 @@ def test_knob_variants_reproduce_the_golden_digest():
         assert result.digest == golden.digest, changes
 
 
-def test_fastpath_pins_reproduce_the_golden_digest():
-    # the whole point of the SoA hot core: python and numpy paths must
-    # commit identical results, event for event
-    golden = run_scenario(Scenario())
-    for fastpath in ("python", "numpy"):
-        result = run_scenario(Scenario(fastpath=fastpath))
-        assert result.ok, result.describe()
-        assert result.digest == golden.digest, fastpath
-
-
 def test_conservative_backend_matches_golden():
     result = run_scenario(Scenario(app="smmp", backend="conservative"))
     assert result.ok, result.describe()

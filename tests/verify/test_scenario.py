@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.kernel.config import SimulationConfig
 from repro.kernel.errors import ConfigurationError
 from repro.verify import SCHEMA_SCENARIO, Scenario
 from repro.verify.scenario import APP_SPECS, CANCELLATION_VARIANTS
@@ -80,25 +81,14 @@ def test_wire_reaches_build_config():
     assert parallel.with_(wire="queue").build_config().wire == "queue"
 
 
-def test_unset_fastpath_is_omitted_so_old_ids_are_stable():
-    # fastpath=None must serialize exactly like a pre-fastpath scenario,
-    # so every existing corpus entry keeps its id (same rule as wire)
-    base = Scenario()
-    assert "fastpath" not in base.to_dict()
-    pinned = base.with_(fastpath="numpy")
-    assert pinned.to_dict()["fastpath"] == "numpy"
-    assert pinned.scenario_id() != base.scenario_id()
-    assert pinned.scenario_id() != \
-        base.with_(fastpath="python").scenario_id()
-    again = Scenario.from_json(pinned.to_json())
-    assert again == pinned
+def test_a_stored_fastpath_pin_is_refused_as_an_unknown_field():
+    with pytest.raises(ConfigurationError, match="fastpath"):
+        Scenario.from_dict({"schema": SCHEMA_SCENARIO, "fastpath": "numpy"})
 
 
-def test_fastpath_reaches_build_config():
-    base = Scenario()
-    assert base.build_config().fastpath is None  # config resolves the default
-    assert base.with_(fastpath="python").build_config().fastpath == "python"
-    assert base.with_(fastpath="numpy").build_config().fastpath == "numpy"
+def test_simulation_config_has_no_fastpath_field():
+    with pytest.raises(TypeError):
+        SimulationConfig(fastpath="numpy")
 
 
 @pytest.mark.parametrize(
@@ -131,9 +121,6 @@ def test_fastpath_reaches_build_config():
         # the wire axis only exists on the parallel backend
         {"backend": "parallel", "wire": "tcp"},
         {"backend": "modelled", "wire": "shm"},
-        # the fastpath axis only exists on Time Warp backends
-        {"fastpath": "cython"},
-        {"backend": "conservative", "fastpath": "python"},
     ],
 )
 def test_invalid_scenarios_rejected(changes):
