@@ -6,12 +6,17 @@ loops — event execution, state checkpointing, rollback, queue operations
 independently of the modelled results.
 """
 
+from dataclasses import dataclass, field
+
+import pytest
+
 from repro import SequentialSimulation, SimulationConfig, TimeWarpSimulation
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.kernel.event import Event
 from repro.kernel.queues import InputQueue
+from repro.kernel.state import RecordState, resolve_snapshot_strategy
 from tests.helpers import flatten, make_event
 
 
@@ -76,6 +81,26 @@ def test_micro_input_queue_ops(benchmark):
     assert benchmark(run) == 2000
 
 
+def test_micro_queue_annihilate(benchmark):
+    """Anti-message annihilation: tombstoning unprocessed positives and
+    locating processed ones (the two insert_anti paths)."""
+
+    n = 1000
+    events = [make_event(recv_time=float((i * 7919) % 997) + 1.0, serial=i)
+              for i in range(n)]
+    antis = [e.anti_message() for e in events]
+
+    def run():
+        q = InputQueue()
+        for e in events:
+            q.insert_positive(e)
+        for _ in range(n // 2):  # process half, leave half in the future heap
+            q.pop_next()
+        return sum(q.insert_anti(anti) is not None for anti in antis)
+
+    assert benchmark(run) == n // 2
+
+
 def test_micro_rollback_storm(benchmark):
     """Rollback machinery cost: repeated deep rollbacks on one object."""
 
@@ -84,8 +109,6 @@ def test_micro_rollback_storm(benchmark):
     from repro.kernel.checkpointing import StaticCheckpoint
     from repro.kernel.lp import LogicalProcess
     from repro.kernel.simobject import SimulationObject
-    from repro.kernel.state import RecordState
-    from dataclasses import dataclass, field
 
     @dataclass
     class S(RecordState):
@@ -122,15 +145,46 @@ def test_micro_rollback_storm(benchmark):
     assert rollbacks == 9
 
 
+@dataclass
+class TableState(RecordState):
+    """Representative model state: counters plus container fields.
+    Module-level because the pickle strategy needs an importable class."""
+
+    counter: int = 0
+    clock: float = 0.0
+    table: list = field(default_factory=list)
+    index: dict = field(default_factory=dict)
+
+
+def _snapshot_roundtrip(benchmark, strategy_name):
+    """Checkpoint save + rollback restore of a 200-element-table state: the
+    copy / pickle crossover docs/benchmarking.md "Snapshot strategies" and
+    control/meta.py:SnapshotController.large_state_bytes cite."""
+
+    strategy = resolve_snapshot_strategy(strategy_name)
+    state = TableState(counter=7, clock=123.5, table=list(range(200)),
+                       index={i: float(i) for i in range(50)})
+
+    def run():
+        for _ in range(50):
+            restored = strategy.snapshot(strategy.snapshot(state))
+        return restored
+
+    assert benchmark(run) == state
+
+
+def test_micro_snapshot_copy(benchmark):
+    _snapshot_roundtrip(benchmark, "copy")
+
+
+def test_micro_snapshot_pickle(benchmark):
+    _snapshot_roundtrip(benchmark, "pickle")
+
+
 def test_micro_snapshot_array(benchmark):
     """Block ndarray.copy() checkpointing of an array-backed state."""
 
-    import pytest
-
     np = pytest.importorskip("numpy")
-
-    from dataclasses import dataclass, field
-    from repro.kernel.state import RecordState, resolve_snapshot_strategy
 
     @dataclass
     class S(RecordState):

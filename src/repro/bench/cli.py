@@ -1,13 +1,13 @@
-"""Command-line entry point for every benchmark family.
+"""Command-line entry point for the figure, fuzz and validation families.
 
-Subcommands::
+Speed is measured elsewhere: end to end by ``benchmarks/e2e/run.py``, hot
+paths in isolation by ``benchmarks/bench_kernel_micro.py``
+(docs/benchmarking.md).  Subcommands::
 
     repro-bench figures --fig 5            # regenerate a paper figure
     repro-bench figures --all              # every figure, quick scale
     repro-bench figures --ablation checkpoint
     repro-bench faults --plans 100         # differential fault fuzzing
-    repro-bench perf --quick               # wall-clock perf suite
-    repro-bench perf --compare benchmarks/baseline.json --fail-on-regress 25
     repro-bench parallel --workers 2       # validate the parallel backend
     repro-bench ablate --knob checkpoint   # static-best vs on-line control
     repro-bench verify fuzz --budget 40    # forwards to repro-verify
@@ -65,27 +65,6 @@ def _add_figure_args(parser: argparse.ArgumentParser) -> None:
                              "docs/observability.md) per replicate into DIR")
 
 
-def _add_perf_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized workloads (~1 min for the full suite)")
-    parser.add_argument("--reps", type=int, default=3,
-                        help="timed repetitions per benchmark")
-    parser.add_argument("--warmup", type=int, default=1,
-                        help="untimed warmup repetitions per benchmark")
-    parser.add_argument("--only", metavar="SUBSTR",
-                        help="run only benchmarks whose name contains SUBSTR")
-    parser.add_argument("--out", metavar="PATH", default=None,
-                        help="output document path (default: BENCH_3.json; "
-                             "'-' skips writing)")
-    parser.add_argument("--compare", metavar="BASELINE.json",
-                        help="diff this run against a baseline document")
-    parser.add_argument("--fail-on-regress", type=float, default=None,
-                        metavar="PCT",
-                        help="with --compare: exit non-zero if any "
-                             "benchmark's rate drops more than PCT percent "
-                             "or its deterministic counters drift")
-
-
 # --------------------------------------------------------------------- #
 # runners
 # --------------------------------------------------------------------- #
@@ -135,73 +114,6 @@ def run_faults(args: argparse.Namespace) -> int:
     print(report.render())
     print(f"\n[{time.perf_counter() - start:.1f}s wall]")
     return 0 if report.ok else 1
-
-
-def run_parallel(args: argparse.Namespace) -> int:
-    from ..parallel.validate import main as validate_main
-
-    argv: list[str] = ["--workers", str(args.workers),
-                       "--strategy", args.strategy,
-                       "--timeout", str(args.timeout)]
-    for app in args.app or ():
-        argv += ["--app", app]
-    if args.trace_dir:
-        argv += ["--trace-dir", args.trace_dir]
-    if args.churn:
-        argv += ["--churn", args.churn]
-    if args.elastic_smoke:
-        argv += ["--elastic-smoke"]
-    if args.gvt_period is not None:
-        argv += ["--gvt-period", str(args.gvt_period)]
-    if args.wire:
-        argv += ["--wire", args.wire]
-    return validate_main(argv)
-
-
-def run_perf(args: argparse.Namespace) -> int:
-    from .perf.report import (
-        DEFAULT_OUTPUT,
-        compare_documents,
-        load_document,
-        make_document,
-        render_document,
-        write_document,
-    )
-    from .perf.suite import run_suite
-
-    start = time.perf_counter()
-    results = run_suite(
-        quick=args.quick,
-        reps=args.reps,
-        warmup=args.warmup,
-        only=args.only,
-        progress=lambda name: print(f"  running {name} ...", file=sys.stderr),
-    )
-    document = make_document(
-        results, quick=args.quick, reps=args.reps, warmup=args.warmup
-    )
-    print(render_document(document))
-    print(f"\n[{time.perf_counter() - start:.1f}s wall]")
-
-    out = args.out if args.out is not None else DEFAULT_OUTPUT
-    if out != "-":
-        path = write_document(document, out)
-        print(f"document written to {path}")
-
-    failed = False
-    if args.compare:
-        baseline = load_document(args.compare)
-        comparison = compare_documents(
-            baseline, document, fail_on_regress=args.fail_on_regress
-        )
-        print()
-        print(f"comparison vs {args.compare}:")
-        print(comparison.render())
-        if args.fail_on_regress is not None and not comparison.ok:
-            failed = True
-    elif args.fail_on_regress is not None:
-        raise SystemExit("--fail-on-regress requires --compare BASELINE.json")
-    return 1 if failed else 0
 
 
 def run_ablate(args: argparse.Namespace) -> int:
@@ -288,8 +200,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Benchmarks for the Time Warp reproduction: paper "
-                    "figures, fault-injection fuzzing, and wall-clock "
-                    "performance (docs/benchmarking.md).",
+                    "figures, knob ablations, fault-injection fuzzing and "
+                    "parallel-backend validation (docs/benchmarking.md).",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     figures = subparsers.add_parser(
@@ -301,40 +213,12 @@ def _build_parser() -> argparse.ArgumentParser:
     faults.add_argument("--plans", type=int, default=100,
                         help="seeded fault plans to sweep")
     faults.set_defaults(runner=run_faults)
-    perf = subparsers.add_parser(
-        "perf", help="wall-clock performance suite (emits BENCH_3.json)")
-    _add_perf_args(perf)
-    perf.set_defaults(runner=run_perf)
-    parallel = subparsers.add_parser(
+    # listed for --help only: main() hands the subcommand's argv to
+    # parallel/validate.py, which declares the options
+    subparsers.add_parser(
         "parallel",
         help="differentially validate the process-sharded backend "
              "(docs/parallel.md)")
-    parallel.add_argument("--app", action="append",
-                          choices=("phold", "smmp"),
-                          help="application to validate (repeatable; "
-                               "default: all)")
-    parallel.add_argument("--workers", type=int, default=2,
-                          help="worker-process count")
-    parallel.add_argument("--strategy", default="kernighan_lin",
-                          choices=("kernighan_lin", "greedy_growth",
-                                   "round_robin"),
-                          help="partition strategy for sharding")
-    parallel.add_argument("--timeout", type=float, default=120.0,
-                          help="per-run stall timeout in seconds")
-    parallel.add_argument("--trace-dir", metavar="DIR",
-                          help="write per-shard JSONL traces into DIR")
-    parallel.add_argument("--churn", metavar="JSON",
-                          help="elasticity plan as inline JSON "
-                               "(docs/parallel.md)")
-    parallel.add_argument("--elastic-smoke", action="store_true",
-                          help="canned elasticity check: one scripted "
-                               "migration plus one worker leave")
-    parallel.add_argument("--gvt-period", type=float, default=None,
-                          help="wall-clock GVT period in microseconds")
-    parallel.add_argument("--wire", default=None, choices=("shm", "queue"),
-                          help="inter-shard data wire (default: shm); the "
-                               "CI parity matrix runs both")
-    parallel.set_defaults(runner=run_parallel)
     ablate = subparsers.add_parser(
         "ablate",
         help="per-knob static-best sweep vs on-line control "
@@ -351,6 +235,11 @@ def main(argv: list[str] | None = None) -> int:
         from ..verify.cli import main as verify_main
 
         return verify_main(argv[1:])
+    if argv and argv[0] == "parallel":
+        # likewise: parallel/validate.py owns the option table
+        from ..parallel.validate import main as validate_main
+
+        return validate_main(argv[1:])
     args = _build_parser().parse_args(argv)
     return args.runner(args)
 

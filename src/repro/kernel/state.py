@@ -17,7 +17,7 @@ dataclass whose fields are immutables, lists/dicts of immutables, or nested
 *How* the kernel takes a snapshot is pluggable (the checkpoint hot path is
 one of the costs the paper's controllers reason about, so it should be a
 measured choice, not a hard-coded one): a :class:`SnapshotStrategy` turns a
-live state into an independent snapshot.  ``repro-bench perf`` measures the
+live state into an independent snapshot.  ``bench_kernel_micro.py`` measures the
 strategies against each other (``snapshot.*`` micro-benchmarks); the
 default is selected per run via ``SimulationConfig.snapshot``.
 """

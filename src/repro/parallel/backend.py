@@ -29,7 +29,7 @@ import queue as queue_mod
 import random
 import time
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError
@@ -45,7 +45,7 @@ from ..partition.strategies import (
     round_robin,
 )
 from ..stats.counters import RunStats
-from .gvt import GvtCoordinator, RoundResult
+from .gvt import GvtCoordinator, RoundResult, WorkerFailedError
 from .shm import RING_CAPACITY, ShmRing, shm_wire_supported
 from .ipc import (
     DrainAck,
@@ -196,8 +196,7 @@ class ParallelSimulation:
         self._commits = 0
         self._next_shard = self.workers
         self._retired_payloads: dict[int, dict] = {}
-        #: (GVT-commit index, active worker count) — grows on join/leave;
-        #: BENCH provenance and compare_documents key off this timeline
+        #: (GVT-commit index, active worker count) — grows on join/leave
         self.worker_timeline: list[tuple[int, int]] = [(0, self.workers)]
         self.migrations_in = 0
         self.migrations_out = 0
@@ -341,7 +340,7 @@ class ParallelSimulation:
             )
             for inbox in coordinator.active_inboxes():
                 inbox.put(stop)
-            payloads = self._collect_done(report_queue, coordinator)
+            payloads = self._collect_done(coordinator.active)
         except Exception:
             for process in self._processes.values():
                 if process.is_alive():
@@ -612,53 +611,42 @@ class ParallelSimulation:
                 return
             time.sleep(QUIET_SLEEP_S)  # whites still in a pipe; reprobe
 
-    def _collect_elastic(self, kind, match, expected: set[int], deadline):
+    def _collect_elastic(
+        self, kind, match, expected: set[int], deadline, phase="elastic epoch"
+    ):
         """Collect one matching ``kind`` record per expected shard."""
         got: dict[int, object] = {}
         while expected:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise RuntimeError(
-                    f"elastic epoch stalled: no {kind.__name__} from "
-                    f"shard(s) {sorted(expected)} within {self.timeout_s:.0f}s"
+                raise WorkerFailedError(
+                    f"{phase} stalled: no {kind.__name__} from "
+                    f"shard(s) {sorted(expected)} within {self.timeout_s:g}s"
                 )
             try:
                 message = self._report_queue.get(timeout=min(remaining, 1.0))
             except queue_mod.Empty:
                 continue
             if isinstance(message, ShardError):
-                raise RuntimeError(
-                    f"shard {message.shard} crashed during elastic epoch:\n"
+                raise WorkerFailedError(
+                    f"shard {message.shard} crashed during {phase}:\n"
                     f"{message.error}"
                 )
             if isinstance(message, kind) and match(message):
                 got[message.shard] = message
                 expected.discard(message.shard)
-            # anything else (an ack from an abandoned probe) is dropped:
-            # the epoch protocol is lockstep per record kind
+            # anything else (an ack from an abandoned probe, a stale
+            # ShardReport from the final round) is dropped: the protocol
+            # is lockstep per record kind
         return got
 
-    def _collect_done(self, report_queue, coordinator) -> dict[int, dict]:
-        payloads: dict[int, dict] = {}
-        expected = set(coordinator.active)
-        deadline = time.monotonic() + self.timeout_s
-        while expected:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise RuntimeError(
-                    f"shard(s) {sorted(expected)} never sent their final report"
-                )
-            message = report_queue.get(timeout=remaining)
-            if isinstance(message, ShardError):
-                raise RuntimeError(
-                    f"shard {message.shard} crashed during shutdown:\n"
-                    f"{message.error}"
-                )
-            if isinstance(message, ShardDone):
-                payloads[message.shard] = message.payload
-                expected.discard(message.shard)
-            # stale ShardReports from the final round are dropped
-        return payloads
+    def _collect_done(self, active) -> dict[int, dict]:
+        """Wait for every active shard's final report after ``Stop``."""
+        done = self._collect_elastic(
+            ShardDone, lambda m: True, set(active),
+            time.monotonic() + self.timeout_s, phase="shutdown",
+        )
+        return {shard: message.payload for shard, message in done.items()}
 
     # ------------------------------------------------------------------ #
     def _merge(self, payloads: dict[int, dict], final_gvt: float) -> RunStats:
@@ -736,17 +724,8 @@ class ParallelSimulation:
         return self._oid_to_shard[self._name_to_oid[name]]
 
 
-def flatten(partition: Partition) -> list[SimulationObject]:
-    """Partition-of-objects -> flat list, preserving group order."""
-    return [obj for group in partition for obj in group]
-
-
-# re-exported convenience: Sequence import kept for type checkers
 __all__ = [
     "ParallelSimulation",
     "PartitionBuilder",
-    "flatten",
     "resolve_strategy",
 ]
-
-_ = Sequence  # pragma: no cover - silence unused-import in type-only use

@@ -122,6 +122,25 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["figures", "--fig", "42"])
 
+    def test_figures_subcommand_requires_target(self):
+        with pytest.raises(SystemExit):
+            cli_main(["figures"])
+
+    def test_faults_subcommand(self, capsys):
+        rc = cli_main(["faults", "--plans", "2"])
+        assert rc == 0
+        assert "fuzzed" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["bogus-subcommand"], ["--fig", "baseline"], ["--perf"], ["--faults"],
+        ["perf"], ["perf", "--quick"],
+    ])
+    def test_non_subcommand_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv)
+        assert exit_info.value.code == 2
+        assert "figures" in capsys.readouterr().err  # argparse lists them
+
     def test_json_dump(self, capsys, tmp_path):
         path = tmp_path / "out.json"
         rc = cli_main(["figures", "--fig", "baseline", "--scale", "0.01",

@@ -4,16 +4,25 @@ Recorded on the commit *before* the per-event path was rewritten
 (ISSUE 16) and passed unedited by the rewrite: whatever the loop does to
 its call graph, a run must execute, roll back, cancel, save, send and
 commit exactly what it did before, on the modelled clock to the last
-digit.  The two configurations are the ``phold_skew`` and ``smmp_online``
-shapes of ``benchmarks/e2e/workloads.py`` at sub-seed 40 (``--seed 5``,
-instance 0), rebuilt here from the public API.
+digit.  Of the three configurations, two are the ``phold_skew`` and
+``smmp_online`` shapes of ``benchmarks/e2e/workloads.py`` at sub-seed 40
+(``--seed 5``, instance 0), rebuilt here from the public API; ``raid`` is
+the 25-request RAID under its paper profile, recorded on the commit
+before ISSUE 20 deleted the perf suite whose CI gate alone pinned it.
 """
 
 import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation
-from repro.apps import PHOLDParams, SMMPParams, build_phold, build_smmp
-from repro.bench.harness import SMMP_PROFILE
+from repro.apps import (
+    PHOLDParams,
+    RAIDParams,
+    SMMPParams,
+    build_phold,
+    build_raid,
+    build_smmp,
+)
+from repro.bench.harness import RAID_PROFILE, SMMP_PROFILE
 from repro.control import dynamic_config_kwargs
 
 SUB_SEED = 40
@@ -32,6 +41,10 @@ def smmp_online():
         **dynamic_config_kwargs(("checkpoint", "cancellation", "aggregation")),
     )
     return build_smmp(params), config
+
+
+def raid():
+    return build_raid(RAIDParams(requests_per_source=25)), RAID_PROFILE.config(seed=0)
 
 
 PINNED = {
@@ -59,6 +72,19 @@ PINNED = {
             "state_saves": 4278,
             "physical_messages": 1197,
             "gvt_rounds": 64,
+        },
+    ),
+    "raid": (
+        raid,
+        {
+            "committed": 1665,
+            "rate": "3882.0041327056656",
+            "executed": 1929,
+            "rollbacks": 141,
+            "antis_sent": 228,
+            "state_saves": 1929,
+            "physical_messages": 1089,
+            "gvt_rounds": 32,
         },
     ),
 }

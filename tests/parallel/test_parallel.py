@@ -6,6 +6,8 @@ exercises construction, validation and dispatch without forking.
 """
 
 import multiprocessing
+import queue
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from repro.faults.fuzz import APPS
 from repro.kernel.errors import ConfigurationError
 from repro.parallel import (
     ParallelSimulation,
+    WorkerFailedError,
     resolve_strategy,
     run_differential,
     sequential_golden,
@@ -188,3 +191,19 @@ class TestResolveStrategy:
     def test_unknown_name_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown partition"):
             resolve_strategy("metis")
+
+
+class TestShutdownWait:
+    def test_silent_worker_is_a_typed_located_error(self):
+        """A worker that never sends its ShardDone must end the wait in a
+        WorkerFailedError naming it — not in a bare queue.Empty."""
+        build, _ = APPS["phold"]
+        sim = ParallelSimulation(
+            build(), SimulationConfig(backend="parallel", workers=2),
+            timeout_s=0.05,
+        )
+        sim._report_queue = queue.Queue()  # nobody ever reports
+        started = time.monotonic()
+        with pytest.raises(WorkerFailedError, match=r"shutdown stalled.*\[1\]"):
+            sim._collect_done({1})
+        assert time.monotonic() - started < 1.0
