@@ -9,45 +9,17 @@ thrash (bounded switches per object).
 
 from conftest import REPLICATES, scale_or
 
-from repro.bench.figures import raid_builder
-from repro.bench.harness import RAID_PROFILE, run_cell, scaled
+from repro.bench.ablations import ABLATIONS
 from repro.bench.tables import render_results
-from repro.core.cancellation_controller import DynamicCancellation
-from repro.kernel.kernel import TimeWarpSimulation
 
-
-def _sweep(scale, replicates):
-    build = raid_builder(scaled(1000, scale))
-    cases = {
-        "fd=4": dict(filter_depth=4, period=2),
-        "fd=16 (paper)": dict(filter_depth=16, period=8),
-        "fd=64": dict(filter_depth=64, period=16),
-        "no dead zone": dict(filter_depth=16, a2l_threshold=0.4,
-                             l2a_threshold=0.4, period=8),
-        "wide dead zone": dict(filter_depth=16, a2l_threshold=0.6,
-                               l2a_threshold=0.1, period=8),
-    }
-    results = []
-    for name, kwargs in cases.items():
-        def hook(sim: TimeWarpSimulation, stats):
-            switches = sum(
-                o.mode_switches for o in stats.per_object.values()
-            )
-            return {"switches": switches}
-
-        results.append(
-            run_cell(name, 0, build, RAID_PROFILE, replicates=replicates,
-                     stat_hook=hook,
-                     cancellation=lambda o, kw=kwargs: DynamicCancellation(**kw))
-        )
-    return results
+ablation_cancellation, TITLE = ABLATIONS["cancellation"]
 
 
 def test_abl_cancellation_parameters(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.15), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_cancellation(scale_or(0.15), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results, "A2 — DC parameter sensitivity (RAID)"))
+    show(render_results(results, TITLE))
 
     times = {r.label: r.execution_time_us for r in results}
     best = min(times.values())

@@ -12,54 +12,17 @@ optimum without being told where it is.
 
 from conftest import REPLICATES, scale_or
 
-from repro.apps.phold import PHOLDParams, build_phold
-from repro.bench.harness import ExperimentProfile, run_cell
+from repro.bench.ablations import ABLATIONS, CHECKPOINT_CHIS as CHIS
 from repro.bench.tables import render_results
-from repro.core.checkpoint_controller import DynamicCheckpoint, HillClimbCheckpoint
-from repro.kernel.cancellation import Mode, StaticCancellation
-from repro.kernel.checkpointing import StaticCheckpoint
 
-CHIS = (1, 4, 16, 32, 64, 128, 256)
-
-#: heavily skewed cluster: PHOLD rolls back 10-20 % of events here, which
-#: is what makes long coast-forwards expensive
-PROFILE = ExperimentProfile(
-    "phold-stress", speed_factors={1: 1.3, 2: 1.6, 3: 2.0}, jitter=0.4
-)
-
-
-def _sweep(scale, replicates):
-    params = PHOLDParams(n_objects=16, n_lps=4, jobs_per_object=4,
-                         state_size_ints=256)
-    build = lambda: build_phold(params)
-    horizon = 8_000.0 * scale / 0.1
-    lazy = lambda o: StaticCancellation(Mode.LAZY)
-    results = []
-    for chi in CHIS:
-        results.append(
-            run_cell(f"chi={chi}", chi, build, PROFILE,
-                     replicates=replicates, cancellation=lazy,
-                     end_time=horizon,
-                     checkpoint=lambda o, c=chi: StaticCheckpoint(c))
-        )
-    results.append(
-        run_cell("dynamic", 0, build, PROFILE, replicates=replicates,
-                 cancellation=lazy, end_time=horizon,
-                 checkpoint=lambda o: DynamicCheckpoint(period=16))
-    )
-    results.append(
-        run_cell("hillclimb", 0, build, PROFILE, replicates=replicates,
-                 cancellation=lazy, end_time=horizon,
-                 checkpoint=lambda o: HillClimbCheckpoint(period=16, step=2))
-    )
-    return results
+ablation_checkpoint, TITLE = ABLATIONS["checkpoint"]
 
 
 def test_abl_checkpoint_interval_ucurve(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.1), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_checkpoint(scale_or(0.1), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results, "A1 — static chi U-curve vs dynamic (PHOLD)"))
+    show(render_results(results, TITLE))
 
     static = {r.x: r.execution_time_us for r in results if r.label.startswith("chi=")}
     dynamic = next(r for r in results if r.label == "dynamic").execution_time_us

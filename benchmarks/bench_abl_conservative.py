@@ -16,68 +16,17 @@ rollback behavior.
 
 from conftest import REPLICATES, scale_or
 
-from repro.apps.smmp import SMMPParams, build_smmp
-from repro.bench.harness import ExperimentProfile, RunResult, run_cell, scaled
+from repro.bench.ablations import ABLATIONS
 from repro.bench.tables import render_results
-from repro.conservative import ConservativeSimulation
-from repro.kernel.cancellation import Mode, StaticCancellation
 
-BALANCED = ExperimentProfile("balanced", speed_factors={}, jitter=0.4)
-SKEWED = ExperimentProfile("skewed", speed_factors={1: 1.2, 2: 1.4, 3: 1.7},
-                           jitter=0.4)
-
-
-def _conservative_cell(label, params, profile, replicates) -> RunResult:
-    import math
-    import time as _time
-
-    times = []
-    committed = 0
-    msgs = 0.0
-    start = _time.perf_counter()
-    for seed in range(replicates):
-        sim = ConservativeSimulation(
-            build_smmp(params), lookahead=1.0,
-            lp_speed_factors=dict(profile.speed_factors),
-            network=profile.config(seed=seed).network,
-        )
-        stats = sim.run()
-        times.append(stats.execution_time)
-        committed = stats.committed_events
-        msgs += stats.physical_messages
-    mean = sum(times) / len(times)
-    var = sum((t - mean) ** 2 for t in times) / len(times)
-    return RunResult(
-        label=label, x=0.0, execution_time_us=mean, stddev_us=math.sqrt(var),
-        replicates=replicates, committed_events=committed,
-        committed_per_second=committed * replicates / (sum(times) / 1e6),
-        rollbacks=0.0, physical_messages=msgs / replicates,
-        wall_seconds=_time.perf_counter() - start,
-    )
-
-
-def _sweep(scale, replicates):
-    params = SMMPParams(requests_per_processor=scaled(1000, scale))
-    results = []
-    for profile, tag in ((BALANCED, "balanced"), (SKEWED, "skewed NOW")):
-        results.append(
-            run_cell(f"TW lazy / {tag}", 0.0, lambda: build_smmp(params),
-                     profile, replicates=replicates,
-                     cancellation=lambda o: StaticCancellation(Mode.LAZY))
-        )
-        results.append(
-            _conservative_cell(f"conservative / {tag}", params, profile,
-                               replicates)
-        )
-    return results
+ablation_conservative, TITLE = ABLATIONS["conservative"]
 
 
 def test_abl_conservative_vs_optimistic(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.1), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_conservative(scale_or(0.1), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results,
-                        "A7 — Time Warp vs conservative (SMMP, lookahead 1 ns)"))
+    show(render_results(results, TITLE))
 
     times = {r.label: r.execution_time_us for r in results}
     rollbacks = {r.label: r.rollbacks for r in results}

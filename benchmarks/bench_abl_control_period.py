@@ -9,36 +9,17 @@ and jitter, very large P adapts too slowly; a broad middle band works.
 
 from conftest import REPLICATES, scale_or
 
-from repro.bench.figures import LC, smmp_builder
-from repro.bench.harness import SMMP_PROFILE, run_cell, scaled
+from repro.bench.ablations import ABLATIONS
 from repro.bench.tables import render_results
-from repro.core.checkpoint_controller import DynamicCheckpoint
-from repro.kernel.checkpointing import StaticCheckpoint
 
-PERIODS = (2, 8, 16, 64, 256)
-
-
-def _sweep(scale, replicates):
-    build = smmp_builder(scaled(1000, scale))
-    results = [
-        run_cell("static chi=1", 0, build, SMMP_PROFILE,
-                 replicates=replicates, cancellation=LC,
-                 checkpoint=lambda o: StaticCheckpoint(1))
-    ]
-    for period in PERIODS:
-        results.append(
-            run_cell(f"P={period}", period, build, SMMP_PROFILE,
-                     replicates=replicates, cancellation=LC,
-                     checkpoint=lambda o, p=period: DynamicCheckpoint(period=p))
-        )
-    return results
+ablation_control_period, TITLE = ABLATIONS["control-period"]
 
 
 def test_abl_control_period(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.1), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_control_period(scale_or(0.1), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results, "A3 — control invocation period (SMMP)"))
+    show(render_results(results, TITLE))
 
     static = next(r for r in results if r.label == "static chi=1")
     periods = {r.x: r.execution_time_us for r in results if r.x > 0}

@@ -10,34 +10,17 @@ results at a visible but bounded extra cost.
 
 from conftest import REPLICATES, scale_or
 
-from repro.bench.figures import raid_builder
-from repro.bench.harness import RAID_PROFILE, run_cell, scaled
+from repro.bench.ablations import ABLATIONS, GVT_PERIODS as PERIODS
 from repro.bench.tables import render_results
 
-PERIODS = (2_000.0, 10_000.0, 50_000.0, 400_000.0)
-
-
-def _sweep(scale, replicates):
-    build = raid_builder(scaled(1000, scale))
-    results = []
-    for period in PERIODS:
-        for algorithm in ("omniscient", "mattern"):
-            results.append(
-                run_cell(algorithm, period, build, RAID_PROFILE,
-                         replicates=replicates,
-                         stat_hook=lambda sim, stats: {
-                             "peak_state_queue": stats.peak_state_entries
-                         },
-                         gvt_algorithm=algorithm, gvt_period=period)
-            )
-    return results
+ablation_gvt_period, TITLE = ABLATIONS["gvt-period"]
 
 
 def test_abl_gvt_period(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.1), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_gvt_period(scale_or(0.1), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results, "A4 — GVT period and algorithm (RAID)"))
+    show(render_results(results, TITLE))
 
     omni = {r.x: r for r in results if r.label == "omniscient"}
     matt = {r.x: r for r in results if r.label == "mattern"}

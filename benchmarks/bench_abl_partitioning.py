@@ -13,60 +13,17 @@ Two of the paper's observations hinge on the partition:
 
 from conftest import REPLICATES, scale_or
 
-from repro.apps.smmp import SMMPParams, build_smmp
-from repro.bench.harness import SMMP_PROFILE, run_cell, scaled
+from repro.bench.ablations import ABLATIONS
 from repro.bench.tables import render_results
-from repro.kernel.cancellation import Mode, StaticCancellation
-from repro.partition import (
-    apply_assignment,
-    greedy_growth,
-    kernighan_lin,
-    partition_quality,
-    profile_model,
-    round_robin,
-)
-from tests.helpers import flatten
 
-
-def _sweep(scale, replicates):
-    params = SMMPParams(requests_per_processor=scaled(1000, scale))
-    profile_params = SMMPParams(requests_per_processor=30)
-    graph = profile_model(flatten(build_smmp(profile_params)))
-
-    def builder_for(strategy):
-        assignment = strategy(graph, 4)
-        quality = partition_quality(graph, assignment)
-        return (
-            lambda: apply_assignment(flatten(build_smmp(params)),
-                                     assignment, 4),
-            quality["cut_fraction"],
-        )
-
-    results = []
-    cases = [("hand-crafted", None), ("round-robin", round_robin),
-             ("greedy", greedy_growth), ("kernighan-lin", kernighan_lin)]
-    for name, strategy in cases:
-        if strategy is None:
-            build, cut = (lambda: build_smmp(params)), -1.0
-        else:
-            build, cut = builder_for(strategy)
-        for mode_name, mode in (("AC", Mode.AGGRESSIVE), ("LC", Mode.LAZY)):
-            result = run_cell(
-                f"{name}/{mode_name}", max(cut, 0.0), build, SMMP_PROFILE,
-                replicates=replicates,
-                cancellation=lambda o, m=mode: StaticCancellation(m),
-            )
-            result.extra["cut_fraction"] = cut
-            results.append(result)
-    return results
+ablation_partitioning, TITLE = ABLATIONS["partitioning"]
 
 
 def test_abl_partitioning(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.1), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_partitioning(scale_or(0.1), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results,
-                        "A6 — partitioning strategies x cancellation (SMMP)"))
+    show(render_results(results, TITLE))
 
     times = {r.label: r.execution_time_us for r in results}
     # locality-aware partitions massively beat round-robin

@@ -11,45 +11,17 @@ static window, without being told it.
 
 from conftest import REPLICATES, scale_or
 
-from repro.apps.phold import PHOLDParams, build_phold
-from repro.bench.harness import ExperimentProfile, run_cell
+from repro.bench.ablations import ABLATIONS
 from repro.bench.tables import render_results
-from repro.core.window_controller import AdaptiveTimeWindow, StaticTimeWindow
 
-PROFILE = ExperimentProfile(
-    "phold-skewed", speed_factors={1: 1.4, 2: 1.8, 3: 2.4}, jitter=0.4,
-    gvt_period=20_000.0,
-)
-WINDOWS = (50.0, 200.0, 1_000.0, 5_000.0)
-
-
-def _sweep(scale, replicates):
-    params = PHOLDParams(n_objects=16, n_lps=4, jobs_per_object=4)
-    build = lambda: build_phold(params)
-    horizon = 6_000.0 * scale / 0.1
-    results = [
-        run_cell("unbounded", 0, build, PROFILE, replicates=replicates,
-                 end_time=horizon)
-    ]
-    for window in WINDOWS:
-        results.append(
-            run_cell(f"static W={window:g}", window, build, PROFILE,
-                     replicates=replicates, end_time=horizon,
-                     time_window=lambda w=window: StaticTimeWindow(w))
-        )
-    results.append(
-        run_cell("adaptive", 0, build, PROFILE, replicates=replicates,
-                 end_time=horizon,
-                 time_window=lambda: AdaptiveTimeWindow(min_window=20.0))
-    )
-    return results
+ablation_time_window, TITLE = ABLATIONS["time-window"]
 
 
 def test_abl_time_window(benchmark, show):
     results = benchmark.pedantic(
-        lambda: _sweep(scale_or(0.1), REPLICATES), rounds=1, iterations=1
+        lambda: ablation_time_window(scale_or(0.1), REPLICATES), rounds=1, iterations=1
     )
-    show(render_results(results, "A5 — bounded time windows (PHOLD, skewed NOW)"))
+    show(render_results(results, TITLE))
 
     pure = next(r for r in results if r.label == "unbounded")
     adaptive = next(r for r in results if r.label == "adaptive")

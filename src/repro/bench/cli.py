@@ -86,8 +86,8 @@ def run_figures(args: argparse.Namespace) -> int:
 
     if args.ablation:
         start = time.perf_counter()
-        text = ablations.ABLATIONS[args.ablation](**kwargs)
-        print(text)
+        sweep, title = ablations.ABLATIONS[args.ablation]
+        print(render_results(sweep(**kwargs), title))
         print(f"\n[{time.perf_counter() - start:.1f}s wall]")
         return 0
 
@@ -107,13 +107,13 @@ def run_figures(args: argparse.Namespace) -> int:
 
 
 def run_faults(args: argparse.Namespace) -> int:
-    from ..faults.fuzz import run_fuzz
+    from ..faults.fuzz import fault_scenarios
+    from ..verify.runner import run_and_report
 
-    start = time.perf_counter()
-    report = run_fuzz(plans=args.plans)
-    print(report.render())
-    print(f"\n[{time.perf_counter() - start:.1f}s wall]")
-    return 0 if report.ok else 1
+    # the feature tracer feeds the lattice fuzzer's coverage map only
+    return run_and_report(
+        fault_scenarios(args.plans), "faults", collect_trace_features=False
+    )
 
 
 def run_ablate(args: argparse.Namespace) -> int:

@@ -113,9 +113,13 @@ def run_cell(
     replicates: int = 3,
     stat_hook: Callable[[TimeWarpSimulation, RunStats], dict] | None = None,
     trace_dir: str | Path | None = None,
+    make_sim: Callable[[Any, SimulationConfig], Any] = TimeWarpSimulation,
     **config_overrides: Any,
 ) -> RunResult:
     """Run ``replicates`` seeded runs of one configuration and average.
+
+    ``make_sim(partition, config)`` builds the kernel under measurement
+    (anything whose ``run()`` returns :class:`RunStats`).
 
     ``trace_dir`` (or a global default installed with :func:`set_trace_dir`)
     makes every replicate dump its controller-decision trace as JSONL next
@@ -134,7 +138,7 @@ def run_cell(
         if traces is not None:
             tracer = Tracer.to_path(_trace_path(traces, label, x, seed))
             config.tracer = tracer
-        sim = TimeWarpSimulation(build(), config)
+        sim = make_sim(build(), config)
         try:
             stats = sim.run()
         finally:

@@ -144,7 +144,7 @@ class SimulationConfig:
     #: how the kernel copies states for checkpoints and restores: a
     #: registry name ("copy", "pickle", "deepcopy") or a
     #: :class:`repro.kernel.state.SnapshotStrategy` instance.  "copy" is
-    #: the measured default (see docs/benchmarking.md, ``snapshot.*``
+    #: the measured default (``benchmarks/bench_kernel_micro.py::test_micro_snapshot_*``
     #: micro-benchmarks); "pickle" wins for large container-heavy states.
     snapshot: "str | SnapshotStrategy" = "copy"
 

@@ -22,12 +22,10 @@ from .ipc import (
     Stop,
 )
 from .transport import ShardTransport
-from .validate import DifferentialResult, run_differential, sequential_golden
 from .worker import ShardPlan, worker_main
 
 __all__ = [
     "DataBatch",
-    "DifferentialResult",
     "GvtCommit",
     "GvtCoordinator",
     "GvtStart",
@@ -41,7 +39,5 @@ __all__ = [
     "Stop",
     "WorkerFailedError",
     "resolve_strategy",
-    "run_differential",
-    "sequential_golden",
     "worker_main",
 ]

@@ -22,7 +22,7 @@ from pathlib import Path
 from .corpus import corpus_files, replay_file
 from .fuzzer import run_fuzz
 from .lattice import AXES, DEFAULT_APPS, sweep_scenarios
-from .runner import run_scenario
+from .runner import run_and_report
 from .scenario import APP_SPECS
 
 DEFAULT_CORPUS_DIR = "tests/corpus"
@@ -97,20 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     apps = tuple(args.app) if args.app else DEFAULT_APPS
     axes = tuple(args.axis) if args.axis else None
-    failures = 0
-    total = 0
-    for scenario in sweep_scenarios(
-        apps, axes, include_backends=not args.no_backends
-    ):
-        result = run_scenario(scenario)
-        total += 1
-        if not result.ok:
-            failures += 1
-            print(result.describe())
-        elif args.verbose:
-            print(result.describe())
-    print(f"sweep: {total} scenario(s), {failures} failure(s)")
-    return 1 if failures else 0
+    return run_and_report(
+        sweep_scenarios(apps, axes, include_backends=not args.no_backends),
+        "sweep",
+        verbose=args.verbose,
+    )
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:

@@ -29,8 +29,8 @@ import json
 import multiprocessing
 import time
 from collections import Counter
-from dataclasses import dataclass, fields as dc_fields, is_dataclass
-from typing import Any
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
+from typing import Any, Iterable
 
 from ..conservative import ConservativeSimulation
 from ..kernel.kernel import TimeWarpSimulation
@@ -158,6 +158,14 @@ class ScenarioResult:
     features: frozenset = frozenset()
     wall_s: float = 0.0
     error: str = ""
+    #: on a digest mismatch, the objects whose committed count or
+    #: canonical final state differs from the golden's
+    mismatches: tuple[str, ...] = ()
+    #: the backend's own bag: ``stats`` always; ``gvt_rounds``,
+    #: ``migrations``, ``worker_timeline`` and the ``wire`` actually used
+    #: on the parallel backend; ``faults_injected`` / ``retransmissions``
+    #: when the scenario carries a fault plan
+    raw: dict[str, Any] = field(default_factory=dict, repr=False)
 
     @property
     def failure_kind(self) -> str:
@@ -177,23 +185,40 @@ class ScenarioResult:
         return not self.failure_kind
 
     def describe(self) -> str:
-        s = self.scenario
-        knobs = (
-            f"{s.app} backend={s.backend}"
-            + (f":{s.workers}w" if s.backend == "parallel" else "")
-            + f" cancel={s.cancellation} chi={s.checkpoint}"
-            f" agg={s.aggregation} snap={s.snapshot} gvt={s.gvt_algorithm}"
-            + (" faults" if s.faults else "")
-        )
-        if self.ok:
-            return f"PASS {knobs} ({self.committed} events, {self.wall_s:.2f}s)"
-        detail = self.error or (
-            f"committed {self.committed}/{self.expected}, "
-            f"digest_match={self.digest_match}, "
-            f"trace_match={self.trace_match}, "
-            f"violations={list(self.violations)}"
-        )
-        return f"FAIL[{self.failure_kind}] {knobs}: {detail}"
+        """``PASS ...`` / ``FAIL[<kind>] ...``, naming every scenario field
+        that is off its default (``seed`` is provenance, not behaviour)."""
+        default = Scenario()
+        knobs = [self.scenario.app] + [
+            f"{f.name}={value}"
+            for f in dc_fields(Scenario)
+            if f.name not in ("app", "seed")
+            and (value := getattr(self.scenario, f.name))
+            != getattr(default, f.name)
+        ]
+        raw = self.raw
+        parts = [f"committed {self.committed}/{self.expected}"]
+        if "wire" in raw:
+            parts.append(f"{raw['wire']} wire")
+        if "stats" in raw:
+            parts.append(f"{raw['stats'].rollbacks} rollback(s)")
+        parts += [f"{self.oracle_checks} oracle check(s)", f"{self.wall_s:.2f}s"]
+        if not self.ok:
+            parts.append(
+                self.error
+                or f"digest_match={self.digest_match}, "
+                f"trace_match={self.trace_match}, "
+                f"violations={list(self.violations)}, "
+                f"differing objects={list(self.mismatches)}"
+            )
+        status = "PASS" if self.ok else f"FAIL[{self.failure_kind}]"
+        text = f"{status} {' '.join(knobs)}: {', '.join(parts)}"
+        timeline = raw.get("worker_timeline", ())
+        if raw.get("migrations") or len(timeline) > 1:
+            text += (
+                f"\n  elastic: {raw['migrations']} migration(s), workers "
+                + " -> ".join(f"{n}w@{at}" for at, n in timeline)
+            )
+        return text
 
 
 # --------------------------------------------------------------------- #
@@ -204,11 +229,16 @@ def run_scenario(
     *,
     collect_trace_features: bool = True,
     timeout_s: float = PARALLEL_TIMEOUT_S,
+    trace_dir: str | None = None,
+    strategy="kernighan_lin",
 ) -> ScenarioResult:
     """Run one scenario on its backend and apply every check.
 
     A crash inside the run is a *finding* (``error:<Type>``), not a
     harness abort — the fuzzer shrinks crashes exactly like divergences.
+    ``timeout_s``, ``trace_dir`` (per-shard JSONL traces) and ``strategy``
+    (the sharding strategy) are run-local plumbing of the parallel
+    backend, not part of the replayable scenario.
     """
     from .coverage import features_for  # cycle: coverage imports runner types
 
@@ -216,19 +246,59 @@ def run_scenario(
     golden = sequential_golden(scenario)
     result = ScenarioResult(scenario=scenario, expected=golden.committed)
     started = time.perf_counter()
-    raw: dict[str, Any] = {}
     try:
         if scenario.backend == "modelled":
-            raw = _run_modelled(scenario, golden, result, collect_trace_features)
+            result.raw = _run_modelled(
+                scenario, golden, result, collect_trace_features
+            )
         elif scenario.backend == "conservative":
-            raw = _run_conservative(scenario, golden, result)
+            result.raw = _run_conservative(scenario, golden, result)
         else:
-            raw = _run_parallel(scenario, golden, result, timeout_s)
+            result.raw = _run_parallel(
+                scenario, golden, result,
+                timeout_s=timeout_s, trace_dir=trace_dir, strategy=strategy,
+            )
     except Exception as exc:
         result.error = f"{type(exc).__name__}: {exc}"
     result.wall_s = time.perf_counter() - started
-    result.features = frozenset(features_for(scenario, result, raw))
+    result.features = frozenset(features_for(scenario, result, result.raw))
     return result
+
+
+def run_and_report(
+    scenarios: Iterable[Scenario],
+    label: str,
+    *,
+    verbose: bool = False,
+    **run_options: Any,
+) -> int:
+    """Run every scenario, print each failure (every run with ``verbose``),
+    then the totals and a final ``PASS`` / ``FAIL``; returns the exit status.
+
+    The one loop behind ``repro-verify sweep``, ``repro-bench faults`` and
+    ``repro-bench parallel``; ``run_options`` forward to
+    :func:`run_scenario`.
+    """
+    results = []
+    for scenario in scenarios:
+        result = run_scenario(scenario, **run_options)
+        results.append(result)
+        if verbose or not result.ok:
+            print(result.describe())
+    failures = sum(not r.ok for r in results)
+    totals = f"{sum(r.oracle_checks for r in results)} oracle check(s)"
+    if any(r.scenario.faults for r in results):
+        totals += (
+            f", {sum(r.raw.get('faults_injected', 0) for r in results)} "
+            f"fault(s) injected, "
+            f"{sum(r.raw.get('retransmissions', 0) for r in results)} "
+            f"retransmission(s)"
+        )
+    print(
+        f"{label}: {len(results)} scenario(s), {failures} failure(s); {totals}"
+    )
+    print("FAIL" if failures else "PASS")
+    return 1 if failures else 0
 
 
 def _finish(
@@ -239,6 +309,26 @@ def _finish(
     result.digest = committed_digest(records)
     result.committed = sum(count for count, _ in records.values())
     result.digest_match = result.digest == golden.digest
+    if not result.digest_match:
+        result.mismatches = tuple(
+            name
+            for name, (count, state) in sorted(records.items())
+            if count != golden.per_object.get(name, 0)
+            or canonical_value(state) != canonical_value(golden.states[name])
+        )
+
+
+def _finish_time_warp(result, golden, stats, state_of) -> None:
+    """:func:`_finish` from a Time Warp run's per-object statistics."""
+    _finish(result, golden, {
+        name: (
+            stats.per_object[name].events_committed
+            if name in stats.per_object
+            else 0,
+            state_of(name),
+        )
+        for name in golden.states
+    })
 
 
 def _run_modelled(
@@ -257,26 +347,25 @@ def _run_modelled(
     )
     sim = TimeWarpSimulation(scenario.build_partition(), config)
     stats = sim.run()
-    records = {
-        name: (
-            stats.per_object[name].events_committed
-            if name in stats.per_object
-            else 0,
-            sim.object_named(name).state,
-        )
-        for name in golden.states
-    }
-    _finish(result, golden, records)
+    _finish_time_warp(
+        result, golden, stats, lambda name: sim.object_named(name).state
+    )
     result.trace_match = sim.sorted_trace() == golden.trace
     result.violations = tuple(v.invariant for v in oracle.violations)
     result.oracle_checks = oracle.checks
-    return {
+    raw = {
         "stats": stats,
         "oracle": oracle,
         "trace_types": (
             {r["type"] for r in tracer.records} if tracer is not None else set()
         ),
     }
+    if scenario.faults:
+        # what stops a silently perfect wire passing a fault sweep vacuously
+        counters = sim.executive.network.counters
+        raw["faults_injected"] = counters.faults_injected()
+        raw["retransmissions"] = counters.retransmissions
+    return raw
 
 
 def _run_conservative(
@@ -304,7 +393,7 @@ def _run_parallel(
     scenario: Scenario,
     golden: GoldenRef,
     result: ScenarioResult,
-    timeout_s: float,
+    **backend_options: Any,
 ) -> dict[str, Any]:
     if not fork_available():  # pragma: no cover - platform dependent
         result.error = (
@@ -318,19 +407,10 @@ def _run_parallel(
         max_executed_events=MAX_EXECUTED_EVENTS,
     )
     sim = ParallelSimulation.from_builder(
-        scenario.build_partition, config, timeout_s=timeout_s
+        scenario.build_partition, config, **backend_options
     )
     stats = sim.run()
-    records = {
-        name: (
-            stats.per_object[name].events_committed
-            if name in stats.per_object
-            else 0,
-            sim.final_states[name],
-        )
-        for name in golden.states
-    }
-    _finish(result, golden, records)
+    _finish_time_warp(result, golden, stats, sim.final_states.__getitem__)
     result.violations = tuple(
         f"{violation.invariant}" for _shard, violation in sim.violations
     )
@@ -340,4 +420,5 @@ def _run_parallel(
         "gvt_rounds": sim.gvt_rounds_run,
         "migrations": sim.migrations_in,
         "worker_timeline": tuple(sim.worker_timeline),
+        "wire": sim.wire,
     }

@@ -129,7 +129,9 @@ class TestCLI:
     def test_faults_subcommand(self, capsys):
         rc = cli_main(["faults", "--plans", "2"])
         assert rc == 0
-        assert "fuzzed" in capsys.readouterr().out.lower()
+        out = capsys.readouterr().out
+        assert "faults: 4 scenario(s), 0 failure(s)" in out
+        assert out.rstrip().endswith("PASS")
 
     @pytest.mark.parametrize("argv", [
         ["bogus-subcommand"], ["--fig", "baseline"], ["--perf"], ["--faults"],

@@ -13,7 +13,6 @@ from repro import (
     TimeWarpSimulation,
 )
 from repro.apps.phold import PHOLDParams, build_phold
-from repro.faults.fuzz import make_plan, run_case
 from repro.kernel.errors import InvariantViolationError
 from repro.oracle import NULL_ORACLE
 from repro.oracle.invariants import state_digest
@@ -174,12 +173,3 @@ class TestEndToEnd:
         )
         sim.run()
         assert oracle.violations == []
-
-    def test_oracle_detects_unrecovered_drop(self):
-        # Retransmission off: an injected drop is permanent and must be
-        # *detected* — this is the acceptance criterion that proves the
-        # oracle can fail.
-        plan = make_plan(1, FaultRates(drop=0.15), retransmit=False)
-        case = run_case("phold", plan, gvt_algorithm="omniscient")
-        assert not case.ok
-        assert "message_loss" in case.violations

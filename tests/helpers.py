@@ -7,6 +7,10 @@ from typing import Any, Callable, Sequence
 from repro import SequentialSimulation, SimulationConfig, TimeWarpSimulation
 from repro.kernel.event import Event
 from repro.kernel.simobject import SimulationObject
+from repro.verify import Scenario
+
+#: the differential smoke workload (``repro-bench parallel --app phold``)
+PHOLD = Scenario(app="phold", end_time=300.0)
 
 
 def flatten(partition: Sequence[Sequence[SimulationObject]]) -> list[SimulationObject]:

@@ -12,9 +12,17 @@ import multiprocessing
 import pytest
 
 from repro import SimulationConfig, make_simulation
-from repro.faults.fuzz import APPS
+from repro.bench.cli import main as bench_main
 from repro.kernel.errors import ConfigurationError
-from repro.parallel import run_differential, sequential_golden
+from repro.verify import Scenario, run_scenario, sequential_golden
+from tests.helpers import PHOLD
+
+
+def run_churn(churn, gvt_period, *, base=PHOLD, workers=2):
+    return run_scenario(base.with_(
+        backend="parallel", workers=workers, churn=churn,
+        gvt_period=gvt_period,
+    ))
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -38,26 +46,24 @@ def phold_churn():
     # a short GVT period keeps the run fast; steps the fleet quiesces
     # past fire on the quiet fleet, so the full trajectory is
     # guaranteed regardless of how quickly the shm wire finishes
-    return run_differential(
-        "phold", 2, churn=FULL_TRAJECTORY, gvt_period=1_000.0
-    )
+    return run_churn(FULL_TRAJECTORY, 1_000.0)
 
 
 @needs_fork
 class TestChurnDifferential:
     def test_full_trajectory_matches_golden(self, phold_churn):
         result = phold_churn
-        assert result.ok, result.render()
+        assert result.ok, result.describe()
         assert result.committed == result.expected > 0
-        assert result.count_mismatches == ()
-        assert result.state_mismatches == ()
+        assert result.digest_match  # per-object counts + final states
+        assert result.mismatches == ()
 
     def test_oracle_armed_and_clean(self, phold_churn):
         assert phold_churn.oracle_checks > 0
         assert phold_churn.violations == ()
 
     def test_worker_timeline_records_the_churn(self, phold_churn):
-        timeline = phold_churn.worker_timeline
+        timeline = phold_churn.raw["worker_timeline"]
         assert timeline[0] == (0, 2)
         counts = [n for _at, n in timeline]
         assert 3 in counts     # the join took effect
@@ -67,68 +73,70 @@ class TestChurnDifferential:
         assert ats == sorted(ats)
 
     def test_migrations_happened_and_balanced(self, phold_churn):
-        assert phold_churn.migrations > 0
-        assert phold_churn.elastic
-        assert "elastic:" in phold_churn.render()
+        assert phold_churn.raw["migrations"] > 0
+        assert "elastic:" in phold_churn.describe()
 
     def test_scripted_migrations_only(self):
-        result = run_differential(
-            "smmp", 2,
-            churn={"seed": 3, "steps": [
+        result = run_churn(
+            {"seed": 3, "steps": [
                 {"at": 1, "kind": "migrate", "count": 1},
                 {"at": 2, "kind": "migrate", "count": 2},
             ]},
-            gvt_period=5_000.0,
+            5_000.0, base=Scenario(app="smmp"),
         )
-        assert result.ok, result.render()
+        assert result.ok, result.describe()
         # no joins or leaves: the worker set never changes
-        assert result.worker_timeline == ((0, 2),)
+        assert result.raw["worker_timeline"] == ((0, 2),)
 
     def test_steps_past_quiescence_still_fire(self):
         # commit index 50 is never reached — the run quiesces in a
         # handful of rounds — so the leave fires on the quiet fleet
         # instead of being silently dropped (docs/parallel.md)
-        result = run_differential(
-            "phold", 2,
-            churn={"seed": 5, "steps": [
-                {"at": 50, "kind": "leave", "count": 1},
-            ]},
-            gvt_period=1_000.0,
+        result = run_churn(
+            {"seed": 5, "steps": [{"at": 50, "kind": "leave", "count": 1}]},
+            1_000.0,
         )
-        assert result.ok, result.render()
-        assert result.worker_timeline[-1][1] == 1
+        assert result.ok, result.describe()
+        assert result.raw["worker_timeline"][-1][1] == 1
 
     def test_impossible_steps_are_skipped_not_fatal(self):
         # migrating with one worker and leaving below one worker are
         # both impossible; the run must complete and match regardless
-        result = run_differential(
-            "phold", 1,
-            churn={"seed": 1, "steps": [
+        result = run_churn(
+            {"seed": 1, "steps": [
                 {"at": 1, "kind": "migrate", "count": 1},
                 {"at": 2, "kind": "leave", "count": 1},
             ]},
-            gvt_period=5_000.0,
+            5_000.0, workers=1,
         )
-        assert result.ok, result.render()
-        assert result.migrations == 0
-        assert result.worker_timeline == ((0, 1),)
+        assert result.ok, result.describe()
+        assert result.raw["migrations"] == 0
+        assert result.raw["worker_timeline"] == ((0, 1),)
 
 
 @needs_fork
 class TestDynamicPlacementBackend:
     def test_balancer_matches_golden(self):
-        build, end_time = APPS["phold"]
         config = SimulationConfig(
-            backend="parallel", workers=2, end_time=end_time,
+            backend="parallel", workers=2, end_time=PHOLD.end_time,
             placement="dynamic", gvt_period=5_000.0,
         )
-        sim = make_simulation(build(), config)
+        sim = make_simulation(PHOLD.build_partition(), config)
         stats = sim.run()
-        _counts, _states, expected = sequential_golden("phold")
-        assert stats.committed_events == expected
+        assert stats.committed_events == sequential_golden(PHOLD).committed
 
 
 class TestChurnValidation:
+    @pytest.mark.parametrize("churn", [
+        "{bad", '{"seed":1,"steps":[{"at":1,"kind":"explode","count":1}]}',
+    ])
+    def test_bad_cli_churn_is_a_usage_error_not_a_divergence(self, churn, capsys):
+        # rejected before anything is forked: exit status 2, nothing run
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["parallel", "--app", "phold", "--churn", churn])
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_churn_requires_parallel_backend(self):
         config = SimulationConfig(
             churn={"seed": 0, "steps": [{"at": 1, "kind": "migrate",

@@ -37,6 +37,8 @@ from repro.parallel.wire import (
     decode_batch,
     encode_batch,
 )
+from repro.verify import run_scenario
+from tests.helpers import PHOLD
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -562,46 +564,42 @@ class TestWireParity:
         pytest.param("shm", marks=needs_tso), "queue",
     ])
     def test_differential_matches_golden(self, wire):
-        from repro.parallel import run_differential
-
-        result = run_differential("phold", 2, wire=wire)
-        assert result.ok, result.render()
-        assert result.wire == wire
+        result = run_scenario(
+            PHOLD.with_(backend="parallel", workers=2, wire=wire)
+        )
+        assert result.ok, result.describe()
+        assert result.raw["wire"] == wire  # no silent shm -> queue fallback
 
     @needs_tso
     def test_shm_run_reports_ring_traffic(self):
-        from repro.faults.fuzz import APPS
         from repro.parallel.backend import ParallelSimulation
 
-        build, end_time = APPS["phold"]
         config = SimulationConfig(backend="parallel", workers=2,
-                                  end_time=end_time, wire="shm")
-        sim = ParallelSimulation.from_builder(build, config)
+                                  end_time=PHOLD.end_time, wire="shm")
+        sim = ParallelSimulation.from_builder(PHOLD.build_partition, config)
         sim.run()
         assert sim.wire == "shm"
         assert sim.wire_stats["frames_sent"] > 0
         assert sim.wire_stats["ring_bytes_sent"] > 0
 
     def test_single_worker_degrades_to_queue(self):
-        from repro.faults.fuzz import APPS
         from repro.parallel.backend import ParallelSimulation
 
-        build, end_time = APPS["phold"]
         config = SimulationConfig(backend="parallel", workers=1,
-                                  end_time=end_time, wire="shm")
-        sim = ParallelSimulation.from_builder(build, config)
+                                  end_time=PHOLD.end_time, wire="shm")
+        sim = ParallelSimulation.from_builder(PHOLD.build_partition, config)
         sim.run()
         assert sim.wire == "queue"  # no shard pairs, no rings
 
     def test_non_tso_machine_degrades_to_queue(self, monkeypatch):
-        from repro.faults.fuzz import APPS
         from repro.parallel import backend as backend_mod
 
         monkeypatch.setattr(backend_mod, "shm_wire_supported", lambda: False)
-        build, end_time = APPS["phold"]
         config = SimulationConfig(backend="parallel", workers=2,
-                                  end_time=end_time, wire="shm")
-        sim = backend_mod.ParallelSimulation.from_builder(build, config)
+                                  end_time=PHOLD.end_time, wire="shm")
+        sim = backend_mod.ParallelSimulation.from_builder(
+            PHOLD.build_partition, config
+        )
         sim.run()
         assert sim.wire == "queue"
         assert sim.wire_stats["frames_sent"] == 0

@@ -11,48 +11,61 @@ from hypothesis import strategies as st
 
 from repro.comm.transport import ReliableReceiver
 from repro.faults import FaultRates
-from repro.faults.fuzz import (
-    DEFAULT_RATES,
-    make_plan,
-    run_case,
-    run_fuzz,
-)
+from repro.faults.fuzz import DEFAULT_RATES, fault_scenarios, make_plan
+from repro.verify import run_scenario
+from repro.verify.runner import run_and_report
+from tests.helpers import PHOLD
+
+
+def run_plan(plan):
+    return run_scenario(PHOLD.with_(faults=plan.to_dict()), collect_trace_features=False)
+
+
+def sweep(plans):
+    cases = [
+        run_scenario(scenario, collect_trace_features=False)
+        for scenario in fault_scenarios(plans)
+    ]
+    assert all(c.ok for c in cases), [c.describe() for c in cases if not c.ok]
+    return cases
 
 
 class TestSweep:
     def test_smoke_sweep(self):
-        report = run_fuzz(plans=10)
-        assert report.ok, report.render()
-        assert len(report.cases) == 20
-        assert sum(c.faults_injected for c in report.cases) > 0
-        assert sum(c.retransmissions for c in report.cases) > 0
-        assert all(c.oracle_checks > 0 for c in report.cases)
+        cases = sweep(10)
+        assert len(cases) == 20
+        assert sum(c.raw["faults_injected"] for c in cases) > 0
+        assert sum(c.raw["retransmissions"] for c in cases) > 0
+        assert all(c.oracle_checks > 0 for c in cases)
 
     def test_acceptance_sweep_100_plans(self):
         # Both GVT estimators face every second plan (even = omniscient,
         # odd = mattern); every case must commit the golden trace.
-        report = run_fuzz(plans=100)
-        assert report.ok, report.render()
-        assert len(report.cases) == 200
-        by_gvt = {c.gvt_algorithm for c in report.cases}
+        cases = sweep(100)
+        assert len(cases) == 200
+        assert all(c.trace_match is True for c in cases)
+        by_gvt = {c.scenario.gvt_algorithm for c in cases}
         assert by_gvt == {"omniscient", "mattern"}
 
-    def test_report_renders_failures(self):
+    def test_report_renders_failures(self, capsys):
         plan = make_plan(1, FaultRates(drop=0.15), retransmit=False)
-        case = run_case("phold", plan, gvt_algorithm="omniscient")
-        assert not case.ok
-        report = run_fuzz(plans=0)
-        report.cases.append(case)
-        rendered = report.render()
-        assert "FAIL" in rendered
-        assert "plan_seed=1" in rendered
+        scenario = PHOLD.with_(faults=plan.to_dict())
+        assert run_and_report([scenario], "faults", collect_trace_features=False) == 1
+        out = capsys.readouterr().out
+        assert "FAIL[violation:message_loss] phold" in out
+        assert "'retransmit': False" in out  # the line names the plan
+        assert "1 scenario(s), 1 failure(s)" in out
+        assert out.rstrip().endswith("FAIL")
 
 
 class TestOracleCanFail:
     def test_unrecovered_drop_is_detected(self):
-        plan = make_plan(1, FaultRates(drop=0.15), retransmit=False)
-        case = run_case("phold", plan, gvt_algorithm="omniscient")
-        assert not case.trace_match
+        # Retransmission off: an injected drop is permanent and must be
+        # *detected* — the acceptance criterion that proves the oracle
+        # (and the differential check) can fail.
+        case = run_plan(make_plan(1, FaultRates(drop=0.15), retransmit=False))
+        assert not case.ok
+        assert case.trace_match is False
         assert "message_loss" in case.violations
 
     def test_reordering_alone_is_absorbed_by_rollback(self):
@@ -61,8 +74,8 @@ class TestOracleCanFail:
         plan = make_plan(
             2, FaultRates(duplicate=0.2, reorder=0.3), retransmit=False
         )
-        case = run_case("phold", plan, gvt_algorithm="omniscient")
-        assert case.ok, (case.violations, case.error)
+        case = run_plan(plan)
+        assert case.ok, case.describe()
 
 
 class TestDefaultRates:

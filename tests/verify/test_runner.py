@@ -5,7 +5,7 @@ import multiprocessing
 import pytest
 
 from repro.verify import Scenario, run_scenario, sequential_golden
-from repro.verify.runner import ScenarioResult, canonical_value, committed_digest
+from repro.verify.runner import ScenarioResult, _finish, canonical_value, committed_digest
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -37,6 +37,26 @@ def test_sequential_golden_is_cached_per_workload():
     assert a is b  # knobs don't change the workload key
     c = sequential_golden(Scenario(app_params={"n_objects": 6}))
     assert c is not a
+
+
+def test_the_three_former_goldens_were_one_golden():
+    # the literals CI's fault and parallel smokes have always printed
+    assert sequential_golden(Scenario(app="phold", end_time=300.0)).committed == 167
+    assert sequential_golden(Scenario(app="smmp")).committed == 110
+
+
+def test_a_failing_line_names_the_differing_objects_and_every_set_axis():
+    scenario = Scenario(backend="parallel", workers=2, wire="queue", gvt_period=1e3)
+    golden = sequential_golden(scenario)
+    records = {n: (golden.per_object.get(n, 0), s) for n, s in golden.states.items()}
+    victim = min(records)
+    records[victim] = (records[victim][0] + 1, records[victim][1])
+    result = ScenarioResult(scenario=scenario)
+    _finish(result, golden, records)
+    assert result.mismatches == (victim,)
+    text = result.describe()
+    assert text.startswith("FAIL[digest] phold backend=parallel workers=2 wire=queue")
+    assert "gvt_period=1000.0" in text and f"['{victim}']" in text
 
 
 def test_modelled_pivot_passes_all_checks():
