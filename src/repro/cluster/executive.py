@@ -43,7 +43,7 @@ class Executive:
     """Wall-clock scheduler for a set of LPs, a network and a GVT manager."""
 
     def __init__(self, lps: list[LogicalProcess], config: "SimulationConfig") -> None:
-        self.lps = lps
+        self.lps: list[LogicalProcess] = []
         self.config = config
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0  # FIFO tie-break among entries due at the same instant
@@ -77,7 +77,7 @@ class Executive:
         )
         self._last_window_executed = 0
         self._last_window_rolled = 0
-        self._turn_scheduled = [False] * len(lps)
+        self._turn_scheduled: list[bool] = []
         self._gvt_tick_scheduled = False
         #: the GVT round period in force; starts at the configured value
         #: and is resized on line by the meta-controller when one is
@@ -100,7 +100,19 @@ class Executive:
         self.oracle = NULL_ORACLE
 
         for lp in lps:
-            lp.schedule_flush = self._make_flush_scheduler(lp)  # type: ignore[method-assign]
+            self.host(lp)
+
+    def host(self, lp: LogicalProcess) -> None:
+        """Take ``lp`` under this scheduler.  LPs are built on
+        :attr:`network` (``kernel.host_lp``), so the facade hosts them one
+        by one after the executive exists."""
+        self.lps.append(lp)
+        self._turn_scheduled.append(False)
+
+        def schedule_flush(dst_lp: int, at: float, generation: int) -> None:
+            self._push(at, _FLUSH, (lp.lp_id, dst_lp, generation))
+
+        lp.schedule_flush = schedule_flush  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------ #
     # scheduling primitives
@@ -117,12 +129,6 @@ class Executive:
             self._pending_data += 1
         self._seq += 1
         heapq.heappush(self._heap, (arrival, self._seq, _DELIVER, message))
-
-    def _make_flush_scheduler(self, lp: LogicalProcess):
-        def schedule_flush(dst_lp: int, at: float, generation: int) -> None:
-            self._push(at, _FLUSH, (lp.lp_id, dst_lp, generation))
-
-        return schedule_flush
 
     def _schedule_turn(self, lp: LogicalProcess) -> None:
         """Give ``lp`` a turn at its own wall clock (at most one pending)."""
@@ -258,13 +264,8 @@ class Executive:
         target = self.lps[dst_lp]
         checkpoint = detach_object(source, oid)
         self.routing[oid] = dst_lp
-        restore_object(target, checkpoint)
+        restore_object(target, checkpoint, src_lp=src_lp, clock=self.wallclock)
         self.migrations += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "lp.migrate", self.wallclock,
-                oid=oid, src_lp=src_lp, dst_lp=dst_lp,
-            )
         # the moved events are new work for the target host
         if target.has_work():
             self._schedule_turn(target)

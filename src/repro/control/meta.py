@@ -139,9 +139,12 @@ class PlacementController:
     the migration that best lowers the peak load and applies it through
     :meth:`Executive.migrate_object` — a real live migration of the
     object's full Time Warp context, not a bookkeeping relabel.  The
-    move selection is shared verbatim with the parallel backend's
-    coordinator balancer (with all-equal factors there), so both
-    backends flap (or refuse to) the same way.
+    parallel backend's coordinator drives this same class from
+    ``ShardReport.loads`` (all-equal factors, live-migration epochs), so
+    both backends window, threshold and flap (or refuse to) the same way;
+    only ``period`` differs — there it is ``backend.BALANCE_PERIOD`` = 1,
+    because a GVT commit costs a real ``gvt_period`` of wall time and a
+    short run sees a dozen of them.
     """
 
     #: control period P, in advancing GVT rounds

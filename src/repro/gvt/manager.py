@@ -56,6 +56,22 @@ def true_global_minimum(executive: "Executive") -> VirtualTime:
     return best
 
 
+def note_estimate(
+    oracle, tracer, clock: float, algorithm: str,
+    estimate: VirtualTime, previous: VirtualTime,
+) -> None:
+    """A GVT estimate was produced: arm the oracle and write the one
+    ``gvt.round`` record.  Every estimator calls this before acting on the
+    value — both modelled algorithms and a worker taking a ``GvtCommit``."""
+    if oracle.enabled:
+        oracle.on_gvt_estimate(clock, estimate, previous)
+    if tracer.enabled:
+        tracer.emit(
+            "gvt.round", clock,
+            algorithm=algorithm, gvt=estimate, advanced=estimate > previous,
+        )
+
+
 class OmniscientGVT:
     """Exact GVT computed centrally; costs are still charged per LP."""
 
@@ -75,16 +91,10 @@ class OmniscientGVT:
         for lp in executive.lps:
             lp.charge(lp.costs.gvt_participation_cost)
             lp.stats.gvt_rounds += 1
-        oracle = executive.oracle
-        if oracle.enabled:
-            oracle.on_gvt_estimate(executive.wallclock, estimate, self.gvt)
-        tracer = executive.tracer
-        if tracer.enabled:
-            tracer.emit(
-                "gvt.round", executive.wallclock,
-                algorithm="omniscient", gvt=estimate,
-                advanced=estimate > self.gvt,
-            )
+        note_estimate(
+            executive.oracle, executive.tracer, executive.wallclock,
+            "omniscient", estimate, self.gvt,
+        )
         if estimate > self.gvt:
             self.gvt = estimate
             for lp in executive.lps:

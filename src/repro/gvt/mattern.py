@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from ..comm.message import MessageKind, PhysicalMessage
 from ..kernel.event import VirtualTime
+from .manager import note_estimate, true_global_minimum
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.executive import Executive
@@ -110,11 +111,6 @@ class ColourAgent:
         return self.total_sent - self.sent_before_round
 
 
-#: Backward-compatible alias (the agent was private before repro.parallel
-#: started reusing it).
-_Agent = ColourAgent
-
-
 class MatternGVT:
     """Distributed GVT estimation through the modelled network."""
 
@@ -141,11 +137,7 @@ class MatternGVT:
         executive = self._executive
         if len(executive.lps) < 2:
             # Degenerate single-LP "ring": the local bound is the truth.
-            estimate = executive.lps[0].local_min()
-            wire = executive.network.min_in_flight_time()
-            if wire is not None:
-                estimate = min(estimate, wire)
-            self._commit(estimate)
+            self._commit(true_global_minimum(executive))
             return
         self._round += 1
         self._active = True
@@ -241,19 +233,13 @@ class MatternGVT:
 
     def _commit(self, estimate: VirtualTime) -> None:
         executive = self._executive
-        oracle = executive.oracle
-        if oracle.enabled:
-            oracle.on_gvt_estimate(executive.wallclock, estimate, self.gvt)
-        tracer = executive.tracer
-        if tracer.enabled:
-            tracer.emit(
-                "gvt.round", executive.wallclock,
-                algorithm="mattern", gvt=estimate,
-                advanced=estimate > self.gvt,
-            )
+        note_estimate(
+            executive.oracle, executive.tracer, executive.wallclock,
+            "mattern", estimate, self.gvt,
+        )
         if estimate > self.gvt:
             self.gvt = estimate
             # The initiator collects immediately; the other LPs collect
             # when their broadcast arrives.
-            self._executive.lps[0].fossil_collect(estimate)
-            self._executive.on_new_gvt(estimate)
+            executive.lps[0].fossil_collect(estimate)
+            executive.on_new_gvt(estimate)

@@ -21,7 +21,7 @@ from ..oracle.invariants import NULL_ORACLE
 from ..stats.counters import RunStats
 from ..trace.tracer import NULL_TRACER
 from .config import SimulationConfig
-from .errors import ConfigurationError
+from .errors import ConfigurationError, SchedulingError
 from .event import Event
 from .lp import LogicalProcess
 from .simobject import SimulationObject
@@ -31,78 +31,132 @@ from .state import resolve_snapshot_strategy
 Partition = Sequence[Sequence[SimulationObject]]
 
 
+def walk_directory(partition: Partition):
+    """The one directory walk: ``(objects, name -> oid, oid -> group index)``.
+
+    Oids follow partition flat order, NEVER placement: the event total
+    order tie-breaks on oids (kernel/event.py EventKey), so every backend
+    commits the sequential result, same-timestamp ties included.
+    """
+    if not partition or not any(partition):
+        raise ConfigurationError("partition must contain at least one object")
+    objects: list[SimulationObject] = []
+    name_to_oid: dict[str, int] = {}
+    group_of: list[int] = []
+    for group_index, group in enumerate(partition):
+        for obj in group:
+            if obj.name in name_to_oid:
+                raise ConfigurationError(f"duplicate object name {obj.name!r}")
+            name_to_oid[obj.name] = len(objects)
+            objects.append(obj)
+            group_of.append(group_index)
+    return objects, name_to_oid, group_of
+
+
+def host_lp(
+    lp_id: int,
+    objects: Sequence[SimulationObject],
+    name_to_oid: dict[str, int],
+    routing: dict[int, int],
+    config: SimulationConfig,
+    network,
+    tracer,
+) -> LogicalProcess:
+    """Build LP ``lp_id``: everything that does not depend on who schedules it.
+
+    The LP hosts the objects ``routing`` (oid -> LP) sends to it and sends
+    through ``network`` — the executive's modelled network or a worker's
+    ``ShardTransport``.  ``routing`` is shared, not copied: the ``lp_of``
+    resolver, the :class:`CommModule` and the ``forward`` hook read that one
+    dict, so rewriting it in place retargets every send at once (live
+    migration).  The driver still installs ``schedule_flush``.
+    """
+    oracle = config.oracle if config.oracle is not None else NULL_ORACLE
+    if oracle.enabled and oracle.tracer is NULL_TRACER:
+        oracle.tracer = tracer
+    lp = LogicalProcess(
+        lp_id,
+        config.costs_for_lp(lp_id),
+        resolve_name=name_to_oid.__getitem__,
+        lp_of=routing.__getitem__,
+        end_time=config.end_time,
+    )
+    lp.tracer = tracer
+    lp.oracle = oracle
+    lp.snapshot_strategy = resolve_snapshot_strategy(config.snapshot)
+    for oid, owner in routing.items():
+        if owner == lp_id:
+            obj = objects[oid]
+            lp.attach(
+                obj,
+                oid,
+                cancel_policy=config.cancellation(obj),
+                ckpt_policy=config.checkpoint(obj),
+            )
+    comm = CommModule(
+        host=lp,
+        network=network,
+        costs=lp.costs,
+        policy=config.aggregation(lp_id),
+        tracer=tracer,
+    )
+    comm.set_routing(routing)
+    lp.comm = comm
+
+    def forward(event: Event) -> None:
+        # Live migration can leave stale addressing in flight (an aggregate
+        # buffered against the old host, a message already on the wire):
+        # re-route it through the rewritten map instead of crashing the LP.
+        if routing[event.receiver] == lp_id:
+            raise SchedulingError(
+                f"object {event.receiver} routed to LP {lp_id} but not hosted"
+            )
+        lp.stats.remote_events_sent += 1
+        comm.enqueue(event)
+
+    lp.forward = forward
+    return lp
+
+
+def finish_lps(
+    lps: Sequence[LogicalProcess], t: float, wire_counts: dict[str, int],
+    undelivered_data: int,
+) -> None:
+    """End of a run proven quiescent: the oracle's checks against the wire
+    totals the driver holds, then the final commit and ``finalize``."""
+    oracle = lps[0].oracle
+    if oracle.enabled:
+        oracle.on_run_end(t, lps, wire_counts, undelivered_data)
+    # nothing below the horizon can change any more: commit everything
+    for lp in lps:
+        lp.fossil_collect(float("inf"), final=True)
+    for lp in lps:
+        lp.finalize()
+
+
 class TimeWarpSimulation:
     """One configured Time Warp run over a partitioned object graph."""
 
     def __init__(self, partition: Partition, config: SimulationConfig | None = None):
         self.config = config or SimulationConfig()
         self.config.validate()
-        if not partition or not any(partition):
-            raise ConfigurationError("partition must contain at least one object")
+        self._objects, self._name_to_oid, group_of = walk_directory(partition)
+        self._oid_to_lp: dict[int, int] = dict(enumerate(group_of))
 
-        # --- directory -------------------------------------------------
-        self._objects: list[SimulationObject] = []
-        self._name_to_oid: dict[str, int] = {}
-        self._oid_to_lp: dict[int, int] = {}
-        for lp_index, group in enumerate(partition):
-            for obj in group:
-                if obj.name in self._name_to_oid:
-                    raise ConfigurationError(f"duplicate object name {obj.name!r}")
-                oid = len(self._objects)
-                self._objects.append(obj)
-                self._name_to_oid[obj.name] = oid
-                self._oid_to_lp[oid] = lp_index
-
-        # --- logical processes ------------------------------------------
-        self.lps: list[LogicalProcess] = []
-        for lp_index in range(len(partition)):
-            lp = LogicalProcess(
-                lp_index,
-                self.config.costs_for_lp(lp_index),
-                resolve_name=self._name_to_oid.__getitem__,
-                lp_of=self._oid_to_lp.__getitem__,
-                end_time=self.config.end_time,
-            )
-            self.lps.append(lp)
-        for oid, obj in enumerate(self._objects):
-            lp = self.lps[self._oid_to_lp[oid]]
-            lp.attach(
-                obj,
-                oid,
-                cancel_policy=self.config.cancellation(obj),
-                ckpt_policy=self.config.checkpoint(obj),
-            )
-
-        # --- executive, transport, GVT -----------------------------------
+        # --- executive, logical processes, GVT ---------------------------
         tracer = self.config.tracer if self.config.tracer is not None else NULL_TRACER
         self.tracer = tracer
-        oracle = self.config.oracle if self.config.oracle is not None else NULL_ORACLE
-        if oracle.enabled and oracle.tracer is NULL_TRACER:
-            oracle.tracer = tracer
-        self.oracle = oracle
-        self.executive = Executive(self.lps, self.config)
+        self.executive = Executive([], self.config)
         self.executive.tracer = tracer
-        self.executive.oracle = oracle
         self.executive.network.tracer = tracer
-        snapshot_strategy = resolve_snapshot_strategy(self.config.snapshot)
-        for lp in self.lps:
-            lp.tracer = tracer
-            lp.oracle = oracle
-            lp.snapshot_strategy = snapshot_strategy
-            comm = CommModule(
-                host=lp,
-                network=self.executive.network,
-                costs=lp.costs,
-                policy=self.config.aggregation(lp.lp_id),
-                tracer=tracer,
-            )
-            comm.set_routing(self._oid_to_lp)
-            lp.comm = comm
-            # Live migration can leave a delivery in flight toward an
-            # object's old host; re-route it through the (shared, already
-            # rewritten) routing map instead of crashing the LP.
-            lp.forward = self._make_forward(lp)
         self.executive.routing = self._oid_to_lp
+        for lp_index in range(len(partition)):
+            self.executive.host(host_lp(
+                lp_index, self._objects, self._name_to_oid, self._oid_to_lp,
+                self.config, self.executive.network, tracer,
+            ))
+        self.lps = self.executive.lps
+        self.oracle = self.executive.oracle = self.lps[0].oracle
         if self.config.gvt_algorithm == "mattern":
             gvt = MatternGVT(self.executive)
             self.executive.network.on_data_send = gvt.observe_send
@@ -141,14 +195,6 @@ class TimeWarpSimulation:
             return self._name_to_oid[name]
         except KeyError:
             raise ConfigurationError(f"unknown simulation object {name!r}") from None
-
-    @staticmethod
-    def _make_forward(lp: LogicalProcess):
-        def forward(event: Event) -> None:
-            lp.stats.remote_events_sent += 1
-            lp.comm.enqueue(event)
-
-        return forward
 
     def _record_trace(self, event: Event) -> None:
         assert self.trace is not None
@@ -225,48 +271,19 @@ class TimeWarpSimulation:
 
     def _finish(self) -> RunStats:
         self._finished = True
-        oracle = self.oracle
-        if oracle.enabled:
-            oracle.on_run_end(self.executive)
-        # Final commit: quiescence means nothing below the horizon can
-        # change any more, so everything processed is committed.
-        for lp in self.lps:
-            lp.fossil_collect(float("inf"), final=True)
-        for lp in self.lps:
-            lp.finalize()
-        return self._assemble_stats()
-
-    def _assemble_stats(self) -> RunStats:
+        executive = self.executive
+        network = executive.network
+        finish_lps(
+            self.lps, executive.wallclock,
+            network.wire_counts(), network.undelivered_data_count(),
+        )
         stats = RunStats()
-        stats.execution_time = self.executive.execution_time
-        stats.final_gvt = self.executive.gvt
-        network = self.executive.network
+        stats.final_gvt = executive.gvt
         stats.physical_messages = network.messages_sent
         stats.events_on_wire = network.events_carried
         stats.bytes_on_wire = network.bytes_sent
         for lp in self.lps:
-            stats.per_lp[lp.lp_id] = lp.stats
-            stats.gvt_rounds += lp.stats.gvt_rounds
-            stats.peak_state_entries = max(
-                stats.peak_state_entries, lp.stats.peak_state_entries
-            )
-            stats.peak_state_bytes = max(
-                stats.peak_state_bytes, lp.stats.peak_state_bytes
-            )
-            stats.peak_history_events = max(
-                stats.peak_history_events, lp.stats.peak_history_events
-            )
-            for name, ostats in lp.object_stats().items():
-                stats.per_object[name] = ostats
-                stats.committed_events += ostats.events_committed
-                stats.executed_events += ostats.events_executed
-                stats.rolled_back_events += ostats.events_rolled_back
-                stats.rollbacks += ostats.rollbacks
-                stats.state_saves += ostats.state_saves
-                stats.coast_forward_events += ostats.coast_forward_events
-                stats.antis_sent += ostats.antis_sent
-                stats.lazy_hits += ostats.lazy_hits
-                stats.lazy_misses += ostats.lazy_misses
+            stats.fold_lp(lp.lp_id, lp.clock, lp.stats, lp.object_stats())
         return stats
 
     def sorted_trace(self) -> list[tuple[float, str, str, float, Any]]:

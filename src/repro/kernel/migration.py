@@ -206,8 +206,18 @@ def detach_object(lp: LogicalProcess, oid: int) -> ObjectCheckpoint:
 # --------------------------------------------------------------------- #
 # restore
 # --------------------------------------------------------------------- #
-def restore_object(lp: LogicalProcess, ckpt: ObjectCheckpoint) -> ObjectContext:
+def restore_object(
+    lp: LogicalProcess,
+    ckpt: ObjectCheckpoint,
+    *,
+    src_lp: int | None = None,
+    clock: float | None = None,
+) -> ObjectContext:
     """Rebuild a checkpointed object inside ``lp`` and return its context.
+
+    A driver completing a live migration names the host the object left
+    (``src_lp``) and its own clock; the ``lp.migrate`` trace record is
+    written here, once, for whichever scheduler moved the object.
 
     The caller must have updated the routing map so ``ckpt.oid`` now
     resolves to ``lp`` — otherwise the first send to the object would
@@ -266,4 +276,8 @@ def restore_object(lp: LogicalProcess, ckpt: ObjectCheckpoint) -> ObjectContext:
 
     lp.adopt(ctx)
     lp._member_list.sort(key=lambda member: member.oid)
+    if src_lp is not None and lp.tracer.enabled:
+        lp.tracer.emit(
+            "lp.migrate", clock, oid=ckpt.oid, src_lp=src_lp, dst_lp=lp.lp_id
+        )
     return ctx

@@ -92,7 +92,7 @@ class NullOracle:
 
     def on_wire_check(self, t, network) -> None: ...
 
-    def on_run_end(self, executive) -> None: ...
+    def on_run_end(self, t, lps, counts, undelivered_data) -> None: ...
 
 
 #: Shared do-nothing instance, the default everywhere an oracle plugs in.
@@ -205,8 +205,10 @@ class InvariantOracle:
     # wire conservation
     # ------------------------------------------------------------------ #
     def on_wire_check(self, t: float, network) -> None:
+        self._wire_check(t, network.wire_counts())
+
+    def _wire_check(self, t: float, counts: dict[str, int]) -> None:
         self._check("wire_check")
-        counts = network.wire_counts()
         if counts["sent"] != (
             counts["delivered"] + counts["lost"] + counts["in_flight"]
         ):
@@ -219,11 +221,14 @@ class InvariantOracle:
     # ------------------------------------------------------------------ #
     # end of run
     # ------------------------------------------------------------------ #
-    def on_run_end(self, executive) -> None:
-        t = executive.wallclock
-        network = executive.network
-        self.on_wire_check(t, network)
-        counts = network.wire_counts()
+    def on_run_end(
+        self, t: float, lps, counts: dict[str, int], undelivered_data: int
+    ) -> None:
+        """End-of-run checks over values, so any scheduler can call it:
+        ``counts`` is a ``wire_counts()``-shaped dict (the modelled
+        network's own, or the coordinator's global totals on a shard) and
+        ``undelivered_data`` the DATA messages never handed to an LP."""
+        self._wire_check(t, counts)
         self._check("wire_final")
         if counts["in_flight"]:
             self._violate(
@@ -232,14 +237,14 @@ class InvariantOracle:
                 "of run",
             )
         self._check("message_loss")
-        if counts["lost"] or network.undelivered_data_count():
+        if counts["lost"] or undelivered_data:
             self._violate(
                 "message_loss", t,
                 f"{counts['lost']} message(s) permanently lost and "
-                f"{network.undelivered_data_count()} DATA message(s) never "
+                f"{undelivered_data} DATA message(s) never "
                 "delivered",
             )
-        for lp in executive.lps:
+        for lp in lps:
             self._check("anti_pairing")
             leftovers: list[str] = []
             for ctx in lp.members.values():

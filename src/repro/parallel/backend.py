@@ -25,19 +25,17 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import queue as queue_mod
 import random
 import time
 from pathlib import Path
 from typing import Callable
 
+from ..control.meta import PlacementController
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError
-from ..kernel.kernel import Partition
-from ..kernel.simobject import SimulationObject
+from ..kernel.kernel import Partition, walk_directory
 from ..oracle.invariants import InvariantViolation
 from ..partition.graph import CommGraph, profile_model
-from ..partition.rebalance import choose_moves
 from ..partition.strategies import (
     greedy_growth,
     kernighan_lin,
@@ -45,7 +43,7 @@ from ..partition.strategies import (
     round_robin,
 )
 from ..stats.counters import RunStats
-from .gvt import GvtCoordinator, RoundResult, WorkerFailedError
+from .gvt import GvtCoordinator, RoundResult
 from .shm import RING_CAPACITY, ShmRing, shm_wire_supported
 from .ipc import (
     DrainAck,
@@ -57,14 +55,17 @@ from .ipc import (
     Resume,
     Retire,
     ShardDone,
-    ShardError,
-    ShardRetired,
     Stop,
 )
 from .worker import ShardPlan, worker_main
 
 #: wait between all-idle rounds while termination drains, seconds
 QUIET_SLEEP_S = 0.001
+
+#: GVT commits between consultations of the placement controller.  Not
+#: the modelled side's 8: a commit here costs a real ``gvt_period`` of wall
+#: time and a short run sees a dozen — at 8 it would be asked once or never.
+BALANCE_PERIOD = 1
 
 PartitionBuilder = Callable[[], Partition]
 
@@ -117,8 +118,6 @@ class ParallelSimulation:
         # Enforce the parallel-specific constraints even when the caller
         # constructed us directly with backend="modelled" in the config.
         dataclasses.replace(self.config, backend="parallel").validate()
-        if not partition or not any(partition):
-            raise ConfigurationError("partition must contain at least one object")
         self.workers = self.config.workers
         self.trace_dir = trace_dir
         if trace_dir is not None:
@@ -126,50 +125,31 @@ class ParallelSimulation:
             Path(trace_dir).mkdir(parents=True, exist_ok=True)
         self.timeout_s = timeout_s
 
-        # --- directory (same walk as TimeWarpSimulation) ----------------
-        # Object ids are assigned in partition flat order and NEVER by
-        # shard, because the event total order tie-breaks on integer oids
-        # (kernel/event.py EventKey): keeping oid order identical to a
-        # sequential run over the same flattened partition makes the
-        # committed result — including same-timestamp tie order — equal to
-        # the sequential golden.  ``shard_map`` (object name -> shard)
-        # overrides placement without perturbing oid order; without it,
-        # groups map to shards 1:1 when counts match, else fold
-        # round-robin so each modelled-LP group stays co-resident.
-        self._objects: list[SimulationObject] = []
-        self._name_to_oid: dict[str, int] = {}
+        # --- directory (kernel.walk_directory: oids in flat order) ------
+        # Placement never perturbs oid order.  ``shard_map`` (object name
+        # -> shard) overrides it; without one, groups map to shards 1:1
+        # when counts match, else fold round-robin so each modelled-LP
+        # group stays co-resident (a 1:1 fold is the same ``% workers``).
+        self._objects, self._name_to_oid, group_of = walk_directory(partition)
         self._oid_to_shard: dict[int, int] = {}
-        n_groups = len(partition)
-        for group_index, group in enumerate(partition):
-            group_shard = (
-                group_index
-                if n_groups == self.workers
-                else group_index % self.workers
-            )
-            for obj in group:
-                if obj.name in self._name_to_oid:
-                    raise ConfigurationError(f"duplicate object name {obj.name!r}")
-                if shard_map is not None:
-                    try:
-                        shard = shard_map[obj.name]
-                    except KeyError:
-                        raise ConfigurationError(
-                            f"shard_map is missing object {obj.name!r}"
-                        ) from None
-                    if not 0 <= shard < self.workers:
-                        raise ConfigurationError(
-                            f"shard_map sends {obj.name!r} to shard {shard}, "
-                            f"but workers={self.workers}"
-                        )
-                else:
-                    shard = group_shard
-                oid = len(self._objects)
-                self._objects.append(obj)
-                self._name_to_oid[obj.name] = oid
-                self._oid_to_shard[oid] = shard
-        hosted = set(self._oid_to_shard.values())
-        if hosted != set(range(self.workers)):
-            empty = sorted(set(range(self.workers)) - hosted)
+        for oid, obj in enumerate(self._objects):
+            if shard_map is None:
+                shard = group_of[oid] % self.workers
+            else:
+                try:
+                    shard = shard_map[obj.name]
+                except KeyError:
+                    raise ConfigurationError(
+                        f"shard_map is missing object {obj.name!r}"
+                    ) from None
+                if not 0 <= shard < self.workers:
+                    raise ConfigurationError(
+                        f"shard_map sends {obj.name!r} to shard {shard}, "
+                        f"but workers={self.workers}"
+                    )
+            self._oid_to_shard[oid] = shard
+        empty = sorted(set(range(self.workers)) - set(self._oid_to_shard.values()))
+        if empty:
             raise ConfigurationError(
                 f"shard(s) {empty} would host no objects; "
                 f"use fewer workers or more partition groups"
@@ -202,6 +182,12 @@ class ParallelSimulation:
         self.migrations_out = 0
         self.churn_executed = 0
         self.churn_skipped = 0
+        #: ``placement="dynamic"``: the controller the modelled MetaController
+        #: drives, fed from ``ShardReport.loads``; ``history`` has its decisions
+        self.placement = (
+            PlacementController(period=BALANCE_PERIOD)
+            if self.config.placement == "dynamic" else None
+        )
 
         #: the wire actually used, resolved at run(): config.wire, with
         #: "shm" degrading to "queue" if shared memory is unavailable,
@@ -274,7 +260,7 @@ class ParallelSimulation:
                 "(policy factories and model objects are not picklable "
                 "under spawn)"
             )
-        ctx = multiprocessing.get_context("fork")
+        self._ctx = ctx = multiprocessing.get_context("fork")
         started = time.perf_counter()
 
         # Pre-provision one inbox per potential worker — the initial
@@ -282,12 +268,8 @@ class ParallelSimulation:
         # before the first fork so every worker can already address
         # workers that join later (mp queues cannot be shipped mid-run).
         pool_size = self.workers + self._join_budget
-        self._ctx = ctx
-        self._inboxes = inboxes = [ctx.Queue() for _ in range(pool_size)]
-        self._report_queue = report_queue = ctx.Queue()
-        self._plan_extras: dict = {}
-        if self.config.placement == "dynamic":
-            self._plan_extras["report_loads"] = True
+        self._inboxes = [ctx.Queue() for _ in range(pool_size)]
+        self._report_queue = ctx.Queue()
         # One SPSC ring per directed pair, allocated for the whole
         # pre-provisioned pool (joiners inherit theirs across fork, like
         # the inboxes).  Allocation failure is not an error: the queue
@@ -312,36 +294,24 @@ class ParallelSimulation:
             self.wire = "queue"  # single worker: nothing inter-shard
         self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
         for shard in range(self.workers):
-            self._processes[shard] = ctx.Process(
-                target=worker_main,
-                args=(shard, self._make_plan(shard), inboxes[shard],
-                      report_queue, dict(enumerate(inboxes)), self._rings),
-                name=f"repro-shard-{shard}",
-                daemon=True,
-            )
-        for process in self._processes.values():
-            process.start()
+            self._fork_worker(shard)
 
         coordinator = GvtCoordinator(
-            inboxes, report_queue, timeout_s=self.timeout_s,
-            active=range(self.workers),
+            self._inboxes, self._report_queue, timeout_s=self.timeout_s,
+            active=range(self.workers), processes=self._processes,
         )
-        gvt_period_s = self.config.gvt_period / 1e6
-        committed = 0.0
-        committed_any = False
         try:
-            final_round = self._drive(coordinator, gvt_period_s)
-            committed, committed_any = final_round[1], final_round[2]
-            last = final_round[0]
-            stop = Stop(
-                final_gvt=committed if committed_any else last.gvt,
+            last, committed = self._drive(coordinator, self.config.gvt_period / 1e6)
+            coordinator.broadcast(Stop(
+                final_gvt=last.gvt if committed is None else committed,
                 total_sent=last.total_sent,
                 total_received=last.total_received,
-            )
-            for inbox in coordinator.active_inboxes():
-                inbox.put(stop)
-            payloads = self._collect_done(coordinator.active)
-        except Exception:
+            ))
+            done = coordinator.collect(ShardDone, coordinator.active, "shutdown")
+            payloads = {shard: m.payload for shard, m in done.items()}
+        except BaseException:
+            # BaseException: Ctrl-C must not leave workers looping under
+            # the joins and the ring unlink below
             for process in self._processes.values():
                 if process.is_alive():
                     process.terminate()
@@ -359,8 +329,7 @@ class ParallelSimulation:
         self.wall_s = time.perf_counter() - started
         self.gvt_rounds_run = coordinator.rounds_completed
         self.gvt_passes_run = coordinator.passes_total
-        self.stats = self._merge(payloads, committed if committed_any else 0.0)
-        self._global_checks(payloads)
+        self.stats = self._merge(payloads, committed or 0.0)
         return self.stats
 
     def _destroy_rings(self) -> None:
@@ -370,51 +339,47 @@ class ParallelSimulation:
                 ring.destroy()
             self._rings = None
 
-    def _make_plan(
-        self, shard: int, *, extra: dict | None = None
-    ) -> ShardPlan:
-        """Build a ShardPlan from the parent's current placement map."""
-        extras = dict(self._plan_extras)
-        if extra:
-            extras.update(extra)
-        return ShardPlan(
-            objects=[
-                (oid, self._objects[oid])
-                for oid, owner in self._oid_to_shard.items()
-                if owner == shard
-            ],
+    def _fork_worker(self, shard: int, join_epoch: int | None = None) -> None:
+        """Fork ``shard`` against the parent's current placement map (a
+        joiner forks paused inside ``join_epoch``)."""
+        plan = ShardPlan(
+            objects=self._objects,
             name_to_oid=self._name_to_oid,
             oid_to_shard=dict(self._oid_to_shard),
             config=self.config,
             n_shards=len(self._inboxes),
             trace_dir=self.trace_dir,
-            extras=extras,
+            join_epoch=join_epoch,
         )
+        process = self._processes[shard] = self._ctx.Process(
+            target=worker_main,
+            args=(shard, plan, self._inboxes[shard], self._report_queue,
+                  dict(enumerate(self._inboxes)), self._rings),
+            name=f"repro-shard-{shard}",
+            daemon=True,
+        )
+        process.start()
 
     # ------------------------------------------------------------------ #
     def _drive(self, coordinator, gvt_period_s):
         """GVT rounds until a round proves quiescence.
 
-        Returns ``(final RoundResult, committed gvt, committed_any)``.
+        Returns ``(final RoundResult, committed GVT or None)``.
         Elastic epochs (scripted churn steps, dynamic-placement
         rebalancing) run strictly between rounds, right after a commit.
         """
-        committed = 0.0
-        committed_any = False
+        committed: float | None = None
         while True:
             result: RoundResult = coordinator.run_round()
             gvt = result.gvt
-            if gvt != float("inf") and (not committed_any or gvt > committed):
+            if gvt != float("inf") and (committed is None or gvt > committed):
                 committed = gvt
-                committed_any = True
                 self._commits += 1
-                commit = GvtCommit(result.round, gvt)
-                for inbox in coordinator.active_inboxes():
-                    inbox.put(commit)
+                coordinator.broadcast(GvtCommit(result.round, gvt))
                 if not result.all_quiet:
                     self._maybe_reconfigure(coordinator, result)
             if result.all_quiet:
-                if committed_any and self._churn_steps:
+                if committed is not None and self._churn_steps:
                     # The fleet quiesced before some scripted steps'
                     # commit indices were reached (fast wires finish
                     # short runs in a handful of rounds).  A quiet
@@ -426,7 +391,7 @@ class ParallelSimulation:
                         for step in self._churn_steps.pop(index):
                             self._run_churn_step(coordinator, step)
                     continue
-                return result, committed, committed_any
+                return result, committed
             # Busy fleet: next round after the configured period.  Idle
             # fleet (draining in-flight work or final reds): spin fast so
             # termination is detected promptly.
@@ -438,7 +403,7 @@ class ParallelSimulation:
     def _maybe_reconfigure(self, coordinator, result: RoundResult) -> None:
         for step in self._churn_steps.pop(self._commits, []):
             self._run_churn_step(coordinator, step)
-        if self.config.placement == "dynamic":
+        if self.placement is not None and self._commits % self.placement.period == 0:
             self._balance(coordinator, result)
 
     def _run_churn_step(self, coordinator, step: dict) -> None:
@@ -507,15 +472,14 @@ class ParallelSimulation:
                 self.churn_skipped += 1
 
     def _balance(self, coordinator, result: RoundResult) -> None:
-        """Dynamic placement: migrate load off the hottest worker."""
+        """Dynamic placement: migrate load off the hottest worker (all
+        workers are the same host, so every cost factor is 1.0)."""
         loads = {
             report.shard: dict(report.loads)
             for report in result.reports
             if report.loads is not None and report.shard in coordinator.active
         }
-        if len(loads) < 2:
-            return
-        moves = choose_moves(loads)
+        moves = self.placement.control(loads)
         if moves:
             self._elastic_epoch(coordinator, moves, (), ())
 
@@ -530,40 +494,26 @@ class ParallelSimulation:
         self._epoch += 1
         epoch = self._epoch
         deadline = time.monotonic() + self.timeout_s
-        pause = PauseEpoch(epoch)
-        for inbox in coordinator.active_inboxes():
-            inbox.put(pause)
+        coordinator.broadcast(PauseEpoch(epoch))
         self._drain_barrier(coordinator, epoch, deadline)
         for shard in joiners:
             # The joiner's plan snapshots the routing map BEFORE this
             # epoch's moves; the Reconfigure broadcast below (which the
             # joiner also receives) applies the delta, so every address
             # space converges on the same map.
-            process = self._ctx.Process(
-                target=worker_main,
-                args=(shard, self._make_plan(shard, extra={"join_epoch": epoch}),
-                      self._inboxes[shard], self._report_queue,
-                      dict(enumerate(self._inboxes)), self._rings),
-                name=f"repro-shard-{shard}",
-                daemon=True,
-            )
-            self._processes[shard] = process
-            process.start()
+            self._fork_worker(shard, join_epoch=epoch)
             coordinator.add_worker(shard)
-        reconfigure = Reconfigure(epoch, tuple(moves), tuple(leavers))
-        for inbox in coordinator.active_inboxes():
-            inbox.put(reconfigure)
-        self._collect_elastic(
-            MigrateDone, lambda m: m.epoch == epoch,
-            set(coordinator.active), deadline,
+        coordinator.broadcast(Reconfigure(epoch, tuple(moves), tuple(leavers)))
+        coordinator.collect(
+            MigrateDone, coordinator.active, "elastic epoch",
+            match=lambda m: m.epoch == epoch, deadline=deadline,
         )
         for shard in leavers:
             self._inboxes[shard].put(Retire(epoch))
-        for shard in leavers:
-            retired = self._collect_elastic(
-                ShardRetired, lambda m, s=shard: m.shard == s,
-                {shard}, deadline,
-            )[shard]
+        retirements = coordinator.collect(
+            ShardDone, leavers, "elastic epoch", deadline=deadline
+        )
+        for shard, retired in retirements.items():
             transport = retired.payload["transport"]
             coordinator.retire_worker(
                 shard,
@@ -572,9 +522,7 @@ class ParallelSimulation:
             )
             self._retired_payloads[shard] = retired.payload
             self._processes[shard].join(timeout=10.0)
-        resume = Resume(epoch)
-        for inbox in coordinator.active_inboxes():
-            inbox.put(resume)
+        coordinator.broadcast(Resume(epoch))
         for oid, _src, dst in moves:
             self._oid_to_shard[oid] = dst
         if joiners or leavers:
@@ -593,13 +541,11 @@ class ParallelSimulation:
         probe_no = 0
         while True:
             probe_no += 1
-            probe = DrainProbe(epoch, probe_no)
-            for inbox in coordinator.active_inboxes():
-                inbox.put(probe)
-            acks = self._collect_elastic(
-                DrainAck,
-                lambda m: (m.epoch, m.probe) == (epoch, probe_no),
-                set(coordinator.active), deadline,
+            coordinator.broadcast(DrainProbe(epoch, probe_no))
+            acks = coordinator.collect(
+                DrainAck, coordinator.active, "elastic epoch",
+                match=lambda m: (m.epoch, m.probe) == (epoch, probe_no),
+                deadline=deadline,
             )
             sent = coordinator.retired_sent + sum(
                 ack.total_sent for ack in acks.values()
@@ -611,79 +557,24 @@ class ParallelSimulation:
                 return
             time.sleep(QUIET_SLEEP_S)  # whites still in a pipe; reprobe
 
-    def _collect_elastic(
-        self, kind, match, expected: set[int], deadline, phase="elastic epoch"
-    ):
-        """Collect one matching ``kind`` record per expected shard."""
-        got: dict[int, object] = {}
-        while expected:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise WorkerFailedError(
-                    f"{phase} stalled: no {kind.__name__} from "
-                    f"shard(s) {sorted(expected)} within {self.timeout_s:g}s"
-                )
-            try:
-                message = self._report_queue.get(timeout=min(remaining, 1.0))
-            except queue_mod.Empty:
-                continue
-            if isinstance(message, ShardError):
-                raise WorkerFailedError(
-                    f"shard {message.shard} crashed during {phase}:\n"
-                    f"{message.error}"
-                )
-            if isinstance(message, kind) and match(message):
-                got[message.shard] = message
-                expected.discard(message.shard)
-            # anything else (an ack from an abandoned probe, a stale
-            # ShardReport from the final round) is dropped: the protocol
-            # is lockstep per record kind
-        return got
-
-    def _collect_done(self, active) -> dict[int, dict]:
-        """Wait for every active shard's final report after ``Stop``."""
-        done = self._collect_elastic(
-            ShardDone, lambda m: True, set(active),
-            time.monotonic() + self.timeout_s, phase="shutdown",
-        )
-        return {shard: message.payload for shard, message in done.items()}
-
     # ------------------------------------------------------------------ #
     def _merge(self, payloads: dict[int, dict], final_gvt: float) -> RunStats:
         stats = RunStats()
         stats.final_gvt = final_gvt
+        received = 0
         for shard in sorted(payloads):
             payload = payloads[shard]
-            lp_stats = payload["lp_stats"]
-            stats.per_lp[shard] = lp_stats
-            stats.gvt_rounds += lp_stats.gvt_rounds
-            stats.execution_time = max(stats.execution_time, payload["clock"])
-            stats.peak_state_entries = max(
-                stats.peak_state_entries, lp_stats.peak_state_entries
-            )
-            stats.peak_state_bytes = max(
-                stats.peak_state_bytes, lp_stats.peak_state_bytes
-            )
-            stats.peak_history_events = max(
-                stats.peak_history_events, lp_stats.peak_history_events
+            stats.fold_lp(
+                shard, payload["clock"], payload["lp_stats"],
+                payload["object_stats"],
             )
             transport = payload["transport"]
             stats.physical_messages += transport["messages_sent"]
             stats.events_on_wire += transport["events_carried"]
             stats.bytes_on_wire += transport["bytes_sent"]
+            received += transport["messages_received"]
             for key in self.wire_stats:
                 self.wire_stats[key] += transport.get(key, 0)
-            for name, ostats in payload["object_stats"].items():
-                stats.per_object[name] = ostats
-                stats.committed_events += ostats.events_committed
-                stats.executed_events += ostats.events_executed
-                stats.rolled_back_events += ostats.events_rolled_back
-                stats.rollbacks += ostats.rollbacks
-                stats.state_saves += ostats.state_saves
-                stats.coast_forward_events += ostats.coast_forward_events
-                stats.antis_sent += ostats.antis_sent
-                stats.lazy_hits += ostats.lazy_hits
-                stats.lazy_misses += ostats.lazy_misses
             self.final_states.update(payload["final_states"])
             self.oracle_checks += payload["oracle_checks"]
             migrations = payload.get("migrations", {})
@@ -700,23 +591,16 @@ class ParallelSimulation:
                     f"{self.migrations_out} out vs {self.migrations_in} in",
                 ))
             )
-        return stats
-
-    def _global_checks(self, payloads: dict[int, dict]) -> None:
-        """Parent-side wire conservation over the merged totals."""
-        sent = sum(p["transport"]["messages_sent"] for p in payloads.values())
-        received = sum(
-            p["transport"]["messages_received"] for p in payloads.values()
-        )
-        if sent != received:
+        if stats.physical_messages != received:
             self.violations.append(
                 (-1, InvariantViolation(
                     "wire_conservation",
-                    self.stats.execution_time if self.stats else 0.0,
+                    stats.execution_time,
                     f"global totals diverge after shutdown: "
-                    f"{sent} sent vs {received} received",
+                    f"{stats.physical_messages} sent vs {received} received",
                 ))
             )
+        return stats
 
     # ------------------------------------------------------------------ #
     def shard_of(self, name: str) -> int:

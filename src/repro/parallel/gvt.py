@@ -73,15 +73,20 @@ class RoundResult:
 
 
 class GvtCoordinator:
-    """Drives Mattern rounds over the worker fleet from the parent."""
+    """Drives Mattern rounds over the worker fleet from the parent; every
+    coordinator phase talks to the fleet through :meth:`broadcast` and
+    :meth:`collect`."""
 
     def __init__(
         self, inboxes, report_queue, *,
-        timeout_s: float = 120.0, active=None,
+        timeout_s: float = 120.0, active=None, processes=None,
     ) -> None:
         self._inboxes = list(inboxes)
         self._reports = report_queue
         self._timeout_s = timeout_s
+        #: shard -> ``Process`` (the backend's live dict), read only to
+        #: tell a dead worker from a slow one
+        self._processes = processes if processes is not None else {}
         self._round = 0
         self.rounds_completed = 0
         self.passes_total = 0
@@ -112,8 +117,63 @@ class GvtCoordinator:
         self.retired_sent += total_sent
         self.retired_received += total_received
 
-    def active_inboxes(self):
-        return [self._inboxes[shard] for shard in sorted(self.active)]
+    def broadcast(self, message) -> None:
+        """Put ``message`` in every active worker's inbox."""
+        for shard in sorted(self.active):
+            self._inboxes[shard].put(message)
+
+    def collect(
+        self, kind, expected, phase: str, *, match=None, deadline=None
+    ) -> dict:
+        """One ``kind`` record (satisfying ``match``) per ``expected`` shard.
+
+        The one wait on the report queue.  A :class:`ShardError`, a dead
+        shard or a silent one ends it in a :class:`WorkerFailedError`
+        naming ``phase``; anything else (an ack from an abandoned probe, a
+        stale report) is dropped — the protocol is lockstep per kind.
+        """
+        expected = set(expected)
+        if deadline is None:
+            deadline = time.monotonic() + self._timeout_s
+        got: dict[int, object] = {}
+        while expected:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise WorkerFailedError(
+                    f"{phase} stalled: no {kind.__name__} from "
+                    f"shard(s) {sorted(expected)} within {self._timeout_s:g}s"
+                )
+            try:
+                message = self._reports.get(timeout=min(remaining, 1.0))
+            except queue_mod.Empty:
+                # Only on a silent tick: a traceback queued before dying
+                # wins.  Only expected shards: retired leavers are exempt.
+                dead = [
+                    process for shard, process in sorted(self._processes.items())
+                    if shard in expected and not process.is_alive()
+                ]
+                if not dead:
+                    continue
+                try:  # last words written between the tick and the check
+                    message = self._reports.get_nowait()
+                except queue_mod.Empty:
+                    raise WorkerFailedError(
+                        f"{dead[0].name} died during {phase} (exit code "
+                        f"{dead[0].exitcode}) without reporting"
+                    ) from None
+            if isinstance(message, ShardError):
+                raise WorkerFailedError(
+                    f"shard {message.shard} crashed during {phase}:\n"
+                    f"{message.error}"
+                )
+            if (
+                isinstance(message, kind)
+                and message.shard in expected
+                and (match is None or match(message))
+            ):
+                got[message.shard] = message
+                expected.discard(message.shard)
+        return got
 
     def run_round(self) -> RoundResult:
         """One full round: pass until the white counts balance.
@@ -130,10 +190,13 @@ class GvtCoordinator:
         while True:
             pass_no += 1
             self.passes_total += 1
-            start = GvtStart(self._round, pass_no)
-            for inbox in self.active_inboxes():
-                inbox.put(start)
-            reports = self._collect(self._round, pass_no, deadline)
+            self.broadcast(GvtStart(self._round, pass_no))
+            cut = (self._round, pass_no)
+            got = self.collect(
+                ShardReport, self.active, f"GVT round {self._round} pass {pass_no}",
+                match=lambda m: (m.round, m.pass_no) == cut, deadline=deadline,
+            )
+            reports = tuple(got[shard] for shard in sorted(got))
             white_sent = self.retired_sent + sum(
                 r.white_sent for r in reports
             )
@@ -156,36 +219,3 @@ class GvtCoordinator:
                     retired_received=self.retired_received,
                 )
             time.sleep(PASS_SLEEP_S)  # whites still in a pipe; retry
-
-    def _collect(
-        self, round_number: int, pass_no: int, deadline: float
-    ) -> tuple[ShardReport, ...]:
-        expected = set(self.active)
-        reports: dict[int, ShardReport] = {}
-        while expected:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise WorkerFailedError(
-                    f"GVT round {round_number} pass {pass_no} stalled: "
-                    f"no report from shard(s) {sorted(expected)} within "
-                    f"{self._timeout_s:.0f}s"
-                )
-            try:
-                message = self._reports.get(timeout=min(remaining, 1.0))
-            except queue_mod.Empty:
-                continue
-            if isinstance(message, ShardError):
-                raise WorkerFailedError(
-                    f"shard {message.shard} crashed:\n{message.error}"
-                )
-            if not isinstance(message, ShardReport):  # pragma: no cover
-                raise WorkerFailedError(
-                    f"unexpected message during GVT round: {message!r}"
-                )
-            if (message.round, message.pass_no) != (round_number, pass_no):
-                # A stale report from an abandoned pass; lockstep makes
-                # this unreachable, but dropping it is always safe.
-                continue
-            reports[message.shard] = message
-            expected.discard(message.shard)
-        return tuple(reports[shard] for shard in sorted(reports))

@@ -112,8 +112,8 @@ class ShardReport:
     #: lifetime physical-message totals (for the Stop broadcast)
     total_sent: int
     total_received: int
-    #: optional per-object load sample ((oid, events_executed), ...);
-    #: populated only when the coordinator-side balancer asked for it
+    #: per-object load sample ((oid, events_committed), ...), present
+    #: when ``placement="dynamic"`` (the coordinator's balancer reads it)
     loads: tuple[tuple[int, int], ...] | None = None
 
 
@@ -139,7 +139,7 @@ class ShardError:
 # --------------------------------------------------------------------- #
 # One elastic *epoch* runs strictly between GVT rounds:
 #   PauseEpoch -> DrainProbe/DrainAck (wire proven empty) ->
-#   Reconfigure -> MigrateBatch/MigrateDone -> Retire/ShardRetired ->
+#   Reconfigure -> MigrateBatch/MigrateDone -> Retire/ShardDone ->
 #   Resume
 # Migration traffic bypasses the colour-stamped transport on purpose:
 # the wire is provably empty while it flows, so it must not perturb the
@@ -223,16 +223,9 @@ class Resume:
 
 @dataclass(frozen=True, slots=True)
 class Retire:
-    """Coordinator tells an emptied leaver to finalize and exit."""
+    """Coordinator tells an emptied leaver to finalize and exit; it
+    answers with its :class:`ShardDone`, whose lifetime wire totals the
+    coordinator folds into its retired-correction terms."""
 
     epoch: int
 
-
-@dataclass(frozen=True, slots=True)
-class ShardRetired:
-    """Terminal payload of a retired worker: same keys as ShardDone's,
-    plus its lifetime wire totals stay folded into the coordinator's
-    retired-correction terms."""
-
-    shard: int
-    payload: dict[str, Any] = field(default_factory=dict)

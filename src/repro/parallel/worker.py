@@ -1,24 +1,23 @@
-"""The per-shard worker process.
+"""The per-shard worker process: the poll-loop scheduler of one LP.
 
 Each worker hosts ONE :class:`~repro.kernel.lp.LogicalProcess` — the
 process boundary *is* the LP boundary, which is the paper's reading of an
-LP as an address space on one workstation — and runs the proven
-single-process Time Warp loop over it: execute lowest-timestamp-first,
-roll back on stragglers and anti-messages, checkpoint, coast forward.
-Nothing in the rollback machinery is reimplemented; the worker only
-supplies what the modelled Executive supplied before:
+LP as an address space on one workstation.  Building that LP, taking a
+GVT estimate, finishing the run and folding its counters are the routines
+the modelled facade uses (docs/architecture.md, "One LP host, two
+schedulers"); this module owns what only a real process can do:
 
-* a delivery loop draining the shard's inbox queue (data batches from
-  peers, GVT control from the coordinator);
+* a poll loop racing the wall clock: execute a slice, look at the data
+  wire (inbound rings, outbox), poll the inbox queue for control records,
+  block on a doorbell when idle;
 * a flush scheduler for aging DyMA aggregates (a small heap against the
   LP's modelled clock, since there is no global modelled NOW);
-* Mattern colouring for every inter-shard send/receive via a
-  :class:`~repro.gvt.mattern.ColourAgent`, with stamps carried in the
-  IPC envelopes;
-* fossil collection on every committed GVT bound, and the invariant
-  oracle (gvt_monotonic / gvt_safety / state fidelity in-shard;
-  wire_conservation / message_loss against the coordinator's global
-  totals at the end of the run).
+* the shard's end of the coordinator star: Mattern colouring of every
+  inter-shard send/receive via a :class:`~repro.gvt.mattern.ColourAgent`
+  (stamps carried in the IPC envelopes), one cut report per ``GvtStart``,
+  fossil collection on every ``GvtCommit``;
+* the shard's end of an elastic epoch: pause, drain, ship and restore
+  object checkpoints, retire.
 """
 
 from __future__ import annotations
@@ -29,20 +28,18 @@ import queue as queue_mod
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from ..comm.message import MessageKind
-from ..comm.transport import CommModule
+from ..gvt.manager import note_estimate
 from ..gvt.mattern import ColourAgent
 from ..kernel.config import SimulationConfig
-from ..kernel.errors import SchedulingError, TerminationError
-from ..kernel.lp import LogicalProcess
+from ..kernel.errors import TerminationError
+from ..kernel.kernel import finish_lps, host_lp
 from ..kernel.migration import ObjectCheckpoint, detach_object, restore_object
 from ..kernel.simobject import SimulationObject
-from ..kernel.state import resolve_snapshot_strategy
-from ..oracle.invariants import NULL_ORACLE
 from ..trace.tracer import NULL_TRACER, Tracer
 from .ipc import (
     DataBatch,
@@ -60,7 +57,6 @@ from .ipc import (
     ShardDone,
     ShardError,
     ShardReport,
-    ShardRetired,
     Stop,
 )
 from .transport import ShardTransport
@@ -98,16 +94,18 @@ _BACKPRESSURE_MAX_WAITS = 2000
 class ShardPlan:
     """Everything one worker needs to build its shard (passed via fork)."""
 
-    #: (global oid, object) pairs hosted by this shard
-    objects: list[tuple[int, SimulationObject]]
+    #: the whole model, indexed by oid (fork shares it for free); the
+    #: shard hosts the objects ``oid_to_shard`` sends to it
+    objects: list[SimulationObject]
     name_to_oid: dict[str, int]
     oid_to_shard: dict[int, int]
     config: SimulationConfig
     n_shards: int
     #: directory for a per-shard JSONL trace (None = no tracing)
     trace_dir: str | None = None
-    #: extra payload keys tests can request (kept small)
-    extras: dict[str, Any] = field(default_factory=dict)
+    #: the elastic epoch that forked this shard: a joiner starts paused
+    #: inside it (None for the initial fleet)
+    join_epoch: int | None = None
 
 
 def worker_main(shard_id: int, plan: ShardPlan, inbox, to_coordinator,
@@ -166,62 +164,28 @@ class _ShardRuntime:
         self.agent = ColourAgent()
         self.transport = ShardTransport(shard_id, self.agent)
 
-        lp = LogicalProcess(
-            shard_id,
-            config.costs_for_lp(shard_id),
-            resolve_name=plan.name_to_oid.__getitem__,
-            lp_of=plan.oid_to_shard.__getitem__,
-            end_time=config.end_time,
-        )
-        self.lp = lp
         if plan.trace_dir is not None:
             path = Path(plan.trace_dir) / f"shard-{shard_id}.jsonl"
             self.tracer = Tracer(path=path)
         else:
             self.tracer = NULL_TRACER
-        oracle = config.oracle if config.oracle is not None else NULL_ORACLE
-        if oracle.enabled and oracle.tracer is NULL_TRACER:
-            oracle.tracer = self.tracer
-        self.oracle = oracle
-        lp.tracer = self.tracer
-        lp.oracle = oracle
-        lp.snapshot_strategy = resolve_snapshot_strategy(config.snapshot)
-
-        comm = CommModule(
-            host=lp,
-            network=self.transport,
-            costs=lp.costs,
-            policy=config.aggregation(shard_id),
-            tracer=self.tracer,
+        self.lp = lp = host_lp(
+            shard_id, plan.objects, plan.name_to_oid, plan.oid_to_shard,
+            config, self.transport, self.tracer,
         )
-        comm.set_routing(plan.oid_to_shard)
-        lp.comm = comm
+        self.oracle = lp.oracle
         #: (flush-at modelled clock, dst shard, aggregate generation)
         self._flush_heap: list[tuple[float, int, int]] = []
         lp.schedule_flush = self._schedule_flush  # TransportHost hook
 
-        for oid, obj in plan.objects:
-            lp.attach(
-                obj,
-                oid,
-                cancel_policy=config.cancellation(obj),
-                ckpt_policy=config.checkpoint(obj),
-            )
-        # Live migration can leave stale addressing in flight (an aggregate
-        # buffered against the old owner, a message already in a pipe): the
-        # drain barrier is designed to make that impossible, but if one
-        # slips through, re-route it instead of crashing the shard.
-        lp.forward = self._forward_event
-
         self._pending_gvt: GvtStart | None = None
         self._stop: Stop | None = None
         self._committed_gvt = 0.0
-        self._gvt_commits = 0
         self._executed = 0
 
         # -- elastic-epoch state (docs/parallel.md) ---------------------- #
         #: joiners fork paused inside the epoch that created them
-        self._paused_epoch: int | None = plan.extras.get("join_epoch")
+        self._paused_epoch: int | None = plan.join_epoch
         self._pending_probe: DrainProbe | None = None
         self._reconfig: Reconfigure | None = None
         self._expect_in = 0
@@ -232,19 +196,8 @@ class _ShardRuntime:
         self._retired = False
         self.migrations_in = 0
         self.migrations_out = 0
-        self._report_loads = bool(plan.extras.get("report_loads"))
 
     # ------------------------------------------------------------------ #
-    def _forward_event(self, event) -> None:
-        """Re-route an event for an object this shard no longer hosts."""
-        dst = self.plan.oid_to_shard[event.receiver]
-        if dst == self.shard_id:  # pragma: no cover - defensive
-            raise SchedulingError(
-                f"object {event.receiver} routed to shard {dst} but not hosted"
-            )
-        self.lp.stats.remote_events_sent += 1
-        self.lp.comm.enqueue(event)
-
     def _schedule_flush(self, dst_lp: int, at: float, generation: int) -> None:
         heapq.heappush(self._flush_heap, (at, dst_lp, generation))
 
@@ -428,9 +381,7 @@ class _ShardRuntime:
             self._paused_epoch = None
         elif isinstance(message, Retire):
             self.tracer.close()
-            self.to_coordinator.put(
-                ShardRetired(self.shard_id, self._final_payload())
-            )
+            self.to_coordinator.put(ShardDone(self.shard_id, self._final_payload()))
             self._retired = True
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown IPC message: {message!r}")
@@ -496,17 +447,12 @@ class _ShardRuntime:
 
     def _restore_batch(self, batch: MigrateBatch) -> None:
         for blob in batch.checkpoints:
-            checkpoint = ObjectCheckpoint.from_bytes(blob)
-            restore_object(self.lp, checkpoint)
+            restore_object(
+                self.lp, ObjectCheckpoint.from_bytes(blob),
+                src_lp=batch.src_shard, clock=self.lp.clock,
+            )
             self._got_in += 1
             self.migrations_in += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "lp.migrate", self.lp.clock,
-                    oid=checkpoint.oid,
-                    src_lp=batch.src_shard,
-                    dst_lp=self.shard_id,
-                )
 
     def _maybe_migrate_done(self) -> None:
         if self._reconfig is None or self._got_in < self._expect_in:
@@ -536,7 +482,7 @@ class _ShardRuntime:
             or any(ctx.cmp_buffer.pending() for ctx in lp.members.values())
         )
         loads = None
-        if self._report_loads:
+        if self.plan.config.placement == "dynamic":
             # committed (not executed) counts: rollback re-execution
             # inflates the far-ahead shards' executed totals and inverts
             # the balance signal (see PlacementController)
@@ -563,17 +509,11 @@ class _ShardRuntime:
 
     def _on_commit(self, commit: GvtCommit) -> None:
         lp = self.lp
-        oracle = self.oracle
-        if oracle.enabled:
-            oracle.on_gvt_estimate(lp.clock, commit.gvt, self._committed_gvt)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "gvt.round", lp.clock,
-                algorithm="mattern", gvt=commit.gvt,
-                advanced=commit.gvt > self._committed_gvt,
-            )
+        note_estimate(
+            self.oracle, self.tracer, lp.clock,
+            "mattern", commit.gvt, self._committed_gvt,
+        )
         self._committed_gvt = max(self._committed_gvt, commit.gvt)
-        self._gvt_commits += 1
         lp.fossil_collect(commit.gvt)
 
     # ------------------------------------------------------------------ #
@@ -628,11 +568,15 @@ class _ShardRuntime:
         lp = self.lp
         lp.on_idle()
         self._flush_outbox()  # quiescence was proven; this must be a no-op
-        lp.fossil_collect(float("inf"), final=True)
-        lp.finalize()
-        oracle = self.oracle
-        if oracle.enabled:
-            oracle.on_run_end(_EndOfRunView(lp, stop))
+        # A single shard's sent/received never balance on their own: the
+        # wire checks run against the coordinator's global totals.
+        in_flight = stop.total_sent - stop.total_received
+        finish_lps(
+            [lp], lp.clock,
+            {"sent": stop.total_sent, "delivered": stop.total_received,
+             "lost": 0, "in_flight": in_flight},
+            max(0, in_flight),
+        )
         self.tracer.close()
         self.to_coordinator.put(ShardDone(self.shard_id, self._final_payload()))
 
@@ -649,8 +593,6 @@ class _ShardRuntime:
             "clock": lp.clock,
             "violations": list(oracle.violations),
             "oracle_checks": getattr(oracle, "checks", 0),
-            "committed_gvt": self._committed_gvt,
-            "gvt_commits": self._gvt_commits,
             "migrations": {
                 "in": self.migrations_in,
                 "out": self.migrations_out,
@@ -662,38 +604,9 @@ class _ShardRuntime:
                 "bytes_sent": transport.bytes_sent,
                 "batches_sent": transport.batches_sent,
                 "batches_received": transport.batches_received,
-                "wire": "shm" if self._rings_out or self._rings_in else "queue",
                 "frames_sent": self._frames_sent,
                 "frames_received": self._frames_received,
                 "ring_bytes_sent": self._ring_bytes_sent,
                 "wire_fallbacks": self._wire_fallbacks,
             },
         }
-
-
-class _GlobalWire:
-    """End-of-run wire view built from the coordinator's global totals."""
-
-    def __init__(self, sent: int, delivered: int) -> None:
-        self._sent = sent
-        self._delivered = delivered
-
-    def wire_counts(self) -> dict[str, int]:
-        return {
-            "sent": self._sent,
-            "delivered": self._delivered,
-            "lost": 0,
-            "in_flight": self._sent - self._delivered,
-        }
-
-    def undelivered_data_count(self) -> int:
-        return max(0, self._sent - self._delivered)
-
-
-class _EndOfRunView:
-    """The executive-shaped object ``InvariantOracle.on_run_end`` walks."""
-
-    def __init__(self, lp: LogicalProcess, stop: Stop) -> None:
-        self.wallclock = lp.clock
-        self.network = _GlobalWire(stop.total_sent, stop.total_received)
-        self.lps = [lp]

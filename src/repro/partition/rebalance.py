@@ -1,9 +1,9 @@
 """Load-driven move selection for dynamic placement.
 
-Both dynamic-placement drivers — the MetaController's
-:class:`~repro.control.meta.PlacementController` on the modelled backend
-and the coordinator-side balancer of the parallel backend — reduce to the
-same question: given per-object executed-event counts grouped by host,
+Both dynamic-placement drivers — the MetaController on the modelled
+backend and the coordinator of the parallel backend — ask one
+:class:`~repro.control.meta.PlacementController`, which reduces to one
+question: given per-object executed-event counts grouped by host,
 which objects should move where?  :func:`choose_moves` answers it with a
 deliberately simple greedy rule (the hottest host donates the object
 that most lowers the peak host load), because the *interesting*

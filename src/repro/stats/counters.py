@@ -104,6 +104,34 @@ class RunStats:
     per_object: dict[str, ObjectStats] = field(default_factory=dict)
     per_lp: dict[int, LPStats] = field(default_factory=dict)
 
+    def fold_lp(
+        self,
+        lp_id: int,
+        clock: float,
+        lp_stats: LPStats,
+        object_stats: dict[str, ObjectStats],
+    ) -> None:
+        """Fold one finished LP in — the one place a run total is built,
+        whoever scheduled the LP: counters add, the makespan and the
+        memory high-water marks take the max, breakdowns keep every key."""
+        self.per_lp[lp_id] = lp_stats
+        self.execution_time = max(self.execution_time, clock)
+        self.gvt_rounds += lp_stats.gvt_rounds
+        self.peak_state_entries = max(self.peak_state_entries, lp_stats.peak_state_entries)
+        self.peak_state_bytes = max(self.peak_state_bytes, lp_stats.peak_state_bytes)
+        self.peak_history_events = max(self.peak_history_events, lp_stats.peak_history_events)
+        for name, ostats in object_stats.items():
+            self.per_object[name] = ostats
+            self.committed_events += ostats.events_committed
+            self.executed_events += ostats.events_executed
+            self.rolled_back_events += ostats.events_rolled_back
+            self.rollbacks += ostats.rollbacks
+            self.state_saves += ostats.state_saves
+            self.coast_forward_events += ostats.coast_forward_events
+            self.antis_sent += ostats.antis_sent
+            self.lazy_hits += ostats.lazy_hits
+            self.lazy_misses += ostats.lazy_misses
+
     @property
     def execution_time_seconds(self) -> float:
         return self.execution_time / 1e6

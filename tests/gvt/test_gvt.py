@@ -12,7 +12,7 @@ from repro import SimulationConfig, TimeWarpSimulation
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.gvt.manager import true_global_minimum
-from repro.gvt.mattern import MatternGVT, _Agent
+from repro.gvt.mattern import ColourAgent, MatternGVT
 
 
 class TestTrueGlobalMinimum:
@@ -58,7 +58,7 @@ class TestOmniscient:
 
 class TestMatternAgent:
     def test_colouring_by_round(self):
-        agent = _Agent()
+        agent = ColourAgent()
         assert agent.note_send(5.0) == 0       # stamped round 0
         agent.enter_round(1)
         assert agent.white_sent() == 1         # pre-round send is white
@@ -66,14 +66,14 @@ class TestMatternAgent:
         assert agent.white_sent() == 1
 
     def test_receive_counting_by_stamp(self):
-        agent = _Agent()
+        agent = ColourAgent()
         agent.enter_round(1)
         agent.note_receive(0)  # white for round 1
         agent.note_receive(1)  # red for round 1
         assert agent.white_received() == 1
 
     def test_red_min_resets_per_round(self):
-        agent = _Agent()
+        agent = ColourAgent()
         agent.note_send(5.0)
         agent.enter_round(1)
         assert agent.red_min == float("inf")
@@ -81,7 +81,7 @@ class TestMatternAgent:
         assert agent.red_min == 9.0
 
     def test_entering_same_round_twice_is_idempotent(self):
-        agent = _Agent()
+        agent = ColourAgent()
         agent.enter_round(1)
         agent.note_send(3.0)
         agent.enter_round(1)

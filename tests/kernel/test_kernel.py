@@ -1,10 +1,15 @@
 """Tests for the TimeWarpSimulation facade."""
 
+import queue
+
 import pytest
 
-from repro import SimulationConfig, TimeWarpSimulation
-from repro.kernel.errors import ConfigurationError
+from repro import Mode, SimulationConfig, StaticCancellation, TimeWarpSimulation
+from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import Player, build_pingpong
+from repro.kernel.errors import ConfigurationError, SchedulingError
+from repro.parallel.worker import ShardPlan, _ShardRuntime
+from tests.helpers import make_event
 
 
 class TestConstruction:
@@ -97,3 +102,50 @@ class TestDerivedStats:
             stats.committed_events / (stats.execution_time / 1e6)
         )
         assert 0 <= stats.rollback_frequency <= 1
+
+
+class TestOneLPHost:
+    """``kernel.host_lp`` builds the LP for both schedulers: the facade's
+    LP 1 and a forked shard's LP 1 over the same members are the same LP."""
+
+    @staticmethod
+    def both_hosts():
+        params = PHOLDParams(n_objects=6, n_lps=2, jobs_per_object=1)
+        config = SimulationConfig(
+            cancellation=lambda obj: StaticCancellation(Mode.LAZY), snapshot="pickle"
+        )
+        sim = TimeWarpSimulation(build_phold(params), config)
+        plan = ShardPlan(
+            objects=[obj for group in build_phold(params) for obj in group],
+            name_to_oid=dict(sim._name_to_oid),
+            oid_to_shard=dict(sim._oid_to_lp),
+            config=config,
+            n_shards=2,
+        )
+        inboxes = {0: queue.Queue(), 1: queue.Queue()}
+        shard = _ShardRuntime(1, plan, inboxes[1], queue.Queue(), inboxes)
+        return (sim.lps[1], sim._oid_to_lp), (shard.lp, plan.oid_to_shard)
+
+    def test_shard_and_facade_build_the_same_lp(self):
+        (modelled, _), (sharded, _) = self.both_hosts()
+        assert list(sharded.members) == list(modelled.members) != []
+        for oid, ctx in modelled.members.items():
+            twin = sharded.members[oid]
+            assert twin.obj.name == ctx.obj.name
+            assert type(twin.cancel_policy) is type(ctx.cancel_policy)
+            assert type(twin.ckpt_policy) is type(ctx.ckpt_policy)
+            assert twin.mode == ctx.mode
+        assert type(sharded.snapshot_strategy) is type(modelled.snapshot_strategy)
+        assert type(sharded.comm.policy) is type(modelled.comm.policy)
+
+    def test_routing_is_one_shared_dict_and_forward_reroutes(self):
+        for lp, routing in self.both_hosts():
+            # the property live migration relies on: rewrite once, in place
+            assert lp.comm._routing is routing
+            assert lp._lp_of.__self__ is routing
+            stranger = next(oid for oid, host in routing.items() if host != lp.lp_id)
+            lp.deliver_event(make_event(sender=stranger, receiver=stranger))
+            assert lp.stats.remote_events_sent == 1  # forwarded, not crashed
+            routing[stranger] = lp.lp_id  # routed here, yet never restored here
+            with pytest.raises(SchedulingError, match="not hosted"):
+                lp.deliver_event(make_event(sender=stranger, receiver=stranger))

@@ -124,6 +124,11 @@ class TestDynamicPlacementBackend:
         sim = make_simulation(PHOLD.build_partition(), config)
         stats = sim.run()
         assert stats.committed_events == sequential_golden(PHOLD).committed
+        # the modelled backend's PlacementController decides here too: one
+        # (observed imbalance, moves) entry per consulted GVT commit
+        history = sim.placement.history
+        assert history and all(observed >= 0.0 for observed, _moves in history)
+        assert sim.migrations_in == sum(len(moves) for _observed, moves in history)
 
 
 class TestChurnValidation:

@@ -6,6 +6,7 @@ exercises construction, validation and dispatch without forking.
 """
 
 import multiprocessing
+import os
 import queue
 import subprocess
 import sys
@@ -14,12 +15,15 @@ import time
 import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation, make_simulation
+from repro.apps.pingpong import Player
 from repro.kernel.errors import ConfigurationError
 from repro.parallel import (
+    GvtCoordinator,
     ParallelSimulation,
     WorkerFailedError,
     resolve_strategy,
 )
+from repro.parallel.ipc import DrainAck, MigrateDone, ShardDone, ShardError
 from repro.verify import Scenario, run_scenario, sequential_golden
 from tests.helpers import PHOLD
 
@@ -197,16 +201,106 @@ class TestResolveStrategy:
 
 
 class TestShutdownWait:
+    """``GvtCoordinator.collect`` — the one wait on the report queue —
+    as a unit over a plain queue (no processes, so no liveness to read)."""
+
     def test_silent_worker_is_a_typed_located_error(self):
         """A worker that never sends its ShardDone must end the wait in a
         WorkerFailedError naming it — not in a bare queue.Empty."""
+        reports = queue.Queue()
+        coordinator = GvtCoordinator([None, None], reports, timeout_s=0.05)
+        reports.put(ShardDone(0))  # shard 0 reports; shard 1 never does
+        started = time.monotonic()
+        with pytest.raises(WorkerFailedError, match=r"shutdown stalled.*\[1\]"):
+            coordinator.collect(ShardDone, {0, 1}, "shutdown")
+        assert time.monotonic() - started < 1.0
+
+    def test_stale_and_foreign_records_are_dropped(self):
+        reports = queue.Queue()
+        coordinator = GvtCoordinator([None, None], reports, timeout_s=0.05)
+        for record in (
+            DrainAck(shard=0, epoch=1, probe=1, total_sent=9, total_received=9),
+            MigrateDone(shard=0, epoch=1),  # another kind entirely
+            ShardDone(5),  # a shard nobody is waiting on
+            DrainAck(shard=0, epoch=1, probe=2, total_sent=3, total_received=3),
+            DrainAck(shard=1, epoch=1, probe=2, total_sent=4, total_received=4),
+        ):
+            reports.put(record)
+        acks = coordinator.collect(
+            DrainAck, {0, 1}, "elastic epoch", match=lambda m: m.probe == 2
+        )
+        assert {shard: ack.total_sent for shard, ack in acks.items()} == {0: 3, 1: 4}
+
+    def test_shard_error_carries_the_phase_and_the_traceback(self):
+        reports = queue.Queue()
+        coordinator = GvtCoordinator([None, None], reports, timeout_s=5.0)
+        reports.put(ShardError(1, "Traceback: boom"))
+        with pytest.raises(
+            WorkerFailedError, match=r"shard 1 crashed during GVT round 3 pass 1"
+        ) as failure:
+            coordinator.collect(ShardDone, {0, 1}, "GVT round 3 pass 1")
+        assert "boom" in str(failure.value)
+
+    def test_broadcast_reaches_active_shards_only(self):
+        inboxes = [queue.Queue() for _ in range(3)]
+        coordinator = GvtCoordinator(inboxes, queue.Queue(), active={0, 2})
+        coordinator.broadcast("record")
+        assert [inbox.qsize() for inbox in inboxes] == [1, 0, 1]
+
+
+class _Crasher(Player):
+    """A ping-pong player that, in a forked worker (never in the parent),
+    kills its process outright after 40 volleys: no exception, no
+    ShardError, just exit code 7."""
+
+    parent_pid = os.getpid()
+
+    def execute_process(self, payload: int) -> None:
+        if payload > 40 and os.getpid() != self.parent_pid:
+            os._exit(7)
+        super().execute_process(payload)
+
+
+def _shm_listing():
+    try:
+        return set(os.listdir("/dev/shm"))
+    except OSError:
+        return set()
+
+
+@needs_fork
+class TestWorkerFailure:
+    def test_dead_worker_is_noticed_in_seconds_not_at_the_timeout(self):
+        """SIGKILL-style death: nothing reaches the report queue, so only
+        the liveness check on a silent tick can end the wait (timeout_s
+        stays at its 120 s default)."""
+        sim = ParallelSimulation(
+            [[_Crasher("victim", "bystander", 10_000, serve=True)],
+             [Player("bystander", "victim", 10_000)]],
+            SimulationConfig(backend="parallel", workers=2),
+        )
+        shm_before = _shm_listing()
+        started = time.monotonic()
+        with pytest.raises(WorkerFailedError, match=r"repro-shard-0 died.*exit code 7"):
+            sim.run()
+        assert time.monotonic() - started < 10.0
+        assert not any(p.is_alive() for p in sim._processes.values())
+        assert _shm_listing() <= shm_before  # every ring segment unlinked
+
+    def test_keyboard_interrupt_stops_the_fleet_promptly(self):
+        """Ctrl-C in the coordinator: workers are terminated before the
+        joins, so the interrupt surfaces at once with no child left."""
         sim = ParallelSimulation(
             PHOLD.build_partition(),
             SimulationConfig(backend="parallel", workers=2),
-            timeout_s=0.05,
         )
-        sim._report_queue = queue.Queue()  # nobody ever reports
+
+        def interrupted(coordinator, gvt_period_s):
+            raise KeyboardInterrupt
+
+        sim._drive = interrupted
         started = time.monotonic()
-        with pytest.raises(WorkerFailedError, match=r"shutdown stalled.*\[1\]"):
-            sim._collect_done({1})
-        assert time.monotonic() - started < 1.0
+        with pytest.raises(KeyboardInterrupt):
+            sim.run()
+        assert time.monotonic() - started < 3.0
+        assert not any(p.is_alive() for p in sim._processes.values())

@@ -45,6 +45,45 @@ class TestRunStats:
         assert "committed=100" in text
         assert "efficiency=0.833" in text
 
+    def test_fold_lp_adds_counters_maxes_peaks_keeps_every_key(self):
+        """The one fold both drivers use (facade ``_finish``, backend
+        ``_merge``): two hand-built LPs in, one run total out."""
+        stats = RunStats()
+        stats.fold_lp(
+            0, 900.0,
+            LPStats(gvt_rounds=3, peak_state_entries=7, peak_state_bytes=100,
+                    peak_history_events=40),
+            {"a": ObjectStats(events_committed=5, events_executed=8,
+                              events_rolled_back=3, rollbacks=2, state_saves=8,
+                              coast_forward_events=1, antis_sent=4,
+                              lazy_hits=1, lazy_misses=2)},
+        )
+        stats.fold_lp(
+            1, 400.0,
+            LPStats(gvt_rounds=2, peak_state_entries=9, peak_state_bytes=60,
+                    peak_history_events=41),
+            {"b": ObjectStats(events_committed=10, events_executed=11,
+                              events_rolled_back=1, rollbacks=1, state_saves=11,
+                              coast_forward_events=2, antis_sent=1,
+                              lazy_hits=3, lazy_misses=0),
+             "c": ObjectStats(events_committed=1, events_executed=1)},
+        )
+        assert stats.execution_time == 900.0  # the makespan: max, not sum
+        assert (stats.peak_state_entries, stats.peak_state_bytes,
+                stats.peak_history_events) == (9, 100, 41)
+        assert stats.gvt_rounds == 5
+        assert stats.committed_events == 16
+        assert stats.executed_events == 20
+        assert stats.rolled_back_events == 4
+        assert stats.rollbacks == 3
+        assert stats.state_saves == 19
+        assert stats.coast_forward_events == 3
+        assert stats.antis_sent == 5
+        assert (stats.lazy_hits, stats.lazy_misses) == (4, 2)
+        assert set(stats.per_lp) == {0, 1}
+        assert set(stats.per_object) == {"a", "b", "c"}
+        assert stats.per_object["b"].events_committed == 10
+
     def test_to_dict_is_json_serializable(self):
         import json
 
