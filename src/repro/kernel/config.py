@@ -123,7 +123,8 @@ class SimulationConfig:
 
     #: inter-shard data wire for the parallel backend: "shm" (the
     #: default) carries packed binary frames through shared-memory SPSC
-    #: rings with the queues demoted to a control/doorbell channel;
+    #: rings with the queues demoted to a control channel (an idle shard
+    #: is woken through a doorbell pipe, not a queue record);
     #: "queue" is the pure-Python fallback that pickles every DataBatch
     #: over mp.Queue (docs/parallel.md, "Wire formats").  Runs on either
     #: wire commit byte-identical results; "shm" degrades to "queue" at

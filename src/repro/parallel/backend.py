@@ -44,7 +44,7 @@ from ..partition.strategies import (
 )
 from ..stats.counters import RunStats
 from .gvt import GvtCoordinator, RoundResult
-from .shm import RING_CAPACITY, ShmRing, shm_wire_supported
+from .shm import RING_CAPACITY, ShmRing, WakeBoard, shm_wire_supported
 from .ipc import (
     DrainAck,
     DrainProbe,
@@ -195,6 +195,7 @@ class ParallelSimulation:
         #: store ordering the ring protocol relies on (shm_wire_supported)
         self.wire = self.config.wire
         self._rings: dict[tuple[int, int], ShmRing] | None = None
+        self._wakes: WakeBoard | None = None
         #: merged per-shard wire counters (frames, fallbacks) after run()
         self.wire_stats: dict[str, int] = {
             "frames_sent": 0,
@@ -270,6 +271,8 @@ class ParallelSimulation:
         pool_size = self.workers + self._join_budget
         self._inboxes = [ctx.Queue() for _ in range(pool_size)]
         self._report_queue = ctx.Queue()
+        # Likewise one doorbell per slot and one for this coordinator.
+        self._wakes = WakeBoard(pool_size)
         # One SPSC ring per directed pair, allocated for the whole
         # pre-provisioned pool (joiners inherit theirs across fork, like
         # the inboxes).  Allocation failure is not an error: the queue
@@ -293,14 +296,13 @@ class ParallelSimulation:
         elif self.wire == "shm":
             self.wire = "queue"  # single worker: nothing inter-shard
         self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
-        for shard in range(self.workers):
-            self._fork_worker(shard)
-
-        coordinator = GvtCoordinator(
-            self._inboxes, self._report_queue, timeout_s=self.timeout_s,
-            active=range(self.workers), processes=self._processes,
-        )
         try:
+            for shard in range(self.workers):
+                self._fork_worker(shard)
+            coordinator = GvtCoordinator(
+                self._inboxes, self._report_queue, timeout_s=self.timeout_s,
+                active=range(self.workers), processes=self._processes,
+            )
             last, committed = self._drive(coordinator, self.config.gvt_period / 1e6)
             coordinator.broadcast(Stop(
                 final_gvt=last.gvt if committed is None else committed,
@@ -320,6 +322,7 @@ class ParallelSimulation:
             for process in self._processes.values():
                 process.join(timeout=10.0)
             self._destroy_rings()
+            self._wakes.close()
 
         for steps in self._churn_steps.values():
             # only reachable when the run committed no GVT at all —
@@ -354,10 +357,13 @@ class ParallelSimulation:
         process = self._processes[shard] = self._ctx.Process(
             target=worker_main,
             args=(shard, plan, self._inboxes[shard], self._report_queue,
-                  dict(enumerate(self._inboxes)), self._rings),
+                  dict(enumerate(self._inboxes)), self._rings, self._wakes),
             name=f"repro-shard-{shard}",
             daemon=True,
         )
+        # busy before it exists: a shard that runs dry while this one is
+        # still starting up must not take the fleet for idle
+        self._wakes.mark_busy(shard)
         process.start()
 
     # ------------------------------------------------------------------ #
@@ -392,10 +398,14 @@ class ParallelSimulation:
                             self._run_churn_step(coordinator, step)
                     continue
                 return result, committed
-            # Busy fleet: next round after the configured period.  Idle
-            # fleet (draining in-flight work or final reds): spin fast so
+            # Busy fleet: next round after the configured period, or as
+            # soon as the last busy shard runs dry and rings.  Idle fleet
+            # (draining in-flight work or final reds): spin fast so
             # termination is detected promptly.
-            time.sleep(gvt_period_s if result.any_active else QUIET_SLEEP_S)
+            if result.any_active:
+                self._wakes.wait(self._wakes.coordinator, timeout=gvt_period_s)
+            else:
+                time.sleep(QUIET_SLEEP_S)
 
     # ------------------------------------------------------------------ #
     # elastic epochs: pause -> drain -> move -> resume (docs/parallel.md)
@@ -515,11 +525,9 @@ class ParallelSimulation:
         )
         for shard, retired in retirements.items():
             transport = retired.payload["transport"]
-            coordinator.retire_worker(
-                shard,
-                transport["messages_sent"],
-                transport["messages_received"],
-            )
+            totals = transport["messages_sent"], transport["messages_received"]
+            coordinator.retire_worker(shard, *totals)
+            self._wakes.mark_dry(shard, *totals)  # dry for good
             self._retired_payloads[shard] = retired.payload
             self._processes[shard].join(timeout=10.0)
         coordinator.broadcast(Resume(epoch))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import queue as queue_mod
 import time
 from dataclasses import dataclass
+from multiprocessing import connection
 
 from .ipc import GvtStart, ShardError, ShardReport
 
@@ -136,6 +137,8 @@ class GvtCoordinator:
         if deadline is None:
             deadline = time.monotonic() + self._timeout_s
         got: dict[int, object] = {}
+        #: the queue's pipe (None over a plain in-process queue)
+        reader = getattr(self._reports, "_reader", None)
         while expected:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -143,10 +146,23 @@ class GvtCoordinator:
                     f"{phase} stalled: no {kind.__name__} from "
                     f"shard(s) {sorted(expected)} within {self._timeout_s:g}s"
                 )
+            tick = min(remaining, 1.0)
             try:
-                message = self._reports.get(timeout=min(remaining, 1.0))
+                if reader is None:
+                    message = self._reports.get(timeout=tick)
+                else:
+                    # a record, or the death of a shard we are waiting on
+                    connection.wait(
+                        [reader] + [
+                            process.sentinel
+                            for shard, process in self._processes.items()
+                            if shard in expected
+                        ],
+                        tick,
+                    )
+                    message = self._reports.get_nowait()
             except queue_mod.Empty:
-                # Only on a silent tick: a traceback queued before dying
+                # Only on a silent wake: a traceback queued before dying
                 # wins.  Only expected shards: retired leavers are exempt.
                 dead = [
                     process for shard, process in sorted(self._processes.items())

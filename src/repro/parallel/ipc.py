@@ -5,9 +5,11 @@ records below, travelling over ``multiprocessing`` queues.  With the
 default ``wire="shm"`` the bulk data path — :class:`DataBatch` — instead
 travels as packed binary frames through shared-memory rings
 (:mod:`repro.parallel.wire` / :mod:`repro.parallel.shm`) and the queues
-carry only control records, doorbells, and the occasional oversized
-batch that escapes back to pickle; with ``wire="queue"`` every record
-below travels the queues:
+carry only control records and the occasional oversized batch that
+escapes back to pickle; with ``wire="queue"`` every record below travels
+the queues.  Wake-ups are not records: an idle shard's doorbell and the
+coordinator's "fleet ran dry" hint are single bytes on the pipes of
+:class:`repro.parallel.shm.WakeBoard`:
 
 * shard -> shard: :class:`DataBatch` — every application
   :class:`~repro.comm.message.PhysicalMessage` the sender accumulated
@@ -46,17 +48,6 @@ class DataBatch:
 
     src_shard: int
     envelopes: tuple[Envelope, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class Doorbell:
-    """Shm-wire wakeup: "I pushed a frame into your ring while your
-    waiting flag was set".  Carries no data — the frames live in the
-    rings — and duplicates are harmless; the receiver just re-polls.
-    With ``wire="shm"`` the queues carry only control traffic like this
-    (see docs/parallel.md, "Wire formats")."""
-
-    src_shard: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -32,17 +32,19 @@ monotonically, so ``full`` vs ``empty`` is never ambiguous.
 *caller's* job (the worker drains its own inbound rings while waiting,
 which is what makes mutual-full deadlock impossible; see
 ``worker._send_batch``).  The header also carries a consumer-waiting
-flag: the consumer sets it before blocking on its control queue, the
-producer tests-and-clears it after a push and, if it was set, sends a
-``Doorbell`` down the (slow, syscall) queue to wake the consumer.
-Duplicate or stale doorbells are harmless no-ops.
+flag: the consumer sets it before blocking, the producer tests-and-clears
+it after a push and, if it was set, rings the consumer's doorbell — one
+byte written to a pipe in the consumer's wait set (:class:`WakeBoard`).
+Duplicate or stale rings are harmless: the consumer just re-polls.
 """
 
 from __future__ import annotations
 
+import mmap
+import os
 import platform
 import struct
-from multiprocessing import shared_memory
+from multiprocessing import connection, shared_memory
 
 from .wire import WireFormatError
 
@@ -243,3 +245,95 @@ class ShmRing:
                 self._shm.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
+
+
+class WakeBoard:
+    """The fleet's doorbells and its *dry board*, shared by fork.
+
+    One non-blocking pipe per pool slot plus one for the coordinator
+    (slot :attr:`coordinator`).  A ring is a single ``os.write`` from the
+    producer's main thread — no feeder thread has to win the GIL first —
+    and the owner blocks in one ``wait`` on its pipe together with
+    whatever else can wake it.
+
+    The board, an anonymous shared mapping (no ``/dev/shm`` entry to
+    leak), makes the coordinator's period wait event-driven.  Per slot it
+    holds a *busy* byte and the slot's lifetime sent / received message
+    totals: the backend marks a slot busy before forking it, a shard
+    publishes its totals and clears its byte while it blocks *dry*, and
+    the shard that then finds no busy byte and the totals in balance —
+    nobody working, nothing in flight — rings the coordinator.  That ring
+    is only a hint that a GVT round is worth starting now: quiescence is
+    still proven by the round, a lost hint costs one period and a stale
+    one one extra round.
+    """
+
+    def __init__(self, slots: int) -> None:
+        self.coordinator = slots
+        self._pipes: list[tuple[int, int]] = []
+        #: u64 (sent, received) per slot, then one busy byte per slot
+        self._board = mmap.mmap(-1, 17 * slots)
+        self._totals = memoryview(self._board)[:16 * slots].cast("Q")
+        self._busy_at = 16 * slots
+        self._all_dry = bytes(slots)
+        try:
+            for _ in range(slots + 1):
+                self._pipes.append(os.pipe())
+                for fd in self._pipes[-1]:
+                    os.set_blocking(fd, False)
+        except OSError:
+            self.close()
+            raise
+
+    def ring(self, slot: int) -> None:
+        try:
+            os.write(self._pipes[slot][1], b"\0")
+        except BlockingIOError:
+            pass  # pipe full: wake-ups are already pending
+
+    def mark_busy(self, slot: int) -> None:
+        self._board[self._busy_at + slot] = 1
+
+    def mark_dry(self, slot: int, sent: int, received: int) -> None:
+        """Publish ``slot`` as out of work (for a wait, or for good at
+        retirement); the totals are stored before the byte drops."""
+        totals = self._totals
+        totals[2 * slot] = sent
+        totals[2 * slot + 1] = received
+        self._board[self._busy_at + slot] = 0
+
+    def wait(self, slot: int, readers=(), timeout=None, *, dry=None) -> None:
+        """Block until ``slot``'s doorbell rings, one of ``readers`` is
+        readable or ``timeout`` seconds pass, then drain the doorbell.
+
+        ``dry=(sent, received)`` publishes the wait as "this shard has
+        run out of work" and rings the coordinator if that leaves the
+        whole fleet dry with its totals in balance.
+        """
+        bell = self._pipes[slot][0]
+        if dry is not None:
+            self.mark_dry(slot, *dry)
+            totals = self._totals
+            if (
+                self._board[self._busy_at:] == self._all_dry
+                and sum(totals[0::2]) == sum(totals[1::2])
+            ):
+                self.ring(self.coordinator)
+        ready = connection.wait([bell, *readers], timeout)
+        if dry is not None:
+            self.mark_busy(slot)
+        if bell in ready:
+            try:
+                while len(os.read(bell, 4096)) == 4096:
+                    pass
+            except BlockingIOError:
+                pass
+
+    def close(self) -> None:
+        """Close every pipe end and the mapping (idempotent)."""
+        for fds in self._pipes:
+            for fd in fds:
+                os.close(fd)
+        self._pipes = []
+        self._totals.release()  # the mmap cannot close under a live view
+        self._board.close()

@@ -9,7 +9,7 @@ schedulers"); this module owns what only a real process can do:
 
 * a poll loop racing the wall clock: execute a slice, look at the data
   wire (inbound rings, outbox), poll the inbox queue for control records,
-  block on a doorbell when idle;
+  and when idle block on the inbox pipe and the shard's doorbell at once;
 * a flush scheduler for aging DyMA aggregates (a small heap against the
   LP's modelled clock, since there is no global modelled NOW);
 * the shard's end of the coordinator star: Mattern colouring of every
@@ -43,7 +43,6 @@ from ..kernel.simobject import SimulationObject
 from ..trace.tracer import NULL_TRACER, Tracer
 from .ipc import (
     DataBatch,
-    Doorbell,
     DrainAck,
     DrainProbe,
     GvtCommit,
@@ -75,7 +74,9 @@ EXECUTE_SLICE = 32
 #: (sweep in EXPERIMENTS.md, "Why two workers were slower than one").
 RING_SLICE = 8
 
-#: idle blocking-wait granularity on the inbox, seconds
+#: liveness backstop of an idle wait, seconds.  Every wake-up has an
+#: event behind it — a record on the inbox pipe, a producer's ring of the
+#: doorbell — so this only bounds what a lost one could cost.
 IDLE_WAIT_S = 0.005
 
 #: wait while blocked pushing into a full outbound ring, seconds.  The
@@ -109,15 +110,16 @@ class ShardPlan:
 
 
 def worker_main(shard_id: int, plan: ShardPlan, inbox, to_coordinator,
-                out_queues, rings=None) -> None:
+                out_queues, rings=None, wakes=None) -> None:
     """Process entry point: run the shard, always report home.
 
     ``rings`` is the backend's full ``(src, dst) -> ShmRing`` map (shared
-    segments inherited across fork), or ``None`` for the queue wire.
+    segments inherited across fork), or ``None`` for the queue wire;
+    ``wakes`` is its :class:`~repro.parallel.shm.WakeBoard`.
     """
     try:
         _ShardRuntime(
-            shard_id, plan, inbox, to_coordinator, out_queues, rings
+            shard_id, plan, inbox, to_coordinator, out_queues, rings, wakes
         ).run()
     except BaseException:
         # A crash is a finding for the parent, not a silent exit code.
@@ -128,12 +130,15 @@ class _ShardRuntime:
     """One worker's live state: LP, transport, colour agent, flush heap."""
 
     def __init__(self, shard_id: int, plan: ShardPlan, inbox, to_coordinator,
-                 out_queues, rings=None) -> None:
+                 out_queues, rings=None, wakes=None) -> None:
         self.shard_id = shard_id
         self.plan = plan
         self.inbox = inbox
         self.to_coordinator = to_coordinator
         self.out_queues = out_queues
+        #: the fleet's doorbells (None builds a shard that can be
+        #: inspected but not run: it has nothing to go idle on)
+        self._wakes = wakes
         config = plan.config
         if config.pin_cores and hasattr(os, "sched_setaffinity"):
             try:
@@ -310,30 +315,29 @@ class _ShardRuntime:
         return absorbed
 
     def _wait_one(self) -> None:
-        rings = self._rings_in
-        if rings:
-            # Sleep-wakeup protocol: raise the waiting flags, re-poll the
-            # rings (a frame may have landed before the flag was visible),
-            # then block on the control queue — a producer that observes
-            # the flag after its push rings the Doorbell there.
-            for ring in rings.values():
-                ring.set_waiting()
+        # Sleep-wakeup protocol: raise the waiting flags, re-poll (a frame
+        # may have landed before the flag was visible), then block on the
+        # inbox pipe and this shard's doorbell together — a producer that
+        # observes the flag after its push rings the doorbell.
+        rings = self._rings_in.values()
+        for ring in rings:
+            ring.set_waiting()
+        message = self._next_nowait()
+        if message is None:
+            # Out of work, so dry — unless paused in an elastic epoch
+            # (its migration traffic is not in the totals).
+            dry = None
+            if self._paused_epoch is None:
+                transport = self.transport
+                dry = transport.messages_sent, transport.messages_received
+            self._wakes.wait(
+                self.shard_id, (self.inbox._reader,), IDLE_WAIT_S, dry=dry
+            )
             message = self._next_nowait()
-            if message is None:
-                try:
-                    message = self.inbox.get(timeout=IDLE_WAIT_S)
-                except queue_mod.Empty:
-                    message = None
-            for ring in rings.values():
-                ring.clear_waiting()
-            if message is not None:
-                self._handle(message)
-            return
-        try:
-            message = self.inbox.get(timeout=IDLE_WAIT_S)
-        except queue_mod.Empty:
-            return
-        self._handle(message)
+        for ring in rings:
+            ring.clear_waiting()
+        if message is not None:
+            self._handle(message)
 
     def _handle(self, message) -> None:
         if isinstance(message, DataBatch):
@@ -344,8 +348,6 @@ class _ShardRuntime:
                 self.transport.note_received(physical)
                 if physical.kind is MessageKind.DATA:
                     lp.receive_physical(physical.size_bytes(), physical.events)
-        elif isinstance(message, Doorbell):
-            pass  # wakeup only; the frames are already visible in the rings
         elif isinstance(message, GvtStart):
             # Entering the round first makes every later send red.
             self.agent.enter_round(message.round)
@@ -556,7 +558,7 @@ class _ShardRuntime:
                     self._frames_sent += 1
                     self._ring_bytes_sent += len(frame)
                     if ring.take_waiting():
-                        self.out_queues[dst].put(Doorbell(self.shard_id))
+                        self._wakes.ring(dst)
                     return
             self._wire_fallbacks += 1
         self.out_queues[dst].put(DataBatch(self.shard_id, envelopes))

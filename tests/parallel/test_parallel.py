@@ -5,9 +5,13 @@ app/worker-count through module-scoped fixtures; everything else
 exercises construction, validation and dispatch without forking.
 """
 
+import gc
+import mmap
 import multiprocessing
 import os
 import queue
+import signal
+import struct
 import subprocess
 import sys
 import time
@@ -70,6 +74,30 @@ class TestDifferential:
         assert text.startswith("PASS phold end_time=300.0 backend=parallel workers=2")
         assert "committed 167/167" in text
         assert "oracle check(s)" in text
+
+
+@needs_fork
+class TestEventDrivenTermination:
+    """The coordinator's period wait ends when the last busy shard runs
+    dry, so a run shorter than one GVT period no longer lasts a period."""
+
+    PERIOD_US = 2_000_000.0
+
+    @pytest.mark.parametrize(
+        "axes",
+        [{"workers": 2, "wire": "shm"}, {"workers": 2, "wire": "queue"},
+         {"workers": 1}],
+        ids=["shm", "queue", "one-worker"],
+    )
+    def test_run_does_not_wait_out_the_gvt_period(self, axes):
+        result = run_scenario(PHOLD.with_(
+            backend="parallel", gvt_period=self.PERIOD_US, **axes
+        ))
+        assert result.ok, result.describe()
+        assert result.committed == result.expected > 0
+        # the first round always finds the fleet active, and the next one
+        # used to start a full period later
+        assert result.wall_s < self.PERIOD_US / 1e6, result.describe()
 
 
 def test_importing_the_backend_does_not_import_the_harness():
@@ -257,8 +285,22 @@ class _Crasher(Player):
 
     def execute_process(self, payload: int) -> None:
         if payload > 40 and os.getpid() != self.parent_pid:
-            os._exit(7)
+            self.die()
         super().execute_process(payload)
+
+    def die(self) -> None:
+        os._exit(7)
+
+
+class _Victim(_Crasher):
+    """SIGKILLed instead, leaving the time of death (CLOCK_MONOTONIC, one
+    clock for the host) in a page shared with the parent."""
+
+    died_at = mmap.mmap(-1, 8)
+
+    def die(self) -> None:
+        self.died_at[:] = struct.pack("d", time.monotonic())
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _shm_listing():
@@ -266,6 +308,23 @@ def _shm_listing():
         return set(os.listdir("/dev/shm"))
     except OSError:
         return set()
+
+
+def _open_resources(want=None):
+    """(open fds, /dev/shm entries), re-read until it equals ``want`` —
+    without one, until it stops changing: the feeder threads of a run's
+    queues close their pipe ends a moment after the run returns."""
+    deadline = time.monotonic() + 5.0
+    previous = None
+    while True:
+        gc.collect()
+        now = (len(os.listdir("/proc/self/fd")), len(_shm_listing()))
+        if now == (previous if want is None else want):
+            return now
+        if time.monotonic() > deadline:
+            return now
+        previous = now
+        time.sleep(0.05)
 
 
 @needs_fork
@@ -287,6 +346,24 @@ class TestWorkerFailure:
         assert not any(p.is_alive() for p in sim._processes.values())
         assert _shm_listing() <= shm_before  # every ring segment unlinked
 
+    def test_killed_worker_ends_the_wait_at_once(self):
+        """The victim's process sentinel is in the coordinator's wait set:
+        its death ends the wait, not the next 1 s silent tick."""
+        sim = ParallelSimulation(
+            [[_Victim("victim", "bystander", 10_000, serve=True)],
+             [Player("bystander", "victim", 10_000)]],
+            SimulationConfig(backend="parallel", workers=2),
+        )
+        shm_before = _shm_listing()
+        with pytest.raises(
+            WorkerFailedError, match=r"repro-shard-0 died.*exit code -9"
+        ):
+            sim.run()
+        (died_at,) = struct.unpack("d", _Victim.died_at[:])
+        assert 0.0 < time.monotonic() - died_at < 1.0
+        assert not any(p.is_alive() for p in sim._processes.values())
+        assert _shm_listing() <= shm_before
+
     def test_keyboard_interrupt_stops_the_fleet_promptly(self):
         """Ctrl-C in the coordinator: workers are terminated before the
         joins, so the interrupt surfaces at once with no child left."""
@@ -304,3 +381,49 @@ class TestWorkerFailure:
             sim.run()
         assert time.monotonic() - started < 3.0
         assert not any(p.is_alive() for p in sim._processes.values())
+
+
+@needs_fork
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+)
+class TestNothingLeftOpen:
+    JOIN_AND_LEAVE = {
+        "seed": 2,
+        "steps": [
+            {"at": 1, "kind": "join", "count": 1},
+            {"at": 2, "kind": "leave", "count": 1},
+        ],
+    }
+
+    @staticmethod
+    def _run(churn=None):
+        config = SimulationConfig(
+            backend="parallel", workers=2, end_time=PHOLD.end_time,
+            gvt_period=1_000.0, churn=churn,
+        )
+        sim = ParallelSimulation(PHOLD.build_partition(), config)
+        sim.run()
+        return sim.worker_timeline
+
+    def test_twenty_runs_leave_no_fd_and_no_segment(self):
+        self._run()  # lazy process-wide state (shm resource tracker)
+        before = _open_resources()
+        for index in range(20):
+            timeline = self._run(self.JOIN_AND_LEAVE if index == 7 else None)
+            if index == 7:  # the pool grew and shrank
+                assert [n for _at, n in timeline] == [2, 3, 2]
+        assert _open_resources(before) == before
+
+    def test_a_failed_run_closes_its_wake_fds_too(self):
+        self._run()
+        before = _open_resources()
+        sim = ParallelSimulation(
+            [[_Crasher("victim", "bystander", 10_000, serve=True)],
+             [Player("bystander", "victim", 10_000)]],
+            SimulationConfig(backend="parallel", workers=2),
+        )
+        with pytest.raises(WorkerFailedError):
+            sim.run()
+        del sim
+        assert _open_resources(before) == before

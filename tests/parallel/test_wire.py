@@ -9,7 +9,10 @@ delivery across wraparound with honest backpressure (``try_push`` ->
 """
 
 import multiprocessing
+import os
 import queue as queue_mod
+import select
+import time
 import types
 from collections import deque
 
@@ -27,6 +30,7 @@ from repro.parallel.shm import (
     RingCorruptError,
     RingRecordTooLarge,
     ShmRing,
+    WakeBoard,
     shm_wire_supported,
 )
 from repro.parallel.wire import (
@@ -348,6 +352,84 @@ class TestShmRing:
         with pytest.raises(RingCorruptError) as caught:
             ring.try_pop()
         assert (caught.value.head, caught.value.tail, caught.value.n) == (0, 8, 5)
+
+
+class TestWakeBoard:
+    """Doorbells and busy bytes, driven from one process (the two-process
+    protocol test is tests/parallel/test_wake_xproc.py)."""
+
+    @pytest.fixture()
+    def board(self):
+        board = WakeBoard(2)
+        yield board
+        board.close()
+
+    @staticmethod
+    def rung(board, slot):
+        return bool(select.select([board._pipes[slot][0]], [], [], 0)[0])
+
+    def test_a_ring_ends_the_wait_and_is_drained_by_it(self, board):
+        board.ring(1)
+        board.ring(1)  # duplicates coalesce into one wake-up
+        started = time.monotonic()
+        board.wait(1, timeout=30.0)
+        assert time.monotonic() - started < 5.0
+        assert not self.rung(board, 1)
+        assert not self.rung(board, 0)  # nobody else's bell moved
+
+    def test_wait_returns_on_a_readable_reader_or_the_timeout(self, board):
+        r, w = os.pipe()
+        try:
+            started = time.monotonic()
+            board.wait(0, timeout=0.01)
+            assert time.monotonic() - started < 5.0
+            os.write(w, b"x")
+            board.wait(0, (r,), timeout=30.0)
+            assert time.monotonic() - started < 5.0
+            assert os.read(r, 8) == b"x"  # the reader is the caller's to drain
+        finally:
+            os.close(r)
+            os.close(w)
+
+    def test_a_full_pipe_is_not_an_error(self, board):
+        for _ in range(70_000):  # past the 64 KiB pipe buffer
+            board.ring(0)
+        board.wait(0, timeout=30.0)
+        assert not self.rung(board, 0)
+
+    def test_the_last_busy_slot_to_go_dry_rings_the_coordinator(self, board):
+        board.mark_busy(0)
+        board.mark_busy(1)
+        board.wait(0, timeout=0, dry=(0, 0))
+        assert not self.rung(board, board.coordinator)  # slot 1 is busy
+        board.mark_dry(1, 0, 0)  # retired, or blocked dry itself
+        board.wait(0, timeout=0)  # an ordinary wait says nothing
+        assert not self.rung(board, board.coordinator)
+        board.wait(0, timeout=0, dry=(0, 0))
+        assert self.rung(board, board.coordinator)
+        board.wait(board.coordinator, timeout=30.0)
+        # slot 0 came back busy from both dry waits
+        board.wait(1, timeout=0, dry=(0, 0))
+        assert not self.rung(board, board.coordinator)
+
+    def test_a_message_in_flight_holds_the_hint_back(self, board):
+        board.mark_dry(1, 0, 0)
+        board.wait(0, timeout=0, dry=(3, 0))  # slot 1 has yet to receive 3
+        assert not self.rung(board, board.coordinator)
+        board.mark_dry(0, 3, 0)
+        board.wait(1, timeout=0, dry=(2, 3))  # ... and slot 0 its 2 replies
+        assert not self.rung(board, board.coordinator)
+        board.mark_dry(1, 2, 3)
+        board.wait(0, timeout=0, dry=(3, 2))
+        assert self.rung(board, board.coordinator)
+
+    def test_close_is_idempotent_and_closes_every_fd(self):
+        before = len(os.listdir("/proc/self/fd"))
+        board = WakeBoard(3)
+        assert len(os.listdir("/proc/self/fd")) == before + 8
+        board.close()
+        board.close()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestShmWireSupported:
