@@ -57,6 +57,17 @@ def default_aggregation(_lp_id: int) -> "AggregationPolicy":
 
 _CHURN_KINDS = ("migrate", "join", "leave")
 
+#: :class:`SimulationConfig` fields ``backend="parallel"`` refuses when
+#: set (truthy: their defaults are ``None``, ``False`` and ``[]``).  Their
+#: semantics are tied to the single-process modelled cluster, so the
+#: backend fails loudly instead of silently ignoring them.  The table in
+#: docs/parallel.md and the verify lattice (``FIELD_BACKENDS`` in
+#: :mod:`repro.verify.scenario`) are tested against this tuple.
+PARALLEL_UNSUPPORTED = (
+    "faults", "time_window", "meta_control", "external_script",
+    "timeline", "record_trace", "tracer",
+)
+
 
 def validate_churn_plan(plan: dict) -> None:
     """Structurally validate a churn plan (see :attr:`SimulationConfig.churn`).
@@ -121,26 +132,14 @@ class SimulationConfig:
     #: worker-process count for the parallel backend (ignored otherwise)
     workers: int = 1
 
-    #: inter-shard data wire for the parallel backend: "shm" (the
-    #: default) carries packed binary frames through shared-memory SPSC
-    #: rings with the queues demoted to a control channel (an idle shard
-    #: is woken through a doorbell pipe, not a queue record);
-    #: "queue" is the pure-Python fallback that pickles every DataBatch
-    #: over mp.Queue (docs/parallel.md, "Wire formats").  Runs on either
-    #: wire commit byte-identical results; "shm" degrades to "queue" at
-    #: run time if shared memory cannot be allocated.
-    wire: str = "shm"
-
-    #: not a field (passing it to the constructor is a ``TypeError``): the
-    #: frozen end-to-end benchmark reads this name for its provenance line
-    #: (see :mod:`repro.kernel.arena`); there is one event store
+    #: not fields (passing either to the constructor is a ``TypeError``):
+    #: the frozen end-to-end benchmark reads these names for its
+    #: provenance line and both go with the next ``benchmark`` PR.  There
+    #: is one event store (see :mod:`repro.kernel.arena`), and the data
+    #: wire of a parallel run is chosen by the backend from what it
+    #: observes and reported as ``ParallelSimulation.wire``.
     fastpath: ClassVar[None] = None
-
-    #: pin each parallel worker to one CPU core via os.sched_setaffinity
-    #: (ROOT-Sim style).  Off by default: binding helps when cores >=
-    #: workers and hurts when the fleet is oversubscribed.  Ignored on
-    #: platforms without sched_setaffinity and by the modelled backend.
-    pin_cores: bool = False
+    wire: ClassVar[str] = "shm"
 
     #: how the kernel copies states for checkpoints and restores: a
     #: registry name ("copy", "pickle", "deepcopy") or a
@@ -229,28 +228,15 @@ class SimulationConfig:
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.backend == "parallel":
-            # Features whose semantics are tied to the single-process
-            # modelled cluster; fail loudly instead of silently ignoring.
-            unsupported = [
-                ("faults", self.faults is not None),
-                ("time_window", self.time_window is not None),
-                ("meta_control", self.meta_control is not None),
-                ("external_script", bool(self.external_script)),
-                ("timeline", self.timeline is not None),
-                ("record_trace", self.record_trace),
-                ("tracer", self.tracer is not None),
+            offending = [
+                name for name in PARALLEL_UNSUPPORTED if getattr(self, name)
             ]
-            offending = [name for name, active in unsupported if active]
             if offending:
                 raise ConfigurationError(
                     f"backend='parallel' does not support: "
                     f"{', '.join(offending)} (see docs/parallel.md; "
                     "per-shard tracing uses ParallelSimulation(trace_dir=...))"
                 )
-        if self.wire not in ("shm", "queue"):
-            raise ConfigurationError(
-                f"unknown wire {self.wire!r} (known: 'shm', 'queue')"
-            )
         if self.gvt_algorithm not in ("omniscient", "mattern"):
             raise ConfigurationError(
                 f"unknown GVT algorithm {self.gvt_algorithm!r}"

@@ -6,10 +6,12 @@ input, same ``run() -> RunStats`` output, but the LPs execute in separate
 OS processes (one LP per worker — the process boundary is the address
 space the paper's LP abstraction stands for).  Inter-shard events travel
 behind the DyMA aggregation buffers as packed binary frames through
-shared-memory SPSC rings (``wire="shm"``, the default; see
+shared-memory SPSC rings (the ``shm`` wire; see
 :mod:`repro.parallel.wire` and :mod:`repro.parallel.shm`) or as pickled
-batches over ``multiprocessing`` queues (``wire="queue"``, the pure
-fallback); the parent process runs Mattern-colour GVT rounds
+batches over ``multiprocessing`` queues (the ``queue`` wire, the pure
+fallback).  Which one is not configured: ``run()`` takes the rings
+whenever the machine supports them and reports the choice as
+``sim.wire``.  The parent process runs Mattern-colour GVT rounds
 (:mod:`repro.parallel.gvt`), drives fossil collection, detects
 termination, and merges the per-shard statistics into one
 :class:`~repro.stats.counters.RunStats`.
@@ -189,11 +191,11 @@ class ParallelSimulation:
             if self.config.placement == "dynamic" else None
         )
 
-        #: the wire actually used, resolved at run(): config.wire, with
-        #: "shm" degrading to "queue" if shared memory is unavailable,
-        #: the run has a single worker, or the CPU lacks the x86-TSO
-        #: store ordering the ring protocol relies on (shm_wire_supported)
-        self.wire = self.config.wire
+        #: the wire actually used, observed at run(): "shm" when there is
+        #: more than one pool slot, the CPU has the x86-TSO store ordering
+        #: the ring protocol relies on (shm_wire_supported) and every
+        #: ring allocates; "queue", the always-works fallback, otherwise
+        self.wire = "queue"
         self._rings: dict[tuple[int, int], ShmRing] | None = None
         self._wakes: WakeBoard | None = None
         #: merged per-shard wire counters (frames, fallbacks) after run()
@@ -275,13 +277,11 @@ class ParallelSimulation:
         self._wakes = WakeBoard(pool_size)
         # One SPSC ring per directed pair, allocated for the whole
         # pre-provisioned pool (joiners inherit theirs across fork, like
-        # the inboxes).  Allocation failure is not an error: the queue
-        # wire is the always-works fallback.
-        if self.wire == "shm" and not shm_wire_supported():
-            # The ring protocol needs x86-TSO store ordering; on weaker
-            # memory models the queue wire is the only safe one.
-            self.wire = "queue"
-        if self.wire == "shm" and pool_size > 1:
+        # the inboxes).  The ring protocol needs x86-TSO store ordering,
+        # and a single slot has nothing inter-shard to carry.  Allocation
+        # failure is not an error: the queue wire is the always-works
+        # fallback.
+        if pool_size > 1 and shm_wire_supported():
             self._rings = {}
             try:
                 for src in range(pool_size):
@@ -290,11 +290,9 @@ class ParallelSimulation:
                             self._rings[(src, dst)] = ShmRing.create(
                                 RING_CAPACITY
                             )
+                self.wire = "shm"
             except (OSError, ValueError):
                 self._destroy_rings()
-                self.wire = "queue"
-        elif self.wire == "shm":
-            self.wire = "queue"  # single worker: nothing inter-shard
         self._processes: dict[int, multiprocessing.process.BaseProcess] = {}
         try:
             for shard in range(self.workers):

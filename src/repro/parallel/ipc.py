@@ -1,12 +1,12 @@
 """Control-plane records of the process-sharded backend.
 
 Everything that crosses a process boundary is one of the picklable
-records below, travelling over ``multiprocessing`` queues.  With the
-default ``wire="shm"`` the bulk data path — :class:`DataBatch` — instead
+records below, travelling over ``multiprocessing`` queues.  On the
+``shm`` wire the bulk data path — :class:`DataBatch` — instead
 travels as packed binary frames through shared-memory rings
 (:mod:`repro.parallel.wire` / :mod:`repro.parallel.shm`) and the queues
 carry only control records and the occasional oversized batch that
-escapes back to pickle; with ``wire="queue"`` every record below travels
+escapes back to pickle; on the ``queue`` wire every record below travels
 the queues.  Wake-ups are not records: an idle shard's doorbell and the
 coordinator's "fleet ran dry" hint are single bytes on the pipes of
 :class:`repro.parallel.shm.WakeBoard`:

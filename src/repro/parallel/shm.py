@@ -17,9 +17,9 @@ sees a cursor of 0 (tests/parallel/test_ring_xproc.py hammers this), so
 the cursors are items of a ``"Q"``-cast memoryview over the header.
 The ordering assumption is load-bearing too:
 :func:`shm_wire_supported` answers whether the current machine provides
-it, and the parallel backend silently degrades ``wire="shm"`` to the
-queue wire where it does not (weakly ordered CPUs could observe a
-published cursor before the payload bytes and decode torn frames).
+it, and the parallel backend runs the queue wire where it does not
+(weakly ordered CPUs could observe a published cursor before the
+payload bytes and decode torn frames).
 
 Record framing: ``u32`` length + payload, written contiguously.  When a
 record does not fit in the space before the physical end of the segment,
@@ -74,8 +74,7 @@ def shm_wire_supported(machine: str | None = None) -> bool:
     cursor publish.  CPython emits no fences, so on weakly ordered
     machines (aarch64, ppc64le, ...) the consumer could observe the new
     cursor before the payload bytes and decode a torn frame.  The
-    parallel backend consults this to degrade ``wire="shm"`` to the
-    queue wire silently off x86.
+    parallel backend consults this and runs the queue wire off x86.
     """
     if machine is None:
         machine = platform.machine()

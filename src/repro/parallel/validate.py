@@ -69,11 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "worker leave, differential against the sequential golden",
     )
     parser.add_argument(
-        "--wire", default=None, choices=("shm", "queue"),
-        help="inter-shard data wire (default: the config default, shm); "
-             "the CI parity matrix runs both and compares digests",
-    )
-    parser.add_argument(
         "--gvt-period", type=float, default=None,
         help="wall-clock GVT period in microseconds (churn plans want a "
              "short one so every step's commit index is reached)",
@@ -99,7 +94,7 @@ def scenarios_from_args(args: argparse.Namespace) -> list[Scenario]:
     scenarios = [
         Scenario(
             app=app, end_time=END_TIMES[app], backend="parallel",
-            workers=args.workers, wire=args.wire, churn=churn, **knobs,
+            workers=args.workers, churn=churn, **knobs,
         )
         for app in args.app or sorted(END_TIMES)
     ]

@@ -23,7 +23,6 @@ schedulers"); this module owns what only a real process can do:
 from __future__ import annotations
 
 import heapq
-import os
 import queue as queue_mod
 import time
 import traceback
@@ -140,12 +139,6 @@ class _ShardRuntime:
         #: inspected but not run: it has nothing to go idle on)
         self._wakes = wakes
         config = plan.config
-        if config.pin_cores and hasattr(os, "sched_setaffinity"):
-            try:
-                cpus = sorted(os.sched_getaffinity(0))
-                os.sched_setaffinity(0, {cpus[shard_id % len(cpus)]})
-            except OSError:  # pragma: no cover - affinity is best-effort
-                pass
 
         # -- shm wire (docs/parallel.md, "Wire formats") ----------------- #
         rings = rings or {}

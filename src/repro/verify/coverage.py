@@ -13,7 +13,7 @@ to push runs into unexplored lattice regions.
 
 from __future__ import annotations
 
-from .scenario import Scenario
+from .scenario import AXES, Scenario
 
 
 def bucket(n: int) -> str:
@@ -25,19 +25,6 @@ def bucket(n: int) -> str:
     if n < 100:
         return "10-99"
     return "100+"
-
-
-def _checkpoint_feature(checkpoint: int | str) -> str:
-    if checkpoint == "dynamic":
-        return "ckpt:dynamic"
-    chi = int(checkpoint)
-    if chi == 1:
-        return "ckpt:1"
-    if chi <= 4:
-        return "ckpt:2-4"
-    if chi <= 16:
-        return "ckpt:5-16"
-    return "ckpt:17+"
 
 
 def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
@@ -52,21 +39,11 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
         f"app:{s.app}",
         f"backend:{s.backend}"
         + (f":{s.workers}" if s.backend == "parallel" else ""),
-        f"cancel:{s.cancellation}",
-        _checkpoint_feature(s.checkpoint),
-        f"agg:{s.aggregation}",
-        f"snapshot:{s.snapshot}",
-        f"gvt:{s.gvt_algorithm}",
-        f"window:{s.time_window}",
-        f"meta:{s.meta_control}",
+        *(axis.feature(getattr(s, axis.field)) for axis in AXES),
         f"faults:{'on' if s.faults else 'off'}",
         f"speed:{'hetero' if s.lp_speed_factors else 'uniform'}",
         f"churn:{'on' if s.churn else 'off'}",
     }
-    if s.backend == "parallel":
-        # the wire only exists on the parallel backend; "default" marks a
-        # scenario that trusts the config default rather than pinning one
-        features.add(f"wire:{s.wire or 'default'}")
     if "migrations" in raw:
         features.add(f"migrations:{bucket(raw['migrations'])}")
     stats = raw.get("stats")

@@ -25,19 +25,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import write_repro
-from .coverage import CoverageMap, _checkpoint_feature
-from .lattice import CHECKPOINT_SWEEP
+from .coverage import CoverageMap
 from .runner import ScenarioResult, fork_available, run_scenario
-from .scenario import (
-    AGGREGATION_VARIANTS,
-    APP_SPECS,
-    CANCELLATION_VARIANTS,
-    GVT_VARIANTS,
-    METACONTROL_VARIANTS,
-    SNAPSHOT_VARIANTS,
-    TIME_WINDOW_VARIANTS,
-    Scenario,
-)
+from .scenario import APP_SPECS, AXES, FIELD_BACKENDS, Scenario
 from .shrink import ShrinkResult, shrink
 
 #: apps the generator draws from, with weights (PHOLD is the rollback
@@ -157,62 +147,31 @@ def generate_scenario(
     if app == "phold":
         kwargs["end_time"] = rng.choice(PHOLD_END_TIMES)
 
-    if backend != "conservative":
-        kwargs["cancellation"] = _draw(
-            rng, coverage,
-            [(v, f"cancel:{v}") for v in CANCELLATION_VARIANTS],
-        )
-        kwargs["checkpoint"] = _draw(
-            rng, coverage,
-            [(v, _checkpoint_feature(v)) for v in CHECKPOINT_SWEEP],
-        )
-        kwargs["aggregation"] = _draw(
-            rng, coverage,
-            [(v, f"agg:{v}") for v in AGGREGATION_VARIANTS],
-        )
-        if kwargs["aggregation"] != "none":
-            kwargs["aggregation_window"] = rng.choice((30.0, 100.0, 400.0))
-        kwargs["snapshot"] = _draw(
-            rng, coverage,
-            [(v, f"snapshot:{v}") for v in SNAPSHOT_VARIANTS],
-        )
-        kwargs["gvt_period"] = rng.choice(GVT_PERIODS)
-    if backend == "modelled":
-        kwargs["gvt_algorithm"] = _draw(
-            rng, coverage, [(v, f"gvt:{v}") for v in GVT_VARIANTS]
-        )
-        kwargs["time_window"] = _draw(
-            rng, coverage, [(v, f"window:{v}") for v in TIME_WINDOW_VARIANTS]
-        )
-        kwargs["meta_control"] = _draw(
-            rng, coverage, [(v, f"meta:{v}") for v in METACONTROL_VARIANTS]
-        )
-        if rng.random() < 0.35:
-            drop, dup, delay, reorder = (
-                rng.choice(FAULT_RATE_VALUES) for _ in range(4)
+    for axis in AXES:
+        if backend in axis.backends:
+            kwargs[axis.field] = _draw(
+                rng, coverage, [(v, axis.feature(v)) for v in axis.values]
             )
-            if drop or dup or delay or reorder:
-                rates: dict = {}
-                if drop:
-                    rates["drop"] = drop
-                if dup:
-                    rates["duplicate"] = dup
-                if delay:
-                    rates["delay"] = delay
-                if reorder:
-                    rates["reorder"] = reorder
-                kwargs["faults"] = {"seed": rng.randrange(10_000),
-                                    "rates": rates}
-    if backend == "parallel":
-        # the inter-shard wire: pin shm, pin queue, or trust the config
-        # default — both pinned paths must commit identical results, and
-        # the coverage bias keeps the sweep visiting all three
-        kwargs["wire"] = _draw(
-            rng, coverage,
-            [(None, "wire:default"), ("shm", "wire:shm"),
-             ("queue", "wire:queue")],
+    if kwargs.get("aggregation", "none") != "none":
+        kwargs["aggregation_window"] = rng.choice((30.0, 100.0, 400.0))
+    if backend != "conservative":
+        kwargs["gvt_period"] = rng.choice(GVT_PERIODS)
+    if backend in FIELD_BACKENDS["faults"] and rng.random() < 0.35:
+        drop, dup, delay, reorder = (
+            rng.choice(FAULT_RATE_VALUES) for _ in range(4)
         )
-    if backend == "parallel" and workers > 1:
+        if drop or dup or delay or reorder:
+            rates: dict = {}
+            if drop:
+                rates["drop"] = drop
+            if dup:
+                rates["duplicate"] = dup
+            if delay:
+                rates["delay"] = delay
+            if reorder:
+                rates["reorder"] = reorder
+            kwargs["faults"] = {"seed": rng.randrange(10_000), "rates": rates}
+    if backend in FIELD_BACKENDS["churn"] and workers > 1:
         # elasticity plans: mostly migrations, the occasional worker
         # join/leave; biased on like any other unexplored lattice axis
         churn_on = _draw(
@@ -229,7 +188,7 @@ def generate_scenario(
                 for _ in range(rng.randrange(1, 4))
             ]
             kwargs["churn"] = {"seed": rng.randrange(10_000), "steps": steps}
-    if backend in ("modelled", "conservative") and rng.random() < 0.25:
+    if backend in FIELD_BACKENDS["lp_speed_factors"] and rng.random() < 0.25:
         n_lps = kwargs["app_params"].get(
             "n_lps", spec.base_params.get("n_lps", 2)
         )

@@ -1,9 +1,11 @@
 """Deterministic enumeration of the configuration lattice.
 
-The full cross product (6 cancellation variants x 8 checkpoint settings
-x 3 aggregation policies x 3 snapshot strategies x 2 GVT algorithms x 2
-optimism windows x backends) is ~5000 points per app — too many for a
-gate.  ``sweep_scenarios`` instead walks the paper-shaped slices that
+The full cross product of :data:`repro.verify.scenario.AXES` (6
+cancellation variants x 8 checkpoint settings x 3 aggregation policies x
+4 snapshot strategies x 2 GVT algorithms x 2 optimism windows x
+meta-control off/on on the modelled backend, the first four again on
+the parallel one) is ~6000 points per app — too many for a gate.
+``sweep_scenarios`` instead walks the paper-shaped slices that
 matter: every value of every axis, one axis at a time, from a default
 pivot per app, plus every backend variant of the pivot.  The fuzzer
 (:mod:`repro.verify.fuzzer`) explores the interior of the lattice; the
@@ -15,27 +17,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from .runner import fork_available
-from .scenario import (
-    AGGREGATION_VARIANTS,
-    CANCELLATION_VARIANTS,
-    GVT_VARIANTS,
-    SNAPSHOT_VARIANTS,
-    TIME_WINDOW_VARIANTS,
-    Scenario,
-)
-
-#: checkpoint chi values swept along the checkpoint axis
-CHECKPOINT_SWEEP = (1, 2, 4, 8, 16, 32, 64, "dynamic")
+from .scenario import AXES as _AXES
+from .scenario import Scenario
 
 #: one-axis sweeps: scenario field -> values
-AXES: dict[str, tuple] = {
-    "cancellation": CANCELLATION_VARIANTS,
-    "checkpoint": CHECKPOINT_SWEEP,
-    "aggregation": AGGREGATION_VARIANTS,
-    "snapshot": SNAPSHOT_VARIANTS,
-    "gvt_algorithm": GVT_VARIANTS,
-    "time_window": TIME_WINDOW_VARIANTS,
-}
+AXES: dict[str, tuple] = {axis.field: axis.values for axis in _AXES}
 
 DEFAULT_APPS = ("phold", "smmp", "raid")
 

@@ -9,18 +9,12 @@ process-sharded parallel), modelled heterogeneity, and an optional fault
 plan.  Serialization is canonical (sorted keys, all fields explicit) so
 a scenario file replays byte-identically and diffs cleanly.
 
-The knob fields mirror the paper's configuration space:
-
-* ``cancellation`` — ``aggressive`` / ``lazy`` / ``dynamic`` (DC) /
-  ``st`` / ``ps32`` (PS-n) / ``pa10`` (PA-n);
-* ``checkpoint`` — a static chi in [1, 256] or ``"dynamic"``;
-* ``aggregation`` — ``none`` / ``fixed`` (FAW) / ``saaw``, with
-  ``aggregation_window`` as the initial window;
-* ``snapshot`` — ``copy`` / ``pickle`` / ``deepcopy`` / ``array``;
-* ``gvt_algorithm`` — ``omniscient`` / ``mattern``;
-* ``time_window`` — ``none`` / ``adaptive``;
-* ``meta_control`` — ``off`` / ``on``: the unified MetaController over
-  the meta-managed global knobs (docs/control.md).
+The knob fields mirror the paper's configuration space and are declared
+once, as rows of :data:`AXES` — field, values, the backends that take
+the knob, coverage tag.  Validation, the sweep
+(:mod:`repro.verify.lattice`), the fuzzer, coverage and the shrinker all
+read that table, so enabling a knob on a backend is an edit to one
+``backends=`` set.
 
 All of these are **modelled-only** with respect to the committed result:
 whatever the knobs, a run must commit exactly the events the sequential
@@ -57,14 +51,85 @@ from ..kernel.errors import ConfigurationError
 
 SCHEMA_SCENARIO = "repro-verify-scenario-1"
 
-#: cancellation variants, in the paper's vocabulary
-CANCELLATION_VARIANTS = ("aggressive", "lazy", "dynamic", "st", "ps32", "pa10")
-AGGREGATION_VARIANTS = ("none", "fixed", "saaw")
-SNAPSHOT_VARIANTS = ("copy", "pickle", "deepcopy", "array")
-GVT_VARIANTS = ("omniscient", "mattern")
-TIME_WINDOW_VARIANTS = ("none", "adaptive")
-METACONTROL_VARIANTS = ("off", "on")
 BACKENDS = ("modelled", "conservative", "parallel")
+_TIME_WARP = frozenset({"modelled", "parallel"})
+_MODELLED = frozenset({"modelled"})
+
+
+@dataclass(frozen=True)
+class Axis:
+    """One switchable knob of the configuration lattice."""
+
+    #: the :class:`Scenario` field
+    field: str
+    #: the values the sweep walks and the fuzzer draws
+    values: tuple
+    #: backends on which the field may leave its default
+    backends: frozenset
+    #: coverage-feature prefix
+    tag: str
+    #: value -> coverage label (several values may share one bucket)
+    label: Callable[[Any], str] = str
+    #: a validity domain wider than ``values``, where there is one
+    accepts: Callable[[Any], bool] | None = None
+
+    def feature(self, value) -> str:
+        return f"{self.tag}:{self.label(value)}"
+
+    def admits(self, value) -> bool:
+        return value in self.values or (
+            self.accepts is not None and self.accepts(value)
+        )
+
+
+def _checkpoint_bucket(checkpoint: int | str) -> str:
+    if checkpoint == "dynamic":
+        return "dynamic"
+    chi = int(checkpoint)
+    if chi == 1:
+        return "1"
+    if chi <= 4:
+        return "2-4"
+    if chi <= 16:
+        return "5-16"
+    return "17+"
+
+
+#: the lattice, in the paper's vocabulary (docs/testing.md)
+AXES = (
+    # aggressive / lazy / dynamic (DC) / ST / PS-n / PA-n
+    Axis("cancellation",
+         ("aggressive", "lazy", "dynamic", "st", "ps32", "pa10"),
+         _TIME_WARP, "cancel"),
+    # a static chi in [1, MAX_INTERVAL] or the dynamic controller
+    Axis("checkpoint", (1, 2, 4, 8, 16, 32, 64, "dynamic"),
+         _TIME_WARP, "ckpt", label=_checkpoint_bucket,
+         accepts=lambda v: not isinstance(v, str) and 1 <= v <= MAX_INTERVAL),
+    # none / FAW / SAAW, ``aggregation_window`` the (initial) window
+    Axis("aggregation", ("none", "fixed", "saaw"), _TIME_WARP, "agg"),
+    Axis("snapshot", ("copy", "pickle", "deepcopy", "array"),
+         _TIME_WARP, "snapshot"),
+    # the process backend always runs its own distributed coordinator
+    Axis("gvt_algorithm", ("omniscient", "mattern"), _MODELLED, "gvt"),
+    Axis("time_window", ("none", "adaptive"), _MODELLED, "window"),
+    # the unified MetaController over the meta-managed global knobs
+    # (GVT period, snapshot strategy; docs/control.md)
+    Axis("meta_control", ("off", "on"), _MODELLED, "meta"),
+)
+
+#: field -> the backends on which it may leave its default.  A scenario
+#: must not claim a knob, a fleet or a fault plan its backend does not
+#: run.  For ``backend="parallel"`` this refuses everything in
+#: :data:`repro.kernel.config.PARALLEL_UNSUPPORTED` that a scenario can
+#: carry, and more: ``gvt_algorithm`` (the backend has its own
+#: coordinator) and ``lp_speed_factors`` (it runs on real CPUs).
+FIELD_BACKENDS: dict[str, frozenset] = {
+    **{axis.field: axis.backends for axis in AXES},
+    "workers": frozenset({"parallel"}),
+    "churn": frozenset({"parallel"}),
+    "faults": _MODELLED,
+    "lp_speed_factors": frozenset({"modelled", "conservative"}),
+}
 
 
 # --------------------------------------------------------------------- #
@@ -204,13 +269,8 @@ class Scenario:
     backend: str = "modelled"
     #: worker-process count (parallel backend only)
     workers: int = 1
-    #: inter-shard data wire ("shm" / "queue"; parallel backend only).
-    #: ``None`` means the config default, and is omitted from the JSON
-    #: form so pre-wire corpus entries keep their scenario ids.
-    wire: str | None = None
 
     cancellation: str = "aggressive"
-    #: static chi in [1, MAX_INTERVAL] or "dynamic"
     checkpoint: int | str = 1
     aggregation: str = "none"
     #: FAW window / SAAW initial window, wall-clock microseconds
@@ -219,9 +279,6 @@ class Scenario:
     gvt_algorithm: str = "omniscient"
     gvt_period: float = 50_000.0
     time_window: str = "none"
-    #: "off" | "on": put the meta-managed global knobs (GVT period,
-    #: snapshot strategy) under the unified MetaController loop
-    #: (docs/control.md); modelled backend only
     meta_control: str = "off"
 
     #: modelled per-LP slowdown factors, keyed by LP id (JSON: str keys)
@@ -253,55 +310,16 @@ class Scenario:
             )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.wire is not None:
-            if self.wire not in ("shm", "queue"):
+        for axis in AXES:
+            value = getattr(self, axis.field)
+            if not axis.admits(value):
                 raise ConfigurationError(
-                    f"unknown wire {self.wire!r} (known: 'shm', 'queue')"
+                    f"unknown {axis.field} {value!r} (known: {axis.values})"
                 )
-            if self.backend != "parallel":
-                raise ConfigurationError(
-                    "wire selects the inter-shard data path, which only "
-                    "the parallel backend has; leave it unset"
-                )
-        if self.cancellation not in CANCELLATION_VARIANTS:
-            raise ConfigurationError(
-                f"unknown cancellation variant {self.cancellation!r} "
-                f"(known: {CANCELLATION_VARIANTS})"
-            )
-        if isinstance(self.checkpoint, str):
-            if self.checkpoint != "dynamic":
-                raise ConfigurationError(
-                    f"checkpoint must be an interval or 'dynamic', "
-                    f"got {self.checkpoint!r}"
-                )
-        elif not 1 <= self.checkpoint <= MAX_INTERVAL:
-            raise ConfigurationError(
-                f"checkpoint interval must be in [1, {MAX_INTERVAL}], "
-                f"got {self.checkpoint!r}"
-            )
-        if self.aggregation not in AGGREGATION_VARIANTS:
-            raise ConfigurationError(
-                f"unknown aggregation variant {self.aggregation!r}"
-            )
         if self.aggregation_window <= 0:
             raise ConfigurationError("aggregation_window must be positive")
-        if self.snapshot not in SNAPSHOT_VARIANTS:
-            raise ConfigurationError(f"unknown snapshot {self.snapshot!r}")
-        if self.gvt_algorithm not in GVT_VARIANTS:
-            raise ConfigurationError(
-                f"unknown GVT algorithm {self.gvt_algorithm!r}"
-            )
         if self.gvt_period <= 0:
             raise ConfigurationError("gvt_period must be positive")
-        if self.time_window not in TIME_WINDOW_VARIANTS:
-            raise ConfigurationError(
-                f"unknown time_window {self.time_window!r}"
-            )
-        if self.meta_control not in METACONTROL_VARIANTS:
-            raise ConfigurationError(
-                f"unknown meta_control {self.meta_control!r} "
-                f"(known: {METACONTROL_VARIANTS})"
-            )
         for lp_id, factor in self.lp_speed_factors.items():
             if int(lp_id) < 0 or float(factor) <= 0:
                 raise ConfigurationError(
@@ -309,59 +327,17 @@ class Scenario:
                 )
         if self.faults is not None:
             FaultPlan.from_dict(self.faults)  # validates
-        if self.backend == "conservative":
-            # The conservative kernel has no Time Warp machinery: every
-            # rollback-related knob must be at its default so the scenario
-            # does not claim coverage it cannot exercise.
-            defaults = Scenario()
-            for name in (
-                "cancellation", "checkpoint", "aggregation", "snapshot",
-                "gvt_algorithm", "time_window", "meta_control",
-            ):
-                if getattr(self, name) != getattr(defaults, name):
-                    raise ConfigurationError(
-                        f"backend='conservative' ignores {name}; leave it "
-                        "at the default"
-                    )
-            if self.faults is not None:
-                raise ConfigurationError(
-                    "backend='conservative' does not model network faults"
-                )
-            if self.workers != 1:
-                raise ConfigurationError(
-                    "backend='conservative' runs in-process (workers=1)"
-                )
         if self.churn is not None:
-            if self.backend != "parallel":
-                raise ConfigurationError(
-                    "churn plans script live migration and worker "
-                    "join/leave, which only the parallel backend executes"
-                )
             validate_churn_plan(self.churn)
-        if self.backend == "parallel":
-            if self.faults is not None:
+        for name, backends in FIELD_BACKENDS.items():
+            if (
+                self.backend not in backends
+                and getattr(self, name) != getattr(_DEFAULTS, name)
+            ):
                 raise ConfigurationError(
-                    "backend='parallel' does not support fault injection "
-                    "(docs/parallel.md)"
-                )
-            if self.lp_speed_factors:
-                raise ConfigurationError(
-                    "backend='parallel' runs on real CPUs; modelled "
-                    "lp_speed_factors do not apply"
-                )
-            if self.time_window != "none":
-                raise ConfigurationError(
-                    "backend='parallel' does not support time windows"
-                )
-            if self.gvt_algorithm != "omniscient":
-                raise ConfigurationError(
-                    "backend='parallel' always uses its own distributed "
-                    "GVT coordinator; leave gvt_algorithm at the default"
-                )
-            if self.meta_control != "off":
-                raise ConfigurationError(
-                    "backend='parallel' does not support meta_control "
-                    "(docs/control.md)"
+                    f"backend={self.backend!r} does not take {name} (only "
+                    f"{', '.join(sorted(backends))} does); leave it at the "
+                    "default"
                 )
 
     # -- derived ------------------------------------------------------- #
@@ -411,8 +387,6 @@ class Scenario:
             lp_speed_factors=self.speed_factors(),
             churn=self.churn,
         )
-        if self.wire is not None:
-            kwargs["wire"] = self.wire
         if self.time_window == "adaptive":
             kwargs["time_window"] = lambda: AdaptiveTimeWindow()
         if self.meta_control == "on":
@@ -429,9 +403,8 @@ class Scenario:
             value = getattr(self, f.name)
             if f.name == "end_time" and value == float("inf"):
                 value = None  # JSON has no Infinity; None means app default
-            if f.name in ("churn", "wire") and value is None:
-                # keep pre-churn/pre-wire corpus ids stable
-                continue
+            if f.name == "churn" and value is None:
+                continue  # keep pre-churn corpus ids stable
             doc[f.name] = value
         return doc
 
@@ -472,6 +445,9 @@ class Scenario:
     def with_(self, **changes: Any) -> "Scenario":
         """`dataclasses.replace` spelled for shrinker/fuzzer call sites."""
         return replace(self, **changes)
+
+
+_DEFAULTS = Scenario()
 
 
 # --------------------------------------------------------------------- #

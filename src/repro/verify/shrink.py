@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .scenario import Scenario
+from .scenario import AXES, Scenario
 
 
 @dataclass
@@ -39,17 +39,12 @@ def _knob_resets(s: Scenario) -> Iterator[Scenario]:
         steps = s.churn.get("steps", [])
         if len(steps) > 1:
             yield s.with_(churn={**s.churn, "steps": steps[:1]})
-    if s.wire is not None:
-        yield s.with_(wire=None)
     if s.backend != "modelled":
-        yield s.with_(backend="modelled", workers=1, churn=None, wire=None)
+        yield s.with_(backend="modelled", workers=1, churn=None)
     if s.backend == "parallel" and s.workers > 1:
         yield s.with_(workers=1)
     defaults = Scenario()
-    for name in (
-        "time_window", "gvt_algorithm", "gvt_period", "snapshot",
-        "aggregation", "cancellation", "checkpoint",
-    ):
+    for name in ("gvt_period", *(axis.field for axis in reversed(AXES))):
         if getattr(s, name) != getattr(defaults, name):
             yield s.with_(**{name: getattr(defaults, name)})
     if s.lp_speed_factors:

@@ -42,6 +42,13 @@ def parallel_hang_guard(request):
 
 
 @pytest.fixture()
+def queue_wire(monkeypatch):
+    """The fallback wire, reached as in production: the backend observes a
+    machine without x86-TSO store ordering."""
+    monkeypatch.setattr("repro.parallel.backend.shm_wire_supported", lambda: False)
+
+
+@pytest.fixture()
 def ring():
     """A small (4 KiB) shm ring, destroyed after the test."""
     r = ShmRing.create(1 << 12)

@@ -76,6 +76,14 @@ class TestChurnDifferential:
         assert phold_churn.raw["migrations"] > 0
         assert "elastic:" in phold_churn.describe()
 
+    def test_full_trajectory_on_the_fallback_wire(self, queue_wire):
+        # the one place elastic epochs meet pickled batches on the queues
+        result = run_churn(FULL_TRAJECTORY, 1_000.0)
+        assert result.ok, result.describe()
+        assert result.raw["wire"] == "queue"
+        counts = [n for _at, n in result.raw["worker_timeline"]]
+        assert counts[0] == 2 and 3 in counts and counts[-1] == 1
+
     def test_scripted_migrations_only(self):
         result = run_churn(
             {"seed": 3, "steps": [

@@ -10,16 +10,19 @@ import mmap
 import multiprocessing
 import os
 import queue
+import re
 import signal
 import struct
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation, make_simulation
 from repro.apps.pingpong import Player
+from repro.kernel.config import PARALLEL_UNSUPPORTED
 from repro.kernel.errors import ConfigurationError
 from repro.parallel import (
     GvtCoordinator,
@@ -84,14 +87,14 @@ class TestEventDrivenTermination:
     PERIOD_US = 2_000_000.0
 
     @pytest.mark.parametrize(
-        "axes",
-        [{"workers": 2, "wire": "shm"}, {"workers": 2, "wire": "queue"},
-         {"workers": 1}],
+        "workers, fallback", [(2, False), (2, True), (1, False)],
         ids=["shm", "queue", "one-worker"],
     )
-    def test_run_does_not_wait_out_the_gvt_period(self, axes):
+    def test_run_does_not_wait_out_the_gvt_period(self, workers, fallback, request):
+        if fallback:
+            request.getfixturevalue("queue_wire")
         result = run_scenario(PHOLD.with_(
-            backend="parallel", gvt_period=self.PERIOD_US, **axes
+            backend="parallel", gvt_period=self.PERIOD_US, workers=workers
         ))
         assert result.ok, result.describe()
         assert result.committed == result.expected > 0
@@ -144,6 +147,11 @@ class TestConfigValidation:
         config = SimulationConfig(backend="parallel", workers=2, **kwargs)
         with pytest.raises(ConfigurationError, match=name):
             config.validate()
+
+    def test_docs_table_lists_exactly_what_validate_refuses(self):
+        text = (Path(__file__).parents[2] / "docs/parallel.md").read_text(encoding="utf-8")
+        section = text.split("## What the backend does not support")[1].split("\n## ")[0]
+        assert tuple(re.findall(r"^\| `(\w+)` \|", section, re.M)) == PARALLEL_UNSUPPORTED
 
     def test_modelled_backend_unchanged(self):
         sim = make_simulation(PHOLD.build_partition(), SimulationConfig())

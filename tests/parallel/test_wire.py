@@ -8,6 +8,7 @@ delivery across wraparound with honest backpressure (``try_push`` ->
 ``False`` on full, never a corrupted frame).
 """
 
+import dataclasses
 import multiprocessing
 import os
 import queue as queue_mod
@@ -15,12 +16,13 @@ import select
 import time
 import types
 from collections import deque
+from unittest.mock import Mock
 
 import pytest
 
+from repro.bench.cli import main as bench_main
 from repro.comm.message import MessageKind, PhysicalMessage
 from repro.kernel.config import SimulationConfig
-from repro.kernel.errors import ConfigurationError
 from repro.kernel.event import Event
 from repro.parallel import shm as shm_mod
 from repro.parallel import worker as worker_mod
@@ -626,16 +628,28 @@ class TestPollCadence:
 
 class TestWireConfig:
     def test_default_is_shm(self):
+        # not a field: the frozen benchmark's provenance line reads the name
         assert SimulationConfig().wire == "shm"
 
-    def test_unknown_wire_rejected(self):
-        config = SimulationConfig(wire="carrier-pigeon")
-        with pytest.raises(ConfigurationError, match="wire"):
-            config.validate()
+    def test_wire_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            SimulationConfig(wire="queue")
+        config = dataclasses.replace(SimulationConfig(), workers=2)
+        assert config.workers == 2 and config.wire == "shm"
 
-    @pytest.mark.parametrize("wire", ["shm", "queue"])
-    def test_known_wires_validate(self, wire):
-        SimulationConfig(wire=wire).validate()
+    def test_cli_has_no_wire_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_main(["parallel", "--app", "phold", "--wire", "queue"])
+        assert exit_info.value.code == 2
+        assert "--wire" in capsys.readouterr().err
+
+
+def _parallel_phold(workers):
+    from repro.parallel.backend import ParallelSimulation
+
+    config = SimulationConfig(backend="parallel", workers=workers,
+                              end_time=PHOLD.end_time)
+    return ParallelSimulation.from_builder(PHOLD.build_partition, config)
 
 
 @needs_fork
@@ -643,45 +657,40 @@ class TestWireParity:
     """Both wires must commit the identical sequential-golden result."""
 
     @pytest.mark.parametrize("wire", [
-        pytest.param("shm", marks=needs_tso), "queue",
+        pytest.param("shm", marks=needs_tso, id="ring"),
+        pytest.param("queue", id="fallback"),
     ])
-    def test_differential_matches_golden(self, wire):
-        result = run_scenario(
-            PHOLD.with_(backend="parallel", workers=2, wire=wire)
-        )
+    def test_differential_matches_golden(self, wire, request):
+        if wire == "queue":
+            request.getfixturevalue("queue_wire")
+        result = run_scenario(PHOLD.with_(backend="parallel", workers=2))
         assert result.ok, result.describe()
         assert result.raw["wire"] == wire  # no silent shm -> queue fallback
 
     @needs_tso
     def test_shm_run_reports_ring_traffic(self):
-        from repro.parallel.backend import ParallelSimulation
-
-        config = SimulationConfig(backend="parallel", workers=2,
-                                  end_time=PHOLD.end_time, wire="shm")
-        sim = ParallelSimulation.from_builder(PHOLD.build_partition, config)
+        sim = _parallel_phold(workers=2)
         sim.run()
         assert sim.wire == "shm"
         assert sim.wire_stats["frames_sent"] > 0
         assert sim.wire_stats["ring_bytes_sent"] > 0
+        assert sim.wire_stats["wire_fallbacks"] == 0
 
     def test_single_worker_degrades_to_queue(self):
-        from repro.parallel.backend import ParallelSimulation
-
-        config = SimulationConfig(backend="parallel", workers=1,
-                                  end_time=PHOLD.end_time, wire="shm")
-        sim = ParallelSimulation.from_builder(PHOLD.build_partition, config)
+        sim = _parallel_phold(workers=1)
         sim.run()
         assert sim.wire == "queue"  # no shard pairs, no rings
 
-    def test_non_tso_machine_degrades_to_queue(self, monkeypatch):
-        from repro.parallel import backend as backend_mod
-
-        monkeypatch.setattr(backend_mod, "shm_wire_supported", lambda: False)
-        config = SimulationConfig(backend="parallel", workers=2,
-                                  end_time=PHOLD.end_time, wire="shm")
-        sim = backend_mod.ParallelSimulation.from_builder(
-            PHOLD.build_partition, config
-        )
+    def test_non_tso_machine_degrades_to_queue(self, queue_wire):
+        sim = _parallel_phold(workers=2)
         sim.run()
         assert sim.wire == "queue"
         assert sim.wire_stats["frames_sent"] == 0
+
+    def test_refused_allocation_degrades_to_queue(self, monkeypatch):
+        first = ShmRing.create(RING_CAPACITY)  # the second ring is refused
+        monkeypatch.setattr(ShmRing, "create", Mock(side_effect=[first, OSError("ENOSPC")]))
+        sim = _parallel_phold(workers=2)
+        sim.run()
+        assert sim.wire == "queue" and sim.wire_stats["frames_sent"] == 0
+        assert first.name.lstrip("/") not in os.listdir("/dev/shm")

@@ -46,7 +46,7 @@ def test_the_three_former_goldens_were_one_golden():
 
 
 def test_a_failing_line_names_the_differing_objects_and_every_set_axis():
-    scenario = Scenario(backend="parallel", workers=2, wire="queue", gvt_period=1e3)
+    scenario = Scenario(backend="parallel", workers=2, gvt_period=1e3)
     golden = sequential_golden(scenario)
     records = {n: (golden.per_object.get(n, 0), s) for n, s in golden.states.items()}
     victim = min(records)
@@ -55,7 +55,7 @@ def test_a_failing_line_names_the_differing_objects_and_every_set_axis():
     _finish(result, golden, records)
     assert result.mismatches == (victim,)
     text = result.describe()
-    assert text.startswith("FAIL[digest] phold backend=parallel workers=2 wire=queue")
+    assert text.startswith("FAIL[digest] phold backend=parallel workers=2 ")
     assert "gvt_period=1000.0" in text and f"['{victim}']" in text
 
 

@@ -4,10 +4,10 @@ import json
 
 import pytest
 
-from repro.kernel.config import SimulationConfig
+from repro.kernel.config import PARALLEL_UNSUPPORTED, SimulationConfig
 from repro.kernel.errors import ConfigurationError
 from repro.verify import SCHEMA_SCENARIO, Scenario
-from repro.verify.scenario import APP_SPECS, CANCELLATION_VARIANTS
+from repro.verify.scenario import APP_SPECS, AXES, BACKENDS, FIELD_BACKENDS
 
 
 def test_default_scenario_validates():
@@ -22,7 +22,7 @@ def test_every_app_baseline_builds(app):
     assert partition and any(partition)
 
 
-@pytest.mark.parametrize("variant", CANCELLATION_VARIANTS)
+@pytest.mark.parametrize("variant", AXES[0].values)
 def test_cancellation_variants_build_config(variant):
     config = Scenario(cancellation=variant).build_config()
     assert config.cancellation is not None
@@ -60,25 +60,9 @@ def test_scenario_id_ignores_seed_but_not_knobs():
     assert base.scenario_id() != base.with_(cancellation="lazy").scenario_id()
 
 
-def test_unset_wire_is_omitted_so_old_ids_are_stable():
-    # wire=None must serialize exactly like a pre-wire scenario, so
-    # every existing corpus entry keeps its id (same rule as churn)
-    assert "wire" not in Scenario().to_dict()
-    parallel = Scenario(backend="parallel", workers=2)
-    assert "wire" not in parallel.to_dict()
-    pinned = parallel.with_(wire="shm")
-    assert pinned.to_dict()["wire"] == "shm"
-    assert pinned.scenario_id() != parallel.scenario_id()
-    assert pinned.scenario_id() != \
-        parallel.with_(wire="queue").scenario_id()
-    again = Scenario.from_json(pinned.to_json())
-    assert again == pinned
-
-
-def test_wire_reaches_build_config():
-    parallel = Scenario(backend="parallel", workers=2)
-    assert parallel.build_config().wire == "shm"  # the config default
-    assert parallel.with_(wire="queue").build_config().wire == "queue"
+def test_a_stored_wire_pin_is_refused_as_an_unknown_field():
+    with pytest.raises(ConfigurationError, match="wire"):
+        Scenario.from_dict({"schema": SCHEMA_SCENARIO, "wire": "shm"})
 
 
 def test_a_stored_fastpath_pin_is_refused_as_an_unknown_field():
@@ -118,14 +102,37 @@ def test_simulation_config_has_no_fastpath_field():
         {"backend": "parallel", "time_window": "adaptive"},
         {"backend": "parallel", "gvt_algorithm": "mattern"},
         {"backend": "parallel", "lp_speed_factors": {"0": 2.0}},
-        # the wire axis only exists on the parallel backend
-        {"backend": "parallel", "wire": "tcp"},
-        {"backend": "modelled", "wire": "shm"},
+        {"backend": "parallel", "meta_control": "on"},
+        # a scenario cannot claim a fleet it does not run
+        {"backend": "modelled", "workers": 2},
     ],
 )
 def test_invalid_scenarios_rejected(changes):
     with pytest.raises(ConfigurationError):
         Scenario(**changes).validate()
+
+
+def test_every_backend_refusal_names_field_backend_and_takers():
+    off_default = {axis.field: axis.values[-1] for axis in AXES} | {
+        "workers": 2, "churn": {"seed": 1, "steps": []},
+        "faults": {"seed": 1}, "lp_speed_factors": {"0": 2.0},
+    }
+    assert set(off_default) == set(FIELD_BACKENDS)
+    for name, takers in FIELD_BACKENDS.items():
+        for backend in BACKENDS:
+            scenario = Scenario(backend=backend, **{name: off_default[name]})
+            if backend in takers:
+                scenario.validate()
+                continue
+            pattern = f"{backend!r}.*{name}.*" + ".*".join(sorted(takers))
+            with pytest.raises(ConfigurationError, match=pattern):
+                scenario.validate()
+
+
+def test_a_scenario_cannot_carry_what_the_parallel_config_refuses():
+    carried = set(PARALLEL_UNSUPPORTED) & set(Scenario.__dataclass_fields__)
+    assert carried == {"faults", "time_window", "meta_control"}
+    assert not any("parallel" in FIELD_BACKENDS[name] for name in carried)
 
 
 def test_from_dict_rejects_unknown_fields_and_schemas():

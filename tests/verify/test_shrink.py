@@ -21,6 +21,7 @@ def test_shrink_strips_knobs_while_failure_persists():
         snapshot="pickle",
         gvt_algorithm="mattern",
         time_window="adaptive",
+        meta_control="on",
         lp_speed_factors={"0": 2.0},
         faults={"seed": 1, "rates": {"drop": 0.1}},
     )
@@ -37,6 +38,7 @@ def test_shrink_strips_knobs_while_failure_persists():
     assert s.snapshot == "copy"
     assert s.gvt_algorithm == "omniscient"
     assert s.time_window == "none"
+    assert s.meta_control == "off"
     assert not s.lp_speed_factors
     # topology pulled to the floors
     merged = s.merged_params()
