@@ -27,16 +27,26 @@ from __future__ import annotations
 import copy as _copy
 import dataclasses
 import pickle
+import sys
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
 from .errors import ConfigurationError
 from .event import EventKey, VirtualTime, payload_size_bytes
 
-try:  # optional fast path for array-valued state fields
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on bare installs
-    _np = None
+
+def _loaded_ndarray() -> type | None:
+    """numpy's ``ndarray`` if numpy is already imported, else ``None``.
+
+    Never imports numpy: no state can hold an ndarray before something
+    else has loaded numpy, so the lazy lookup changes no copy, size or
+    snapshot result and keeps numpy off ``import repro``.
+    """
+    return getattr(sys.modules.get("numpy"), "ndarray", None)
+
+
+#: field types that are never an ndarray (sized without the numpy lookup)
+_BUILTIN_SCALARS = frozenset({int, float, str, bool, bytes, tuple, type(None)})
 
 
 @runtime_checkable
@@ -61,6 +71,7 @@ def _copy_value(value: Any) -> Any:
     come first: the overwhelming majority of state fields are plain ints,
     floats, strings, lists and dicts, and ``type(x) is T`` beats an
     ``isinstance`` chain on this path (run per field per checkpoint).
+    An ndarray field takes the ``copy()`` branch: one C memcpy.
     """
     kind = type(value)
     if kind is int or kind is float or kind is str or value is None or kind is bool:
@@ -69,9 +80,6 @@ def _copy_value(value: Any) -> Any:
         return [_copy_value(item) for item in value]
     if kind is dict:
         return {key: _copy_value(item) for key, item in value.items()}
-    if _np is not None and kind is _np.ndarray:
-        # struct-of-arrays states: one C memcpy instead of a field walk
-        return value.copy()
     if isinstance(value, (int, float, str, bytes, bool, tuple, frozenset)):
         # tuples may contain mutables in theory; the documented contract is
         # that tuple fields hold immutables, so sharing is safe.
@@ -92,8 +100,6 @@ def _copy_value(value: Any) -> Any:
 
 def _value_size(value: Any) -> int:
     """Modelled byte size of a state field (same spirit as payload sizes)."""
-    if _np is not None and type(value) is _np.ndarray:
-        return 8 + value.nbytes
     if isinstance(value, list):
         return 8 + sum(_value_size(item) for item in value)
     if isinstance(value, dict):
@@ -102,6 +108,9 @@ def _value_size(value: Any) -> int:
         return 8 + sum(_value_size(item) for item in value)
     if hasattr(value, "size_bytes") and not isinstance(value, (int, float)):
         return int(value.size_bytes())
+    kind = type(value)
+    if kind not in _BUILTIN_SCALARS and kind is _loaded_ndarray():
+        return 8 + value.nbytes
     return payload_size_bytes(value)
 
 
@@ -218,17 +227,17 @@ class ArraySnapshot:
     field with ``ndarray.copy()`` — a single C memcpy per array, no
     per-element dispatch — including lists of arrays (struct-of-arrays
     states).  Non-array fields, and states that are not ``RecordState``
-    dataclasses, fall back to the :class:`CopySnapshot` semantics, and the
-    whole strategy degrades to ``copy`` when numpy is absent, so it is
-    always safe to select.
+    dataclasses, fall back to the :class:`CopySnapshot` semantics.  It
+    never imports numpy: until something else has, no field is an array,
+    so it is always safe to select.
     """
 
     name = "array"
 
     def snapshot(self, state: AppState) -> AppState:
-        if _np is None or not isinstance(state, RecordState):
+        if not isinstance(state, RecordState):
             return state.copy()
-        ndarray = _np.ndarray
+        ndarray = _loaded_ndarray()
         cls = type(state)
         clone = cls.__new__(cls)
         for name in _field_names(cls):

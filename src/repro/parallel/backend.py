@@ -81,27 +81,19 @@ _STRATEGIES = {
 def resolve_strategy(spec) -> Callable[[CommGraph, int], dict[str, int]]:
     """Name or callable -> assignment strategy.
 
-    ``"kernighan_lin"`` (the default everywhere) degrades to
-    ``greedy_growth`` when networkx is unavailable, so the parallel
-    backend works on a bare install.
+    ``"kernighan_lin"`` (the default everywhere) needs no graph library
+    and has no fallback: every install places the same model the same
+    way, whatever its ``PYTHONHASHSEED``.
     """
     if callable(spec):
         return spec
     try:
-        strategy = _STRATEGIES[spec]
+        return _STRATEGIES[spec]
     except KeyError:
         raise ConfigurationError(
             f"unknown partition strategy {spec!r}; "
             f"available: {sorted(_STRATEGIES)}"
         ) from None
-    if strategy is kernighan_lin:
-        def kl_with_fallback(graph: CommGraph, n_lps: int) -> dict[str, int]:
-            try:
-                return kernighan_lin(graph, n_lps)
-            except ImportError:
-                return greedy_growth(graph, n_lps)
-        return kl_with_fallback
-    return strategy
 
 
 class ParallelSimulation:

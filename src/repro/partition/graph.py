@@ -67,17 +67,14 @@ class CommGraph:
                 cut += w
         return cut
 
-    def to_networkx(self):
-        """The graph as a :mod:`networkx` ``Graph`` (node attr ``load``,
-        edge attr ``weight``) — for the KL/spectral strategies."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        for name in self.objects:
-            graph.add_node(name, load=self.loads.get(name, 1))
+    def adjacency(self) -> dict[str, dict[str, int]]:
+        """``{object: {neighbour: weight}}`` in ``objects`` order, each
+        neighbour map in ``weights`` order (the KL strategy's input)."""
+        adjacency: dict[str, dict[str, int]] = {name: {} for name in self.objects}
         for (a, b), w in self.weights.items():
-            graph.add_edge(a, b, weight=w)
-        return graph
+            adjacency[a][b] = w
+            adjacency[b][a] = w
+        return adjacency
 
 
 def profile_model(

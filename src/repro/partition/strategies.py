@@ -9,12 +9,20 @@ assignment back into the partition-of-objects shape the kernels take.
 * :func:`greedy_growth` — seeds one region per LP and repeatedly attaches
   the unassigned object with the strongest connection to the lightest
   eligible region; cheap and surprisingly good on pipeline-shaped models.
-* :func:`kernighan_lin` — recursive KL bisection (via networkx) with a
-  load-balancing post-pass; the quality reference.
+* :func:`kernighan_lin` — recursive Kernighan–Lin bisection with a
+  load-balancing post-pass; the quality reference.  Plain dicts and
+  :mod:`heapq`, no graph library: a port of networkx 3.x
+  ``kernighan_lin_bisection``, whose bisections it reproduces on every
+  subset of at least half the graph (and so every 2-LP placement).
+  Nodes are always visited in ``graph.objects`` order, so placement is
+  independent of ``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import random
 from typing import Sequence
 
 from ..kernel.errors import ConfigurationError
@@ -81,26 +89,105 @@ def greedy_growth(graph: CommGraph, n_lps: int) -> Assignment:
     return assignment
 
 
-def kernighan_lin(graph: CommGraph, n_lps: int, seed: int = 0) -> Assignment:
-    """Recursive Kernighan–Lin bisection (networkx), then rebalance."""
-    _validate(graph, n_lps)
-    import networkx as nx
+def _kl_sweep(
+    adjacency: dict[str, dict[str, int]], side: dict[str, int]
+) -> list[tuple[int, int, str, str]]:
+    """One KL pass: move single nodes, alternating sides, cheapest first.
 
-    nx_graph = graph.to_networkx()
+    Returns ``(cumulative cost, moves, node from side 0, node from side 1)``
+    per pair.  Each side keeps a lazy-deletion min-heap of ``(cost,
+    insertion count, node)``: an entry is live only while it matches
+    ``live[side][node]``, so a cost update is a push, never a search.
+    """
+    heaps: tuple[list, list] = ([], [])
+    live: tuple[dict, dict] = ({}, {})
+    counter = itertools.count()
+
+    def push(s: int, node: str, cost: int) -> None:
+        live[s][node] = cost
+        heapq.heappush(heaps[s], (cost, next(counter), node))
+
+    def pop(s: int) -> tuple[str, int]:
+        while True:
+            cost, _, node = heapq.heappop(heaps[s])
+            if live[s].get(node) == cost:
+                del live[s][node]
+                return node, cost
+
+    def moved(node: str) -> None:
+        for nbr, weight in adjacency[node].items():
+            s = side[nbr]
+            if nbr in live[s]:
+                delta = -2 * weight if s == side[node] else 2 * weight
+                if delta:
+                    push(s, nbr, live[s][nbr] + delta)
+
+    for node, nbrs in adjacency.items():
+        cost = sum(w if side[v] else -w for v, w in nbrs.items())
+        push(side[node], node, cost if side[node] else -cost)
+    pairs = []
+    total = 0
+    while live[0] and live[1]:
+        u, cost_u = pop(0)
+        moved(u)
+        v, cost_v = pop(1)
+        moved(v)
+        total += cost_u + cost_v
+        pairs.append((total, len(pairs) + 1, u, v))
+    return pairs
+
+
+def _kl_bisection(
+    adjacency: dict[str, dict[str, int]],
+    nodes: Sequence[str],
+    seed: int,
+    max_iter: int = 10,
+) -> tuple[list[str], list[str]]:
+    """Split ``nodes`` in two halves with a small cut (sizes differ by at
+    most one; the first half is the larger).
+
+    ``adjacency`` is :meth:`CommGraph.adjacency`; both halves come back in
+    its order.  A random split (``random.Random(seed)``) is improved by up
+    to ``max_iter`` sweeps, each applying its cheapest negative prefix.
+    """
+    members = set(nodes)
+    order = [name for name in adjacency if name in members]
+    sub = {
+        name: {v: w for v, w in adjacency[name].items() if v in members}
+        for name in order
+    }
+    shuffled = order[:]
+    random.Random(seed).shuffle(shuffled)
+    upper = set(shuffled[: len(shuffled) // 2])
+    side = {name: int(name in upper) for name in order}
+    for _ in range(max_iter):
+        pairs = _kl_sweep(sub, side)
+        best, moves, _, _ = min(pairs)
+        if best >= 0:
+            break
+        for _, _, u, v in pairs[:moves]:
+            side[u] = 1
+            side[v] = 0
+    return (
+        [name for name in order if not side[name]],
+        [name for name in order if side[name]],
+    )
+
+
+def kernighan_lin(graph: CommGraph, n_lps: int, seed: int = 0) -> Assignment:
+    """Recursive Kernighan–Lin bisection, then rebalance."""
+    _validate(graph, n_lps)
+    adjacency = graph.adjacency()
 
     def bisect(nodes: list[str], k: int) -> Assignment:
         if k == 1:
             return {name: 0 for name in nodes}
         left_k = k // 2
         right_k = k - left_k
-        sub = nx_graph.subgraph(nodes)
         # partition proportionally to k on each side
-        left, right = nx.algorithms.community.kernighan_lin_bisection(
-            sub, weight="weight", seed=seed
-        )
+        left, right = _kl_bisection(adjacency, nodes, seed)
         # KL gives a 50/50 split; for odd k shift nodes toward the larger
         # side so each side can host its share of LPs
-        left, right = list(left), list(right)
         want_left = round(len(nodes) * left_k / k)
         while len(left) > want_left and left:
             right.append(left.pop())

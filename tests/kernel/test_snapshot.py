@@ -72,6 +72,24 @@ class TestStrategies:
         assert original.values[0] == 0.0  # deep, private copies
         assert original.blocks[0][0] == 0
 
+    @pytest.mark.parametrize("name", ["copy", "array"])
+    def test_ndarray_field_is_copied_and_sized(self, name):
+        # state.py finds ndarray in sys.modules once numpy is loaded
+        numpy = pytest.importorskip("numpy")
+
+        @dataclass
+        class _Arr(RecordState):
+            values: object = None
+            scalar: int = 0
+
+        original = _Arr(values=numpy.arange(8, dtype="<i8"), scalar=3)
+        assert original.size_bytes() == 8 + original.values.nbytes + 8
+        snap = resolve_snapshot_strategy(name).snapshot(original)
+        assert type(snap.values) is numpy.ndarray
+        assert snap.values is not original.values
+        snap.values[0] = 99
+        assert original.values[0] == 0
+
 
 class TestResolve:
     def test_resolves_names(self):

@@ -115,6 +115,24 @@ def test_importing_the_backend_does_not_import_the_harness():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_placed_parallel_set_up_imports_neither_numpy_nor_networkx():
+    # a default run uses neither, and each import costs 0.1-0.2 s of setup_s
+    code = (
+        "import sys, repro, repro.apps, repro.parallel, repro.partition\n"
+        "from repro.apps import PHOLDParams, build_phold\n"
+        "params = PHOLDParams(n_objects=16, n_lps=2, locality=0.9, seed=5)\n"
+        "config = repro.SimulationConfig(backend='parallel', workers=2, end_time=500)\n"
+        "sim = repro.parallel.ParallelSimulation.from_builder(\n"
+        "    lambda: build_phold(params), config)\n"
+        "assert set(sim.assignment.values()) == {0, 1}\n"
+        "print(sorted({'numpy', 'networkx'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @needs_fork
 class TestDirectConstruction:
     def test_make_simulation_run_and_run_once(self):

@@ -1,4 +1,10 @@
-"""Tests for profiling-based model partitioning."""
+"""Tests for profiling-based model partitioning.
+
+Every test here runs as on a bare install: ``import networkx`` raises
+(``sys.modules["networkx"] = None``), so no strategy may depend on it.
+"""
+
+import sys
 
 import pytest
 
@@ -8,6 +14,7 @@ from repro.apps.pingpong import build_pingpong
 from repro.apps.raid import RAIDParams, build_raid
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.kernel.errors import ConfigurationError
+from repro.parallel import ParallelSimulation
 from repro.partition import (
     CommGraph,
     apply_assignment,
@@ -18,6 +25,11 @@ from repro.partition import (
     round_robin,
 )
 from tests.helpers import flatten, sequential_trace
+
+
+@pytest.fixture(autouse=True)
+def networkx_blocked(monkeypatch):
+    monkeypatch.setitem(sys.modules, "networkx", None)
 
 
 @pytest.fixture(scope="module")
@@ -149,6 +161,26 @@ class TestPholdGraph:
         kl = partition_quality(
             phold_graph, kernighan_lin(phold_graph, 2))["cut_fraction"]
         assert kl < rr / 3
+
+    #: the 2-LP KL placement of this graph, as networkx 3.6's
+    #: ``kernighan_lin_bisection`` computes it
+    KL_LP0 = {f"phold-{i}" for i in range(8, 16)}
+
+    def test_kernighan_lin_placement_is_pinned(self, phold_graph):
+        assignment = kernighan_lin(phold_graph, 2)
+        assert {name for name, lp in assignment.items() if lp == 0} == self.KL_LP0
+        assert sorted(assignment) == sorted(phold_graph.objects)
+        assert set(assignment.values()) == {0, 1}
+
+    def test_from_builder_places_with_kl_on_a_bare_install(self, phold_graph):
+        # a bare install must place with KL, not with a greedy fallback
+        config = SimulationConfig(backend="parallel", workers=2, end_time=2_000)
+        sim = ParallelSimulation.from_builder(
+            lambda: build_phold(self.PARAMS), config, strategy="kernighan_lin"
+        )
+        assert sim.assignment == kernighan_lin(phold_graph, 2)
+        assert sim.assignment != greedy_growth(phold_graph, 2)
+        assert {n for n, lp in sim.assignment.items() if lp == 0} == self.KL_LP0
 
     def test_kernighan_lin_deterministic_under_fixed_seed(self, phold_graph):
         runs = [kernighan_lin(phold_graph, 2, seed=7) for _ in range(3)]
