@@ -16,7 +16,7 @@ from repro.apps.pingpong import build_pingpong
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.kernel.event import Event
 from repro.kernel.queues import InputQueue
-from repro.kernel.state import RecordState, resolve_snapshot_strategy
+from repro.kernel.state import RecordState
 from tests.helpers import flatten, make_event
 
 
@@ -147,8 +147,7 @@ def test_micro_rollback_storm(benchmark):
 
 @dataclass
 class TableState(RecordState):
-    """Representative model state: counters plus container fields.
-    Module-level because the pickle strategy needs an importable class."""
+    """Representative model state: counters plus container fields."""
 
     counter: int = 0
     clock: float = 0.0
@@ -156,33 +155,24 @@ class TableState(RecordState):
     index: dict = field(default_factory=dict)
 
 
-def _snapshot_roundtrip(benchmark, strategy_name):
-    """Checkpoint save + rollback restore of a 200-element-table state: the
-    copy / pickle crossover docs/benchmarking.md "Snapshot strategies" and
-    control/meta.py:SnapshotController.large_state_bytes cite."""
+def test_micro_snapshot_copy(benchmark):
+    """Checkpoint save + rollback restore of a 200-element-table state
+    through its own ``copy()``, the one way the kernel copies a state."""
 
-    strategy = resolve_snapshot_strategy(strategy_name)
     state = TableState(counter=7, clock=123.5, table=list(range(200)),
                        index={i: float(i) for i in range(50)})
 
     def run():
         for _ in range(50):
-            restored = strategy.snapshot(strategy.snapshot(state))
+            restored = state.copy().copy()
         return restored
 
     assert benchmark(run) == state
 
 
-def test_micro_snapshot_copy(benchmark):
-    _snapshot_roundtrip(benchmark, "copy")
-
-
-def test_micro_snapshot_pickle(benchmark):
-    _snapshot_roundtrip(benchmark, "pickle")
-
-
 def test_micro_snapshot_array(benchmark):
-    """Block ndarray.copy() checkpointing of an array-backed state."""
+    """``RecordState.copy()`` of an array-backed state: one
+    ``ndarray.copy()`` per array field."""
 
     np = pytest.importorskip("numpy")
 
@@ -192,14 +182,13 @@ def test_micro_snapshot_array(benchmark):
         table: object = None
         shards: list = field(default_factory=list)
 
-    strategy = resolve_snapshot_strategy("array")
     state = S(counter=7, table=np.arange(4096, dtype=np.float64),
               shards=[np.arange(512, dtype=np.int64) for _ in range(4)])
 
     def run():
         total = 0
         for _ in range(50):
-            clone = strategy.snapshot(state)
+            clone = state.copy()
             total += clone.counter
         return total
 

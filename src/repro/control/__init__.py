@@ -15,7 +15,6 @@ from .meta import (
     GvtPeriodController,
     MetaController,
     PlacementController,
-    SnapshotController,
 )
 from .registry import (
     KNOBS,
@@ -33,7 +32,6 @@ __all__ = [
     "KnobSpec",
     "MetaController",
     "PlacementController",
-    "SnapshotController",
     "dynamic_config_kwargs",
     "get_knob",
     "render_knob_table",

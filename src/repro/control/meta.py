@@ -5,15 +5,15 @@ kernel (checkpointing inside the LP event loop, cancellation inside
 comparison resolution, DyMA inside the transport).  Those loops stay
 where they are — they are byte-trace-compatible registry entries (see
 :mod:`repro.control.registry`) — but the two knobs the paper leaves
-static, the GVT period and the snapshot strategy, have no natural home
-in any LP: their outputs are *global* quantities.  The
+static, the GVT period and object placement, have no natural home in
+any LP: their outputs are *global* quantities.  The
 :class:`MetaController` gives them one: the executive calls
 :meth:`MetaController.on_gvt` at every advancing GVT round, each
 registered global controller samples its output at its declared period
 ``P``, runs its transfer function ``T``, and applies the move.
 
 Both controllers feed exclusively on modelled quantities (event
-counters, modelled state sizes) — never host wall time — so a run with
+counters, speed factors) — never host wall time — so a run with
 meta-control enabled is exactly as deterministic as one without, and the
 byte-identical-trace test holds with the meta loop on.
 
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..kernel.errors import ConfigurationError
-from ..kernel.state import SNAPSHOT_STRATEGIES, resolve_snapshot_strategy
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.executive import Executive
@@ -74,51 +73,6 @@ class GvtPeriodController:
             new = current
             self.last_verdict = "dead_zone"
         self.history.append((backlog_per_lp, current, new))
-        return new
-
-
-@dataclass
-class SnapshotController:
-    """On-line snapshot-strategy selection by observed state size.
-
-    ``O`` is the mean live state size across simulation objects in
-    modelled bytes.  The snapshot micro-benchmarks (docs/benchmarking.md)
-    show ``copy`` winning for small flat states and ``pickle`` for large
-    container-heavy ones; the hysteresis pair (switch up at
-    ``large_state_bytes``, back down at half of it) keeps the strategy
-    from thrashing around the break-even point.  Switching mid-run is
-    safe because every strategy returns plain, independent state objects
-    (:mod:`repro.kernel.state`).
-
-    An explicit ``array`` pin is *held*: the controller never moves off
-    it, because a user who selected the block-copy strategy has asserted
-    the states are ndarray-backed — a size heuristic tuned for python
-    containers has nothing useful to say about those.
-    """
-
-    #: control period P, in advancing GVT rounds
-    period: int = 8
-    #: mean state bytes above which "pickle" takes over
-    large_state_bytes: float = 4096.0
-    last_verdict: str = ""
-    #: (mean_bytes, old_name, new_name) per invocation
-    history: list = field(default_factory=list)
-
-    def control(self, mean_bytes: float, current: str) -> str:
-        """One transfer-function evaluation: state size -> strategy name."""
-        if current == "array":
-            new = current
-            self.last_verdict = "array_pinned"
-        elif mean_bytes > self.large_state_bytes:
-            new = "pickle"
-            self.last_verdict = "state_large" if current != "pickle" else "dead_zone"
-        elif mean_bytes < self.large_state_bytes / 2 and current == "pickle":
-            new = "copy"
-            self.last_verdict = "state_small"
-        else:
-            new = current
-            self.last_verdict = "dead_zone"
-        self.history.append((mean_bytes, current, new))
         return new
 
 
@@ -196,7 +150,7 @@ class PlacementController:
 
 #: the knobs a MetaController can own (the per-object/per-LP knobs are
 #: driven by their in-kernel loops; see repro.control.registry)
-META_KNOBS = ("gvt_period", "snapshot", "placement")
+META_KNOBS = ("gvt_period", "placement")
 
 
 class MetaController:
@@ -218,7 +172,6 @@ class MetaController:
         knobs: tuple[str, ...] = META_KNOBS,
         *,
         gvt_period: GvtPeriodController | None = None,
-        snapshot: SnapshotController | None = None,
         placement: PlacementController | None = None,
     ) -> None:
         unknown = set(knobs) - set(META_KNOBS)
@@ -229,25 +182,14 @@ class MetaController:
             )
         self.knobs = tuple(knobs)
         self.gvt_period = gvt_period or GvtPeriodController()
-        self.snapshot = snapshot or SnapshotController()
         self.placement = placement or PlacementController()
         self._rounds = 0
-        self._snapshot_name = "copy"
-        self._attached = False
         #: (round, knob, old, new, verdict) per invocation, for reports
         self.history: list[tuple[int, str, object, object, str]] = []
 
     # ------------------------------------------------------------------ #
-    def attach(self, executive: "Executive", snapshot_spec: object) -> None:
+    def attach(self, executive: "Executive") -> None:
         """Wire the loop into a run (called by the kernel facade)."""
-        self._attached = True
-        if isinstance(snapshot_spec, str):
-            self._snapshot_name = snapshot_spec
-        elif "snapshot" in self.knobs:
-            raise ConfigurationError(
-                "meta-managed snapshot control needs a named strategy "
-                f"({sorted(SNAPSHOT_STRATEGIES)}), not an instance"
-            )
         executive.meta = self
 
     # ------------------------------------------------------------------ #
@@ -257,9 +199,6 @@ class MetaController:
         invoked = False
         if "gvt_period" in self.knobs and self._rounds % self.gvt_period.period == 0:
             self._control_gvt_period(executive, gvt)
-            invoked = True
-        if "snapshot" in self.knobs and self._rounds % self.snapshot.period == 0:
-            self._control_snapshot(executive)
             invoked = True
         if "placement" in self.knobs and self._rounds % self.placement.period == 0:
             self._control_placement(executive)
@@ -297,37 +236,6 @@ class MetaController:
                 gvt=gvt,
             )
 
-    def _control_snapshot(self, executive: "Executive") -> None:
-        total = 0.0
-        objects = 0
-        for lp in executive.lps:
-            for ctx in lp.members.values():
-                objects += 1
-                state = ctx.obj.state
-                if hasattr(state, "size_bytes"):
-                    total += state.size_bytes()
-        mean = total / max(1, objects)
-        old = self._snapshot_name
-        new = self.snapshot.control(mean, old)
-        if new != old:
-            strategy = resolve_snapshot_strategy(new)
-            for lp in executive.lps:
-                lp.snapshot_strategy = strategy
-            self._snapshot_name = new
-        self.history.append(
-            (self._rounds, "snapshot", old, new, self.snapshot.last_verdict)
-        )
-        tracer = executive.tracer
-        if tracer.enabled:
-            tracer.emit(
-                "ctrl.snapshot", executive.wallclock,
-                o=mean,
-                old=old,
-                new=new,
-                verdict=self.snapshot.last_verdict,
-                objects=objects,
-            )
-
     def _control_placement(self, executive: "Executive") -> None:
         if executive.routing is None:
             return  # a bare executive (unit tests) has nothing to move
@@ -359,9 +267,3 @@ class MetaController:
                 verdict=self.placement.last_verdict,
                 moves=len(moves),
             )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def snapshot_strategy_name(self) -> str:
-        """The snapshot strategy currently in force ("copy"/"pickle"/...)."""
-        return self._snapshot_name

@@ -4,8 +4,8 @@ One :class:`~repro.control.spec.KnobSpec` per knob the paper's
 configuration space exposes — the four with in-kernel dynamic
 controllers (checkpoint interval, cancellation strategy, aggregation
 window, optimism window) and the two global ones the
-:class:`~repro.control.meta.MetaController` drives (GVT period, snapshot
-strategy).  The four legacy controllers in :mod:`repro.core` are *not*
+:class:`~repro.control.meta.MetaController` drives (GVT period, object
+placement).  The four legacy controllers in :mod:`repro.core` are *not*
 re-implemented here: each registry entry's ``make_dynamic`` returns the
 same policy object with the same defaults the kernel has always used, so
 a run configured through the registry is byte-trace-identical to one
@@ -33,7 +33,6 @@ from ..core.window_controller import AdaptiveTimeWindow, StaticTimeWindow
 from ..kernel.cancellation import Mode, StaticCancellation
 from ..kernel.checkpointing import MAX_INTERVAL, StaticCheckpoint
 from ..kernel.errors import ConfigurationError
-from ..kernel.state import SNAPSHOT_STRATEGIES
 from .spec import KnobSpec
 
 #: registration order is presentation order (docs table, CLI listing)
@@ -94,14 +93,6 @@ def _check_gvt_period(value: Any) -> None:
     if not isinstance(value, (int, float)) or value <= 0:
         raise ConfigurationError(
             f"gvt_period must be a positive number of us, got {value!r}"
-        )
-
-
-def _check_snapshot(value: Any) -> None:
-    if value not in SNAPSHOT_STRATEGIES:
-        raise ConfigurationError(
-            f"snapshot strategy must be one of "
-            f"{sorted(SNAPSHOT_STRATEGIES)}, got {value!r}"
         )
 
 
@@ -247,31 +238,6 @@ register(KnobSpec(
     doc="Frequent GVT rounds reclaim memory sooner but spend bandwidth "
         "and CPU on control traffic (ablation A4); the meta-controller "
         "servos the period on the uncommitted-history backlog.",
-))
-
-register(KnobSpec(
-    name="snapshot",
-    title="Snapshot strategy",
-    parameter="state snapshot strategy",
-    target="global",
-    domain="copy | pickle | deepcopy | array or dynamic (meta)",
-    sampled_output="mean live state size across objects (modelled bytes)",
-    initial="copy",
-    transfer="hysteresis: > 4096 bytes -> pickle, < 2048 bytes -> copy; "
-             "an explicit 'array' pin is held (never overridden)",
-    period="every 8 advancing GVT rounds",
-    constraint="named strategies only (copy | pickle | deepcopy | array)",
-    record_type="ctrl.snapshot",
-    config_field="snapshot",
-    meta_managed=True,
-    static_values=tuple((n, n) for n in ("copy", "pickle", "deepcopy", "array")),
-    check=_check_snapshot,
-    make_static=lambda name: str(name),
-    doc="How the kernel copies states for checkpoints: 'copy' wins for "
-        "small flat states, 'pickle' for large container-heavy ones, "
-        "'array' block-copies ndarray-backed record states "
-        "(docs/benchmarking.md); the meta-controller switches on the "
-        "observed mean state size.",
 ))
 
 register(KnobSpec(

@@ -21,7 +21,6 @@ from .cancellation import CancellationPolicy, StaticCancellation, Mode
 from .checkpointing import CheckpointPolicy, StaticCheckpoint
 from .errors import ConfigurationError
 from .simobject import SimulationObject
-from .state import SnapshotStrategy, resolve_snapshot_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a kernel <-> comm import cycle
     from ..comm.aggregation import AggregationPolicy
@@ -141,13 +140,6 @@ class SimulationConfig:
     fastpath: ClassVar[None] = None
     wire: ClassVar[str] = "shm"
 
-    #: how the kernel copies states for checkpoints and restores: a
-    #: registry name ("copy", "pickle", "deepcopy") or a
-    #: :class:`repro.kernel.state.SnapshotStrategy` instance.  "copy" is
-    #: the measured default (``benchmarks/bench_kernel_micro.py::test_micro_snapshot_*``
-    #: micro-benchmarks); "pickle" wins for large container-heavy states.
-    snapshot: "str | SnapshotStrategy" = "copy"
-
     #: "omniscient" (exact, centrally computed) or "mattern" (distributed)
     gvt_algorithm: str = "omniscient"
     #: wall-clock µs between GVT round initiations
@@ -160,7 +152,7 @@ class SimulationConfig:
 
     #: optional unified control plane (docs/control.md): a factory for a
     #: :class:`repro.control.MetaController` driving the meta-managed
-    #: global knobs (GVT period, snapshot strategy) at GVT rounds, e.g.
+    #: global knobs (GVT period, placement) at GVT rounds, e.g.
     #: ``lambda: MetaController()``.  ``None`` = those knobs stay static.
     meta_control: MetaControlFactory | None = None
 
@@ -265,7 +257,6 @@ class SimulationConfig:
                     "(docs/parallel.md)"
                 )
             validate_churn_plan(self.churn)
-        resolve_snapshot_strategy(self.snapshot)  # raises on a bad spec
 
     def costs_for_lp(self, lp_id: int) -> CostModel:
         factor = self.lp_speed_factors.get(lp_id, 1.0)

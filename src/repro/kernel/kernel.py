@@ -25,7 +25,6 @@ from .errors import ConfigurationError, SchedulingError
 from .event import Event
 from .lp import LogicalProcess
 from .simobject import SimulationObject
-from .state import resolve_snapshot_strategy
 
 #: A partition maps LP index -> the simulation objects it hosts.
 Partition = Sequence[Sequence[SimulationObject]]
@@ -83,7 +82,6 @@ def host_lp(
     )
     lp.tracer = tracer
     lp.oracle = oracle
-    lp.snapshot_strategy = resolve_snapshot_strategy(config.snapshot)
     for oid, owner in routing.items():
         if owner == lp_id:
             obj = objects[oid]
@@ -169,14 +167,14 @@ class TimeWarpSimulation:
         self.meta = None
         if self.config.meta_control is not None:
             self.meta = self.config.meta_control()
-            self.meta.attach(self.executive, self.config.snapshot)
+            self.meta.attach(self.executive)
         elif self.config.placement == "dynamic":
             # placement="dynamic" without an explicit meta_control factory
             # still means on-line placement: attach a placement-only loop
             from ..control.meta import MetaController
 
             self.meta = MetaController(knobs=("placement",))
-            self.meta.attach(self.executive, self.config.snapshot)
+            self.meta.attach(self.executive)
 
         # --- optional committed-event trace ------------------------------
         self.trace: list[tuple[float, str, str, float, Any]] | None = None

@@ -32,7 +32,7 @@ from .errors import (
 from .event import Event, EventKey, SentRecord, VirtualTime
 from .queues import InputQueue, OutputQueue, StateQueue
 from .simobject import SimulationObject
-from .state import COPY_SNAPSHOT, SavedState, SnapshotStrategy
+from .state import SavedState
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..comm.transport import CommModule
@@ -138,9 +138,6 @@ class LogicalProcess:
         self.forward: Callable[[Event], None] | None = None
         #: set by the executive so arrivals can wake an idle LP
         self.idle: bool = False
-        #: how checkpoint saves and rollback restores copy state
-        #: (``SimulationConfig.snapshot``; see repro.kernel.state)
-        self.snapshot_strategy: SnapshotStrategy = COPY_SNAPSHOT
 
     # ------------------------------------------------------------------ #
     # construction
@@ -198,7 +195,7 @@ class LogicalProcess:
                 last_key=None,
                 lvt=0.0,
                 event_count=0,
-                state=self.snapshot_strategy.snapshot(ctx.obj.state),
+                state=ctx.obj.state.copy(),
             )
             ctx.sq.save(saved)
             oracle = self.oracle
@@ -313,7 +310,7 @@ class LogicalProcess:
         self.clock += cost
         self.stats.busy_time += cost
         stats.state_restores += 1
-        ctx.obj.state = self.snapshot_strategy.snapshot(snapshot.state)
+        ctx.obj.state = snapshot.state.copy()
         ctx.lvt = snapshot.lvt
         ctx.event_count = snapshot.event_count
         ctx.events_since_save = 0
@@ -581,9 +578,7 @@ class LogicalProcess:
             cost = self.costs.state_save(state.size_bytes())
             self.clock += cost
             self.stats.busy_time += cost
-            saved = SavedState(
-                key, ctx.lvt, ctx.event_count, self.snapshot_strategy.snapshot(state), cost
-            )
+            saved = SavedState(key, ctx.lvt, ctx.event_count, state.copy(), cost)
             ctx.sq.save(saved)
             oracle = self.oracle
             if oracle.enabled:

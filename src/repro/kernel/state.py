@@ -1,9 +1,12 @@
-"""Application state protocol, snapshot strategies and saved-state records.
+"""Application state protocol and saved-state records.
 
 Time Warp objects must expose copyable state so the kernel can checkpoint
 and restore it.  The contract mirrors WARPED's ``BasicState``:
 
-* ``copy()`` returns a deep, independent snapshot;
+* ``copy()`` returns a deep, independent snapshot — the kernel calls it
+  for snapshot zero, every checkpoint save and every rollback restore, so
+  a state that wants a pickle round-trip, an ndarray block copy or a
+  ``deepcopy`` writes it in its own ``copy()``, where its layout is known;
 * ``size_bytes()`` reports the modelled size, which the cost model charges
   per checkpoint (large states make frequent checkpointing expensive —
   the whole reason dynamic checkpoint intervals matter);
@@ -13,25 +16,15 @@ and restore it.  The contract mirrors WARPED's ``BasicState``:
 :class:`RecordState` gives applications a dataclass-friendly base: any
 dataclass whose fields are immutables, lists/dicts of immutables, or nested
 ``RecordState`` values inherits a correct ``copy``/``size_bytes``/``__eq__``.
-
-*How* the kernel takes a snapshot is pluggable (the checkpoint hot path is
-one of the costs the paper's controllers reason about, so it should be a
-measured choice, not a hard-coded one): a :class:`SnapshotStrategy` turns a
-live state into an independent snapshot.  ``bench_kernel_micro.py`` measures the
-strategies against each other (``snapshot.*`` micro-benchmarks); the
-default is selected per run via ``SimulationConfig.snapshot``.
 """
 
 from __future__ import annotations
 
-import copy as _copy
 import dataclasses
-import pickle
 import sys
 from dataclasses import dataclass
 from typing import Any, Protocol, runtime_checkable
 
-from .errors import ConfigurationError
 from .event import EventKey, VirtualTime, payload_size_bytes
 
 
@@ -39,8 +32,8 @@ def _loaded_ndarray() -> type | None:
     """numpy's ``ndarray`` if numpy is already imported, else ``None``.
 
     Never imports numpy: no state can hold an ndarray before something
-    else has loaded numpy, so the lazy lookup changes no copy, size or
-    snapshot result and keeps numpy off ``import repro``.
+    else has loaded numpy, so the lazy lookup changes no size result and
+    keeps numpy off ``import repro``.
     """
     return getattr(sys.modules.get("numpy"), "ndarray", None)
 
@@ -160,129 +153,6 @@ class RecordState:
         )
 
     __hash__ = None  # type: ignore[assignment]  # states are mutable
-
-
-# --------------------------------------------------------------------- #
-# snapshot strategies
-# --------------------------------------------------------------------- #
-class SnapshotStrategy(Protocol):
-    """Turns a live application state into an independent snapshot."""
-
-    #: short identifier (used by config specs and benchmark names)
-    name: str
-
-    def snapshot(self, state: AppState) -> AppState:
-        """Return a deep, independent copy of ``state``."""
-        ...
-
-
-class CopySnapshot:
-    """Delegate to the state's own ``copy()`` (the WARPED contract).
-
-    This is the default: application ``copy()`` implementations (or the
-    :class:`RecordState` field walk) know their own structure and beat the
-    generic serializers on the small, flat states PDES models carry.
-    """
-
-    name = "copy"
-
-    def snapshot(self, state: AppState) -> AppState:
-        return state.copy()
-
-
-class PickleSnapshot:
-    """Pickle round-trip: ``loads(dumps(state))``.
-
-    Runs the copy loop in C and honours ``__getstate__``/``__setstate__``,
-    so states that define a reduced pickled form (dropping caches or
-    derived fields) get that fast path automatically.  Wins over
-    :class:`CopySnapshot` once states grow large container fields.
-    """
-
-    name = "pickle"
-
-    def snapshot(self, state: AppState) -> AppState:
-        return pickle.loads(pickle.dumps(state, pickle.HIGHEST_PROTOCOL))
-
-
-class DeepcopySnapshot:
-    """:func:`copy.deepcopy` — the generality fallback.
-
-    Handles arbitrary object graphs (cycles, shared sub-objects) that the
-    structured strategies reject; pays for it on every call.  Exists so an
-    application with exotic state can still run, and so the benchmark
-    suite can show what the generality costs.
-    """
-
-    name = "deepcopy"
-
-    def snapshot(self, state: AppState) -> AppState:
-        return _copy.deepcopy(state)
-
-
-class ArraySnapshot:
-    """Block-copy snapshot for array-heavy states (the numpy fast path).
-
-    Walks :class:`RecordState` fields once and copies each ``ndarray``
-    field with ``ndarray.copy()`` — a single C memcpy per array, no
-    per-element dispatch — including lists of arrays (struct-of-arrays
-    states).  Non-array fields, and states that are not ``RecordState``
-    dataclasses, fall back to the :class:`CopySnapshot` semantics.  It
-    never imports numpy: until something else has, no field is an array,
-    so it is always safe to select.
-    """
-
-    name = "array"
-
-    def snapshot(self, state: AppState) -> AppState:
-        if not isinstance(state, RecordState):
-            return state.copy()
-        ndarray = _loaded_ndarray()
-        cls = type(state)
-        clone = cls.__new__(cls)
-        for name in _field_names(cls):
-            value = getattr(state, name)
-            kind = type(value)
-            if kind is ndarray:
-                setattr(clone, name, value.copy())
-            elif (
-                kind is list
-                and value
-                and all(type(item) is ndarray for item in value)
-            ):
-                setattr(clone, name, [item.copy() for item in value])
-            else:
-                setattr(clone, name, _copy_value(value))
-        return clone
-
-
-#: Registry of named strategies (``SimulationConfig.snapshot`` specs).
-SNAPSHOT_STRATEGIES: dict[str, type] = {
-    "copy": CopySnapshot,
-    "pickle": PickleSnapshot,
-    "deepcopy": DeepcopySnapshot,
-    "array": ArraySnapshot,
-}
-
-#: Shared default instance (strategies are stateless).
-COPY_SNAPSHOT = CopySnapshot()
-
-
-def resolve_snapshot_strategy(spec: "str | SnapshotStrategy") -> SnapshotStrategy:
-    """Resolve a config spec — a registry name or a strategy instance."""
-    if isinstance(spec, str):
-        try:
-            return SNAPSHOT_STRATEGIES[spec]()
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown snapshot strategy {spec!r}; "
-                f"choose from {sorted(SNAPSHOT_STRATEGIES)}"
-            ) from None
-    if not hasattr(spec, "snapshot"):
-        raise ConfigurationError(
-            f"snapshot strategy {spec!r} does not implement snapshot()"
-        )
-    return spec
 
 
 @dataclass(slots=True)

@@ -62,12 +62,6 @@ def cmd_summarize(args: argparse.Namespace) -> int:
             f"invocations, {summary.gvt_ctrl_moves} moves   "
             f"final P: {_fmt_num(summary.final_gvt_period, 1)}"
         )
-    if summary.snapshot_invocations:
-        print(
-            f"snapshot control: {summary.snapshot_invocations} "
-            f"invocations, {summary.snapshot_switches} switches   "
-            f"final strategy: {summary.final_snapshot}"
-        )
     if summary.objects:
         header = (
             f"\n{'object':<14} {'chi invoc':>9} {'chi moves':>9} {'chi':>9} "

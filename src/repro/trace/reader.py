@@ -161,9 +161,6 @@ class TraceSummary:
     gvt_ctrl_invocations: int = 0
     gvt_ctrl_moves: int = 0
     final_gvt_period: float | None = None
-    snapshot_invocations: int = 0
-    snapshot_switches: int = 0
-    final_snapshot: str | None = None
     flushes: int = 0
     flushed_events: int = 0
 
@@ -213,11 +210,6 @@ def summarize(records: Iterable[dict]) -> TraceSummary:
             if record["old"] != record["new"]:
                 summary.gvt_ctrl_moves += 1
             summary.final_gvt_period = record["new"]
-        elif rtype == "ctrl.snapshot":
-            summary.snapshot_invocations += 1
-            if record["old"] != record["new"]:
-                summary.snapshot_switches += 1
-            summary.final_snapshot = record["new"]
         elif rtype == "comm.flush":
             summary.flushes += 1
             summary.flushed_events += record["count"]

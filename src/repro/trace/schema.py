@@ -26,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: Bumped only on breaking changes; see the versioning policy above.
-SCHEMA_VERSION = 1
+#: 2 removed the snapshot-strategy control record type.
+SCHEMA_VERSION = 2
 
 #: Python types accepted for each declared field type.  ``number`` fields
 #: additionally accept the non-finite string encodings.
@@ -178,21 +179,6 @@ RECORD_TYPES: dict[str, RecordSpec] = {
                 ("gvt", "number", "the GVT estimate at the invocation"),
             ),
             verdicts=("backlog_high", "backlog_low", "dead_zone"),
-        ),
-        RecordSpec(
-            "ctrl.snapshot",
-            "One meta-controller snapshot-strategy invocation (<state "
-            "size, strategy, copy, hysteresis, every8Rounds>); global, "
-            "fired from the executive's meta loop (docs/control.md).",
-            _f(
-                ("o", "number",
-                 "sampled output O: mean live state size (modelled bytes)"),
-                ("old", "str", 'strategy before: "copy" | "pickle" | "deepcopy"'),
-                ("new", "str", "strategy after"),
-                ("verdict", "str", "hysteresis verdict"),
-                ("objects", "int", "simulation objects sampled"),
-            ),
-            verdicts=("state_large", "state_small", "dead_zone"),
         ),
         RecordSpec(
             "ctrl.placement",

@@ -2,7 +2,7 @@
 
 Coverage is a set of small string *features* extracted from each run:
 the lattice point it sat on (backend, cancellation variant, checkpoint
-bucket, aggregation, snapshot, GVT, faults on/off) and the behaviour it
+bucket, aggregation, GVT, faults on/off) and the behaviour it
 actually exercised (rollback count and depth buckets, anti-messages,
 lazy hits, controller transitions, which invariant-oracle check kinds
 fired, which trace record types were emitted).  The fuzzer biases knob

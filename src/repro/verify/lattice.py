@@ -2,9 +2,9 @@
 
 The full cross product of :data:`repro.verify.scenario.AXES` (6
 cancellation variants x 8 checkpoint settings x 3 aggregation policies x
-4 snapshot strategies x 2 GVT algorithms x 2 optimism windows x
-meta-control off/on on the modelled backend, the first four again on
-the parallel one) is ~6000 points per app — too many for a gate.
+2 GVT algorithms x 2 optimism windows x meta-control off/on on the
+modelled backend, the first three again on the parallel one) is ~1300
+points per app — too many for a gate.
 ``sweep_scenarios`` instead walks the paper-shaped slices that
 matter: every value of every axis, one axis at a time, from a default
 pivot per app, plus every backend variant of the pivot.  The fuzzer

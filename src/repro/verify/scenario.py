@@ -3,11 +3,11 @@
 A scenario pins *everything* that selects one verification run: the
 application and its topology parameters, every configuration knob the
 paper treats as tunable (cancellation variant, checkpoint interval,
-aggregation policy, snapshot strategy, GVT algorithm/period, optimism
-window), the execution backend (modelled Time Warp, conservative,
-process-sharded parallel), modelled heterogeneity, and an optional fault
-plan.  Serialization is canonical (sorted keys, all fields explicit) so
-a scenario file replays byte-identically and diffs cleanly.
+aggregation policy, GVT algorithm/period, optimism window), the
+execution backend (modelled Time Warp, conservative, process-sharded
+parallel), modelled heterogeneity, and an optional fault plan.
+Serialization is canonical (sorted keys, all fields explicit) so a
+scenario file replays byte-identically and diffs cleanly.
 
 The knob fields mirror the paper's configuration space and are declared
 once, as rows of :data:`AXES` — field, values, the backends that take
@@ -107,13 +107,11 @@ AXES = (
          accepts=lambda v: not isinstance(v, str) and 1 <= v <= MAX_INTERVAL),
     # none / FAW / SAAW, ``aggregation_window`` the (initial) window
     Axis("aggregation", ("none", "fixed", "saaw"), _TIME_WARP, "agg"),
-    Axis("snapshot", ("copy", "pickle", "deepcopy", "array"),
-         _TIME_WARP, "snapshot"),
     # the process backend always runs its own distributed coordinator
     Axis("gvt_algorithm", ("omniscient", "mattern"), _MODELLED, "gvt"),
     Axis("time_window", ("none", "adaptive"), _MODELLED, "window"),
     # the unified MetaController over the meta-managed global knobs
-    # (GVT period, snapshot strategy; docs/control.md)
+    # (GVT period, placement; docs/control.md)
     Axis("meta_control", ("off", "on"), _MODELLED, "meta"),
 )
 
@@ -275,7 +273,6 @@ class Scenario:
     aggregation: str = "none"
     #: FAW window / SAAW initial window, wall-clock microseconds
     aggregation_window: float = 100.0
-    snapshot: str = "copy"
     gvt_algorithm: str = "omniscient"
     gvt_period: float = 50_000.0
     time_window: str = "none"
@@ -377,7 +374,6 @@ class Scenario:
             aggregation=_aggregation_factory(
                 self.aggregation, self.aggregation_window
             ),
-            snapshot=self.snapshot,
             gvt_algorithm=self.gvt_algorithm,
             gvt_period=self.gvt_period,
             end_time=self.effective_end_time(),

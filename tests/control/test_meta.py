@@ -11,7 +11,7 @@ from repro import (
     TimeWarpSimulation,
 )
 from repro.apps.smmp import SMMPParams, build_smmp
-from repro.control.meta import GvtPeriodController, SnapshotController
+from repro.control.meta import GvtPeriodController
 from repro.kernel.errors import ConfigurationError
 from repro.trace import Tracer, read_trace, validate_record
 
@@ -44,48 +44,15 @@ class TestGvtPeriodTransfer:
         assert len(ctl.history) == 2
 
 
-class TestSnapshotTransfer:
-    def test_large_state_switches_to_pickle(self):
-        ctl = SnapshotController()
-        assert ctl.control(5_000.0, "copy") == "pickle"
-        assert ctl.last_verdict == "state_large"
-
-    def test_large_state_already_pickle_is_noop(self):
-        ctl = SnapshotController()
-        assert ctl.control(5_000.0, "pickle") == "pickle"
-        assert ctl.last_verdict == "dead_zone"
-
-    def test_small_state_switches_back(self):
-        ctl = SnapshotController()
-        assert ctl.control(1_000.0, "pickle") == "copy"
-        assert ctl.last_verdict == "state_small"
-
-    def test_hysteresis_band_holds_pickle(self):
-        # between half and the full threshold: no thrash back to copy
-        ctl = SnapshotController()
-        assert ctl.control(3_000.0, "pickle") == "pickle"
-        assert ctl.last_verdict == "dead_zone"
-
-    def test_small_state_on_copy_is_noop(self):
-        ctl = SnapshotController()
-        assert ctl.control(1_000.0, "copy") == "copy"
-        assert ctl.last_verdict == "dead_zone"
-
-
 class TestMetaControllerWiring:
     def test_unknown_knob_rejected(self):
         with pytest.raises(ConfigurationError, match="meta-managed"):
             MetaController(knobs=("gvt_period", "partition"))
 
-    def test_attach_requires_named_snapshot_when_managed(self):
+    def test_attach_installs_the_loop_on_the_executive(self):
         meta = MetaController()
-        with pytest.raises(ConfigurationError, match="named strategy"):
-            meta.attach(SimpleNamespace(), object())
-
-    def test_attach_instance_snapshot_ok_when_not_managed(self):
-        meta = MetaController(knobs=("gvt_period",))
         executive = SimpleNamespace()
-        meta.attach(executive, object())
+        meta.attach(executive)
         assert executive.meta is meta
 
     def test_parallel_backend_rejects_meta_control(self):
@@ -124,7 +91,7 @@ def meta_trace(tmp_path_factory):
 class TestMetaRecords:
     def test_records_are_emitted_and_schema_valid(self, meta_trace):
         _sim, records = meta_trace
-        ctrl = [r for r in records if r["type"] in ("ctrl.gvt", "ctrl.snapshot")]
+        ctrl = [r for r in records if r["type"] in ("ctrl.gvt", "ctrl.placement")]
         assert ctrl
         for record in ctrl:
             assert validate_record(record) == []
@@ -138,9 +105,9 @@ class TestMetaRecords:
         )
         meta = sim.meta
         n_gvt = sum(1 for r in records if r["type"] == "ctrl.gvt")
-        n_snap = sum(1 for r in records if r["type"] == "ctrl.snapshot")
+        n_place = sum(1 for r in records if r["type"] == "ctrl.placement")
         assert n_gvt == advancing // meta.gvt_period.period
-        assert n_snap == advancing // meta.snapshot.period
+        assert n_place == advancing // meta.placement.period
         assert n_gvt > 0
 
     def test_noop_invocations_still_emit(self, meta_trace):
@@ -149,9 +116,8 @@ class TestMetaRecords:
         for record in records:
             if record["type"] == "ctrl.gvt" and record["verdict"] == "dead_zone":
                 assert record["old"] == record["new"]
-            if record["type"] == "ctrl.snapshot":
-                if record["verdict"] == "dead_zone":
-                    assert record["old"] == record["new"]
+            if record["type"] == "ctrl.placement" and record["verdict"] == "hold":
+                assert record["old"] == record["new"] == ""
 
     def test_history_mirrors_records(self, meta_trace):
         sim, records = meta_trace
@@ -175,7 +141,7 @@ class TestMetaDeterminism:
 
     def test_default_config_has_no_meta(self, tmp_path):
         # meta off (the default) leaves the trace byte-identical to the
-        # pre-registry kernel: no ctrl.gvt/ctrl.snapshot, no extra cost
+        # pre-registry kernel: no ctrl.gvt/ctrl.placement, no extra cost
         path = tmp_path / "plain.jsonl"
         with Tracer.to_path(path) as tracer:
             config = SimulationConfig(
@@ -190,4 +156,4 @@ class TestMetaDeterminism:
         assert sim.meta is None
         types = {r["type"] for r in read_trace(path)}
         assert "ctrl.gvt" not in types
-        assert "ctrl.snapshot" not in types
+        assert "ctrl.placement" not in types

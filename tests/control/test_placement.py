@@ -156,8 +156,7 @@ class TestLiveMigration:
             end_time=50.0, meta_control=lambda: MetaController(), **DYNAMIC
         )
         sim = TimeWarpSimulation(phold(), config)
-        assert sim.executive.meta.knobs == ("gvt_period", "snapshot",
-                                            "placement")
+        assert sim.executive.meta.knobs == ("gvt_period", "placement")
 
     def test_migration_traces_validate(self, tmp_path):
         path = tmp_path / "placement.jsonl"

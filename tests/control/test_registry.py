@@ -28,7 +28,6 @@ EXPECTED_KNOBS = (
     "aggregation",
     "time_window",
     "gvt_period",
-    "snapshot",
     "placement",
 )
 
@@ -77,7 +76,6 @@ class TestSpecIntegrity:
             ("aggregation", -5.0),
             ("time_window", 0.0),
             ("gvt_period", -1.0),
-            ("snapshot", "xml"),
             ("placement", "sticky"),
         ],
     )
@@ -102,11 +100,6 @@ class TestStaticConfig:
     def test_gvt_period_static_kwargs(self):
         assert static_config_kwargs("gvt_period", 5_000.0) == {
             "gvt_period": 5_000.0
-        }
-
-    def test_snapshot_static_kwargs(self):
-        assert static_config_kwargs("snapshot", "pickle") == {
-            "snapshot": "pickle"
         }
 
     def test_invalid_static_value_raises(self):

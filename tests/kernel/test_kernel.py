@@ -111,9 +111,7 @@ class TestOneLPHost:
     @staticmethod
     def both_hosts():
         params = PHOLDParams(n_objects=6, n_lps=2, jobs_per_object=1)
-        config = SimulationConfig(
-            cancellation=lambda obj: StaticCancellation(Mode.LAZY), snapshot="pickle"
-        )
+        config = SimulationConfig(cancellation=lambda obj: StaticCancellation(Mode.LAZY))
         sim = TimeWarpSimulation(build_phold(params), config)
         plan = ShardPlan(
             objects=[obj for group in build_phold(params) for obj in group],
@@ -135,7 +133,6 @@ class TestOneLPHost:
             assert type(twin.cancel_policy) is type(ctx.cancel_policy)
             assert type(twin.ckpt_policy) is type(ctx.ckpt_policy)
             assert twin.mode == ctx.mode
-        assert type(sharded.snapshot_strategy) is type(modelled.snapshot_strategy)
         assert type(sharded.comm.policy) is type(modelled.comm.policy)
 
     def test_routing_is_one_shared_dict_and_forward_reroutes(self):

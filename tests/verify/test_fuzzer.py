@@ -70,6 +70,4 @@ def test_sweep_covers_every_axis_value():
         "aggressive", "lazy", "dynamic", "st", "ps32", "pa10"
     }
     assert "dynamic" in {s.checkpoint for s in scenarios}
-    assert {s.snapshot for s in scenarios} == {
-        "copy", "pickle", "deepcopy", "array"
-    }
+    assert {s.meta_control for s in scenarios} == {"off", "on"}

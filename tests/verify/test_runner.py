@@ -74,7 +74,7 @@ def test_knob_variants_reproduce_the_golden_digest():
         {"cancellation": "lazy"},
         {"checkpoint": 16},
         {"aggregation": "saaw"},
-        {"snapshot": "deepcopy"},
+        {"meta_control": "on"},
         {"gvt_algorithm": "mattern"},
         {"lp_speed_factors": {"0": 3.0}},
         {"faults": {"seed": 9, "rates": {"drop": 0.1}}},

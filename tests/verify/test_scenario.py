@@ -36,7 +36,7 @@ def test_json_round_trip_is_identity():
         checkpoint="dynamic",
         aggregation="saaw",
         aggregation_window=400.0,
-        snapshot="pickle",
+        meta_control="on",
         gvt_algorithm="mattern",
         time_window="adaptive",
         lp_speed_factors={"1": 2.0},
@@ -75,6 +75,16 @@ def test_simulation_config_has_no_fastpath_field():
         SimulationConfig(fastpath="numpy")
 
 
+def test_a_stored_snapshot_pin_is_refused_as_an_unknown_field():
+    with pytest.raises(ConfigurationError, match="snapshot"):
+        Scenario.from_dict({"schema": SCHEMA_SCENARIO, "snapshot": "pickle"})
+
+
+def test_simulation_config_has_no_snapshot_field():
+    with pytest.raises(TypeError):
+        SimulationConfig(snapshot="copy")
+
+
 @pytest.mark.parametrize(
     "changes",
     [
@@ -87,7 +97,7 @@ def test_simulation_config_has_no_fastpath_field():
         {"checkpoint": "adaptive"},
         {"aggregation": "dyma"},
         {"aggregation_window": 0.0},
-        {"snapshot": "mmap"},
+        {"meta_control": "always"},
         {"gvt_algorithm": "samadi"},
         {"gvt_period": -1.0},
         {"time_window": "static"},

@@ -18,7 +18,6 @@ def test_shrink_strips_knobs_while_failure_persists():
         cancellation="ps32",
         checkpoint=64,
         aggregation="saaw",
-        snapshot="pickle",
         gvt_algorithm="mattern",
         time_window="adaptive",
         meta_control="on",
@@ -35,7 +34,6 @@ def test_shrink_strips_knobs_while_failure_persists():
     assert s.cancellation == "aggressive"
     assert s.checkpoint == 1
     assert s.aggregation == "none"
-    assert s.snapshot == "copy"
     assert s.gvt_algorithm == "omniscient"
     assert s.time_window == "none"
     assert s.meta_control == "off"
@@ -49,7 +47,7 @@ def test_shrink_strips_knobs_while_failure_persists():
 
 def test_shrink_preserves_the_failure_kind():
     """A knob-dependent failure keeps the knob that causes it."""
-    scenario = Scenario(cancellation="lazy", checkpoint=32, snapshot="pickle")
+    scenario = Scenario(cancellation="lazy", checkpoint=32, aggregation="saaw")
 
     def fails_only_when_lazy(candidate):
         kind = "digest" if candidate.cancellation == "lazy" else ""
@@ -58,7 +56,7 @@ def test_shrink_preserves_the_failure_kind():
     result = shrink(scenario, "digest", fails_only_when_lazy, max_runs=200)
     assert result.scenario.cancellation == "lazy"
     assert result.scenario.checkpoint == 1  # unrelated knobs still reset
-    assert result.scenario.snapshot == "copy"
+    assert result.scenario.aggregation == "none"
 
 
 def test_shrink_respects_the_run_budget():
@@ -69,7 +67,7 @@ def test_shrink_respects_the_run_budget():
         calls += 1
         return FakeResult("digest")
 
-    shrink(Scenario(checkpoint=64, snapshot="pickle"), "digest",
+    shrink(Scenario(checkpoint=64, aggregation="saaw"), "digest",
            count_and_fail, max_runs=3)
     assert calls <= 3
 
