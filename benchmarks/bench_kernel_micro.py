@@ -14,9 +14,11 @@ from repro import SequentialSimulation, SimulationConfig, TimeWarpSimulation
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.apps.smmp import SMMPParams, build_smmp
+from repro.comm.message import MessageKind, PhysicalMessage
 from repro.kernel.event import Event
 from repro.kernel.queues import InputQueue
 from repro.kernel.state import RecordState
+from repro.parallel.wire import decode_batch, encode_batch
 from tests.helpers import flatten, make_event
 
 
@@ -193,3 +195,34 @@ def test_micro_snapshot_array(benchmark):
         return total
 
     assert benchmark(run) == 350
+
+
+def _phold_envelope(stamp: int, n_events: int):
+    """One PHOLD physical message: ``(job_id, hop)`` payloads."""
+    events = tuple(
+        Event(sender=i, receiver=8 + i, send_time=10.0 * i,
+              recv_time=10.0 * i + 7.25, payload=(i, 3), serial=100 + i)
+        for i in range(n_events)
+    )
+    return stamp, PhysicalMessage(src_lp=0, dst_lp=1,
+                                  kind=MessageKind.DATA, events=events)
+
+
+@pytest.mark.parametrize("n_envelopes", [1, 4])
+def test_micro_wire_codec(benchmark, n_envelopes):
+    """Encode + decode of one shm-wire frame: six PHOLD events in one
+    envelope (one slice's aggregate) and split over four envelopes (four
+    destination LPs, or a policy that flushes inside a slice)."""
+
+    envelopes = tuple(
+        _phold_envelope(stamp, 6 // n_envelopes + (stamp < 6 % n_envelopes))
+        for stamp in range(n_envelopes)
+    )
+
+    def run():
+        return decode_batch(encode_batch(1, envelopes))
+
+    batch = benchmark(run)
+    assert [len(m.events) for _s, m in batch.envelopes] == [
+        len(m.events) for _s, m in envelopes
+    ]

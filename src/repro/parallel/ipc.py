@@ -25,10 +25,11 @@ coordinator's "fleet ran dry" hint are single bytes on the pipes of
   and :class:`ShardDone` / :class:`ShardError` (terminal payloads).
 
 Batching happens at two levels — DyMA aggregation packs events into
-physical messages (``comm/aggregation.py``), and the outbox packs
-physical messages into one ``DataBatch`` per destination per queue write
-— so a chatty model costs queue operations proportional to flushes, not
-to events.
+physical messages (``comm/aggregation.py``), flushed once per look at
+the data wire so that the slice is the aggregation window, and the
+outbox packs physical messages into one ``DataBatch`` per destination
+per look — so a chatty model costs ring or queue operations
+proportional to slices, not to events.
 """
 
 from __future__ import annotations

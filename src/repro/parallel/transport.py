@@ -1,15 +1,17 @@
 """The inter-process wire: an outbox behind the CommModule.
 
 Each worker's LP keeps its ordinary :class:`~repro.comm.transport.CommModule`
-— DyMA aggregation buffers, flush-on-size/age, send-cost charging — and
-the module's ``network`` slot holds a :class:`ShardTransport` instead of
-the modelled :class:`~repro.comm.network.Network`.  A "sent" physical
+— DyMA aggregation buffers, flush-on-size, send-cost charging — and the
+module's ``network`` slot holds a :class:`ShardTransport` instead of the
+modelled :class:`~repro.comm.network.Network`.  Aggregates do not age on
+a timer here: the worker loop flushes every one of them each time it
+looks at its data wire, then drains the outbox.  A "sent" physical
 message is stamped with the worker's current Mattern colour
 (:class:`~repro.gvt.mattern.ColourAgent`) and parked in a per-destination
 outbox; the worker loop drains the outbox into one
-:class:`~repro.parallel.ipc.DataBatch` per destination per queue write,
-so the paper's aggregation controller governs a real OS-pipe wire and the
-queue traffic is batched on top of it.
+:class:`~repro.parallel.ipc.DataBatch` per destination per look at the
+data wire, so a window > 0 yields one physical message per destination
+per slice and the ring or queue traffic is batched on top of it.
 """
 
 from __future__ import annotations

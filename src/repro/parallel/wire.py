@@ -3,21 +3,26 @@
 The queue wire pickles whole :class:`~repro.parallel.ipc.DataBatch`
 objects, which rebuilds every ``Event``/``PhysicalMessage`` dataclass
 through the generic pickle machinery on both sides of every hop.  This
-module replaces that with a versioned ``struct``-packed frame: the fixed
-numeric event fields travel as struct-of-arrays blocks (one contiguous
-``u32``/``u64``/``f64`` run per field, one ``struct`` call each), and
-payloads travel as one tag byte plus an inline little-endian body for
-the common immutable types, with a pickle *escape hatch* for anything
-odd or oversized (big ints, application objects, non-UTF-8 strings).
+module replaces that with a versioned ``struct``-packed frame: the
+envelope table and the fixed numeric fields of *every* event in the
+frame travel as struct-of-arrays columns (one contiguous
+``u32``/``u64``/``f64`` run per field), packed and unpacked by one cached
+``struct.Struct`` call per frame, and payloads travel as one tag byte
+plus an inline little-endian body for the common immutable types, with a
+pickle *escape hatch* for anything odd or oversized (big ints,
+application objects, non-UTF-8 strings).
 
 Frames are self-describing and versioned: a decoder refuses a frame
 whose magic or version it does not know (``WireFormatError``), which is
 the upgrade rule — bump :data:`WIRE_VERSION` on any layout change, never
-reinterpret silently.  An encoder that cannot represent a batch at all
-(a non-DATA message, a control payload, an id outside the fixed-width
-fields) raises :class:`WireEncodeError`; the worker then falls back to
-the pickled queue path for that batch, so the ring only ever carries
-frames this module fully owns.
+reinterpret silently.  Any other frame it cannot read — lengths past the
+end, counts that disagree, trailing bytes, a payload body that is not
+what its tag says — is a ``WireFormatError`` too, and nothing else.  An
+encoder that cannot represent a batch at all (a non-DATA message, a
+control payload, an id outside the fixed-width fields) raises
+:class:`WireEncodeError`; the worker then falls back to the pickled
+queue path for that batch, so the ring only ever carries frames this
+module fully owns.
 
 Round-trip contract (tests/parallel/test_wire.py): for every encodable
 batch, ``decode_batch(encode_batch(...))`` reproduces the source shard,
@@ -27,45 +32,49 @@ byte-identical to a queue-wire run.  Receiver-side
 ``PhysicalMessage.serial`` is process-local bookkeeping and is minted
 fresh on decode (nothing on the receive path reads it).
 
-Frame layout (all little-endian)::
+Frame layout (all little-endian; k envelopes carrying n events)::
 
-    offset  field
-    0       u16   magic 0x5257 ("RW")
-    2       u8    version (currently 1)
-    3       u8    frame kind (1 = data batch)
-    4       u32   src_shard
-    8       u32   n_envelopes
-    12      envelopes...
+    offset      field
+    0           u16   magic 0x5257 ("RW")
+    2           u8    version (currently 2)
+    3           u8    frame kind (1 = data batch)
+    4           u32   src_shard
+    8           u32   k = n_envelopes
+    12          u32   n = n_events (sum of the envelope counts)
+    16          envelope table: k * (u32 colour stamp | u32 src_lp |
+                                     u32 dst_lp | u32 n_events)
+    16 + 16k    senders    n*u32   (struct-of-arrays columns over all
+                receivers  n*u32    n events, in envelope order)
+                serials    n*u64
+                signs      n*i8
+                send_times n*f64
+                recv_times n*f64
+    16 + 16k    payloads   n * (u8 tag + body)   -- see _TAG_* below
+      + 33n
 
-    envelope:
-      u32 colour stamp | u32 src_lp | u32 dst_lp | u32 n_events
-      senders    n*u32     (struct-of-arrays blocks)
-      receivers  n*u32
-      serials    n*u64
-      signs      n*i8
-      send_times n*f64
-      recv_times n*f64
-      payloads   n * (u8 tag + body)       -- see _TAG_* below
-
-The block order and widths are this module's own field table,
-:data:`SOA_LAYOUT`.
+The column order and widths are this module's own field table,
+:data:`SOA_LAYOUT`.  A frame is exactly as long as its contents: the
+decoder refuses trailing bytes.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+from functools import lru_cache
+from itertools import chain
+from operator import attrgetter
 
 from ..comm.message import MessageKind, PhysicalMessage
 from ..kernel.event import Event
 from .ipc import DataBatch, Envelope
 
 #: bump on ANY layout change; decoders reject unknown versions
-WIRE_VERSION = 1
+WIRE_VERSION = 2
 _MAGIC = 0x5257  # "RW"
 _FRAME_DATA_BATCH = 1
 
-#: the envelope's field blocks, in frame order: ``(Event attribute,
+#: the frame's event columns, in frame order: ``(Event attribute,
 #: struct format, byte width)`` per scalar field
 SOA_LAYOUT = (
     ("sender", "I", 4),
@@ -76,11 +85,16 @@ SOA_LAYOUT = (
     ("recv_time", "d", 8),
 )
 
-_HEADER = struct.Struct("<HBBII")
-_ENVELOPE = struct.Struct("<IIII")
+_HEADER = struct.Struct("<HBBIII")
+#: the header read in two steps, so a frame of another version is
+#: refused by number before the rest of its header is interpreted
+_PREAMBLE = struct.Struct("<HBB")
+_COUNTS = struct.Struct("<III")
 _U32 = struct.Struct("<I")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
+#: one event's column fields, in SOA_LAYOUT order
+_row = attrgetter(*(attr for attr, _fmt, _width in SOA_LAYOUT))
 
 # payload tag bytes
 _TAG_NONE = 0
@@ -93,19 +107,20 @@ _TAG_BYTES = 6  # u32 length + raw bytes
 _TAG_TUPLE = 7  # u32 count + nested tagged values
 _TAG_PICKLE = 8  # u32 length + pickle bytes (the escape hatch)
 _LENGTH_PREFIXED = frozenset({_TAG_STR, _TAG_BYTES, _TAG_PICKLE})
-#: bytes one event takes across an envelope's six field blocks
+#: bytes one envelope takes in the envelope table
+_ENVELOPE_BYTES = 16
+#: bytes one event takes across the six columns
 _ROW_BYTES = sum(width for _attr, _fmt, width in SOA_LAYOUT)
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
-_U32_MAX = (1 << 32) - 1
-_U64_MAX = (1 << 64) - 1
 
 
 class WireFormatError(ValueError):
-    """A frame this decoder does not speak (magic/version/kind) or whose
-    lengths run past its end.  Frames arrive from another process, so
-    these checks stay on in production."""
+    """A frame this decoder does not speak (magic/version/kind) or cannot
+    read (lengths past its end, counts that disagree, trailing bytes, a
+    corrupt payload body).  Frames arrive from another process, so these
+    checks stay on in production."""
 
 
 class WireEncodeError(ValueError):
@@ -180,9 +195,19 @@ def _decode_payload(buf, offset: int):
         end = _field_end(buf, offset, n)
         body = bytes(buf[offset:end])
         if tag == _TAG_STR:
-            return body.decode("utf-8"), end
+            try:
+                return body.decode("utf-8"), end
+            except UnicodeDecodeError as exc:
+                raise WireFormatError(
+                    f"invalid UTF-8 in str body at offset {offset}: {exc}"
+                ) from exc
         if tag == _TAG_PICKLE:
-            return pickle.loads(body), end
+            try:
+                return pickle.loads(body), end
+            except Exception as exc:  # damaged pickles fail in many types
+                raise WireFormatError(
+                    f"corrupt pickle body at offset {offset}: {exc!r}"
+                ) from exc
         return body, end
     if tag == _TAG_TUPLE:
         count = _U32.unpack_from(buf, offset)[0]
@@ -192,22 +217,20 @@ def _decode_payload(buf, offset: int):
             item, offset = _decode_payload(buf, offset)
             items.append(item)
         return tuple(items), offset
-    raise WireFormatError(f"unknown payload tag {tag}")
-
-
-# --------------------------------------------------------------------- #
-# struct-of-arrays field blocks
-# --------------------------------------------------------------------- #
-def _pack_block(values: list, fmt: str) -> bytes:
-    try:
-        return struct.pack(f"<{len(values)}{fmt}", *values)
-    except struct.error as exc:
-        raise WireEncodeError(str(exc)) from exc
+    raise WireFormatError(f"unknown payload tag {tag} at offset {offset - 1}")
 
 
 # --------------------------------------------------------------------- #
 # batches
 # --------------------------------------------------------------------- #
+@lru_cache(maxsize=256)
+def _columns(n_envelopes: int, n_events: int) -> struct.Struct:
+    """The envelope table plus the six event columns of one frame."""
+    return struct.Struct(f"<{4 * n_envelopes}I" + "".join(
+        f"{n_events}{fmt}" for _attr, fmt, _width in SOA_LAYOUT
+    ))
+
+
 def encode_batch(src_shard: int, envelopes: tuple[Envelope, ...]) -> bytes:
     """Pack one outbox drain into a single binary frame.
 
@@ -215,90 +238,82 @@ def encode_batch(src_shard: int, envelopes: tuple[Envelope, ...]) -> bytes:
     packed format's fixed-width fields (the caller falls back to the
     pickled queue wire for the whole batch).
     """
-    parts: list[bytes] = [
-        _HEADER.pack(_MAGIC, WIRE_VERSION, _FRAME_DATA_BATCH,
-                     src_shard, len(envelopes))
-    ]
+    table: list[int] = []
+    events: list[Event] = []
     for stamp, message in envelopes:
         if message.kind is not MessageKind.DATA or message.control is not None:
             raise WireEncodeError(
                 f"only plain DATA messages ride the ring, got {message.kind}"
             )
-        events = message.events
-        n = len(events)
-        try:
-            parts.append(_ENVELOPE.pack(stamp, message.src_lp,
-                                        message.dst_lp, n))
-        except struct.error as exc:
-            raise WireEncodeError(str(exc)) from exc
-        senders = []
-        receivers = []
-        serials = []
-        signs = []
-        send_times = []
-        recv_times = []
-        for event in events:
-            senders.append(event.sender)
-            receivers.append(event.receiver)
-            serials.append(event.serial)
-            signs.append(event.sign)
-            send_times.append(event.send_time)
-            recv_times.append(event.recv_time)
-        columns = (senders, receivers, serials, signs, send_times, recv_times)
-        for values, (_attr, fmt, _width) in zip(columns, SOA_LAYOUT):
-            parts.append(_pack_block(values, fmt))
-        for event in events:
-            _encode_payload(event.payload, parts)
+        table += (stamp, message.src_lp, message.dst_lp, len(message.events))
+        events += message.events
+    k, n = len(envelopes), len(events)
+    try:
+        parts: list[bytes] = [
+            _HEADER.pack(_MAGIC, WIRE_VERSION, _FRAME_DATA_BATCH,
+                         src_shard, k, n),
+            _columns(k, n).pack(
+                *table, *chain.from_iterable(zip(*map(_row, events)))
+            ),
+        ]
+    except struct.error as exc:
+        raise WireEncodeError(str(exc)) from exc
+    for event in events:
+        _encode_payload(event.payload, parts)
     return b"".join(parts)
-
-
-def _decode_header(frame) -> tuple[int, int]:
-    """Check magic/version/kind; return ``(src_shard, n_envelopes)``."""
-    magic, version, kind, src_shard, n_envelopes = _HEADER.unpack_from(frame, 0)
-    if magic != _MAGIC:
-        raise WireFormatError(f"bad frame magic 0x{magic:04x}")
-    if version != WIRE_VERSION:
-        raise WireFormatError(
-            f"wire version {version} not supported (speaking {WIRE_VERSION})"
-        )
-    if kind != _FRAME_DATA_BATCH:
-        raise WireFormatError(f"unknown frame kind {kind}")
-    return src_shard, n_envelopes
 
 
 def decode_batch(frame) -> DataBatch:
     """Inverse of :func:`encode_batch` (accepts bytes or a memoryview)."""
+    size = len(frame)
     try:
-        src_shard, n_envelopes = _decode_header(frame)
-        offset = _HEADER.size
-        envelopes: list[Envelope] = []
-        for _ in range(n_envelopes):
-            stamp, src_lp, dst_lp, n = _ENVELOPE.unpack_from(frame, offset)
-            offset += _ENVELOPE.size
-            _field_end(frame, offset, n * _ROW_BYTES)
-            blocks = []
-            for _attr, fmt, width in SOA_LAYOUT:
-                blocks.append(struct.unpack_from(f"<{n}{fmt}", frame, offset))
-                offset += n * width
-            senders, receivers, serials, signs, send_times, recv_times = blocks
-            events = []
-            for i in range(n):
-                payload, offset = _decode_payload(frame, offset)
-                events.append(Event(
-                    sender=senders[i],
-                    receiver=receivers[i],
-                    send_time=send_times[i],
-                    recv_time=recv_times[i],
-                    payload=payload,
-                    serial=serials[i],
-                    sign=signs[i],
-                ))
-            envelopes.append((stamp, PhysicalMessage(
-                src_lp=src_lp,
-                dst_lp=dst_lp,
-                kind=MessageKind.DATA,
-                events=tuple(events),
-            )))
+        magic, version, kind = _PREAMBLE.unpack_from(frame, 0)
+        if magic != _MAGIC:
+            raise WireFormatError(f"bad frame magic 0x{magic:04x}")
+        if version != WIRE_VERSION:
+            raise WireFormatError(
+                f"wire version {version} not supported (speaking {WIRE_VERSION})"
+            )
+        if kind != _FRAME_DATA_BATCH:
+            raise WireFormatError(f"unknown frame kind {kind}")
+        src_shard, k, n = _COUNTS.unpack_from(frame, _PREAMBLE.size)
+        offset = _field_end(
+            frame, _HEADER.size, k * _ENVELOPE_BYTES + n * _ROW_BYTES
+        )
+        values = _columns(k, n).unpack_from(frame, _HEADER.size)
+        table = values[:4 * k]
+        counts = table[3::4]
+        if sum(counts) != n:
+            raise WireFormatError(
+                f"envelope counts sum to {sum(counts)}, header says {n} events"
+            )
+        payloads = []
+        for _ in range(n):
+            payload, offset = _decode_payload(frame, offset)
+            payloads.append(payload)
     except (struct.error, IndexError) as exc:  # a field cut off by the end
-        raise WireFormatError(f"truncated {len(frame)}-byte frame: {exc}") from exc
+        raise WireFormatError(f"truncated {size}-byte frame: {exc}") from exc
+    if offset != size:
+        raise WireFormatError(
+            f"{size - offset} trailing bytes after offset {offset}"
+        )
+    c = 4 * k
+    senders, receivers, serials, signs, send_times, recv_times = (
+        values[c + i * n:c + (i + 1) * n] for i in range(len(SOA_LAYOUT))
+    )
+    events = tuple(map(
+        Event, senders, receivers, send_times, recv_times, payloads,
+        serials, signs,
+    ))
+    envelopes: list[Envelope] = []
+    start = 0
+    for i in range(0, c, 4):
+        stamp, src_lp, dst_lp, count = table[i:i + 4]
+        envelopes.append((stamp, PhysicalMessage(
+            src_lp=src_lp,
+            dst_lp=dst_lp,
+            kind=MessageKind.DATA,
+            events=events[start:start + count],
+        )))
+        start += count
     return DataBatch(src_shard, tuple(envelopes))

@@ -10,8 +10,9 @@ schedulers"); this module owns what only a real process can do:
 * a poll loop racing the wall clock: execute a slice, look at the data
   wire (inbound rings, outbox), poll the inbox queue for control records,
   and when idle block on the inbox pipe and the shard's doorbell at once;
-* a flush scheduler for aging DyMA aggregates (a small heap against the
-  LP's modelled clock, since there is no global modelled NOW);
+* the slice as DyMA's aggregation window: every look at the data wire
+  first flushes every open aggregate, so a window > 0 means one physical
+  message per destination per slice (docs/parallel.md, "Batched IPC");
 * the shard's end of the coordinator star: Mattern colouring of every
   inter-shard send/receive via a :class:`~repro.gvt.mattern.ColourAgent`
   (stamps carried in the IPC envelopes), one cut report per ``GvtStart``,
@@ -22,7 +23,6 @@ schedulers"); this module owns what only a real process can do:
 
 from __future__ import annotations
 
-import heapq
 import queue as queue_mod
 import time
 import traceback
@@ -126,7 +126,8 @@ def worker_main(shard_id: int, plan: ShardPlan, inbox, to_coordinator,
 
 
 class _ShardRuntime:
-    """One worker's live state: LP, transport, colour agent, flush heap."""
+    """One worker's live state: LP, transport, colour agent, wire ends
+    (no flush timer: see :meth:`_schedule_flush`)."""
 
     def __init__(self, shard_id: int, plan: ShardPlan, inbox, to_coordinator,
                  out_queues, rings=None, wakes=None) -> None:
@@ -172,8 +173,6 @@ class _ShardRuntime:
             config, self.transport, self.tracer,
         )
         self.oracle = lp.oracle
-        #: (flush-at modelled clock, dst shard, aggregate generation)
-        self._flush_heap: list[tuple[float, int, int]] = []
         lp.schedule_flush = self._schedule_flush  # TransportHost hook
 
         self._pending_gvt: GvtStart | None = None
@@ -196,16 +195,13 @@ class _ShardRuntime:
         self.migrations_out = 0
 
     # ------------------------------------------------------------------ #
-    def _schedule_flush(self, dst_lp: int, at: float, generation: int) -> None:
-        heapq.heappush(self._flush_heap, (at, dst_lp, generation))
-
-    def _pop_due_flushes(self) -> None:
-        heap = self._flush_heap
-        clock = self.lp.clock
-        comm = self.lp.comm
-        while heap and heap[0][0] <= clock:
-            _, dst, generation = heapq.heappop(heap)
-            comm.flush_due(dst, generation)
+    @staticmethod
+    def _schedule_flush(dst_lp: int, at: float, generation: int) -> None:
+        """TransportHost hook, deliberately a no-op: the window that
+        matters on this backend is the slice.  Bytes only leave when the
+        loop looks at the data wire, and :meth:`run` flushes every
+        aggregate right then, so a modelled-clock deadline could only cut
+        one slice's traffic into more physical messages."""
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -239,7 +235,6 @@ class _ShardRuntime:
                 if not lp.execute_one():
                     break
                 executed += 1
-                self._pop_due_flushes()
             self._executed += executed
             since_queue += executed
             if max_events is not None and self._executed > max_events:
@@ -247,6 +242,7 @@ class _ShardRuntime:
                     f"shard {self.shard_id} exceeded max_executed_events="
                     f"{max_events} (livelock safety valve)"
                 )
+            lp.comm.flush_all()  # the slice is the aggregation window
             if self._pending_gvt is not None:
                 self._send_report()
             self._flush_outbox()

@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import queue as queue_mod
 import select
+import struct
 import time
 import types
 from collections import deque
@@ -225,10 +226,14 @@ class TestTruncatedFrames:
             with pytest.raises(WireFormatError):
                 decode_batch(frame[:cut])
 
+    # _multi_envelope_frame: k = 3 envelopes, n = 3 + 40 + 8 = 51 events;
+    # payloads start after the 16-byte header, the 16k-byte envelope
+    # table and the 33n bytes of columns
     @pytest.mark.parametrize("offset, value", [
         (8, 3),                        # header: n_envelopes
-        (12 + 12, 3),                  # first envelope: n_events
-        (12 + 16 + 3 * 33 + 1, 4),     # first payload: len("text")
+        (12, 51),                      # header: n_events
+        (16 + 12, 3),                  # envelope table: first count
+        (16 + 3 * 16 + 51 * 33 + 1, 4),  # first payload: len("text")
     ])
     def test_flipped_length_field_rejected(self, offset, value):
         frame = bytearray(_multi_envelope_frame())
@@ -236,6 +241,40 @@ class TestTruncatedFrames:
         frame[offset + 3] ^= 0x40  # + 2**30 in a little-endian u32
         with pytest.raises(WireFormatError):
             decode_batch(bytes(frame))
+
+    def test_envelope_counts_must_sum_to_n_events(self):
+        frame = bytearray(_multi_envelope_frame())
+        frame[16 + 12] = 2  # first envelope claims 2 of its 3 events
+        with pytest.raises(WireFormatError, match="sum to 50"):
+            decode_batch(bytes(frame))
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(WireFormatError, match="1 trailing bytes"):
+            decode_batch(_multi_envelope_frame() + b"\x00")
+
+    def test_v1_frame_refused_by_version(self):
+        # version 1: a 12-byte header with no event count, then per-
+        # envelope field blocks; an empty one is shorter than a v2 header
+        v1_empty = struct.pack("<HBBII", 0x5257, 1, 1, 0, 0)
+        v1_frame = (struct.pack("<HBBII", 0x5257, 1, 1, 0, 1)
+                    + struct.pack("<IIII", 0, 3, 7, 1)
+                    + struct.pack("<IIQbdd", 3, 7, 0, 1, 1.5, 2.5) + b"\x00")
+        for frame in (v1_empty, v1_frame):
+            with pytest.raises(WireFormatError, match="version 1"):
+                decode_batch(frame)
+
+    def test_corrupt_utf8_body_is_a_format_error(self):
+        src_shard, envelopes = _batch([_event(payload="hello")])
+        frame = bytearray(encode_batch(src_shard, envelopes))
+        frame[frame.index(b"hello")] = 0xFF
+        with pytest.raises(WireFormatError, match="str body at offset"):
+            decode_batch(bytes(frame))
+
+    def test_corrupt_pickle_body_is_a_format_error(self):
+        src_shard, envelopes = _batch([_event(payload={"k": 1})])
+        frame = encode_batch(src_shard, envelopes)
+        with pytest.raises(WireFormatError, match="pickle body at offset"):
+            decode_batch(frame[:-1] + b"\x00")  # STOP opcode overwritten
 
 
 class TestShmRing:
@@ -500,8 +539,13 @@ class _CadenceProbe:
         executed = [0]
         frames = list(frames)
 
+        class Comm:
+            def flush_all(self):
+                log.append("aggregate")
+
         class Lp:
             clock = 0.0
+            comm = Comm()
 
             def initialize(self):
                 pass
@@ -536,9 +580,6 @@ class _CadenceProbe:
 
             def _flush_outbox(self):
                 log.append("flush")
-
-            def _pop_due_flushes(self):
-                pass
 
             def _finish(self, stop):
                 log.append("finish")
@@ -607,6 +648,22 @@ class TestPollCadence:
         assert set(probe.gaps("flush")) == {worker_mod.EXECUTE_SLICE}
         assert log.count("queue") == 1 + log.count("exec") // worker_mod.EXECUTE_SLICE
 
+    @pytest.mark.parametrize("n_shards, with_ring, slice_", [
+        (2, True, worker_mod.RING_SLICE),
+        (2, False, worker_mod.RING_SLICE),
+        (1, False, worker_mod.EXECUTE_SLICE),
+    ])
+    def test_aggregates_leave_at_every_data_wire_look(self, n_shards,
+                                                      with_ring, slice_):
+        # the slice is DyMA's window: every aggregate is flushed right
+        # before the outbox drains, never inside a slice
+        probe = _CadenceProbe(n_shards=n_shards, with_ring=with_ring)
+        log = probe.run()
+        assert set(probe.gaps("aggregate")) == {slice_}
+        looks = [i for i, entry in enumerate(log) if entry == "flush"]
+        assert len(looks) == log.count("aggregate")
+        assert all(log[i - 1] == "aggregate" for i in looks)
+
     def test_absorbed_backlog_is_handled_before_newer_ring_frames(self):
         def batch(label):
             return _batch([_event(payload=label)], src_shard=1)
@@ -666,6 +723,22 @@ class TestWireParity:
         result = run_scenario(PHOLD.with_(backend="parallel", workers=2))
         assert result.ok, result.describe()
         assert result.raw["wire"] == wire  # no silent shm -> queue fallback
+
+    @needs_tso
+    def test_faw_aggregates_one_slice_per_physical_message(self):
+        # the e2e par_cross_2w shape, shortened: with a modelled-clock
+        # flush timer a 50 us window expired after about one event and
+        # a physical message carried ~1.5 events; the slice carries ~5
+        result = run_scenario(PHOLD.with_(
+            backend="parallel", workers=2, end_time=1000.0,
+            aggregation="fixed", aggregation_window=50.0,
+            app_params={"n_objects": 16, "n_lps": 2, "jobs_per_object": 3},
+        ))
+        assert result.ok, result.describe()
+        assert result.raw["wire"] == "shm"
+        assert result.oracle_checks > 0 and result.violations == ()
+        stats = result.raw["stats"]
+        assert stats.events_on_wire / stats.physical_messages >= 2
 
     @needs_tso
     def test_shm_run_reports_ring_traffic(self):

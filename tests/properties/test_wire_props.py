@@ -6,7 +6,10 @@ serials/signs/stamps — because the parallel backend's differential
 validation compares committed results byte-for-byte against the
 sequential golden.  The ring property drives a randomized push/pop
 schedule (including forced wraparound and full-ring rejections) and
-demands byte-exact FIFO delivery.
+demands byte-exact FIFO delivery.  The decoder's own contract is typed
+failure: frames come from another process, so a truncated or
+overwritten frame either decodes or raises ``WireFormatError`` — never
+a ``UnicodeDecodeError``, an unpickling error or a ``struct.error``.
 """
 
 import math
@@ -16,7 +19,7 @@ from hypothesis import given, strategies as st
 from repro.comm.message import MessageKind, PhysicalMessage
 from repro.kernel.event import Event
 from repro.parallel.shm import ShmRing
-from repro.parallel.wire import decode_batch, encode_batch
+from repro.parallel.wire import WireFormatError, decode_batch, encode_batch
 
 # inline-encodable scalars, including the pickle escape hatch (huge
 # ints, dicts) and awkward-but-legal strings
@@ -117,6 +120,25 @@ class TestEncodeDecodeIdentity:
                                   events=(event,))
         (_stamp, got), = decode_batch(encode_batch(0, ((7, message),))).envelopes
         assert _exact_eq(got.events[0].payload, event.payload)
+
+
+class TestDecoderTypedErrors:
+    @given(
+        envelopes=st.lists(_envelopes(), min_size=1, max_size=3),
+        data=st.data(),
+    )
+    def test_damaged_frame_decodes_or_raises_format_error(self, envelopes, data):
+        frame = bytearray(encode_batch(0, tuple(envelopes)))
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = frame[:data.draw(st.integers(0, len(frame) - 1))]
+        else:
+            at = data.draw(st.integers(0, len(frame) - 1), label="offset")
+            frame[at] = data.draw(st.integers(0, 255), label="byte")
+            damaged = frame
+        try:
+            decode_batch(bytes(damaged))
+        except WireFormatError:
+            pass
 
 
 class TestRingFifoProperty:
