@@ -197,6 +197,112 @@ def test_micro_snapshot_array(benchmark):
     assert benchmark(run) == 350
 
 
+@dataclass
+class GenericPHOLDState(RecordState):
+    """``PHOLDState``'s fields without its hand-written copy/size."""
+
+    jobs_processed: int = 0
+    sequence: int = 0
+    scratch: list = None  # type: ignore[assignment]
+
+
+@dataclass
+class GenericCacheState(RecordState):
+    """SMMP ``CacheState``'s fields without its hand-written copy/size."""
+
+    hits: int = 0
+    misses: int = 0
+    fills: int = 0
+    tags: list = field(default_factory=list)
+
+
+@dataclass
+class GenericDiskState(RecordState):
+    """RAID ``DiskState``'s fields without its hand-written copy/size."""
+
+    served: int = 0
+    sectors_read: int = 0
+    sectors_written: int = 0
+    zone_histogram: list = field(default_factory=list)
+
+
+def _checkpointed_states():
+    from repro.apps.phold import PHOLDState
+    from repro.apps.raid import DiskState
+    from repro.apps.smmp import CacheState, SourceState
+
+    return {
+        "smmp-source": SourceState(issued=7, completed=5),
+        "phold": PHOLDState(jobs_processed=7, sequence=3),
+        "phold-generic": GenericPHOLDState(jobs_processed=7, sequence=3),
+        "phold-scratch64": PHOLDState(jobs_processed=7, sequence=3, scratch=[0] * 64),
+        "phold-scratch64-generic": GenericPHOLDState(7, 3, [0] * 64),
+        "smmp-cache": CacheState(tags=[0] * 512),
+        "smmp-cache-generic": GenericCacheState(tags=[0] * 512),
+        "raid-disk": DiskState(zone_histogram=[0] * 256),
+        "raid-disk-generic": GenericDiskState(zone_histogram=[0] * 256),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_checkpointed_states()))
+def test_micro_record_state_copy_size(benchmark, shape):
+    """One checkpoint's state work, ``size_bytes()`` then ``copy()``, ×100.
+
+    ``smmp-source`` is SMMP's two-int source state on the compiled
+    ``RecordState`` path.  Each ``*-generic`` shape is an app state's
+    fields without its hand-written ``copy``/``size_bytes``: the pair says
+    whether that override still pays (EXPERIMENTS.md)."""
+
+    state = _checkpointed_states()[shape]
+
+    def run():
+        total = 0
+        for _ in range(100):
+            total += state.size_bytes()
+            state.copy()
+        return total
+
+    assert benchmark(run) == 100 * state.size_bytes()
+
+
+def test_micro_fossil_collect(benchmark):
+    """``LogicalProcess.fossil_collect`` below all history: 8 objects with
+    200 retained snapshots each, so every call samples the memory high-water
+    marks over 1 608 snapshots and collects nothing."""
+
+    from repro.apps.smmp import SourceState
+    from repro.cluster.costmodel import CostModel
+    from repro.kernel.cancellation import Mode, StaticCancellation
+    from repro.kernel.checkpointing import StaticCheckpoint
+    from repro.kernel.lp import LogicalProcess
+    from repro.kernel.simobject import SimulationObject
+
+    class Obj(SimulationObject):
+        def initial_state(self):
+            return SourceState()
+
+        def execute_process(self, payload):
+            self.state.issued += payload
+
+    lp = LogicalProcess(0, CostModel(), resolve_name=lambda n: 0, lp_of=lambda o: 0)
+    for oid in range(8):
+        lp.attach(Obj(f"o{oid}"), oid,
+                  cancel_policy=StaticCancellation(Mode.AGGRESSIVE),
+                  ckpt_policy=StaticCheckpoint(1))
+    lp.initialize()
+    serial = 0
+    for oid in range(8):
+        for i in range(200):
+            lp.deliver_event(Event(sender=99, receiver=oid, send_time=float(i),
+                                   recv_time=i + 1.0, payload=1, serial=serial))
+            serial += 1
+    while lp.execute_one():
+        pass
+
+    benchmark(lp.fossil_collect, 0.5)
+    assert sum(len(ctx.sq.entries) for ctx in lp.members.values()) == 8 * 201
+
+
 def _phold_envelope(stamp: int, n_events: int):
     """One PHOLD physical message: ``(job_id, hop)`` payloads."""
     events = tuple(

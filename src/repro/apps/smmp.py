@@ -156,8 +156,10 @@ class CacheState(RecordState):
 
     # The tag store is a flat list of ints and the cache state is copied
     # on every checkpoint: specialized copy/size keep the *real* cost of
-    # the reproduction proportional to the *modelled* cost (profiling
-    # showed the generic field-walking versions dominating wall time).
+    # the reproduction proportional to the *modelled* cost.  RecordState's
+    # compiled methods must look at every tag to prove the list holds only
+    # scalars; these know it, and run 19x faster at 512 tags
+    # (test_micro_record_state_copy_size).
     def copy(self) -> "CacheState":
         return CacheState(hits=self.hits, misses=self.misses,
                           fills=self.fills, tags=self.tags.copy())

@@ -191,11 +191,13 @@ class LogicalProcess:
         for ctx in self._member_list:
             ctx.current_cause_key = INITIAL_KEY
             ctx.obj.initialize()
+            state = ctx.obj.state.copy()
             saved = SavedState(
                 last_key=None,
                 lvt=0.0,
                 event_count=0,
-                state=ctx.obj.state.copy(),
+                state=state,
+                size=state.size_bytes(),
             )
             ctx.sq.save(saved)
             oracle = self.oracle
@@ -305,8 +307,7 @@ class LogicalProcess:
         self.events_rolled_back += len(rolled)
 
         snapshot = ctx.sq.restore_for(key)
-        size = snapshot.state.size_bytes()
-        cost = self.costs.rollback_base + self.costs.state_restore(size)
+        cost = self.costs.rollback_base + self.costs.state_restore(snapshot.size)
         self.clock += cost
         self.stats.busy_time += cost
         stats.state_restores += 1
@@ -575,10 +576,11 @@ class LogicalProcess:
         ctx.events_since_save += 1
         if ctx.events_since_save >= ctx.chi:
             state = obj.state
-            cost = self.costs.state_save(state.size_bytes())
+            size = state.size_bytes()
+            cost = self.costs.state_save(size)
             self.clock += cost
             self.stats.busy_time += cost
-            saved = SavedState(key, ctx.lvt, ctx.event_count, state.copy(), cost)
+            saved = SavedState(key, ctx.lvt, ctx.event_count, state.copy(), cost, size)
             ctx.sq.save(saved)
             oracle = self.oracle
             if oracle.enabled:
@@ -682,7 +684,7 @@ class LogicalProcess:
         for ctx in self._member_list:
             entries = ctx.sq.entries
             state_entries += len(entries)
-            state_bytes += sum(e.state.size_bytes() for e in entries)
+            state_bytes += sum([e.size for e in entries])
             history_events += len(ctx.iq.processed) + ctx.iq.future_count()
             history_events += len(ctx.oq)
         stats = self.stats

@@ -264,10 +264,11 @@ def restore_object(
         ctx.oq.records.append(
             SentRecord(event=_event_from(fields), cause_key=cause_key)
         )
+    # sizes are not part of the canonical form: measure each snapshot here
     for last_key, lvt, event_count, state, save_cost in ckpt.states:
         ctx.sq.entries.append(SavedState(
             last_key=last_key, lvt=lvt, event_count=event_count,
-            state=state, save_cost=save_cost,
+            state=state, save_cost=save_cost, size=state.size_bytes(),
         ))
     # re-park in original order: fresh seqs, same relative expiry order
     for fields, cause_key, is_lazy in ckpt.comparisons:

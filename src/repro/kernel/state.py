@@ -14,8 +14,9 @@ and restore it.  The contract mirrors WARPED's ``BasicState``:
   coast-forward reproduces the exact pre-straggler state.
 
 :class:`RecordState` gives applications a dataclass-friendly base: any
-dataclass whose fields are immutables, lists/dicts of immutables, or nested
-``RecordState`` values inherits a correct ``copy``/``size_bytes``/``__eq__``.
+dataclass whose fields are immutables, lists/dicts of immutables, nested
+``RecordState`` values or ndarrays inherits a correct
+``copy``/``size_bytes``/``__eq__``, compiled once per class from its fields.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import sys
 from dataclasses import dataclass
-from typing import Any, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol, runtime_checkable
 
 from .event import EventKey, VirtualTime, payload_size_bytes
 
@@ -107,19 +108,118 @@ def _value_size(value: Any) -> int:
     return payload_size_bytes(value)
 
 
-#: Per-class cache of dataclass field names.  ``dataclasses.fields()``
-#: rebuilds a tuple of Field objects on every call, and the field walk
-#: runs on every checkpoint save, rollback restore and state comparison —
-#: the kernel's single hottest allocation site before this cache.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+def _values_equal(a: Any, b: Any) -> bool:
+    """Value equality of two field values whose ``==`` may not answer a
+    plain bool: ndarrays compare by shape, dtype and elements, nested
+    states through their own ``__eq__``."""
+    ndarray = _loaded_ndarray()
+    if ndarray is not None and (isinstance(a, ndarray) or isinstance(b, ndarray)):
+        return (
+            isinstance(a, ndarray)
+            and isinstance(b, ndarray)
+            and a.shape == b.shape
+            and a.dtype == b.dtype
+            and bool((a == b).all())
+        )
+    return bool(a == b)
 
 
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in dataclasses.fields(cls))
-        _FIELD_NAMES[cls] = names
-    return names
+#: field types shared by reference on copy (immutable) and sized inline
+_SCALARS = frozenset({int, float, str, bool, type(None)})
+#: list element types a list is sized as ``8 + 8 * len`` for
+_NUMBERS = frozenset({int, float})
+#: field types whose ``==`` answers a plain bool
+_PLAIN_EQ = _SCALARS | {bytes, tuple, list, dict, set, frozenset}
+
+# Per-field bodies of the compiled methods.  Each inlines the exact-type
+# cases of ``_copy_value`` / ``_value_size`` (and a ``list.copy()`` for a
+# list of scalars) and hands every other value to that function, so a
+# compiled method returns exactly what the per-field walk returns.
+_COPY_FIELD = """\
+    v = self.{0}
+    t = type(v)
+    if t in _SCALARS:
+        clone.{0} = v
+    elif t is list and _SCALARS.issuperset(map(type, v)):
+        clone.{0} = v.copy()
+    else:
+        clone.{0} = _copy_value(v)
+"""
+_SIZE_FIELD = """\
+    v = self.{0}
+    t = type(v)
+    if t is int or t is float:
+        n += 8
+    elif v is None:
+        pass
+    elif t is str:
+        n += len(v)
+    elif t is bool:
+        n += 1
+    elif t is list and _NUMBERS.issuperset(map(type, v)):
+        n += 8 + 8 * len(v)
+    else:
+        n += _value_size(v)
+"""
+_EQ_FIELD = """\
+    a = self.{0}
+    b = other.{0}
+    if a is not b:
+        t = type(a)
+        if t in _PLAIN_EQ and type(b) is t:
+            if a != b:
+                return False
+        elif not _values_equal(a, b):
+            return False
+"""
+
+
+def _method_source(name: str, fields: tuple[dataclasses.Field, ...]) -> str:
+    if name == "copy":
+        head = "def copy(self):\n    clone = _new(_cls)\n"
+        body = "".join(_COPY_FIELD.format(f.name) for f in fields)
+        return head + body + "    return clone\n"
+    if name == "size_bytes":
+        head = "def size_bytes(self):\n    n = 0\n"
+        body = "".join(_SIZE_FIELD.format(f.name) for f in fields)
+        return head + body + "    return n\n"
+    head = (
+        "def __eq__(self, other):\n"
+        "    if type(other) is not _cls:\n"
+        "        return NotImplemented\n"
+    )
+    body = "".join(_EQ_FIELD.format(f.name) for f in fields if f.compare)
+    return head + body + "    return True\n"
+
+
+#: (class, method name) -> the method compiled for that class
+_COMPILED: dict[tuple[type, str], Callable[..., Any]] = {}
+
+
+def _compiled(cls: type, name: str) -> Callable[..., Any]:
+    """``name`` compiled for ``cls``'s fields, built on first use.
+
+    Like ``dataclasses`` does for ``__init__``, the method is generated as
+    source and ``exec``-ed, here once per class at its first call rather
+    than at class creation (the fields are only known once ``@dataclass``
+    has run).  The compiled function replaces the lazy one in the class's
+    own dict, so later calls go straight to it; a class that writes its
+    own method and calls ``super()`` gets the compiled one from the cache.
+    """
+    fn = _COMPILED.get((cls, name))
+    if fn is None:
+        namespace = {**globals(), "_cls": cls, "_new": cls.__new__}
+        source = _method_source(name, dataclasses.fields(cls))
+        exec(compile(source, __file__, "exec"), namespace)
+        fn = _COMPILED[cls, name] = namespace[name]
+        # Filed under this module, so profiles count the calls as state
+        # work, and named after the class: profiles key a function by
+        # (file, line, name), which would otherwise merge every class's.
+        qualname = fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        fn.__code__ = fn.__code__.replace(co_name=qualname)
+        if cls is not RecordState and cls.__dict__.get(name) is _LAZY[name]:
+            setattr(cls, name, fn)
+    return fn
 
 
 @dataclass
@@ -127,32 +227,37 @@ class RecordState:
     """Base class turning any dataclass into a valid :class:`AppState`.
 
     Subclasses should be declared with ``@dataclass`` and fields drawn from
-    the supported types (immutables, lists/dicts/sets thereof, or nested
-    states).  ``copy`` walks the fields, so it stays correct as models
-    evolve without per-class boilerplate.
+    the supported types (immutables, lists/dicts/sets thereof, nested
+    states or ndarrays).  ``copy``, ``size_bytes`` and ``__eq__`` are
+    compiled per class from its fields on first use, so they stay correct
+    as models evolve without per-class boilerplate, and each call is one
+    frame with the common field types handled inline.
     """
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Give the class the lazy methods unless it (or a base between it
+        # and RecordState) writes its own.  An ``__eq__`` in the class dict
+        # also stops ``@dataclass`` from generating its tuple comparison.
+        for name, lazy in _LAZY.items():
+            inherited = getattr(cls, name)
+            if name not in cls.__dict__ and (inherited is lazy or inherited in _COMPILED.values()):
+                setattr(cls, name, lazy)
+
     def copy(self):
-        cls = type(self)
-        clone = cls.__new__(cls)
-        for name in _field_names(cls):
-            setattr(clone, name, _copy_value(getattr(self, name)))
-        return clone
+        return _compiled(type(self), "copy")(self)
 
     def size_bytes(self) -> int:
-        return sum(
-            _value_size(getattr(self, name)) for name in _field_names(type(self))
-        )
+        return _compiled(type(self), "size_bytes")(self)
 
     def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return all(
-            getattr(self, name) == getattr(other, name)
-            for name in _field_names(type(self))
-        )
+        return _compiled(type(self), "__eq__")(self, other)
 
     __hash__ = None  # type: ignore[assignment]  # states are mutable
+
+
+#: the lazy (compile-on-first-call) methods every subclass starts from
+_LAZY = {name: RecordState.__dict__[name] for name in ("copy", "size_bytes", "__eq__")}
 
 
 @dataclass(slots=True)
@@ -171,6 +276,9 @@ class SavedState:
         save_cost: modelled CPU cost charged when the snapshot was taken
             (recorded so the checkpoint controller's cost index can be
             audited per entry).
+        size: ``state.size_bytes()``, measured once when the snapshot is
+            made; the restore charge and the memory high-water marks read
+            it instead of walking the state again.
     """
 
     last_key: EventKey | None
@@ -178,6 +286,7 @@ class SavedState:
     event_count: int
     state: AppState
     save_cost: float = 0.0
+    size: int = 0
 
     def precedes(self, key: EventKey) -> bool:
         """True if this snapshot was taken strictly before ``key``."""

@@ -9,6 +9,10 @@ digit.  Of the three configurations, two are the ``phold_skew`` and
 (``--seed 5``, instance 0), rebuilt here from the public API; ``raid`` is
 the 25-request RAID under its paper profile, recorded on the commit
 before ISSUE 20 deleted the perf suite whose CI gate alone pinned it.
+The memory high-water marks (``peak_state_*``) were recorded while every
+snapshot was still re-measured at each fossil collection; they prove that
+sizes recorded once per snapshot charge and sample exactly what that walk
+did.
 """
 
 import pytest
@@ -59,6 +63,8 @@ PINNED = {
             "state_saves": 10100,
             "physical_messages": 10612,
             "gvt_rounds": 404,
+            "peak_state_bytes": 832,
+            "peak_state_entries": 52,
         },
     ),
     "smmp_online": (
@@ -72,6 +78,8 @@ PINNED = {
             "state_saves": 4278,
             "physical_messages": 1197,
             "gvt_rounds": 64,
+            "peak_state_bytes": 400176,
+            "peak_state_entries": 339,
         },
     ),
     "raid": (
@@ -85,6 +93,8 @@ PINNED = {
             "state_saves": 1929,
             "physical_messages": 1089,
             "gvt_rounds": 32,
+            "peak_state_bytes": 81776,
+            "peak_state_entries": 87,
         },
     ),
 }
@@ -104,5 +114,7 @@ def test_counters_and_modelled_rate_do_not_move(workload):
         "state_saves": stats.state_saves,
         "physical_messages": stats.physical_messages,
         "gvt_rounds": stats.gvt_rounds,
+        "peak_state_bytes": stats.peak_state_bytes,
+        "peak_state_entries": stats.peak_state_entries,
     }
     assert got == want

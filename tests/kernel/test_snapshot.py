@@ -1,14 +1,21 @@
 """The kernel checkpoints through the state's own ``copy()`` (WARPED's
-``BasicState`` contract): snapshot zero, every save and every restore."""
+``BasicState`` contract): snapshot zero, every save and every restore,
+and sizes each snapshot once, when it is made."""
 
 from dataclasses import dataclass
 
 import pytest
 
 from repro.apps.phold import PHOLDObject, PHOLDParams, build_phold
+from repro.cluster.costmodel import CostModel
+from repro.kernel.cancellation import Mode, StaticCancellation
+from repro.kernel.checkpointing import StaticCheckpoint
 from repro.kernel.config import SimulationConfig
 from repro.kernel.kernel import TimeWarpSimulation
+from repro.kernel.lp import LogicalProcess
+from repro.kernel.migration import ObjectCheckpoint, detach_object, restore_object
 from repro.kernel.state import RecordState
+from tests.kernel.test_lp import LogState, Recorder, drain, inject
 
 
 def test_kernel_checkpoints_through_the_states_own_copy(monkeypatch):
@@ -58,3 +65,46 @@ def test_ndarray_field_is_copied_and_sized():
     assert snap.values is not original.values
     snap.values[0] = 99
     assert original.values[0] == 0
+
+
+def test_saved_state_size_is_measured_once_when_the_snapshot_is_made():
+    restored_sizes = []
+
+    class SpyCosts(CostModel):
+        def state_restore(self, size_bytes):
+            restored_sizes.append(size_bytes)
+            return super().state_restore(size_bytes)
+
+    def fresh_lp(lp_id):
+        return LogicalProcess(lp_id, SpyCosts(), resolve_name={"a": 0}.__getitem__,
+                              lp_of=lambda oid: lp_id)
+
+    def assert_sizes_recorded(lp):
+        entries = lp.members[0].sq.entries
+        assert entries
+        for entry in entries:
+            assert entry.size == entry.state.size_bytes()
+
+    lp = fresh_lp(0)
+    lp.attach(Recorder("a"), 0, cancel_policy=StaticCancellation(Mode.AGGRESSIVE),
+              ckpt_policy=StaticCheckpoint(1))
+    lp.initialize()
+    assert_sizes_recorded(lp)  # snapshot zero
+    for t in (1.0, 2.0, 3.0):
+        inject(lp, 0, t, ("note", list(range(int(t)))))
+    drain(lp)
+    assert_sizes_recorded(lp)  # the saves
+
+    snapshot = next(e for e in lp.members[0].sq.entries if e.lvt == 1.0)
+    inject(lp, 0, 1.5, ("note", "straggler"))  # restores the lvt-1 snapshot
+    assert restored_sizes == [snapshot.state.size_bytes()]
+    drain(lp)
+    assert_sizes_recorded(lp)  # after the rollback restore and re-execution
+    assert lp.members[0].obj.state == LogState(seen=[[0], "straggler", [0, 1], [0, 1, 2]])
+
+    sizes = [e.size for e in lp.members[0].sq.entries]
+    blob = detach_object(lp, 0).to_bytes()
+    moved = fresh_lp(1)
+    restore_object(moved, ObjectCheckpoint.from_bytes(blob))
+    assert_sizes_recorded(moved)  # measured again on arrival
+    assert [e.size for e in moved.members[0].sq.entries] == sizes

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
+import repro.kernel.state as state_module
 from repro.kernel.state import RecordState, SavedState
 from tests.helpers import make_event
 
@@ -54,6 +55,21 @@ class TestRecordStateCopy:
 
         assert DemoState(count=1).__eq__(OtherState(count=1)) is NotImplemented
 
+    def test_ndarray_fields_compare_by_value(self):
+        numpy = pytest.importorskip("numpy")
+
+        @dataclass
+        class Arr(RecordState):
+            n: int = 0
+            values: object = None
+
+        assert Arr(1, numpy.zeros(4)) == Arr(1, numpy.zeros(4))
+        assert Arr(1, numpy.zeros(4)) != Arr(1, numpy.ones(4))
+        assert Arr(1, numpy.zeros(4)) != Arr(1, numpy.zeros(3))  # shape
+        assert Arr(1, numpy.zeros(4)) != Arr(1, numpy.zeros(4, dtype="<i8"))  # dtype
+        assert Arr(1, numpy.zeros(4)) != Arr(1, [0.0] * 4)
+        assert Arr(1, numpy.zeros(4)) != Arr(2, numpy.zeros(4))
+
     def test_uncopyable_field_raises(self):
         @dataclass
         class Bad(RecordState):
@@ -62,6 +78,46 @@ class TestRecordStateCopy:
         bad = Bad(gen=(i for i in range(3)))
         with pytest.raises(TypeError, match="not copyable"):
             bad.copy()
+
+
+class TestCompiledMethods:
+    def test_subclass_of_a_used_state_gets_its_own_fields(self):
+        DemoState(count=1).copy()  # compile the parent's methods first
+
+        @dataclass
+        class Extended(DemoState):
+            extra: list = field(default_factory=list)
+
+        state = Extended(count=2, extra=[1])
+        clone = state.copy()
+        assert type(clone) is Extended
+        assert clone == state and clone.extra is not state.extra
+        assert state.size_bytes() == DemoState(count=2).size_bytes() + 16
+        assert state != Extended(count=2, extra=[2])
+
+    def test_own_override_survives_and_reaches_the_compiled_method(self):
+        calls = []
+
+        @dataclass
+        class Logged(RecordState):
+            values: list = field(default_factory=list)
+
+            def copy(self):
+                calls.append(self)
+                return super().copy()
+
+        state = Logged(values=[1, 2])
+        for _ in range(2):
+            clone = state.copy()
+            assert clone == state and clone.values is not state.values
+        assert calls == [state, state]
+
+    def test_dataclass_does_not_generate_its_own_equality(self):
+        # @dataclass would add a tuple comparison, which cannot compare
+        # ndarray fields; the class keeps RecordState's compiled one
+        assert DemoState() == DemoState()
+        assert DemoState.__dict__["__eq__"].__code__.co_filename == state_module.__file__
+        assert DemoState.__hash__ is None
 
 
 class TestRecordStateSize:
