@@ -9,10 +9,11 @@ flipping from the aggressive initial strategy to lazy, the aggregation
 windows drifting, and the optimism window clamping when rollback waste
 spikes.
 
-The same run also dumps a controller-decision trace (JSONL, schema in
-docs/observability.md) and cross-checks it against the kernel: the last
-``ctrl.checkpoint`` record per object must land exactly on the checkpoint
-interval the object finished the run with — the trace *is* the
+The table is a fold over the run's controller-decision trace (JSONL,
+schema in docs/observability.md; ``repro-trace timeline FILE`` prints the
+same table), and the example cross-checks that trace against the kernel:
+the last ``ctrl.checkpoint`` record per object must land exactly on the
+checkpoint interval the object finished the run with — the trace *is* the
 controller's trajectory, not a parallel account of it.
 
 This is the paper's thesis as a time series: the configuration is not a
@@ -35,8 +36,8 @@ from repro import (
     TimeWarpSimulation,
 )
 from repro.apps.smmp import SMMPParams, build_smmp
-from repro.stats.timeline import Timeline
-from repro.trace import Tracer, load_trace, validate_trace
+from repro.trace import Tracer, load_trace, read_trace, summarize, validate_trace
+from repro.trace.cli import render_rounds
 
 
 def main() -> None:
@@ -50,7 +51,6 @@ def main() -> None:
         os.close(fd)
         trace_path = Path(name)
 
-    timeline = Timeline()
     with Tracer.to_path(trace_path) as tracer:
         config = SimulationConfig(
             checkpoint=lambda obj: DynamicCheckpoint(period=16),
@@ -60,7 +60,6 @@ def main() -> None:
             lp_speed_factors={1: 1.2, 2: 1.4, 3: 1.7},
             network=NetworkModel(jitter=0.4),
             gvt_period=25_000.0,
-            timeline=timeline,
             tracer=tracer,
         )
         params = SMMPParams(requests_per_processor=requests)
@@ -68,7 +67,7 @@ def main() -> None:
         stats = sim.run()
 
     print(f"SMMP, {requests} requests/processor, all four controllers live\n")
-    print(timeline.render())
+    print(render_rounds(summarize(read_trace(trace_path)).rounds))
     print()
     print(stats.summary())
 

@@ -46,7 +46,7 @@ from .control import MetaController
 from .faults import FaultPlan, FaultRates
 from .oracle import InvariantOracle, InvariantViolation
 from .sequential import SequentialSimulation
-from .stats import RunStats, Timeline
+from .stats import RunStats
 
 __version__ = "1.0.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "PermanentSet",
     "RecordState",
     "RunStats",
-    "Timeline",
     "SAAWPolicy",
     "SequentialSimulation",
     "SimulationConfig",

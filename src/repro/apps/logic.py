@@ -117,7 +117,7 @@ class VectorSource(SimulationObject):
 @dataclass
 class ProbeState(RecordState):
     #: (time, value) observations
-    history: list = field(default_factory=list)
+    waveform: list = field(default_factory=list)
     value: int = 0
 
 
@@ -134,12 +134,12 @@ class Probe(SimulationObject):
         _pin, value = payload
         state: ProbeState = self.state
         state.value = value
-        state.history.append((self.now, value))
+        state.waveform.append((self.now, value))
 
     def value_at(self, time: float) -> int:
         """The settled value of the signal at virtual time ``time``."""
         value = 0
-        for t, v in self.state.history:
+        for t, v in self.state.waveform:
             if t <= time:
                 value = v
             else:

@@ -63,7 +63,6 @@ class Executive:
         #: LP (distributed GVT algorithms colour-count receipts with it,
         #: as ``Network.on_data_send`` does for sends)
         self.on_data_receive: Callable[[PhysicalMessage], None] | None = None
-        self.gvt_history: list[tuple[float, float]] = []
         self._pending_deliveries = 0
         self._pending_data = 0
         self._pending_callbacks = 0
@@ -191,7 +190,6 @@ class Executive:
         self._schedule_gvt_tick(self.wallclock + self.gvt_period)
 
     def on_new_gvt(self, estimate: float) -> None:
-        self.gvt_history.append((self.wallclock, estimate))
         oracle = self.oracle
         if oracle.enabled:
             oracle.on_wire_check(self.wallclock, self.network)
@@ -199,8 +197,6 @@ class Executive:
             self._run_window_control(estimate)
         if self.meta is not None:
             self.meta.on_gvt(self, estimate)
-        if self.config.timeline is not None:
-            self.config.timeline.record(self)
 
     def _run_window_control(self, gvt: float) -> None:
         """Extension: adapt and re-anchor the optimism window at each GVT."""

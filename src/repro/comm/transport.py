@@ -64,7 +64,6 @@ class CommModule:
         self.aggregates_sent = 0
         self.events_sent = 0
         self.antis_annihilated_in_buffer = 0
-        self.window_trace: list[tuple[float, float]] = []
 
     # ------------------------------------------------------------------ #
     # application-event path
@@ -121,10 +120,7 @@ class CommModule:
         events = buffer.take()
         self._transmit(buffer.dst_lp, events)
         old_window = self.window
-        new_window = self.policy.next_window(count, age, self.window)
-        if new_window != self.window:
-            self.window = new_window
-            self.window_trace.append((self.host.clock, new_window))
+        new_window = self.window = self.policy.next_window(count, age, old_window)
         tracer = self.tracer
         if tracer.enabled:
             clock = self.host.clock

@@ -43,7 +43,11 @@ def cmd_list(_args: argparse.Namespace) -> int:
 def cmd_show(args: argparse.Namespace) -> int:
     spec = get_knob(args.knob)
     print(f"{spec.title} ({spec.name})")
-    print(f"  tuple       {spec.control_spec()}")
+    print(f"  O           {spec.sampled_output}")
+    print(f"  I           {spec.parameter}")
+    print(f"  S           {spec.initial}")
+    print(f"  T           {spec.transfer}")
+    print(f"  P           {spec.period}")
     print(f"  target      {spec.target}"
           + ("  (meta-managed)" if spec.meta_managed else ""))
     print(f"  domain      {spec.domain}")

@@ -58,8 +58,6 @@ class GvtPeriodController:
     min_period_us: float = 1_000.0
     max_period_us: float = 1_000_000.0
     last_verdict: str = ""
-    #: (backlog_per_lp, old_period, new_period) per invocation
-    history: list = field(default_factory=list)
 
     def control(self, backlog_per_lp: float, current: float) -> float:
         """One transfer-function evaluation: backlog -> new period."""
@@ -72,7 +70,6 @@ class GvtPeriodController:
         else:
             new = current
             self.last_verdict = "dead_zone"
-        self.history.append((backlog_per_lp, current, new))
         return new
 
 
@@ -184,8 +181,6 @@ class MetaController:
         self.gvt_period = gvt_period or GvtPeriodController()
         self.placement = placement or PlacementController()
         self._rounds = 0
-        #: (round, knob, old, new, verdict) per invocation, for reports
-        self.history: list[tuple[int, str, object, object, str]] = []
 
     # ------------------------------------------------------------------ #
     def attach(self, executive: "Executive") -> None:
@@ -220,9 +215,6 @@ class MetaController:
         old = executive.gvt_period
         new = self.gvt_period.control(per_lp, old)
         executive.gvt_period = new
-        self.history.append(
-            (self._rounds, "gvt_period", old, new, self.gvt_period.last_verdict)
-        )
         tracer = executive.tracer
         if tracer.enabled:
             tracer.emit(
@@ -253,12 +245,9 @@ class MetaController:
         moves = self.placement.control(loads, factors)
         for oid, _src, dst in moves:
             executive.migrate_object(oid, dst)
-        observed, _ = self.placement.history[-1]
-        self.history.append(
-            (self._rounds, "placement", (), moves, self.placement.last_verdict)
-        )
         tracer = executive.tracer
         if tracer.enabled:
+            observed, _ = self.placement.history[-1]
             tracer.emit(
                 "ctrl.placement", executive.wallclock,
                 o=observed,

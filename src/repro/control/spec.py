@@ -1,15 +1,18 @@
 """The declarative knob specification: one ``KnobSpec`` per tunable.
 
-The paper describes each of its three on-line controllers as a control
-system ``<O, I, S, T, P>`` (Section 3); :class:`repro.core.ControlSpec`
-captures that tuple for a *running* controller instance.  A
-:class:`KnobSpec` is the static, registry-level counterpart: it declares
-everything the control plane needs to know about one tunable *before*
-any run exists — its value domain, the sampled output ``O`` a dynamic
-policy feeds on, the transfer model ``T`` and period ``P`` of that
+The paper describes each of its on-line controllers as a control system
+``<O, I, S, T, P>`` (Section 3).  A :class:`KnobSpec` is the one place
+that tuple is written down: it declares everything the control plane
+needs to know about one tunable before any run exists — its value
+domain, the sampled output ``O`` a dynamic policy feeds on, the initial
+configuration ``S``, the transfer model ``T`` and period ``P`` of that
 policy, the safety constraint on values, and the factories that turn a
 chosen value (or the decision to go dynamic) into the
-:class:`~repro.kernel.config.SimulationConfig` field it governs.
+:class:`~repro.kernel.config.SimulationConfig` field it governs.  What a
+running controller did is not restated here either: every invocation is
+one ``ctrl.*`` trace record (``record_type``), whose ``o`` is ``O``,
+whose ``old``/``new`` are ``I``, whose ``verdict`` names the branch of
+``T`` that fired, and whose cadence is ``P``.
 
 SmartConf (PAPERS.md) calls this shape a *configuration specification*:
 once a knob is declared this way, generic machinery — the
@@ -23,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..core.control import ControlSpec
 from ..kernel.errors import ConfigurationError
 
 
@@ -78,16 +80,6 @@ class KnobSpec:
     make_dynamic: Callable[[], Any] | None = field(default=None, repr=False)
     #: one-paragraph description for docs/control.md
     doc: str = ""
-
-    def control_spec(self) -> ControlSpec:
-        """The knob's ``<O, I, S, T, P>`` tuple as a :class:`ControlSpec`."""
-        return ControlSpec(
-            sampled_output=self.sampled_output,
-            configured_parameter=self.parameter,
-            initial_configuration=self.initial,
-            transfer_function=self.transfer,
-            period=self.period,
-        )
 
     def validate_value(self, value: Any) -> None:
         """Enforce the safety constraint on a static setting."""

@@ -1,11 +1,15 @@
 """The paper's contribution: on-line configuration by feedback control.
 
-This package holds the ``<O, I, S, T, P>`` control framework (Section 3)
-and its three instantiations: dynamic check-pointing (Section 4), dynamic
+This package holds the three ``<O, I, S, T, P>`` control systems of the
+paper (Section 3): dynamic check-pointing (Section 4), dynamic
 cancellation (Section 5) and dynamic message aggregation (Section 6).
+Each knob's tuple is declared once, as a
+:class:`~repro.control.spec.KnobSpec`; each invocation is recorded once,
+as a ``ctrl.*`` trace record (docs/observability.md).  A controller only
+sets ``last_verdict``; the kernel writes the record.
 """
 
-from .aggregation_controller import BoundedMultiplicativeSAAW, SAAWPolicy
+from .aggregation_controller import SAAWPolicy
 from .cancellation_controller import (
     DynamicCancellation,
     PermanentAggressive,
@@ -13,14 +17,13 @@ from .cancellation_controller import (
     single_threshold,
 )
 from .checkpoint_controller import DynamicCheckpoint, HillClimbCheckpoint
-from .control import ControlSpec, Controlled
 from .external import (
     set_aggregation_window,
     set_cancellation_mode,
     set_checkpoint_interval,
     set_optimism_window,
 )
-from .filters import EWMA, MovingAverage, SampleWindow
+from .filters import SampleWindow
 from .thresholding import DeadZoneThreshold
 from .window_controller import (
     AdaptiveTimeWindow,
@@ -30,15 +33,10 @@ from .window_controller import (
 )
 
 __all__ = [
-    "BoundedMultiplicativeSAAW",
-    "ControlSpec",
-    "Controlled",
     "DeadZoneThreshold",
     "DynamicCancellation",
     "DynamicCheckpoint",
-    "EWMA",
     "HillClimbCheckpoint",
-    "MovingAverage",
     "PermanentAggressive",
     "PermanentSet",
     "SAAWPolicy",

@@ -1,4 +1,4 @@
-"""DyMA feedback control: the SAAW policy and extensions.
+"""DyMA feedback control: the SAAW policy.
 
 The paper's Simple Adaptive Aggregation Window is described by the tuple
 ``<R(age), W, W_initial, SAAW, everyAggregate>``: as each aggregate is
@@ -10,11 +10,6 @@ fell (sparse traffic: further delay just harms the receiver).
 The age modification implements the paper's requirement that of two
 aggregates achieving the same raw rate, the *younger* one counts as the
 higher modified rate: ``R(age) = (count / age) / (1 + age_penalty * age)``.
-
-:class:`BoundedMultiplicativeSAAW` (extension) is the same controller with
-multiplicative-increase/multiplicative-decrease steps of different gains,
-which converges faster from a poor initial window — used by the fig8/fig9
-harness's ``--saaw-variant`` ablation.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..kernel.errors import ConfigurationError
-from .control import ControlSpec
 
 #: Floor for aggregate ages in rate computations, to avoid dividing by the
 #: (wall-clock) zero age of a buffer flushed in the same instant it opened.
@@ -47,8 +41,6 @@ class SAAWPolicy:
     max_window_us: float = 100_000.0
 
     _last_rate: float | None = field(default=None, init=False)
-    #: adapted window per aggregate, for analysis
-    history: list[float] = field(default_factory=list, init=False)
     #: rate-comparison verdict and sampled R(age) of the last invocation;
     #: recorded in the ``ctrl.aggregation`` trace record
     last_verdict: str = field(default="", init=False)
@@ -82,9 +74,7 @@ class SAAWPolicy:
             window = window * (1.0 - self.step)
         else:
             self.last_verdict = "rate_flat"
-        window = self._clamp(window)
-        self.history.append(window)
-        return window
+        return self._clamp(window)
 
     # -- helpers ----------------------------------------------------------- #
     def modified_rate(self, count: int, age: float) -> float:
@@ -94,66 +84,3 @@ class SAAWPolicy:
 
     def _clamp(self, window: float) -> float:
         return min(self.max_window_us, max(self.min_window_us, window))
-
-    def spec(self) -> ControlSpec:
-        return ControlSpec(
-            sampled_output="R(age): age-modified message reception rate",
-            configured_parameter="aggregation window W",
-            initial_configuration=f"{self.initial_window_us} us",
-            transfer_function=(
-                f"W *= 1 +/- {self.step} as R(age) rises/falls vs previous aggregate"
-            ),
-            period="every aggregate",
-        )
-
-
-@dataclass
-class BoundedMultiplicativeSAAW(SAAWPolicy):
-    """SAAW with asymmetric gains (extension / ablation).
-
-    Growing fast when the rate rises and shrinking cautiously (or vice
-    versa) changes convergence speed from a poor ``W_initial``; the paper
-    anticipates that "more sophisticated adaption of the window size"
-    could improve on SAAW — this is the simplest such refinement.
-    """
-
-    grow: float = 0.25
-    shrink: float = 0.1
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not (0 < self.grow < 1 and 0 < self.shrink < 1):
-            raise ConfigurationError("grow/shrink must be in (0, 1)")
-
-    def next_window(self, sent_count: int, age: float, window: float) -> float:
-        rate = self.modified_rate(sent_count, age)
-        previous = self._last_rate
-        self._last_rate = rate
-        self.last_rate = rate
-        if previous is None:
-            self.last_verdict = "first_aggregate"
-            return window
-        if rate > previous:
-            self.last_verdict = "rate_rose"
-            window = window * (1.0 + self.grow)
-        elif rate < previous:
-            self.last_verdict = "rate_fell"
-            window = window * (1.0 - self.shrink)
-        else:
-            self.last_verdict = "rate_flat"
-        window = self._clamp(window)
-        self.history.append(window)
-        return window
-
-    def spec(self) -> ControlSpec:
-        base = super().spec()
-        return ControlSpec(
-            sampled_output=base.sampled_output,
-            configured_parameter=base.configured_parameter,
-            initial_configuration=base.initial_configuration,
-            transfer_function=(
-                f"W *= 1 + {self.grow} on rising R(age), W *= 1 - {self.shrink} "
-                "on falling"
-            ),
-            period="every aggregate",
-        )

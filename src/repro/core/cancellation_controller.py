@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from ..kernel.cancellation import Mode
 from ..kernel.errors import ConfigurationError
-from .control import ControlSpec
 from .filters import SampleWindow
 from .thresholding import DeadZoneThreshold
 
@@ -52,8 +51,6 @@ class DynamicCancellation:
 
     window: SampleWindow = field(init=False)
     _threshold: DeadZoneThreshold[Mode] = field(init=False)
-    #: (HR, mode) at each control invocation, for analysis
-    history: list[tuple[float, Mode]] = field(default_factory=list, init=False)
     #: dead-zone verdict of the last invocation; recorded in the
     #: ``ctrl.cancellation`` trace record (docs/observability.md)
     last_verdict: str = field(default="", init=False)
@@ -93,7 +90,6 @@ class DynamicCancellation:
             self.last_verdict = "below_l2a"
         else:
             self.last_verdict = "dead_zone"
-        self.history.append((hr, mode))
         return mode
 
     # -- introspection --------------------------------------------------- #
@@ -109,17 +105,6 @@ class DynamicCancellation:
     def switches(self) -> int:
         return self._threshold.transitions
 
-    def spec(self) -> ControlSpec:
-        return ControlSpec(
-            sampled_output=f"HR over filter depth {self.filter_depth}",
-            configured_parameter="cancellation strategy",
-            initial_configuration=Mode.AGGRESSIVE,
-            transfer_function=(
-                f"dead-zone threshold: >= {self.a2l_threshold} -> lazy, "
-                f"<= {self.l2a_threshold} -> aggressive"
-            ),
-            period=f"{self.period} comparisons",
-        )
 
 
 def single_threshold(
@@ -173,18 +158,6 @@ class PermanentSet(DynamicCancellation):
             self.last_verdict = "locked_in"
         return mode
 
-    def spec(self) -> ControlSpec:
-        base = super().spec()
-        return ControlSpec(
-            sampled_output=base.sampled_output,
-            configured_parameter=base.configured_parameter,
-            initial_configuration=base.initial_configuration,
-            transfer_function=(
-                base.transfer_function + f"; lock permanently after "
-                f"{self.lock_after} comparisons"
-            ),
-            period=base.period,
-        )
 
 
 @dataclass
@@ -226,15 +199,3 @@ class PermanentAggressive(DynamicCancellation):
             return Mode.AGGRESSIVE
         return super().control()
 
-    def spec(self) -> ControlSpec:
-        base = super().spec()
-        return ControlSpec(
-            sampled_output=base.sampled_output,
-            configured_parameter=base.configured_parameter,
-            initial_configuration=base.initial_configuration,
-            transfer_function=(
-                base.transfer_function
-                + f"; pin aggressive after {self.miss_streak} successive misses"
-            ),
-            period=base.period,
-        )

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from ..kernel.checkpointing import MAX_INTERVAL, CheckpointWindow
 from ..kernel.errors import ConfigurationError
-from .control import ControlSpec
 
 
 @dataclass
@@ -56,8 +55,6 @@ class DynamicCheckpoint:
 
     _interval: int = field(init=False)
     _previous_ec: float | None = field(default=None, init=False)
-    #: (event-normalized Ec, interval) per invocation, for analysis
-    history: list[tuple[float, int]] = field(default_factory=list, init=False)
     #: transfer-function branch taken by the last invocation; recorded in
     #: the ``ctrl.checkpoint`` trace record (docs/observability.md)
     last_verdict: str = field(default="", init=False)
@@ -80,7 +77,6 @@ class DynamicCheckpoint:
     def control(self, window: CheckpointWindow) -> int:
         events = max(1, window.events)
         ec = window.ec / events
-        self.history.append((ec, self._interval))
         previous = self._previous_ec
         self._previous_ec = ec
         if previous is None:
@@ -98,17 +94,6 @@ class DynamicCheckpoint:
     @property
     def interval(self) -> int:
         return self._interval
-
-    def spec(self) -> ControlSpec:
-        return ControlSpec(
-            sampled_output="Ec (state-saving + coast-forward cost)",
-            configured_parameter="checkpoint interval chi",
-            initial_configuration=self.initial,
-            transfer_function=(
-                "increment chi unless Ec increased significantly, else decrement"
-            ),
-            period=f"{self.period} events",
-        )
 
 
 @dataclass
@@ -130,7 +115,6 @@ class HillClimbCheckpoint:
     _interval: int = field(init=False)
     _direction: int = field(default=1, init=False)
     _previous_ec: float | None = field(default=None, init=False)
-    history: list[tuple[float, int]] = field(default_factory=list, init=False)
     last_verdict: str = field(default="", init=False)
 
     def __post_init__(self) -> None:
@@ -148,7 +132,6 @@ class HillClimbCheckpoint:
     def control(self, window: CheckpointWindow) -> int:
         events = max(1, window.events)
         ec = window.ec / events
-        self.history.append((ec, self._interval))
         previous = self._previous_ec
         self._previous_ec = ec
         if previous is None:
@@ -171,12 +154,3 @@ class HillClimbCheckpoint:
     @property
     def interval(self) -> int:
         return self._interval
-
-    def spec(self) -> ControlSpec:
-        return ControlSpec(
-            sampled_output="Ec (state-saving + coast-forward cost)",
-            configured_parameter="checkpoint interval chi",
-            initial_configuration=self.initial,
-            transfer_function="hill climb: keep direction while Ec improves",
-            period=f"{self.period} events",
-        )

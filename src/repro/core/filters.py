@@ -2,15 +2,11 @@
 
 "Virtually all dynamic control investigations have also used data
 filtering techniques to smooth and to prevent spurious data points from
-causing wide variations in parameter adjustment" (Section 3).  These are
-the filters the controllers in this package use:
-
-* :class:`SampleWindow` — a fixed-depth ring buffer of boolean samples;
-  the paper's *Filter Depth* record of the last *n* output-message
-  comparisons, whose mean is the Hit Ratio.
-* :class:`MovingAverage` — fixed-depth mean over float samples.
-* :class:`EWMA` — exponentially weighted moving average, for controllers
-  that prefer recency weighting over a hard window.
+causing wide variations in parameter adjustment" (Section 3).  The one
+filter the controllers in this package use is :class:`SampleWindow`, a
+fixed-depth ring buffer of boolean samples: the paper's *Filter Depth*
+record of the last *n* output-message comparisons, whose mean is the Hit
+Ratio.
 """
 
 from __future__ import annotations
@@ -70,59 +66,3 @@ class SampleWindow:
 
     def __len__(self) -> int:
         return len(self._window)
-
-
-class MovingAverage:
-    """Mean of the last ``depth`` float samples."""
-
-    __slots__ = ("depth", "_window", "_sum")
-
-    def __init__(self, depth: int) -> None:
-        if depth < 1:
-            raise ConfigurationError(f"depth must be >= 1, got {depth}")
-        self.depth = depth
-        self._window: deque[float] = deque(maxlen=depth)
-        self._sum = 0.0
-
-    def record(self, value: float) -> None:
-        if len(self._window) == self.depth:
-            self._sum -= self._window[0]
-        self._window.append(value)
-        self._sum += value
-
-    def value(self) -> float:
-        if not self._window:
-            return 0.0
-        return self._sum / len(self._window)
-
-    def is_warm(self) -> bool:
-        return len(self._window) == self.depth
-
-    def __len__(self) -> int:
-        return len(self._window)
-
-
-class EWMA:
-    """Exponentially weighted moving average: ``v <- (1-a)*v + a*x``."""
-
-    __slots__ = ("alpha", "_value", "_primed")
-
-    def __init__(self, alpha: float) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._value = 0.0
-        self._primed = False
-
-    def record(self, value: float) -> None:
-        if not self._primed:
-            self._value = value
-            self._primed = True
-        else:
-            self._value += self.alpha * (value - self._value)
-
-    def value(self) -> float:
-        return self._value
-
-    def is_warm(self) -> bool:
-        return self._primed

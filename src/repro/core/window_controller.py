@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Protocol
 
 from ..kernel.errors import ConfigurationError
-from .control import ControlSpec
 
 UNBOUNDED = float("inf")
 
@@ -98,8 +97,6 @@ class AdaptiveTimeWindow:
     min_window: float = 1.0
 
     _window: float = field(init=False)
-    #: (waste, window) per control invocation
-    history: list[tuple[float, float]] = field(default_factory=list, init=False)
     #: dead-zone verdict of the last invocation; recorded in the
     #: ``ctrl.window`` trace record (docs/observability.md)
     last_verdict: str = field(default="", init=False)
@@ -120,7 +117,6 @@ class AdaptiveTimeWindow:
 
     def control(self, observation: WindowObservation) -> float:
         waste = observation.waste
-        self.history.append((waste, self._window))
         if waste > self.high_waste:
             if self._window is UNBOUNDED or self._window == UNBOUNDED:
                 # First clamp: anchor to something observable — the
@@ -143,14 +139,3 @@ class AdaptiveTimeWindow:
     def window(self) -> float:
         return self._window
 
-    def spec(self) -> ControlSpec:
-        return ControlSpec(
-            sampled_output="wasted-work ratio (rolled back / executed)",
-            configured_parameter="optimism time window W",
-            initial_configuration=self.initial,
-            transfer_function=(
-                f"W *= {self.shrink} above {self.high_waste} waste, "
-                f"W *= {self.grow} below {self.low_waste}"
-            ),
-            period="every GVT round",
-        )

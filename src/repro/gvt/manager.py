@@ -58,17 +58,19 @@ def true_global_minimum(executive: "Executive") -> VirtualTime:
 
 def note_estimate(
     oracle, tracer, clock: float, algorithm: str,
-    estimate: VirtualTime, previous: VirtualTime,
+    estimate: VirtualTime, previous: VirtualTime, executed: int,
 ) -> None:
     """A GVT estimate was produced: arm the oracle and write the one
-    ``gvt.round`` record.  Every estimator calls this before acting on the
-    value — both modelled algorithms and a worker taking a ``GvtCommit``."""
+    ``gvt.round`` record, stamped with the run's ``executed`` total.
+    Every estimator calls this before acting on the value — both modelled
+    algorithms and a worker taking a ``GvtCommit``."""
     if oracle.enabled:
         oracle.on_gvt_estimate(clock, estimate, previous)
     if tracer.enabled:
         tracer.emit(
             "gvt.round", clock,
             algorithm=algorithm, gvt=estimate, advanced=estimate > previous,
+            executed=executed,
         )
 
 
@@ -93,7 +95,7 @@ class OmniscientGVT:
             lp.stats.gvt_rounds += 1
         note_estimate(
             executive.oracle, executive.tracer, executive.wallclock,
-            "omniscient", estimate, self.gvt,
+            "omniscient", estimate, self.gvt, executive.executed_events,
         )
         if estimate > self.gvt:
             self.gvt = estimate

@@ -235,7 +235,7 @@ class MatternGVT:
         executive = self._executive
         note_estimate(
             executive.oracle, executive.tracer, executive.wallclock,
-            "mattern", estimate, self.gvt,
+            "mattern", estimate, self.gvt, executive.executed_events,
         )
         if estimate > self.gvt:
             self.gvt = estimate

@@ -64,7 +64,7 @@ _CHURN_KINDS = ("migrate", "join", "leave")
 #: :mod:`repro.verify.scenario`) are tested against this tuple.
 PARALLEL_UNSUPPORTED = (
     "faults", "time_window", "meta_control", "external_script",
-    "timeline", "record_trace", "tracer",
+    "record_trace", "tracer",
 )
 
 
@@ -159,10 +159,6 @@ class SimulationConfig:
     #: external runtime adjustments (paper reference [26]): a list of
     #: ``(wallclock_us, adjustment)`` pairs; see :mod:`repro.core.external`
     external_script: list = field(default_factory=list)
-
-    #: optional :class:`repro.stats.timeline.Timeline` that receives one
-    #: snapshot per GVT round (controller trajectories over the run)
-    timeline: object | None = None
 
     #: optional :class:`repro.trace.Tracer` receiving structured records
     #: for every controller decision, rollback, GVT round, fossil

@@ -502,7 +502,7 @@ class _ShardRuntime:
         lp = self.lp
         note_estimate(
             self.oracle, self.tracer, lp.clock,
-            "mattern", commit.gvt, self._committed_gvt,
+            "mattern", commit.gvt, self._committed_gvt, self._executed,
         )
         self._committed_gvt = max(self._committed_gvt, commit.gvt)
         lp.fossil_collect(commit.gvt)

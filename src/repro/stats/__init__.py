@@ -1,16 +1,15 @@
-"""Instrumentation: per-object, per-LP and whole-run counters, reports,
-and per-GVT-round timelines."""
+"""Instrumentation: per-object, per-LP and whole-run counters and reports.
+
+A run's trajectory over time is not kept here: it is folded from the
+trace (``repro.trace.summarize(...).rounds``, docs/observability.md)."""
 
 from .counters import LPStats, ObjectStats, RunStats
 from .report import class_report, full_report, lp_report, per_class_breakdown
-from .timeline import Timeline, TimelineSample
 
 __all__ = [
     "LPStats",
     "ObjectStats",
     "RunStats",
-    "Timeline",
-    "TimelineSample",
     "class_report",
     "full_report",
     "lp_report",

@@ -19,7 +19,9 @@ Enable by attaching a :class:`Tracer` to the run configuration::
 Tracing is off by default and costs one attribute check per potential
 emission site (the shared :data:`NULL_TRACER`).  Traces are as
 deterministic as the runs themselves: identical configurations produce
-byte-identical JSONL.  Inspect traces with the ``repro-trace`` CLI.
+byte-identical JSONL.  Inspect traces with the ``repro-trace`` CLI;
+``summarize(records).rounds`` folds one into the run's trajectory, one
+row per advancing GVT round.
 """
 
 from .reader import (

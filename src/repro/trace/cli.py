@@ -4,6 +4,7 @@ Examples::
 
     repro-trace summarize run.jsonl              # counts + per-object moves
     repro-trace filter run.jsonl --type rollback --obj disk0
+    repro-trace timeline run.jsonl               # one row per GVT round
     repro-trace timeline run.jsonl --obj disk0   # chi / HR / rollbacks over time
     repro-trace validate run.jsonl               # schema check every record
 """
@@ -14,6 +15,7 @@ import argparse
 import sys
 
 from .reader import (
+    RoundRow,
     TraceFormatError,
     load_trace,
     read_trace,
@@ -103,7 +105,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_timeline(args: argparse.Namespace) -> int:
-    """Per-object text timeline: every controller decision and rollback."""
+    """Per-round trajectory table, or with ``--obj`` one object's text
+    timeline: every controller decision and rollback."""
+    if args.obj is None:
+        print(render_rounds(summarize(read_trace(args.trace)).rounds))
+        return 0
     records = load_trace(
         args.trace,
         types=("ctrl.checkpoint", "ctrl.cancellation", "rollback"),
@@ -133,6 +139,26 @@ def cmd_timeline(args: argparse.Namespace) -> int:
             verdict = record["cause"]
         print(f"{t:>10.4f} {rtype:<18} {o:>8} {move:<24} {verdict}")
     return 0
+
+
+def render_rounds(rounds: list[RoundRow]) -> str:
+    """The per-GVT-round trajectory table: a header, a rule, one line
+    per row."""
+    lines = [
+        f"{'wall (s)':>9} {'gvt':>10} {'waste':>6} {'lazy':>5} "
+        f"{'aggr':>5} {'chi':>6} {'agg win (us)':>14} {'opt win':>9}",
+    ]
+    lines.append("-" * len(lines[0]))
+    for row in rounds:
+        windows = ",".join(
+            f"{row.windows[lp]:.0f}" for lp in sorted(row.windows)[:4]
+        )
+        lines.append(
+            f"{row.t / 1e6:>9.3f} {row.gvt:>10.1f} {row.waste:>6.2f} "
+            f"{row.lazy:>5} {row.aggressive:>5} {row.mean_chi:>6.1f} "
+            f"{windows:>14} {_fmt_num(row.optimism_window, 0):>9}"
+        )
+    return "\n".join(lines)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -171,9 +197,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("timeline",
-                       help="one object's chi / HR / rollback history as text")
+                       help="one row per GVT round, or one object's "
+                            "chi / HR / rollback history as text")
     p.add_argument("trace")
-    p.add_argument("--obj", required=True, help="simulation object name")
+    p.add_argument("--obj", help="simulation object name")
     p.set_defaults(func=cmd_timeline)
 
     p = sub.add_parser("validate", help="schema-check every record")

@@ -146,6 +146,38 @@ class ObjectTrajectory:
     rolled_back_events: int = 0
 
 
+@dataclass(slots=True)
+class RoundRow:
+    """Where a run stood at one advancing ``gvt.round``.
+
+    Progress comes from the round record itself; health from the
+    ``rollback`` records since the previous row; knob positions from the
+    latest ``ctrl.*`` record per object / LP / run at the round.
+    """
+
+    t: float
+    gvt: float
+    #: events executed so far, run total (``None`` in traces written
+    #: before ``gvt.round`` carried it)
+    executed: int | None
+    #: events rolled back since the previous row (sum of ``rollback.depth``)
+    rolled_back: int
+    #: ``rolled_back`` over the events executed since the previous row
+    waste: float
+    #: latest checkpoint interval per object with a ``ctrl.checkpoint``
+    chi: dict[str, int]
+    lazy: int
+    aggressive: int
+    #: latest aggregation window (us) per sending LP
+    windows: dict[int, float]
+    #: latest optimism window (inf = unbounded, or no window control)
+    optimism_window: float
+
+    @property
+    def mean_chi(self) -> float:
+        return sum(self.chi.values()) / len(self.chi) if self.chi else 0.0
+
+
 @dataclass
 class TraceSummary:
     """Aggregate view of one trace file."""
@@ -163,6 +195,8 @@ class TraceSummary:
     final_gvt_period: float | None = None
     flushes: int = 0
     flushed_events: int = 0
+    #: one :class:`RoundRow` per advancing ``gvt.round``
+    rounds: list[RoundRow] = field(default_factory=list)
 
     def trajectory(self, obj: str) -> ObjectTrajectory:
         traj = self.objects.get(obj)
@@ -174,6 +208,9 @@ class TraceSummary:
 def summarize(records: Iterable[dict]) -> TraceSummary:
     """Fold a record stream into a :class:`TraceSummary`."""
     summary = TraceSummary()
+    windows: dict[int, float] = {}
+    rolled = 0
+    last_executed = 0
     for record in records:
         rtype = record["type"]
         summary.records += 1
@@ -196,10 +233,33 @@ def summarize(records: Iterable[dict]) -> TraceSummary:
             traj = summary.trajectory(record["obj"])
             traj.rollbacks += 1
             traj.rolled_back_events += record["depth"]
+            rolled += record["depth"]
         elif rtype == "gvt.round":
             summary.gvt_rounds += 1
             if record["advanced"]:
                 summary.final_gvt = record["gvt"]
+                executed = record.get("executed")
+                ran = executed - last_executed if executed is not None else 0
+                trajs = summary.objects.values()
+                modes = [t.final_mode for t in trajs if t.final_mode is not None]
+                summary.rounds.append(RoundRow(
+                    t=record["t"],
+                    gvt=record["gvt"],
+                    executed=executed,
+                    rolled_back=rolled,
+                    waste=rolled / ran if ran > 0 else 0.0,
+                    chi={t.obj: t.chi_last for t in trajs
+                         if t.chi_last is not None},
+                    lazy=modes.count("lazy"),
+                    aggressive=modes.count("aggressive"),
+                    windows=dict(windows),
+                    # float(): in-memory records hold the string "inf"
+                    optimism_window=float(summary.final_window)
+                    if summary.final_window is not None else float("inf"),
+                ))
+                rolled = 0
+                if executed is not None:
+                    last_executed = executed
         elif rtype == "ctrl.window":
             summary.window_invocations += 1
             if record["old"] != record["new"]:
@@ -210,7 +270,10 @@ def summarize(records: Iterable[dict]) -> TraceSummary:
             if record["old"] != record["new"]:
                 summary.gvt_ctrl_moves += 1
             summary.final_gvt_period = record["new"]
+        elif rtype == "ctrl.aggregation":
+            windows[record["lp"]] = record["new"]
         elif rtype == "comm.flush":
             summary.flushes += 1
             summary.flushed_events += record["count"]
+            windows[record["lp"]] = record["window"]
     return summary

@@ -233,6 +233,9 @@ RECORD_TYPES: dict[str, RecordSpec] = {
                 ("algorithm", "str", '"omniscient" | "mattern"'),
                 ("gvt", "number", "the round's estimate"),
                 ("advanced", "bool", "whether the estimate advanced committed GVT"),
+                ("executed", "int",
+                 "events executed so far, run total (a shard's total in a "
+                 "worker's trace)", False),
             ),
         ),
         RecordSpec(

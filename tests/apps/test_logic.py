@@ -135,4 +135,4 @@ class TestXorChain:
                                                  n_vectors=6)
         config = SimulationConfig(lp_speed_factors={1: 1.5, 2: 2.0, 3: 2.5})
         TimeWarpSimulation(tw_partition, config).run()
-        assert tw_probe.state.history == seq_probe.state.history
+        assert tw_probe.state.waveform == seq_probe.state.waveform

@@ -6,6 +6,7 @@ from repro import SimulationConfig, TimeWarpSimulation
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.kernel.errors import TerminationError
+from repro.trace import Tracer
 
 
 class TestTermination:
@@ -71,12 +72,13 @@ class TestEventBatching:
 
 class TestGVTHistory:
     def test_history_is_monotone_and_timestamped(self):
-        config = SimulationConfig(gvt_period=1_500.0)
+        tracer = Tracer.in_memory()
+        config = SimulationConfig(gvt_period=1_500.0, tracer=tracer)
         sim = TimeWarpSimulation(build_pingpong(300), config)
         sim.run()
-        history = sim.executive.gvt_history
+        history = [r for r in tracer.select("gvt.round") if r["advanced"]]
         assert len(history) >= 2
-        walls = [w for w, _ in history]
-        gvts = [g for _, g in history]
+        walls = [r["t"] for r in history]
+        gvts = [r["gvt"] for r in history]
         assert walls == sorted(walls)
         assert gvts == sorted(gvts)

@@ -130,7 +130,7 @@ class TestSAAWIntegration:
             comm.enqueue(remote_event(serial=i))
         comm.flush_all()               # higher rate -> window grows
         assert comm.window > 100.0
-        assert comm.window_trace
+        assert policy.last_verdict == "rate_rose"
 
 
 class TestControlTraffic:

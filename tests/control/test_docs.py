@@ -40,8 +40,12 @@ class TestControlCLI:
     def test_show(self, name, capsys):
         assert control_cli(["show", name]) == 0
         out = capsys.readouterr().out
-        assert KNOBS[name].record_type in out
-        assert "tuple" in out
+        spec = KNOBS[name]
+        assert spec.record_type in out
+        for leg, prose in zip("OISTP", (spec.sampled_output, spec.parameter,
+                                        spec.initial, spec.transfer,
+                                        spec.period)):
+            assert f"  {leg}           {prose}\n" in out
 
     def test_docs_prints_table(self, capsys):
         assert control_cli(["docs"]) == 0

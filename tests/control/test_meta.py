@@ -37,11 +37,13 @@ class TestGvtPeriodTransfer:
         assert ctl.control(600.0, 1_500.0) == 1_000.0
         assert ctl.control(10.0, 900_000.0) == 1_000_000.0
 
-    def test_history_records_every_invocation(self):
+    def test_verdict_names_every_invocation(self):
         ctl = GvtPeriodController()
-        ctl.control(100.0, 10_000.0)
-        ctl.control(600.0, 10_000.0)
-        assert len(ctl.history) == 2
+        verdicts = []
+        for backlog in (100.0, 600.0, 10.0):
+            ctl.control(backlog, 10_000.0)
+            verdicts.append(ctl.last_verdict)
+        assert verdicts == ["dead_zone", "backlog_high", "backlog_low"]
 
 
 class TestMetaControllerWiring:
@@ -119,15 +121,15 @@ class TestMetaRecords:
             if record["type"] == "ctrl.placement" and record["verdict"] == "hold":
                 assert record["old"] == record["new"] == ""
 
-    def test_history_mirrors_records(self, meta_trace):
+    def test_records_chain_the_period(self, meta_trace):
+        # each ctrl.gvt record starts from the period the previous one
+        # set, and the last one set the period the executive ends with
         sim, records = meta_trace
-        moves = [h for h in sim.meta.history if h[1] == "gvt_period"]
         ctrl = [r for r in records if r["type"] == "ctrl.gvt"]
-        assert len(moves) == len(ctrl)
-        for (_round, _knob, old, new, verdict), record in zip(moves, ctrl):
-            assert record["old"] == old
-            assert record["new"] == new
-            assert record["verdict"] == verdict
+        assert ctrl[0]["old"] == sim.config.gvt_period
+        for before, after in zip(ctrl, ctrl[1:]):
+            assert after["old"] == before["new"]
+        assert ctrl[-1]["new"] == sim.executive.gvt_period
 
 
 class TestMetaDeterminism:

@@ -19,7 +19,6 @@ from repro.control import (
     static_config_kwargs,
 )
 from repro.control.registry import register
-from repro.core.control import ControlSpec
 from repro.kernel.errors import ConfigurationError
 
 EXPECTED_KNOBS = (
@@ -52,9 +51,11 @@ class TestRegistry:
 class TestSpecIntegrity:
     @pytest.mark.parametrize("name", EXPECTED_KNOBS)
     def test_control_spec_tuple(self, name):
-        spec = KNOBS[name].control_spec()
-        assert isinstance(spec, ControlSpec)
-        assert spec.sampled_output and spec.transfer_function
+        # the <O, I, S, T, P> tuple is declared once, as KnobSpec prose
+        spec = KNOBS[name]
+        for leg in (spec.sampled_output, spec.parameter, spec.initial,
+                    spec.transfer, spec.period):
+            assert isinstance(leg, str) and leg
 
     @pytest.mark.parametrize("name", EXPECTED_KNOBS)
     def test_static_values_pass_their_own_check(self, name):

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.aggregation_controller import (
-    MIN_AGE,
-    BoundedMultiplicativeSAAW,
-    SAAWPolicy,
-)
+from repro.core.aggregation_controller import MIN_AGE, SAAWPolicy
 from repro.kernel.errors import ConfigurationError
 
 
@@ -81,28 +77,13 @@ class TestAdaptation:
         policy = SAAWPolicy(initial_window_us=500.0, max_window_us=100.0)
         assert policy.initial_window() == 100.0
 
-    def test_history_tracks_adaptations(self):
+    def test_verdicts_track_adaptations(self):
         policy = SAAWPolicy(initial_window_us=100.0)
-        policy.next_window(5, 50.0, 100.0)
-        policy.next_window(10, 50.0, 100.0)
-        assert len(policy.history) == 1
+        verdicts = []
+        for count in (5, 10, 5, 5):
+            policy.next_window(count, 50.0, 100.0)
+            verdicts.append(policy.last_verdict)
+        assert verdicts == ["first_aggregate", "rate_rose", "rate_fell",
+                            "rate_flat"]
+        assert policy.last_rate == policy.modified_rate(5, 50.0)
 
-
-class TestBoundedMultiplicative:
-    def test_asymmetric_gains(self):
-        policy = BoundedMultiplicativeSAAW(
-            initial_window_us=100.0, grow=0.5, shrink=0.1
-        )
-        policy.next_window(5, 50.0, 100.0)
-        grown = policy.next_window(10, 50.0, 100.0)
-        assert grown == pytest.approx(150.0)
-        shrunk = policy.next_window(2, 50.0, grown)
-        assert shrunk == pytest.approx(135.0)
-
-    def test_gain_validation(self):
-        with pytest.raises(ConfigurationError):
-            BoundedMultiplicativeSAAW(grow=1.5)
-
-    def test_spec_strings(self):
-        assert "R(age)" in str(SAAWPolicy().spec())
-        assert "0.25" in str(BoundedMultiplicativeSAAW().spec())

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.checkpoint_controller import DynamicCheckpoint, HillClimbCheckpoint
-from repro.core.control import ControlSpec
 from repro.kernel.checkpointing import CheckpointWindow
 from repro.kernel.errors import ConfigurationError
 
@@ -74,17 +73,13 @@ class TestDynamicCheckpointTransfer:
         # same per-event cost over a longer window: not an increase
         assert ctrl.control(window(save_cost=200, events=20)) == 2
 
-    def test_history_records_invocations(self):
+    def test_verdicts_name_invocations(self):
         ctrl = DynamicCheckpoint()
-        ctrl.control(window(save_cost=32, events=16))
-        ctrl.control(window(save_cost=16, events=16))
-        assert [round(ec, 3) for ec, _ in ctrl.history] == [2.0, 1.0]
-
-    def test_spec_tuple(self):
-        spec = DynamicCheckpoint().spec()
-        assert isinstance(spec, ControlSpec)
-        assert "Ec" in spec.sampled_output
-        assert "chi" in str(spec)
+        verdicts = []
+        for cost in (32, 16, 64):
+            ctrl.control(window(save_cost=cost, events=16))
+            verdicts.append(ctrl.last_verdict)
+        assert verdicts == ["first_sample", "ec_flat", "ec_rose"]
 
 
 class TestHillClimb:

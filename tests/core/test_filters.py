@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.filters import EWMA, MovingAverage, SampleWindow
+from repro.core.filters import SampleWindow
 from repro.kernel.errors import ConfigurationError
 
 
@@ -49,51 +49,3 @@ class TestSampleWindow:
         assert window.samples_seen == 2
         assert len(window) == 2
 
-
-class TestMovingAverage:
-    def test_requires_positive_depth(self):
-        with pytest.raises(ConfigurationError):
-            MovingAverage(0)
-
-    def test_empty_value_is_zero(self):
-        assert MovingAverage(3).value() == 0.0
-
-    def test_mean_over_window(self):
-        avg = MovingAverage(3)
-        for x in (1.0, 2.0, 3.0, 4.0):
-            avg.record(x)
-        assert avg.value() == pytest.approx(3.0)
-
-    def test_partial_window_mean(self):
-        avg = MovingAverage(10)
-        avg.record(2.0)
-        avg.record(4.0)
-        assert avg.value() == pytest.approx(3.0)
-        assert not avg.is_warm()
-
-
-class TestEWMA:
-    def test_alpha_bounds(self):
-        with pytest.raises(ConfigurationError):
-            EWMA(0.0)
-        with pytest.raises(ConfigurationError):
-            EWMA(1.5)
-
-    def test_first_sample_primes(self):
-        ewma = EWMA(0.5)
-        assert not ewma.is_warm()
-        ewma.record(10.0)
-        assert ewma.is_warm()
-        assert ewma.value() == 10.0
-
-    def test_weighting(self):
-        ewma = EWMA(0.5)
-        ewma.record(10.0)
-        ewma.record(20.0)
-        assert ewma.value() == pytest.approx(15.0)
-
-    def test_alpha_one_tracks_last(self):
-        ewma = EWMA(1.0)
-        ewma.record(3.0)
-        ewma.record(7.0)
-        assert ewma.value() == 7.0

@@ -86,8 +86,11 @@ class TestAdaptiveTimeWindow:
         again = policy.control(obs(100, 20))
         assert again == held
 
-    def test_history_and_spec(self):
-        policy = AdaptiveTimeWindow()
-        policy.control(obs(100, 50))
-        assert policy.history == [(0.5, UNBOUNDED)]
-        assert "time window" in str(policy.spec())
+    def test_verdicts_name_each_invocation(self):
+        policy = AdaptiveTimeWindow(low_waste=0.1, high_waste=0.3)
+        verdicts = []
+        for rolled in (50, 50, 20, 0):
+            policy.control(obs(100, rolled))
+            verdicts.append(policy.last_verdict)
+        assert verdicts == ["high_waste_first_clamp", "high_waste",
+                            "dead_zone", "low_waste"]

@@ -13,6 +13,7 @@ from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.gvt.manager import true_global_minimum
 from repro.gvt.mattern import ColourAgent, MatternGVT
+from repro.trace import Tracer
 
 
 class TestTrueGlobalMinimum:
@@ -38,10 +39,12 @@ class TestOmniscient:
         assert stats.gvt_rounds > 0
 
     def test_estimates_are_monotone(self):
-        config = SimulationConfig(gvt_period=2_000.0)
+        tracer = Tracer.in_memory()
+        config = SimulationConfig(gvt_period=2_000.0, tracer=tracer)
         sim = TimeWarpSimulation(build_pingpong(200), config)
         sim.run()
-        history = [gvt for _, gvt in sim.executive.gvt_history]
+        history = [r["gvt"] for r in tracer.select("gvt.round")
+                   if r["advanced"]]
         assert history == sorted(history)
         assert len(history) >= 2
 

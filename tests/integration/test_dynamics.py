@@ -21,6 +21,7 @@ from repro import (
 )
 from repro.apps.raid import RAIDParams, build_raid
 from repro.apps.smmp import SMMPParams, build_smmp
+from repro.trace import Tracer
 
 RAID_SKEW = {1: 1.05, 2: 1.1, 3: 1.15}
 SMMP_SKEW = {1: 1.2, 2: 1.4, 3: 1.7}
@@ -122,16 +123,13 @@ class TestDynamicCheckpointing:
         assert dynamic.state_saves < static.state_saves
 
     def test_ec_history_is_recorded(self):
-        policy_box = {}
-
-        def factory(obj):
-            policy = DynamicCheckpoint(period=16)
-            policy_box.setdefault(obj.name, policy)
-            return policy
-
-        run_raid(checkpoint=factory)
-        histories = [p.history for p in policy_box.values()]
-        assert any(len(h) >= 2 for h in histories)
+        tracer = Tracer.in_memory()
+        run_raid(checkpoint=lambda o: DynamicCheckpoint(period=16),
+                 tracer=tracer)
+        per_object: dict[str, list[float]] = {}
+        for record in tracer.select("ctrl.checkpoint"):
+            per_object.setdefault(record["obj"], []).append(record["o"])
+        assert any(len(ecs) >= 2 for ecs in per_object.values())
 
 
 class TestSAAW:
@@ -144,7 +142,8 @@ class TestSAAW:
             return policy
 
         sim, stats = run_smmp(aggregation=factory)
-        assert any(policy.history for policy in policies)
+        assert any(policy.last_verdict in ("rate_rose", "rate_fell")
+                   for policy in policies)
         assert any(lp.comm.window != 50.0 for lp in sim.lps)
 
     def test_aggregation_reduces_physical_messages(self):

@@ -26,7 +26,7 @@ from repro.core.external import (
     set_checkpoint_interval,
 )
 from repro.apps.phold import PHOLDParams, build_phold
-from repro.stats.timeline import Timeline
+from repro.trace import Tracer, summarize
 from tests.helpers import flatten
 
 PARAMS = PHOLDParams(n_objects=20, n_lps=5, jobs_per_object=3,
@@ -40,7 +40,7 @@ def test_kitchen_sink_soak():
                                end_time=HORIZON, record_trace=True)
     seq.run()
 
-    timeline = Timeline()
+    tracer = Tracer.in_memory()
     config = SimulationConfig(
         end_time=HORIZON,
         record_trace=True,
@@ -53,7 +53,7 @@ def test_kitchen_sink_soak():
         lp_speed_factors={1: 1.3, 2: 1.6, 3: 2.0, 4: 2.4},
         network=NetworkModel(jitter=0.5),
         events_per_turn=4,
-        timeline=timeline,
+        tracer=tracer,
         external_script=[
             (50_000.0, set_cancellation_mode("phold-0", Mode.LAZY)),
             (150_000.0, set_checkpoint_interval("phold-1", 32)),
@@ -74,7 +74,7 @@ def test_kitchen_sink_soak():
     assert stats.rollbacks > 100
     assert stats.lazy_hits + stats.lazy_misses > 0
     assert stats.gvt_rounds > 0
-    assert len(timeline.samples) > 3
+    assert len(summarize(tracer.records).rounds) > 3
 
     # and it drained completely
     for lp in sim.lps:

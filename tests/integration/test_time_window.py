@@ -17,6 +17,7 @@ from repro import (
     TimeWarpSimulation,
 )
 from repro.apps.phold import PHOLDParams, build_phold
+from repro.trace import Tracer
 from tests.helpers import flatten
 
 PARAMS = PHOLDParams(n_objects=12, n_lps=4, jobs_per_object=3)
@@ -24,11 +25,11 @@ HORIZON = 3_000.0
 SKEW = {1: 1.4, 2: 1.8, 3: 2.4}
 
 
-def run(time_window):
+def run(time_window, tracer=None):
     config = SimulationConfig(
         end_time=HORIZON, record_trace=True, time_window=time_window,
         lp_speed_factors=SKEW, network=NetworkModel(jitter=0.4),
-        gvt_period=15_000.0,
+        gvt_period=15_000.0, tracer=tracer,
     )
     sim = TimeWarpSimulation(build_phold(PARAMS), config)
     stats = sim.run()
@@ -75,13 +76,9 @@ class TestTimeWindowEffect:
         assert throttled.execution_time < pure.execution_time
 
     def test_controller_history_is_populated(self, golden):
-        policy_box = []
-
-        def factory():
-            policy = AdaptiveTimeWindow(min_window=20.0)
-            policy_box.append(policy)
-            return policy
-
-        run(factory)
-        (policy,) = policy_box
-        assert policy.history  # at least one GVT-round observation
+        tracer = Tracer.in_memory()
+        run(lambda: AdaptiveTimeWindow(min_window=20.0), tracer)
+        # at least one GVT-round observation, one record per advancing round
+        windows = tracer.select("ctrl.window")
+        advancing = [r for r in tracer.select("gvt.round") if r["advanced"]]
+        assert windows and len(windows) == len(advancing)
