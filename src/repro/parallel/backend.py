@@ -216,27 +216,22 @@ class ParallelSimulation:
         config: SimulationConfig | None = None,
         *,
         strategy="kernighan_lin",
-        profile_end_time: float | None = None,
-        profile_max_events: int | None = 200_000,
         **kwargs,
     ) -> "ParallelSimulation":
         """Shard a model with a partition strategy (kernighan_lin default).
 
-        Profiling consumes one instance of the model (it runs
-        sequentially, see :func:`repro.partition.profile_model`), so the
-        model arrives as a zero-argument ``builder`` returning a fresh
-        partition; its group structure only fixes the canonical oid order
-        — *placement* follows the measured communication graph via the
-        ``shard_map`` mechanism, so tie-breaking stays sequential-equal.
+        The strategy places from a sequential pilot of the model, its
+        first events up to ``config.end_time`` (see
+        :func:`repro.partition.profile_model`).  The pilot consumes one
+        instance of the model, so the model arrives as a zero-argument
+        ``builder`` returning a fresh partition; its group structure only
+        fixes the canonical oid order — *placement* follows the measured
+        communication graph via the ``shard_map`` mechanism, so
+        tie-breaking stays sequential-equal.
         """
         config = config or SimulationConfig(backend="parallel")
         probe = [obj for group in builder() for obj in group]
-        end_time = (
-            profile_end_time if profile_end_time is not None else config.end_time
-        )
-        graph = profile_model(
-            probe, end_time=end_time, max_events=profile_max_events
-        )
+        graph = profile_model(probe, end_time=config.end_time)
         assignment = resolve_strategy(strategy)(graph, config.workers)
         sim = cls(builder(), config, shard_map=assignment, **kwargs)
         sim.assignment = assignment

@@ -1,9 +1,10 @@
 """Automatic model partitioning: profiling + graph partitioning.
 
 The paper's hand-partitioned models exploit fast intra-LP communication;
-this package does the same for arbitrary models: profile sequentially
-(:func:`profile_model`), then assign objects to LPs with a strategy and
-materialize the partition (:func:`apply_assignment`).
+this package does the same for arbitrary models: profile a sequential
+pilot of the model's first events (:func:`profile_model`), then assign
+objects to LPs with a strategy and materialize the partition
+(:func:`apply_assignment`).
 """
 
 from .graph import CommGraph, profile_model

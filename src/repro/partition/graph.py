@@ -1,13 +1,17 @@
-"""Object-communication graphs, measured by profiling.
+"""Object-communication graphs, measured by profiling a pilot.
 
 The paper's models ship with partitions hand-crafted "to take advantage
 of the fast intra-LP communication".  For arbitrary user models this
-package does the same automatically: profile the model sequentially,
-build the weighted object-communication graph, and hand it to a
-partitioning strategy (:mod:`repro.partition.strategies`).
+package does the same automatically: profile a *pilot* — the model's
+first events on the sequential kernel — build the weighted
+object-communication graph, and hand it to a partitioning strategy
+(:mod:`repro.partition.strategies`).
 
-Profiling runs the *sequential* kernel with a counting shim around the
-send path, so it needs no Time Warp machinery and no model changes — the
+The pilot is the paper's control period applied to placement: a short
+sample of the run's own behaviour, ``PILOT_EVENTS_PER_OBJECT`` events
+per object, not a rehearsal of the whole run.  Profiling counts the
+``(sender, receiver)`` pair of every event the sequential kernel
+executes, so it needs no Time Warp machinery and no model changes — the
 same trick the WARPED model generators used (static knowledge), except
 measured instead of assumed.
 """
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 from ..kernel.errors import ConfigurationError
@@ -77,33 +82,41 @@ class CommGraph:
         return adjacency
 
 
+#: events the placement pilot profiles per simulation object: on the
+#: 16-object PHOLD benchmarks (2 048 events) its KL placement cuts within
+#: a few percent of a full-horizon profile's (EXPERIMENTS.md)
+PILOT_EVENTS_PER_OBJECT = 128
+
+
 def profile_model(
     objects: Sequence[SimulationObject],
     *,
     end_time: float = float("inf"),
-    max_events: int | None = 200_000,
+    max_events: int | None = None,
 ) -> CommGraph:
-    """Run the model sequentially and measure its communication graph.
+    """Measure the model's communication graph from a sequential pilot.
 
-    The model's objects are *consumed* (they run); build fresh objects
-    for the actual partitioned run.
+    Profiles at most ``max_events`` events (default: the pilot,
+    ``PILOT_EVENTS_PER_OBJECT * len(objects)``), in timestamp order, or
+    fewer if ``end_time`` comes first; then it stops — a long or endless
+    model is never an error.  The model's objects are *consumed* (they
+    run); build fresh objects for the actual partitioned run.
     """
     if not objects:
         raise ConfigurationError("nothing to profile")
-    graph = CommGraph(objects=[obj.name for obj in objects])
-    counts: Counter[tuple[str, str]] = Counter()
-    loads: Counter[str] = Counter()
+    if max_events is None:
+        max_events = PILOT_EVENTS_PER_OBJECT * len(objects)
+    seq = SequentialSimulation(list(objects), end_time=end_time)
+    pairs = Counter(
+        (event.sender, event.receiver)
+        for event in islice(seq.events(), max_events)
+    )
 
-    seq = SequentialSimulation(list(objects), end_time=end_time,
-                               max_events=max_events, record_trace=True)
-    seq.run()
-    for _recv_time, receiver, sender, _send_time, _payload in seq.trace or []:
-        counts[(sender, receiver)] += 1
-        loads[receiver] += 1
-
-    for (src, dst), count in counts.items():
-        graph.add_message(src, dst, count)
-    graph.loads = dict(loads)
-    for name in graph.objects:
-        graph.loads.setdefault(name, 0)
+    names = [obj.name for obj in seq.objects]
+    graph = CommGraph(objects=names)
+    loads = dict.fromkeys(names, 0)
+    for (src, dst), count in pairs.items():
+        graph.add_message(names[src], names[dst], count)
+        loads[names[dst]] += count
+    graph.loads = loads
     return graph

@@ -16,7 +16,7 @@ workstation — no communication, no state saving.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..cluster.costmodel import DEFAULT_COSTS, CostModel
 from ..kernel.errors import (
@@ -97,6 +97,38 @@ class SequentialSimulation:
         heapq.heappush(self._heap, (event.key(), event))
 
     def run(self) -> "SequentialSimulation":
+        """Execute the model to ``end_time``; ``max_events`` is a runaway
+        guard that raises :class:`SchedulingError` once exceeded."""
+        trace = self.trace
+        max_events = self.max_events
+        names = [obj.name for obj in self.objects]
+        for event in self.events():
+            if trace is not None:
+                trace.append(
+                    (
+                        event.recv_time,
+                        names[event.receiver],
+                        names[event.sender],
+                        event.send_time,
+                        event.payload,
+                    )
+                )
+            if max_events is not None and self.events_executed > max_events:
+                raise SchedulingError(
+                    f"executed more than {max_events} events; runaway model?"
+                )
+        for obj in self.objects:
+            obj.finalize()
+        return self
+
+    def events(self) -> Iterator[Event]:
+        """Initialize the model, then execute it in total order, yielding
+        each event after it ran.
+
+        A caller that stops iterating ends the run there, without raising
+        and without ``finalize`` (how a placement pilot profiles a prefix
+        of the run); :meth:`run` drives it to the end.
+        """
         if self._ran:
             raise ConfigurationError("a SequentialSimulation can only run once")
         self._ran = True
@@ -124,23 +156,7 @@ class SequentialSimulation:
                 ) from exc
             self.events_executed += 1
             self.execution_time += self.costs.event_execution(obj.grain_factor)
-            if self.trace is not None:
-                self.trace.append(
-                    (
-                        event.recv_time,
-                        obj.name,
-                        self.objects[event.sender].name,
-                        event.send_time,
-                        event.payload,
-                    )
-                )
-            if self.max_events is not None and self.events_executed > self.max_events:
-                raise SchedulingError(
-                    f"executed more than {self.max_events} events; runaway model?"
-                )
-        for obj in self.objects:
-            obj.finalize()
-        return self
+            yield event
 
     def sorted_trace(self) -> list[tuple[float, str, str, float, Any]]:
         if self.trace is None:

@@ -8,13 +8,18 @@ import sys
 
 import pytest
 
-from repro import NetworkModel, SimulationConfig, TimeWarpSimulation
+from repro import (
+    NetworkModel,
+    SequentialSimulation,
+    SimulationConfig,
+    TimeWarpSimulation,
+)
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.apps.raid import RAIDParams, build_raid
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.kernel.errors import ConfigurationError
-from repro.parallel import ParallelSimulation
+from repro.parallel import ParallelSimulation, backend
 from repro.partition import (
     CommGraph,
     apply_assignment,
@@ -24,6 +29,7 @@ from repro.partition import (
     profile_model,
     round_robin,
 )
+from repro.partition.graph import PILOT_EVENTS_PER_OBJECT
 from tests.helpers import flatten, sequential_trace
 
 
@@ -200,6 +206,71 @@ class TestPholdGraph:
         for group in partition:
             indices = [order[obj.name] for obj in group]
             assert indices == sorted(indices)
+
+
+class TestPilot:
+    """Placement profiles a pilot of ``PILOT_EVENTS_PER_OBJECT`` events per
+    object, not the whole run."""
+
+    @staticmethod
+    def _phold(seed=5, locality=0.9):
+        return PHOLDParams(n_objects=16, n_lps=2, jobs_per_object=3,
+                           locality=locality, seed=seed)
+
+    def test_endless_model_profiles_exactly_its_pilot(self):
+        graph = profile_model(flatten(build_phold(self._phold())),
+                              end_time=float("inf"))
+        pilot = PILOT_EVENTS_PER_OBJECT * 16
+        assert sum(graph.loads.values()) == pilot
+        assert graph.total_weight() == pilot  # PHOLD never sends to itself
+
+    def test_max_events_caps_the_profile(self):
+        graph = profile_model(flatten(build_phold(self._phold())),
+                              max_events=100)
+        assert sum(graph.loads.values()) == 100
+
+    def test_long_model_is_placed_without_running_it(self, monkeypatch):
+        # 130 000 time units of this model are over 200k events: profiling
+        # the whole run tripped the sequential kernel's runaway guard
+        graphs = []
+
+        def spy(*args, **kwargs):
+            graphs.append(profile_model(*args, **kwargs))
+            return graphs[-1]
+
+        monkeypatch.setattr(backend, "profile_model", spy)
+        config = SimulationConfig(backend="parallel", workers=2,
+                                  end_time=130_000)
+        sim = ParallelSimulation.from_builder(
+            lambda: build_phold(self._phold()), config
+        )
+        lp0 = sum(1 for lp in sim.assignment.values() if lp == 0)
+        assert (lp0, len(sim.assignment) - lp0) == (8, 8)
+        [graph] = graphs
+        assert graph.total_weight() == PILOT_EVENTS_PER_OBJECT * 16
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pilot_placement_cuts_like_the_full_horizon(self, seed):
+        params = self._phold(seed=seed)
+        pilot = profile_model(flatten(build_phold(params)), end_time=12_000)
+        full = profile_model(flatten(build_phold(params)), end_time=12_000,
+                             max_events=10**9)
+        assert sum(full.loads.values()) > sum(pilot.loads.values())
+        assert (full.cut_weight(kernighan_lin(pilot, 2))
+                == full.cut_weight(kernighan_lin(full, 2)))
+
+    def test_model_shorter_than_its_pilot_profiles_the_whole_run(self):
+        # the A6 ablation's graph: 100 objects, 2 508 events < 12 800
+        params = SMMPParams(requests_per_processor=30)
+        seq = SequentialSimulation(flatten(build_smmp(params)),
+                                   record_trace=True).run()
+        expected = CommGraph(objects=[obj.name for obj in seq.objects])
+        expected.loads = dict.fromkeys(expected.objects, 0)
+        for _time, receiver, sender, _send_time, _payload in seq.trace:
+            expected.add_message(sender, receiver)
+            expected.loads[receiver] += 1
+        assert seq.events_executed < PILOT_EVENTS_PER_OBJECT * len(seq.objects)
+        assert profile_model(flatten(build_smmp(params))) == expected
 
 
 class TestEndToEnd:

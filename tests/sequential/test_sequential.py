@@ -55,10 +55,25 @@ class TestSequential:
             seq.sorted_trace()
 
     def test_max_events_guard(self):
+        # a traced golden run, as goldens are made: the guard still raises
         params = PHOLDParams(n_objects=4, n_lps=1, jobs_per_object=1)
-        seq = SequentialSimulation(flatten(build_phold(params)), max_events=100)
-        with pytest.raises(SchedulingError):
+        seq = SequentialSimulation(flatten(build_phold(params)),
+                                   record_trace=True, max_events=100)
+        with pytest.raises(SchedulingError, match="runaway"):
             seq.run()
+        assert seq.events_executed == 101
+
+    def test_events_stop_early_without_raising(self):
+        params = PHOLDParams(n_objects=4, n_lps=1, jobs_per_object=1)
+        seq = SequentialSimulation(flatten(build_phold(params)))
+        executed = []
+        for event in seq.events():
+            executed.append(event)
+            if len(executed) == 50:
+                break
+        assert seq.events_executed == 50
+        assert [e.recv_time for e in executed] == sorted(
+            e.recv_time for e in executed)
 
     def test_execution_time_accumulates(self):
         seq = SequentialSimulation(flatten(build_pingpong(10)))
