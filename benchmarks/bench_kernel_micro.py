@@ -16,7 +16,7 @@ from repro.apps.pingpong import build_pingpong
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.comm.message import MessageKind, PhysicalMessage
 from repro.kernel.event import Event
-from repro.kernel.queues import InputQueue
+from repro.kernel.queues import InputQueue, PendingQueue
 from repro.kernel.state import RecordState
 from repro.parallel.wire import decode_batch, encode_batch
 from tests.helpers import flatten, make_event
@@ -65,18 +65,19 @@ def test_micro_timewarp_with_rollbacks(benchmark):
 
 
 def test_micro_input_queue_ops(benchmark):
-    """Insert + pop throughput of the event heap."""
+    """Insert + pop throughput of the pending-event heap."""
 
     events = [make_event(recv_time=float((i * 7919) % 1000), serial=i)
               for i in range(2000)]
 
     def run():
-        q = InputQueue()
+        pending = PendingQueue()
+        q = InputQueue(pending)
         for e in events:
             q.insert_positive(e)
         n = 0
-        while q.peek_next() is not None:
-            q.pop_next()
+        while pending.peek() is not None:
+            q.mark_processed(pending.pop())
             n += 1
         return n
 
@@ -93,11 +94,12 @@ def test_micro_queue_annihilate(benchmark):
     antis = [e.anti_message() for e in events]
 
     def run():
-        q = InputQueue()
+        pending = PendingQueue()
+        q = InputQueue(pending)
         for e in events:
             q.insert_positive(e)
-        for _ in range(n // 2):  # process half, leave half in the future heap
-            q.pop_next()
+        for _ in range(n // 2):  # process half, leave half pending
+            q.mark_processed(pending.pop())
         return sum(q.insert_anti(anti) is not None for anti in antis)
 
     assert benchmark(run) == n // 2

@@ -136,9 +136,10 @@ class Executive:
             self._seq += 1
             heapq.heappush(self._heap, (lp.clock, self._seq, _TURN, lp.lp_id))
 
-    def _wake(self, lp: LogicalProcess) -> None:
-        """After anything that may have changed ``lp``'s work: schedule
-        its next turn, or run its idle hook if it has none.
+    @staticmethod
+    def _runnable(lp: LogicalProcess) -> bool:
+        """After anything that may have changed ``lp``'s work: whether it
+        has work, running its idle hook if it has none.
 
         The idle hook matters after a delivery too — an anti-message can
         annihilate everything a rollback re-queued — and expiring
@@ -147,9 +148,8 @@ class Executive:
         """
         if lp.next_work() is None:
             lp.on_idle()
-            if lp.next_work() is None:
-                return
-        self._schedule_turn(lp)
+            return lp.next_work() is not None
+        return True
 
     def _schedule_gvt_tick(self, at: float) -> None:
         if not self._gvt_tick_scheduled:
@@ -324,18 +324,36 @@ class Executive:
             lp.receive_physical(message.size_bytes(), message.events)
         else:
             self.gvt_algorithm.handle_control(message)
-        self._wake(lp)
+        if self._runnable(lp):
+            self._schedule_turn(lp)
 
     def _handle_turn(self, when: float, lp_id: int) -> None:
+        """Run ``lp`` for ``events_per_turn`` events, and on for as long
+        as it stays the earliest: while its clock is strictly below the
+        top of the heap, its re-pushed turn (the largest ``seq``) would be
+        popped next anyway, and nothing the main loop does between two
+        pops could change that or end the run."""
         self._turn_scheduled[lp_id] = False
         lp = self.lps[lp_id]
         lp.advance_clock_to(when)
-        executed = 0
         budget = self.config.events_per_turn
-        while executed < budget and lp.execute_one():
-            executed += 1
-        self._executed_events += executed
-        self._wake(lp)
+        limit = self.config.max_executed_events
+        heap = self._heap
+        while True:
+            executed = 0
+            while executed < budget and lp.execute_one():
+                executed += 1
+            self._executed_events += executed
+            if not self._runnable(lp):
+                return
+            clock = lp.clock
+            if (heap and heap[0][0] <= clock) or (
+                limit is not None and self._executed_events > limit
+            ):
+                self._schedule_turn(lp)
+                return
+            if clock > self.wallclock:
+                self.wallclock = clock
 
     def _handle_flush(self, when: float, data: tuple[int, int, int]) -> None:
         lp_id, dst_lp, generation = data

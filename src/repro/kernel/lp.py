@@ -1,7 +1,8 @@
 """Logical processes: scheduling, rollback, coast-forward and cancellation.
 
 An LP groups simulation objects that share an address space (one modelled
-workstation).  It schedules its members lowest-timestamp-first, detects
+workstation).  It schedules its members lowest-timestamp-first from one
+LP-wide heap of pending events (:class:`~.queues.PendingQueue`), detects
 stragglers and anti-messages on delivery, performs rollback with periodic
 check-pointing and coast-forward, dispatches undone sends to the active
 cancellation strategy, and runs the per-object feedback controllers at
@@ -11,10 +12,9 @@ their configured periods.  All CPU work is charged to the LP's wall clock
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from ..cluster.costmodel import CostModel
 from ..oracle.invariants import NULL_ORACLE
@@ -30,7 +30,7 @@ from .errors import (
     TimeWarpError,
 )
 from .event import Event, EventKey, SentRecord, VirtualTime
-from .queues import InputQueue, OutputQueue, StateQueue
+from .queues import InputQueue, OutputQueue, PendingQueue, StateQueue
 from .simobject import SimulationObject
 from .state import SavedState
 
@@ -66,9 +66,6 @@ class ObjectContext:
     comparisons_since_control: int = 0
     events_since_ckpt_control: int = 0
     stats: ObjectStats = field(default_factory=ObjectStats)
-    #: key of this member's lowest unprocessed event, as filed in the
-    #: LP's schedule heap (kept equal to ``iq.head_key()`` by the LP)
-    head_key: EventKey | None = None
     #: modelled CPU cost of executing one event here on the hosting LP
     exec_cost: float = 0.0
 
@@ -109,13 +106,9 @@ class LogicalProcess:
         self._lp_of = lp_of
         self.members: dict[int, ObjectContext] = {}
         self._member_list: list[ObjectContext] = []
-        #: the LP-wide schedule: one ``(head key, oid, member)`` entry per
-        #: change of a member's lowest unprocessed event.  Entries are
-        #: never removed in place; one whose key is no longer its member's
-        #: ``head_key`` is stale and dropped when it surfaces.  Keys are
-        #: unique, so the top live entry is the event the per-member scan
-        #: this replaces would have picked.
-        self._sched: list[tuple[EventKey, int, ObjectContext]] = []
+        #: every member's unprocessed events in one heap; its top live
+        #: entry is the LP's next event
+        self.pending = PendingQueue()
         self.comm: "CommModule" = None  # type: ignore[assignment]
         #: absolute virtual-time optimism bound (GVT + window), set by the
         #: executive when a time-window policy is active
@@ -157,23 +150,25 @@ class LogicalProcess:
         self.adopt(ctx)
         return ctx
 
-    def adopt(self, ctx: ObjectContext) -> None:
+    def adopt(self, ctx: ObjectContext, pending: Iterable[Event] = ()) -> None:
         """Make ``ctx`` a member: bind its object to this LP's services,
-        price its events on this host and file it in the schedule."""
+        price its events on this host and schedule its ``pending``
+        (unprocessed) events here."""
         ctx.exec_cost = self.costs.event_execution(ctx.obj.grain_factor)
         ctx.obj.bind(_ObjectServices(self, ctx))
         self.members[ctx.oid] = ctx
         self._member_list.append(ctx)
-        self._note_head(ctx)
+        ctx.iq.pending = self.pending
+        for event in pending:
+            self.pending.push(event)
 
     def release(self, ctx: ObjectContext) -> None:
-        """Undo :meth:`adopt` (live migration detaches members mid-run)."""
+        """Undo :meth:`adopt` (live migration detaches members mid-run):
+        the member's unprocessed events leave this LP's schedule."""
         del self.members[ctx.oid]
         self._member_list.remove(ctx)
-        # purge rather than leave stale entries: a later re-adoption of the
-        # same oid would put an equal (key, oid) pair beside them
-        self._sched = [entry for entry in self._sched if entry[2] is not ctx]
-        heapq.heapify(self._sched)
+        self.pending.take(ctx.oid)
+        ctx.iq.pending = None  # type: ignore[assignment]  # stale use fails loudly
         ctx.obj._services = None  # sever the stale kernel binding
 
     def initialize(self) -> None:
@@ -254,22 +249,11 @@ class LogicalProcess:
                 f"event for object {event.receiver} delivered to LP {self.lp_id}"
             )
         iq = ctx.iq
-        key = event._key
         if event.sign > 0:
             done = iq.processed
-            if done and key < done[-1]._key:
-                self._rollback(ctx, key, primary=True)
-                iq.insert_positive(event)
-            else:
-                # the common arrival: no straggler, so the member's head
-                # can only move down to this event (and not at all if a
-                # stashed anti-message annihilated it on arrival)
-                if iq.insert_positive(event):
-                    head = ctx.head_key
-                    if head is None or key < head:
-                        ctx.head_key = key
-                        heapq.heappush(self._sched, (key, ctx.oid, ctx))
-                return
+            if done and event._key < done[-1]._key:
+                self._rollback(ctx, event._key, primary=True)
+            iq.insert_positive(event)
         else:
             processed = iq.insert_anti(event)
             if processed is not None:
@@ -280,15 +264,6 @@ class LogicalProcess:
                     raise CausalityViolationError(
                         "anti-message did not annihilate after rollback"
                     )
-        self._note_head(ctx)
-
-    def _note_head(self, ctx: ObjectContext) -> None:
-        """Re-file ``ctx`` in the schedule after its input queue changed."""
-        key = ctx.iq.head_key()
-        if key is not ctx.head_key:
-            ctx.head_key = key
-            if key is not None:
-                heapq.heappush(self._sched, (key, ctx.oid, ctx))
 
     # ------------------------------------------------------------------ #
     # rollback machinery
@@ -527,35 +502,34 @@ class LogicalProcess:
     # ------------------------------------------------------------------ #
     # forward execution
     # ------------------------------------------------------------------ #
-    def next_work(self, *, ignore_window: bool = False) -> ObjectContext | None:
-        """Member holding the LP's lowest-key unprocessed event, if that
-        event lies within the virtual-time horizon and the optimism window
+    def next_work(self, *, ignore_window: bool = False) -> Event | None:
+        """The LP's lowest-key unprocessed event, if it lies within the
+        virtual-time horizon and the optimism window
         (``ignore_window=True``: within the horizon alone)."""
-        sched = self._sched
-        while sched:
-            key, _, ctx = sched[0]
-            if ctx.head_key is key:
-                end_time = self.end_time
-                if not ignore_window and self.optimism_bound < end_time:
-                    end_time = self.optimism_bound
-                return ctx if key[0] <= end_time else None
-            heapq.heappop(sched)  # stale: that member's head has moved
-        return None
+        heap = self.pending.heap
+        if not heap:
+            return None
+        event = heap[0][1]  # the top entry is always live
+        end_time = self.end_time
+        if not ignore_window and self.optimism_bound < end_time:
+            end_time = self.optimism_bound
+        return event if event.recv_time <= end_time else None
 
     def execute_one(self) -> bool:
         """Execute the LP's next event; False if the LP has no work.
 
-        One frame from the schedule to the model: the pop, the execution
-        charge, the periodic state save and the controller period count
-        all happen here, and nothing that only applies to a configured
-        controller or a pending comparison is called unless it is due.
+        The pop and the processed-list append go through the queues; the
+        execution charge, the periodic state save and the controller
+        period count happen here, and nothing that only applies to a
+        configured controller or a pending comparison is called unless it
+        is due.
         """
-        ctx = self.next_work()
-        if ctx is None:
+        if self.next_work() is None:
             return False
-        event = ctx.iq.pop_next()
-        self._note_head(ctx)
+        event = self.pending.pop()
         key = event._key
+        ctx = self.members[event.receiver]
+        ctx.iq.mark_processed(event)
         ctx.lvt = event.recv_time
         ctx.current_cause_key = key
         obj = ctx.obj
@@ -605,25 +579,42 @@ class LogicalProcess:
     def on_idle(self) -> None:
         """Called by the executive when the LP runs out of work: flush
         aggregates and resolve dangling comparisons so the system drains."""
+        due = None
         for ctx in self._member_list:
             if ctx.cmp_buffer._by_content:
-                key = ctx.head_key
-                if key is None or key[0] > self.end_time:
+                if due is None:
+                    due = self._receivers_due()
+                if ctx.oid not in due:
                     self._expire_comparisons(ctx, None)
+                    # its anti-messages may reach a co-located member
+                    # at once and change what is pending there
+                    due = None
         if self.comm is not None:
             flushed = self.comm.flush_all()
             self.stats.aggregates_flushed_idle += flushed
+
+    def _receivers_due(self) -> set[int]:
+        """Members with an unprocessed event at or before the horizon.
+        If the LP's earliest pending event lies past it, none; only when
+        it does not (the LP is window-blocked) is the queue scanned."""
+        end_time = self.end_time
+        key = self.pending.head_key()
+        if key is None or key[0] > end_time:
+            return set()
+        return {
+            event.receiver
+            for event in self.pending.live.values()
+            if event.recv_time <= end_time
+        }
 
     # ------------------------------------------------------------------ #
     # GVT support and fossil collection
     # ------------------------------------------------------------------ #
     def local_min(self) -> VirtualTime:
         """Lower bound on any virtual time this LP can still affect."""
-        best = float("inf")
+        key = self.pending.head_key()  # the LP's lowest unprocessed event
+        best = float("inf") if key is None else key[0]
         for ctx in self._member_list:
-            key = ctx.head_key  # the member's lowest unprocessed event
-            if key is not None and key[0] < best:
-                best = key[0]
             t = ctx.cmp_buffer.min_live_time()
             if t is not None and t < best:
                 best = t
@@ -680,12 +671,12 @@ class LogicalProcess:
         (their natural maximum within each GVT interval)."""
         state_entries = 0
         state_bytes = 0
-        history_events = 0
+        history_events = len(self.pending)
         for ctx in self._member_list:
             entries = ctx.sq.entries
             state_entries += len(entries)
             state_bytes += sum([e.size for e in entries])
-            history_events += len(ctx.iq.processed) + ctx.iq.future_count()
+            history_events += len(ctx.iq.processed)
             history_events += len(ctx.oq)
         stats = self.stats
         if state_entries > stats.peak_state_entries:

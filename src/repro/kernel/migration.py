@@ -11,8 +11,9 @@ same bytes:
 * events are flattened to plain field tuples, so the checkpoint format
   does not depend on how :class:`Event` chooses to pickle itself;
 * unordered collections are serialized in a deterministic order (the
-  future heap by key, pending anti-messages by event id, comparisons by
-  park sequence) and rebuilt on restore;
+  object's events in its host's pending heap by key, pending
+  anti-messages by event id, comparisons by park sequence) and rebuilt
+  on restore;
 * the application object is embedded as a pickle blob taken with its
   kernel services unbound, so a checkpoint never drags an LP (and with
   it the whole process) into the pickle graph.
@@ -137,10 +138,8 @@ def checkpoint_object(ctx: ObjectContext) -> ObjectCheckpoint:
         obj._services = services
 
     iq = ctx.iq
-    future = tuple(
-        _event_tuple(event)
-        for event in sorted(iq.iter_future(), key=Event.key)
-    )
+    # the object's share of its host's pending queue, in key order
+    future = tuple(_event_tuple(event) for event in iq.pending.of(ctx.oid))
     processed = tuple(_event_tuple(event) for event in iq.processed)
     pending_antis = tuple(
         _event_tuple(anti)
@@ -247,15 +246,7 @@ def restore_object(
 
     iq = ctx.iq
     for fields in ckpt.processed:
-        event = _event_from(fields)
-        iq.processed.append(event)
-        iq._processed_ids[event._eid] = event
-    # key-sorted list == valid binary heap
-    for fields in ckpt.future:
-        event = _event_from(fields)
-        iq._future.append((event._key, event))
-        iq._future_ids[event._eid] = event
-    iq._live_future = len(ckpt.future)
+        iq.mark_processed(_event_from(fields))
     for fields in ckpt.pending_antis:
         anti = _event_from(fields)
         iq._pending_antis[anti._eid] = anti
@@ -275,7 +266,7 @@ def restore_object(
         record = SentRecord(event=_event_from(fields), cause_key=cause_key)
         ctx.cmp_buffer.park(record, lazy=is_lazy)
 
-    lp.adopt(ctx)
+    lp.adopt(ctx, map(_event_from, ckpt.future))
     lp._member_list.sort(key=lambda member: member.oid)
     if src_lp is not None and lp.tracer.enabled:
         lp.tracer.emit(

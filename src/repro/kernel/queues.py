@@ -1,22 +1,24 @@
-"""The three WARPED history queues: input, output and state queues.
+"""The three WARPED history queues, and the LP-wide queue of pending events.
 
-Each simulation object owns one of each (see Figure 1 of the paper).  The
-queues are pure data structures — rollback *policy* lives in the LP — but
-they encapsulate the fiddly parts: annihilation of anti-messages against
-positive messages in any arrival order, lazy deletion from the future heap,
-and fossil collection below GVT.
+Each simulation object owns an input, an output and a state queue (see
+Figure 1 of the paper); they keep what rollback needs.  What is still to
+be executed is scheduled LP-wide, lowest timestamp first, in one
+:class:`PendingQueue` shared by the LP's members.  The queues are pure
+data structures — rollback *policy* lives in the LP — but they
+encapsulate the fiddly parts: annihilation of anti-messages against
+positive messages in any arrival order, lazy deletion from the pending
+heap, and fossil collection below GVT.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
 
 from .errors import StateHistoryError, TimeWarpError
 from .event import Event, EventId, EventKey, SentRecord, VirtualTime
 from .state import SavedState
 
-#: Tombstones tolerated before the future heap is compacted.  Lazy
+#: Tombstones tolerated before the pending heap is compacted.  Lazy
 #: deletion only discards dead entries when they surface at the heap top;
 #: under a rollback storm that annihilates deep in the future the heap
 #: would otherwise grow without bound (dead entries below the top are
@@ -26,41 +28,115 @@ from .state import SavedState
 _COMPACT_MIN_TOMBSTONES = 64
 
 
-class InputQueue:
-    """Pending and processed events of one simulation object.
+class PendingQueue:
+    """Unprocessed events of every member of one LP, lowest key first.
 
-    The unprocessed side is a binary heap ordered by :class:`EventKey`;
-    annihilation removes events lazily (a tombstone set) so that cancelling
-    a message costs O(1) amortized.  The processed side is a list in
-    execution order, which rollback slices by key.
+    ``heap`` is a binary heap of ``(EventKey, Event)`` pairs and ``live``
+    indexes the events it still holds by id.  :class:`EventKey` is a total
+    order across objects, so the top entry is the LP's next event.
+    Annihilation deletes from ``live`` alone; the heap entry left behind
+    is a tombstone (its id is not in ``live``), dropped as soon as it
+    reaches the top or when :meth:`_compact` runs.  So ``heap[0]``, if
+    any, is always live and a reader needs no tombstone test; the methods
+    below keep that, and nothing else writes either attribute.
     """
 
-    __slots__ = (
-        "_future",
-        "_tombstones",
-        "_future_ids",
-        "processed",
-        "_processed_ids",
-        "_pending_antis",
-        "_live_future",
-    )
+    __slots__ = ("heap", "live")
 
     def __init__(self) -> None:
-        self._future: list[tuple[EventKey, Event]] = []
-        self._tombstones: set[EventId] = set()
-        self._future_ids: dict[EventId, Event] = {}
+        self.heap: list[tuple[EventKey, Event]] = []
+        self.live: dict[EventId, Event] = {}
+
+    def push(self, event: Event) -> None:
+        heapq.heappush(self.heap, (event._key, event))
+        self.live[event._eid] = event
+
+    def cancel(self, eid: EventId) -> bool:
+        """Annihilate the pending event ``eid``; ``False`` if it is not
+        pending."""
+        live = self.live
+        if live.pop(eid, None) is None:
+            return False
+        heap = self.heap
+        dead = len(heap) - len(live)
+        if dead >= _COMPACT_MIN_TOMBSTONES and dead > len(live):
+            self._compact()
+        else:
+            while heap and heap[0][1]._eid not in live:
+                heapq.heappop(heap)  # a tombstone reached the top
+        return True
+
+    def _compact(self) -> None:
+        """Drop every tombstone, not just those at the top.  Keys are
+        unique per event, so the pop order is unchanged."""
+        live = self.live
+        heap = self.heap
+        heap[:] = [entry for entry in heap if entry[1]._eid in live]
+        heapq.heapify(heap)
+
+    def peek(self) -> Event | None:
+        """Smallest-key pending event, or ``None``."""
+        heap = self.heap
+        return heap[0][1] if heap else None
+
+    def head_key(self) -> EventKey | None:
+        heap = self.heap
+        return heap[0][0] if heap else None
+
+    def pop(self) -> Event:
+        """Remove and return the smallest-key pending event."""
+        heap = self.heap
+        if not heap:
+            raise TimeWarpError("pop on an empty pending queue")
+        event = heapq.heappop(heap)[1]
+        live = self.live
+        del live[event._eid]
+        while heap and heap[0][1]._eid not in live:
+            heapq.heappop(heap)  # a tombstone reached the top
+        return event
+
+    def of(self, oid: int) -> list[Event]:
+        """The pending events addressed to object ``oid``, in key order."""
+        return sorted(
+            (event for event in self.live.values() if event.receiver == oid),
+            key=Event.key,
+        )
+
+    def take(self, oid: int) -> list[Event]:
+        """Remove and return :meth:`of` ``oid`` (live migration)."""
+        events = self.of(oid)
+        live = self.live
+        for event in events:
+            del live[event._eid]
+        self._compact()
+        return events
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+
+class InputQueue:
+    """Processed events and stashed anti-messages of one simulation object.
+
+    The object's unprocessed events wait in its host's :class:`PendingQueue`
+    (``pending``, bound when an LP adopts the object).  The processed side
+    is a list in execution order, which rollback slices by key; its id
+    index lets an anti-message find an executed positive in O(1).
+    """
+
+    __slots__ = ("pending", "processed", "_processed_ids", "_pending_antis")
+
+    def __init__(self, pending: PendingQueue | None = None) -> None:
+        self.pending: PendingQueue = pending  # type: ignore[assignment]
         self.processed: list[Event] = []
-        #: identity index over ``processed`` (anti-messages against
-        #: already-executed positives resolve in O(1) instead of a scan)
         self._processed_ids: dict[EventId, Event] = {}
         self._pending_antis: dict[EventId, Event] = {}
-        self._live_future = 0
 
     # ------------------------------------------------------------------ #
     # insertion and annihilation
     # ------------------------------------------------------------------ #
     def insert_positive(self, event: Event) -> bool:
-        """Insert a positive message.
+        """Insert a positive message into the pending queue.
 
         Contract: if the event is a straggler (its key precedes
         :meth:`last_processed_key`), the caller must roll the object back
@@ -75,9 +151,7 @@ class InputQueue:
         if eid in self._pending_antis:
             del self._pending_antis[eid]
             return False
-        heapq.heappush(self._future, (event._key, event))
-        self._future_ids[eid] = event
-        self._live_future += 1
+        self.pending.push(event)
         return True
 
     def insert_anti(self, anti: Event) -> Event | None:
@@ -92,103 +166,21 @@ class InputQueue:
         annihilates.
         """
         eid = anti._eid
-        if eid in self._future_ids:
-            del self._future_ids[eid]
-            self._tombstones.add(eid)
-            self._live_future -= 1
-            if (
-                len(self._tombstones) >= _COMPACT_MIN_TOMBSTONES
-                and len(self._tombstones) > self._live_future
-            ):
-                self._compact()
+        if self.pending.cancel(eid):
             return None
         processed = self._processed_ids.get(eid)
         if processed is None:
             self._pending_antis[eid] = anti
         return processed
 
-    def _compact(self) -> None:
-        """Drop dead heap entries everywhere, not just at the top.
-
-        Keeps exactly the entries :meth:`_skip_tombstones` would ever
-        yield (the ``eid in _future_ids`` guard protects a live event
-        re-inserted after an earlier copy was annihilated), then
-        re-heapifies.  Keys are unique per event, so the pop order is
-        unchanged.  Tombstones whose entries were dropped are discarded,
-        mirroring the incremental discard at the heap top.
-        """
-        tombstones = self._tombstones
-        future_ids = self._future_ids
-        keep: list[tuple[EventKey, Event]] = []
-        for entry in self._future:
-            eid = entry[1]._eid
-            if eid in tombstones and eid not in future_ids:
-                continue
-            keep.append(entry)
-        heapq.heapify(keep)
-        self._future = keep
-        tombstones.intersection_update({entry[1]._eid for entry in keep})
-
-    # ------------------------------------------------------------------ #
-    # scheduling
-    # ------------------------------------------------------------------ #
-    def _skip_tombstones(self) -> None:
-        if not self._tombstones:  # fast path: no stale entries anywhere
-            return
-        while self._future:
-            eid = self._future[0][1]._eid
-            if eid in self._tombstones and eid not in self._future_ids:
-                heapq.heappop(self._future)
-                self._tombstones.discard(eid)
-            else:
-                break
-
-    def peek_next(self) -> Event | None:
-        """Smallest-key unprocessed event, or ``None``."""
-        if self._tombstones:
-            self._skip_tombstones()
-        future = self._future
-        return future[0][1] if future else None
-
-    def head_key(self) -> EventKey | None:
-        """Key of the smallest unprocessed event, or ``None`` — what the
-        LP's schedule heap files this queue under after every change."""
-        if self._tombstones:
-            self._skip_tombstones()
-        future = self._future
-        return future[0][0] if future else None
-
-    def pop_next(self) -> Event:
-        """Remove and return the smallest unprocessed event, marking it
-        processed."""
-        if self._tombstones:
-            self._skip_tombstones()
-        if not self._future:
-            raise TimeWarpError("pop_next on an empty input queue")
-        _, event = heapq.heappop(self._future)
-        eid = event._eid
-        del self._future_ids[eid]
-        self._live_future -= 1
+    def mark_processed(self, event: Event) -> None:
+        """Append ``event``, just popped from the pending queue (or
+        restored by migration), to the processed list."""
         self.processed.append(event)
-        self._processed_ids[eid] = event
-        return event
+        self._processed_ids[event._eid] = event
 
     def last_processed_key(self) -> EventKey | None:
         return self.processed[-1]._key if self.processed else None
-
-    def has_future(self) -> bool:
-        if self._tombstones:  # same inlined fast path as peek_next
-            self._skip_tombstones()
-        return bool(self._future)
-
-    def future_count(self) -> int:
-        return self._live_future
-
-    def iter_future(self) -> Iterable[Event]:
-        """All live unprocessed events (unordered; for GVT accounting)."""
-        for _, event in self._future:
-            if event._eid in self._future_ids:
-                yield event
 
     # ------------------------------------------------------------------ #
     # rollback and fossil collection
@@ -196,9 +188,10 @@ class InputQueue:
     def rollback(self, key: EventKey) -> list[Event]:
         """Un-process every event with key ``>= key``.
 
-        The un-processed events are re-inserted into the future heap and
+        The un-processed events go back into the pending queue and are
         returned in their original execution order.
         """
+        push = self.pending.push  # unbound (a released object): fail untouched
         split = len(self.processed)
         while split > 0 and self.processed[split - 1]._key >= key:
             split -= 1
@@ -206,11 +199,8 @@ class InputQueue:
         del self.processed[split:]
         processed_ids = self._processed_ids
         for event in rolled:
-            eid = event._eid
-            del processed_ids[eid]
-            heapq.heappush(self._future, (event._key, event))
-            self._future_ids[eid] = event
-            self._live_future += 1
+            del processed_ids[event._eid]
+            push(event)
         return rolled
 
     def fossil_collect(

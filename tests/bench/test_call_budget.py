@@ -7,17 +7,18 @@ frames and C built-ins, as ``benchmarks/e2e`` counts ``calls_per_event`` —
 per committed event must stay within a budget set 5 % above the reading
 under pytest:
 
-* a PHOLD of the ``phold_skew`` shape: 125.5, since the kernel checkpoints
-  through the state's own ``copy()`` with no strategy frame in between
-  (the per-event call diet had already taken it from 230.8 to 127.1).
-  It reads 120.8 now that a restore and the fossil-collection sample read
-  the size recorded at save.  ``PHOLDState`` writes its own
-  ``copy``/``size_bytes``, so this gate never reaches the generic
-  ``RecordState`` path;
+* a PHOLD of the ``phold_skew`` shape: 115.4, down from 120.8 when every
+  object kept its own heap of pending events and the LP a second heap of
+  their heads, re-filed at every change (the per-event call diet had
+  taken it from 230.8 to 127.1, checkpointing through the state's own
+  ``copy()`` and reading the size recorded at save to 120.8).
+  ``PHOLDState`` writes its own ``copy``/``size_bytes``, so this gate
+  never reaches the generic ``RecordState`` path;
 * an SMMP of the ``smmp_online`` shape (sub-seed 40, the three controllers
   on), whose sources, buses, banks and collectors checkpoint through the
-  compiled ``RecordState`` methods: 58.9, down from 87.4 when every state
-  was sized field by field at each save, restore and fossil collection.
+  compiled ``RecordState`` methods: 52.4, down from 58.7 with the two
+  heaps, and from 87.4 when every state was sized field by field at each
+  save, restore and fossil collection.
 
 The failure message names the modules that grew.
 """
@@ -32,8 +33,8 @@ from repro import SimulationConfig, TimeWarpSimulation
 from repro.apps import PHOLDParams, build_phold
 from tests.integration.test_hot_loop_invariance import smmp_online
 
-CALLS_PER_COMMITTED_EVENT_BUDGET = 131.7
-SMMP_CALLS_PER_COMMITTED_EVENT_BUDGET = 61.9
+CALLS_PER_COMMITTED_EVENT_BUDGET = 121.2
+SMMP_CALLS_PER_COMMITTED_EVENT_BUDGET = 55.0
 
 REPRO_ROOT = Path(repro.__file__).resolve().parent
 

@@ -13,7 +13,19 @@ The memory high-water marks (``peak_state_*``) were recorded while every
 snapshot was still re-measured at each fossil collection; they prove that
 sizes recorded once per snapshot charge and sample exactly what that walk
 did.
+
+Equal totals cannot show that the interleaving held, so the two e2e shapes
+also pin their whole decision trace: the record count and the SHA-256 of
+``json.dumps(records, sort_keys=True)``, recorded on the commit before the
+LP's pending events moved into one heap and an executive turn began to
+run on while its LP is earliest (the same under ``PYTHONHASHSEED`` 0 and
+1).  Every rollback, ``fossil.collect`` and ``gvt.round`` record, with its
+modelled clock, must come out as it did.
 """
+
+import dataclasses
+import hashlib
+import json
 
 import pytest
 
@@ -28,6 +40,7 @@ from repro.apps import (
 )
 from repro.bench.harness import RAID_PROFILE, SMMP_PROFILE
 from repro.control import dynamic_config_kwargs
+from repro.trace import Tracer
 
 SUB_SEED = 40
 
@@ -118,3 +131,23 @@ def test_counters_and_modelled_rate_do_not_move(workload):
         "peak_state_entries": stats.peak_state_entries,
     }
     assert got == want
+
+
+TRACE_DIGESTS = {
+    "phold_skew": (
+        2530, "83ed2286510e505e20d598f11d1c9dfc1ba554554a4f599750039304516e063b"
+    ),
+    "smmp_online": (
+        3515, "73b76a1cef038d900786c2c3bb1abf6ed7aed57979154a5401ef135ecfeae9e1"
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(TRACE_DIGESTS))
+def test_decision_trace_does_not_move(workload):
+    partition, config = PINNED[workload][0]()
+    tracer = Tracer.in_memory()
+    TimeWarpSimulation(partition, dataclasses.replace(config, tracer=tracer)).run()
+    records = tracer.records
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert (len(records), digest) == TRACE_DIGESTS[workload]

@@ -365,6 +365,66 @@ class TestOptimismBound:
         assert objs["a"].state.seen == []
         assert not lp.has_work(ignore_window=True)
 
+    def test_idle_hook_expires_only_members_with_nothing_left_to_run(self):
+        # window-blocked: the LP's earliest event is below the horizon, so
+        # the idle hook must ask each member whether it still has one
+        lp, _, ids = build_lp(names=("a", "b", "c"), mode=Mode.LAZY)
+        inject(lp, ids["a"], 10.0, ("fwd", "v", "b"))
+        c10 = inject(lp, ids["c"], 10.0, ("fwd", "w", "b"))
+        drain(lp)
+        inject(lp, ids["a"], 5.0, ("note", "s"))  # parks a's send
+        c5 = inject(lp, ids["c"], 5.0, ("note", "t"))  # parks c's send
+        for event in (c5, c10):  # c is left with nothing to run
+            lp.deliver_event(event.anti_message())
+        a, c = lp.members[ids["a"]], lp.members[ids["c"]]
+        assert a.cmp_buffer.pending() and c.cmp_buffer.pending()
+        lp.optimism_bound = 1.0
+        assert lp.next_work() is None and lp.has_work(ignore_window=True)
+        lp.on_idle()
+        assert a.cmp_buffer.pending()  # a still runs at 5 and 10
+        assert not c.cmp_buffer.pending()  # c's send can never be regenerated
+
+    def test_idle_hook_sees_what_an_earlier_expiry_annihilated(self):
+        # expiring a's comparison sends an anti-message to b at once; it
+        # annihilates b's last pending event, so b must expire too
+        lp, _, ids = build_lp(names=("a", "b", "c"), mode=Mode.LAZY)
+        a10 = inject(lp, ids["a"], 10.0, ("fwd", "v", "b"))  # sends b@20
+        b15 = inject(lp, ids["b"], 15.0, ("fwd", "w", "c"))  # sends c@25
+        drain(lp)
+        a5 = inject(lp, ids["a"], 5.0, ("note", "s"))  # parks a's send
+        b12 = inject(lp, ids["b"], 12.0, ("note", "t"))  # parks b's send
+        for event in (a5, a10, b12, b15):  # leaves b@20 alone pending
+            lp.deliver_event(event.anti_message())
+        a, b = lp.members[ids["a"]], lp.members[ids["b"]]
+        assert a.cmp_buffer.pending() and b.cmp_buffer.pending()
+        assert [e.recv_time for e in lp.pending.of(ids["b"])] == [20.0]
+        lp.optimism_bound = 1.0
+        assert lp.next_work() is None and lp.has_work(ignore_window=True)
+        lp.on_idle()
+        assert not a.cmp_buffer.pending()
+        assert not lp.pending.of(ids["b"])  # b@20 annihilated
+        assert not b.cmp_buffer.pending()
+
+
+class TestRelease:
+    def test_released_member_cannot_reach_its_old_hosts_queue(self):
+        lp, _, ids = build_lp()
+        inject(lp, ids["a"], 1.0, ("note", "a1"))
+        lp.execute_one()
+        inject(lp, ids["a"], 5.0, ("note", "a5"))
+        b6 = inject(lp, ids["b"], 6.0, ("note", "b6"))
+        ctx = lp.members[ids["a"]]
+        lp.release(ctx)
+        assert list(lp.pending.live.values()) == [b6]  # a's event left with it
+        late = Event(EXTERNAL, ids["a"], 6.0, 7.0, ("note", "late"), next(_serial))
+        with pytest.raises(AttributeError):
+            ctx.iq.insert_positive(late)
+        early = Event(EXTERNAL, ids["a"], 0.0, 0.5, ("note", "early"), next(_serial))
+        with pytest.raises(AttributeError):
+            ctx.iq.rollback(early.key())  # would re-queue a1 on the old host
+        assert list(lp.pending.live.values()) == [b6]
+        assert [e.recv_time for e in ctx.iq.processed] == [1.0]
+
 
 class TestReceivePath:
     def test_receive_physical_charges_and_delivers(self):

@@ -1,10 +1,10 @@
-"""Properties of the event store: InputQueue vs a naive model, and the
-LP's schedule heap vs a per-member scan.
+"""Properties of the event store: the LP-wide pending queue and an input
+queue vs a naive model, and the LP's schedule vs a per-member scan.
 
-The boxed heap's lazy deletion and compaction are the fiddly part of
-:class:`~repro.kernel.queues.InputQueue`; the model below has neither — a
-key-sorted list with the same annihilation rules — so any interleaving of
-inserts, pops, antis and rollbacks must observe the same thing on both,
+The pending heap's lazy deletion and compaction are the fiddly part of
+:class:`~repro.kernel.queues.PendingQueue`; the model below has neither —
+a key-sorted list with the same annihilation rules — so any interleaving
+of inserts, pops, antis and rollbacks must observe the same thing on both,
 tie-breaks included.
 """
 
@@ -20,7 +20,7 @@ from repro.kernel.cancellation import Mode, StaticCancellation
 from repro.kernel.checkpointing import StaticCheckpoint
 from repro.kernel.event import Event
 from repro.kernel.lp import LogicalProcess
-from repro.kernel.queues import InputQueue
+from repro.kernel.queues import InputQueue, PendingQueue
 from repro.kernel.simobject import SimulationObject
 from repro.kernel.state import RecordState
 from tests.helpers import make_event
@@ -77,6 +77,50 @@ class SortedListQueue:
         return rolled
 
 
+class SplitQueue:
+    """The object under test behind the model's interface: the future
+    side is the LP-wide :class:`PendingQueue`, the processed side an
+    :class:`InputQueue` bound to it (one LP, one input queue, so a
+    rollback un-processes across receivers exactly as the model does)."""
+
+    def __init__(self):
+        self.pending = PendingQueue()
+        self.iq = InputQueue(self.pending)
+
+    @property
+    def processed(self):
+        return self.iq.processed
+
+    def insert_positive(self, event):
+        return self.iq.insert_positive(event)
+
+    def insert_anti(self, anti):
+        return self.iq.insert_anti(anti)
+
+    def head_key(self):
+        return self.pending.head_key()
+
+    def peek_next(self):
+        return self.pending.peek()
+
+    def pop_next(self):
+        event = self.pending.pop()
+        self.iq.mark_processed(event)
+        return event
+
+    def rollback(self, key):
+        return self.iq.rollback(key)
+
+    def iter_future(self):
+        return self.pending.live.values()
+
+    def future_count(self):
+        return len(self.pending)
+
+    def pending_anti_count(self):
+        return self.iq.pending_anti_count()
+
+
 @st.composite
 def queue_scripts(draw):
     """A random interleaving of inserts, pops, antis, rollbacks and
@@ -127,7 +171,7 @@ def _apply(q, op, event):
 
 def _check_against_model(events, script):
     model = SortedListQueue()
-    q = InputQueue()
+    q = SplitQueue()
     for op, index in script:
         if op == "storm":
             steps = [("anti", event) for event in model.future[:0:-1]]
@@ -163,7 +207,7 @@ def test_input_queue_matches_model_through_compaction(script_data):
 
 
 # --------------------------------------------------------------------- #
-# the LP's schedule heap over its members' queues
+# the LP's one pending heap over its members' events
 # --------------------------------------------------------------------- #
 class _Sink(SimulationObject):
     """Counts events; sends nothing, so a script fully decides the order."""
@@ -213,28 +257,55 @@ def lp_scripts(draw):
     return script
 
 
-def _scan(lp):
-    """What the per-member scan the schedule heap replaced would pick."""
-    heads = [(ctx.iq.head_key(), ctx) for ctx in lp.members.values()]
-    live = [(key, ctx) for key, ctx in heads if key is not None]
-    return min(live, key=lambda pair: pair[0])[1] if live else None
+def _scan(models):
+    """The per-member-minimum oracle: each member's lowest-key pending
+    event, as the script's own sorted-list models hold them, then the
+    lowest of those."""
+    heads = [model.future[0] for model in models.values() if model.future]
+    return min(heads, key=Event.key) if heads else None
+
+
+def _deliver(models, event):
+    """Book a delivery on the receiver's model the way the LP handles it:
+    a straggler rolls its receiver back first, an anti-message for a
+    processed event rolls back to it and then annihilates."""
+    model = models[event.receiver]
+    if event.sign > 0:
+        _apply(model, "insert", event)
+    elif (hit := model.insert_anti(event)) is not None:
+        model.rollback(hit.key())
+        assert model.insert_anti(event) is None
 
 
 @given(lp_scripts())
 @settings(max_examples=200, deadline=None)
 def test_lp_schedule_matches_a_per_member_minimum_scan(script):
     lp = _sink_lp()
+    # delivered, minus executed, minus annihilated: kept by the script,
+    # not read from the LP
+    models = {oid: SortedListQueue() for oid in lp.members}
+
+    def execute():
+        expected = _scan(models)
+        assert lp.next_work() is expected
+        if expected is None:
+            assert not lp.execute_one()
+            return False
+        assert lp.execute_one()
+        assert models[expected.receiver].pop_next() is expected
+        return True
+
     for op, arg in script:
         if op == "deliver":
             lp.deliver_event(arg)
+            _deliver(models, arg)
         else:
             for _ in range(arg):
-                assert lp.next_work() is _scan(lp)
-                if not lp.execute_one():
+                if not execute():
                     break
         # the schedule agrees with a fresh scan after every step
-        assert lp.next_work() is _scan(lp)
+        assert lp.next_work() is _scan(models)
         for ctx in lp.members.values():
-            assert ctx.head_key == ctx.iq.head_key()
-    while lp.execute_one():
-        assert lp.next_work() is _scan(lp)
+            assert ctx.iq.processed == models[ctx.oid].processed
+    while execute():
+        pass

@@ -11,7 +11,7 @@ from repro.comm.network import Network
 from repro.core.filters import SampleWindow
 from repro.core.thresholding import DeadZoneThreshold
 from repro.kernel.event import payload_size_bytes
-from repro.kernel.queues import InputQueue
+from repro.kernel.queues import InputQueue, PendingQueue
 from tests.helpers import make_event
 
 # --------------------------------------------------------------------- #
@@ -88,7 +88,8 @@ def queue_scripts(draw):
 @settings(max_examples=200)
 def test_input_queue_matches_reference(script_data):
     events, script = script_data
-    q = InputQueue()
+    pending = PendingQueue()  # the future side, LP-wide
+    q = InputQueue(pending)  # the processed side
     # reference model: sets of pending / processed / annihilated ids
     inserted, processed, cancelled = set(), [], set()
 
@@ -116,11 +117,12 @@ def test_input_queue_matches_reference(script_data):
                 key=lambda e: e.key(),
             )
             if expected:
-                got = q.pop_next()
+                got = pending.pop()
+                q.mark_processed(got)
                 assert got is expected[0]
                 processed.append(got)
             else:
-                assert q.peek_next() is None
+                assert pending.peek() is None
         elif op == "anti":
             event = events[arg]
             eid = event.event_id()
@@ -149,8 +151,8 @@ def test_input_queue_matches_reference(script_data):
         key=lambda e: e.key(),
     )
     drained = []
-    while q.peek_next() is not None:
-        drained.append(q.pop_next())
+    while pending.peek() is not None:
+        drained.append(pending.pop())
     assert drained == remaining
 
 
