@@ -389,7 +389,7 @@ class Executive:
 
     def _quiescent(self) -> bool:
         """Full termination condition: the application is quiescent and
-        all control traffic (GVT tokens/broadcasts, transport callbacks)
+        all control traffic (GVT starts/reports/commits, transport callbacks)
         has drained too."""
         if self._pending_deliveries:
             return False

@@ -2,9 +2,9 @@
 
 A physical message bundles one or more application events bound from one
 LP to another (Dynamic Message Aggregation), or carries a kernel control
-payload (a GVT token).  The per-physical-message overhead — not the event
-count — dominates 1998-era NOW communication cost, which is the entire
-premise of DyMA.
+payload (a record of the Mattern GVT star).  The per-physical-message
+overhead — not the event count — dominates 1998-era NOW communication
+cost, which is the entire premise of DyMA.
 """
 
 from __future__ import annotations
@@ -24,7 +24,11 @@ _serial_counter = itertools.count()
 
 class MessageKind(enum.Enum):
     DATA = "data"
+    #: ``GvtStart`` (coordinator -> LP) and ``ShardReport`` (LP ->
+    #: coordinator); the value stays as it is because fault decisions
+    #: are drawn per kind code (``faults/plan.py:KIND_CODES``)
     GVT_TOKEN = "gvt-token"
+    #: ``GvtCommit`` (coordinator -> LP)
     GVT_BROADCAST = "gvt-broadcast"
 
 

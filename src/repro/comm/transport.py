@@ -2,10 +2,10 @@
 
 Every LP owns one :class:`CommModule`.  Remote application events pass
 through a per-destination :class:`AggregateBuffer` governed by the LP's
-aggregation policy; kernel control messages (GVT tokens) bypass
-aggregation.  The module charges all send-side CPU costs to its host LP's
-wall clock and asks the host to schedule wall-clock flush callbacks for
-aging aggregates.
+aggregation policy; kernel control messages (the GVT star's records)
+bypass aggregation.  The module charges all send-side CPU costs to its
+host LP's wall clock and asks the host to schedule wall-clock flush
+callbacks for aging aggregates.
 """
 
 from __future__ import annotations

@@ -11,11 +11,11 @@ Two estimators are provided:
   state in one step.  It still charges each LP the per-round participation
   cost, so the *overhead* of GVT shows up in modelled time, but the value
   is exact.  This is the default for benchmarks (fast and deterministic).
-* :class:`~repro.gvt.mattern.MatternGVT` — the distributed token-ring
-  algorithm with message colouring, run through the modelled network like
-  any other control traffic.  Produces a (safe) lower bound; used to show
-  the kernel is a real distributed Time Warp and validated against the
-  omniscient bound in tests.
+* :class:`~repro.gvt.mattern.MatternGVT` — Mattern's coordinator star
+  with message colouring, run through the modelled network like any other
+  control traffic (the process backend drives the same star).  Produces a
+  (safe) lower bound; used to show the kernel is a real distributed Time
+  Warp and validated against the omniscient bound in tests.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ class GVTAlgorithm(Protocol):
         ...
 
     def handle_control(self, message: PhysicalMessage) -> None:
-        """Process an arriving GVT control message (token / broadcast)."""
+        """Process an arriving GVT control message (start, report or
+        commit of the Mattern star)."""
         ...
 
     @property

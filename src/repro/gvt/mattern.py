@@ -1,30 +1,38 @@
-"""Mattern-style distributed GVT over the modelled network.
+"""Mattern's distributed GVT: one coordinator star, driven twice.
 
-Implements the token-ring variant of Mattern's GVT algorithm [Mattern 93]
-with round-numbered message colouring:
+Implements Mattern's algorithm [Mattern 93] with round-numbered message
+colouring:
 
 * every application physical message is stamped with its sender's current
   round number (its "colour");
 * a message is *white* for round ``r`` if it was stamped with a round
   ``< r`` — i.e. sent before its sender learned of round ``r`` — and *red*
   otherwise;
-* the round-``r`` token circulates the LP ring accumulating
-  ``count = white-sent − white-received`` and
-  ``mvt = min(local minima, red send minima)``;
-* when the token returns to the initiator with ``count == 0`` every white
-  message has been received *and reflected in its receiver's last report*,
-  so ``mvt`` is a safe GVT bound, which the initiator broadcasts.
+* each pass of round ``r`` the coordinator sends :class:`GvtStart` to
+  every participant, which enters the round (so every later send is red)
+  and answers with a :class:`ShardReport`, a consistent cut of its white
+  counts, local minimum and red send minimum;
+* :func:`close_pass` decides the pass: ``Σ white_sent == Σ white_received``
+  proves every white message has been received *and reflected in its
+  receiver's report*, so ``min over reports of min(local_min, red_min)``
+  is a safe GVT bound, which the coordinator announces with
+  :class:`GvtCommit`.  Unbalanced counts mean whites were still in flight;
+  the coordinator opens another pass of the same round with fresh totals.
 
-Multiple token passes per round are made until the white count drains;
-each pass reports fresh totals, so a pass during which whites were still
-flying simply fails the zero test and triggers another pass.
+Two drivers run this one protocol:
 
-The token and broadcast travel as control physical messages through the
-same modelled network as application traffic (they bypass aggregation but
-pay full per-message cost — GVT is not free, which is why its period is
-worth an ablation, see ``benchmarks/bench_abl_gvt_period.py``).
+* :class:`MatternGVT` runs it over the modelled network with LP 0 as
+  coordinator.  ``GvtStart`` and ``ShardReport`` travel as ``GVT_TOKEN``
+  control messages and ``GvtCommit`` as ``GVT_BROADCAST``; they bypass
+  aggregation but pay full per-message cost — GVT is not free, which is
+  why its period is worth an ablation, see
+  ``benchmarks/bench_abl_gvt_period.py``;
+* :class:`~repro.parallel.gvt.GvtCoordinator` runs it from the parent
+  process over the worker queues, with timeouts and elastic membership
+  (stamps carried explicitly in the IPC envelope — a side-table keyed by
+  process-local message serials cannot cross address spaces).
 
-Every ``mvt`` contribution below goes through
+Every ``local_min`` below goes through
 :meth:`~repro.kernel.lp.LogicalProcess.local_min`: one read of each
 member's filed head key, the same scan the omniscient algorithm makes.
 """
@@ -33,7 +41,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from operator import attrgetter
+from typing import TYPE_CHECKING, Iterable
 
 from ..comm.message import MessageKind, PhysicalMessage
 from ..kernel.event import VirtualTime
@@ -43,42 +52,127 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..cluster.executive import Executive
 
 
-@dataclass(slots=True, frozen=True)
-class Token:
-    """The circulating GVT token."""
+@dataclass(frozen=True, slots=True)
+class GvtStart:
+    """Coordinator opens one pass of a Mattern round."""
 
     round: int
-    mvt: float
-    count: int
-    #: ring position of the LP the token is being sent to
-    position: int
+    pass_no: int
 
 
-@dataclass(slots=True, frozen=True)
-class Broadcast:
-    """GVT announcement ending a round."""
+@dataclass(frozen=True, slots=True)
+class GvtCommit:
+    """Coordinator announces a new safe GVT bound."""
 
     round: int
     gvt: float
 
 
-class ColourAgent:
-    """Per-LP colouring and counting state.
+@dataclass(frozen=True, slots=True)
+class ShardReport:
+    """One participant's consistent cut snapshot for one (round, pass)."""
 
-    Shared between the modelled-network :class:`MatternGVT` (one agent per
-    LP, stamps carried in a serial side-table) and the process-sharded
-    backend (:mod:`repro.parallel`, one agent per worker, stamps carried
-    explicitly in the IPC envelope — a side-table keyed by process-local
-    message serials cannot cross address spaces).
+    shard: int
+    round: int
+    pass_no: int
+    #: lower bound on virtual times this shard can still affect locally
+    local_min: float
+    #: messages sent before the shard entered this round
+    white_sent: int
+    #: received messages stamped with an older round
+    white_received: int
+    #: min event time among messages sent during this round
+    red_min: float
+    #: messages sent during this round (0 on a quiescent shard)
+    red_sent: int
+    #: executable/buffered work remains on this shard
+    active: bool
+    #: lifetime physical-message totals (for the Stop broadcast)
+    total_sent: int
+    total_received: int
+    #: per-object load sample ((oid, events_committed), ...), present
+    #: when ``placement="dynamic"`` (the coordinator's balancer reads it)
+    loads: tuple[tuple[int, int], ...] | None = None
+
+
+@dataclass(frozen=True)
+class RoundResult:
+    """Outcome of one completed (count-balanced) GVT round."""
+
+    round: int
+    passes: int
+    gvt: float
+    #: every shard idle and silent this round: global quiescence
+    all_quiet: bool
+    reports: tuple[ShardReport, ...]
+    #: lifetime wire totals of workers retired before this round (their
+    #: messages are all delivered, but they no longer report)
+    retired_sent: int = 0
+    retired_received: int = 0
+
+    @property
+    def total_sent(self) -> int:
+        return self.retired_sent + sum(r.total_sent for r in self.reports)
+
+    @property
+    def total_received(self) -> int:
+        return self.retired_received + sum(
+            r.total_received for r in self.reports
+        )
+
+    @property
+    def any_active(self) -> bool:
+        return any(r.active for r in self.reports)
+
+
+def close_pass(
+    start: GvtStart, reports: Iterable[ShardReport],
+    retired_sent: int = 0, retired_received: int = 0,
+) -> RoundResult | None:
+    """Decide one pass: a :class:`RoundResult` when the white counts
+    balance, ``None`` while whites are still in flight.
+
+    With retirements, validity becomes ``Σ white_sent + retired_sent ==
+    Σ white_received + retired_received`` over the reporting set: retired
+    participants' whites are final (the drain barrier proved their wire
+    empty at retirement) and enter as constants.
+    """
+    reports = tuple(sorted(reports, key=attrgetter("shard")))
+    white_sent = retired_sent + sum(r.white_sent for r in reports)
+    white_received = retired_received + sum(r.white_received for r in reports)
+    if white_sent != white_received:
+        return None
+    return RoundResult(
+        round=start.round,
+        passes=start.pass_no,
+        gvt=min(min(r.local_min, r.red_min) for r in reports),
+        all_quiet=all(not r.active and r.red_sent == 0 for r in reports),
+        reports=reports,
+        retired_sent=retired_sent,
+        retired_received=retired_received,
+    )
+
+
+class ColourAgent:
+    """Per-participant colouring and counting state.
+
+    One agent per LP under :class:`MatternGVT` (stamps carried in a serial
+    side-table) and one per worker on the process-sharded backend
+    (:mod:`repro.parallel`, stamps carried in the IPC envelope).  Its
+    lifetime totals are also the backend's wire totals.
     """
 
-    __slots__ = ("round", "sent_before_round", "total_sent", "recv_by_stamp", "red_min")
+    __slots__ = (
+        "round", "sent_before_round", "total_sent", "total_received",
+        "recv_by_stamp", "red_min",
+    )
 
     def __init__(self) -> None:
         self.round = 0
         #: total messages sent before entering the current round
         self.sent_before_round = 0
         self.total_sent = 0
+        self.total_received = 0
         #: received-message counts keyed by the sender's stamp
         self.recv_by_stamp: defaultdict[int, int] = defaultdict(int)
         #: min event time among messages sent in the current round
@@ -98,6 +192,7 @@ class ColourAgent:
         return self.round
 
     def note_receive(self, stamp: int) -> None:
+        self.total_received += 1
         self.recv_by_stamp[stamp] += 1
 
     def white_sent(self) -> int:
@@ -110,9 +205,29 @@ class ColourAgent:
         """Messages sent since entering the current round."""
         return self.total_sent - self.sent_before_round
 
+    def report(
+        self, shard: int, start: GvtStart, local_min: float, active: bool,
+        loads: tuple[tuple[int, int], ...] | None = None,
+    ) -> ShardReport:
+        """This participant's cut for ``start``'s pass (round entered)."""
+        return ShardReport(
+            shard=shard,
+            round=start.round,
+            pass_no=start.pass_no,
+            local_min=local_min,
+            white_sent=self.white_sent(),
+            white_received=self.white_received(),
+            red_min=self.red_min,
+            red_sent=self.red_sent(),
+            active=active,
+            total_sent=self.total_sent,
+            total_received=self.total_received,
+            loads=loads,
+        )
+
 
 class MatternGVT:
-    """Distributed GVT estimation through the modelled network."""
+    """The star on the modelled network, LP 0 coordinating."""
 
     def __init__(self, executive: "Executive") -> None:
         self._executive = executive
@@ -120,46 +235,41 @@ class MatternGVT:
         self._agents = [ColourAgent() for _ in executive.lps]
         self._stamps: dict[int, int] = {}  # physical message serial -> stamp
         self._round = 0
-        self._active = False
+        #: the open pass (None between rounds) and its reports so far
+        self._start: GvtStart | None = None
+        self._reports: dict[int, ShardReport] = {}
         self.rounds_completed = 0
-        self.token_passes = 0
+        self.passes = 0
 
     # ------------------------------------------------------------------ #
     # executive interface
     # ------------------------------------------------------------------ #
     @property
     def round_active(self) -> bool:
-        return self._active
+        return self._start is not None
 
     def start_round(self) -> None:
-        if self._active:
+        if self._start is not None:
             return  # previous round still draining; skip this tick
         executive = self._executive
         if len(executive.lps) < 2:
-            # Degenerate single-LP "ring": the local bound is the truth.
+            # Degenerate single-LP star: the local bound is the truth.
             self._commit(true_global_minimum(executive))
             return
         self._round += 1
-        self._active = True
-        initiator = executive.lps[0]
-        agent = self._agents[0]
-        agent.enter_round(self._round)
-        initiator.charge(initiator.costs.gvt_participation_cost)
-        initiator.stats.gvt_rounds += 1
-        token = Token(
-            round=self._round,
-            mvt=min(initiator.local_min(), agent.red_min),
-            count=agent.white_sent() - agent.white_received(),
-            position=1,
-        )
-        self._send_token(0, token)
+        self._open_pass(1)
 
     def handle_control(self, message: PhysicalMessage) -> None:
         control = message.control
-        if isinstance(control, Token):
-            self._on_token(message.dst_lp, control)
-        elif isinstance(control, Broadcast):
-            self._on_broadcast(message.dst_lp, control)
+        if isinstance(control, GvtStart):
+            self._report(message.dst_lp, control)
+        elif isinstance(control, ShardReport):
+            self._collect(control)
+        elif isinstance(control, GvtCommit):
+            lp = self._executive.lps[message.dst_lp]
+            self._agents[message.dst_lp].enter_round(control.round)
+            lp.charge(lp.costs.gvt_participation_cost)
+            lp.fossil_collect(control.gvt)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown GVT control payload: {control!r}")
 
@@ -179,57 +289,52 @@ class MatternGVT:
         self._agents[message.dst_lp].note_receive(stamp)
 
     # ------------------------------------------------------------------ #
-    # token protocol
+    # the star
     # ------------------------------------------------------------------ #
-    def _send_token(self, from_lp: int, token: Token) -> None:
-        executive = self._executive
-        dst = token.position % len(executive.lps)
-        lp = executive.lps[from_lp]
-        lp.comm.send_control(dst, MessageKind.GVT_TOKEN, token)
-        self.token_passes += 1
+    def _open_pass(self, pass_no: int) -> None:
+        start = self._start = GvtStart(self._round, pass_no)
+        self._reports = {}
+        self.passes += 1
+        self._broadcast(MessageKind.GVT_TOKEN, start)
+        self._report(0, start)  # the coordinator's own cut, taken inline
 
-    def _on_token(self, lp_id: int, token: Token) -> None:
-        executive = self._executive
-        lp = executive.lps[lp_id]
+    def _broadcast(self, kind: MessageKind, record: object) -> None:
+        """Send ``record`` from the coordinator to every other LP."""
+        comm = self._executive.lps[0].comm
+        for dst in range(1, len(self._agents)):
+            comm.send_control(dst, kind, record)
+
+    def _report(self, lp_id: int, start: GvtStart) -> None:
+        lp = self._executive.lps[lp_id]
         agent = self._agents[lp_id]
-        agent.enter_round(token.round)
+        agent.enter_round(start.round)
         lp.charge(lp.costs.gvt_participation_cost)
         lp.stats.gvt_rounds += 1
-
+        report = agent.report(lp_id, start, lp.local_min(), lp.is_active())
         if lp_id == 0:
-            # Token returned to the initiator: zero count ends the round.
-            if token.count == 0:
-                self._active = False
-                self.rounds_completed += 1
-                gvt = min(token.mvt, lp.local_min(), agent.red_min)
-                for dst in range(1, len(executive.lps)):
-                    lp.comm.send_control(dst, MessageKind.GVT_BROADCAST,
-                                         Broadcast(round=token.round, gvt=gvt))
-                self._commit(gvt)
-            else:
-                # Whites still in flight: another pass with fresh totals.
-                fresh = Token(
-                    round=token.round,
-                    mvt=min(lp.local_min(), agent.red_min),
-                    count=agent.white_sent() - agent.white_received(),
-                    position=1,
-                )
-                self._send_token(0, fresh)
+            self._collect(report)
+        else:
+            lp.comm.send_control(0, MessageKind.GVT_TOKEN, report)
+
+    def _collect(self, report: ShardReport) -> None:
+        # Every report is the open pass's: the kernel sees each control
+        # message once, and a pass closes only on all N of its reports.
+        start = self._start
+        reports = self._reports
+        reports[report.shard] = report
+        if len(reports) < len(self._agents):
             return
-
-        forwarded = Token(
-            round=token.round,
-            mvt=min(token.mvt, lp.local_min(), agent.red_min),
-            count=token.count + agent.white_sent() - agent.white_received(),
-            position=token.position + 1,
+        result = close_pass(start, reports.values())
+        if result is None:
+            # Whites still in flight: another pass with fresh totals.
+            self._open_pass(start.pass_no + 1)
+            return
+        self._start = None
+        self.rounds_completed += 1
+        self._broadcast(
+            MessageKind.GVT_BROADCAST, GvtCommit(start.round, result.gvt)
         )
-        self._send_token(lp_id, forwarded)
-
-    def _on_broadcast(self, lp_id: int, broadcast: Broadcast) -> None:
-        lp = self._executive.lps[lp_id]
-        self._agents[lp_id].enter_round(broadcast.round)
-        lp.charge(lp.costs.gvt_participation_cost)
-        lp.fossil_collect(broadcast.gvt)
+        self._commit(result.gvt)
 
     def _commit(self, estimate: VirtualTime) -> None:
         executive = self._executive
@@ -239,7 +344,7 @@ class MatternGVT:
         )
         if estimate > self.gvt:
             self.gvt = estimate
-            # The initiator collects immediately; the other LPs collect
-            # when their broadcast arrives.
+            # The coordinator collects immediately; the other LPs collect
+            # when their GvtCommit arrives.
             executive.lps[0].fossil_collect(estimate)
             executive.on_new_gvt(estimate)

@@ -702,5 +702,15 @@ class LogicalProcess:
         """
         return self.next_work(ignore_window=ignore_window) is not None
 
+    def is_active(self) -> bool:
+        """Whether work remains here for a Mattern report: an event below
+        the horizon (window-blocked or not), a buffered aggregate, or a
+        live comparison entry."""
+        return (
+            self.has_work(ignore_window=True)
+            or self.comm.buffered_event_count() > 0
+            or any(ctx.cmp_buffer.pending() for ctx in self._member_list)
+        )
+
     def object_stats(self) -> dict[str, ObjectStats]:
         return {ctx.obj.name: ctx.stats for ctx in self._member_list}

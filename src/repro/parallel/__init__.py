@@ -10,17 +10,10 @@ the parent process.  Select it with
 :class:`ParallelSimulation` directly.
 """
 
+from ..gvt.mattern import GvtCommit, GvtStart, RoundResult, ShardReport
 from .backend import ParallelSimulation, resolve_strategy
-from .gvt import GvtCoordinator, RoundResult, WorkerFailedError
-from .ipc import (
-    DataBatch,
-    GvtCommit,
-    GvtStart,
-    ShardDone,
-    ShardError,
-    ShardReport,
-    Stop,
-)
+from .gvt import GvtCoordinator, WorkerFailedError
+from .ipc import DataBatch, ShardDone, ShardError, Stop
 from .transport import ShardTransport
 from .worker import ShardPlan, worker_main
 

@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..control.meta import PlacementController
+from ..gvt.mattern import GvtCommit, RoundResult
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError
 from ..kernel.kernel import Partition, walk_directory
@@ -45,12 +46,11 @@ from ..partition.strategies import (
     round_robin,
 )
 from ..stats.counters import RunStats
-from .gvt import GvtCoordinator, RoundResult
+from .gvt import GvtCoordinator
 from .shm import RING_CAPACITY, ShmRing, WakeBoard, shm_wire_supported
 from .ipc import (
     DrainAck,
     DrainProbe,
-    GvtCommit,
     MigrateDone,
     PauseEpoch,
     Reconfigure,

@@ -1,22 +1,17 @@
-"""Coordinator-side Mattern GVT across worker processes.
+"""The parent's driver of Mattern's coordinator star over worker processes.
 
-This extends the modelled-network :class:`~repro.gvt.mattern.MatternGVT`
-cut semantics to real inter-process transient messages.  The colouring
-invariant is identical — a message is *white* for round ``r`` when its
-carried stamp is ``< r`` and *red* otherwise — but the topology is a
-coordinator star instead of a token ring: every pass the coordinator
-broadcasts :class:`~repro.parallel.ipc.GvtStart` and collects one
-:class:`~repro.parallel.ipc.ShardReport` per shard, each a consistent
-local cut snapshot (the worker composes it atomically between queue
-operations).  The pass succeeds when the global white counts balance —
-``Σ white_sent == Σ white_received`` proves every message sent before the
-round is out of the queues and reflected in a report — and then
-
-    GVT = min over shards of min(local_min, red_min)
-
-is a safe bound, exactly as in the token-ring derivation.  Unbalanced
-counts mean whites were still in an OS pipe; the coordinator sleeps
-briefly and runs another pass of the same round with fresh totals.
+The protocol — colouring, the :class:`~repro.gvt.mattern.GvtStart` /
+:class:`~repro.gvt.mattern.ShardReport` / :class:`~repro.gvt.mattern.GvtCommit`
+records and the white-balance test of :func:`~repro.gvt.mattern.close_pass`
+— is :mod:`repro.gvt.mattern`, where the modelled executive drives the
+same star over its modelled network.  This driver adds what real
+processes need: the worker queues, a deadline per round, dead-worker
+detection, and elastic membership, whose retired workers' lifetime
+totals enter the white balance as constants.  Each report is a
+consistent local cut (the worker composes it atomically between queue
+operations); an unbalanced pass means whites were still in an OS pipe,
+so the coordinator sleeps briefly and runs another pass of the same
+round with fresh totals.
 
 Termination detection rides on the same machinery: a successful pass in
 which every shard is inactive (no executable events below the horizon,
@@ -30,10 +25,10 @@ from __future__ import annotations
 
 import queue as queue_mod
 import time
-from dataclasses import dataclass
 from multiprocessing import connection
 
-from .ipc import GvtStart, ShardError, ShardReport
+from ..gvt.mattern import GvtStart, RoundResult, ShardReport, close_pass
+from .ipc import ShardError
 
 #: back-off between passes of one round while whites drain, seconds
 PASS_SLEEP_S = 0.001
@@ -41,36 +36,6 @@ PASS_SLEEP_S = 0.001
 
 class WorkerFailedError(RuntimeError):
     """A worker process crashed or a GVT round stalled past the timeout."""
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    """Outcome of one completed (count-balanced) GVT round."""
-
-    round: int
-    passes: int
-    gvt: float
-    #: every shard idle and silent this round: global quiescence
-    all_quiet: bool
-    reports: tuple[ShardReport, ...]
-    #: lifetime wire totals of workers retired before this round (their
-    #: messages are all delivered, but they no longer report)
-    retired_sent: int = 0
-    retired_received: int = 0
-
-    @property
-    def total_sent(self) -> int:
-        return self.retired_sent + sum(r.total_sent for r in self.reports)
-
-    @property
-    def total_received(self) -> int:
-        return self.retired_received + sum(
-            r.total_received for r in self.reports
-        )
-
-    @property
-    def any_active(self) -> bool:
-        return any(r.active for r in self.reports)
 
 
 class GvtCoordinator:
@@ -192,46 +157,25 @@ class GvtCoordinator:
         return got
 
     def run_round(self) -> RoundResult:
-        """One full round: pass until the white counts balance.
-
-        With retirements, round validity becomes
-        ``sum(white_sent) + retired_sent ==
-        sum(white_received) + retired_received`` over the active set:
-        retired workers' whites are final (the drain barrier proved their
-        wire empty at retirement) and enter as constants.
-        """
+        """One full round: pass until :func:`close_pass` finds the white
+        counts balanced, retired workers' totals included."""
         self._round += 1
         deadline = time.monotonic() + self._timeout_s
         pass_no = 0
         while True:
             pass_no += 1
             self.passes_total += 1
-            self.broadcast(GvtStart(self._round, pass_no))
-            cut = (self._round, pass_no)
+            start = GvtStart(self._round, pass_no)
+            self.broadcast(start)
             got = self.collect(
                 ShardReport, self.active, f"GVT round {self._round} pass {pass_no}",
-                match=lambda m: (m.round, m.pass_no) == cut, deadline=deadline,
+                match=lambda m: (m.round, m.pass_no) == (start.round, start.pass_no),
+                deadline=deadline,
             )
-            reports = tuple(got[shard] for shard in sorted(got))
-            white_sent = self.retired_sent + sum(
-                r.white_sent for r in reports
+            result = close_pass(
+                start, got.values(), self.retired_sent, self.retired_received
             )
-            white_received = self.retired_received + sum(
-                r.white_received for r in reports
-            )
-            if white_sent == white_received:
+            if result is not None:
                 self.rounds_completed += 1
-                gvt = min(min(r.local_min, r.red_min) for r in reports)
-                all_quiet = all(
-                    not r.active and r.red_sent == 0 for r in reports
-                )
-                return RoundResult(
-                    round=self._round,
-                    passes=pass_no,
-                    gvt=gvt,
-                    all_quiet=all_quiet,
-                    reports=reports,
-                    retired_sent=self.retired_sent,
-                    retired_received=self.retired_received,
-                )
+                return result
             time.sleep(PASS_SLEEP_S)  # whites still in a pipe; retry

@@ -1,13 +1,14 @@
 """Control-plane records of the process-sharded backend.
 
 Everything that crosses a process boundary is one of the picklable
-records below, travelling over ``multiprocessing`` queues.  On the
+records below or one of Mattern's three in :mod:`repro.gvt.mattern`,
+travelling over ``multiprocessing`` queues.  On the
 ``shm`` wire the bulk data path — :class:`DataBatch` — instead
 travels as packed binary frames through shared-memory rings
 (:mod:`repro.parallel.wire` / :mod:`repro.parallel.shm`) and the queues
 carry only control records and the occasional oversized batch that
-escapes back to pickle; on the ``queue`` wire every record below travels
-the queues.  Wake-ups are not records: an idle shard's doorbell and the
+escapes back to pickle; on the ``queue`` wire every record travels the
+queues.  Wake-ups are not records: an idle shard's doorbell and the
 coordinator's "fleet ran dry" hint are single bytes on the pipes of
 :class:`repro.parallel.shm.WakeBoard`:
 
@@ -18,11 +19,13 @@ coordinator's "fleet ran dry" hint are single bytes on the pipes of
   modelled-network :class:`~repro.gvt.mattern.MatternGVT` keeps stamps in
   a side-table keyed by process-local message serials, which cannot cross
   address spaces.
-* coordinator -> shard: :class:`GvtStart` (open one token pass of a GVT
-  round), :class:`GvtCommit` (a new safe bound: fossil-collect), and
-  :class:`Stop` (global quiescence proven: finalize and report).
-* shard -> coordinator: :class:`ShardReport` (one pass's cut snapshot)
-  and :class:`ShardDone` / :class:`ShardError` (terminal payloads).
+* coordinator -> shard: Mattern's :class:`~repro.gvt.mattern.GvtStart`
+  (open one pass of a GVT round) and :class:`~repro.gvt.mattern.GvtCommit`
+  (a new safe bound: fossil-collect), and :class:`Stop` (global
+  quiescence proven: finalize and report).
+* shard -> coordinator: :class:`~repro.gvt.mattern.ShardReport` (one
+  pass's cut snapshot) and :class:`ShardDone` / :class:`ShardError`
+  (terminal payloads).
 
 Batching happens at two levels — DyMA aggregation packs events into
 physical messages (``comm/aggregation.py``), flushed once per look at
@@ -52,22 +55,6 @@ class DataBatch:
 
 
 @dataclass(frozen=True, slots=True)
-class GvtStart:
-    """Coordinator opens one token pass of a Mattern round."""
-
-    round: int
-    pass_no: int
-
-
-@dataclass(frozen=True, slots=True)
-class GvtCommit:
-    """Coordinator announces a new safe GVT bound."""
-
-    round: int
-    gvt: float
-
-
-@dataclass(frozen=True, slots=True)
 class Stop:
     """Coordinator proved global quiescence: finalize and report.
 
@@ -80,33 +67,6 @@ class Stop:
     final_gvt: float
     total_sent: int
     total_received: int
-
-
-@dataclass(frozen=True, slots=True)
-class ShardReport:
-    """One worker's consistent cut snapshot for one (round, pass)."""
-
-    shard: int
-    round: int
-    pass_no: int
-    #: lower bound on virtual times this shard can still affect locally
-    local_min: float
-    #: messages sent before the shard entered this round
-    white_sent: int
-    #: received messages stamped with an older round
-    white_received: int
-    #: min event time among messages sent during this round
-    red_min: float
-    #: messages sent during this round (0 on a quiescent shard)
-    red_sent: int
-    #: executable/buffered work remains on this shard
-    active: bool
-    #: lifetime physical-message totals (for the Stop broadcast)
-    total_sent: int
-    total_received: int
-    #: per-object load sample ((oid, events_committed), ...), present
-    #: when ``placement="dynamic"`` (the coordinator's balancer reads it)
-    loads: tuple[tuple[int, int], ...] | None = None
 
 
 @dataclass(frozen=True, slots=True)

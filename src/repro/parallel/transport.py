@@ -28,13 +28,12 @@ class ShardTransport:
         self.shard_id = shard_id
         self.agent = agent
         self._outbox: dict[int, list[Envelope]] = {}
-        # send-side counters (merged into RunStats wire totals)
-        self.messages_sent = 0
+        # send-side counters (merged into RunStats wire totals; message
+        # totals are the agent's)
         self.events_carried = 0
         self.bytes_sent = 0
-        # receive-side counters (filled by the worker loop)
-        self.messages_received = 0
         self.batches_sent = 0
+        # receive-side counter (filled by the worker loop)
         self.batches_received = 0
 
     # ------------------------------------------------------------------ #
@@ -47,7 +46,6 @@ class ShardTransport:
         if bucket is None:
             bucket = self._outbox[message.dst_lp] = []
         bucket.append((stamp, message))
-        self.messages_sent += 1
         self.events_carried += message.event_count()
         self.bytes_sent += message.size_bytes()
         return completion_clock
@@ -63,9 +61,6 @@ class ShardTransport:
         self._outbox.clear()
         self.batches_sent += len(out)
         return out
-
-    def note_received(self, message: PhysicalMessage) -> None:
-        self.messages_received += 1
 
     @property
     def pending(self) -> bool:

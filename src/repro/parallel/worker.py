@@ -33,7 +33,7 @@ from typing import Any
 
 from ..comm.message import MessageKind
 from ..gvt.manager import note_estimate
-from ..gvt.mattern import ColourAgent
+from ..gvt.mattern import ColourAgent, GvtCommit, GvtStart
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import TerminationError
 from ..kernel.kernel import finish_lps, host_lp
@@ -44,8 +44,6 @@ from .ipc import (
     DataBatch,
     DrainAck,
     DrainProbe,
-    GvtCommit,
-    GvtStart,
     MigrateBatch,
     MigrateDone,
     PauseEpoch,
@@ -54,7 +52,6 @@ from .ipc import (
     Retire,
     ShardDone,
     ShardError,
-    ShardReport,
     Stop,
 )
 from .transport import ShardTransport
@@ -317,8 +314,7 @@ class _ShardRuntime:
             # (its migration traffic is not in the totals).
             dry = None
             if self._paused_epoch is None:
-                transport = self.transport
-                dry = transport.messages_sent, transport.messages_received
+                dry = self.agent.total_sent, self.agent.total_received
             self._wakes.wait(
                 self.shard_id, (self.inbox._reader,), IDLE_WAIT_S, dry=dry
             )
@@ -334,7 +330,6 @@ class _ShardRuntime:
             lp = self.lp
             for stamp, physical in message.envelopes:
                 self.agent.note_receive(stamp)
-                self.transport.note_received(physical)
                 if physical.kind is MessageKind.DATA:
                     lp.receive_physical(physical.size_bytes(), physical.events)
         elif isinstance(message, GvtStart):
@@ -398,8 +393,8 @@ class _ShardRuntime:
                 shard=self.shard_id,
                 epoch=probe.epoch,
                 probe=probe.probe,
-                total_sent=self.transport.messages_sent,
-                total_received=self.transport.messages_received,
+                total_sent=self.agent.total_sent,
+                total_received=self.agent.total_received,
             ))
             return
         self._wait_one()
@@ -466,12 +461,6 @@ class _ShardRuntime:
         # counts) or red (covered by red_min) at the cut.
         self._flush_outbox()
         lp = self.lp
-        agent = self.agent
-        active = (
-            lp.has_work(ignore_window=True)
-            or lp.comm.buffered_event_count() > 0
-            or any(ctx.cmp_buffer.pending() for ctx in lp.members.values())
-        )
         loads = None
         if self.plan.config.placement == "dynamic":
             # committed (not executed) counts: rollback re-execution
@@ -481,22 +470,9 @@ class _ShardRuntime:
                 (oid, ctx.stats.events_committed)
                 for oid, ctx in lp.members.items()
             ))
-        self.to_coordinator.put(
-            ShardReport(
-                shard=self.shard_id,
-                round=start.round,
-                pass_no=start.pass_no,
-                local_min=lp.local_min(),
-                white_sent=agent.white_sent(),
-                white_received=agent.white_received(),
-                red_min=agent.red_min,
-                red_sent=agent.red_sent(),
-                active=active,
-                total_sent=self.transport.messages_sent,
-                total_received=self.transport.messages_received,
-                loads=loads,
-            )
-        )
+        self.to_coordinator.put(self.agent.report(
+            self.shard_id, start, lp.local_min(), lp.is_active(), loads
+        ))
 
     def _on_commit(self, commit: GvtCommit) -> None:
         lp = self.lp
@@ -589,8 +565,8 @@ class _ShardRuntime:
                 "out": self.migrations_out,
             },
             "transport": {
-                "messages_sent": transport.messages_sent,
-                "messages_received": transport.messages_received,
+                "messages_sent": self.agent.total_sent,
+                "messages_received": self.agent.total_received,
                 "events_carried": transport.events_carried,
                 "bytes_sent": transport.bytes_sent,
                 "batches_sent": transport.batches_sent,

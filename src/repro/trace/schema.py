@@ -228,7 +228,7 @@ RECORD_TYPES: dict[str, RecordSpec] = {
         RecordSpec(
             "gvt.round",
             "One GVT estimation round reaching a value (omniscient: every "
-            "round; mattern: every token round that completes).",
+            "round; mattern: every round whose white counts balance).",
             _f(
                 ("algorithm", "str", '"omniscient" | "mattern"'),
                 ("gvt", "number", "the round's estimate"),

@@ -11,9 +11,23 @@ commit path) and for liveness/equivalence at quiescence.
 from repro import SimulationConfig, TimeWarpSimulation
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
+from repro.gvt import mattern
 from repro.gvt.manager import true_global_minimum
-from repro.gvt.mattern import ColourAgent, MatternGVT
+from repro.gvt.mattern import ColourAgent, GvtStart, MatternGVT, ShardReport, close_pass
 from repro.trace import Tracer
+
+INF = float("inf")
+START = GvtStart(round=1, pass_no=1)
+
+
+def _report(shard, *, local_min=INF, white_sent=0, white_received=0,
+            red_min=INF, red_sent=0, active=False, total_sent=0):
+    return ShardReport(
+        shard=shard, round=START.round, pass_no=START.pass_no,
+        local_min=local_min, white_sent=white_sent,
+        white_received=white_received, red_min=red_min, red_sent=red_sent,
+        active=active, total_sent=total_sent, total_received=0,
+    )
 
 
 class TestTrueGlobalMinimum:
@@ -90,6 +104,72 @@ class TestMatternAgent:
         agent.enter_round(1)
         assert agent.red_min == 3.0
 
+    def test_report_is_the_agents_cut(self):
+        agent = ColourAgent()
+        agent.note_send(4.0)                   # white for round 1
+        agent.note_receive(0)                  # white for round 1
+        agent.enter_round(1)
+        agent.note_send(6.0)                   # red
+        agent.note_receive(1)                  # red
+        report = agent.report(3, START, 2.0, True)
+        assert (report.shard, report.round, report.pass_no) == (3, 1, 1)
+        assert (report.white_sent, report.white_received) == (1, 1)
+        assert (report.red_sent, report.red_min) == (1, 6.0)
+        assert (report.total_sent, report.total_received) == (2, 2)
+        assert report.local_min == 2.0 and report.active
+        assert report.loads is None
+
+
+class TestClosePass:
+    """The one white-balance test both Mattern drivers decide passes by."""
+
+    def test_unbalanced_whites_return_none(self):
+        reports = [_report(0, white_sent=2), _report(1, white_received=1)]
+        assert close_pass(START, reports) is None
+
+    def test_gvt_is_min_of_local_and_red_minima(self):
+        reports = [
+            _report(0, local_min=10.0, red_min=7.0, red_sent=1),
+            _report(1, local_min=8.0, white_sent=1),
+            _report(2, local_min=9.0, white_received=1),
+        ]
+        result = close_pass(START, reports)
+        assert result.gvt == 7.0  # a red send below every local minimum
+        assert (result.round, result.passes) == (START.round, START.pass_no)
+        reports[1] = _report(1, local_min=5.0, white_sent=1)
+        assert close_pass(START, reports).gvt == 5.0
+
+    def test_all_quiet_needs_every_report_idle_and_silent(self):
+        assert close_pass(START, [_report(0), _report(1)]).all_quiet
+        busy = close_pass(START, [_report(0), _report(1, active=True)])
+        assert not busy.all_quiet and busy.any_active
+        sending = close_pass(START, [_report(0, red_sent=1, red_min=4.0),
+                                     _report(1)])
+        assert not sending.all_quiet and not sending.any_active
+
+    def test_retired_totals_balance_a_pass(self):
+        # a retired worker's three sends were received as whites, and one
+        # white it received came from shard 0
+        reports = [_report(0, white_sent=1, white_received=2, total_sent=5),
+                   _report(1, white_received=1, total_sent=2)]
+        assert close_pass(START, reports) is None
+        result = close_pass(START, reports, retired_sent=3, retired_received=1)
+        assert result is not None
+        assert (result.retired_sent, result.retired_received) == (3, 1)
+        assert result.total_sent == 3 + 5 + 2
+        assert close_pass(START, reports, retired_sent=3) is None
+
+    def test_report_order_does_not_matter(self):
+        reports = [
+            _report(2, local_min=3.0, white_received=2),
+            _report(0, local_min=6.0, white_sent=1, active=True),
+            _report(1, local_min=4.0, white_sent=1, red_min=2.5, red_sent=1),
+        ]
+        forward = close_pass(START, reports)
+        assert forward == close_pass(START, reversed(reports))
+        assert [r.shard for r in forward.reports] == [0, 1, 2]
+        assert forward.gvt == 2.5
+
 
 class TestMatternEndToEnd:
     def _run(self, build, **kwargs):
@@ -138,7 +218,23 @@ class TestMatternEndToEnd:
         assert stats_m.committed_events == stats_o.committed_events
         assert sim_m.sorted_trace() == sim_o.sorted_trace()
 
-    def test_token_passes_counted(self):
+    def test_passes_counted(self, monkeypatch):
+        """Every pass is decided on one report per LP, all from that pass
+        (checked by wrapping the star's pass decision)."""
+        decided = []
+
+        def close(start, reports, *retired):
+            reports = tuple(reports)
+            decided.append((start, reports))
+            return close_pass(start, reports, *retired)
+
+        monkeypatch.setattr(mattern, "close_pass", close)
         sim, _ = self._run(lambda: build_pingpong(300))
         gvt = sim.executive.gvt_algorithm
-        assert gvt.token_passes >= gvt.rounds_completed * 2
+        for start, reports in decided:
+            assert sorted(r.shard for r in reports) == list(range(len(sim.lps)))
+            assert {(r.round, r.pass_no) for r in reports} == {
+                (start.round, start.pass_no)
+            }
+        assert gvt.passes == len(decided)
+        assert gvt.passes >= gvt.rounds_completed >= 1

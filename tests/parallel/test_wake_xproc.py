@@ -71,9 +71,7 @@ class _Endpoint(worker_mod._ShardRuntime):
             dst: ring for (src, dst), ring in rings.items() if src == shard_id
         }
         self._pending = deque()
-        self.transport = types.SimpleNamespace(
-            messages_sent=0, messages_received=0
-        )
+        self.agent = types.SimpleNamespace(total_sent=0, total_received=0)
         self._paused_epoch = None
         self._frames_sent = self._frames_received = 0
         self._ring_bytes_sent = self._wire_fallbacks = 0
