@@ -305,32 +305,32 @@ def test_micro_fossil_collect(benchmark):
     assert sum(len(ctx.sq.entries) for ctx in lp.members.values()) == 8 * 201
 
 
-def _phold_envelope(stamp: int, n_events: int):
+def _phold_message(colour: int, n_events: int):
     """One PHOLD physical message: ``(job_id, hop)`` payloads."""
     events = tuple(
         Event(sender=i, receiver=8 + i, send_time=10.0 * i,
               recv_time=10.0 * i + 7.25, payload=(i, 3), serial=100 + i)
         for i in range(n_events)
     )
-    return stamp, PhysicalMessage(src_lp=0, dst_lp=1,
-                                  kind=MessageKind.DATA, events=events)
+    return PhysicalMessage(src_lp=0, dst_lp=1, kind=MessageKind.DATA,
+                           events=events, colour=colour)
 
 
-@pytest.mark.parametrize("n_envelopes", [1, 4])
-def test_micro_wire_codec(benchmark, n_envelopes):
+@pytest.mark.parametrize("n_messages", [1, 4])
+def test_micro_wire_codec(benchmark, n_messages):
     """Encode + decode of one shm-wire frame: six PHOLD events in one
-    envelope (one slice's aggregate) and split over four envelopes (four
+    coloured message (one slice's aggregate) and split over four (four
     destination LPs, or a policy that flushes inside a slice)."""
 
-    envelopes = tuple(
-        _phold_envelope(stamp, 6 // n_envelopes + (stamp < 6 % n_envelopes))
-        for stamp in range(n_envelopes)
+    messages = tuple(
+        _phold_message(colour, 6 // n_messages + (colour < 6 % n_messages))
+        for colour in range(n_messages)
     )
 
     def run():
-        return decode_batch(encode_batch(1, envelopes))
+        return decode_batch(encode_batch(1, messages))
 
     batch = benchmark(run)
-    assert [len(m.events) for _s, m in batch.envelopes] == [
-        len(m.events) for _s, m in envelopes
+    assert [(m.colour, len(m.events)) for m in batch.messages] == [
+        (m.colour, len(m.events)) for m in messages
     ]

@@ -16,7 +16,7 @@ is modelled.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from ..comm.message import MessageKind, PhysicalMessage
 from ..comm.network import Network
@@ -59,10 +59,6 @@ class Executive:
         else:
             self.network = Network(config.network, self._schedule_delivery)
         self.gvt_algorithm: GVTAlgorithm = None  # type: ignore[assignment]
-        #: optional observer invoked for every DATA message handed to its
-        #: LP (distributed GVT algorithms colour-count receipts with it,
-        #: as ``Network.on_data_send`` does for sends)
-        self.on_data_receive: Callable[[PhysicalMessage], None] | None = None
         self._pending_deliveries = 0
         self._pending_data = 0
         self._pending_callbacks = 0
@@ -111,7 +107,7 @@ class Executive:
         def schedule_flush(dst_lp: int, at: float, generation: int) -> None:
             self._push(at, _FLUSH, (lp.lp_id, dst_lp, generation))
 
-        lp.schedule_flush = schedule_flush  # type: ignore[method-assign]
+        lp.schedule_flush = schedule_flush
 
     # ------------------------------------------------------------------ #
     # scheduling primitives
@@ -319,9 +315,7 @@ class Executive:
         lp.advance_clock_to(when)
         if message.kind is MessageKind.DATA:
             self._pending_data -= 1
-            if self.on_data_receive is not None:
-                self.on_data_receive(message)
-            lp.receive_physical(message.size_bytes(), message.events)
+            lp.receive_physical(message)
         else:
             self.gvt_algorithm.handle_control(message)
         if self._runnable(lp):
@@ -365,27 +359,18 @@ class Executive:
     # quiescence
     # ------------------------------------------------------------------ #
     def _app_quiescent(self) -> bool:
-        """No application activity: no data on the wire, no runnable
-        events, no buffered aggregates, no anti-messages still owed.
+        """No application activity: no data on the wire, no LP active.
 
-        Window-blocked events count as activity (``ignore_window=True``):
-        a throttled LP is waiting for GVT, not done — and it is exactly
-        the GVT tick this predicate gates that will unblock it."""
+        Window-blocked events count as activity: a throttled LP is
+        waiting for GVT, not done — and it is exactly the GVT tick this
+        predicate gates that will unblock it."""
         if self._pending_data:
             return False
         if self.network.undelivered_data_count():
             # A fault-injecting wire may hold DATA back (awaiting
             # retransmission) with no delivery scheduled yet.
             return False
-        for lp in self.lps:
-            if lp.has_work(ignore_window=True):
-                return False
-            if lp.comm is not None and lp.comm.buffered_event_count():
-                return False
-            for ctx in lp.members.values():
-                if ctx.cmp_buffer.min_live_time() is not None:
-                    return False  # an anti-message may still be owed
-        return True
+        return not any(lp.is_active() for lp in self.lps)
 
     def _quiescent(self) -> bool:
         """Full termination condition: the application is quiescent and

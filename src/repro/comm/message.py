@@ -43,9 +43,11 @@ class PhysicalMessage:
     charged at send, receive and network transit, so it is computed once
     here; the comm package reads ``_size`` directly and
     :meth:`size_bytes` returns the same value to everyone else.
+    ``colour``, the sender's Mattern round stamped at send, travels
+    (pickle, wire frame) but stays out of equality and hashing.
     """
 
-    __slots__ = _MESSAGE_FIELDS + ("_size",)
+    __slots__ = _MESSAGE_FIELDS + ("_size", "colour")
 
     def __init__(
         self,
@@ -55,6 +57,7 @@ class PhysicalMessage:
         events: tuple[Event, ...] = (),
         control: Any = None,
         serial: int | None = None,
+        colour: int = 0,
     ) -> None:
         self.src_lp = src_lp
         self.dst_lp = dst_lp
@@ -62,6 +65,7 @@ class PhysicalMessage:
         self.events = events
         self.control = control
         self.serial = next(_serial_counter) if serial is None else serial
+        self.colour = colour
         if kind is MessageKind.DATA:
             size = PHYSICAL_HEADER_BYTES
             for event in events:
@@ -84,7 +88,7 @@ class PhysicalMessage:
         return "PhysicalMessage(" + ", ".join(f"{n}={v!r}" for n, v in pairs) + ")"
 
     def __reduce__(self):
-        return (PhysicalMessage, _message_fields(self))
+        return (PhysicalMessage, (*_message_fields(self), self.colour))
 
     def size_bytes(self) -> int:
         return self._size

@@ -16,7 +16,7 @@ from typing import Callable
 
 from ..cluster.costmodel import NetworkModel
 from ..kernel.event import VirtualTime
-from .message import MessageKind, PhysicalMessage
+from .message import PhysicalMessage
 
 #: Minimal spacing between two arrivals on the same channel; keeps FIFO
 #: strict even for zero-size control messages.
@@ -56,9 +56,6 @@ class Network:
         self._in_flight: dict[int, PhysicalMessage] = {}
         self._in_flight_counts: dict[int, int] = {}
         self._in_flight_total = 0
-        #: optional observer invoked for every DATA message entering the
-        #: wire (used by distributed GVT algorithms for message colouring)
-        self.on_data_send: Callable[[PhysicalMessage], None] | None = None
         # statistics
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -85,8 +82,6 @@ class Network:
             arrival = previous + CHANNEL_EPSILON
         self._last_arrival[channel] = arrival
         self._track(message)
-        if self.on_data_send is not None and message.kind is MessageKind.DATA:
-            self.on_data_send(message)
         self.messages_sent += 1
         self.bytes_sent += size
         self.events_carried += len(message.events)

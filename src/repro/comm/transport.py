@@ -4,13 +4,14 @@ Every LP owns one :class:`CommModule`.  Remote application events pass
 through a per-destination :class:`AggregateBuffer` governed by the LP's
 aggregation policy; kernel control messages (the GVT star's records)
 bypass aggregation.  The module charges all send-side CPU costs to its
-host LP's wall clock and asks the host to schedule wall-clock flush
-callbacks for aging aggregates.
+host LP's wall clock, stamps each DATA message with the host's Mattern
+colour, and schedules aging aggregates on the host's flush timer (each
+when the host has one).
 """
 
 from __future__ import annotations
 
-from typing import Protocol
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from ..cluster.costmodel import CostModel
 from ..kernel.event import Event, VirtualTime
@@ -19,16 +20,19 @@ from .aggregation import AggregateBuffer, AggregationPolicy
 from .message import MessageKind, PhysicalMessage
 from .network import Network
 
+if TYPE_CHECKING:  # pragma: no cover
+    from ..gvt.mattern import ColourAgent
+
 
 class TransportHost(Protocol):
     """Services the owning LP provides to its comm module."""
 
     lp_id: int
+    agent: "ColourAgent | None"
+    schedule_flush: Callable[[int, float, int], None] | None
 
     @property
     def clock(self) -> float: ...
-
-    def schedule_flush(self, dst_lp: int, at: float, generation: int) -> None: ...
 
     def on_physical_sent(self, cost: float) -> None:
         """One physical message left this host: charge its send-side CPU
@@ -83,10 +87,12 @@ class CommModule:
             self.antis_annihilated_in_buffer += 1
             return
         if not buffer.events:
-            buffer.open(self.host.clock)
-            self.host.schedule_flush(
-                dst_lp, self.host.clock + self.window, buffer.generation
-            )
+            host = self.host
+            buffer.open(host.clock)
+            if host.schedule_flush is not None:
+                host.schedule_flush(
+                    dst_lp, host.clock + self.window, buffer.generation
+                )
         buffer.append(event)
         if len(buffer) >= self.MAX_AGGREGATE_EVENTS:
             self._send_aggregate(buffer, trigger="capacity")
@@ -144,6 +150,8 @@ class CommModule:
     def _transmit(self, dst_lp: int, events: tuple[Event, ...]) -> None:
         host = self.host
         message = PhysicalMessage(host.lp_id, dst_lp, MessageKind.DATA, events)
+        if host.agent is not None:
+            message.colour = host.agent.note_send(message.min_event_time())
         host.on_physical_sent(self.costs.physical_send(message._size))
         self.network.send(message, host.clock)
         self.aggregates_sent += 1

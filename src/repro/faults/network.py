@@ -2,9 +2,10 @@
 
 :class:`FaultyNetwork` replaces the perfect :class:`~repro.comm.network.
 Network` when a :class:`~repro.faults.plan.FaultPlan` is configured.  A
-*logical* send is accounted exactly once (statistics, GVT colouring,
-in-flight tracking), then one or more *physical copies* cross the wire,
-each subject to the plan's drop/duplicate/delay/reorder decisions.
+*logical* send is accounted exactly once (statistics, in-flight
+tracking), then one or more *physical copies* cross the wire, each
+subject to the plan's drop/duplicate/delay/reorder decisions.  The LP
+sees each logical message once, so its Mattern colour counts once.
 
 With ``plan.retransmit`` (default) the transport is reliable: per-channel
 sequence numbers, receiver-side dedup with in-order release, cumulative
@@ -102,8 +103,6 @@ class FaultyNetwork(Network):
             sender = self._senders[channel] = ReliableSender()
         seq = sender.register(message, track=self.plan.retransmit)
         self._track(message)
-        if self.on_data_send is not None and message.kind is MessageKind.DATA:
-            self.on_data_send(message)
         size = message.size_bytes()
         self.messages_sent += 1
         self.bytes_sent += size

@@ -19,7 +19,11 @@ colouring:
   :class:`GvtCommit`.  Unbalanced counts mean whites were still in flight;
   the coordinator opens another pass of the same round with fresh totals.
 
-Two drivers run this one protocol:
+The participant is the LP, on both backends: the colour rides the
+message (``PhysicalMessage.colour``), the LP's send and receive paths
+count it in its :class:`ColourAgent` (``lp.agent``), and
+:meth:`~repro.kernel.lp.LogicalProcess.gvt_cut` takes its cut.  Two
+drivers run the coordinator:
 
 * :class:`MatternGVT` runs it over the modelled network with LP 0 as
   coordinator.  ``GvtStart`` and ``ShardReport`` travel as ``GVT_TOKEN``
@@ -28,13 +32,11 @@ Two drivers run this one protocol:
   why its period is worth an ablation, see
   ``benchmarks/bench_abl_gvt_period.py``;
 * :class:`~repro.parallel.gvt.GvtCoordinator` runs it from the parent
-  process over the worker queues, with timeouts and elastic membership
-  (stamps carried explicitly in the IPC envelope — a side-table keyed by
-  process-local message serials cannot cross address spaces).
+  process over the worker queues, with timeouts and elastic membership.
 
-Every ``local_min`` below goes through
-:meth:`~repro.kernel.lp.LogicalProcess.local_min`: one read of each
-member's filed head key, the same scan the omniscient algorithm makes.
+A cut's ``local_min`` is :meth:`~repro.kernel.lp.LogicalProcess.
+local_min`: one read of the LP's pending-heap head, the same scan the
+omniscient algorithm makes.
 """
 
 from __future__ import annotations
@@ -154,12 +156,9 @@ def close_pass(
 
 
 class ColourAgent:
-    """Per-participant colouring and counting state.
-
-    One agent per LP under :class:`MatternGVT` (stamps carried in a serial
-    side-table) and one per worker on the process-sharded backend
-    (:mod:`repro.parallel`, stamps carried in the IPC envelope).  Its
-    lifetime totals are also the backend's wire totals.
+    """Per-participant colouring and counting state: one per LP, under
+    :class:`MatternGVT` and on every worker of the process backend.  Its
+    lifetime totals are also the process backend's wire totals.
     """
 
     __slots__ = (
@@ -185,7 +184,7 @@ class ColourAgent:
             self.red_min = float("inf")
 
     def note_send(self, min_event_time: VirtualTime | None) -> int:
-        """Record a send; returns the stamp to attach to the message."""
+        """Record a send; returns the colour to stamp on the message."""
         self.total_sent += 1
         if min_event_time is not None and min_event_time < self.red_min:
             self.red_min = min_event_time
@@ -232,8 +231,8 @@ class MatternGVT:
     def __init__(self, executive: "Executive") -> None:
         self._executive = executive
         self.gvt: VirtualTime = 0.0
-        self._agents = [ColourAgent() for _ in executive.lps]
-        self._stamps: dict[int, int] = {}  # physical message serial -> stamp
+        for lp in executive.lps:
+            lp.agent = ColourAgent()
         self._round = 0
         #: the open pass (None between rounds) and its reports so far
         self._start: GvtStart | None = None
@@ -267,26 +266,11 @@ class MatternGVT:
             self._collect(control)
         elif isinstance(control, GvtCommit):
             lp = self._executive.lps[message.dst_lp]
-            self._agents[message.dst_lp].enter_round(control.round)
+            lp.agent.enter_round(control.round)
             lp.charge(lp.costs.gvt_participation_cost)
             lp.fossil_collect(control.gvt)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown GVT control payload: {control!r}")
-
-    def observe_send(self, message: PhysicalMessage) -> None:
-        agent = self._agents[message.src_lp]
-        stamp = agent.note_send(message.min_event_time())
-        self._stamps[message.serial] = stamp
-
-    def observe_receive(self, message: PhysicalMessage) -> None:
-        stamp = self._stamps.pop(message.serial, None)
-        if stamp is None:
-            # Retransmit safety: a fault-injecting wire may hand the same
-            # logical message to the kernel only once (dedup), but a
-            # defensively re-observed serial must not count as a second
-            # receive — colouring counts logical messages, not copies.
-            return
-        self._agents[message.dst_lp].note_receive(stamp)
 
     # ------------------------------------------------------------------ #
     # the star
@@ -301,16 +285,12 @@ class MatternGVT:
     def _broadcast(self, kind: MessageKind, record: object) -> None:
         """Send ``record`` from the coordinator to every other LP."""
         comm = self._executive.lps[0].comm
-        for dst in range(1, len(self._agents)):
+        for dst in range(1, len(self._executive.lps)):
             comm.send_control(dst, kind, record)
 
     def _report(self, lp_id: int, start: GvtStart) -> None:
         lp = self._executive.lps[lp_id]
-        agent = self._agents[lp_id]
-        agent.enter_round(start.round)
-        lp.charge(lp.costs.gvt_participation_cost)
-        lp.stats.gvt_rounds += 1
-        report = agent.report(lp_id, start, lp.local_min(), lp.is_active())
+        report = lp.gvt_cut(start)
         if lp_id == 0:
             self._collect(report)
         else:
@@ -322,7 +302,7 @@ class MatternGVT:
         start = self._start
         reports = self._reports
         reports[report.shard] = report
-        if len(reports) < len(self._agents):
+        if len(reports) < len(self._executive.lps):
             return
         result = close_pass(start, reports.values())
         if result is None:

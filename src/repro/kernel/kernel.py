@@ -64,11 +64,11 @@ def host_lp(
     """Build LP ``lp_id``: everything that does not depend on who schedules it.
 
     The LP hosts the objects ``routing`` (oid -> LP) sends to it and sends
-    through ``network`` — the executive's modelled network or a worker's
-    ``ShardTransport``.  ``routing`` is shared, not copied: the ``lp_of``
+    through ``network`` — the executive's modelled network or the worker
+    itself.  ``routing`` is shared, not copied: the ``lp_of``
     resolver, the :class:`CommModule` and the ``forward`` hook read that one
     dict, so rewriting it in place retargets every send at once (live
-    migration).  The driver still installs ``schedule_flush``.
+    migration).
     """
     oracle = config.oracle if config.oracle is not None else NULL_ORACLE
     if oracle.enabled and oracle.tracer is NULL_TRACER:
@@ -155,13 +155,10 @@ class TimeWarpSimulation:
             ))
         self.lps = self.executive.lps
         self.oracle = self.executive.oracle = self.lps[0].oracle
-        if self.config.gvt_algorithm == "mattern":
-            gvt = MatternGVT(self.executive)
-            self.executive.network.on_data_send = gvt.observe_send
-            self.executive.on_data_receive = gvt.observe_receive
-        else:
-            gvt = OmniscientGVT(self.executive)
-        self.executive.gvt_algorithm = gvt
+        gvt_class = (
+            MatternGVT if self.config.gvt_algorithm == "mattern" else OmniscientGVT
+        )
+        self.executive.gvt_algorithm = gvt_class(self.executive)
 
         # --- optional unified control plane (docs/control.md) -------------
         self.meta = None

@@ -35,7 +35,9 @@ from .simobject import SimulationObject
 from .state import SavedState
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..comm.message import PhysicalMessage
     from ..comm.transport import CommModule
+    from ..gvt.mattern import ColourAgent, GvtStart, ShardReport
 
 #: Synthetic cause key for sends made during ``initialize`` — smaller than
 #: every real event key, so initial sends are never rolled back.
@@ -129,8 +131,12 @@ class LogicalProcess:
         #: hosts (live migration re-homes objects mid-run; stale aggregate
         #: buffers and in-flight messages may still carry the old address)
         self.forward: Callable[[Event], None] | None = None
-        #: set by the executive so arrivals can wake an idle LP
-        self.idle: bool = False
+        #: Mattern colour agent, installed by whoever runs Mattern here
+        #: (``MatternGVT``, a parallel worker); None under omniscient GVT
+        self.agent: "ColourAgent | None" = None
+        #: aggregate flush timer ``(dst_lp, at, generation)``, installed
+        #: by the modelled executive; None where the driver flushes itself
+        self.schedule_flush: Callable[[int, float, int], None] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -211,10 +217,6 @@ class LogicalProcess:
             self.stats.idle_time += wallclock - self.clock
             self.clock = wallclock
 
-    def schedule_flush(self, dst_lp: int, at: float, generation: int) -> None:
-        """Installed by the executive (transport host hook)."""
-        raise SchedulingError("LP is not attached to an executive")
-
     def on_physical_sent(self, cost: float) -> None:
         """Transport host hook: one physical message left this LP."""
         stats = self.stats
@@ -225,12 +227,16 @@ class LogicalProcess:
     # ------------------------------------------------------------------ #
     # delivery path
     # ------------------------------------------------------------------ #
-    def receive_physical(self, size_bytes: int, events: tuple[Event, ...]) -> None:
-        """Receive one arrived physical message and deliver its events."""
+    def receive_physical(self, message: "PhysicalMessage") -> None:
+        """Receive one arrived DATA message: count its colour, deliver
+        its events."""
+        if self.agent is not None:
+            self.agent.note_receive(message.colour)
+        events = message.events
         stats = self.stats
         stats.physical_messages_received += 1
         stats.remote_events_received += len(events)
-        cost = self.costs.physical_recv(size_bytes)
+        cost = self.costs.physical_recv(message._size)
         self.clock += cost
         stats.busy_time += cost
         handle_cost = self.costs.event_handle_cost
@@ -624,6 +630,19 @@ class LogicalProcess:
                 best = t
         return best
 
+    def gvt_cut(
+        self, start: "GvtStart", loads: tuple[tuple[int, int], ...] | None = None,
+    ) -> "ShardReport":
+        """Take part in ``start``'s Mattern pass: enter its round (every
+        later send is red), pay for it and return this LP's cut."""
+        agent = self.agent
+        agent.enter_round(start.round)
+        self.charge(self.costs.gvt_participation_cost)
+        self.stats.gvt_rounds += 1
+        return agent.report(
+            self.lp_id, start, self.local_min(), self.is_active(), loads
+        )
+
     def fossil_collect(self, gvt: VirtualTime, *, final: bool = False) -> int:
         """Commit history below ``gvt``; returns committed event count.
 
@@ -703,9 +722,9 @@ class LogicalProcess:
         return self.next_work(ignore_window=ignore_window) is not None
 
     def is_active(self) -> bool:
-        """Whether work remains here for a Mattern report: an event below
-        the horizon (window-blocked or not), a buffered aggregate, or a
-        live comparison entry."""
+        """Whether work remains here (Mattern's ``active``, the executive's
+        quiescence): an event below the horizon (window-blocked or not),
+        a buffered aggregate, or a live comparison entry."""
         return (
             self.has_work(ignore_window=True)
             or self.comm.buffered_event_count() > 0

@@ -14,7 +14,6 @@ from ..gvt.mattern import GvtCommit, GvtStart, RoundResult, ShardReport
 from .backend import ParallelSimulation, resolve_strategy
 from .gvt import GvtCoordinator, WorkerFailedError
 from .ipc import DataBatch, ShardDone, ShardError, Stop
-from .transport import ShardTransport
 from .worker import ShardPlan, worker_main
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "ShardError",
     "ShardPlan",
     "ShardReport",
-    "ShardTransport",
     "Stop",
     "WorkerFailedError",
     "resolve_strategy",

@@ -14,11 +14,7 @@ coordinator's "fleet ran dry" hint are single bytes on the pipes of
 
 * shard -> shard: :class:`DataBatch` — every application
   :class:`~repro.comm.message.PhysicalMessage` the sender accumulated
-  since its last queue write, each wrapped in an *envelope* carrying its
-  Mattern colour stamp.  The stamp must travel with the message: the
-  modelled-network :class:`~repro.gvt.mattern.MatternGVT` keeps stamps in
-  a side-table keyed by process-local message serials, which cannot cross
-  address spaces.
+  since its last queue write, each carrying its Mattern colour.
 * coordinator -> shard: Mattern's :class:`~repro.gvt.mattern.GvtStart`
   (open one pass of a GVT round) and :class:`~repro.gvt.mattern.GvtCommit`
   (a new safe bound: fossil-collect), and :class:`Stop` (global
@@ -42,16 +38,13 @@ from typing import Any
 
 from ..comm.message import PhysicalMessage
 
-#: (mattern colour stamp, message) — the unit a DataBatch carries.
-Envelope = tuple[int, PhysicalMessage]
-
 
 @dataclass(frozen=True, slots=True)
 class DataBatch:
     """All inter-shard messages one sender accumulated for one receiver."""
 
     src_shard: int
-    envelopes: tuple[Envelope, ...]
+    messages: tuple[PhysicalMessage, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +86,7 @@ class ShardError:
 #   PauseEpoch -> DrainProbe/DrainAck (wire proven empty) ->
 #   Reconfigure -> MigrateBatch/MigrateDone -> Retire/ShardDone ->
 #   Resume
-# Migration traffic bypasses the colour-stamped transport on purpose:
+# Migration traffic bypasses the coloured data wire on purpose:
 # the wire is provably empty while it flows, so it must not perturb the
 # Mattern accounting.
 
@@ -148,7 +141,7 @@ class Reconfigure:
 @dataclass(frozen=True, slots=True)
 class MigrateBatch:
     """Canonical object checkpoints travelling src -> dst, outside the
-    colour-stamped transport (the wire is drained while these flow)."""
+    coloured data wire (the wire is drained while these flow)."""
 
     src_shard: int
     epoch: int

@@ -4,7 +4,7 @@ The queue wire pickles whole :class:`~repro.parallel.ipc.DataBatch`
 objects, which rebuilds every ``Event``/``PhysicalMessage`` dataclass
 through the generic pickle machinery on both sides of every hop.  This
 module replaces that with a versioned ``struct``-packed frame: the
-envelope table and the fixed numeric fields of *every* event in the
+message table and the fixed numeric fields of *every* event in the
 frame travel as struct-of-arrays columns (one contiguous
 ``u32``/``u64``/``f64`` run per field), packed and unpacked by one cached
 ``struct.Struct`` call per frame, and payloads travel as one tag byte
@@ -26,25 +26,25 @@ module fully owns.
 
 Round-trip contract (tests/parallel/test_wire.py): for every encodable
 batch, ``decode_batch(encode_batch(...))`` reproduces the source shard,
-every colour stamp, and every event field *exactly* — floats are carried
+every message's colour, and every event field *exactly* — floats are carried
 as IEEE-754 doubles, i.e. bit-identical — so committed results are
 byte-identical to a queue-wire run.  Receiver-side
 ``PhysicalMessage.serial`` is process-local bookkeeping and is minted
 fresh on decode (nothing on the receive path reads it).
 
-Frame layout (all little-endian; k envelopes carrying n events)::
+Frame layout (all little-endian; k messages carrying n events)::
 
     offset      field
     0           u16   magic 0x5257 ("RW")
     2           u8    version (currently 2)
     3           u8    frame kind (1 = data batch)
     4           u32   src_shard
-    8           u32   k = n_envelopes
-    12          u32   n = n_events (sum of the envelope counts)
-    16          envelope table: k * (u32 colour stamp | u32 src_lp |
-                                     u32 dst_lp | u32 n_events)
+    8           u32   k = n_messages
+    12          u32   n = n_events (sum of the message counts)
+    16          message table: k * (u32 colour | u32 src_lp |
+                                    u32 dst_lp | u32 n_events)
     16 + 16k    senders    n*u32   (struct-of-arrays columns over all
-                receivers  n*u32    n events, in envelope order)
+                receivers  n*u32    n events, in message order)
                 serials    n*u64
                 signs      n*i8
                 send_times n*f64
@@ -67,7 +67,7 @@ from operator import attrgetter
 
 from ..comm.message import MessageKind, PhysicalMessage
 from ..kernel.event import Event
-from .ipc import DataBatch, Envelope
+from .ipc import DataBatch
 
 #: bump on ANY layout change; decoders reject unknown versions
 WIRE_VERSION = 2
@@ -107,8 +107,8 @@ _TAG_BYTES = 6  # u32 length + raw bytes
 _TAG_TUPLE = 7  # u32 count + nested tagged values
 _TAG_PICKLE = 8  # u32 length + pickle bytes (the escape hatch)
 _LENGTH_PREFIXED = frozenset({_TAG_STR, _TAG_BYTES, _TAG_PICKLE})
-#: bytes one envelope takes in the envelope table
-_ENVELOPE_BYTES = 16
+#: bytes one message takes in the message table
+_MESSAGE_BYTES = 16
 #: bytes one event takes across the six columns
 _ROW_BYTES = sum(width for _attr, _fmt, width in SOA_LAYOUT)
 
@@ -224,30 +224,30 @@ def _decode_payload(buf, offset: int):
 # batches
 # --------------------------------------------------------------------- #
 @lru_cache(maxsize=256)
-def _columns(n_envelopes: int, n_events: int) -> struct.Struct:
-    """The envelope table plus the six event columns of one frame."""
-    return struct.Struct(f"<{4 * n_envelopes}I" + "".join(
+def _columns(n_messages: int, n_events: int) -> struct.Struct:
+    """The message table plus the six event columns of one frame."""
+    return struct.Struct(f"<{4 * n_messages}I" + "".join(
         f"{n_events}{fmt}" for _attr, fmt, _width in SOA_LAYOUT
     ))
 
 
-def encode_batch(src_shard: int, envelopes: tuple[Envelope, ...]) -> bytes:
+def encode_batch(src_shard: int, messages: tuple[PhysicalMessage, ...]) -> bytes:
     """Pack one outbox drain into a single binary frame.
 
-    Raises :class:`WireEncodeError` when any envelope falls outside the
+    Raises :class:`WireEncodeError` when any message falls outside the
     packed format's fixed-width fields (the caller falls back to the
     pickled queue wire for the whole batch).
     """
     table: list[int] = []
     events: list[Event] = []
-    for stamp, message in envelopes:
+    for message in messages:
         if message.kind is not MessageKind.DATA or message.control is not None:
             raise WireEncodeError(
                 f"only plain DATA messages ride the ring, got {message.kind}"
             )
-        table += (stamp, message.src_lp, message.dst_lp, len(message.events))
+        table += (message.colour, message.src_lp, message.dst_lp, len(message.events))
         events += message.events
-    k, n = len(envelopes), len(events)
+    k, n = len(messages), len(events)
     try:
         parts: list[bytes] = [
             _HEADER.pack(_MAGIC, WIRE_VERSION, _FRAME_DATA_BATCH,
@@ -278,14 +278,14 @@ def decode_batch(frame) -> DataBatch:
             raise WireFormatError(f"unknown frame kind {kind}")
         src_shard, k, n = _COUNTS.unpack_from(frame, _PREAMBLE.size)
         offset = _field_end(
-            frame, _HEADER.size, k * _ENVELOPE_BYTES + n * _ROW_BYTES
+            frame, _HEADER.size, k * _MESSAGE_BYTES + n * _ROW_BYTES
         )
         values = _columns(k, n).unpack_from(frame, _HEADER.size)
         table = values[:4 * k]
         counts = table[3::4]
         if sum(counts) != n:
             raise WireFormatError(
-                f"envelope counts sum to {sum(counts)}, header says {n} events"
+                f"message counts sum to {sum(counts)}, header says {n} events"
             )
         payloads = []
         for _ in range(n):
@@ -305,15 +305,16 @@ def decode_batch(frame) -> DataBatch:
         Event, senders, receivers, send_times, recv_times, payloads,
         serials, signs,
     ))
-    envelopes: list[Envelope] = []
+    messages: list[PhysicalMessage] = []
     start = 0
     for i in range(0, c, 4):
-        stamp, src_lp, dst_lp, count = table[i:i + 4]
-        envelopes.append((stamp, PhysicalMessage(
+        colour, src_lp, dst_lp, count = table[i:i + 4]
+        messages.append(PhysicalMessage(
             src_lp=src_lp,
             dst_lp=dst_lp,
             kind=MessageKind.DATA,
             events=events[start:start + count],
-        )))
+            colour=colour,
+        ))
         start += count
-    return DataBatch(src_shard, tuple(envelopes))
+    return DataBatch(src_shard, tuple(messages))

@@ -10,13 +10,14 @@ schedulers"); this module owns what only a real process can do:
 * a poll loop racing the wall clock: execute a slice, look at the data
   wire (inbound rings, outbox), poll the inbox queue for control records,
   and when idle block on the inbox pipe and the shard's doorbell at once;
-* the slice as DyMA's aggregation window: every look at the data wire
-  first flushes every open aggregate, so a window > 0 means one physical
-  message per destination per slice (docs/parallel.md, "Batched IPC");
-* the shard's end of the coordinator star: Mattern colouring of every
-  inter-shard send/receive via a :class:`~repro.gvt.mattern.ColourAgent`
-  (stamps carried in the IPC envelopes), one cut report per ``GvtStart``,
-  fossil collection on every ``GvtCommit``;
+* the LP's network: its CommModule parks physical messages in a
+  per-destination outbox, with no flush timer — the slice is DyMA's
+  aggregation window: every look at the data wire flushes every open
+  aggregate, then drains the outbox as one ``DataBatch`` per destination
+  (docs/parallel.md, "Batched IPC");
+* the shard's end of the coordinator star: the LP's cut on every
+  ``GvtStart`` once all it sent is on the wire, fossil collection on
+  every ``GvtCommit``;
 * the shard's end of an elastic epoch: pause, drain, ship and restore
   object checkpoints, retire.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..comm.message import MessageKind
+from ..comm.message import PhysicalMessage
 from ..gvt.manager import note_estimate
 from ..gvt.mattern import ColourAgent, GvtCommit, GvtStart
 from ..kernel.config import SimulationConfig
@@ -54,7 +55,6 @@ from .ipc import (
     ShardError,
     Stop,
 )
-from .transport import ShardTransport
 from .wire import WireEncodeError, decode_batch, encode_batch
 
 #: events executed between polls of the inbox *queue*: one syscall per
@@ -123,8 +123,7 @@ def worker_main(shard_id: int, plan: ShardPlan, inbox, to_coordinator,
 
 
 class _ShardRuntime:
-    """One worker's live state: LP, transport, colour agent, wire ends
-    (no flush timer: see :meth:`_schedule_flush`)."""
+    """One worker's live state: LP, outbox, wire ends."""
 
     def __init__(self, shard_id: int, plan: ShardPlan, inbox, to_coordinator,
                  out_queues, rings=None, wakes=None) -> None:
@@ -156,9 +155,10 @@ class _ShardRuntime:
         self._frames_received = 0
         self._ring_bytes_sent = 0
         self._wire_fallbacks = 0
-
-        self.agent = ColourAgent()
-        self.transport = ShardTransport(shard_id, self.agent)
+        #: physical messages the LP sent since the last look at the data
+        #: wire, keyed by destination shard
+        self._outbox: dict[int, list[PhysicalMessage]] = {}
+        self._bytes_sent = 0
 
         if plan.trace_dir is not None:
             path = Path(plan.trace_dir) / f"shard-{shard_id}.jsonl"
@@ -167,12 +167,11 @@ class _ShardRuntime:
             self.tracer = NULL_TRACER
         self.lp = lp = host_lp(
             shard_id, plan.objects, plan.name_to_oid, plan.oid_to_shard,
-            config, self.transport, self.tracer,
+            config, self, self.tracer,
         )
+        self.agent = lp.agent = ColourAgent()
         self.oracle = lp.oracle
-        lp.schedule_flush = self._schedule_flush  # TransportHost hook
 
-        self._pending_gvt: GvtStart | None = None
         self._stop: Stop | None = None
         self._committed_gvt = 0.0
         self._executed = 0
@@ -190,15 +189,6 @@ class _ShardRuntime:
         self._retired = False
         self.migrations_in = 0
         self.migrations_out = 0
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _schedule_flush(dst_lp: int, at: float, generation: int) -> None:
-        """TransportHost hook, deliberately a no-op: the window that
-        matters on this backend is the slice.  Bytes only leave when the
-        loop looks at the data wire, and :meth:`run` flushes every
-        aggregate right then, so a modelled-clock deadline could only cut
-        one slice's traffic into more physical messages."""
 
     # ------------------------------------------------------------------ #
     # main loop
@@ -239,10 +229,7 @@ class _ShardRuntime:
                     f"shard {self.shard_id} exceeded max_executed_events="
                     f"{max_events} (livelock safety valve)"
                 )
-            lp.comm.flush_all()  # the slice is the aggregation window
-            if self._pending_gvt is not None:
-                self._send_report()
-            self._flush_outbox()
+            self._flush()  # the slice is the aggregation window
             if self._stop is None and not executed and not handled:
                 lp.on_idle()  # expire comparisons, drain aggregates
                 self._flush_outbox()
@@ -326,27 +313,17 @@ class _ShardRuntime:
 
     def _handle(self, message) -> None:
         if isinstance(message, DataBatch):
-            self.transport.batches_received += 1
-            lp = self.lp
-            for stamp, physical in message.envelopes:
-                self.agent.note_receive(stamp)
-                if physical.kind is MessageKind.DATA:
-                    lp.receive_physical(physical.size_bytes(), physical.events)
+            for physical in message.messages:
+                self.lp.receive_physical(physical)
         elif isinstance(message, GvtStart):
-            # Entering the round first makes every later send red.
-            self.agent.enter_round(message.round)
-            lp = self.lp
-            lp.charge(lp.costs.gvt_participation_cost)
-            lp.stats.gvt_rounds += 1
-            self._pending_gvt = message
+            self._cut(message)
         elif isinstance(message, GvtCommit):
             self._on_commit(message)
         elif isinstance(message, Stop):
             self._stop = message
         elif isinstance(message, PauseEpoch):
             self._paused_epoch = message.epoch
-            self.lp.comm.flush_all()
-            self._flush_outbox()
+            self._flush()
         elif isinstance(message, DrainProbe):
             self._pending_probe = message
         elif isinstance(message, Reconfigure):
@@ -380,13 +357,11 @@ class _ShardRuntime:
         if handled:
             # deliveries may have rolled objects back and queued
             # anti-messages; push everything out before claiming quiet
-            self.lp.comm.flush_all()
-            self._flush_outbox()
+            self._flush()
             return  # re-poll: more may already be behind what we handled
         if self._pending_probe is not None:
             # inbox empty and everything flushed: snapshot the totals
-            self.lp.comm.flush_all()
-            self._flush_outbox()
+            self._flush()
             probe = self._pending_probe
             self._pending_probe = None
             self.to_coordinator.put(DrainAck(
@@ -419,7 +394,7 @@ class _ShardRuntime:
                 detach_object(self.lp, oid).to_bytes() for oid in oids
             )
             self.migrations_out += len(oids)
-            # direct queue put, NOT the colour-stamped transport: the wire
+            # direct queue put, NOT the coloured data wire: the wire
             # is provably empty, and migration must not skew Mattern counts
             self.out_queues[dst].put(
                 MigrateBatch(self.shard_id, msg.epoch, blobs)
@@ -452,13 +427,10 @@ class _ShardRuntime:
     # ------------------------------------------------------------------ #
     # GVT participation
     # ------------------------------------------------------------------ #
-    def _send_report(self) -> None:
-        start = self._pending_gvt
-        self._pending_gvt = None
-        assert start is not None
-        # The outbox must be drained first so every send this shard has
-        # performed is either in a queue (in flight, covered by the white
-        # counts) or red (covered by red_min) at the cut.
+    def _cut(self, start: GvtStart) -> None:
+        # Every message sent so far leaves first, so each white one is in
+        # flight at the cut.  Open aggregates stay put: local_min covers
+        # them, and they leave red at the end of the slice.
         self._flush_outbox()
         lp = self.lp
         loads = None
@@ -470,9 +442,7 @@ class _ShardRuntime:
                 (oid, ctx.stats.events_committed)
                 for oid, ctx in lp.members.items()
             ))
-        self.to_coordinator.put(self.agent.report(
-            self.shard_id, start, lp.local_min(), lp.is_active(), loads
-        ))
+        self.to_coordinator.put(lp.gvt_cut(start, loads))
 
     def _on_commit(self, commit: GvtCommit) -> None:
         lp = self.lp
@@ -486,18 +456,33 @@ class _ShardRuntime:
     # ------------------------------------------------------------------ #
     # outbox
     # ------------------------------------------------------------------ #
-    def _flush_outbox(self) -> None:
-        for dst, envelopes in self.transport.drain():
-            self._send_batch(dst, envelopes)
+    def send(self, message: PhysicalMessage, completion_clock: float) -> float:
+        """The CommModule's network: park ``message`` in the outbox."""
+        bucket = self._outbox.get(message.dst_lp)
+        if bucket is None:
+            bucket = self._outbox[message.dst_lp] = []
+        bucket.append(message)
+        self._bytes_sent += message._size
+        return completion_clock
 
-    def _send_batch(self, dst: int, envelopes) -> None:
+    def _flush(self) -> None:
+        """Send every open aggregate, then drain the outbox."""
+        self.lp.comm.flush_all()
+        self._flush_outbox()
+
+    def _flush_outbox(self) -> None:
+        for dst, messages in self._outbox.items():
+            self._send_batch(dst, tuple(messages))
+        self._outbox.clear()
+
+    def _send_batch(self, dst: int, messages) -> None:
         """Ship one batch: packed frame through the ring when possible,
         pickled DataBatch over the queue otherwise (oversized frames,
         unencodable payloads, or no ring for this destination)."""
         ring = self._rings_out.get(dst)
         if ring is not None:
             try:
-                frame = encode_batch(self.shard_id, envelopes)
+                frame = encode_batch(self.shard_id, messages)
             except WireEncodeError:
                 frame = None
             if frame is not None and len(frame) <= ring.max_record:
@@ -526,7 +511,7 @@ class _ShardRuntime:
                         self._wakes.ring(dst)
                     return
             self._wire_fallbacks += 1
-        self.out_queues[dst].put(DataBatch(self.shard_id, envelopes))
+        self.out_queues[dst].put(DataBatch(self.shard_id, messages))
 
     # ------------------------------------------------------------------ #
     # termination
@@ -549,7 +534,6 @@ class _ShardRuntime:
 
     def _final_payload(self) -> dict[str, Any]:
         lp = self.lp
-        transport = self.transport
         oracle = self.oracle
         return {
             "lp_stats": lp.stats,
@@ -567,10 +551,8 @@ class _ShardRuntime:
             "transport": {
                 "messages_sent": self.agent.total_sent,
                 "messages_received": self.agent.total_received,
-                "events_carried": transport.events_carried,
-                "bytes_sent": transport.bytes_sent,
-                "batches_sent": transport.batches_sent,
-                "batches_received": transport.batches_received,
+                "events_carried": lp.comm.events_sent,
+                "bytes_sent": self._bytes_sent,
                 "frames_sent": self._frames_sent,
                 "frames_received": self._frames_received,
                 "ring_bytes_sent": self._ring_bytes_sent,

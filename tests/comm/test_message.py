@@ -60,6 +60,8 @@ class TestValueSemantics:
                             ("events", ()), ("control", "token"), ("serial", 78)]:
             assert base != self.message(**{name: other}), name
         assert base != "message"
+        coloured = self.message(colour=9)  # send-time bookkeeping only
+        assert coloured == base and hash(coloured) == hash(base)
 
     def test_repr_names_the_public_fields_only(self):
         text = repr(self.message(events=()))
@@ -70,9 +72,11 @@ class TestValueSemantics:
 
     def test_pickle_round_trip_keeps_serial_and_size(self):
         message = self.message()
+        message.colour = 4
         clone = pickle.loads(pickle.dumps(message))
         assert clone == message
         assert clone.serial == 77
+        assert clone.colour == 4
         assert clone.size_bytes() == message.size_bytes()
 
     def test_wire_round_trip_decodes_to_an_equal_message(self):
@@ -81,9 +85,10 @@ class TestValueSemantics:
         message = self.message(
             events=(make_event(payload=(1, "two", 3.0)), make_event(serial=1).anti_message())
         )
-        batch = decode_batch(encode_batch(0, ((5, message),)))
-        (stamp, decoded), = batch.envelopes
-        assert stamp == 5
+        message.colour = 5
+        batch = decode_batch(encode_batch(0, (message,)))
+        (decoded,) = batch.messages
+        assert decoded.colour == 5
         assert decoded.events == message.events
         assert [e.key() for e in decoded.events] == [e.key() for e in message.events]
         assert decoded.size_bytes() == message.size_bytes()

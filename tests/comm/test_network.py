@@ -1,10 +1,15 @@
 """Unit tests for the modelled Ethernet network."""
 
+import types
+
 import pytest
 
-from repro.cluster.costmodel import NetworkModel
+from repro.cluster.costmodel import CostModel, NetworkModel
+from repro.comm.aggregation import NoAggregation
 from repro.comm.message import MessageKind, PhysicalMessage
 from repro.comm.network import CHANNEL_EPSILON, Network, _jitter_unit
+from repro.comm.transport import CommModule
+from repro.gvt.mattern import ColourAgent
 from tests.helpers import make_event
 
 
@@ -103,13 +108,22 @@ class TestInFlightTracking:
         assert net.bytes_sent == msg.size_bytes()
 
     def test_send_observer_sees_data_only(self):
-        net, _ = make_network()
-        seen = []
-        net.on_data_send = seen.append
-        net.send(data_msg(), 0.0)
-        net.send(PhysicalMessage(0, 1, MessageKind.GVT_TOKEN, control=1), 0.0)
-        assert len(seen) == 1
-        assert seen[0].kind is MessageKind.DATA
+        # the sender's colour agent counts DATA only: control traffic
+        # (the GVT star's own records) is never coloured
+        net, deliveries = make_network()
+        host = types.SimpleNamespace(
+            lp_id=0, clock=0.0, agent=ColourAgent(), schedule_flush=None,
+            on_physical_sent=lambda cost: None,
+        )
+        host.agent.enter_round(3)
+        comm = CommModule(host, net, CostModel(), NoAggregation())
+        comm.set_routing({1: 1})
+        comm.enqueue(make_event(receiver=1))
+        comm.send_control(1, MessageKind.GVT_TOKEN, 1)
+        assert host.agent.total_sent == 1
+        data, control = (msg for _dst, _at, msg in deliveries)
+        assert (data.kind, data.colour) == (MessageKind.DATA, 3)
+        assert control.colour == 0
 
 
 class TestCountedInFlightAccounting:

@@ -13,6 +13,7 @@ from tests.helpers import make_event
 
 class FakeHost:
     lp_id = 0
+    agent = None
 
     def __init__(self):
         self.clock = 0.0

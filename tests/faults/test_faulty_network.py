@@ -7,6 +7,7 @@ import pytest
 from repro.cluster.costmodel import NetworkModel
 from repro.comm.message import MessageKind, PhysicalMessage
 from repro.faults import FaultPlan, FaultRates, FaultyNetwork
+from repro.gvt.mattern import ColourAgent
 from repro.kernel.errors import TransportFailureError
 from tests.helpers import make_event
 
@@ -76,13 +77,18 @@ class TestCleanReliable:
         assert wire.net.counters.retransmissions == 0
 
     def test_logical_send_counted_once(self):
+        # every copy is duplicated, yet each colour agent counts the
+        # logical message once: colouring counts messages, not copies
         wire = WireHarness(FaultPlan(rates=FaultRates(duplicate=1.0)))
-        seen = []
-        wire.net.on_data_send = seen.append
+        sender, receiver = ColourAgent(), ColourAgent()
         msg = data_msg()
+        msg.colour = sender.note_send(msg.min_event_time())
         wire.net.send(msg, 0.0)
         wire.run()
-        assert len(seen) == 1  # GVT colouring sees the logical message once
+        for _dst, _at, delivered in wire.deliveries:
+            receiver.note_receive(delivered.colour)
+        assert wire.net.counters.duplicates >= 1
+        assert sender.total_sent == receiver.total_received == 1
         assert wire.net.messages_sent == 1
 
 

@@ -8,7 +8,7 @@ exceeds the true bound at commit time, validated by instrumenting the
 commit path) and for liveness/equivalence at quiescence.
 """
 
-from repro import SimulationConfig, TimeWarpSimulation
+from repro import FaultPlan, FaultRates, SimulationConfig, TimeWarpSimulation
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import build_pingpong
 from repro.gvt import mattern
@@ -238,3 +238,22 @@ class TestMatternEndToEnd:
             }
         assert gvt.passes == len(decided)
         assert gvt.passes >= gvt.rounds_completed >= 1
+
+    def test_colours_count_logical_messages_not_copies(self):
+        """Over a wire that drops and duplicates (retransmission on), each
+        logical DATA message is coloured once at send and counted once at
+        receive, so the agents' totals equal the messages the LPs sent."""
+        config = SimulationConfig(
+            gvt_algorithm="mattern", gvt_period=2_000.0, end_time=400.0,
+            faults=FaultPlan(seed=3, rates=FaultRates(drop=0.2, duplicate=0.3)),
+        )
+        params = PHOLDParams(n_objects=6, n_lps=3, jobs_per_object=2, seed=7)
+        sim = TimeWarpSimulation(build_phold(params), config)
+        sim.run()
+        counters = sim.executive.network.counters
+        assert counters.drops and counters.duplicates and counters.retransmissions
+        sent = sum(lp.agent.total_sent for lp in sim.lps)
+        received = sum(lp.agent.total_received for lp in sim.lps)
+        messages = sum(lp.comm.aggregates_sent for lp in sim.lps)
+        assert sent == received == messages > 0
+        assert sim.executive.gvt_algorithm.rounds_completed >= 1

@@ -429,6 +429,8 @@ class TestRelease:
 class TestReceivePath:
     def test_receive_physical_charges_and_delivers(self):
         lp, objs, ids = build_lp()
+        from repro.comm.message import MessageKind, PhysicalMessage
+        from repro.gvt.mattern import ColourAgent
         from repro.kernel.event import Event
 
         events = tuple(
@@ -436,11 +438,15 @@ class TestReceivePath:
                   recv_time=float(t), payload=("note", t), serial=5000 + t)
             for t in (1, 2, 3)
         )
+        lp.agent = ColourAgent()
         before = lp.clock
-        lp.receive_physical(500, events)
+        lp.receive_physical(
+            PhysicalMessage(1, 0, MessageKind.DATA, events, colour=2)
+        )
         assert lp.clock > before
         assert lp.stats.physical_messages_received == 1
         assert lp.stats.remote_events_received == 3
+        assert dict(lp.agent.recv_by_stamp) == {2: 1}  # its colour, counted
         drain(lp)
         assert objs["a"].state.seen == [1, 2, 3]
 

@@ -78,15 +78,15 @@ class _Endpoint(worker_mod._ShardRuntime):
         self._got = deque()
 
     def _handle(self, message):
-        (_stamp, physical), = message.envelopes
+        (physical,) = message.messages
         self._got.append(physical.events[0].payload)
 
-    def send(self, dst, payload):
+    def post(self, dst, payload):
         event = Event(sender=0, receiver=1, send_time=0.0, recv_time=1.0,
                       payload=payload, serial=0, sign=1)
         message = PhysicalMessage(src_lp=self.shard_id, dst_lp=dst,
                                   kind=MessageKind.DATA, events=(event,))
-        self._send_batch(dst, ((0, message),))
+        self._send_batch(dst, (message,))
 
     def recv(self):
         """Go idle, exactly as the worker loop does, until a frame lands."""
@@ -136,7 +136,7 @@ def _echo(endpoint, count):
     for _ in range(count):
         payload = endpoint.recv()
         _spin(0.00005)  # busy before the push: the peer is blocked by now
-        endpoint.send(0, payload)
+        endpoint.post(0, payload)
 
 
 def test_no_wakeup_is_lost_without_the_backstop(wire):
@@ -145,7 +145,7 @@ def test_no_wakeup_is_lost_without_the_backstop(wire):
     started = time.monotonic()
     for seq in range(ROUND_TRIPS):
         _spin(0.00005)
-        endpoint.send(1, seq)
+        endpoint.post(1, seq)
         assert endpoint.recv() == seq
     elapsed = time.monotonic() - started
     child.join(timeout=10.0)
@@ -163,7 +163,7 @@ def _stamp_arrivals(endpoint, count):
     for _ in range(count):
         sent_ns = endpoint.recv()
         # CLOCK_MONOTONIC is one clock for every process of the host
-        endpoint.send(0, time.perf_counter_ns() - sent_ns)
+        endpoint.post(0, time.perf_counter_ns() - sent_ns)
 
 
 @pytest.mark.skipif(
@@ -181,7 +181,7 @@ def test_hop_latency_is_a_syscall_not_a_thread_switch(wire):
     hops = []
     for _ in range(LATENCY_HOPS):
         _spin(0.0005)  # let the consumer reach its blocking wait
-        endpoint.send(1, time.perf_counter_ns())
+        endpoint.post(1, time.perf_counter_ns())
         _spin(BUSY_AFTER_PUSH_S)
         hops.append(endpoint.recv() / 1e9)
     child.join(timeout=10.0)

@@ -65,15 +65,16 @@ def _event(serial=0, payload=None, sign=1, sender=3, receiver=7,
                  sign=sign)
 
 
-def _batch(events, *, stamp=0, src_lp=3, dst_lp=7, src_shard=0):
+def _batch(events, *, colour=0, src_lp=3, dst_lp=7, src_shard=0):
     message = PhysicalMessage(src_lp=src_lp, dst_lp=dst_lp,
-                              kind=MessageKind.DATA, events=tuple(events))
-    return src_shard, ((stamp, message),)
+                              kind=MessageKind.DATA, events=tuple(events),
+                              colour=colour)
+    return src_shard, (message,)
 
 
 def _roundtrip(events, **kwargs):
-    src_shard, envelopes = _batch(events, **kwargs)
-    batch = decode_batch(encode_batch(src_shard, envelopes))
+    src_shard, messages = _batch(events, **kwargs)
+    batch = decode_batch(encode_batch(src_shard, messages))
     assert batch.src_shard == src_shard
     return batch
 
@@ -86,7 +87,7 @@ class TestCodecRoundTrip:
     ])
     def test_payload_types(self, payload):
         batch = _roundtrip([_event(payload=payload)])
-        (_stamp, message), = batch.envelopes
+        (message,) = batch.messages
         assert message.events[0].payload == payload
         assert type(message.events[0].payload) is type(payload)
 
@@ -97,7 +98,7 @@ class TestCodecRoundTrip:
     ])
     def test_escape_hatch_payloads(self, payload):
         batch = _roundtrip([_event(payload=payload)])
-        (_stamp, message), = batch.envelopes
+        (message,) = batch.messages
         assert message.events[0].payload == payload
 
     def test_event_fields_exact(self):
@@ -105,11 +106,11 @@ class TestCodecRoundTrip:
             _event(serial=s, sign=-1 if s % 3 == 0 else 1,
                    send_time=s * 0.1, recv_time=s * 0.1 + 0.7,
                    payload=s)
-            for s in range(40)  # a large envelope
+            for s in range(40)  # a large message
         ]
-        batch = _roundtrip(events, stamp=5, src_lp=2, dst_lp=9, src_shard=1)
-        (stamp, message), = batch.envelopes
-        assert stamp == 5
+        batch = _roundtrip(events, colour=5, src_lp=2, dst_lp=9, src_shard=1)
+        (message,) = batch.messages
+        assert message.colour == 5
         assert (message.src_lp, message.dst_lp) == (2, 9)
         assert message.kind is MessageKind.DATA
         for original, decoded in zip(events, message.events):
@@ -122,28 +123,28 @@ class TestCodecRoundTrip:
         large = [_event(serial=s) for s in range(64)]
         for events in (small, large):
             batch = _roundtrip(events)
-            (_stamp, message), = batch.envelopes
+            (message,) = batch.messages
             assert [e.serial for e in message.events] == \
                 [e.serial for e in events]
 
     def test_multiple_envelopes(self):
         messages = tuple(
-            (stamp, PhysicalMessage(
-                src_lp=stamp, dst_lp=stamp + 1, kind=MessageKind.DATA,
-                events=(_event(serial=stamp, payload=f"e{stamp}"),),
-            ))
-            for stamp in range(5)
+            PhysicalMessage(
+                src_lp=i, dst_lp=i + 1, kind=MessageKind.DATA,
+                events=(_event(serial=i, payload=f"e{i}"),), colour=10 + i,
+            )
+            for i in range(5)
         )
         batch = decode_batch(encode_batch(2, messages))
-        assert len(batch.envelopes) == 5
-        for stamp, message in batch.envelopes:
-            assert message.src_lp == stamp
-            assert message.events[0].payload == f"e{stamp}"
+        assert len(batch.messages) == 5
+        for i, message in enumerate(batch.messages):
+            assert (message.src_lp, message.colour) == (i, 10 + i)
+            assert message.events[0].payload == f"e{i}"
 
     def test_decode_accepts_memoryview(self):
-        src_shard, envelopes = _batch([_event(payload="mv")])
-        frame = memoryview(encode_batch(src_shard, envelopes))
-        (_stamp, message), = decode_batch(frame).envelopes
+        src_shard, messages = _batch([_event(payload="mv")])
+        frame = memoryview(encode_batch(src_shard, messages))
+        (message,) = decode_batch(frame).messages
         assert message.events[0].payload == "mv"
 
     def test_soa_layout_matches_event_scalar_fields(self):
@@ -159,60 +160,61 @@ class TestCodecRejections:
         message = PhysicalMessage(src_lp=0, dst_lp=1, kind=MessageKind.DATA,
                                   events=(), control={"x": 1})
         with pytest.raises(WireEncodeError):
-            encode_batch(0, ((0, message),))
+            encode_batch(0, (message,))
 
     def test_non_data_kind_is_not_encodable(self):
         message = PhysicalMessage(src_lp=0, dst_lp=1,
                                   kind=MessageKind.GVT_TOKEN)
         with pytest.raises(WireEncodeError):
-            encode_batch(0, ((0, message),))
+            encode_batch(0, (message,))
 
     def test_oversized_lp_id_falls_back(self):
         message = PhysicalMessage(src_lp=2**40, dst_lp=1,
                                   kind=MessageKind.DATA,
                                   events=(_event(),))
         with pytest.raises(WireEncodeError):
-            encode_batch(0, ((0, message),))
+            encode_batch(0, (message,))
 
     def test_bad_magic_rejected(self):
-        src_shard, envelopes = _batch([_event()])
-        frame = bytearray(encode_batch(src_shard, envelopes))
+        src_shard, messages = _batch([_event()])
+        frame = bytearray(encode_batch(src_shard, messages))
         frame[0] ^= 0xFF
         with pytest.raises(WireFormatError, match="magic"):
             decode_batch(bytes(frame))
 
     def test_future_version_rejected_not_misread(self):
         # the versioning rule: unknown versions refuse loudly
-        src_shard, envelopes = _batch([_event()])
-        frame = bytearray(encode_batch(src_shard, envelopes))
+        src_shard, messages = _batch([_event()])
+        frame = bytearray(encode_batch(src_shard, messages))
         frame[2] = WIRE_VERSION + 1
         with pytest.raises(WireFormatError, match="version"):
             decode_batch(bytes(frame))
 
     def test_unknown_frame_kind_rejected(self):
-        src_shard, envelopes = _batch([_event()])
-        frame = bytearray(encode_batch(src_shard, envelopes))
+        src_shard, messages = _batch([_event()])
+        frame = bytearray(encode_batch(src_shard, messages))
         frame[3] = 99
         with pytest.raises(WireFormatError, match="kind"):
             decode_batch(bytes(frame))
 
 
 def _multi_envelope_frame() -> bytes:
-    """Three envelopes covering every variable-length field: small and
+    """Three messages covering every variable-length field: small and
     large field blocks, and str / bytes / tuple / pickle bodies."""
     payloads = ["text", b"\x00\x01\x02", (1, "two", (3.0, None)), {"k": 2**70},
                 7, -0.5, None, True]
-    envelopes = tuple(
-        (stamp, PhysicalMessage(
-            src_lp=stamp, dst_lp=stamp + 1, kind=MessageKind.DATA,
+    messages = tuple(
+        PhysicalMessage(
+            src_lp=colour, dst_lp=colour + 1, kind=MessageKind.DATA,
             events=tuple(
                 _event(serial=i, payload=payloads[i % len(payloads)])
                 for i in range(n)
             ),
-        ))
-        for stamp, n in enumerate((3, 40, 8))
+            colour=colour,
+        )
+        for colour, n in enumerate((3, 40, 8))
     )
-    return encode_batch(1, envelopes)
+    return encode_batch(1, messages)
 
 
 class TestTruncatedFrames:
@@ -226,13 +228,13 @@ class TestTruncatedFrames:
             with pytest.raises(WireFormatError):
                 decode_batch(frame[:cut])
 
-    # _multi_envelope_frame: k = 3 envelopes, n = 3 + 40 + 8 = 51 events;
-    # payloads start after the 16-byte header, the 16k-byte envelope
+    # _multi_envelope_frame: k = 3 messages, n = 3 + 40 + 8 = 51 events;
+    # payloads start after the 16-byte header, the 16k-byte message
     # table and the 33n bytes of columns
     @pytest.mark.parametrize("offset, value", [
-        (8, 3),                        # header: n_envelopes
+        (8, 3),                        # header: n_messages
         (12, 51),                      # header: n_events
-        (16 + 12, 3),                  # envelope table: first count
+        (16 + 12, 3),                  # message table: first count
         (16 + 3 * 16 + 51 * 33 + 1, 4),  # first payload: len("text")
     ])
     def test_flipped_length_field_rejected(self, offset, value):
@@ -244,7 +246,7 @@ class TestTruncatedFrames:
 
     def test_envelope_counts_must_sum_to_n_events(self):
         frame = bytearray(_multi_envelope_frame())
-        frame[16 + 12] = 2  # first envelope claims 2 of its 3 events
+        frame[16 + 12] = 2  # first message claims 2 of its 3 events
         with pytest.raises(WireFormatError, match="sum to 50"):
             decode_batch(bytes(frame))
 
@@ -264,15 +266,15 @@ class TestTruncatedFrames:
                 decode_batch(frame)
 
     def test_corrupt_utf8_body_is_a_format_error(self):
-        src_shard, envelopes = _batch([_event(payload="hello")])
-        frame = bytearray(encode_batch(src_shard, envelopes))
+        src_shard, messages = _batch([_event(payload="hello")])
+        frame = bytearray(encode_batch(src_shard, messages))
         frame[frame.index(b"hello")] = 0xFF
         with pytest.raises(WireFormatError, match="str body at offset"):
             decode_batch(bytes(frame))
 
     def test_corrupt_pickle_body_is_a_format_error(self):
-        src_shard, envelopes = _batch([_event(payload={"k": 1})])
-        frame = encode_batch(src_shard, envelopes)
+        src_shard, messages = _batch([_event(payload={"k": 1})])
+        frame = encode_batch(src_shard, messages)
         with pytest.raises(WireFormatError, match="pickle body at offset"):
             decode_batch(frame[:-1] + b"\x00")  # STOP opcode overwritten
 
@@ -516,14 +518,14 @@ class TestBackpressureFallback:
             stub._ring_bytes_sent = 0
             stub._wire_fallbacks = 0
 
-            _src, envelopes = _batch([_event(payload="stuck")])
-            worker_mod._ShardRuntime._send_batch(stub, 1, envelopes)
+            _src, messages = _batch([_event(payload="stuck")])
+            worker_mod._ShardRuntime._send_batch(stub, 1, messages)
 
             assert stub._wire_fallbacks == 1
             assert stub._frames_sent == 0
             (fallback,) = sink.items
             assert isinstance(fallback, DataBatch)
-            assert fallback.envelopes == envelopes
+            assert fallback.messages == messages
         finally:
             ring.destroy()
 
@@ -575,7 +577,7 @@ class _CadenceProbe:
                 if isinstance(message, Stop):
                     self._stop = message
                 else:
-                    (_stamp, physical), = message.envelopes
+                    (physical,) = message.messages
                     log.append(("handled", physical.events[0].payload))
 
             def _flush_outbox(self):
@@ -597,7 +599,6 @@ class _CadenceProbe:
         runtime._stop = None
         runtime._retired = False
         runtime._paused_epoch = None
-        runtime._pending_gvt = None
         runtime._executed = 0
 
     def run(self):

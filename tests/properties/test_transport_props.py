@@ -20,6 +20,7 @@ from tests.helpers import make_event
 
 class Host:
     lp_id = 0
+    agent = None
 
     def __init__(self):
         self.clock = 0.0

@@ -2,7 +2,7 @@
 
 ``decode_batch(encode_batch(...))`` must be the identity over every
 encodable batch — exact payload values (floats bit-identical), exact
-serials/signs/stamps — because the parallel backend's differential
+serials/signs/colours — because the parallel backend's differential
 validation compares committed results byte-for-byte against the
 sequential golden.  The ring property drives a randomized push/pop
 schedule (including forced wraparound and full-ring rejections) and
@@ -57,16 +57,14 @@ def _events(draw):
 
 
 @st.composite
-def _envelopes(draw):
+def _messages(draw):
     events = draw(st.lists(_events(), min_size=0, max_size=40))
-    return (
-        draw(st.integers(min_value=0, max_value=2**32 - 1)),  # stamp
-        PhysicalMessage(
-            src_lp=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-            dst_lp=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-            kind=MessageKind.DATA,
-            events=tuple(events),
-        ),
+    return PhysicalMessage(
+        src_lp=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        dst_lp=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        kind=MessageKind.DATA,
+        events=tuple(events),
+        colour=draw(st.integers(min_value=0, max_value=2**32 - 1)),
     )
 
 
@@ -86,16 +84,14 @@ def _exact_eq(a, b) -> bool:
 class TestEncodeDecodeIdentity:
     @given(
         src_shard=st.integers(min_value=0, max_value=2**32 - 1),
-        envelopes=st.lists(_envelopes(), min_size=0, max_size=5),
+        messages=st.lists(_messages(), min_size=0, max_size=5),
     )
-    def test_round_trip_identity(self, src_shard, envelopes):
-        batch = decode_batch(encode_batch(src_shard, tuple(envelopes)))
+    def test_round_trip_identity(self, src_shard, messages):
+        batch = decode_batch(encode_batch(src_shard, tuple(messages)))
         assert batch.src_shard == src_shard
-        assert len(batch.envelopes) == len(envelopes)
-        for (stamp, message), (got_stamp, got) in zip(
-            envelopes, batch.envelopes
-        ):
-            assert got_stamp == stamp
+        assert len(batch.messages) == len(messages)
+        for message, got in zip(messages, batch.messages):
+            assert got.colour == message.colour
             assert got.src_lp == message.src_lp
             assert got.dst_lp == message.dst_lp
             assert got.kind is MessageKind.DATA
@@ -117,18 +113,18 @@ class TestEncodeDecodeIdentity:
                       payload=(payload, "x" * 2000, b"\xff" * 2000),
                       serial=1)
         message = PhysicalMessage(src_lp=0, dst_lp=1, kind=MessageKind.DATA,
-                                  events=(event,))
-        (_stamp, got), = decode_batch(encode_batch(0, ((7, message),))).envelopes
+                                  events=(event,), colour=7)
+        (got,) = decode_batch(encode_batch(0, (message,))).messages
         assert _exact_eq(got.events[0].payload, event.payload)
 
 
 class TestDecoderTypedErrors:
     @given(
-        envelopes=st.lists(_envelopes(), min_size=1, max_size=3),
+        messages=st.lists(_messages(), min_size=1, max_size=3),
         data=st.data(),
     )
-    def test_damaged_frame_decodes_or_raises_format_error(self, envelopes, data):
-        frame = bytearray(encode_batch(0, tuple(envelopes)))
+    def test_damaged_frame_decodes_or_raises_format_error(self, messages, data):
+        frame = bytearray(encode_batch(0, tuple(messages)))
         if data.draw(st.booleans(), label="truncate"):
             damaged = frame[:data.draw(st.integers(0, len(frame) - 1))]
         else:
