@@ -89,6 +89,7 @@ class PHOLDObject(SimulationObject):
         super().__init__(f"phold-{index}")
         self.index = index
         self.params = params
+        self.lookahead = params.min_delay
         #: whether this object's output is a pure function of the job
         self.deterministic = chance(
             token_hash(params.seed, 7, index), params.deterministic_fraction

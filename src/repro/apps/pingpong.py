@@ -31,6 +31,7 @@ class Player(SimulationObject):
         self.peer = peer
         self.rounds = rounds
         self.delay = delay
+        self.lookahead = delay
         self.serve = serve
 
     def initial_state(self) -> PingPongState:

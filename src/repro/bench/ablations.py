@@ -209,7 +209,7 @@ def ablation_partitioning(scale: float = 0.1, replicates: int = 3) -> list[RunRe
 def _conservative(partition, config):
     """The conservative kernel on the profile's cluster (A7's ``make_sim``)."""
     return ConservativeSimulation(
-        partition, lookahead=1.0,
+        partition,
         lp_speed_factors=config.lp_speed_factors, network=config.network,
     )
 

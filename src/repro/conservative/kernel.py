@@ -25,7 +25,10 @@ favors Time Warp, which is exactly the comparison
 
 The lookahead is declared, not inferred, and the kernel *enforces* it:
 an application send with ``delay < L`` raises immediately, so a wrong
-declaration cannot silently corrupt causality.
+declaration cannot silently corrupt causality.  ``L`` defaults to the
+least :attr:`~repro.kernel.simobject.SimulationObject.lookahead` the
+model's objects declare (``send_event`` enforces each object's own on
+every kernel); an explicit value overrides it.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ class ConservativeSimulation:
         self,
         partition: Sequence[Sequence[SimulationObject]],
         *,
-        lookahead: float,
+        lookahead: float | None = None,
         costs: CostModel = DEFAULT_COSTS,
         network: NetworkModel = DEFAULT_NETWORK,
         lp_speed_factors: dict[int, float] | None = None,
@@ -77,12 +80,14 @@ class ConservativeSimulation:
         record_trace: bool = False,
         max_rounds: int | None = None,
     ) -> None:
+        if not partition or not any(partition):
+            raise ConfigurationError("partition must contain objects")
+        if lookahead is None:
+            lookahead = min(obj.lookahead for group in partition for obj in group)
         if lookahead <= 0:
             raise ConfigurationError(
                 "conservative synchronization needs strictly positive lookahead"
             )
-        if not partition or not any(partition):
-            raise ConfigurationError("partition must contain objects")
         self.lookahead = lookahead
         self.network = network
         self.end_time = end_time

@@ -16,6 +16,7 @@ any randomness must be derived from event payloads or state counters (see
 
 from __future__ import annotations
 
+import math
 from typing import Any, Protocol
 
 from .errors import ConfigurationError
@@ -50,6 +51,20 @@ class SimulationObject:
     #: request source.
     grain_factor: float = 1.0
 
+    #: The least ``delay`` this object ever passes to :meth:`send_event`:
+    #: a promise every kernel enforces.  0.0 promises nothing beyond
+    #: ``delay > 0``.  The process backend turns it into channel clocks
+    #: that let a shard commit events no peer can undo at once
+    #: (docs/parallel.md, "Events no peer can undo"); the conservative
+    #: kernel synchronises on it.  Declare it before a kernel binds the
+    #: object.
+    lookahead: float = 0.0
+
+    #: the least delay :meth:`send_event` accepts, fixed by :meth:`bind`:
+    #: ``lookahead``, or the least positive float when that is 0.0, so
+    #: one comparison enforces both rules
+    _min_delay: float = math.nextafter(0.0, 1.0)
+
     def __init__(self, name: str) -> None:
         if not name:
             raise ConfigurationError("simulation objects need a non-empty name")
@@ -72,11 +87,13 @@ class SimulationObject:
         ``delay`` must be strictly positive: zero-delay messages would
         allow an unbounded number of events at one virtual time, which the
         models in this reproduction never need and which would complicate
-        termination.
+        termination.  It must also be at least the declared
+        :attr:`lookahead`.
         """
-        if delay <= 0:
+        if delay < self._min_delay:
             raise ConfigurationError(
-                f"{self.name}: send_event delay must be > 0, got {delay!r}"
+                f"{self.name}: send_event delay must be > 0 and >= the "
+                f"declared lookahead {self.lookahead!r}, got {delay!r}"
             )
         (self._services or self._bound_services()).send(dest, delay, payload)
 
@@ -102,6 +119,12 @@ class SimulationObject:
     # ------------------------------------------------------------------ #
     def bind(self, services: KernelServices) -> None:
         """Attach kernel services (called by whichever kernel runs us)."""
+        lookahead = self.lookahead
+        if not lookahead >= 0:
+            raise ConfigurationError(
+                f"{self.name}: lookahead must be >= 0, got {lookahead!r}"
+            )
+        self._min_delay = lookahead or SimulationObject._min_delay
         self._services = services
 
     def _bound_services(self) -> KernelServices:

@@ -19,6 +19,9 @@ The real :class:`InvariantOracle` checks, while the simulation runs:
 - **Anti-message pairing** — at the end of a run no anti-message may be
   left unannihilated (pending antis, live cancel-buffer entries, or
   events stranded in aggregation buffers).
+- **Lookahead safety** — on the process backend, no event may arrive
+  below the safe bound its shard derived from its peers' channel clocks
+  (events below it may already be committed).
 - **Wire conservation** — ``sent = delivered + lost + in-flight`` holds
   at every GVT commit and at the end of the run, where in-flight must be
   zero and any permanent loss is reported (this is how a dropped message
@@ -48,7 +51,8 @@ class InvariantViolation:
     """One detected invariant violation."""
 
     invariant: str  # gvt_monotonic | gvt_safety | state_fidelity |
-    #                 anti_pairing | wire_conservation | message_loss
+    #                 anti_pairing | wire_conservation | message_loss |
+    #                 lookahead_safety
     t: float  # modelled wall-clock time of detection (us)
     detail: str
 
@@ -88,6 +92,8 @@ class NullOracle:
 
     def on_rollback(self, t, lp, obj, to_time) -> None: ...
 
+    def on_arrival(self, t, lp, receiver, recv_time, bound) -> None: ...
+
     def on_gvt_estimate(self, t, estimate, committed) -> None: ...
 
     def on_wire_check(self, t, network) -> None: ...
@@ -116,8 +122,8 @@ class InvariantOracle:
         self.checks = 0
         #: check count per hook kind (state_save, state_restore, rollback,
         #: gvt_estimate, wire_check, wire_final, message_loss,
-        #: anti_pairing) — the verify harness uses which kinds fired as a
-        #: coverage signal (docs/testing.md)
+        #: anti_pairing, lookahead_safety) — the verify harness uses which
+        #: kinds fired as a coverage signal (docs/testing.md)
         self.checks_by_kind: Counter[str] = Counter()
         self._committed_gvt = float("-inf")
         #: id(snapshot) -> (snapshot, digest-at-save); pruned at GVT commits
@@ -178,6 +184,20 @@ class InvariantOracle:
                 "gvt_safety", t,
                 f"{obj} (lp {lp}): rollback to virtual time {to_time!r} "
                 f"below committed GVT {self._committed_gvt!r}",
+            )
+
+    # ------------------------------------------------------------------ #
+    # arrivals vs the shard's safe bound
+    # ------------------------------------------------------------------ #
+    def on_arrival(
+        self, t: float, lp: int, receiver: int, recv_time, bound
+    ) -> None:
+        self._check("lookahead_safety")
+        if recv_time < bound:
+            self._violate(
+                "lookahead_safety", t,
+                f"object {receiver} (lp {lp}): arrival at {recv_time!r} "
+                f"below the safe bound {bound!r}",
             )
 
     # ------------------------------------------------------------------ #

@@ -265,15 +265,24 @@ class WakeBoard:
     is only a hint that a GVT round is worth starting now: quiescence is
     still proven by the round, a lost hint costs one period and a stale
     one one extra round.
+
+    The board also holds each slot's *channel clock* (:attr:`clocks`, one
+    f64 per slot, 0.0 before fork: no event precedes time 0): a lower
+    bound on the timestamp of anything the shard will still push, which
+    its peers read to find the events no one can undo (docs/parallel.md,
+    "Events no peer can undo").  One aligned 8-byte store publishes it,
+    as a ring cursor is published.
     """
 
     def __init__(self, slots: int) -> None:
         self.coordinator = slots
         self._pipes: list[tuple[int, int]] = []
-        #: u64 (sent, received) per slot, then one busy byte per slot
-        self._board = mmap.mmap(-1, 17 * slots)
+        #: u64 (sent, received) per slot, one f64 clock per slot, then one
+        #: busy byte per slot
+        self._board = mmap.mmap(-1, 25 * slots)
         self._totals = memoryview(self._board)[:16 * slots].cast("Q")
-        self._busy_at = 16 * slots
+        self.clocks = memoryview(self._board)[16 * slots:24 * slots].cast("d")
+        self._busy_at = 24 * slots
         self._all_dry = bytes(slots)
         try:
             for _ in range(slots + 1):
@@ -335,4 +344,5 @@ class WakeBoard:
                 os.close(fd)
         self._pipes = []
         self._totals.release()  # the mmap cannot close under a live view
+        self.clocks.release()
         self._board.close()

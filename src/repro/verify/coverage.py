@@ -4,8 +4,9 @@ Coverage is a set of small string *features* extracted from each run:
 the lattice point it sat on (backend, cancellation variant, checkpoint
 bucket, aggregation, GVT, faults on/off) and the behaviour it
 actually exercised (rollback count and depth buckets, anti-messages,
-lazy hits, controller transitions, which invariant-oracle check kinds
-fired, which trace record types were emitted).  The fuzzer biases knob
+lazy hits, controller transitions, events a parallel shard committed at
+once below its safe bound, which invariant-oracle check kinds fired,
+which trace record types were emitted).  The fuzzer biases knob
 selection toward values whose features have been seen least, the way a
 grey-box fuzzer biases toward rare branch counters — cheap, and enough
 to push runs into unexplored lattice regions.
@@ -64,10 +65,15 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
             ostats.mode_switches for ostats in stats.per_object.values()
         )
         features.add(f"switches:{bucket(switches)}")
+        if s.backend == "parallel":
+            features.add(f"safe:{bucket(stats.committed_at_once)}")
     oracle = raw.get("oracle")
-    if oracle is not None:
-        for kind in oracle.checks_by_kind:
-            features.add(f"oracle:{kind}")
+    # the parallel backend sums its workers' counts into checks_by_kind
+    kinds = raw.get(
+        "checks_by_kind", oracle.checks_by_kind if oracle is not None else ()
+    )
+    for kind in kinds:
+        features.add(f"oracle:{kind}")
     for rtype in raw.get("trace_types", ()):
         features.add(f"trace:{rtype}")
     return features

@@ -163,7 +163,8 @@ class ScenarioResult:
     mismatches: tuple[str, ...] = ()
     #: the backend's own bag: ``stats`` always; ``gvt_rounds``,
     #: ``migrations``, ``worker_timeline`` and the ``wire`` actually used
-    #: on the parallel backend; ``faults_injected`` / ``retransmissions``
+    #: on the parallel backend, with the ``safe_share`` per shard and the
+    #: oracle's ``checks_by_kind``; ``faults_injected`` / ``retransmissions``
     #: when the scenario carries a fault plan
     raw: dict[str, Any] = field(default_factory=dict, repr=False)
 
@@ -201,6 +202,14 @@ class ScenarioResult:
             parts.append(f"{raw['wire']} wire")
         if "stats" in raw:
             parts.append(f"{raw['stats'].rollbacks} rollback(s)")
+        if "safe_share" in raw:
+            shares = ", ".join(
+                f"shard {shard} {share:.0%}"
+                for shard, share in sorted(raw["safe_share"].items())
+            )
+            parts.append(
+                f"{raw['stats'].committed_at_once} committed at once ({shares})"
+            )
         parts += [f"{self.oracle_checks} oracle check(s)", f"{self.wall_s:.2f}s"]
         if not self.ok:
             parts.append(
@@ -373,7 +382,6 @@ def _run_conservative(
 ) -> dict[str, Any]:
     sim = ConservativeSimulation(
         scenario.build_partition(),
-        lookahead=scenario.spec.lookahead(scenario.merged_params()),
         end_time=scenario.effective_end_time(),
         lp_speed_factors=scenario.speed_factors(),
         record_trace=True,
@@ -421,4 +429,6 @@ def _run_parallel(
         "migrations": sim.migrations_in,
         "worker_timeline": tuple(sim.worker_timeline),
         "wire": sim.wire,
+        "safe_share": dict(sim.safe_share),
+        "checks_by_kind": sim.oracle_checks_by_kind,
     }

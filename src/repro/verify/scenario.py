@@ -144,8 +144,6 @@ class AppSpec:
     build: Callable[[dict], list]
     #: default virtual-time horizon (PHOLD is unbounded and needs one)
     default_end_time: float
-    #: safe conservative lookahead as a function of the merged params
-    lookahead: Callable[[dict], float]
     #: fuzzable topology knobs: name -> candidate values (first = floor,
     #: used by the shrinker)
     fuzz_values: dict[str, tuple]
@@ -186,7 +184,6 @@ APP_SPECS: dict[str, AppSpec] = {
         },
         build=_build_phold_app,
         default_end_time=200.0,
-        lookahead=lambda p: 5.0,  # PHOLDParams.min_delay default
         fuzz_values={
             "n_objects": (4, 6, 8, 12),
             "n_lps": (1, 2, 3, 4),
@@ -205,7 +202,6 @@ APP_SPECS: dict[str, AppSpec] = {
         },
         build=_build_smmp_app,
         default_end_time=float("inf"),
-        lookahead=lambda p: 1.0,  # < bus_time, the smallest SMMP delay
         # value sets are closed under combination: every n_lps divides
         # every n_processors and n_banks choice (SMMPParams.validate)
         fuzz_values={
@@ -224,7 +220,6 @@ APP_SPECS: dict[str, AppSpec] = {
         },
         build=_build_raid_app,
         default_end_time=float("inf"),
-        lookahead=lambda p: 5.0,  # RAIDParams.fork_time default
         # closed under combination: n_forks | n_sources, n_lps | n_forks,
         # n_lps | n_disks for every choice (RAIDParams.validate)
         fuzz_values={
@@ -242,7 +237,6 @@ APP_SPECS: dict[str, AppSpec] = {
         base_params={"rounds": 60, "delay": 10.0},
         build=_build_pingpong_app,
         default_end_time=float("inf"),
-        lookahead=lambda p: p["delay"],
         fuzz_values={
             "rounds": (5, 20, 60, 120),
             "delay": (5.0, 10.0),

@@ -79,3 +79,43 @@ class TestSimulationObject:
 
     def test_default_grain_factor(self):
         assert Obj("x").grain_factor == 1.0
+
+
+class TestLookaheadDeclaration:
+    """``send_event`` enforces the declared lookahead; ``bind`` refuses a
+    negative one (kernels bind every object they run)."""
+
+    class _Sender(SimulationObject):
+        def initial_state(self):
+            return None
+
+    def _bound(self, lookahead):
+        obj = self._Sender("s")
+        obj.lookahead = lookahead
+        sent = []
+
+        class Services:
+            now = 0.0
+
+            def send(self, dest, delay, payload):
+                sent.append(delay)
+
+        obj.bind(Services())
+        return obj, sent
+
+    @pytest.mark.parametrize("lookahead,delay,ok", [
+        (0.0, 0.5, True), (0.0, 0.0, False), (0.0, -1.0, False),
+        (5.0, 5.0, True), (5.0, 6.0, True), (5.0, 4.999, False),
+    ])
+    def test_delay_must_clear_the_declaration(self, lookahead, delay, ok):
+        obj, sent = self._bound(lookahead)
+        if ok:
+            obj.send_event("x", delay, None)
+            assert sent == [delay]
+        else:
+            with pytest.raises(ConfigurationError, match="lookahead"):
+                obj.send_event("x", delay, None)
+
+    def test_negative_lookahead_refused_at_bind(self):
+        with pytest.raises(ConfigurationError, match="lookahead must be >= 0"):
+            self._bound(-1.0)

@@ -71,3 +71,21 @@ def test_sweep_covers_every_axis_value():
     }
     assert "dynamic" in {s.checkpoint for s in scenarios}
     assert {s.meta_control for s in scenarios} == {"off", "on"}
+
+
+def test_parallel_runs_report_the_safe_path_and_the_workers_oracle_kinds():
+    from collections import Counter
+
+    from repro.stats.counters import RunStats
+    from repro.verify import Scenario
+    from repro.verify.coverage import features_for
+
+    stats = RunStats()
+    stats.committed_at_once = 42
+    raw = {"stats": stats, "checks_by_kind": Counter(lookahead_safety=3)}
+    parallel = features_for(
+        Scenario(app="phold", backend="parallel", workers=2), None, raw
+    )
+    assert {"safe:10-99", "oracle:lookahead_safety"} <= parallel
+    modelled = features_for(Scenario(app="phold"), None, {"stats": stats})
+    assert not any(feature.startswith("safe:") for feature in modelled)
