@@ -68,6 +68,10 @@ class CommModule:
         self.aggregates_sent = 0
         self.events_sent = 0
         self.antis_annihilated_in_buffer = 0
+        #: least receive time enqueued since the owner last reset it (the
+        #: process backend's channel clock must not promise past a send
+        #: it has not pushed yet)
+        self.least_enqueued: VirtualTime = float("inf")
 
     # ------------------------------------------------------------------ #
     # application-event path
@@ -75,6 +79,8 @@ class CommModule:
     def enqueue(self, event: Event) -> None:
         """Queue one application event for a remote LP (called post-routing,
         so ``event.receiver`` is known to live on another LP)."""
+        if event.recv_time < self.least_enqueued:
+            self.least_enqueued = event.recv_time
         # the receiver -> LP map is the kernel's own routing table, shared
         dst_lp = self._routing[event.receiver]
         if self.window <= 0.0:

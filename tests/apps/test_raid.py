@@ -98,3 +98,28 @@ class TestSequentialBehaviour:
         _, seq = run
         disk = next(o for o in seq.objects if o.name == "disk-0")
         assert sum(disk.state.zone_histogram) == disk.state.served
+
+
+class TestLookahead:
+    """Each object declares the least delay it sends at, derived from the
+    parameters its sends use, so no timing trips the kernel's check."""
+
+    def test_declarations_follow_the_timing(self):
+        params = RAIDParams(think_time=4.0, fork_time=6.0, seek_base=3.0)
+        declared = {
+            obj.name.split("-")[0]: obj.lookahead
+            for obj in flatten(build_raid(params))
+        }
+        assert declared == {"rsrc": 4.0, "fork": 6.0, "disk": 3.0}
+
+    @pytest.mark.parametrize("timing", [
+        {"think_time": 4.0},
+        {"seek_base": 2.0, "fork_time": 30.0},
+    ])
+    def test_short_delays_run(self, timing):
+        params = RAIDParams(requests_per_source=5, **timing)
+        seq = SequentialSimulation(flatten(build_raid(params)))
+        seq.run()
+        for obj in seq.objects:
+            if obj.name.startswith("rsrc-"):
+                assert obj.state.completed == params.requests_per_source

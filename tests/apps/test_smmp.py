@@ -94,3 +94,29 @@ class TestSequentialBehaviour:
         params, seq = run
         served = [o.state.served for o in seq.objects if o.name.startswith("bank-")]
         assert all(s > 0 for s in served)
+
+
+class TestLookahead:
+    """Each object declares the least delay it sends at, derived from the
+    parameters its sends use, so no timing trips the kernel's check."""
+
+    def test_declarations_follow_the_timing(self):
+        params = SMMPParams(think_time=0.5, fill_time=3.0, cache_time=4.0,
+                            bus_time=0.25, memory_time=7.0)
+        declared = {
+            obj.name.split("-")[0]: obj.lookahead
+            for obj in flatten(build_smmp(params))
+        }
+        assert declared == {
+            "src": 0.5, "cache": 3.0, "membus": 0.25, "bank": 7.0,
+            "stat": float("inf"),  # it sends nothing
+        }
+
+    def test_short_delays_run(self):
+        params = SMMPParams(requests_per_processor=5, bus_time=0.5,
+                            fill_time=0.5, think_time=0.5)
+        seq = SequentialSimulation(flatten(build_smmp(params)))
+        seq.run()
+        for obj in seq.objects:
+            if obj.name.startswith("src-"):
+                assert obj.state.completed == params.requests_per_processor
