@@ -1,68 +1,50 @@
-"""Conservative (YAWNS-style) parallel kernel over the WARPED app API.
+"""Conservative (YAWNS-style) driver over the Time Warp logical process.
 
 Section 7 of the paper: "an implementation of the WARPED interface can
 be constructed using either conservative or optimistic parallel
-synchronization techniques."  This kernel is the conservative
-implementation: a bulk-synchronous bounded-window protocol (YAWNS /
-bounded lag).  Each round,
+synchronization techniques."  This is the conservative implementation: a
+bulk-synchronous bounded-window protocol (YAWNS / bounded lag) that
+schedules the same :class:`~repro.kernel.lp.LogicalProcess` the Time Warp
+drivers do.  Each round,
 
 1. the LPs agree (a modelled barrier + min-reduction) on the global
-   minimum unprocessed timestamp ``T``,
-2. every LP executes all of its events with ``recv_time < T + L`` in
-   timestamp order, where ``L`` is the model's *lookahead* — the minimum
-   send delay the application guarantees.  Any event generated inside
-   the window lands at or beyond ``T + L``, so the window is causally
-   closed and **no rollback can ever be needed**;
-3. messages sent during the round are exchanged, everyone re-synchronizes,
-   and the next round begins.
+   minimum unprocessed timestamp ``T``;
+2. every LP raises its safe and commit bounds to ``T + L``, where ``L``
+   is the least :attr:`~repro.kernel.simobject.SimulationObject.lookahead`
+   the model declares, and executes every event below that bound.  Any
+   event generated in the round lands at or beyond ``T + L``, so no peer
+   can undo what ran: each event commits at once, with no snapshot, send
+   record or processed entry, and **no rollback can ever be needed**;
+3. the round's remote messages are delivered (each checked against the
+   receiver's safe bound), everyone re-synchronizes, and the next round
+   begins.
 
-No state saving, no anti-messages, no GVT — conservative synchronization
-buys freedom from all Time Warp overheads, and pays with barrier idling:
-every round ends at the *slowest* LP's clock.  On the paper's
+No state saving, no anti-messages, no GVT: conservative synchronization
+buys freedom from every Time Warp overhead, and pays with barrier idling,
+since every round ends at the *slowest* LP's clock.  On the paper's
 non-dedicated NOW (heterogeneous speed factors) that trade usually
-favors Time Warp, which is exactly the comparison
+favours Time Warp, which is the comparison
 ``benchmarks/bench_abl_conservative.py`` makes.
 
-The lookahead is declared, not inferred, and the kernel *enforces* it:
-an application send with ``delay < L`` raises immediately, so a wrong
-declaration cannot silently corrupt causality.  ``L`` defaults to the
-least :attr:`~repro.kernel.simobject.SimulationObject.lookahead` the
-model's objects declare (``send_event`` enforces each object's own on
-every kernel); an explicit value overrides it.
+The driver owns only the round, the outbox and the barrier.  Sends,
+delivery, execution and statistics are the LP's, and ``send_event``
+enforces each object's declared lookahead on every send, as it does on
+every kernel.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Any, Sequence
 
 from ..cluster.costmodel import DEFAULT_COSTS, DEFAULT_NETWORK, CostModel, NetworkModel
-from ..kernel.errors import (
-    ApplicationError,
-    ConfigurationError,
-    SchedulingError,
-    TimeWarpError,
-)
-from ..kernel.event import Event, EventKey, VirtualTime
+from ..comm.message import PhysicalMessage
+from ..kernel.config import SimulationConfig
+from ..kernel.errors import ConfigurationError, TimeWarpError
+from ..kernel.event import Event
+from ..kernel.kernel import finish_lps, host_lp, walk_directory
 from ..kernel.simobject import SimulationObject
-from ..stats.counters import LPStats, RunStats
-
-
-class _ConservativeServices:
-    """KernelServices adapter enforcing the lookahead contract."""
-
-    __slots__ = ("_kernel", "_oid")
-
-    def __init__(self, kernel: "ConservativeSimulation", oid: int) -> None:
-        self._kernel = kernel
-        self._oid = oid
-
-    @property
-    def now(self) -> VirtualTime:
-        return self._kernel._lvt[self._oid]
-
-    def send(self, dest: str, delay: VirtualTime, payload: Any) -> None:
-        self._kernel._send(self._oid, dest, delay, payload)
+from ..stats.counters import RunStats
+from ..trace.tracer import NULL_TRACER
 
 
 class ConservativeSimulation:
@@ -72,7 +54,6 @@ class ConservativeSimulation:
         self,
         partition: Sequence[Sequence[SimulationObject]],
         *,
-        lookahead: float | None = None,
         costs: CostModel = DEFAULT_COSTS,
         network: NetworkModel = DEFAULT_NETWORK,
         lp_speed_factors: dict[int, float] | None = None,
@@ -80,211 +61,107 @@ class ConservativeSimulation:
         record_trace: bool = False,
         max_rounds: int | None = None,
     ) -> None:
-        if not partition or not any(partition):
-            raise ConfigurationError("partition must contain objects")
-        if lookahead is None:
-            lookahead = min(obj.lookahead for group in partition for obj in group)
-        if lookahead <= 0:
+        self.objects, name_to_oid, group_of = walk_directory(partition)
+        #: the window width ``L``; read every round
+        self.lookahead = min(obj.lookahead for obj in self.objects)
+        if self.lookahead <= 0:
             raise ConfigurationError(
                 "conservative synchronization needs strictly positive lookahead"
             )
-        self.lookahead = lookahead
         self.network = network
-        self.end_time = end_time
         self.max_rounds = max_rounds
-
-        self.objects: list[SimulationObject] = []
-        self._name_to_oid: dict[str, int] = {}
-        self._oid_to_lp: dict[int, int] = {}
-        for lp_index, group in enumerate(partition):
-            for obj in group:
-                if obj.name in self._name_to_oid:
-                    raise ConfigurationError(f"duplicate name {obj.name!r}")
-                oid = len(self.objects)
-                self.objects.append(obj)
-                self._name_to_oid[obj.name] = oid
-                self._oid_to_lp[oid] = lp_index
-        self.n_lps = len(partition)
-
-        factors = lp_speed_factors or {}
-        self._costs = [
-            costs if factors.get(lp, 1.0) == 1.0 else costs.scaled(factors[lp])
-            for lp in range(self.n_lps)
+        config = SimulationConfig(
+            costs=costs,
+            network=network,
+            end_time=end_time,
+            lp_speed_factors=dict(lp_speed_factors or {}),
+        )
+        routing = dict(enumerate(group_of))
+        #: this driver is the LPs' network: remote messages wait here for
+        #: the end of the round
+        self._outbox: list[PhysicalMessage] = []
+        self.lps = [
+            host_lp(lp_id, self.objects, name_to_oid, routing, config, self, NULL_TRACER)
+            for lp_id in range(len(partition))
         ]
-        self._base_costs = costs
-
-        self._queues: list[list[tuple[EventKey, Event]]] = [
-            [] for _ in range(self.n_lps)
-        ]
-        self._lvt = [0.0] * len(self.objects)
-        self._serials = [0] * len(self.objects)
-        self._clock = [0.0] * self.n_lps
-        self._current_lp = 0
-        self.lp_stats = [LPStats() for _ in range(self.n_lps)]
-        self.rounds = 0
-        self.events_executed = 0
         self.trace: list[tuple] | None = [] if record_trace else None
-        #: remote events produced in the current round, delivered at its end
-        self._outbox: list[tuple[int, Event]] = []
+        if record_trace:
+            for lp in self.lps:
+                lp.trace_sink = self._record_trace
+        self.rounds = 0
         self._ran = False
 
-    # ------------------------------------------------------------------ #
-    # sends
-    # ------------------------------------------------------------------ #
-    def _send(self, sender: int, dest: str, delay: VirtualTime,
-              payload: Any) -> None:
-        if delay < self.lookahead:
-            raise ConfigurationError(
-                f"{self.objects[sender].name}: send delay {delay} violates "
-                f"the declared lookahead {self.lookahead} — either the "
-                "model's minimum delay is smaller than declared, or the "
-                "declaration is wrong"
-            )
-        try:
-            receiver = self._name_to_oid[dest]
-        except KeyError:
-            raise SchedulingError(f"unknown simulation object {dest!r}") from None
-        event = Event(
-            sender=sender,
-            receiver=receiver,
-            send_time=self._lvt[sender],
-            recv_time=self._lvt[sender] + delay,
-            payload=payload,
-            serial=self._serials[sender],
-        )
-        self._serials[sender] += 1
-        src_lp = self._current_lp
-        dst_lp = self._oid_to_lp[receiver]
-        if dst_lp == src_lp:
-            self._clock[src_lp] += self._costs[src_lp].intra_send_cost
-            self.lp_stats[src_lp].intra_lp_events += 1
-            heapq.heappush(self._queues[dst_lp], (event.key(), event))
-        else:
-            # charged now; delivered at the round's synchronization point
-            self._clock[src_lp] += self._costs[src_lp].physical_send(
-                event.size_bytes()
-            )
-            self.lp_stats[src_lp].physical_messages_sent += 1
-            self.lp_stats[src_lp].remote_events_sent += 1
-            self._outbox.append((dst_lp, event))
+    def send(self, message: PhysicalMessage, completion_clock: float) -> float:
+        """The CommModule's network: hold ``message`` until the round ends."""
+        self._outbox.append(message)
+        return completion_clock
 
-    # ------------------------------------------------------------------ #
-    # rounds
-    # ------------------------------------------------------------------ #
-    def _deliver_outbox(self) -> None:
-        for dst_lp, event in self._outbox:
-            self._clock[dst_lp] += self._costs[dst_lp].physical_recv(
-                event.size_bytes()
-            )
-            self.lp_stats[dst_lp].physical_messages_received += 1
-            self.lp_stats[dst_lp].remote_events_received += 1
-            heapq.heappush(self._queues[dst_lp], (event.key(), event))
+    def _deliver(self) -> None:
+        for message in self._outbox:
+            lp = self.lps[message.dst_lp]
+            lp.check_arrivals(message.events)
+            lp.receive_physical(message)
         self._outbox.clear()
 
     def _barrier(self) -> None:
         """Synchronize the LP clocks: barrier + min-reduction cost, then
         everyone waits for the slowest (plus one message latency)."""
-        for lp in range(self.n_lps):
-            self._clock[lp] += self._costs[lp].gvt_participation_cost
-            self._clock[lp] += self._costs[lp].physical_send(64)
-            self.lp_stats[lp].gvt_rounds += 1
-        latest = max(self._clock)
-        latency = self.network.delivery_latency(64)
-        for lp in range(self.n_lps):
-            idle = latest - self._clock[lp]
-            if idle > 0:
-                self.lp_stats[lp].idle_time += idle
-            self._clock[lp] = latest + latency
-
-    def _global_min(self) -> float:
-        best = float("inf")
-        for queue in self._queues:
-            if queue:
-                best = min(best, queue[0][0].recv_time)
-        return best
+        for lp in self.lps:
+            lp.charge(lp.costs.gvt_participation_cost + lp.costs.physical_send(64))
+            lp.stats.gvt_rounds += 1
+        resume = max(lp.clock for lp in self.lps)
+        resume += self.network.delivery_latency(64)
+        for lp in self.lps:
+            lp.advance_clock_to(resume)
 
     def run(self) -> RunStats:
         if self._ran:
             raise ConfigurationError("a ConservativeSimulation can only run once")
         self._ran = True
-        # initialization: states + initial sends (delivered before round 1)
-        for oid, obj in enumerate(self.objects):
-            obj.state = obj.initial_state()
-            obj.bind(_ConservativeServices(self, oid))
-        for oid, obj in enumerate(self.objects):
-            self._current_lp = self._oid_to_lp[oid]
-            obj.initialize()
-        self._deliver_outbox()
+        lps = self.lps
+        for lp in lps:
+            lp.initialize()
+        self._deliver()  # initial sends arrive before round 1
 
         while True:
-            horizon = min(self._global_min() + self.lookahead, self.end_time)
-            if self._global_min() > self.end_time or self._global_min() == float("inf"):
+            # next_work holds events past end_time back, so the run ends
+            # once everything at or below it has run
+            heads = [e.recv_time for e in (lp.next_work() for lp in lps) if e is not None]
+            if not heads:
                 break
-            self._execute_window(horizon)
-            self._deliver_outbox()
+            bound = min(heads) + self.lookahead
+            for lp in lps:
+                lp.safe_bound = bound
+                lp.refresh_commit_bound(False)
+                while (event := lp.next_work()) is not None and event.recv_time < bound:
+                    lp.execute_one()
+            self._deliver()
             self._barrier()
             self.rounds += 1
             if self.max_rounds is not None and self.rounds > self.max_rounds:
-                raise TimeWarpError(
-                    f"exceeded {self.max_rounds} conservative rounds"
-                )
+                raise TimeWarpError(f"exceeded {self.max_rounds} conservative rounds")
 
-        for obj in self.objects:
-            obj.finalize()
-        return self._assemble_stats()
-
-    def _execute_window(self, horizon: float) -> None:
-        for lp in range(self.n_lps):
-            self._current_lp = lp
-            queue = self._queues[lp]
-            costs = self._costs[lp]
-            clock_before = self._clock[lp]
-            while queue and queue[0][0].recv_time < horizon:
-                _, event = heapq.heappop(queue)
-                if event.recv_time > self.end_time:
-                    continue
-                oid = event.receiver
-                obj = self.objects[oid]
-                self._lvt[oid] = event.recv_time
-                try:
-                    obj.execute_process(event.payload)
-                except TimeWarpError:
-                    raise
-                except Exception as exc:
-                    raise ApplicationError(
-                        obj.name, event.recv_time, event.payload
-                    ) from exc
-                self._clock[lp] += costs.event_execution(obj.grain_factor)
-                self.events_executed += 1
-                if self.trace is not None:
-                    self.trace.append((
-                        event.recv_time,
-                        obj.name,
-                        self.objects[event.sender].name,
-                        event.send_time,
-                        event.payload,
-                    ))
-            self.lp_stats[lp].busy_time += self._clock[lp] - clock_before
-
-    # ------------------------------------------------------------------ #
-    # results
-    # ------------------------------------------------------------------ #
-    def _assemble_stats(self) -> RunStats:
         stats = RunStats()
-        stats.execution_time = max(self._clock) if self._clock else 0.0
-        stats.committed_events = self.events_executed
-        stats.executed_events = self.events_executed
-        stats.gvt_rounds = sum(s.gvt_rounds for s in self.lp_stats)
-        stats.physical_messages = sum(
-            s.physical_messages_sent for s in self.lp_stats
-        )
-        stats.final_gvt = self._global_min()
-        for lp, lp_stats in enumerate(self.lp_stats):
-            stats.per_lp[lp] = lp_stats
+        stats.final_gvt = min(lp.local_min() for lp in lps)
+        stats.physical_messages = sent = sum(lp.stats.physical_messages_sent for lp in lps)
+        wire = {"sent": sent, "delivered": sent, "lost": 0, "in_flight": 0}
+        finish_lps(lps, max(lp.clock for lp in lps), wire, 0)
+        for lp in lps:
+            stats.fold_lp(lp.lp_id, lp.clock, lp.stats, lp.object_stats())
         return stats
 
-    def sorted_trace(self) -> list[tuple]:
+    def _record_trace(self, event: Event) -> None:
+        self.trace.append(
+            (
+                event.recv_time,
+                self.objects[event.receiver].name,
+                self.objects[event.sender].name,
+                event.send_time,
+                event.payload,
+            )
+        )
+
+    def sorted_trace(self) -> list[tuple[float, str, str, float, Any]]:
         if self.trace is None:
             raise ConfigurationError("construct with record_trace=True")
-        return sorted(self.trace, key=lambda t: (t[0], t[1], t[2], t[3],
-                                                 repr(t[4])))
+        return sorted(self.trace, key=lambda t: (t[0], t[1], t[2], t[3], repr(t[4])))

@@ -64,11 +64,11 @@ def host_lp(
     """Build LP ``lp_id``: everything that does not depend on who schedules it.
 
     The LP hosts the objects ``routing`` (oid -> LP) sends to it and sends
-    through ``network`` — the executive's modelled network or the worker
-    itself.  ``routing`` is shared, not copied: the ``lp_of``
-    resolver, the :class:`CommModule` and the ``forward`` hook read that one
-    dict, so rewriting it in place retargets every send at once (live
-    migration).
+    through ``network`` — the executive's modelled network, the worker
+    itself or the conservative driver.  ``routing`` is shared, not
+    copied: the ``lp_of`` resolver, the :class:`CommModule` and the
+    ``forward`` hook read that one dict, so rewriting it in place
+    retargets every send at once (live migration).
     """
     oracle = config.oracle if config.oracle is not None else NULL_ORACLE
     if oracle.enabled and oracle.tracer is NULL_TRACER:

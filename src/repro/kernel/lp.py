@@ -123,9 +123,10 @@ class LogicalProcess:
         #: executive when a time-window policy is active
         self.optimism_bound: VirtualTime = float("inf")
         #: no peer can ever send this LP an event below this time
-        #: (:meth:`check_arrivals` holds them to it).  Only a parallel
-        #: worker raises it, from its peers' channel clocks; everywhere
-        #: else it stays at -inf.  It is lowered to -inf only through
+        #: (:meth:`check_arrivals` holds them to it).  A parallel worker
+        #: raises it from its peers' channel clocks, the conservative
+        #: driver to each round's bound; under the modelled executive it
+        #: stays at -inf.  It is lowered to -inf only through
         #: :meth:`drop_safe_bound`
         self.safe_bound: VirtualTime = NEG_INF
         #: an event below this time runs without snapshot, send record or
@@ -268,7 +269,8 @@ class LogicalProcess:
         """Refuse an arrival below the safe bound: events below it may
         already be committed, so a peer broke its channel-clock promise.
         Whoever raises ``safe_bound`` calls this before
-        :meth:`receive_physical` (the parallel worker does)."""
+        :meth:`receive_physical` (the parallel worker and the
+        conservative driver do)."""
         bound = self.safe_bound
         oracle = self.oracle
         for event in events:
@@ -659,7 +661,8 @@ class LogicalProcess:
         its time, perhaps to a co-located member, so no event at or past
         it may commit at once.  Returns that entry's time (+inf without
         ``lazy``).  Whoever raises the safe bound calls this before every
-        event, since a rollback may park a new entry below it."""
+        event, since a rollback may park a new entry below it (the
+        conservative driver, where nothing rolls back, once a round)."""
         floor = self.lazy_floor() if lazy else INF
         bound = self.safe_bound
         self.commit_bound = floor if floor < bound else bound

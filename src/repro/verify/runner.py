@@ -13,8 +13,9 @@ Checks applied to each run (docs/testing.md):
   additionally compare the full committed-event trace, which also checks
   payloads and send times, not just counts and final states.
 * **Invariants** — the :class:`~repro.oracle.InvariantOracle` is armed
-  in every run (in every worker, for the parallel backend) and must
-  report zero violations.
+  in every Time Warp run (in every worker, for the parallel backend) and
+  must report zero violations; a conservative run must commit every
+  event at once, with no rollback or state save.
 
 The digest deliberately uses only quantities every backend can produce
 deterministically: a process-sharded run is not tick-for-tick stable
@@ -328,7 +329,7 @@ def _finish(
 
 
 def _finish_time_warp(result, golden, stats, state_of) -> None:
-    """:func:`_finish` from a Time Warp run's per-object statistics."""
+    """:func:`_finish` from an LP-hosted run's per-object statistics."""
     _finish(result, golden, {
         name: (
             stats.per_object[name].events_committed
@@ -387,13 +388,12 @@ def _run_conservative(
         record_trace=True,
     )
     stats = sim.run()
-    per_object = Counter(entry[1] for entry in sim.trace or ())
-    records = {
-        obj.name: (per_object.get(obj.name, 0), obj.state)
-        for obj in sim.objects
-    }
-    _finish(result, golden, records)
+    states = {obj.name: obj.state for obj in sim.objects}
+    _finish_time_warp(result, golden, stats, states.__getitem__)
     result.trace_match = sim.sorted_trace() == golden.trace
+    if stats.rollbacks or stats.state_saves or stats.committed_at_once != stats.committed_events:
+        # every event ran below its round's bound: none may keep history
+        result.violations = ("conservative_history",)
     return {"stats": stats}
 
 

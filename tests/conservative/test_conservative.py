@@ -8,42 +8,51 @@ from repro.apps.pingpong import build_pingpong
 from repro.apps.raid import RAIDParams, build_raid
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.conservative import ConservativeSimulation
-from repro.kernel.errors import ConfigurationError
+from repro.kernel.errors import (
+    CausalityViolationError,
+    ConfigurationError,
+    TimeWarpError,
+)
 from tests.helpers import flatten
 
 
 class TestConstruction:
     def test_needs_positive_lookahead(self):
-        with pytest.raises(ConfigurationError):
-            ConservativeSimulation(build_pingpong(5), lookahead=0.0)
+        # a zero-delay ping-pong declares lookahead 0
+        with pytest.raises(ConfigurationError, match="lookahead"):
+            ConservativeSimulation(build_pingpong(5, delay=0.0))
 
     def test_needs_objects(self):
         with pytest.raises(ConfigurationError):
-            ConservativeSimulation([[]], lookahead=1.0)
+            ConservativeSimulation([[]])
 
     def test_run_once(self):
-        sim = ConservativeSimulation(build_pingpong(5), lookahead=10.0)
+        sim = ConservativeSimulation(build_pingpong(5))
         sim.run()
         with pytest.raises(ConfigurationError):
             sim.run()
 
 
 class TestLookaheadContract:
-    def test_violating_send_raises(self):
-        # pingpong's delay is 10; declaring lookahead 20 must blow up
-        sim = ConservativeSimulation(build_pingpong(5, delay=10.0),
-                                     lookahead=20.0)
-        with pytest.raises(ConfigurationError, match="lookahead"):
-            sim.run()
-
     def test_exact_lookahead_is_allowed(self):
-        sim = ConservativeSimulation(build_pingpong(10, delay=10.0),
-                                     lookahead=10.0)
+        sim = ConservativeSimulation(build_pingpong(10, delay=10.0))
+        assert sim.lookahead == 10.0
         stats = sim.run()
         assert stats.committed_events == 10
 
+    def test_window_past_the_delay_is_refused_on_arrival(self):
+        # a window wider than the model's delay would run an event before
+        # its cause arrives: the first cross-LP delivery lands below the
+        # receiver's safe bound
+        sim = ConservativeSimulation(build_pingpong(5, delay=10.0))
+        sim.lookahead = 20.0
+        with pytest.raises(CausalityViolationError, match="safe bound"):
+            sim.run()
+
 
 class TestEquivalence:
+    # ``lookahead`` is the least delay each model declares, which the
+    # driver takes as its window width
     @pytest.mark.parametrize("app,builder,lookahead,kwargs", [
         ("smmp", lambda: build_smmp(SMMPParams(requests_per_processor=25)),
          1.0, {}),
@@ -56,8 +65,8 @@ class TestEquivalence:
         seq = SequentialSimulation(flatten(builder()), record_trace=True,
                                    **kwargs)
         seq.run()
-        cons = ConservativeSimulation(builder(), lookahead=lookahead,
-                                      record_trace=True, **kwargs)
+        cons = ConservativeSimulation(builder(), record_trace=True, **kwargs)
+        assert cons.lookahead == lookahead
         cons.run()
         assert cons.sorted_trace() == seq.sorted_trace()
 
@@ -82,28 +91,31 @@ class TestEquivalence:
                              end_time=kwargs.get("end_time", float("inf"))),
         )
         tw.run()
-        cons = ConservativeSimulation(builder(), lookahead=lookahead,
-                                      record_trace=True, **kwargs)
+        cons = ConservativeSimulation(builder(), record_trace=True, **kwargs)
+        assert cons.lookahead == lookahead
         cons.run()
         assert cons.sorted_trace() == tw.sorted_trace()
 
     def test_never_rolls_back(self):
         cons = ConservativeSimulation(
-            build_raid(RAIDParams(requests_per_source=20)), lookahead=5.0,
+            build_raid(RAIDParams(requests_per_source=20)),
             lp_speed_factors={1: 1.5, 2: 2.0, 3: 2.5},
         )
         stats = cons.run()
         assert stats.rollbacks == 0
         assert stats.efficiency == 1.0
+        # every event commits at once: no history is ever kept
+        assert stats.committed_at_once == stats.committed_events > 0
+        assert stats.state_saves == 0
 
 
 class TestBarrierCosts:
     def test_skew_inflates_idle_time(self):
         balanced = ConservativeSimulation(
-            build_smmp(SMMPParams(requests_per_processor=20)), lookahead=1.0
+            build_smmp(SMMPParams(requests_per_processor=20))
         ).run()
         skewed = ConservativeSimulation(
-            build_smmp(SMMPParams(requests_per_processor=20)), lookahead=1.0,
+            build_smmp(SMMPParams(requests_per_processor=20)),
             lp_speed_factors={1: 2.0, 2: 2.0, 3: 2.0},
         ).run()
         idle_balanced = sum(s.idle_time for s in balanced.per_lp.values())
@@ -114,22 +126,30 @@ class TestBarrierCosts:
     def test_larger_lookahead_means_fewer_rounds(self):
         few = ConservativeSimulation(
             build_phold(PHOLDParams(n_objects=8, n_lps=2, min_delay=20.0)),
-            lookahead=20.0, end_time=2_000.0,
+            end_time=2_000.0,
         )
         few.run()
         many = ConservativeSimulation(
-            build_phold(PHOLDParams(n_objects=8, n_lps=2, min_delay=20.0)),
-            lookahead=5.0, end_time=2_000.0,
+            build_phold(PHOLDParams(n_objects=8, n_lps=2, min_delay=5.0)),
+            end_time=2_000.0,
         )
         many.run()
         assert few.rounds < many.rounds
 
     def test_round_guard(self):
-        from repro.kernel.errors import TimeWarpError
-
         sim = ConservativeSimulation(
             build_phold(PHOLDParams(n_objects=6, n_lps=2)),
-            lookahead=5.0, end_time=5_000.0, max_rounds=10,
+            end_time=5_000.0, max_rounds=10,
         )
         with pytest.raises(TimeWarpError, match="rounds"):
             sim.run()
+
+    def test_event_at_end_time_runs_and_ends_the_run(self):
+        # the round cap turns a livelock on the event at end_time into
+        # a TimeWarpError instead of a hang
+        seq = SequentialSimulation(flatten(build_pingpong(100, delay=10.0)),
+                                   end_time=50.0)
+        expected = seq.run().events_executed
+        sim = ConservativeSimulation(build_pingpong(100, delay=10.0),
+                                     end_time=50.0, max_rounds=100)
+        assert sim.run().committed_events == expected == 5

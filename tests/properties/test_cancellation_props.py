@@ -116,7 +116,7 @@ def test_conservative_matches_sequential(n_objects, n_lps, min_delay, seed,
                                record_trace=True)
     seq.run()
     cons = ConservativeSimulation(
-        build_phold(params), lookahead=min_delay, end_time=end,
+        build_phold(params), end_time=end,
         record_trace=True, lp_speed_factors={1: skew},
         max_rounds=20_000,
     )
