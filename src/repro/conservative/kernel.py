@@ -131,10 +131,13 @@ class ConservativeSimulation:
                 break
             bound = min(heads) + self.lookahead
             for lp in lps:
-                lp.safe_bound = bound
-                lp.refresh_commit_bound(False)
-                while (event := lp.next_work()) is not None and event.recv_time < bound:
-                    lp.execute_one()
+                # nothing rolls back, so no member parks a lazy entry
+                lp.safe_bound = lp.commit_bound = bound
+                # the head's time, read off the heap once per event
+                # (execute_one holds back what lies past end_time)
+                heap = lp.pending.heap
+                while heap and heap[0][0][0] < bound and lp.execute_one():
+                    pass
             self._deliver()
             self._barrier()
             self.rounds += 1

@@ -464,9 +464,27 @@ class LogicalProcess:
 
         if cause is not None:
             ctx.oq.record_send(event, cause)
-        self._route(event)
+        # A member is hosted here exactly when the routing map says so
+        # (both migration paths rewrite the two together), so one lookup
+        # both routes and delivers a local send.
+        target = self.members.get(receiver)
+        stats = self.stats
+        if target is None:
+            stats.remote_events_sent += 1
+            self.comm.enqueue(event)
+            return
+        cost = self.costs.intra_send_cost
+        self.clock += cost
+        stats.busy_time += cost
+        stats.intra_lp_events += 1
+        iq = target.iq
+        done = iq.processed
+        if done and event._key < done[-1]._key:
+            self._rollback(target, event._key, primary=True)
+        iq.insert_positive(event)
 
     def _route(self, event: Event) -> None:
+        """Send ``event`` (an anti-message) to its receiver's host."""
         stats = self.stats
         if self._lp_of(event.receiver) == self.lp_id:
             cost = self.costs.intra_send_cost
@@ -584,7 +602,11 @@ class LogicalProcess:
         behind it that does not commit at once first saves the state the
         streak left.
         """
-        if self.next_work() is None:
+        heap = self.pending.heap
+        if not heap:
+            return False
+        t = heap[0][0][0]  # next_work(), without the call
+        if t > self.end_time or t > self.optimism_bound:
             return False
         event = self.pending.pop()
         ctx = self.members[event.receiver]
@@ -661,8 +683,8 @@ class LogicalProcess:
         its time, perhaps to a co-located member, so no event at or past
         it may commit at once.  Returns that entry's time (+inf without
         ``lazy``).  Whoever raises the safe bound calls this before every
-        event, since a rollback may park a new entry below it (the
-        conservative driver, where nothing rolls back, once a round)."""
+        event, since a rollback may park a new entry below it (a driver
+        whose members cannot park one sets the commit bound directly)."""
         floor = self.lazy_floor() if lazy else INF
         bound = self.safe_bound
         self.commit_bound = floor if floor < bound else bound

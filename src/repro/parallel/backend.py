@@ -191,12 +191,16 @@ class ParallelSimulation:
         self.wire = "queue"
         self._rings: dict[tuple[int, int], ShmRing] | None = None
         self._wakes: WakeBoard | None = None
-        #: merged per-shard wire counters (frames, fallbacks) after run()
+        #: merged per-shard wire counters after run(): frames, fallbacks,
+        #: and ``settles``, the times inbound data was handled inside a
+        #: slice because the next event would otherwise have run
+        #: optimistically (docs/parallel.md, "Events no peer can undo")
         self.wire_stats: dict[str, int] = {
             "frames_sent": 0,
             "frames_received": 0,
             "ring_bytes_sent": 0,
             "wire_fallbacks": 0,
+            "settles": 0,
         }
 
         # --- run results -------------------------------------------------

@@ -4,8 +4,8 @@ Each worker hosts ONE :class:`~repro.kernel.lp.LogicalProcess` — the
 process boundary *is* the LP boundary, which is the paper's reading of an
 LP as an address space on one workstation.  Building that LP, taking a
 GVT estimate, finishing the run and folding its counters are the routines
-the modelled facade uses (docs/architecture.md, "One LP host, two
-schedulers"); this module owns what only a real process can do:
+the modelled facade uses (docs/architecture.md, "One LP host, three
+drivers"); this module owns what only a real process can do:
 
 * a poll loop racing the wall clock: execute a slice, look at the data
   wire (inbound rings, outbox), poll the inbox queue for control records,
@@ -170,6 +170,9 @@ class _ShardRuntime:
         self._frames_received = 0
         self._ring_bytes_sent = 0
         self._wire_fallbacks = 0
+        #: inbound work handled inside a slice, before an event that would
+        #: otherwise have run optimistically
+        self._settles = 0
         #: physical messages the LP sent since the last look at the data
         #: wire, keyed by destination shard
         self._outbox: dict[int, list[PhysicalMessage]] = {}
@@ -256,8 +259,15 @@ class _ShardRuntime:
                 continue
             executed = 0
             refresh = self._refresh
+            heap = lp.pending.heap
             while executed < data_slice and self._stop is None:
-                if refresh:
+                if refresh and self._raise_bound() and (
+                    heap and heap[0][0][0] >= lp.commit_bound
+                ):
+                    # the next event would run optimistically, and a frame
+                    # that may let it commit at once is already here
+                    self._settles += 1
+                    self._drain_inbox(poll_queue=False)
                     self._raise_bound()
                 if not lp.execute_one():
                     break
@@ -447,10 +457,12 @@ class _ShardRuntime:
             self._lazy and lp.safe_bound > _NEG_INF
         )
 
-    def _raise_bound(self) -> None:
+    def _raise_bound(self) -> bool:
         """Raise the safe bound S from the peers' clocks, keep the commit
         bound below live lazy entries, then publish this shard's own
         clock: ``min(min(next event, S) + L, unpushed, lazy, pin)``.
+        Returns whether inbound data waits (a peer's ring holds a frame,
+        or a backlog was absorbed): it held S where it was.
 
         Each peer's clock is read *before* its ring is found empty: under
         x86-TSO a clock store is seen no earlier than every push that
@@ -462,20 +474,26 @@ class _ShardRuntime:
         lp = self.lp
         clocks = self._clocks
         peers = self._peers
-        if peers is not None and not self._pending:
+        waiting = bool(self._pending)
+        if peers is not None and not waiting:
             bound = _INF
             for peer, ring in peers:
                 promise = clocks[peer]
                 if ring.used:
+                    waiting = True
                     break
                 if promise < bound:
                     bound = promise
             else:
                 if bound > lp.safe_bound:
                     lp.safe_bound = bound
-        lazy = lp.refresh_commit_bound(self._lazy)
+        if self._lazy:
+            lazy = lp.refresh_commit_bound(True)
+        else:
+            lp.commit_bound = lp.safe_bound
+            lazy = _INF
         if peers is None:
-            return  # no one reads this shard's clock
+            return waiting  # no one reads this shard's clock
         heap = lp.pending.heap
         floor = lp.safe_bound
         if heap and heap[0][0][0] < floor:
@@ -490,6 +508,7 @@ class _ShardRuntime:
         if self._pin < promise:
             promise = self._pin
         clocks[self.shard_id] = promise
+        return waiting
 
     # ------------------------------------------------------------------ #
     # elastic epochs: pause -> drain -> move -> resume
@@ -708,5 +727,6 @@ class _ShardRuntime:
                 "frames_received": self._frames_received,
                 "ring_bytes_sent": self._ring_bytes_sent,
                 "wire_fallbacks": self._wire_fallbacks,
+                "settles": self._settles,
             },
         }

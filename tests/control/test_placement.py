@@ -21,9 +21,10 @@ from repro.apps.phold import PHOLDParams, build_phold
 from repro.cluster.executive import Executive
 from repro.control.meta import PlacementController
 from repro.kernel.errors import SchedulingError
+from repro.parallel.ipc import MigrateBatch, MigrateDone, Reconfigure
 from repro.partition import choose_moves
 from repro.trace import Tracer, read_trace, validate_trace
-from tests.helpers import assert_equivalent
+from tests.helpers import Mailbox, assert_equivalent, inspection_shard
 
 #: the ablation NOW: spread wide enough that the controller must act
 SKEW = {1: 1.4, 2: 1.8, 3: 2.4}
@@ -134,6 +135,49 @@ class TestMigrateObject:
         sim.executive.migrate_object(0, src)
         assert sim.executive.migrations == 0
         assert sim.executive.routing[0] == src
+
+
+def _hosted_by_routing(lp, routing):
+    """Whether ``lp`` hosts exactly the objects ``routing`` sends to it
+    (the LP's local send path reads membership, its anti-messages and
+    CommModule read the map)."""
+    routed = {oid for oid, owner in routing.items() if owner == lp.lp_id}
+    return set(lp.members) == routed and all(
+        (lp._lp_of(oid) == lp.lp_id) == (oid in lp.members) for oid in routing
+    )
+
+
+class TestMembershipFollowsRouting:
+    def test_modelled_executive(self):
+        sim = TimeWarpSimulation(phold(), SimulationConfig(end_time=50.0))
+        executive = sim.executive
+        src = executive.routing[0]
+        dst = (src + 1) % len(executive.lps)
+        executive.migrate_object(0, dst)
+        assert executive.routing[0] == dst
+        assert all(_hosted_by_routing(lp, executive.routing) for lp in executive.lps)
+
+    def test_process_worker_epoch(self):
+        mailboxes, done = {0: Mailbox(), 1: Mailbox()}, Mailbox()
+        shards = [
+            inspection_shard(
+                shard_id, build_phold(PHOLDParams(n_objects=8, n_lps=2)),
+                SimulationConfig(end_time=50.0), mailboxes=mailboxes,
+                to_coordinator=done,
+            )
+            for shard_id in (0, 1)
+        ]
+        moved = sorted(shards[0].lp.members)[:2]
+        reconfigure = Reconfigure(1, tuple((oid, 0, 1) for oid in moved), ())
+        for runtime in shards:
+            runtime._handle(reconfigure)
+        (batch,) = mailboxes[1]
+        assert isinstance(batch, MigrateBatch) and len(batch.checkpoints) == 2
+        shards[1]._handle(batch)
+        assert done == [MigrateDone(0, 1), MigrateDone(1, 1)]
+        for runtime in shards:
+            assert all(runtime.plan.oid_to_shard[oid] == 1 for oid in moved)
+            assert _hosted_by_routing(runtime.lp, runtime.plan.oid_to_shard)
 
 
 class TestLiveMigration:

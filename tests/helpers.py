@@ -52,3 +52,26 @@ def make_event(sender: int = 0, receiver: int = 1, send_time: float = 0.0,
                serial: int = 0, sign: int = 1) -> Event:
     return Event(sender=sender, receiver=receiver, send_time=send_time,
                  recv_time=recv_time, payload=payload, serial=serial, sign=sign)
+
+
+class Mailbox(list):
+    """A queue stand-in that keeps what was put on it."""
+
+    put = list.append
+
+
+def inspection_shard(shard_id: int, partition, config: SimulationConfig,
+                     n_shards: int = 2, mailboxes=None, to_coordinator=None):
+    """A process-backend shard built in this process, with no wire and no
+    doorbells: it can handle IPC records and be inspected, not run.  Give
+    each shard its own ``partition`` (a forked worker has its own copy of
+    the model and of the routing map)."""
+    from repro.kernel.kernel import walk_directory
+    from repro.parallel.worker import ShardPlan, _ShardRuntime
+
+    objects, name_to_oid, group_of = walk_directory(partition)
+    plan = ShardPlan(objects, name_to_oid, dict(enumerate(group_of)),
+                     config, n_shards=n_shards)
+    if to_coordinator is None:
+        to_coordinator = Mailbox()
+    return _ShardRuntime(shard_id, plan, None, to_coordinator, mailboxes or {})

@@ -113,9 +113,10 @@ def test_a_shard_publishing_inf_ends_in_a_located_error(monkeypatch):
     honest = worker_mod._ShardRuntime._raise_bound
 
     def lying(self):
-        honest(self)
+        waiting = honest(self)
         if self.shard_id == 1:
             self._clocks[1] = float("inf")
+        return waiting
 
     monkeypatch.setattr(worker_mod._ShardRuntime, "_raise_bound", lying)
     config = SimulationConfig(

@@ -21,6 +21,7 @@ from unittest.mock import Mock
 
 import pytest
 
+from repro.apps import PHOLDParams, build_phold
 from repro.bench.cli import main as bench_main
 from repro.comm.message import MessageKind, PhysicalMessage
 from repro.kernel.config import SimulationConfig
@@ -45,7 +46,7 @@ from repro.parallel.wire import (
     encode_batch,
 )
 from repro.verify import run_scenario
-from tests.helpers import PHOLD
+from tests.helpers import PHOLD, inspection_shard
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -538,14 +539,26 @@ class _CadenceProbe:
     """A ``_ShardRuntime`` with every collaborator of ``run`` replaced by
     a recording stand-in: an LP that always has work, one inbound ring,
     the outbox and the inbox queue.  ``log`` is the order things happened
-    in; the inbox delivers ``Stop`` once ``events`` have executed."""
+    in; the inbox delivers ``Stop`` once ``events`` have executed.
 
-    def __init__(self, *, n_shards, with_ring, events=400, frames=()):
+    ``frames`` wait in the ring from the start; ``arrivals`` maps an
+    executed-event count to frames that land in the ring once that many
+    events have run, ``backlog`` to batches parked in the absorbed
+    backlog then.  With ``peer_clock`` set, the one peer publishes that
+    clock and the shard raises its bounds before every event, as it does
+    on the shm wire; the LP's next event is always at 5.0."""
+
+    def __init__(self, *, n_shards, with_ring, events=400, frames=(),
+                 arrivals=None, backlog=None, peer_clock=None):
         log = self.log = []
         executed = [0]
         frames = list(frames)
+        arrivals = dict(arrivals or {})
+        backlog = dict(backlog or {})
 
         class Comm:
+            least_enqueued = float("inf")
+
             def flush_all(self):
                 log.append("aggregate")
 
@@ -553,16 +566,27 @@ class _CadenceProbe:
             clock = 0.0
             comm = Comm()
             safe_bound = float("-inf")  # no channel clocks in play
+            commit_bound = float("-inf")
+            pending = types.SimpleNamespace(heap=[((5.0,), None)])
 
             def initialize(self):
                 pass
 
+            def fossil_bound(self):
+                return float("-inf")  # nothing to collect
+
             def execute_one(self):
                 executed[0] += 1
                 log.append("exec")
+                frames.extend(arrivals.pop(executed[0], ()))
+                runtime._pending.extend(backlog.pop(executed[0], ()))
                 return True
 
         class Ring:
+            @property
+            def used(self):
+                return sum(map(len, frames))
+
             def try_pop(self):
                 log.append("ring")
                 return frames.pop(0) if frames else None
@@ -596,19 +620,28 @@ class _CadenceProbe:
             config=types.SimpleNamespace(max_executed_events=None),
             n_shards=n_shards,
         )
+        runtime.shard_id = 0
         runtime.lp = Lp()
         runtime.inbox = Inbox()
         runtime._rings_in = {1: Ring()} if with_ring else {}
         runtime._pending = deque()
         runtime._frames_received = 0
+        runtime._settles = 0
         runtime._stop = None
         runtime._retired = False
         runtime._paused_epoch = None
         runtime._executed = 0
         runtime._peers = None
         runtime._refresh = False
+        runtime._lazy = False
         runtime._collected = float("-inf")
         runtime._since_collect = 0
+        if peer_clock is not None:
+            runtime._clocks = [None, peer_clock]
+            runtime._peers = [(1, runtime._rings_in[1])]
+            runtime._refresh = True
+            runtime._lookahead = 1.0
+            runtime._pin = float("inf")
 
     def run(self):
         self.runtime.run()
@@ -691,6 +724,88 @@ class TestPollCadence:
         assert handled == ["absorbed-1", "absorbed-2", "ring-1", "ring-2"]
         assert log.index(("handled", "ring-2")) < log.index("exec")
         assert probe.runtime._frames_received == 2
+
+
+def _frame(label):
+    return encode_batch(*_batch([_event(payload=label)], src_shard=1))
+
+
+class TestPollCadenceWithChannelClocks:
+    """Inbound data that lands inside a slice, on the shm wire with a peer:
+    it is handled before an event that would run optimistically (it may
+    raise the bound enough to commit that event at once), and the slice
+    still flushes only at its end."""
+
+    def handled_at(self, log, label):
+        """Events executed before the batch ``label`` was handled."""
+        return log[:log.index(("handled", label))].count("exec")
+
+    def test_a_waiting_frame_is_handled_before_a_speculative_event(self):
+        probe = _CadenceProbe(n_shards=2, with_ring=True, peer_clock=0.0,
+                              arrivals={3: [_frame("mid-slice")]})
+        log = probe.run()
+        assert self.handled_at(log, "mid-slice") == 3  # not at the slice's end
+        assert probe.runtime._settles == 1
+        assert probe.runtime._frames_received == 1
+        assert log.index(("handled", "mid-slice")) < log.index("flush")
+
+    def test_an_absorbed_backlog_is_handled_before_a_speculative_event(self):
+        batch = DataBatch(*_batch([_event(payload="absorbed")], src_shard=1))
+        probe = _CadenceProbe(n_shards=2, with_ring=True, peer_clock=0.0,
+                              backlog={5: [batch]})
+        log = probe.run()
+        assert self.handled_at(log, "absorbed") == 5
+        assert probe.runtime._settles == 1
+        assert not probe.runtime._pending
+
+    def test_an_event_below_the_commit_bound_does_not_wait_for_the_wire(self):
+        # the peer's clock is past the head: the event commits at once
+        # whatever the frame says, so the frame waits for the slice's end
+        probe = _CadenceProbe(n_shards=2, with_ring=True, peer_clock=100.0,
+                              arrivals={3: [_frame("mid-slice")]})
+        log = probe.run()
+        assert self.handled_at(log, "mid-slice") == worker_mod.RING_SLICE
+        assert probe.runtime._settles == 0
+        # the rings are read between slices only (twice when one held a frame)
+        assert set(probe.gaps("ring")) == {0, worker_mod.RING_SLICE}
+
+    def test_nothing_waiting_means_no_extra_look(self):
+        probe = _CadenceProbe(n_shards=2, with_ring=True, peer_clock=0.0)
+        probe.run()
+        assert probe.runtime._settles == 0
+        # [0] is the look before any event
+        assert set(probe.gaps("ring")[1:]) == {worker_mod.RING_SLICE}
+
+    def test_flush_and_aggregate_cadence_stay_one_slice(self):
+        # a frame lands inside every other slice and is handled at once;
+        # DyMA's window is still the whole slice
+        landings = range(3, 400, 2 * worker_mod.RING_SLICE)
+        probe = _CadenceProbe(n_shards=2, with_ring=True, peer_clock=0.0,
+                              arrivals={n: [_frame(n)] for n in landings})
+        log = probe.run()
+        assert probe.runtime._settles == len(landings)
+        assert set(probe.gaps("flush")) == {worker_mod.RING_SLICE}
+        assert set(probe.gaps("aggregate")) == {worker_mod.RING_SLICE}
+        assert all(log[i - 1] == "aggregate"
+                   for i, entry in enumerate(log) if entry == "flush")
+
+    def test_settles_ride_the_shard_report_into_the_merged_counters(self):
+        from repro.parallel.backend import ParallelSimulation
+
+        config = SimulationConfig(backend="parallel", workers=2, end_time=50.0)
+
+        def build():
+            return build_phold(PHOLDParams(n_objects=8, n_lps=2))
+
+        payloads = {}
+        for shard_id, settles in ((0, 3), (1, 4)):
+            runtime = inspection_shard(shard_id, build(), config)
+            runtime._settles = settles
+            payloads[shard_id] = runtime._final_payload()
+            assert payloads[shard_id]["transport"]["settles"] == settles
+        sim = ParallelSimulation.from_builder(build, config)
+        sim._merge(payloads, final_gvt=0.0)
+        assert sim.wire_stats["settles"] == 7
 
 
 class TestWireConfig:
