@@ -206,14 +206,6 @@ def ablation_partitioning(scale: float = 0.1, replicates: int = 3) -> list[RunRe
     return results
 
 
-def _conservative(partition, config):
-    """The conservative kernel on the profile's cluster (A7's ``make_sim``)."""
-    return ConservativeSimulation(
-        partition,
-        lp_speed_factors=config.lp_speed_factors, network=config.network,
-    )
-
-
 def ablation_conservative(scale: float = 0.1, replicates: int = 3) -> list[RunResult]:
     """A7: lazy Time Warp vs the conservative kernel on low-lookahead SMMP."""
     build = smmp_builder(scaled(1000, scale))
@@ -225,7 +217,7 @@ def ablation_conservative(scale: float = 0.1, replicates: int = 3) -> list[RunRe
         )
         results.append(
             run_cell(f"conservative / {tag}", 0.0, build, profile,
-                     replicates=replicates, make_sim=_conservative)
+                     replicates=replicates, make_sim=ConservativeSimulation)
         )
     return results
 

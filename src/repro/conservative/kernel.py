@@ -30,37 +30,42 @@ The driver owns only the round, the outbox and the barrier.  Sends,
 delivery, execution and statistics are the LP's, and ``send_event``
 enforces each object's declared lookahead on every send, as it does on
 every kernel.
+
+It takes the other drivers' ``SimulationConfig`` and builds its LPs with
+the same ``host_lp``.  It ignores the GVT fields, ``events_per_turn`` and
+``workers``; it refuses the ``EXECUTIVE_ONLY`` fields, any ``backend``
+but ``"modelled"`` and ``placement="dynamic"`` in one
+``ConfigurationError``; it reads every other field (``aggregation``
+ships once per round, and nothing below the bound uses ``checkpoint``
+or ``cancellation``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-from ..cluster.costmodel import DEFAULT_COSTS, DEFAULT_NETWORK, CostModel, NetworkModel
 from ..comm.message import PhysicalMessage
-from ..kernel.config import SimulationConfig
-from ..kernel.errors import ConfigurationError, TimeWarpError
-from ..kernel.event import Event
-from ..kernel.kernel import finish_lps, host_lp, walk_directory
-from ..kernel.simobject import SimulationObject
-from ..stats.counters import RunStats
+from ..kernel.config import EXECUTIVE_ONLY, SimulationConfig
+from ..kernel.errors import ConfigurationError, TerminationError, TimeWarpError
+from ..kernel.kernel import Partition, committed_trace, finish_lps, host_lp
+from ..kernel.kernel import sorted_trace, walk_directory
+from ..stats.counters import RunStats, TraceRow
 from ..trace.tracer import NULL_TRACER
 
 
 class ConservativeSimulation:
     """Bounded-window conservative run of a partitioned object graph."""
 
-    def __init__(
-        self,
-        partition: Sequence[Sequence[SimulationObject]],
-        *,
-        costs: CostModel = DEFAULT_COSTS,
-        network: NetworkModel = DEFAULT_NETWORK,
-        lp_speed_factors: dict[int, float] | None = None,
-        end_time: float = float("inf"),
-        record_trace: bool = False,
-        max_rounds: int | None = None,
-    ) -> None:
+    def __init__(self, partition: Partition, config: SimulationConfig | None = None) -> None:
+        self.config = config = config or SimulationConfig()
+        refused = [name for name in EXECUTIVE_ONLY if getattr(config, name)]
+        if config.backend != "modelled":
+            refused.append(f"backend={config.backend!r}")
+        if config.placement == "dynamic":
+            refused.append("placement='dynamic'")
+        if refused:
+            raise ConfigurationError(
+                f"the conservative driver does not support: {', '.join(refused)}"
+            )
+        config.validate()
         self.objects, name_to_oid, group_of = walk_directory(partition)
         #: the window width ``L``; read every round
         self.lookahead = min(obj.lookahead for obj in self.objects)
@@ -68,26 +73,16 @@ class ConservativeSimulation:
             raise ConfigurationError(
                 "conservative synchronization needs strictly positive lookahead"
             )
-        self.network = network
-        self.max_rounds = max_rounds
-        config = SimulationConfig(
-            costs=costs,
-            network=network,
-            end_time=end_time,
-            lp_speed_factors=dict(lp_speed_factors or {}),
-        )
+        tracer = config.tracer if config.tracer is not None else NULL_TRACER
         routing = dict(enumerate(group_of))
         #: this driver is the LPs' network: remote messages wait here for
         #: the end of the round
         self._outbox: list[PhysicalMessage] = []
         self.lps = [
-            host_lp(lp_id, self.objects, name_to_oid, routing, config, self, NULL_TRACER)
+            host_lp(lp_id, self.objects, name_to_oid, routing, config, self, tracer)
             for lp_id in range(len(partition))
         ]
-        self.trace: list[tuple] | None = [] if record_trace else None
-        if record_trace:
-            for lp in self.lps:
-                lp.trace_sink = self._record_trace
+        self.trace = committed_trace(config, self.objects, self.lps)
         self.rounds = 0
         self._ran = False
 
@@ -97,6 +92,8 @@ class ConservativeSimulation:
         return completion_clock
 
     def _deliver(self) -> None:
+        for lp in self.lps:
+            lp.comm.flush_all()  # the round is the aggregation window
         for message in self._outbox:
             lp = self.lps[message.dst_lp]
             lp.check_arrivals(message.events)
@@ -110,7 +107,7 @@ class ConservativeSimulation:
             lp.charge(lp.costs.gvt_participation_cost + lp.costs.physical_send(64))
             lp.stats.gvt_rounds += 1
         resume = max(lp.clock for lp in self.lps)
-        resume += self.network.delivery_latency(64)
+        resume += self.config.network.delivery_latency(64)
         for lp in self.lps:
             lp.advance_clock_to(resume)
 
@@ -119,6 +116,8 @@ class ConservativeSimulation:
             raise ConfigurationError("a ConservativeSimulation can only run once")
         self._ran = True
         lps = self.lps
+        limit = self.config.max_executed_events
+        executed = 0
         for lp in lps:
             lp.initialize()
         self._deliver()  # initial sends arrive before round 1
@@ -130,6 +129,7 @@ class ConservativeSimulation:
             if not heads:
                 break
             bound = min(heads) + self.lookahead
+            before = executed
             for lp in lps:
                 # nothing rolls back, so no member parks a lazy entry
                 lp.safe_bound = lp.commit_bound = bound
@@ -137,34 +137,24 @@ class ConservativeSimulation:
                 # (execute_one holds back what lies past end_time)
                 heap = lp.pending.heap
                 while heap and heap[0][0][0] < bound and lp.execute_one():
-                    pass
+                    executed += 1
+            if executed == before:  # with L > 0, the least head lies below the bound
+                raise TimeWarpError(f"round {self.rounds} executed no event below {bound!r}")
+            if limit is not None and executed > limit:
+                raise TerminationError(f"executed more than {limit} events without terminating")
             self._deliver()
             self._barrier()
             self.rounds += 1
-            if self.max_rounds is not None and self.rounds > self.max_rounds:
-                raise TimeWarpError(f"exceeded {self.max_rounds} conservative rounds")
 
         stats = RunStats()
         stats.final_gvt = min(lp.local_min() for lp in lps)
         stats.physical_messages = sent = sum(lp.stats.physical_messages_sent for lp in lps)
-        wire = {"sent": sent, "delivered": sent, "lost": 0, "in_flight": 0}
+        received = sum(lp.stats.physical_messages_received for lp in lps)
+        wire = {"sent": sent, "delivered": received, "lost": 0, "in_flight": len(self._outbox)}
         finish_lps(lps, max(lp.clock for lp in lps), wire, 0)
         for lp in lps:
             stats.fold_lp(lp.lp_id, lp.clock, lp.stats, lp.object_stats())
         return stats
 
-    def _record_trace(self, event: Event) -> None:
-        self.trace.append(
-            (
-                event.recv_time,
-                self.objects[event.receiver].name,
-                self.objects[event.sender].name,
-                event.send_time,
-                event.payload,
-            )
-        )
-
-    def sorted_trace(self) -> list[tuple[float, str, str, float, Any]]:
-        if self.trace is None:
-            raise ConfigurationError("construct with record_trace=True")
-        return sorted(self.trace, key=lambda t: (t[0], t[1], t[2], t[3], repr(t[4])))
+    def sorted_trace(self) -> list[TraceRow]:
+        return sorted_trace(self.trace)

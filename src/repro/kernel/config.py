@@ -56,16 +56,18 @@ def default_aggregation(_lp_id: int) -> "AggregationPolicy":
 
 _CHURN_KINDS = ("migrate", "join", "leave")
 
-#: :class:`SimulationConfig` fields ``backend="parallel"`` refuses when
-#: set (truthy: their defaults are ``None``, ``False`` and ``[]``).  Their
-#: semantics are tied to the single-process modelled cluster, so the
-#: backend fails loudly instead of silently ignoring them.  The table in
-#: docs/parallel.md and the verify lattice (``FIELD_BACKENDS`` in
+#: :class:`SimulationConfig` fields only the modelled executive honours:
+#: the process backend and the conservative driver refuse them when set
+#: (truthy: their defaults are ``None`` and ``[]``) instead of silently
+#: ignoring them.
+EXECUTIVE_ONLY = ("faults", "time_window", "meta_control", "external_script")
+
+#: the fields ``backend="parallel"`` refuses: :data:`EXECUTIVE_ONLY`, and
+#: the in-process trace and tracer (a shard traces to
+#: ``ParallelSimulation(trace_dir=...)``).  The table in docs/parallel.md
+#: and the verify lattice (``FIELD_BACKENDS`` in
 #: :mod:`repro.verify.scenario`) are tested against this tuple.
-PARALLEL_UNSUPPORTED = (
-    "faults", "time_window", "meta_control", "external_script",
-    "record_trace", "tracer",
-)
+PARALLEL_UNSUPPORTED = EXECUTIVE_ONLY + ("record_trace", "tracer")
 
 
 def validate_churn_plan(plan: dict) -> None:

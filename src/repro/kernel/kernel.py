@@ -11,14 +11,14 @@ main entry point of the library:
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..comm.transport import CommModule
 from ..cluster.executive import Executive
 from ..gvt.manager import OmniscientGVT
 from ..gvt.mattern import MatternGVT
 from ..oracle.invariants import NULL_ORACLE
-from ..stats.counters import RunStats
+from ..stats.counters import CommittedTrace, RunStats, TraceRow
 from ..trace.tracer import NULL_TRACER
 from .config import SimulationConfig
 from .errors import ConfigurationError, SchedulingError
@@ -116,6 +116,23 @@ def host_lp(
     return lp
 
 
+def committed_trace(config: SimulationConfig, objects, lps) -> CommittedTrace | None:
+    """The trace every LP records its commits into, if ``config.record_trace``."""
+    if not config.record_trace:
+        return None
+    trace = CommittedTrace([obj.name for obj in objects])
+    for lp in lps:
+        lp.trace_sink = trace.record
+    return trace
+
+
+def sorted_trace(trace: CommittedTrace | None) -> list[TraceRow]:
+    """``trace`` in total order; refused when the run recorded none."""
+    if trace is None:
+        raise ConfigurationError("run with record_trace=True to collect a trace")
+    return trace.sorted()
+
+
 def finish_lps(
     lps: Sequence[LogicalProcess], t: float, wire_counts: dict[str, int],
     undelivered_data: int,
@@ -174,11 +191,7 @@ class TimeWarpSimulation:
             self.meta.attach(self.executive)
 
         # --- optional committed-event trace ------------------------------
-        self.trace: list[tuple[float, str, str, float, Any]] | None = None
-        if self.config.record_trace:
-            self.trace = []
-            for lp in self.lps:
-                lp.trace_sink = self._record_trace
+        self.trace = committed_trace(self.config, self._objects, self.lps)
 
         self._ran = False
         self._finished = False
@@ -190,18 +203,6 @@ class TimeWarpSimulation:
             return self._name_to_oid[name]
         except KeyError:
             raise ConfigurationError(f"unknown simulation object {name!r}") from None
-
-    def _record_trace(self, event: Event) -> None:
-        assert self.trace is not None
-        self.trace.append(
-            (
-                event.recv_time,
-                self._objects[event.receiver].name,
-                self._objects[event.sender].name,
-                event.send_time,
-                event.payload,
-            )
-        )
 
     def object_named(self, name: str) -> SimulationObject:
         return self._objects[self._resolve(name)]
@@ -281,11 +282,9 @@ class TimeWarpSimulation:
             stats.fold_lp(lp.lp_id, lp.clock, lp.stats, lp.object_stats())
         return stats
 
-    def sorted_trace(self) -> list[tuple[float, str, str, float, Any]]:
+    def sorted_trace(self) -> list[TraceRow]:
         """Committed-event trace in total order (for equivalence checks)."""
-        if self.trace is None:
-            raise ConfigurationError("run with record_trace=True to collect a trace")
-        return sorted(self.trace, key=lambda t: (t[0], t[1], t[2], t[3], repr(t[4])))
+        return sorted_trace(self.trace)
 
 
 def make_simulation(partition: Partition, config: SimulationConfig | None = None):

@@ -282,7 +282,8 @@ class LogicalProcess:
                 raise CausalityViolationError(
                     f"shard {self.lp_id}: event for object {event.receiver} "
                     f"at t={event.recv_time!r} arrived below the committed "
-                    f"safe bound {bound!r} (a peer sent below its promise)"
+                    f"safe bound {bound!r} (object {event.sender} on LP "
+                    f"{self._lp_of(event.sender)} sent below its promise)"
                 )
 
     def deliver_event(self, event: Event) -> None:

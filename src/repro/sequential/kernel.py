@@ -26,7 +26,9 @@ from ..kernel.errors import (
     TimeWarpError,
 )
 from ..kernel.event import Event, EventKey, VirtualTime
+from ..kernel.kernel import sorted_trace
 from ..kernel.simobject import SimulationObject
+from ..stats.counters import CommittedTrace, RunStats, TraceRow
 
 
 class _SequentialServices:
@@ -74,9 +76,8 @@ class SequentialSimulation:
         self._heap: list[tuple[EventKey, Event]] = []
         self.events_executed = 0
         self.execution_time = 0.0
-        self.trace: list[tuple[float, str, str, float, Any]] | None = (
-            [] if record_trace else None
-        )
+        names = [obj.name for obj in self.objects]
+        self.trace = CommittedTrace(names) if record_trace else None
         self._ran = False
 
     # ------------------------------------------------------------------ #
@@ -96,30 +97,26 @@ class SequentialSimulation:
         self._serials[sender] += 1
         heapq.heappush(self._heap, (event.key(), event))
 
-    def run(self) -> "SequentialSimulation":
+    def run(self) -> RunStats:
         """Execute the model to ``end_time``; ``max_events`` is a runaway
-        guard that raises :class:`SchedulingError` once exceeded."""
-        trace = self.trace
+        guard that raises :class:`SchedulingError` once exceeded.  Every
+        executed event is committed."""
+        record = self.trace.record if self.trace is not None else None
         max_events = self.max_events
-        names = [obj.name for obj in self.objects]
         for event in self.events():
-            if trace is not None:
-                trace.append(
-                    (
-                        event.recv_time,
-                        names[event.receiver],
-                        names[event.sender],
-                        event.send_time,
-                        event.payload,
-                    )
-                )
+            if record is not None:
+                record(event)
             if max_events is not None and self.events_executed > max_events:
                 raise SchedulingError(
                     f"executed more than {max_events} events; runaway model?"
                 )
         for obj in self.objects:
             obj.finalize()
-        return self
+        return RunStats(
+            execution_time=self.execution_time,
+            committed_events=self.events_executed,
+            executed_events=self.events_executed,
+        )
 
     def events(self) -> Iterator[Event]:
         """Initialize the model, then execute it in total order, yielding
@@ -158,7 +155,5 @@ class SequentialSimulation:
             self.execution_time += self.costs.event_execution(obj.grain_factor)
             yield event
 
-    def sorted_trace(self) -> list[tuple[float, str, str, float, Any]]:
-        if self.trace is None:
-            raise ConfigurationError("construct with record_trace=True")
-        return sorted(self.trace, key=lambda t: (t[0], t[1], t[2], t[3], repr(t[4])))
+    def sorted_trace(self) -> list[TraceRow]:
+        return sorted_trace(self.trace)

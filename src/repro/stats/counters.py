@@ -10,6 +10,11 @@ pays one attribute increment, and they aggregate cleanly for reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Any, Sequence
+
+#: one committed event: ``(recv_time, receiver, sender, send_time, payload)``
+#: with both objects by name
+TraceRow = tuple[float, str, str, float, Any]
 
 
 @dataclass(slots=True)
@@ -80,6 +85,27 @@ class LPStats:
             else:
                 setattr(self, f.name,
                         getattr(self, f.name) + getattr(other, f.name))
+
+
+class CommittedTrace(list):
+    """Every kernel's committed-event record, one :data:`TraceRow` per
+    event, appended in the order the kernel commits them."""
+
+    __slots__ = ("_names",)
+
+    def __init__(self, names: Sequence[str]) -> None:
+        super().__init__()
+        #: oid -> object name
+        self._names = names
+
+    def record(self, event) -> None:
+        names = self._names
+        self.append((event.recv_time, names[event.receiver], names[event.sender],
+                     event.send_time, event.payload))
+
+    def sorted(self) -> list[TraceRow]:
+        """The rows in total order, for equivalence checks across kernels."""
+        return sorted(self, key=lambda t: (t[0], t[1], t[2], t[3], repr(t[4])))
 
 
 @dataclass(slots=True)

@@ -13,9 +13,10 @@ Checks applied to each run (docs/testing.md):
   additionally compare the full committed-event trace, which also checks
   payloads and send times, not just counts and final states.
 * **Invariants** — the :class:`~repro.oracle.InvariantOracle` is armed
-  in every Time Warp run (in every worker, for the parallel backend) and
-  must report zero violations; a conservative run must commit every
-  event at once, with no rollback or state save.
+  in every run but the golden (in every worker, for the parallel
+  backend; on the conservative driver too) and must report zero
+  violations; a conservative run must also commit every event at once,
+  with no rollback or state save.
 
 The digest deliberately uses only quantities every backend can produce
 deterministically: a process-sharded run is not tick-for-tick stable
@@ -257,12 +258,10 @@ def run_scenario(
     result = ScenarioResult(scenario=scenario, expected=golden.committed)
     started = time.perf_counter()
     try:
-        if scenario.backend == "modelled":
-            result.raw = _run_modelled(
+        if scenario.backend != "parallel":
+            result.raw = _run_in_process(
                 scenario, golden, result, collect_trace_features
             )
-        elif scenario.backend == "conservative":
-            result.raw = _run_conservative(scenario, golden, result)
         else:
             result.raw = _run_parallel(
                 scenario, golden, result,
@@ -341,12 +340,14 @@ def _finish_time_warp(result, golden, stats, state_of) -> None:
     })
 
 
-def _run_modelled(
+def _run_in_process(
     scenario: Scenario,
     golden: GoldenRef,
     result: ScenarioResult,
     collect_trace_features: bool,
 ) -> dict[str, Any]:
+    """The modelled executive or the conservative driver: one config with
+    the oracle armed, and the committed trace held to the golden's."""
     oracle = InvariantOracle()
     tracer = Tracer(capacity=4096) if collect_trace_features else None
     config = scenario.build_config(
@@ -355,14 +356,23 @@ def _run_modelled(
         tracer=tracer,
         max_executed_events=MAX_EXECUTED_EVENTS,
     )
-    sim = TimeWarpSimulation(scenario.build_partition(), config)
-    stats = sim.run()
-    _finish_time_warp(
-        result, golden, stats, lambda name: sim.object_named(name).state
+    partition = scenario.build_partition()
+    conservative = scenario.backend == "conservative"
+    sim = (ConservativeSimulation if conservative else TimeWarpSimulation)(
+        partition, config
     )
+    stats = sim.run()
+    states = {obj.name: obj.state for group in partition for obj in group}
+    _finish_time_warp(result, golden, stats, states.__getitem__)
     result.trace_match = sim.sorted_trace() == golden.trace
     result.violations = tuple(v.invariant for v in oracle.violations)
     result.oracle_checks = oracle.checks
+    if conservative and (
+        stats.rollbacks or stats.state_saves
+        or stats.committed_at_once != stats.committed_events
+    ):
+        # every event ran below its round's bound: none may keep history
+        result.violations += ("conservative_history",)
     raw = {
         "stats": stats,
         "oracle": oracle,
@@ -376,25 +386,6 @@ def _run_modelled(
         raw["faults_injected"] = counters.faults_injected()
         raw["retransmissions"] = counters.retransmissions
     return raw
-
-
-def _run_conservative(
-    scenario: Scenario, golden: GoldenRef, result: ScenarioResult
-) -> dict[str, Any]:
-    sim = ConservativeSimulation(
-        scenario.build_partition(),
-        end_time=scenario.effective_end_time(),
-        lp_speed_factors=scenario.speed_factors(),
-        record_trace=True,
-    )
-    stats = sim.run()
-    states = {obj.name: obj.state for obj in sim.objects}
-    _finish_time_warp(result, golden, stats, states.__getitem__)
-    result.trace_match = sim.sorted_trace() == golden.trace
-    if stats.rollbacks or stats.state_saves or stats.committed_at_once != stats.committed_events:
-        # every event ran below its round's bound: none may keep history
-        result.violations = ("conservative_history",)
-    return {"stats": stats}
 
 
 def _run_parallel(

@@ -40,7 +40,8 @@ class TestGate:
     def test_only_edges_propagate(self):
         """A gate whose output does not change emits nothing."""
         partition, probe = build_xor_chain(length=2, n_lps=1, n_vectors=1)
-        seq = SequentialSimulation(flatten(partition)).run()
+        seq = SequentialSimulation(flatten(partition))
+        seq.run()
         # input bit may be 0: then nothing toggles past the first gate
         gate0 = next(o for o in seq.objects if o.name == "chain-0")
         assert gate0.state.evaluations >= 1

@@ -91,7 +91,6 @@ def test_smmp_online_calls_per_committed_event_within_budget():
 
 
 def test_conservative_calls_per_committed_event_within_budget():
-    sim = ConservativeSimulation(
-        build_phold(PHOLD_SKEW), end_time=2_000.0, lp_speed_factors=SPEED_FACTORS
-    )
+    config = SimulationConfig(end_time=2_000.0, lp_speed_factors=SPEED_FACTORS)
+    sim = ConservativeSimulation(build_phold(PHOLD_SKEW), config)
     _assert_within_budget(sim, 2303, CONSERVATIVE_CALLS_PER_COMMITTED_EVENT_BUDGET)

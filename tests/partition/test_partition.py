@@ -263,7 +263,8 @@ class TestPilot:
         # the A6 ablation's graph: 100 objects, 2 508 events < 12 800
         params = SMMPParams(requests_per_processor=30)
         seq = SequentialSimulation(flatten(build_smmp(params)),
-                                   record_trace=True).run()
+                                   record_trace=True)
+        seq.run()
         expected = CommGraph(objects=[obj.name for obj in seq.objects])
         expected.loads = dict.fromkeys(expected.objects, 0)
         for _time, receiver, sender, _send_time, _payload in seq.trace:

@@ -10,7 +10,7 @@ over random PHOLD topologies and lookahead choices.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import SequentialSimulation
+from repro import SequentialSimulation, SimulationConfig
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.conservative import ConservativeSimulation
 from repro.kernel.cancellation import ComparisonBuffer
@@ -116,9 +116,9 @@ def test_conservative_matches_sequential(n_objects, n_lps, min_delay, seed,
                                record_trace=True)
     seq.run()
     cons = ConservativeSimulation(
-        build_phold(params), end_time=end,
-        record_trace=True, lp_speed_factors={1: skew},
-        max_rounds=20_000,
+        build_phold(params),
+        SimulationConfig(end_time=end, record_trace=True,
+                         lp_speed_factors={1: skew}),
     )
     cons.run()
     assert cons.sorted_trace() == seq.sorted_trace()

@@ -85,6 +85,10 @@ def test_checked_in_corpus_replays_byte_identically(path):
     outcome = replay_file(path, runs=2)
     assert outcome.ok, outcome.render()
     assert outcome.results[0].digest == expected
+    if scenario.backend != "parallel":
+        # the oracle is armed in process, on the conservative driver too
+        for result in outcome.results:
+            assert result.oracle_checks > 0 and not result.violations
 
 
 def test_cli_replay_and_corpus(tmp_path, capsys):

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from repro.kernel.config import PARALLEL_UNSUPPORTED, SimulationConfig
+from repro.kernel.config import (
+    EXECUTIVE_ONLY,
+    PARALLEL_UNSUPPORTED,
+    SimulationConfig,
+)
 from repro.kernel.errors import ConfigurationError
 from repro.verify import SCHEMA_SCENARIO, Scenario
 from repro.verify.scenario import APP_SPECS, AXES, BACKENDS, FIELD_BACKENDS
@@ -143,6 +147,9 @@ def test_a_scenario_cannot_carry_what_the_parallel_config_refuses():
     carried = set(PARALLEL_UNSUPPORTED) & set(Scenario.__dataclass_fields__)
     assert carried == {"faults", "time_window", "meta_control"}
     assert not any("parallel" in FIELD_BACKENDS[name] for name in carried)
+    # the conservative driver refuses the executive's own fields too
+    assert carried <= set(EXECUTIVE_ONLY)
+    assert not any("conservative" in FIELD_BACKENDS[name] for name in carried)
 
 
 def test_from_dict_rejects_unknown_fields_and_schemas():
