@@ -197,7 +197,9 @@ class Executive:
     def _run_window_control(self, gvt: float) -> None:
         """Extension: adapt and re-anchor the optimism window at each GVT."""
         executed = self._executed_events
-        rolled = sum(lp.events_rolled_back for lp in self.lps)
+        rolled = sum(
+            ctx.stats.events_rolled_back for lp in self.lps for ctx in lp.members.values()
+        )
         observation = WindowObservation(
             executed=executed - self._last_window_executed,
             rolled_back=rolled - self._last_window_rolled,
@@ -322,22 +324,19 @@ class Executive:
             self._schedule_turn(lp)
 
     def _handle_turn(self, when: float, lp_id: int) -> None:
-        """Run ``lp`` for ``events_per_turn`` events, and on for as long
-        as it stays the earliest: while its clock is strictly below the
-        top of the heap, its re-pushed turn (the largest ``seq``) would be
-        popped next anyway, and nothing the main loop does between two
-        pops could change that or end the run."""
+        """Run one event of ``lp``, and on for as long as it stays the
+        earliest: while its clock is strictly below the top of the heap,
+        its re-pushed turn (the largest ``seq``) would be popped next
+        anyway, and nothing the main loop does between two pops could
+        change that or end the run."""
         self._turn_scheduled[lp_id] = False
         lp = self.lps[lp_id]
         lp.advance_clock_to(when)
-        budget = self.config.events_per_turn
         limit = self.config.max_executed_events
         heap = self._heap
         while True:
-            executed = 0
-            while executed < budget and lp.execute_one():
-                executed += 1
-            self._executed_events += executed
+            if lp.execute_one():
+                self._executed_events += 1
             if not self._runnable(lp):
                 return
             clock = lp.clock

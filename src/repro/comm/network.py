@@ -56,10 +56,9 @@ class Network:
         self._in_flight: dict[int, PhysicalMessage] = {}
         self._in_flight_counts: dict[int, int] = {}
         self._in_flight_total = 0
-        # statistics
+        #: wire conservation counts (:meth:`wire_counts`); the traffic
+        #: totals are the sending LPs' (``LPStats``)
         self.messages_sent = 0
-        self.bytes_sent = 0
-        self.events_carried = 0
         self.delivered_count = 0
         #: messages permanently lost on the wire (only a fault-injecting
         #: subclass without retransmission ever increments this)
@@ -83,8 +82,6 @@ class Network:
         self._last_arrival[channel] = arrival
         self._track(message)
         self.messages_sent += 1
-        self.bytes_sent += size
-        self.events_carried += len(message.events)
         self._deliver(message.dst_lp, arrival, message)
         return arrival
 

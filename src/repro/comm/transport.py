@@ -34,9 +34,9 @@ class TransportHost(Protocol):
     @property
     def clock(self) -> float: ...
 
-    def on_physical_sent(self, cost: float) -> None:
-        """One physical message left this host: charge its send-side CPU
-        ``cost`` to the host's wall clock and count it."""
+    def on_physical_sent(self, message: PhysicalMessage, cost: float) -> None:
+        """``message`` left this host: charge its send-side CPU ``cost``
+        to the host's wall clock and count it, its events and its bytes."""
         ...
 
 
@@ -64,9 +64,6 @@ class CommModule:
         self.window: float = policy.initial_window()
         self._buffers: dict[int, AggregateBuffer] = {}
         self._routing: dict[int, int] = {}
-        # statistics
-        self.aggregates_sent = 0
-        self.events_sent = 0
         self.antis_annihilated_in_buffer = 0
         #: least receive time enqueued since the owner last reset it (the
         #: process backend's channel clock must not promise past a send
@@ -158,10 +155,8 @@ class CommModule:
         message = PhysicalMessage(host.lp_id, dst_lp, MessageKind.DATA, events)
         if host.agent is not None:
             message.colour = host.agent.note_send(message.min_event_time())
-        host.on_physical_sent(self.costs.physical_send(message._size))
+        host.on_physical_sent(message, self.costs.physical_send(message._size))
         self.network.send(message, host.clock)
-        self.aggregates_sent += 1
-        self.events_sent += len(events)
 
     # ------------------------------------------------------------------ #
     # control traffic (bypasses aggregation)
@@ -170,7 +165,7 @@ class CommModule:
         message = PhysicalMessage(
             src_lp=self.host.lp_id, dst_lp=dst_lp, kind=kind, control=control
         )
-        self.host.on_physical_sent(self.costs.physical_send(message._size))
+        self.host.on_physical_sent(message, self.costs.physical_send(message._size))
         self.network.send(message, self.host.clock)
 
     # ------------------------------------------------------------------ #

@@ -32,9 +32,9 @@ enforces each object's declared lookahead on every send, as it does on
 every kernel.
 
 It takes the other drivers' ``SimulationConfig`` and builds its LPs with
-the same ``host_lp``.  It ignores the GVT fields, ``events_per_turn`` and
-``workers``; it refuses the ``EXECUTIVE_ONLY`` fields, any ``backend``
-but ``"modelled"`` and ``placement="dynamic"`` in one
+the same ``host_lp``.  It ignores the GVT fields and ``workers``; it
+refuses the ``EXECUTIVE_ONLY`` fields, any ``backend`` but
+``"modelled"`` and ``placement="dynamic"`` in one
 ``ConfigurationError``; it reads every other field (``aggregation``
 ships once per round, and nothing below the bound uses ``checkpoint``
 or ``cancellation``).
@@ -82,6 +82,13 @@ class ConservativeSimulation:
             host_lp(lp_id, self.objects, name_to_oid, routing, config, self, tracer)
             for lp_id in range(len(partition))
         ]
+        for lp in self.lps:
+            # every event the round loop runs lies below the round's bound,
+            # so each commits at once: no rollback, no snapshot zero
+            lp.commit_bound = float("inf")
+        #: the comm modules that buffer (a window opens only at
+        #: construction: ``external_script`` is refused here)
+        self._buffering = [lp.comm for lp in self.lps if lp.comm.window > 0]
         self.trace = committed_trace(config, self.objects, self.lps)
         self.rounds = 0
         self._ran = False
@@ -92,8 +99,8 @@ class ConservativeSimulation:
         return completion_clock
 
     def _deliver(self) -> None:
-        for lp in self.lps:
-            lp.comm.flush_all()  # the round is the aggregation window
+        for comm in self._buffering:
+            comm.flush_all()  # the round is the aggregation window
         for message in self._outbox:
             lp = self.lps[message.dst_lp]
             lp.check_arrivals(message.events)
@@ -131,8 +138,7 @@ class ConservativeSimulation:
             bound = min(heads) + self.lookahead
             before = executed
             for lp in lps:
-                # nothing rolls back, so no member parks a lazy entry
-                lp.safe_bound = lp.commit_bound = bound
+                lp.safe_bound = bound
                 # the head's time, read off the heap once per event
                 # (execute_one holds back what lies past end_time)
                 heap = lp.pending.heap
@@ -148,7 +154,7 @@ class ConservativeSimulation:
 
         stats = RunStats()
         stats.final_gvt = min(lp.local_min() for lp in lps)
-        stats.physical_messages = sent = sum(lp.stats.physical_messages_sent for lp in lps)
+        sent = sum(lp.stats.physical_messages_sent for lp in lps)
         received = sum(lp.stats.physical_messages_received for lp in lps)
         wire = {"sent": sent, "delivered": received, "lost": 0, "in_flight": len(self._outbox)}
         finish_lps(lps, max(lp.clock for lp in lps), wire, 0)

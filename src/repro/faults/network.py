@@ -103,17 +103,14 @@ class FaultyNetwork(Network):
             sender = self._senders[channel] = ReliableSender()
         seq = sender.register(message, track=self.plan.retransmit)
         self._track(message)
-        size = message.size_bytes()
         self.messages_sent += 1
-        self.bytes_sent += size
-        self.events_carried += message.event_count()
         if message.kind is MessageKind.DATA:
             self._outstanding_data += 1
         self._transmit_copy(channel, seq, message, completion_clock, 0)
         jitter = _jitter_unit(
             message.src_lp, message.dst_lp, 1 + seq * 131, self.model.seed
         )
-        return completion_clock + self.model.delivery_latency(size, jitter)
+        return completion_clock + self.model.delivery_latency(message.size_bytes(), jitter)
 
     # ------------------------------------------------------------------ #
     # wire copies

@@ -168,9 +168,6 @@ class SimulationConfig:
     #: (the default) costs one attribute check per potential emission.
     tracer: "Tracer | None" = None
 
-    #: events an LP executes per executive turn (arrival polling interval)
-    events_per_turn: int = 1
-
     #: virtual-time horizon; events beyond it are never executed
     end_time: float = float("inf")
 
@@ -233,8 +230,6 @@ class SimulationConfig:
             )
         if self.gvt_period <= 0:
             raise ConfigurationError("gvt_period must be positive")
-        if self.events_per_turn < 1:
-            raise ConfigurationError("events_per_turn must be >= 1")
         for lp_id, factor in self.lp_speed_factors.items():
             if factor <= 0:
                 raise ConfigurationError(

@@ -275,9 +275,6 @@ class TimeWarpSimulation:
         )
         stats = RunStats()
         stats.final_gvt = executive.gvt
-        stats.physical_messages = network.messages_sent
-        stats.events_on_wire = network.events_carried
-        stats.bytes_on_wire = network.bytes_sent
         for lp in self.lps:
             stats.fold_lp(lp.lp_id, lp.clock, lp.stats, lp.object_stats())
         return stats

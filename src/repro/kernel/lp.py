@@ -73,7 +73,6 @@ class ObjectContext:
     #: saves the state it left
     unsaved_key: EventKey | None = None
     comparisons_since_control: int = 0
-    events_since_ckpt_control: int = 0
     stats: ObjectStats = field(default_factory=ObjectStats)
     #: modelled CPU cost of executing one event here on the hosting LP
     exec_cost: float = 0.0
@@ -136,9 +135,6 @@ class LogicalProcess:
         #: per event
         self.commit_bound: VirtualTime = NEG_INF
         self.stats = LPStats()
-        #: running total of events un-processed by rollbacks on this LP
-        #: (the time-window controller samples it every GVT round)
-        self.events_rolled_back = 0
         #: structured observability tracer (repro.trace); NULL_TRACER when
         #: tracing is off, so emission sites cost one attribute check
         self.tracer = NULL_TRACER
@@ -205,13 +201,19 @@ class LogicalProcess:
         never rolled back, so the recovery point for a rollback to the
         beginning of time must include any state mutations that produced
         them — otherwise a deep rollback would replay a different history
-        than the one whose messages are already in the system.
+        than the one whose messages are already in the system.  Where
+        every event commits at once (:attr:`commit_bound` at +inf),
+        nothing can roll back that far, so snapshot zero waits, like any
+        state an at-once streak left, for an event that needs it.
         """
         for ctx in self._member_list:
             ctx.obj.state = ctx.obj.initial_state()
         for ctx in self._member_list:
             ctx.current_cause_key = INITIAL_KEY
             ctx.obj.initialize()
+            if self.commit_bound == INF:
+                ctx.unsaved_key = INITIAL_KEY
+                continue
             state = ctx.obj.state.copy()
             saved = SavedState(
                 last_key=None,
@@ -230,19 +232,20 @@ class LogicalProcess:
     # ------------------------------------------------------------------ #
     def charge(self, cost: float) -> None:
         self.clock += cost
-        self.stats.busy_time += cost
 
     def advance_clock_to(self, wallclock: float) -> None:
         if wallclock > self.clock:
             self.stats.idle_time += wallclock - self.clock
             self.clock = wallclock
 
-    def on_physical_sent(self, cost: float) -> None:
-        """Transport host hook: one physical message left this LP."""
-        stats = self.stats
+    def on_physical_sent(self, message: "PhysicalMessage", cost: float) -> None:
+        """Transport host hook: ``message`` left this LP, at send-side CPU
+        ``cost``.  The LP's counters are the run's one wire ledger."""
         self.clock += cost
-        stats.busy_time += cost
+        stats = self.stats
         stats.physical_messages_sent += 1
+        stats.physical_events_sent += len(message.events)
+        stats.physical_bytes_sent += message._size
 
     # ------------------------------------------------------------------ #
     # delivery path
@@ -256,13 +259,10 @@ class LogicalProcess:
         stats = self.stats
         stats.physical_messages_received += 1
         stats.remote_events_received += len(events)
-        cost = self.costs.physical_recv(message._size)
-        self.clock += cost
-        stats.busy_time += cost
+        self.clock += self.costs.physical_recv(message._size)
         handle_cost = self.costs.event_handle_cost
         for event in events:
             self.clock += handle_cost
-            stats.busy_time += handle_cost
             self.deliver_event(event)
 
     def check_arrivals(self, events: Iterable[Event]) -> None:
@@ -332,12 +332,9 @@ class LogicalProcess:
 
         rolled = ctx.iq.rollback(key)
         stats.events_rolled_back += len(rolled)
-        self.events_rolled_back += len(rolled)
 
         snapshot = ctx.sq.restore_for(key)
-        cost = self.costs.rollback_base + self.costs.state_restore(snapshot.size)
-        self.clock += cost
-        self.stats.busy_time += cost
+        self.clock += self.costs.rollback_base + self.costs.state_restore(snapshot.size)
         stats.state_restores += 1
         ctx.obj.state = snapshot.state.copy()
         ctx.lvt = snapshot.lvt
@@ -409,7 +406,6 @@ class LogicalProcess:
                         coasting=True,
                     ) from exc
                 self.clock += cost
-                self.stats.busy_time += cost
                 ctx.ckpt_window.coast_events += 1
                 ctx.ckpt_window.coast_cost += cost
                 ctx.stats.coast_forward_events += 1
@@ -419,9 +415,7 @@ class LogicalProcess:
             ctx.coasting = False
 
     def _emit_anti(self, ctx: ObjectContext, record: SentRecord) -> None:
-        cost = self.costs.anti_send_cost
-        self.clock += cost
-        self.stats.busy_time += cost
+        self.clock += self.costs.anti_send_cost
         ctx.stats.antis_sent += 1
         self._route(record.event.anti_message())
 
@@ -446,9 +440,7 @@ class LogicalProcess:
         ctx.stats.sends += 1
 
         if ctx.cmp_buffer._by_content:  # pending(), without the call
-            cost = self.costs.lazy_compare_cost
-            self.clock += cost
-            self.stats.busy_time += cost
+            self.clock += self.costs.lazy_compare_cost
             entry = ctx.cmp_buffer.match(event)
             if entry is not None:
                 self._resolve_comparison(ctx, hit=True, lazy_entry=entry.lazy)
@@ -474,9 +466,7 @@ class LogicalProcess:
             stats.remote_events_sent += 1
             self.comm.enqueue(event)
             return
-        cost = self.costs.intra_send_cost
-        self.clock += cost
-        stats.busy_time += cost
+        self.clock += self.costs.intra_send_cost
         stats.intra_lp_events += 1
         iq = target.iq
         done = iq.processed
@@ -488,9 +478,7 @@ class LogicalProcess:
         """Send ``event`` (an anti-message) to its receiver's host."""
         stats = self.stats
         if self._lp_of(event.receiver) == self.lp_id:
-            cost = self.costs.intra_send_cost
-            self.clock += cost
-            stats.busy_time += cost
+            self.clock += self.costs.intra_send_cost
             stats.intra_lp_events += 1
             self.deliver_event(event)
         else:
@@ -552,8 +540,8 @@ class LogicalProcess:
 
     def _run_checkpoint_control(self, ctx: ObjectContext) -> None:
         """One invocation of the checkpoint-interval controller (the
-        caller counts events up to the policy's period)."""
-        ctx.events_since_ckpt_control = 0
+        caller runs it once the window holds the policy's period of
+        events)."""
         self.charge(self.costs.control_invocation_cost)
         ctx.stats.control_invocations += 1
         window = ctx.ckpt_window
@@ -629,9 +617,7 @@ class LogicalProcess:
             raise
         except Exception as exc:
             raise ApplicationError(obj.name, event.recv_time, event.payload) from exc
-        cost = ctx.exec_cost
-        self.clock += cost
-        self.stats.busy_time += cost
+        self.clock += ctx.exec_cost
         ctx.event_count += 1
         stats = ctx.stats
         stats.events_executed += 1
@@ -653,10 +639,8 @@ class LogicalProcess:
             self._expire_comparisons(ctx, key)
 
         period = ctx.ckpt_policy.period
-        if period is not None and not at_once:
-            ctx.events_since_ckpt_control += 1
-            if ctx.events_since_ckpt_control >= period:
-                self._run_checkpoint_control(ctx)
+        if period is not None and not at_once and ctx.ckpt_window.events >= period:
+            self._run_checkpoint_control(ctx)
         return True
 
     def _save_state(self, ctx: ObjectContext, key: EventKey) -> None:
@@ -665,7 +649,6 @@ class LogicalProcess:
         size = state.size_bytes()
         cost = self.costs.state_save(size)
         self.clock += cost
-        self.stats.busy_time += cost
         saved = SavedState(key, ctx.lvt, ctx.event_count, state.copy(), cost, size)
         ctx.sq.save(saved)
         oracle = self.oracle

@@ -76,7 +76,6 @@ class ObjectCheckpoint:
     mode: Mode
     chi: int
     comparisons_since_control: int
-    events_since_ckpt_control: int
 
     # policies and controller state (plain objects; deterministic pickles)
     cancel_policy: Any
@@ -173,7 +172,6 @@ def checkpoint_object(ctx: ObjectContext) -> ObjectCheckpoint:
         mode=ctx.mode,
         chi=ctx.chi,
         comparisons_since_control=ctx.comparisons_since_control,
-        events_since_ckpt_control=ctx.events_since_ckpt_control,
         cancel_policy=ctx.cancel_policy,
         ckpt_policy=ctx.ckpt_policy,
         ckpt_window=ctx.ckpt_window,
@@ -236,7 +234,6 @@ def restore_object(
     ctx.mode = ckpt.mode
     ctx.chi = ckpt.chi
     ctx.comparisons_since_control = ckpt.comparisons_since_control
-    ctx.events_since_ckpt_control = ckpt.events_since_ckpt_control
     ctx.cancel_policy = ckpt.cancel_policy
     ctx.ckpt_policy = ckpt.ckpt_policy
     ctx.ckpt_window = ckpt.ckpt_window

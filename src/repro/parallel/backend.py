@@ -572,9 +572,6 @@ class ParallelSimulation:
                 payload["object_stats"],
             )
             transport = payload["transport"]
-            stats.physical_messages += transport["messages_sent"]
-            stats.events_on_wire += transport["events_carried"]
-            stats.bytes_on_wire += transport["bytes_sent"]
             received += transport["messages_received"]
             for key in self.wire_stats:
                 self.wire_stats[key] += transport.get(key, 0)

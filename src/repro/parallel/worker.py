@@ -176,7 +176,6 @@ class _ShardRuntime:
         #: physical messages the LP sent since the last look at the data
         #: wire, keyed by destination shard
         self._outbox: dict[int, list[PhysicalMessage]] = {}
-        self._bytes_sent = 0
 
         if plan.trace_dir is not None:
             path = Path(plan.trace_dir) / f"shard-{shard_id}.jsonl"
@@ -625,7 +624,6 @@ class _ShardRuntime:
         if bucket is None:
             bucket = self._outbox[message.dst_lp] = []
         bucket.append(message)
-        self._bytes_sent += message._size
         return completion_clock
 
     def _flush(self) -> None:
@@ -721,8 +719,6 @@ class _ShardRuntime:
             "transport": {
                 "messages_sent": self.agent.total_sent,
                 "messages_received": self.agent.total_received,
-                "events_carried": lp.comm.events_sent,
-                "bytes_sent": self._bytes_sent,
                 "frames_sent": self._frames_sent,
                 "frames_received": self._frames_received,
                 "ring_bytes_sent": self._ring_bytes_sent,

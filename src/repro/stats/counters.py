@@ -59,7 +59,11 @@ class ObjectStats:
 class LPStats:
     """Per-LP counters (comm + GVT live here; object work aggregates up)."""
 
+    #: every physical message that left this LP (DATA and control), the
+    #: events they carried and their wire bytes
     physical_messages_sent: int = 0
+    physical_events_sent: int = 0
+    physical_bytes_sent: int = 0
     physical_messages_received: int = 0
     remote_events_sent: int = 0
     remote_events_received: int = 0
@@ -68,6 +72,8 @@ class LPStats:
     gvt_rounds: int = 0
     fossil_collections: int = 0
     fossil_items: int = 0
+    #: modelled µs: the LP charges its clock only; :meth:`RunStats.fold_lp`
+    #: sets this to ``clock - idle_time``
     busy_time: float = 0.0
     idle_time: float = 0.0
     #: memory high-water marks, sampled at every fossil collection (the
@@ -76,15 +82,6 @@ class LPStats:
     peak_state_entries: int = 0
     peak_state_bytes: int = 0
     peak_history_events: int = 0
-
-    def merge(self, other: "LPStats") -> None:
-        for f in fields(self):
-            if f.name.startswith("peak_"):
-                setattr(self, f.name,
-                        max(getattr(self, f.name), getattr(other, f.name)))
-            else:
-                setattr(self, f.name,
-                        getattr(self, f.name) + getattr(other, f.name))
 
 
 class CommittedTrace(list):
@@ -145,8 +142,12 @@ class RunStats:
         """Fold one finished LP in — the one place a run total is built,
         whoever scheduled the LP: counters add, the makespan and the
         memory high-water marks take the max, breakdowns keep every key."""
+        lp_stats.busy_time = clock - lp_stats.idle_time
         self.per_lp[lp_id] = lp_stats
         self.execution_time = max(self.execution_time, clock)
+        self.physical_messages += lp_stats.physical_messages_sent
+        self.events_on_wire += lp_stats.physical_events_sent
+        self.bytes_on_wire += lp_stats.physical_bytes_sent
         self.gvt_rounds += lp_stats.gvt_rounds
         self.peak_state_entries = max(self.peak_state_entries, lp_stats.peak_state_entries)
         self.peak_state_bytes = max(self.peak_state_bytes, lp_stats.peak_state_bytes)

@@ -31,9 +31,9 @@ class TestProfiles:
         assert config.lp_speed_factors == SMMP_PROFILE.speed_factors
 
     def test_overrides_win(self):
-        config = RAID_PROFILE.config(gvt_period=123.0, events_per_turn=4)
+        config = RAID_PROFILE.config(gvt_period=123.0, max_executed_events=4)
         assert config.gvt_period == 123.0
-        assert config.events_per_turn == 4
+        assert config.max_executed_events == 4
 
     def test_profiles_differ(self):
         assert SMMP_PROFILE.speed_factors != RAID_PROFILE.speed_factors

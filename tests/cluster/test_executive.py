@@ -54,22 +54,6 @@ class TestClocks:
         assert slow.stats.busy_time > fast.stats.busy_time
 
 
-class TestEventBatching:
-    @pytest.mark.parametrize("ept", [1, 4, 32])
-    def test_events_per_turn_preserves_commits(self, ept):
-        config = SimulationConfig(events_per_turn=ept)
-        stats = TimeWarpSimulation(build_pingpong(50), config).run()
-        assert stats.committed_events == 50
-
-    def test_batching_reduces_executive_turns(self):
-        # Not directly observable; sanity check on identical results.
-        a = TimeWarpSimulation(build_pingpong(50),
-                               SimulationConfig(events_per_turn=1)).run()
-        b = TimeWarpSimulation(build_pingpong(50),
-                               SimulationConfig(events_per_turn=32)).run()
-        assert a.committed_events == b.committed_events
-
-
 class TestGVTHistory:
     def test_history_is_monotone_and_timestamped(self):
         tracer = Tracer.in_memory()

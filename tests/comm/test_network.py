@@ -1,7 +1,5 @@
 """Unit tests for the modelled Ethernet network."""
 
-import types
-
 import pytest
 
 from repro.cluster.costmodel import CostModel, NetworkModel
@@ -10,7 +8,7 @@ from repro.comm.message import MessageKind, PhysicalMessage
 from repro.comm.network import CHANNEL_EPSILON, Network, _jitter_unit
 from repro.comm.transport import CommModule
 from repro.gvt.mattern import ColourAgent
-from tests.helpers import make_event
+from tests.helpers import TransportHost, make_event
 
 
 def make_network(model=None, sink=None):
@@ -100,27 +98,32 @@ class TestInFlightTracking:
         assert net.min_in_flight_time() == 7.0
 
     def test_stats(self):
-        net, _ = make_network()
-        msg = data_msg()
-        net.send(msg, 0.0)
-        assert net.messages_sent == 1
-        assert net.events_carried == 1
-        assert net.bytes_sent == msg.size_bytes()
+        # the wire counts messages for conservation; the traffic totals
+        # are the sending host's
+        net, deliveries = make_network()
+        host = TransportHost()
+        comm = CommModule(host, net, CostModel(), NoAggregation())
+        comm.set_routing({1: 1})
+        comm.enqueue(make_event(receiver=1))
+        [(_dst, _at, msg)] = deliveries
+        assert net.messages_sent == host.stats.physical_messages_sent == 1
+        assert host.stats.physical_events_sent == 1
+        assert host.stats.physical_bytes_sent == msg.size_bytes()
 
     def test_send_observer_sees_data_only(self):
         # the sender's colour agent counts DATA only: control traffic
         # (the GVT star's own records) is never coloured
         net, deliveries = make_network()
-        host = types.SimpleNamespace(
-            lp_id=0, clock=0.0, agent=ColourAgent(), schedule_flush=None,
-            on_physical_sent=lambda cost: None,
-        )
+        host = TransportHost(agent=ColourAgent())
         host.agent.enter_round(3)
         comm = CommModule(host, net, CostModel(), NoAggregation())
         comm.set_routing({1: 1})
         comm.enqueue(make_event(receiver=1))
         comm.send_control(1, MessageKind.GVT_TOKEN, 1)
         assert host.agent.total_sent == 1
+        # the host's ledger counts both, and the control one carries no event
+        assert host.stats.physical_messages_sent == 2
+        assert host.stats.physical_events_sent == 1
         data, control = (msg for _dst, _at, msg in deliveries)
         assert (data.kind, data.colour) == (MessageKind.DATA, 3)
         assert control.colour == 0

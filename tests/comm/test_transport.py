@@ -8,28 +8,11 @@ from repro.comm.message import MessageKind
 from repro.comm.network import Network
 from repro.comm.transport import CommModule
 from repro.core.aggregation_controller import SAAWPolicy
-from tests.helpers import make_event
-
-
-class FakeHost:
-    lp_id = 0
-    agent = None
-
-    def __init__(self):
-        self.clock = 0.0
-        self.flushes = []
-        self.physical_sent = 0
-
-    def schedule_flush(self, dst_lp, at, generation):
-        self.flushes.append((dst_lp, at, generation))
-
-    def on_physical_sent(self, cost):
-        self.clock += cost
-        self.physical_sent += 1
+from tests.helpers import TransportHost, make_event
 
 
 def make_comm(policy=None, routing=None):
-    host = FakeHost()
+    host = TransportHost()
     deliveries = []
     network = Network(NetworkModel(), lambda dst, at, msg: deliveries.append(msg))
     comm = CommModule(host, network, CostModel(), policy or NoAggregation())
@@ -49,7 +32,8 @@ class TestUnaggregated:
         comm.enqueue(remote_event(serial=1))
         assert len(deliveries) == 2
         assert all(m.event_count() == 1 for m in deliveries)
-        assert comm.aggregates_sent == 2
+        assert host.stats.physical_messages_sent == 2
+        assert host.stats.physical_events_sent == 2
 
     def test_send_charges_host(self):
         comm, host, _ = make_comm()

@@ -242,7 +242,7 @@ class TestMatternEndToEnd:
     def test_colours_count_logical_messages_not_copies(self):
         """Over a wire that drops and duplicates (retransmission on), each
         logical DATA message is coloured once at send and counted once at
-        receive, so the agents' totals equal the messages the LPs sent."""
+        receive, so the agents' totals equal the messages the LPs took in."""
         config = SimulationConfig(
             gvt_algorithm="mattern", gvt_period=2_000.0, end_time=400.0,
             faults=FaultPlan(seed=3, rates=FaultRates(drop=0.2, duplicate=0.3)),
@@ -254,6 +254,6 @@ class TestMatternEndToEnd:
         assert counters.drops and counters.duplicates and counters.retransmissions
         sent = sum(lp.agent.total_sent for lp in sim.lps)
         received = sum(lp.agent.total_received for lp in sim.lps)
-        messages = sum(lp.comm.aggregates_sent for lp in sim.lps)
+        messages = sum(lp.stats.physical_messages_received for lp in sim.lps)
         assert sent == received == messages > 0
         assert sim.executive.gvt_algorithm.rounds_completed >= 1

@@ -6,7 +6,9 @@ from typing import Any, Callable, Sequence
 
 from repro import SequentialSimulation, SimulationConfig, TimeWarpSimulation
 from repro.kernel.event import Event
+from repro.kernel.lp import LogicalProcess
 from repro.kernel.simobject import SimulationObject
+from repro.stats.counters import LPStats
 from repro.verify import Scenario
 
 #: the differential smoke workload (``repro-bench parallel --app phold``)
@@ -52,6 +54,25 @@ def make_event(sender: int = 0, receiver: int = 1, send_time: float = 0.0,
                serial: int = 0, sign: int = 1) -> Event:
     return Event(sender=sender, receiver=receiver, send_time=send_time,
                  recv_time=recv_time, payload=payload, serial=serial, sign=sign)
+
+
+class TransportHost:
+    """A comm module's host without an LP around it: a clock to advance by
+    hand, the flush timers asked of it, and the LP's own send hook, which
+    counts into :attr:`stats` exactly as an LP does."""
+
+    lp_id = 0
+
+    def __init__(self, agent=None) -> None:
+        self.agent = agent
+        self.clock = 0.0
+        self.stats = LPStats()
+        self.flushes: list[tuple[int, float, int]] = []
+
+    def schedule_flush(self, dst_lp: int, at: float, generation: int) -> None:
+        self.flushes.append((dst_lp, at, generation))
+
+    on_physical_sent = LogicalProcess.on_physical_sent
 
 
 class Mailbox(list):

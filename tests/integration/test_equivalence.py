@@ -144,10 +144,6 @@ class TestPlatformEquivalence:
             lp_speed_factors={0: 1.0, 1: 3.0, 2: 1.0, 3: 5.0},
         )
 
-    @pytest.mark.parametrize("ept", [1, 4, 16])
-    def test_events_per_turn(self, ept):
-        assert_equivalent(raid, events_per_turn=ept, lp_speed_factors=SKEW)
-
     def test_everything_at_once(self):
         assert_equivalent(
             raid,
@@ -155,5 +151,5 @@ class TestPlatformEquivalence:
             checkpoint=lambda o: DynamicCheckpoint(period=8),
             aggregation=lambda lp: SAAWPolicy(),
             gvt_algorithm="mattern", gvt_period=4_000.0,
-            lp_speed_factors=SKEW, network=JITTERY, events_per_turn=4,
+            lp_speed_factors=SKEW, network=JITTERY,
         )

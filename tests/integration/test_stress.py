@@ -52,7 +52,6 @@ def test_kitchen_sink_soak():
         gvt_period=15_000.0,
         lp_speed_factors={1: 1.3, 2: 1.6, 3: 2.0, 4: 2.4},
         network=NetworkModel(jitter=0.5),
-        events_per_turn=4,
         tracer=tracer,
         external_script=[
             (50_000.0, set_cancellation_mode("phold-0", Mode.LAZY)),

@@ -38,10 +38,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SimulationConfig(gvt_period=0).validate()
 
-    def test_events_per_turn_positive(self):
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(events_per_turn=0).validate()
-
     def test_speed_factors_positive(self):
         with pytest.raises(ConfigurationError):
             SimulationConfig(lp_speed_factors={1: -1.0}).validate()

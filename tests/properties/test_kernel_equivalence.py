@@ -140,7 +140,6 @@ def configs(draw, n_objects=14):
         aggregation=draw(aggregations()),
         gvt_algorithm=draw(st.sampled_from(["omniscient", "mattern"])),
         gvt_period=draw(st.floats(1_000.0, 30_000.0)),
-        events_per_turn=draw(st.integers(1, 8)),
         lp_speed_factors=skew,
         network=NetworkModel(jitter=draw(st.floats(0.0, 0.8))),
         time_window=draw(time_windows()),

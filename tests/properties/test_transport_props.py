@@ -15,22 +15,7 @@ from repro.comm.aggregation import FixedWindow, NoAggregation
 from repro.comm.network import Network
 from repro.comm.transport import CommModule
 from repro.core.aggregation_controller import SAAWPolicy
-from tests.helpers import make_event
-
-
-class Host:
-    lp_id = 0
-    agent = None
-
-    def __init__(self):
-        self.clock = 0.0
-        self.flushes = []
-
-    def schedule_flush(self, dst_lp, at, generation):
-        self.flushes.append((dst_lp, at, generation))
-
-    def on_physical_sent(self, cost):
-        self.clock += cost
+from tests.helpers import TransportHost, make_event
 
 
 @st.composite
@@ -61,7 +46,7 @@ def test_channel_sequences_preserved(script):
         "saaw": lambda: SAAWPolicy(initial_window_us=window),
     }[policy_kind]()
 
-    host = Host()
+    host = TransportHost()
     delivered: list = []
     network = Network(
         NetworkModel(jitter=0.3),
