@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
-from ..apps.phold import PHOLDParams, build_phold
 from ..control.registry import KNOBS, dynamic_config_kwargs, get_knob
+from .ablations import PHOLD_SKEWED, phold_builder
 from .figures import LC, smmp_builder
 from .harness import SMMP_PROFILE, ExperimentProfile, RunResult, run_cell, scaled
 
@@ -31,13 +31,6 @@ SCHEMA_ABLATE = "repro-ablate-1"
 
 #: dynamic-vs-best-static tolerance on committed events/s ("within noise")
 DEFAULT_TOLERANCE = 0.05
-
-#: the skewed NOW of ablation A5: enough LVT skew that every controller
-#: has rollbacks to feed on
-PHOLD_ABLATE_PROFILE = ExperimentProfile(
-    "phold-skewed", speed_factors={1: 1.4, 2: 1.8, 3: 2.4}, jitter=0.4,
-    gvt_period=20_000.0,
-)
 
 
 @dataclass(frozen=True)
@@ -52,16 +45,13 @@ class AblateApp:
     make_kwargs: Callable[[float], dict]
 
 
-def _phold_build(scale: float) -> Callable:
-    params = PHOLDParams(n_objects=16, n_lps=4, jobs_per_object=4)
-    return lambda: build_phold(params)
-
-
 ABLATE_APPS: dict[str, AblateApp] = {
     "phold": AblateApp(
         name="phold",
-        profile=PHOLD_ABLATE_PROFILE,
-        make_build=_phold_build,
+        # the skewed NOW of ablation A5: enough LVT skew that every
+        # controller has rollbacks to feed on
+        profile=PHOLD_SKEWED,
+        make_build=lambda scale: phold_builder(),
         make_kwargs=lambda scale: {"end_time": 6_000.0 * scale / 0.1},
     ),
     "smmp": AblateApp(

@@ -67,15 +67,16 @@ SKEWED = ExperimentProfile(
 )
 
 
-def _phold_builder(**params):
-    """16 objects on 4 LPs, 4 jobs each: the rollback-heavy PHOLD of A1/A5."""
+def phold_builder(**params):
+    """16 objects on 4 LPs, 4 jobs each: the rollback-heavy PHOLD of A1/A5
+    and of the PHOLD sweeps of ``repro-bench ablate``."""
     phold = PHOLDParams(n_objects=16, n_lps=4, jobs_per_object=4, **params)
     return lambda: build_phold(phold)
 
 
 def ablation_checkpoint(scale: float = 0.1, replicates: int = 3) -> list[RunResult]:
     """A1: static chi U-curve and both dynamic policies, large-state PHOLD."""
-    build = _phold_builder(state_size_ints=256)
+    build = phold_builder(state_size_ints=256)
     common = dict(replicates=replicates, cancellation=LC,
                   end_time=8_000.0 * scale / 0.1)
     results = [
@@ -155,7 +156,7 @@ def ablation_gvt_period(scale: float = 0.1, replicates: int = 3) -> list[RunResu
 
 def ablation_time_window(scale: float = 0.1, replicates: int = 3) -> list[RunResult]:
     """A5: optimism throttling — static window sweep vs adaptive."""
-    build = _phold_builder()
+    build = phold_builder()
     common = dict(replicates=replicates, end_time=6_000.0 * scale / 0.1)
     results = [run_cell("unbounded", 0, build, PHOLD_SKEWED, **common)]
     results += [

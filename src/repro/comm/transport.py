@@ -34,9 +34,14 @@ class TransportHost(Protocol):
     @property
     def clock(self) -> float: ...
 
+    def charge(self, cost: float) -> None:
+        """Charge CPU ``cost`` to the host's wall clock."""
+        ...
+
     def on_physical_sent(self, message: PhysicalMessage, cost: float) -> None:
-        """``message`` left this host: charge its send-side CPU ``cost``
-        to the host's wall clock and count it, its events and its bytes."""
+        """DATA ``message`` left this host: charge its send-side CPU
+        ``cost`` to the host's wall clock and count it, its events and its
+        bytes."""
         ...
 
 
@@ -165,7 +170,9 @@ class CommModule:
         message = PhysicalMessage(
             src_lp=self.host.lp_id, dst_lp=dst_lp, kind=kind, control=control
         )
-        self.host.on_physical_sent(message, self.costs.physical_send(message._size))
+        # charged, not counted: the run's wire totals are data traffic,
+        # as on the process backend, whose GVT travels over its IPC
+        self.host.charge(self.costs.physical_send(message._size))
         self.network.send(message, self.host.clock)
 
     # ------------------------------------------------------------------ #

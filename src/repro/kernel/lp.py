@@ -57,7 +57,6 @@ class ObjectContext:
     oq: OutputQueue = field(default_factory=OutputQueue)
     sq: StateQueue = field(default_factory=StateQueue)
     lvt: VirtualTime = 0.0
-    event_count: int = 0
     events_since_save: int = 0
     send_serial: int = 0
     coasting: bool = False
@@ -72,7 +71,6 @@ class ObjectContext:
     #: (None: no such event); the next event that is not safe first
     #: saves the state it left
     unsaved_key: EventKey | None = None
-    comparisons_since_control: int = 0
     stats: ObjectStats = field(default_factory=ObjectStats)
     #: modelled CPU cost of executing one event here on the hosting LP
     exec_cost: float = 0.0
@@ -216,11 +214,7 @@ class LogicalProcess:
                 continue
             state = ctx.obj.state.copy()
             saved = SavedState(
-                last_key=None,
-                lvt=0.0,
-                event_count=0,
-                state=state,
-                size=state.size_bytes(),
+                last_key=None, lvt=0.0, state=state, size=state.size_bytes()
             )
             ctx.sq.save(saved)
             oracle = self.oracle
@@ -338,7 +332,6 @@ class LogicalProcess:
         stats.state_restores += 1
         ctx.obj.state = snapshot.state.copy()
         ctx.lvt = snapshot.lvt
-        ctx.event_count = snapshot.event_count
         ctx.events_since_save = 0
 
         oracle = self.oracle
@@ -409,7 +402,6 @@ class LogicalProcess:
                 ctx.ckpt_window.coast_events += 1
                 ctx.ckpt_window.coast_cost += cost
                 ctx.stats.coast_forward_events += 1
-                ctx.event_count += 1
                 ctx.events_since_save += 1
         finally:
             ctx.coasting = False
@@ -502,10 +494,8 @@ class LogicalProcess:
             else:
                 stats.lazy_aggressive_misses += 1
         ctx.cancel_policy.record(hit)
-        ctx.comparisons_since_control += 1
         period = ctx.cancel_policy.period
-        if period is not None and ctx.comparisons_since_control >= period:
-            ctx.comparisons_since_control = 0
+        if period is not None and stats.comparisons % period == 0:
             self.charge(self.costs.control_invocation_cost)
             stats.control_invocations += 1
             old_mode = ctx.mode
@@ -618,7 +608,6 @@ class LogicalProcess:
         except Exception as exc:
             raise ApplicationError(obj.name, event.recv_time, event.payload) from exc
         self.clock += ctx.exec_cost
-        ctx.event_count += 1
         stats = ctx.stats
         stats.events_executed += 1
         if at_once:
@@ -649,7 +638,7 @@ class LogicalProcess:
         size = state.size_bytes()
         cost = self.costs.state_save(size)
         self.clock += cost
-        saved = SavedState(key, ctx.lvt, ctx.event_count, state.copy(), cost, size)
+        saved = SavedState(key, ctx.lvt, state.copy(), size)
         ctx.sq.save(saved)
         oracle = self.oracle
         if oracle.enabled:

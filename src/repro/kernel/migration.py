@@ -3,10 +3,14 @@
 An :class:`ObjectCheckpoint` is a *canonical*, self-contained serial form
 of one simulation object's entire Time Warp context: application object
 and state, the three WARPED history queues, parked lazy-cancellation
-comparisons, pending anti-messages, and every kernel scalar (LVT, send
-serial, cancellation mode, checkpoint interval chi, controller phase).
-"Canonical" means two checkpoints of equivalent contexts pickle to the
-same bytes:
+comparisons, pending anti-messages, and every other field of its
+:class:`~repro.kernel.lp.ObjectContext` as it stands (LVT, send serial,
+cancellation mode and policy, checkpoint interval chi, policy and window,
+the key of an unsaved at-once streak, the object's counters).  The
+context's own field list is the list of what travels: :data:`CARRIED` is
+every field not named in :data:`NOT_CARRIED`, so a field added to
+``ObjectContext`` migrates with no edit here.  "Canonical" means two
+checkpoints of equivalent contexts pickle to the same bytes:
 
 * events are flattened to plain field tuples, so the checkpoint format
   does not depend on how :class:`Event` chooses to pickle itself;
@@ -29,20 +33,33 @@ messages addressed to it must be drained or forwarded
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from dataclasses import dataclass
 from typing import Any
 
-from .cancellation import Mode
-from .checkpointing import CheckpointWindow
 from .errors import SchedulingError
 from .event import Event, EventKey, SentRecord, VirtualTime
-from .lp import INITIAL_KEY, LogicalProcess, ObjectContext
+from .lp import LogicalProcess, ObjectContext
 from .state import SavedState
-from ..stats.counters import ObjectStats
 
 #: pinned pickle protocol so checkpoint bytes are stable across runs
 PICKLE_PROTOCOL = 4
+
+#: the :class:`ObjectContext` fields a checkpoint does not carry as they
+#: stand: the object and its id (fields of their own), the four history
+#: structures (flattened canonically below), the per-host execution
+#: price (``LogicalProcess.adopt`` re-prices it) and the two fields that
+#: only mean something mid-event (a checkpointed object is quiescent)
+NOT_CARRIED = frozenset({
+    "obj", "oid", "iq", "oq", "sq", "cmp_buffer", "exec_cost",
+    "coasting", "current_cause_key",
+})
+
+#: every other field, in declaration order, copied out and back as is
+CARRIED: tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(ObjectContext) if f.name not in NOT_CARRIED
+)
 
 #: (sender, receiver, send_time, recv_time, payload, serial, sign)
 EventTuple = tuple[int, int, VirtualTime, VirtualTime, Any, int, int]
@@ -64,24 +81,11 @@ class ObjectCheckpoint:
     """Canonical serialized form of one object's Time Warp context."""
 
     oid: int
-    name: str
     #: the application object, pickled with services unbound
     obj_blob: bytes
-
-    # kernel scalars
-    lvt: VirtualTime
-    event_count: int
-    events_since_save: int
-    send_serial: int
-    mode: Mode
-    chi: int
-    comparisons_since_control: int
-
-    # policies and controller state (plain objects; deterministic pickles)
-    cancel_policy: Any
-    ckpt_policy: Any
-    ckpt_window: CheckpointWindow
-    stats: ObjectStats
+    #: ``(name, value)`` for each :data:`CARRIED` field (policies and
+    #: counters are plain objects with deterministic pickles)
+    context: tuple[tuple[str, Any], ...]
 
     #: live unprocessed events, sorted by :class:`EventKey`
     future: tuple[EventTuple, ...]
@@ -91,9 +95,8 @@ class ObjectCheckpoint:
     pending_antis: tuple[EventTuple, ...]
     #: output-queue records in send order: (event, cause_key)
     sent: tuple[tuple[EventTuple, EventKey], ...]
-    #: state snapshots oldest-first: (last_key, lvt, event_count, state,
-    #: save_cost)
-    states: tuple[tuple[EventKey | None, VirtualTime, int, Any, float], ...]
+    #: state snapshots oldest-first: (last_key, lvt, state)
+    states: tuple[tuple[EventKey | None, VirtualTime, Any], ...]
     #: unresolved comparison-buffer entries in park order:
     #: (event, cause_key, lazy)
     comparisons: tuple[tuple[EventTuple, EventKey, bool], ...]
@@ -149,9 +152,7 @@ def checkpoint_object(ctx: ObjectContext) -> ObjectCheckpoint:
         for record in ctx.oq.records
     )
     states = tuple(
-        (entry.last_key, entry.lvt, entry.event_count, entry.state,
-         entry.save_cost)
-        for entry in ctx.sq.entries
+        (entry.last_key, entry.lvt, entry.state) for entry in ctx.sq.entries
     )
     unresolved = sorted(
         (entry for _, _, entry in ctx.cmp_buffer._by_key if not entry.resolved),
@@ -163,19 +164,8 @@ def checkpoint_object(ctx: ObjectContext) -> ObjectCheckpoint:
     )
     return ObjectCheckpoint(
         oid=ctx.oid,
-        name=obj.name,
         obj_blob=obj_blob,
-        lvt=ctx.lvt,
-        event_count=ctx.event_count,
-        events_since_save=ctx.events_since_save,
-        send_serial=ctx.send_serial,
-        mode=ctx.mode,
-        chi=ctx.chi,
-        comparisons_since_control=ctx.comparisons_since_control,
-        cancel_policy=ctx.cancel_policy,
-        ckpt_policy=ctx.ckpt_policy,
-        ckpt_window=ctx.ckpt_window,
-        stats=ctx.stats,
+        context=tuple((name, getattr(ctx, name)) for name in CARRIED),
         future=future,
         processed=processed,
         pending_antis=pending_antis,
@@ -225,21 +215,7 @@ def restore_object(
         raise SchedulingError(
             f"LP {lp.lp_id} already hosts object {ckpt.oid}"
         )
-    obj = pickle.loads(ckpt.obj_blob)
-    ctx = ObjectContext(obj=obj, oid=ckpt.oid)
-    ctx.lvt = ckpt.lvt
-    ctx.event_count = ckpt.event_count
-    ctx.events_since_save = ckpt.events_since_save
-    ctx.send_serial = ckpt.send_serial
-    ctx.mode = ckpt.mode
-    ctx.chi = ckpt.chi
-    ctx.comparisons_since_control = ckpt.comparisons_since_control
-    ctx.cancel_policy = ckpt.cancel_policy
-    ctx.ckpt_policy = ckpt.ckpt_policy
-    ctx.ckpt_window = ckpt.ckpt_window
-    ctx.stats = ckpt.stats
-    ctx.current_cause_key = INITIAL_KEY
-    ctx.coasting = False
+    ctx = ObjectContext(pickle.loads(ckpt.obj_blob), ckpt.oid, **dict(ckpt.context))
 
     iq = ctx.iq
     for fields in ckpt.processed:
@@ -253,11 +229,8 @@ def restore_object(
             SentRecord(event=_event_from(fields), cause_key=cause_key)
         )
     # sizes are not part of the canonical form: measure each snapshot here
-    for last_key, lvt, event_count, state, save_cost in ckpt.states:
-        ctx.sq.entries.append(SavedState(
-            last_key=last_key, lvt=lvt, event_count=event_count,
-            state=state, save_cost=save_cost, size=state.size_bytes(),
-        ))
+    for last_key, lvt, state in ckpt.states:
+        ctx.sq.entries.append(SavedState(last_key, lvt, state, state.size_bytes()))
     # re-park in original order: fresh seqs, same relative expiry order
     for fields, cause_key, is_lazy in ckpt.comparisons:
         record = SentRecord(event=_event_from(fields), cause_key=cause_key)

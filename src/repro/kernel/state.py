@@ -270,22 +270,18 @@ class SavedState:
             snapshot).  Rollback selects the newest snapshot whose
             ``last_key`` precedes the straggler.
         lvt: the object's LVT at snapshot time.
-        event_count: number of events the object had executed in total —
-            used to restore the periodic-checkpoint phase counter.
         state: the snapshot itself (an independent copy).
-        save_cost: modelled CPU cost charged when the snapshot was taken
-            (recorded so the checkpoint controller's cost index can be
-            audited per entry).
         size: ``state.size_bytes()``, measured once when the snapshot is
             made; the restore charge and the memory high-water marks read
             it instead of walking the state again.
+
+    What a save cost is charged to the LP's clock and counted in the
+    object's :class:`~.checkpointing.CheckpointWindow`, not kept here.
     """
 
     last_key: EventKey | None
     lvt: VirtualTime
-    event_count: int
     state: AppState
-    save_cost: float = 0.0
     size: int = 0
 
     def precedes(self, key: EventKey) -> bool:

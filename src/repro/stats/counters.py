@@ -59,8 +59,8 @@ class ObjectStats:
 class LPStats:
     """Per-LP counters (comm + GVT live here; object work aggregates up)."""
 
-    #: every physical message that left this LP (DATA and control), the
-    #: events they carried and their wire bytes
+    #: every DATA message that left this LP, the events they carried and
+    #: their wire bytes (control records are charged, not counted)
     physical_messages_sent: int = 0
     physical_events_sent: int = 0
     physical_bytes_sent: int = 0

@@ -121,8 +121,9 @@ class TestInFlightTracking:
         comm.enqueue(make_event(receiver=1))
         comm.send_control(1, MessageKind.GVT_TOKEN, 1)
         assert host.agent.total_sent == 1
-        # the host's ledger counts both, and the control one carries no event
-        assert host.stats.physical_messages_sent == 2
+        # the host's ledger counts the DATA message only: control is
+        # charged to the clock, not counted as wire traffic
+        assert host.stats.physical_messages_sent == 1
         assert host.stats.physical_events_sent == 1
         data, control = (msg for _dst, _at, msg in deliveries)
         assert (data.kind, data.colour) == (MessageKind.DATA, 3)

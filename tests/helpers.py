@@ -58,8 +58,8 @@ def make_event(sender: int = 0, receiver: int = 1, send_time: float = 0.0,
 
 class TransportHost:
     """A comm module's host without an LP around it: a clock to advance by
-    hand, the flush timers asked of it, and the LP's own send hook, which
-    counts into :attr:`stats` exactly as an LP does."""
+    hand, the flush timers asked of it, and the LP's own charge and send
+    hooks, which count into :attr:`stats` exactly as an LP does."""
 
     lp_id = 0
 
@@ -72,6 +72,7 @@ class TransportHost:
     def schedule_flush(self, dst_lp: int, at: float, generation: int) -> None:
         self.flushes.append((dst_lp, at, generation))
 
+    charge = LogicalProcess.charge
     on_physical_sent = LogicalProcess.on_physical_sent
 
 

@@ -42,7 +42,8 @@ class TestPhasedRun:
         sim = phased_sim()
         sim.advance_to(500.0)
         processed_mid = sum(
-            ctx.event_count for lp in sim.lps for ctx in lp.members.values()
+            ctx.stats.events_executed - ctx.stats.events_rolled_back
+            for lp in sim.lps for ctx in lp.members.values()
         )
         assert processed_mid > 0
         stats = sim.finish()
@@ -85,8 +86,8 @@ class TestPhasedRun:
         sim = TimeWarpSimulation(build_pingpong(200, delay=10.0), config)
         sim.advance_to(105.0)
         # exactly 10 exchanges fit below t=105
-        executed = sum(ctx.event_count for lp in sim.lps
-                       for ctx in lp.members.values())
+        executed = sum(ctx.stats.events_executed - ctx.stats.events_rolled_back
+                       for lp in sim.lps for ctx in lp.members.values())
         assert executed == 10
         stats = sim.finish()
         assert stats.committed_events == 100  # horizon 1000 cuts at 100

@@ -19,11 +19,10 @@ class _State:
         return 8
 
 
-def snap(last_event=None, lvt=0.0, count=0):
+def snap(last_event=None, lvt=0.0):
     return SavedState(
         last_key=None if last_event is None else last_event.key(),
         lvt=lvt,
-        event_count=count,
         state=_State(),
     )
 

@@ -136,12 +136,12 @@ class TestRecordStateSize:
 
 class TestSavedState:
     def test_initial_snapshot_precedes_everything(self):
-        snap = SavedState(last_key=None, lvt=0.0, event_count=0, state=DemoState())
+        snap = SavedState(last_key=None, lvt=0.0, state=DemoState())
         assert snap.precedes(make_event(recv_time=0.0).key())
 
     def test_precedes_is_strict(self):
         key = make_event(recv_time=5.0).key()
-        snap = SavedState(last_key=key, lvt=5.0, event_count=1, state=DemoState())
+        snap = SavedState(last_key=key, lvt=5.0, state=DemoState())
         assert not snap.precedes(key)
         assert snap.precedes(make_event(recv_time=5.5).key())
         assert not snap.precedes(make_event(recv_time=4.5).key())

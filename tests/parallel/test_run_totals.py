@@ -25,6 +25,13 @@ def _modelled():
     return TimeWarpSimulation(build_phold(PARAMS), config)
 
 
+def _modelled_mattern():
+    # the GVT star's control records are charged, not counted as traffic
+    config = SimulationConfig(end_time=END_TIME, lp_speed_factors={1: 1.7},
+                              gvt_algorithm="mattern")
+    return TimeWarpSimulation(build_phold(PARAMS), config)
+
+
 def _conservative():
     return ConservativeSimulation(build_phold(PARAMS), SimulationConfig(end_time=END_TIME))
 
@@ -36,8 +43,8 @@ def _parallel():
     return ParallelSimulation(build_phold(PARAMS), config, timeout_s=60.0)
 
 
-@pytest.mark.parametrize("make", [_modelled, _conservative, _parallel],
-                         ids=["modelled", "conservative", "parallel-2w"])
+@pytest.mark.parametrize("make", [_modelled, _modelled_mattern, _conservative, _parallel],
+                         ids=["modelled", "modelled-mattern", "conservative", "parallel-2w"])
 def test_wire_totals_balance_and_busy_time_is_the_clock_less_idle(make, monkeypatch):
     folded = {}
     fold_lp = RunStats.fold_lp

@@ -9,16 +9,17 @@ must reproduce the identical bytes, and a restored object must behave
 exactly like one that never moved.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.cluster.costmodel import CostModel
+from repro.kernel import migration
 from repro.kernel.cancellation import Mode, StaticCancellation
-from repro.kernel.checkpointing import StaticCheckpoint
-from repro.kernel.event import Event
-from repro.kernel.lp import LogicalProcess
+from repro.kernel.checkpointing import CheckpointWindow, StaticCheckpoint
+from repro.kernel.event import Event, EventKey
+from repro.kernel.lp import LogicalProcess, ObjectContext
 from repro.kernel.migration import (
     ObjectCheckpoint,
     checkpoint_object,
@@ -27,6 +28,7 @@ from repro.kernel.migration import (
 )
 from repro.kernel.simobject import SimulationObject
 from repro.kernel.state import RecordState
+from repro.stats.counters import ObjectStats
 
 NAMES = ("a", "b")
 
@@ -182,3 +184,52 @@ class TestMovedObjectsBehave:
             assert actual.obj.state.log == expected.obj.state.log
             assert actual.obj.state.seen == expected.obj.state.seen
             assert actual.lvt == expected.lvt
+
+
+#: a value unlike the default for every field a checkpoint carries
+CARRIED_VALUES = {
+    "lvt": 42.5,
+    "events_since_save": 3,
+    "send_serial": 7,
+    "mode": Mode.LAZY,
+    "cancel_policy": StaticCancellation(Mode.LAZY, monitor=True, hits=2, misses=1),
+    "ckpt_policy": StaticCheckpoint(5),
+    "chi": 5,
+    "ckpt_window": CheckpointWindow(events=4, saves=1, save_cost=2.5, rollbacks=1),
+    # an at-once streak ended at t=41 and its state is not saved yet
+    "unsaved_key": EventKey(41.0, 0, 1, 40.0, 3),
+    "stats": ObjectStats(events_executed=9, events_committed_at_once=2, comparisons=4),
+}
+
+
+class TestCarriedContext:
+    """A checkpoint carries ``ObjectContext`` by the context's own field
+    list, so no field is left behind by a hand-kept copy."""
+
+    def test_carried_is_the_context_less_the_named_exclusions(self):
+        excluded = {
+            "obj", "oid", "iq", "oq", "sq", "cmp_buffer", "exec_cost",
+            "coasting", "current_cause_key",
+        }
+        assert migration.NOT_CARRIED == excluded
+        assert migration.CARRIED == tuple(
+            f.name for f in fields(ObjectContext) if f.name not in excluded
+        )
+        assert set(CARRIED_VALUES) == set(migration.CARRIED)
+
+    def test_every_carried_field_survives_the_wire(self):
+        lp = fresh_lp(0, Mode.AGGRESSIVE, 1)
+        ctx = lp.members[0]
+        default = ObjectContext(Echo("a", "b"), 0)
+        for name, value in CARRIED_VALUES.items():
+            assert getattr(default, name) != value, name
+            setattr(ctx, name, value)
+        blob = checkpoint_object(ctx).to_bytes()
+        target = LogicalProcess(
+            7, CostModel(),
+            resolve_name=lambda name: NAMES.index(name),
+            lp_of=lambda _oid: 7,
+        )
+        restored = restore_object(target, ObjectCheckpoint.from_bytes(blob))
+        for name, value in CARRIED_VALUES.items():
+            assert getattr(restored, name) == value, name
