@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING
 
+from ..comm.aggregation import FixedWindow, NoAggregation
 from ..comm.message import MessageKind, PhysicalMessage
 from ..comm.network import Network
-from ..core.window_controller import WindowObservation
+from ..core.window_controller import StaticTimeWindow, WindowObservation
 from ..gvt.manager import GVTAlgorithm
 from ..kernel.errors import SchedulingError, TerminationError
 from ..kernel.lp import LogicalProcess
@@ -35,8 +36,7 @@ _DELIVER = 0
 _TURN = 1
 _FLUSH = 2
 _GVT_TICK = 3
-_EXTERNAL = 4
-_CALLBACK = 5
+_CALLBACK = 4
 
 
 class Executive:
@@ -87,6 +87,12 @@ class Executive:
         self.routing: dict[int, int] | None = None
         #: objects moved between LPs by :meth:`migrate_object`
         self.migrations = 0
+        #: GVT commits that advanced GVT so far
+        self.commits = 0
+        #: the run script's ``set`` steps as ``(knob, target, value)`` by
+        #: the commit they are due at; filled by the kernel, which
+        #: resolves object names to ids
+        self.steps: dict[int, list[tuple[str, object, object]]] = {}
         self.wallclock = 0.0
         self.terminated = False
         #: structured observability tracer (repro.trace); set by the kernel
@@ -172,8 +178,6 @@ class Executive:
         for lp in self.lps:
             self._schedule_turn(lp)
         self._schedule_gvt_tick(self.gvt_period)
-        for when, adjustment in self.config.external_script:
-            self._push(when, _EXTERNAL, adjustment)
 
     def resume(self) -> None:
         """Re-arm the schedule after a quiescent pause (phased execution):
@@ -186,6 +190,7 @@ class Executive:
         self._schedule_gvt_tick(self.wallclock + self.gvt_period)
 
     def on_new_gvt(self, estimate: float) -> None:
+        self.commits += 1
         oracle = self.oracle
         if oracle.enabled:
             oracle.on_wire_check(self.wallclock, self.network)
@@ -193,6 +198,42 @@ class Executive:
             self._run_window_control(estimate)
         if self.meta is not None:
             self.meta.on_gvt(self, estimate)
+        if self.steps and self.commits in self.steps:
+            self._run_steps(self.steps.pop(self.commits))
+
+    def _run_steps(self, steps: list[tuple[str, object, object]]) -> None:
+        """External adjustment (paper reference [26]): set knobs from the
+        run script, then wake every LP a new setting may have unblocked."""
+        for knob, target, value in steps:
+            if knob == "checkpoint":
+                self._context(target).chi = value
+            elif knob == "cancellation":
+                ctx = self._context(target)
+                if ctx.mode is not value:
+                    ctx.mode = value
+                    ctx.stats.mode_switches += 1
+            elif knob == "aggregation":
+                # a fixed policy, so the next aggregate does not resize
+                # it; anything buffered flushes on its old schedule
+                comm = self.lps[target].comm
+                comm.policy = (
+                    NoAggregation() if value is None else FixedWindow(value)
+                )
+                comm.window = value or 0.0
+            else:  # time_window: a static width, re-anchored every round
+                self.window_policy = (
+                    None if value is None else StaticTimeWindow(value)
+                )
+                self._window_width = value
+                bound = float("inf") if value is None else self.gvt + value
+                for lp in self.lps:
+                    lp.optimism_bound = bound
+        for lp in self.lps:
+            if lp.has_work():
+                self._schedule_turn(lp)
+
+    def _context(self, oid: int):
+        return self.lps[self.routing[oid]].members[oid]
 
     def _run_window_control(self, gvt: float) -> None:
         """Extension: adapt and re-anchor the optimism window at each GVT."""
@@ -282,12 +323,6 @@ class Executive:
                 self._handle_turn(when, data)  # type: ignore[arg-type]
             elif kind == _FLUSH:
                 self._handle_flush(when, data)  # type: ignore[arg-type]
-            elif kind == _EXTERNAL:
-                # external runtime adjustment (paper reference [26])
-                data(self)  # type: ignore[operator]
-                for lp in self.lps:
-                    if lp.has_work():
-                        self._schedule_turn(lp)
             elif kind == _CALLBACK:
                 self._pending_callbacks -= 1
                 data(when)  # type: ignore[operator]

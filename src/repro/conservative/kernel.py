@@ -33,8 +33,8 @@ every kernel.
 
 It takes the other drivers' ``SimulationConfig`` and builds its LPs with
 the same ``host_lp``.  It ignores the GVT fields and ``workers``; it
-refuses the ``EXECUTIVE_ONLY`` fields, any ``backend`` but
-``"modelled"`` and ``placement="dynamic"`` in one
+refuses the ``EXECUTIVE_ONLY`` fields, any ``script``, any ``backend``
+but ``"modelled"`` and ``placement="dynamic"`` in one
 ``ConfigurationError``; it reads every other field (``aggregation``
 ships once per round, and nothing below the bound uses ``checkpoint``
 or ``cancellation``).
@@ -56,7 +56,9 @@ class ConservativeSimulation:
 
     def __init__(self, partition: Partition, config: SimulationConfig | None = None) -> None:
         self.config = config = config or SimulationConfig()
-        refused = [name for name in EXECUTIVE_ONLY if getattr(config, name)]
+        refused = [
+            name for name in EXECUTIVE_ONLY + ("script",) if getattr(config, name)
+        ]
         if config.backend != "modelled":
             refused.append(f"backend={config.backend!r}")
         if config.placement == "dynamic":
@@ -87,7 +89,7 @@ class ConservativeSimulation:
             # so each commits at once: no rollback, no snapshot zero
             lp.commit_bound = float("inf")
         #: the comm modules that buffer (a window opens only at
-        #: construction: ``external_script`` is refused here)
+        #: construction: a ``script`` is refused here)
         self._buffering = [lp.comm for lp in self.lps if lp.comm.window > 0]
         self.trace = committed_trace(config, self.objects, self.lps)
         self.rounds = 0

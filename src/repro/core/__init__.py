@@ -17,12 +17,6 @@ from .cancellation_controller import (
     single_threshold,
 )
 from .checkpoint_controller import DynamicCheckpoint, HillClimbCheckpoint
-from .external import (
-    set_aggregation_window,
-    set_cancellation_mode,
-    set_checkpoint_interval,
-    set_optimism_window,
-)
 from .filters import SampleWindow
 from .thresholding import DeadZoneThreshold
 from .window_controller import (
@@ -46,8 +40,4 @@ __all__ = [
     "StaticTimeWindow",
     "TimeWindowPolicy",
     "WindowObservation",
-    "set_aggregation_window",
-    "set_cancellation_mode",
-    "set_checkpoint_interval",
-    "set_optimism_window",
 ]

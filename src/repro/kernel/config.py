@@ -54,13 +54,16 @@ def default_aggregation(_lp_id: int) -> "AggregationPolicy":
     return NoAggregation()
 
 
-_CHURN_KINDS = ("migrate", "join", "leave")
+#: step kinds of a run script (:attr:`SimulationConfig.script`) per
+#: backend: the modelled executive changes knobs, the process backend
+#: moves objects and grows or shrinks its worker pool
+STEP_KINDS = {"modelled": ("set",), "parallel": ("migrate", "join", "leave")}
 
 #: :class:`SimulationConfig` fields only the modelled executive honours:
 #: the process backend and the conservative driver refuse them when set
-#: (truthy: their defaults are ``None`` and ``[]``) instead of silently
-#: ignoring them.
-EXECUTIVE_ONLY = ("faults", "time_window", "meta_control", "external_script")
+#: (truthy: their defaults are ``None``) instead of silently ignoring
+#: them.
+EXECUTIVE_ONLY = ("faults", "time_window", "meta_control")
 
 #: the fields ``backend="parallel"`` refuses: :data:`EXECUTIVE_ONLY`, and
 #: the in-process trace and tracer (a shard traces to
@@ -70,49 +73,94 @@ EXECUTIVE_ONLY = ("faults", "time_window", "meta_control", "external_script")
 PARALLEL_UNSUPPORTED = EXECUTIVE_ONLY + ("record_trace", "tracer")
 
 
-def validate_churn_plan(plan: dict) -> None:
-    """Structurally validate a churn plan (see :attr:`SimulationConfig.churn`).
-
-    Raises :class:`ConfigurationError` on malformed plans; semantic
-    impossibilities (e.g. a ``leave`` when one worker remains) are legal
-    here and skipped at run time.
-    """
-    if not isinstance(plan, dict):
-        raise ConfigurationError("churn must be a dict")
-    unknown = set(plan) - {"seed", "steps"}
-    if unknown:
+def step_value(step: dict):
+    """The value a ``set`` step assigns, in the knob's own type: the
+    cancellation mode arrives as its JSON string."""
+    if step["knob"] != "cancellation":
+        return step["value"]
+    try:
+        return Mode(step["value"])
+    except ValueError:
         raise ConfigurationError(
-            f"unknown churn key(s): {sorted(unknown)}"
-        )
-    seed = plan.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigurationError("churn seed must be an int")
-    steps = plan.get("steps", [])
+            f"unknown cancellation mode {step['value']!r} "
+            f"(known: {', '.join(m.value for m in Mode)})"
+        ) from None
+
+
+def validate_script(script: dict, backend: str) -> None:
+    """Validate a run script (see :attr:`SimulationConfig.script`).
+
+    Raises :class:`ConfigurationError` on a malformed script or on a step
+    kind ``backend`` does not run.  A ``set`` step's value is checked by
+    its knob's :class:`~repro.control.spec.KnobSpec`; the names of object
+    targets are resolved when the simulation is built.  Impossible
+    parallel steps (a ``leave`` when one worker remains) are legal here
+    and skipped at run time.
+    """
+    from ..control.registry import get_knob
+
+    if not isinstance(script, dict):
+        raise ConfigurationError("script must be a dict")
+    unknown = set(script) - {"seed", "steps"}
+    if unknown:
+        raise ConfigurationError(f"unknown script key(s): {sorted(unknown)}")
+    if not isinstance(script.get("seed", 0), int):
+        raise ConfigurationError("script seed must be an int")
+    steps = script.get("steps", [])
     if not isinstance(steps, (list, tuple)):
-        raise ConfigurationError("churn steps must be a list")
+        raise ConfigurationError("script steps must be a list")
+    kinds = STEP_KINDS.get(backend, ())
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
-            raise ConfigurationError(f"churn step {i} must be a dict")
-        extra = set(step) - {"at", "kind", "count"}
-        if extra:
-            raise ConfigurationError(
-                f"churn step {i}: unknown key(s) {sorted(extra)}"
-            )
+            raise ConfigurationError(f"script step {i} must be a dict")
         at = step.get("at")
         if not isinstance(at, int) or at < 1:
             raise ConfigurationError(
-                f"churn step {i}: 'at' must be a GVT-commit index >= 1"
+                f"script step {i}: 'at' must be a GVT-commit index >= 1"
             )
         kind = step.get("kind")
-        if kind not in _CHURN_KINDS:
+        if kind not in kinds:
             raise ConfigurationError(
-                f"churn step {i}: unknown kind {kind!r} "
-                f"(known: {', '.join(_CHURN_KINDS)})"
+                f"script step {i}: backend {backend!r} does not run step "
+                f"kind {kind!r} (it runs: {', '.join(kinds) or 'none'})"
             )
-        count = step.get("count", 1)
-        if not isinstance(count, int) or count < 1:
+        allowed = (
+            {"at", "kind", "knob", "target", "value"} if kind == "set"
+            else {"at", "kind", "count"}
+        )
+        extra = set(step) - allowed
+        if extra:
             raise ConfigurationError(
-                f"churn step {i}: 'count' must be an int >= 1"
+                f"script step {i}: unknown key(s) {sorted(extra)}"
+            )
+        if kind != "set":
+            count = step.get("count", 1)
+            if not isinstance(count, int) or count < 1:
+                raise ConfigurationError(
+                    f"script step {i}: 'count' must be an int >= 1"
+                )
+            continue
+        spec = get_knob(step.get("knob"))
+        if spec.meta_managed:
+            raise ConfigurationError(
+                f"script step {i}: knob {spec.name!r} belongs to the "
+                "MetaController, not to a set step"
+            )
+        if "value" not in step:
+            raise ConfigurationError(f"script step {i}: 'value' is missing")
+        spec.validate_value(step_value(step))
+        target = step.get("target")
+        if spec.target == "global":
+            valid, wants = "target" not in step, "no 'target'"
+        elif spec.target == "lp":
+            valid = isinstance(target, int) and target >= 0
+            wants = "an LP id as 'target'"
+        else:
+            valid, wants = isinstance(target, str), "an object name as 'target'"
+        if not valid:
+            raise ConfigurationError(
+                f"script step {i}: knob {spec.name!r} takes {wants}, "
+                f"got {target!r}"
             )
 
 
@@ -158,10 +206,6 @@ class SimulationConfig:
     #: ``lambda: MetaController()``.  ``None`` = those knobs stay static.
     meta_control: MetaControlFactory | None = None
 
-    #: external runtime adjustments (paper reference [26]): a list of
-    #: ``(wallclock_us, adjustment)`` pairs; see :mod:`repro.core.external`
-    external_script: list = field(default_factory=list)
-
     #: optional :class:`repro.trace.Tracer` receiving structured records
     #: for every controller decision, rollback, GVT round, fossil
     #: collection and transport flush (docs/observability.md).  ``None``
@@ -203,11 +247,14 @@ class SimulationConfig:
     #: ``placement`` knob).
     placement: str = "static"
 
-    #: optional scripted churn plan for the parallel backend: seeded
-    #: migration / worker-join / worker-leave steps executed at GVT
-    #: commits, e.g. ``{"seed": 7, "steps": [{"at": 1, "kind": "migrate",
-    #: "count": 2}, {"at": 2, "kind": "leave"}]}`` (docs/parallel.md).
-    churn: "dict | None" = None
+    #: optional run script: seeded steps, each due at the ``at``-th GVT
+    #: commit that advances GVT.  The modelled executive runs ``set``
+    #: steps (external knob adjustment, paper reference [26]), e.g.
+    #: ``{"at": 3, "kind": "set", "knob": "checkpoint", "target":
+    #: "disk-0", "value": 16}``; the process backend runs ``migrate``,
+    #: ``join`` and ``leave`` steps (docs/parallel.md).  See
+    #: :data:`STEP_KINDS` and :func:`validate_script`.
+    script: "dict | None" = None
 
     def validate(self) -> None:
         if self.backend not in ("modelled", "parallel"):
@@ -242,14 +289,8 @@ class SimulationConfig:
                 f"unknown placement {self.placement!r} "
                 "(known: 'static', 'dynamic')"
             )
-        if self.churn is not None:
-            if self.backend != "parallel":
-                raise ConfigurationError(
-                    "churn plans script live migration and worker "
-                    "join/leave, which only the parallel backend executes "
-                    "(docs/parallel.md)"
-                )
-            validate_churn_plan(self.churn)
+        if self.script is not None:
+            validate_script(self.script, self.backend)
 
     def costs_for_lp(self, lp_id: int) -> CostModel:
         factor = self.lp_speed_factors.get(lp_id, 1.0)

@@ -20,7 +20,7 @@ from ..gvt.mattern import MatternGVT
 from ..oracle.invariants import NULL_ORACLE
 from ..stats.counters import CommittedTrace, RunStats, TraceRow
 from ..trace.tracer import NULL_TRACER
-from .config import SimulationConfig
+from .config import SimulationConfig, step_value
 from .errors import ConfigurationError, SchedulingError
 from .event import Event
 from .lp import LogicalProcess
@@ -176,6 +176,20 @@ class TimeWarpSimulation:
             MatternGVT if self.config.gvt_algorithm == "mattern" else OmniscientGVT
         )
         self.executive.gvt_algorithm = gvt_class(self.executive)
+
+        # --- the run script's knob settings (DESIGN.md S24) --------------
+        for step in (self.config.script or {}).get("steps", ()):
+            target = step.get("target")
+            if isinstance(target, str):
+                target = self._resolve(target)
+            elif target is not None and target >= len(self.lps):
+                raise ConfigurationError(
+                    f"script sets {step['knob']!r} on LP {target}, but the "
+                    f"partition has {len(self.lps)} LP(s)"
+                )
+            self.executive.steps.setdefault(step["at"], []).append(
+                (step["knob"], target, step_value(step))
+            )
 
         # --- optional unified control plane (docs/control.md) -------------
         self.meta = None

@@ -155,15 +155,15 @@ class ParallelSimulation:
         self.partition_quality: dict | None = None
 
         # --- elastic pool state (docs/parallel.md) -----------------------
-        churn = self.config.churn or {}
-        #: GVT-commit index -> scripted churn steps due at that commit
-        self._churn_steps: dict[int, list[dict]] = {}
-        for step in churn.get("steps", []):
-            self._churn_steps.setdefault(step["at"], []).append(step)
-        self._churn_rng = random.Random(churn.get("seed", 0))
+        script = self.config.script or {}
+        #: GVT-commit index -> the run script's steps due at that commit
+        self._steps: dict[int, list[dict]] = {}
+        for step in script.get("steps", []):
+            self._steps.setdefault(step["at"], []).append(step)
+        self._rng = random.Random(script.get("seed", 0))
         self._join_budget = sum(
             1
-            for steps in self._churn_steps.values()
+            for steps in self._steps.values()
             for step in steps
             if step["kind"] == "join"
         )
@@ -175,8 +175,6 @@ class ParallelSimulation:
         self.worker_timeline: list[tuple[int, int]] = [(0, self.workers)]
         self.migrations_in = 0
         self.migrations_out = 0
-        self.churn_executed = 0
-        self.churn_skipped = 0
         #: ``placement="dynamic"``: the controller the modelled MetaController
         #: drives, fed from ``ShardReport.loads``; ``history`` has its decisions
         self.placement = (
@@ -319,10 +317,6 @@ class ParallelSimulation:
             self._destroy_rings()
             self._wakes.close()
 
-        for steps in self._churn_steps.values():
-            # only reachable when the run committed no GVT at all —
-            # quiescence with commits fires leftovers in _drive
-            self.churn_skipped += len(steps)
         payloads.update(self._retired_payloads)
         self.wall_s = time.perf_counter() - started
         self.gvt_rounds_run = coordinator.rounds_completed
@@ -366,7 +360,7 @@ class ParallelSimulation:
         """GVT rounds until a round proves quiescence.
 
         Returns ``(final RoundResult, committed GVT or None)``.
-        Elastic epochs (scripted churn steps, dynamic-placement
+        Elastic epochs (run-script steps, dynamic-placement
         rebalancing) run strictly between rounds, right after a commit.
         """
         committed: float | None = None
@@ -380,7 +374,7 @@ class ParallelSimulation:
                 if not result.all_quiet:
                     self._maybe_reconfigure(coordinator, result)
             if result.all_quiet:
-                if committed is not None and self._churn_steps:
+                if committed is not None and self._steps:
                     # The fleet quiesced before some scripted steps'
                     # commit indices were reached (fast wires finish
                     # short runs in a handful of rounds).  A quiet
@@ -388,9 +382,9 @@ class ParallelSimulation:
                     # steps now, in plan order, then run one more
                     # round so the final totals and active set match
                     # the post-churn fleet.
-                    for index in sorted(self._churn_steps):
-                        for step in self._churn_steps.pop(index):
-                            self._run_churn_step(coordinator, step)
+                    for index in sorted(self._steps):
+                        for step in self._steps.pop(index):
+                            self._run_step(coordinator, step)
                     continue
                 return result, committed
             # Busy fleet: next round after the configured period, or as
@@ -406,25 +400,24 @@ class ParallelSimulation:
     # elastic epochs: pause -> drain -> move -> resume (docs/parallel.md)
     # ------------------------------------------------------------------ #
     def _maybe_reconfigure(self, coordinator, result: RoundResult) -> None:
-        for step in self._churn_steps.pop(self._commits, []):
-            self._run_churn_step(coordinator, step)
+        for step in self._steps.pop(self._commits, []):
+            self._run_step(coordinator, step)
         if self.placement is not None and self._commits % self.placement.period == 0:
             self._balance(coordinator, result)
 
-    def _run_churn_step(self, coordinator, step: dict) -> None:
-        """Materialize one scripted churn step with the plan's RNG.
+    def _run_step(self, coordinator, step: dict) -> None:
+        """Materialize one run-script step with the script's RNG.
 
         Impossible steps (a leave with one worker left, a join past the
         pre-provisioned pool, a migrate with a single active worker) are
-        counted skipped, never errors: fuzzed plans must stay runnable.
+        skipped, never errors: fuzzed scripts must stay runnable.
         """
-        rng = self._churn_rng
+        rng = self._rng
         owners = self._oid_to_shard
         active = sorted(coordinator.active)
         kind = step["kind"]
         if kind == "migrate":
             if len(active) < 2:
-                self.churn_skipped += 1
                 return
             moves = []
             taken: set[int] = set()
@@ -439,10 +432,8 @@ class ParallelSimulation:
                     (oid, src, rng.choice([s for s in active if s != src]))
                 )
             self._elastic_epoch(coordinator, tuple(moves), (), ())
-            self.churn_executed += 1
         elif kind == "join":
             if self._next_shard >= len(self._inboxes):
-                self.churn_skipped += 1
                 return
             joiner = self._next_shard
             self._next_shard += 1
@@ -455,9 +446,7 @@ class ParallelSimulation:
                 (oid, owners[oid], joiner) for oid in pool[:count]
             )
             self._elastic_epoch(coordinator, moves, (joiner,), ())
-            self.churn_executed += 1
         else:  # leave
-            done = 0
             for _ in range(step.get("count", 1)):
                 active = sorted(coordinator.active)
                 if len(active) < 2:
@@ -470,11 +459,6 @@ class ParallelSimulation:
                     if owners[oid] == leaver
                 )
                 self._elastic_epoch(coordinator, moves, (), (leaver,))
-                done += 1
-            if done:
-                self.churn_executed += 1
-            else:
-                self.churn_skipped += 1
 
     def _balance(self, coordinator, result: RoundResult) -> None:
         """Dynamic placement: migrate load off the hottest worker (all

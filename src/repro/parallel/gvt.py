@@ -97,6 +97,9 @@ class GvtCoordinator:
         shard or a silent one ends it in a :class:`WorkerFailedError`
         naming ``phase``; anything else (an ack from an abandoned probe, a
         stale report) is dropped — the protocol is lockstep per kind.
+        Every active shard is watched, not only the expected ones: one
+        that reported and then died is dead too, though a worker that
+        exits 0 after its ``ShardDone`` is not.
         """
         expected = set(expected)
         if deadline is None:
@@ -116,22 +119,24 @@ class GvtCoordinator:
                 if reader is None:
                     message = self._reports.get(timeout=tick)
                 else:
-                    # a record, or the death of a shard we are waiting on
+                    # a record, or the death of a shard still running
                     connection.wait(
                         [reader] + [
                             process.sentinel
                             for shard, process in self._processes.items()
                             if shard in expected
+                            or (shard in self.active and process.exitcode is None)
                         ],
                         tick,
                     )
                     message = self._reports.get_nowait()
             except queue_mod.Empty:
                 # Only on a silent wake: a traceback queued before dying
-                # wins.  Only expected shards: retired leavers are exempt.
+                # wins.  Only active shards: retired leavers are exempt.
                 dead = [
                     process for shard, process in sorted(self._processes.items())
-                    if shard in expected and not process.is_alive()
+                    if shard in self.active and not process.is_alive()
+                    and (shard in expected or process.exitcode)
                 ]
                 if not dead:
                     continue
@@ -140,7 +145,7 @@ class GvtCoordinator:
                 except queue_mod.Empty:
                     raise WorkerFailedError(
                         f"{dead[0].name} died during {phase} (exit code "
-                        f"{dead[0].exitcode}) without reporting"
+                        f"{dead[0].exitcode})"
                     ) from None
             if isinstance(message, ShardError):
                 raise WorkerFailedError(

@@ -29,7 +29,7 @@ from ..verify.scenario import Scenario
 
 #: ``--elastic-smoke``: one scripted migration plus one worker leave, on
 #: a GVT period short enough that both commit indices are reached
-ELASTIC_SMOKE_CHURN = {
+ELASTIC_SMOKE_SCRIPT = {
     "seed": 7,
     "steps": [
         {"at": 1, "kind": "migrate", "count": 1},
@@ -59,8 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write per-shard JSONL traces under this directory",
     )
     parser.add_argument(
-        "--churn", default=None, metavar="JSON",
-        help="elasticity plan as inline JSON "
+        "--script", default=None, metavar="JSON",
+        help="run script of elastic steps as inline JSON "
              '(e.g. \'{"seed":7,"steps":[{"at":1,"kind":"migrate","count":2}]}\')',
     )
     parser.add_argument(
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--gvt-period", type=float, default=None,
-        help="wall-clock GVT period in microseconds (churn plans want a "
+        help="wall-clock GVT period in microseconds (scripts want a "
              "short one so every step's commit index is reached)",
     )
     return parser
@@ -80,21 +80,21 @@ def scenarios_from_args(args: argparse.Namespace) -> list[Scenario]:
     """One validated parallel-backend scenario per requested app.
 
     Raises :class:`ConfigurationError` (or ``json.JSONDecodeError``) on a
-    bad ``--churn`` plan — before anything is forked.
+    bad ``--script`` — before anything is forked.
     """
-    churn = json.loads(args.churn) if args.churn else None
+    script = json.loads(args.script) if args.script else None
     gvt_period = args.gvt_period
     if args.elastic_smoke:
-        if churn is not None:
-            raise ConfigurationError("--elastic-smoke supplies its own churn plan")
-        churn = ELASTIC_SMOKE_CHURN
+        if script is not None:
+            raise ConfigurationError("--elastic-smoke supplies its own script")
+        script = ELASTIC_SMOKE_SCRIPT
         if gvt_period is None:
             gvt_period = ELASTIC_SMOKE_GVT_PERIOD
     knobs = {} if gvt_period is None else {"gvt_period": gvt_period}
     scenarios = [
         Scenario(
             app=app, end_time=END_TIMES[app], backend="parallel",
-            workers=args.workers, churn=churn, **knobs,
+            workers=args.workers, script=script, **knobs,
         )
         for app in args.app or sorted(END_TIMES)
     ]

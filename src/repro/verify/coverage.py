@@ -43,7 +43,7 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
         *(axis.feature(getattr(s, axis.field)) for axis in AXES),
         f"faults:{'on' if s.faults else 'off'}",
         f"speed:{'hetero' if s.lp_speed_factors else 'uniform'}",
-        f"churn:{'on' if s.churn else 'off'}",
+        f"script:{'on' if s.script else 'off'}",
     }
     if "migrations" in raw:
         features.add(f"migrations:{bucket(raw['migrations'])}")

@@ -24,6 +24,9 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..control.registry import KNOBS
+from ..kernel.cancellation import Mode
+from ..kernel.config import STEP_KINDS
 from .corpus import write_repro
 from .coverage import CoverageMap
 from .runner import ScenarioResult, fork_available, run_scenario
@@ -40,6 +43,10 @@ FAULT_RATE_VALUES = (0.0, 0.02, 0.05, 0.10)
 
 GVT_PERIODS = (5_000.0, 20_000.0, 50_000.0, 200_000.0)
 PHOLD_END_TIMES = (120.0, 200.0, 300.0)
+
+#: how often each run-script step kind is drawn (mostly migrations, the
+#: occasional worker join/leave)
+STEP_WEIGHTS = {"set": 1, "migrate": 3, "join": 1, "leave": 1}
 
 
 @dataclass
@@ -102,6 +109,25 @@ def _draw(rng: random.Random, coverage: CoverageMap, pairs: list) -> object:
     """Pick a (value, feature) pair, weighted toward unseen features."""
     weights = [1.0 / (1.0 + coverage.seen(feature)) for _value, feature in pairs]
     return rng.choices([value for value, _ in pairs], weights=weights)[0]
+
+
+def _draw_step(rng: random.Random, kind: str, partition: list) -> dict:
+    """One run-script step of ``kind``; a ``set`` step draws a knob the
+    MetaController does not own, one of its static values and a target
+    in ``partition``."""
+    if kind != "set":
+        return {"kind": kind, "count": rng.randrange(1, 3)}
+    spec = rng.choice([s for s in KNOBS.values() if not s.meta_managed])
+    value = rng.choice(spec.static_values)[1]
+    step = {
+        "kind": kind, "knob": spec.name,
+        "value": value.value if isinstance(value, Mode) else value,
+    }
+    if spec.target == "object":
+        step["target"] = rng.choice([o.name for group in partition for o in group])
+    elif spec.target == "lp":
+        step["target"] = rng.randrange(len(partition))
+    return step
 
 
 def generate_scenario(
@@ -171,23 +197,20 @@ def generate_scenario(
             if reorder:
                 rates["reorder"] = reorder
             kwargs["faults"] = {"seed": rng.randrange(10_000), "rates": rates}
-    if backend in FIELD_BACKENDS["churn"] and workers > 1:
-        # elasticity plans: mostly migrations, the occasional worker
-        # join/leave; biased on like any other unexplored lattice axis
-        churn_on = _draw(
-            rng, coverage, [(True, "churn:on"), (False, "churn:off")]
-        )
-        if churn_on:
-            kinds = ("migrate", "migrate", "migrate", "join", "leave")
-            steps = [
-                {
-                    "at": rng.randrange(1, 6),
-                    "kind": rng.choice(kinds),
-                    "count": rng.randrange(1, 3),
-                }
-                for _ in range(rng.randrange(1, 4))
-            ]
-            kwargs["churn"] = {"seed": rng.randrange(10_000), "steps": steps}
+    if backend in FIELD_BACKENDS["script"] and _draw(
+        rng, coverage, [(True, "script:on"), (False, "script:off")]
+    ):
+        # biased on like any other unexplored lattice axis
+        partition = Scenario(**kwargs).build_partition()
+        kinds = STEP_KINDS[backend]
+        steps = [
+            {"at": rng.randrange(1, 6), **_draw_step(rng, kind, partition)}
+            for kind in rng.choices(
+                kinds, weights=[STEP_WEIGHTS[k] for k in kinds],
+                k=rng.randrange(1, 4),
+            )
+        ]
+        kwargs["script"] = {"seed": rng.randrange(10_000), "steps": steps}
     if backend in FIELD_BACKENDS["lp_speed_factors"] and rng.random() < 0.25:
         n_lps = kwargs["app_params"].get(
             "n_lps", spec.base_params.get("n_lps", 2)

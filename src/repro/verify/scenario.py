@@ -46,7 +46,7 @@ from ..core.window_controller import AdaptiveTimeWindow
 from ..faults.plan import FaultPlan
 from ..kernel.cancellation import Mode, StaticCancellation
 from ..kernel.checkpointing import MAX_INTERVAL, StaticCheckpoint
-from ..kernel.config import SimulationConfig, validate_churn_plan
+from ..kernel.config import STEP_KINDS, SimulationConfig, validate_script
 from ..kernel.errors import ConfigurationError
 
 SCHEMA_SCENARIO = "repro-verify-scenario-1"
@@ -124,7 +124,7 @@ AXES = (
 FIELD_BACKENDS: dict[str, frozenset] = {
     **{axis.field: axis.backends for axis in AXES},
     "workers": frozenset({"parallel"}),
-    "churn": frozenset({"parallel"}),
+    "script": frozenset(STEP_KINDS),
     "faults": _MODELLED,
     "lp_speed_factors": frozenset({"modelled", "conservative"}),
 }
@@ -276,12 +276,12 @@ class Scenario:
     lp_speed_factors: dict = field(default_factory=dict)
     #: :meth:`FaultPlan.to_dict` form, or ``None`` for a perfect wire
     faults: dict | None = None
-    #: seeded elasticity plan — scripted live migrations and worker
-    #: join/leave keyed by GVT-commit index (parallel backend only;
-    #: :func:`repro.kernel.config.validate_churn_plan` pins the shape).
-    #: ``None`` means a fixed worker set, and is omitted from the JSON
-    #: form so pre-churn corpus entries keep their scenario ids.
-    churn: dict | None = None
+    #: seeded run script keyed by GVT-commit index: knob settings on the
+    #: modelled backend, live migrations and worker join/leave on the
+    #: parallel one (:func:`repro.kernel.config.validate_script` pins the
+    #: shape).  ``None`` is omitted from the JSON form so scenarios
+    #: without a script keep their ids.
+    script: dict | None = None
 
     #: generator provenance (which fuzz seed produced this scenario);
     #: does not influence execution
@@ -318,8 +318,6 @@ class Scenario:
                 )
         if self.faults is not None:
             FaultPlan.from_dict(self.faults)  # validates
-        if self.churn is not None:
-            validate_churn_plan(self.churn)
         for name, backends in FIELD_BACKENDS.items():
             if (
                 self.backend not in backends
@@ -330,6 +328,8 @@ class Scenario:
                     f"{', '.join(sorted(backends))} does); leave it at the "
                     "default"
                 )
+        if self.script is not None:
+            validate_script(self.script, self.backend)
 
     # -- derived ------------------------------------------------------- #
     @property
@@ -375,7 +375,7 @@ class Scenario:
             workers=self.workers if self.backend == "parallel" else 1,
             faults=self.fault_plan(),
             lp_speed_factors=self.speed_factors(),
-            churn=self.churn,
+            script=self.script,
         )
         if self.time_window == "adaptive":
             kwargs["time_window"] = lambda: AdaptiveTimeWindow()
@@ -393,8 +393,8 @@ class Scenario:
             value = getattr(self, f.name)
             if f.name == "end_time" and value == float("inf"):
                 value = None  # JSON has no Infinity; None means app default
-            if f.name == "churn" and value is None:
-                continue  # keep pre-churn corpus ids stable
+            if f.name == "script" and value is None:
+                continue  # keep script-less corpus ids stable
             doc[f.name] = value
         return doc
 

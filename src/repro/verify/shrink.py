@@ -34,13 +34,13 @@ class ShrinkResult:
 def _knob_resets(s: Scenario) -> Iterator[Scenario]:
     if s.faults is not None:
         yield s.with_(faults=None)
-    if s.churn is not None:
-        yield s.with_(churn=None)
-        steps = s.churn.get("steps", [])
+    if s.script is not None:
+        yield s.with_(script=None)
+        steps = s.script.get("steps", [])
         if len(steps) > 1:
-            yield s.with_(churn={**s.churn, "steps": steps[:1]})
+            yield s.with_(script={**s.script, "steps": steps[:1]})
     if s.backend != "modelled":
-        yield s.with_(backend="modelled", workers=1, churn=None)
+        yield s.with_(backend="modelled", workers=1, script=None)
     if s.backend == "parallel" and s.workers > 1:
         yield s.with_(workers=1)
     defaults = Scenario()

@@ -48,10 +48,10 @@ class TestConstruction:
         ("faults", FaultPlan(rates=FaultRates(drop=0.1))),
         ("time_window", lambda: AdaptiveTimeWindow()),
         ("meta_control", lambda: MetaController()),
-        ("external_script", [(0.0, lambda executive: None)]),
+        ("script", {"seed": 0, "steps": []}),
     ])
     def test_refuses_what_only_the_executive_honours(self, name, value):
-        assert name in EXECUTIVE_ONLY
+        assert name in EXECUTIVE_ONLY + ("script",)
         with pytest.raises(ConfigurationError, match=f"not support: {name}$"):
             ConservativeSimulation(
                 build_pingpong(5), SimulationConfig(**{name: value})

@@ -1,15 +1,10 @@
-"""Integration: external runtime adjustments (paper reference [26])."""
+"""Integration: external runtime adjustments (paper reference [26]) as
+``set`` steps of the run script, each due at a GVT-commit index."""
 
 import pytest
 
 from repro import Mode, NetworkModel, SimulationConfig, TimeWarpSimulation
 from repro.apps.raid import RAIDParams, build_raid
-from repro.core.external import (
-    set_aggregation_window,
-    set_cancellation_mode,
-    set_checkpoint_interval,
-    set_optimism_window,
-)
 from repro.kernel.errors import ConfigurationError
 from tests.helpers import assert_equivalent
 
@@ -21,29 +16,50 @@ def raid():
 SKEW = {1: 1.1, 2: 1.2, 3: 1.3}
 
 
-class TestAdjustmentHelpers:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            set_checkpoint_interval("x", 0)
-        with pytest.raises(ConfigurationError):
-            set_aggregation_window(0, -1.0)
-        with pytest.raises(ConfigurationError):
-            set_optimism_window(0.0)
+def script(*steps):
+    return {"seed": 0, "steps": [
+        {"at": at, "kind": "set", "knob": knob, "value": value,
+         **({} if target is None else {"target": target})}
+        for at, knob, target, value in steps
+    ]}
 
-    def test_unknown_object_fails_at_apply_time(self):
-        config = SimulationConfig(
-            external_script=[(1_000.0, set_checkpoint_interval("ghost", 4))]
-        )
-        sim = TimeWarpSimulation(raid(), config)
+
+class TestSetSteps:
+    @pytest.mark.parametrize("step,detail", [
+        ((1, "checkpoint", "x", 0), "checkpoint interval"),
+        ((1, "aggregation", 0, -1.0), "aggregation window"),
+        ((1, "time_window", None, 0.0), "time window"),
+        ((1, "cancellation", "x", "sometimes"), "cancellation mode"),
+        ((1, "checkpoint", None, 4), "object name"),
+        ((1, "aggregation", "disk-0", 50.0), "LP id"),
+        ((1, "time_window", 0, 50.0), "no 'target'"),
+        ((1, "gvt_period", None, 1_000.0), "MetaController"),
+        ((1, "nonsense", None, 1), "unknown knob"),
+    ], ids=[
+        "chi_range", "window_range", "time_window_range", "mode_name",
+        "object_target", "lp_target", "global_target", "meta_knob",
+        "unknown_knob",
+    ])
+    def test_validation(self, step, detail):
+        with pytest.raises(ConfigurationError, match=detail):
+            SimulationConfig(script=script(step)).validate()
+
+    def test_unknown_object_fails_at_build_time(self):
+        config = SimulationConfig(script=script((1, "checkpoint", "ghost", 4)))
         with pytest.raises(ConfigurationError, match="ghost"):
-            sim.run()
+            TimeWarpSimulation(raid(), config)
+
+    def test_unknown_lp_fails_at_build_time(self):
+        config = SimulationConfig(script=script((1, "aggregation", 9, 50.0)))
+        with pytest.raises(ConfigurationError, match="LP 9"):
+            TimeWarpSimulation(raid(), config)
 
 
 class TestAdjustmentsApply:
     def test_checkpoint_interval_changes(self):
         config = SimulationConfig(
             lp_speed_factors=SKEW,
-            external_script=[(50_000.0, set_checkpoint_interval("disk-0", 32))],
+            script=script((1, "checkpoint", "disk-0", 32)),
         )
         sim = TimeWarpSimulation(raid(), config)
         sim.run()
@@ -58,10 +74,9 @@ class TestAdjustmentsApply:
     def test_cancellation_mode_switch(self):
         config = SimulationConfig(
             lp_speed_factors=SKEW,
-            external_script=[
-                (20_000.0, set_cancellation_mode(f"disk-{i}", Mode.LAZY))
-                for i in range(8)
-            ],
+            script=script(*(
+                (1, "cancellation", f"disk-{i}", "lazy") for i in range(8)
+            )),
         )
         sim = TimeWarpSimulation(raid(), config)
         stats = sim.run()
@@ -74,23 +89,29 @@ class TestAdjustmentsApply:
     def test_aggregation_window_resize(self):
         config = SimulationConfig(
             lp_speed_factors=SKEW,
-            external_script=[(10_000.0, set_aggregation_window(0, 5_000.0))],
+            script=script((1, "aggregation", 0, 5_000.0)),
         )
         sim = TimeWarpSimulation(raid(), config)
         sim.run()
         assert sim.lps[0].comm.window == 5_000.0
         assert sim.lps[1].comm.window == 0.0  # others untouched
 
+    def test_a_step_past_the_last_commit_never_runs(self):
+        config = SimulationConfig(script=script((10_000, "checkpoint", "disk-0", 32)))
+        sim = TimeWarpSimulation(raid(), config)
+        sim.run()
+        assert 0 < sim.executive.commits < 10_000
+        assert all(ctx.chi == 1 for lp in sim.lps for ctx in lp.members.values())
+
 
 class TestTransparency:
     def test_scripted_run_commits_sequential_trace(self):
-        script = [
-            (20_000.0, set_cancellation_mode("disk-0", Mode.LAZY)),
-            (40_000.0, set_checkpoint_interval("fork-1", 8)),
-            (60_000.0, set_aggregation_window(2, 2_000.0)),
-            (80_000.0, set_optimism_window(500.0)),
-        ]
         assert_equivalent(
             raid, lp_speed_factors=SKEW, network=NetworkModel(jitter=0.4),
-            external_script=script,
+            script=script(
+                (1, "cancellation", "disk-0", "lazy"),
+                (2, "checkpoint", "fork-1", 8),
+                (3, "aggregation", 2, 2_000.0),
+                (4, "time_window", None, 500.0),
+            ),
         )

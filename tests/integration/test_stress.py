@@ -13,17 +13,11 @@ from repro import (
     AdaptiveTimeWindow,
     DynamicCancellation,
     DynamicCheckpoint,
-    Mode,
     NetworkModel,
     SAAWPolicy,
     SequentialSimulation,
     SimulationConfig,
     TimeWarpSimulation,
-)
-from repro.core.external import (
-    set_aggregation_window,
-    set_cancellation_mode,
-    set_checkpoint_interval,
 )
 from repro.apps.phold import PHOLDParams, build_phold
 from repro.trace import Tracer, summarize
@@ -53,11 +47,14 @@ def test_kitchen_sink_soak():
         lp_speed_factors={1: 1.3, 2: 1.6, 3: 2.0, 4: 2.4},
         network=NetworkModel(jitter=0.5),
         tracer=tracer,
-        external_script=[
-            (50_000.0, set_cancellation_mode("phold-0", Mode.LAZY)),
-            (150_000.0, set_checkpoint_interval("phold-1", 32)),
-            (300_000.0, set_aggregation_window(2, 500.0)),
-        ],
+        script={"seed": 0, "steps": [
+            {"at": 3, "kind": "set", "knob": "cancellation",
+             "target": "phold-0", "value": "lazy"},
+            {"at": 10, "kind": "set", "knob": "checkpoint",
+             "target": "phold-1", "value": 32},
+            {"at": 20, "kind": "set", "knob": "aggregation",
+             "target": 2, "value": 500.0},
+        ]},
         max_executed_events=2_000_000,
     )
     sim = TimeWarpSimulation(build_phold(PARAMS), config)

@@ -18,9 +18,9 @@ from repro.verify import Scenario, run_scenario, sequential_golden
 from tests.helpers import PHOLD
 
 
-def run_churn(churn, gvt_period, *, base=PHOLD, workers=2):
+def run_churn(script, gvt_period, *, base=PHOLD, workers=2):
     return run_scenario(base.with_(
-        backend="parallel", workers=workers, churn=churn,
+        backend="parallel", workers=workers, script=script,
         gvt_period=gvt_period,
     ))
 
@@ -140,22 +140,25 @@ class TestDynamicPlacementBackend:
 
 
 class TestChurnValidation:
-    @pytest.mark.parametrize("churn", [
+    @pytest.mark.parametrize("script", [
         "{bad", '{"seed":1,"steps":[{"at":1,"kind":"explode","count":1}]}',
     ])
-    def test_bad_cli_churn_is_a_usage_error_not_a_divergence(self, churn, capsys):
+    def test_bad_cli_churn_is_a_usage_error_not_a_divergence(self, script, capsys):
         # rejected before anything is forked: exit status 2, nothing run
         with pytest.raises(SystemExit) as exit_info:
-            bench_main(["parallel", "--app", "phold", "--churn", churn])
+            bench_main(["parallel", "--app", "phold", "--script", script])
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_churn_requires_parallel_backend(self):
         config = SimulationConfig(
-            churn={"seed": 0, "steps": [{"at": 1, "kind": "migrate",
-                                         "count": 1}]}
+            script={"seed": 0, "steps": [{"at": 1, "kind": "migrate",
+                                          "count": 1}]}
         )
-        with pytest.raises(ConfigurationError, match="parallel"):
+        with pytest.raises(
+            ConfigurationError,
+            match="backend 'modelled' does not run step kind 'migrate'",
+        ):
             config.validate()
 
     @pytest.mark.parametrize("plan,detail", [
@@ -169,7 +172,7 @@ class TestChurnValidation:
     ])
     def test_malformed_plans_rejected(self, plan, detail):
         config = SimulationConfig(
-            backend="parallel", workers=2, churn=plan
+            backend="parallel", workers=2, script=plan
         )
         with pytest.raises(ConfigurationError, match=detail):
             config.validate()

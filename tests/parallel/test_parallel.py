@@ -159,7 +159,11 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs,name", [
         ({"record_trace": True}, "record_trace"),
         ({"time_window": 100.0}, "time_window"),
-        ({"external_script": [(0.0, "gvt_period", 1.0)]}, "external_script"),
+        pytest.param(
+            {"script": {"steps": [{"at": 1, "kind": "set",
+                                   "knob": "time_window", "value": 50.0}]}},
+            "'parallel' does not run step kind 'set'", id="kwargs2-set_step",
+        ),
     ])
     def test_modelled_only_features_rejected(self, kwargs, name):
         config = SimulationConfig(backend="parallel", workers=2, **kwargs)
@@ -254,6 +258,17 @@ class TestResolveStrategy:
             resolve_strategy("metis")
 
 
+class _FakeProcess:
+    """What ``collect`` reads of a worker ``Process``: its name and its
+    exit code (``None`` while it runs)."""
+
+    def __init__(self, name, exitcode):
+        self.name, self.exitcode = name, exitcode
+
+    def is_alive(self):
+        return self.exitcode is None
+
+
 class TestShutdownWait:
     """``GvtCoordinator.collect`` — the one wait on the report queue —
     as a unit over a plain queue (no processes, so no liveness to read)."""
@@ -268,6 +283,32 @@ class TestShutdownWait:
         with pytest.raises(WorkerFailedError, match=r"shutdown stalled.*\[1\]"):
             coordinator.collect(ShardDone, {0, 1}, "shutdown")
         assert time.monotonic() - started < 1.0
+
+    def test_a_shard_that_reported_and_then_died_is_noticed(self):
+        """Shard 0 sends its ShardDone and then dies with exit code 7
+        while shard 1 stays silent: the wait must name the dead shard on
+        the next silent tick, not stall until the timeout."""
+        reports = queue.Queue()
+        coordinator = GvtCoordinator(
+            [None, None], reports, timeout_s=3.0,
+            processes={0: _FakeProcess("repro-shard-0", 7),
+                       1: _FakeProcess("repro-shard-1", None)},
+        )
+        reports.put(ShardDone(0))
+        started = time.monotonic()
+        with pytest.raises(WorkerFailedError, match=r"repro-shard-0 died.*exit code 7"):
+            coordinator.collect(ShardDone, {0, 1}, "shutdown")
+        assert time.monotonic() - started < 2.0
+
+    def test_a_shard_that_reported_and_exited_cleanly_is_not_dead(self):
+        reports = queue.Queue()
+        coordinator = GvtCoordinator(
+            [None, None], reports, timeout_s=0.05,
+            processes={0: _FakeProcess("repro-shard-0", 0)},
+        )
+        reports.put(ShardDone(0))
+        with pytest.raises(WorkerFailedError, match=r"shutdown stalled.*\[1\]"):
+            coordinator.collect(ShardDone, {0, 1}, "shutdown")
 
     def test_stale_and_foreign_records_are_dropped(self):
         reports = queue.Queue()
@@ -423,10 +464,10 @@ class TestNothingLeftOpen:
     }
 
     @staticmethod
-    def _run(churn=None):
+    def _run(script=None):
         config = SimulationConfig(
             backend="parallel", workers=2, end_time=PHOLD.end_time,
-            gvt_period=1_000.0, churn=churn,
+            gvt_period=1_000.0, script=script,
         )
         sim = ParallelSimulation(PHOLD.build_partition(), config)
         sim.run()

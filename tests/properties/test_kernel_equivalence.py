@@ -29,11 +29,6 @@ from repro import (
     StaticTimeWindow,
     TimeWarpSimulation,
 )
-from repro.core.external import (
-    set_aggregation_window,
-    set_cancellation_mode,
-    set_checkpoint_interval,
-)
 from repro.apps.phold import PHOLDParams, build_phold
 from tests.helpers import flatten
 
@@ -109,23 +104,24 @@ def time_windows(draw):
 
 
 @st.composite
-def external_scripts(draw, n_objects):
-    script = []
+def scripts(draw, n_objects):
+    steps = []
     for _ in range(draw(st.integers(0, 3))):
-        when = draw(st.floats(1_000.0, 500_000.0))
+        step = {"at": draw(st.integers(1, 30)), "kind": "set"}
         # phold_params guarantees at least two objects
         target = f"phold-{draw(st.integers(0, min(1, n_objects - 1)))}"
         kind = draw(st.sampled_from(["chi", "mode", "agg"]))
         if kind == "chi":
-            script.append((when, set_checkpoint_interval(
-                target, draw(st.integers(1, 64)))))
+            step.update(knob="checkpoint", target=target,
+                        value=draw(st.integers(1, 64)))
         elif kind == "mode":
-            script.append((when, set_cancellation_mode(
-                target, draw(st.sampled_from([Mode.LAZY, Mode.AGGRESSIVE])))))
+            step.update(knob="cancellation", target=target,
+                        value=draw(st.sampled_from(["lazy", "aggressive"])))
         else:
-            script.append((when, set_aggregation_window(
-                0, draw(st.floats(0.0, 5_000.0)))))
-    return script
+            step.update(knob="aggregation", target=0, value=draw(
+                st.one_of(st.none(), st.floats(1.0, 5_000.0))))
+        steps.append(step)
+    return {"seed": 0, "steps": steps}
 
 
 @st.composite
@@ -143,7 +139,7 @@ def configs(draw, n_objects=14):
         lp_speed_factors=skew,
         network=NetworkModel(jitter=draw(st.floats(0.0, 0.8))),
         time_window=draw(time_windows()),
-        external_script=draw(external_scripts(n_objects)),
+        script=draw(scripts(n_objects)),
     )
 
 

@@ -128,7 +128,7 @@ def test_invalid_scenarios_rejected(changes):
 
 def test_every_backend_refusal_names_field_backend_and_takers():
     off_default = {axis.field: axis.values[-1] for axis in AXES} | {
-        "workers": 2, "churn": {"seed": 1, "steps": []},
+        "workers": 2, "script": {"seed": 1, "steps": []},
         "faults": {"seed": 1}, "lp_speed_factors": {"0": 2.0},
     }
     assert set(off_default) == set(FIELD_BACKENDS)
