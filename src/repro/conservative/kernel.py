@@ -32,18 +32,18 @@ enforces each object's declared lookahead on every send, as it does on
 every kernel.
 
 It takes the other drivers' ``SimulationConfig`` and builds its LPs with
-the same ``host_lp``.  It ignores the GVT fields and ``workers``; it
-refuses the ``EXECUTIVE_ONLY`` fields, any ``script``, any ``backend``
-but ``"modelled"`` and ``placement="dynamic"`` in one
-``ConfigurationError``; it reads every other field (``aggregation``
-ships once per round, and nothing below the bound uses ``checkpoint``
-or ``cancellation``).
+the same ``host_lp``.  ``config.validate("conservative")`` refuses what
+``kernel/config.py:RUN_BY`` does not list it for (the GVT fields,
+``placement``, ``script``, the executive's own) and ``backend="parallel"``;
+it ignores ``workers`` and reads every other field (``aggregation`` ships
+once per round, and nothing below the bound uses ``checkpoint`` or
+``cancellation``).
 """
 
 from __future__ import annotations
 
 from ..comm.message import PhysicalMessage
-from ..kernel.config import EXECUTIVE_ONLY, SimulationConfig
+from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError, TerminationError, TimeWarpError
 from ..kernel.kernel import Partition, committed_trace, finish_lps, host_lp
 from ..kernel.kernel import sorted_trace, walk_directory
@@ -56,18 +56,7 @@ class ConservativeSimulation:
 
     def __init__(self, partition: Partition, config: SimulationConfig | None = None) -> None:
         self.config = config = config or SimulationConfig()
-        refused = [
-            name for name in EXECUTIVE_ONLY + ("script",) if getattr(config, name)
-        ]
-        if config.backend != "modelled":
-            refused.append(f"backend={config.backend!r}")
-        if config.placement == "dynamic":
-            refused.append("placement='dynamic'")
-        if refused:
-            raise ConfigurationError(
-                f"the conservative driver does not support: {', '.join(refused)}"
-            )
-        config.validate()
+        config.validate("conservative")
         self.objects, name_to_oid, group_of = walk_directory(partition)
         #: the window width ``L``; read every round
         self.lookahead = min(obj.lookahead for obj in self.objects)

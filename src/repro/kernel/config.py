@@ -54,23 +54,33 @@ def default_aggregation(_lp_id: int) -> "AggregationPolicy":
     return NoAggregation()
 
 
+#: the drivers that run a :class:`SimulationConfig`: the modelled
+#: executive (:class:`~repro.kernel.kernel.TimeWarpSimulation`), the
+#: conservative round loop and the process backend
+DRIVERS = ("modelled", "conservative", "parallel")
+
 #: step kinds of a run script (:attr:`SimulationConfig.script`) per
-#: backend: the modelled executive changes knobs, the process backend
+#: driver: the modelled executive changes knobs, the process backend
 #: moves objects and grows or shrinks its worker pool
 STEP_KINDS = {"modelled": ("set",), "parallel": ("migrate", "join", "leave")}
 
-#: :class:`SimulationConfig` fields only the modelled executive honours:
-#: the process backend and the conservative driver refuse them when set
-#: (truthy: their defaults are ``None``) instead of silently ignoring
-#: them.
-EXECUTIVE_ONLY = ("faults", "time_window", "meta_control")
-
-#: the fields ``backend="parallel"`` refuses: :data:`EXECUTIVE_ONLY`, and
-#: the in-process trace and tracer (a shard traces to
-#: ``ParallelSimulation(trace_dir=...)``).  The table in docs/parallel.md
-#: and the verify lattice (``FIELD_BACKENDS`` in
-#: :mod:`repro.verify.scenario`) are tested against this tuple.
-PARALLEL_UNSUPPORTED = EXECUTIVE_ONLY + ("record_trace", "tracer")
+#: field -> the drivers that run it, for each field not every driver runs.
+#: A driver refuses such a field off its default instead of silently
+#: ignoring it (:meth:`SimulationConfig.validate`), so lifting a refusal
+#: is one edit here; verify and docs/parallel.md read this dict too.
+RUN_BY: dict[str, frozenset] = {
+    "faults": frozenset({"modelled"}),
+    "time_window": frozenset({"modelled"}),
+    "meta_control": frozenset({"modelled"}),
+    "gvt_algorithm": frozenset({"modelled"}),
+    "gvt_period": frozenset({"modelled", "parallel"}),
+    "placement": frozenset({"modelled", "parallel"}),
+    "script": frozenset({"modelled", "parallel"}),
+    "record_trace": frozenset({"modelled", "conservative"}),
+    "tracer": frozenset({"modelled", "conservative"}),
+    "lp_speed_factors": frozenset({"modelled", "conservative"}),
+    "network": frozenset({"modelled", "conservative"}),
+}
 
 
 def step_value(step: dict):
@@ -87,11 +97,11 @@ def step_value(step: dict):
         ) from None
 
 
-def validate_script(script: dict, backend: str) -> None:
+def validate_script(script: dict, driver: str) -> None:
     """Validate a run script (see :attr:`SimulationConfig.script`).
 
     Raises :class:`ConfigurationError` on a malformed script or on a step
-    kind ``backend`` does not run.  A ``set`` step's value is checked by
+    kind ``driver`` does not run.  A ``set`` step's value is checked by
     its knob's :class:`~repro.control.spec.KnobSpec`; the names of object
     targets are resolved when the simulation is built.  Impossible
     parallel steps (a ``leave`` when one worker remains) are legal here
@@ -109,7 +119,7 @@ def validate_script(script: dict, backend: str) -> None:
     steps = script.get("steps", [])
     if not isinstance(steps, (list, tuple)):
         raise ConfigurationError("script steps must be a list")
-    kinds = STEP_KINDS.get(backend, ())
+    kinds = STEP_KINDS.get(driver, ())
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
             raise ConfigurationError(f"script step {i} must be a dict")
@@ -121,7 +131,7 @@ def validate_script(script: dict, backend: str) -> None:
         kind = step.get("kind")
         if kind not in kinds:
             raise ConfigurationError(
-                f"script step {i}: backend {backend!r} does not run step "
+                f"script step {i}: backend {driver!r} does not run step "
                 f"kind {kind!r} (it runs: {', '.join(kinds) or 'none'})"
             )
         allowed = (
@@ -256,27 +266,37 @@ class SimulationConfig:
     #: :data:`STEP_KINDS` and :func:`validate_script`.
     script: "dict | None" = None
 
-    def validate(self) -> None:
+    def validate(self, driver: str | None = None) -> None:
+        """Refuse, in one error, what ``driver`` (by default the one
+        ``backend`` selects) does not run: each :data:`RUN_BY` field off
+        its default, and ``backend="parallel"`` in process; then check
+        every value."""
+        from ..control.registry import get_knob
+
         if self.backend not in ("modelled", "parallel"):
             raise ConfigurationError(f"unknown backend {self.backend!r}")
+        driver = driver or self.backend
+        refused = [
+            f"{name} (run by {', '.join(d for d in DRIVERS if d in drivers)})"
+            for name, drivers in RUN_BY.items()
+            if driver not in drivers
+            and getattr(self, name) != getattr(_DEFAULTS, name)
+        ]
+        if driver != "parallel" and self.backend == "parallel":
+            refused.append("backend='parallel' (run by parallel)")
+        if refused:
+            raise ConfigurationError(
+                f"backend {driver!r} does not run: {', '.join(refused)}; "
+                "leave them at their defaults"
+            )
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.backend == "parallel":
-            offending = [
-                name for name in PARALLEL_UNSUPPORTED if getattr(self, name)
-            ]
-            if offending:
-                raise ConfigurationError(
-                    f"backend='parallel' does not support: "
-                    f"{', '.join(offending)} (see docs/parallel.md; "
-                    "per-shard tracing uses ParallelSimulation(trace_dir=...))"
-                )
         if self.gvt_algorithm not in ("omniscient", "mattern"):
             raise ConfigurationError(
                 f"unknown GVT algorithm {self.gvt_algorithm!r}"
             )
-        if self.gvt_period <= 0:
-            raise ConfigurationError("gvt_period must be positive")
+        get_knob("gvt_period").validate_value(self.gvt_period)
+        get_knob("placement").validate_value(self.placement)
         for lp_id, factor in self.lp_speed_factors.items():
             if factor <= 0:
                 raise ConfigurationError(
@@ -284,14 +304,12 @@ class SimulationConfig:
                 )
         if self.faults is not None:
             self.faults.validate()
-        if self.placement not in ("static", "dynamic"):
-            raise ConfigurationError(
-                f"unknown placement {self.placement!r} "
-                "(known: 'static', 'dynamic')"
-            )
         if self.script is not None:
-            validate_script(self.script, self.backend)
+            validate_script(self.script, driver)
 
     def costs_for_lp(self, lp_id: int) -> CostModel:
         factor = self.lp_speed_factors.get(lp_id, 1.0)
         return self.costs if factor == 1.0 else self.costs.scaled(factor)
+
+
+_DEFAULTS = SimulationConfig()

@@ -154,7 +154,7 @@ class TimeWarpSimulation:
 
     def __init__(self, partition: Partition, config: SimulationConfig | None = None):
         self.config = config or SimulationConfig()
-        self.config.validate()
+        self.config.validate("modelled")
         self._objects, self._name_to_oid, group_of = walk_directory(partition)
         self._oid_to_lp: dict[int, int] = dict(enumerate(group_of))
 
@@ -309,7 +309,6 @@ def make_simulation(partition: Partition, config: SimulationConfig | None = None
     ``run() -> RunStats``.
     """
     config = config or SimulationConfig()
-    config.validate()
     if config.backend == "parallel":
         from ..parallel.backend import ParallelSimulation
 

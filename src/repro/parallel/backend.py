@@ -25,7 +25,6 @@ runs inside every worker.  See docs/parallel.md.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import random
 import time
@@ -110,9 +109,7 @@ class ParallelSimulation:
         timeout_s: float = 120.0,
     ) -> None:
         self.config = config or SimulationConfig(backend="parallel")
-        # Enforce the parallel-specific constraints even when the caller
-        # constructed us directly with backend="modelled" in the config.
-        dataclasses.replace(self.config, backend="parallel").validate()
+        self.config.validate("parallel")
         self.workers = self.config.workers
         self.trace_dir = trace_dir
         if trace_dir is not None:
@@ -492,7 +489,7 @@ class ParallelSimulation:
             # space converges on the same map.
             self._fork_worker(shard, join_epoch=epoch)
             coordinator.add_worker(shard)
-        coordinator.broadcast(Reconfigure(epoch, tuple(moves), tuple(leavers)))
+        coordinator.broadcast(Reconfigure(epoch, tuple(moves)))
         coordinator.collect(
             MigrateDone, coordinator.active, "elastic epoch",
             match=lambda m: m.epoch == epoch, deadline=deadline,

@@ -134,8 +134,6 @@ class Reconfigure:
     epoch: int
     #: ((oid, src_shard, dst_shard), ...)
     moves: tuple[tuple[int, int, int], ...]
-    #: shards retiring at the end of this epoch
-    leavers: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)

@@ -43,7 +43,10 @@ def features_for(scenario: Scenario, result, raw: dict) -> set[str]:
         *(axis.feature(getattr(s, axis.field)) for axis in AXES),
         f"faults:{'on' if s.faults else 'off'}",
         f"speed:{'hetero' if s.lp_speed_factors else 'uniform'}",
-        f"script:{'on' if s.script else 'off'}",
+        # "on" only when a step ran, so the fuzzer keeps drawing scripts
+        "script:" + (
+            "off" if not s.script else "on" if raw.get("steps_run") else "unrun"
+        ),
     }
     if "migrations" in raw:
         features.add(f"migrations:{bucket(raw['migrations'])}")

@@ -26,11 +26,11 @@ from pathlib import Path
 
 from ..control.registry import KNOBS
 from ..kernel.cancellation import Mode
-from ..kernel.config import STEP_KINDS
+from ..kernel.config import RUN_BY, STEP_KINDS
 from .corpus import write_repro
 from .coverage import CoverageMap
 from .runner import ScenarioResult, fork_available, run_scenario
-from .scenario import APP_SPECS, AXES, FIELD_BACKENDS, Scenario
+from .scenario import APP_SPECS, AXES, Scenario
 from .shrink import ShrinkResult, shrink
 
 #: apps the generator draws from, with weights (PHOLD is the rollback
@@ -180,9 +180,9 @@ def generate_scenario(
             )
     if kwargs.get("aggregation", "none") != "none":
         kwargs["aggregation_window"] = rng.choice((30.0, 100.0, 400.0))
-    if backend != "conservative":
+    if backend in RUN_BY["gvt_period"]:
         kwargs["gvt_period"] = rng.choice(GVT_PERIODS)
-    if backend in FIELD_BACKENDS["faults"] and rng.random() < 0.35:
+    if backend in RUN_BY["faults"] and rng.random() < 0.35:
         drop, dup, delay, reorder = (
             rng.choice(FAULT_RATE_VALUES) for _ in range(4)
         )
@@ -197,7 +197,7 @@ def generate_scenario(
             if reorder:
                 rates["reorder"] = reorder
             kwargs["faults"] = {"seed": rng.randrange(10_000), "rates": rates}
-    if backend in FIELD_BACKENDS["script"] and _draw(
+    if backend in RUN_BY["script"] and _draw(
         rng, coverage, [(True, "script:on"), (False, "script:off")]
     ):
         # biased on like any other unexplored lattice axis
@@ -211,7 +211,7 @@ def generate_scenario(
             )
         ]
         kwargs["script"] = {"seed": rng.randrange(10_000), "steps": steps}
-    if backend in FIELD_BACKENDS["lp_speed_factors"] and rng.random() < 0.25:
+    if backend in RUN_BY["lp_speed_factors"] and rng.random() < 0.25:
         n_lps = kwargs["app_params"].get(
             "n_lps", spec.base_params.get("n_lps", 2)
         )

@@ -380,6 +380,11 @@ def _run_in_process(
             {r["type"] for r in tracer.records} if tracer is not None else set()
         ),
     }
+    if scenario.script:
+        # the executive drops the set steps whose commit never came
+        raw["steps_run"] = len(scenario.script.get("steps", ())) - sum(
+            len(due) for due in sim.executive.steps.values()
+        )
     if scenario.faults:
         # what stops a silently perfect wire passing a fault sweep vacuously
         counters = sim.executive.network.counters
@@ -418,6 +423,8 @@ def _run_parallel(
         "stats": stats,
         "gvt_rounds": sim.gvt_rounds_run,
         "migrations": sim.migrations_in,
+        # leftover steps fire on the quiet fleet: every step runs
+        "steps_run": len((scenario.script or {}).get("steps", ())),
         "worker_timeline": tuple(sim.worker_timeline),
         "wire": sim.wire,
         "safe_share": dict(sim.safe_share),

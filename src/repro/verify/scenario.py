@@ -13,8 +13,9 @@ The knob fields mirror the paper's configuration space and are declared
 once, as rows of :data:`AXES` — field, values, the backends that take
 the knob, coverage tag.  Validation, the sweep
 (:mod:`repro.verify.lattice`), the fuzzer, coverage and the shrinker all
-read that table, so enabling a knob on a backend is an edit to one
-``backends=`` set.
+read that table; which backend runs a config field is
+:data:`repro.kernel.config.RUN_BY`'s to say, through the scenario's own
+config.
 
 All of these are **modelled-only** with respect to the committed result:
 whatever the knobs, a run must commit exactly the events the sequential
@@ -46,14 +47,13 @@ from ..core.window_controller import AdaptiveTimeWindow
 from ..faults.plan import FaultPlan
 from ..kernel.cancellation import Mode, StaticCancellation
 from ..kernel.checkpointing import MAX_INTERVAL, StaticCheckpoint
-from ..kernel.config import STEP_KINDS, SimulationConfig, validate_script
+from ..kernel.config import DRIVERS, RUN_BY, SimulationConfig
 from ..kernel.errors import ConfigurationError
 
 SCHEMA_SCENARIO = "repro-verify-scenario-1"
 
-BACKENDS = ("modelled", "conservative", "parallel")
+BACKENDS = DRIVERS
 _TIME_WARP = frozenset({"modelled", "parallel"})
-_MODELLED = frozenset({"modelled"})
 
 
 @dataclass(frozen=True)
@@ -108,25 +108,21 @@ AXES = (
     # none / FAW / SAAW, ``aggregation_window`` the (initial) window
     Axis("aggregation", ("none", "fixed", "saaw"), _TIME_WARP, "agg"),
     # the process backend always runs its own distributed coordinator
-    Axis("gvt_algorithm", ("omniscient", "mattern"), _MODELLED, "gvt"),
-    Axis("time_window", ("none", "adaptive"), _MODELLED, "window"),
+    Axis("gvt_algorithm", ("omniscient", "mattern"),
+         RUN_BY["gvt_algorithm"], "gvt"),
+    Axis("time_window", ("none", "adaptive"), RUN_BY["time_window"], "window"),
     # the unified MetaController over the meta-managed global knobs
     # (GVT period, placement; docs/control.md)
-    Axis("meta_control", ("off", "on"), _MODELLED, "meta"),
+    Axis("meta_control", ("off", "on"), RUN_BY["meta_control"], "meta"),
 )
 
-#: field -> the backends on which it may leave its default.  A scenario
-#: must not claim a knob, a fleet or a fault plan its backend does not
-#: run.  For ``backend="parallel"`` this refuses everything in
-#: :data:`repro.kernel.config.PARALLEL_UNSUPPORTED` that a scenario can
-#: carry, and more: ``gvt_algorithm`` (the backend has its own
-#: coordinator) and ``lp_speed_factors`` (it runs on real CPUs).
+#: field -> the backends on which it may leave its default, for what the
+#: lattice refuses on top of :data:`repro.kernel.config.RUN_BY` (which
+#: the scenario's config enforces): the policy axes only where a
+#: rollback exercises them, and a fleet only on the process backend.
 FIELD_BACKENDS: dict[str, frozenset] = {
-    **{axis.field: axis.backends for axis in AXES},
+    **{axis.field: axis.backends for axis in AXES if axis.field not in RUN_BY},
     "workers": frozenset({"parallel"}),
-    "script": frozenset(STEP_KINDS),
-    "faults": _MODELLED,
-    "lp_speed_factors": frozenset({"modelled", "conservative"}),
 }
 
 
@@ -289,6 +285,8 @@ class Scenario:
 
     # -- validation ---------------------------------------------------- #
     def validate(self) -> None:
+        """The scenario's own rules, then its config's for its backend
+        (:meth:`SimulationConfig.validate`)."""
         spec = APP_SPECS.get(self.app)
         if spec is None:
             raise ConfigurationError(
@@ -299,8 +297,6 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r} (known: {BACKENDS})"
             )
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         for axis in AXES:
             value = getattr(self, axis.field)
             if not axis.admits(value):
@@ -309,15 +305,10 @@ class Scenario:
                 )
         if self.aggregation_window <= 0:
             raise ConfigurationError("aggregation_window must be positive")
-        if self.gvt_period <= 0:
-            raise ConfigurationError("gvt_period must be positive")
-        for lp_id, factor in self.lp_speed_factors.items():
-            if int(lp_id) < 0 or float(factor) <= 0:
-                raise ConfigurationError(
-                    f"bad speed factor {factor!r} for LP {lp_id!r}"
-                )
-        if self.faults is not None:
-            FaultPlan.from_dict(self.faults)  # validates
+        if any(int(lp_id) < 0 for lp_id in self.lp_speed_factors):
+            raise ConfigurationError(
+                f"negative LP id in lp_speed_factors {self.lp_speed_factors}"
+            )
         for name, backends in FIELD_BACKENDS.items():
             if (
                 self.backend not in backends
@@ -328,8 +319,7 @@ class Scenario:
                     f"{', '.join(sorted(backends))} does); leave it at the "
                     "default"
                 )
-        if self.script is not None:
-            validate_script(self.script, self.backend)
+        self.build_config().validate(self.backend)
 
     # -- derived ------------------------------------------------------- #
     @property
@@ -349,12 +339,6 @@ class Scenario:
     def build_partition(self) -> list:
         return self.spec.build(self.merged_params())
 
-    def fault_plan(self) -> FaultPlan | None:
-        return None if self.faults is None else FaultPlan.from_dict(self.faults)
-
-    def speed_factors(self) -> dict[int, float]:
-        return {int(k): float(v) for k, v in self.lp_speed_factors.items()}
-
     def build_config(self, **extra: Any) -> SimulationConfig:
         """The :class:`SimulationConfig` this scenario describes.
 
@@ -372,9 +356,11 @@ class Scenario:
             gvt_period=self.gvt_period,
             end_time=self.effective_end_time(),
             backend="parallel" if self.backend == "parallel" else "modelled",
-            workers=self.workers if self.backend == "parallel" else 1,
-            faults=self.fault_plan(),
-            lp_speed_factors=self.speed_factors(),
+            workers=self.workers,
+            faults=None if self.faults is None else FaultPlan.from_dict(self.faults),
+            lp_speed_factors={
+                int(k): float(v) for k, v in self.lp_speed_factors.items()
+            },
             script=self.script,
         )
         if self.time_window == "adaptive":

@@ -18,7 +18,7 @@ from repro.apps.pingpong import build_pingpong
 from repro.apps.raid import RAIDParams, build_raid
 from repro.apps.smmp import SMMPParams, build_smmp
 from repro.conservative import ConservativeSimulation
-from repro.kernel.config import EXECUTIVE_ONLY
+from repro.kernel.config import RUN_BY
 from repro.kernel.errors import (
     CausalityViolationError,
     ConfigurationError,
@@ -51,8 +51,10 @@ class TestConstruction:
         ("script", {"seed": 0, "steps": []}),
     ])
     def test_refuses_what_only_the_executive_honours(self, name, value):
-        assert name in EXECUTIVE_ONLY + ("script",)
-        with pytest.raises(ConfigurationError, match=f"not support: {name}$"):
+        assert "conservative" not in RUN_BY[name]
+        with pytest.raises(
+            ConfigurationError, match=rf"'conservative' does not run: {name} \(run by modelled"
+        ):
             ConservativeSimulation(
                 build_pingpong(5), SimulationConfig(**{name: value})
             )
@@ -64,7 +66,9 @@ class TestConstruction:
         )
         with pytest.raises(
             ConfigurationError,
-            match="time_window, backend='parallel', placement='dynamic'$",
+            match=r"time_window \(run by modelled\), "
+            r"placement \(run by modelled, parallel\), "
+            r"backend='parallel' \(run by parallel\); leave them",
         ):
             ConservativeSimulation(build_pingpong(5), config)
 

@@ -168,7 +168,7 @@ class TestMembershipFollowsRouting:
             for shard_id in (0, 1)
         ]
         moved = sorted(shards[0].lp.members)[:2]
-        reconfigure = Reconfigure(1, tuple((oid, 0, 1) for oid in moved), ())
+        reconfigure = Reconfigure(1, tuple((oid, 0, 1) for oid in moved))
         for runtime in shards:
             runtime._handle(reconfigure)
         (batch,) = mailboxes[1]

@@ -22,7 +22,7 @@ import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation, make_simulation
 from repro.apps.pingpong import Player
-from repro.kernel.config import PARALLEL_UNSUPPORTED
+from repro.kernel.config import RUN_BY
 from repro.kernel.errors import ConfigurationError
 from repro.parallel import (
     GvtCoordinator,
@@ -173,7 +173,8 @@ class TestConfigValidation:
     def test_docs_table_lists_exactly_what_validate_refuses(self):
         text = (Path(__file__).parents[2] / "docs/parallel.md").read_text(encoding="utf-8")
         section = text.split("## What the backend does not support")[1].split("\n## ")[0]
-        assert tuple(re.findall(r"^\| `(\w+)` \|", section, re.M)) == PARALLEL_UNSUPPORTED
+        refused = tuple(name for name, drivers in RUN_BY.items() if "parallel" not in drivers)
+        assert tuple(re.findall(r"^\| `(\w+)` \|", section, re.M)) == refused
 
     def test_modelled_backend_unchanged(self):
         sim = make_simulation(PHOLD.build_partition(), SimulationConfig())

@@ -84,6 +84,24 @@ def test_knob_variants_reproduce_the_golden_digest():
         assert result.digest == golden.digest, changes
 
 
+def test_script_coverage_counts_only_steps_that_ran():
+    # pingpong quiesces long before the first GVT tick at 200 000 us, so
+    # no commit ever comes and its step never runs
+    step = {"at": 1, "kind": "set", "knob": "time_window", "value": 50.0}
+    idle = Scenario(
+        app="pingpong", gvt_period=200_000.0, script={"seed": 0, "steps": [step]}
+    )
+    result = run_scenario(idle)
+    assert result.ok, result.describe()
+    assert result.raw["steps_run"] == 0
+    assert "script:on" not in result.features
+    assert "script:unrun" in result.features
+    # the default period commits often enough for the same step to run
+    ran = run_scenario(idle.with_(gvt_period=5_000.0))
+    assert ran.raw["steps_run"] == 1
+    assert "script:on" in ran.features
+
+
 def test_conservative_backend_matches_golden():
     result = run_scenario(Scenario(app="smmp", backend="conservative"))
     assert result.ok, result.describe()

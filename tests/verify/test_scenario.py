@@ -4,11 +4,7 @@ import json
 
 import pytest
 
-from repro.kernel.config import (
-    EXECUTIVE_ONLY,
-    PARALLEL_UNSUPPORTED,
-    SimulationConfig,
-)
+from repro.kernel.config import DRIVERS, RUN_BY, SimulationConfig
 from repro.kernel.errors import ConfigurationError
 from repro.verify import SCHEMA_SCENARIO, Scenario
 from repro.verify.scenario import APP_SPECS, AXES, BACKENDS, FIELD_BACKENDS
@@ -130,26 +126,33 @@ def test_every_backend_refusal_names_field_backend_and_takers():
     off_default = {axis.field: axis.values[-1] for axis in AXES} | {
         "workers": 2, "script": {"seed": 1, "steps": []},
         "faults": {"seed": 1}, "lp_speed_factors": {"0": 2.0},
+        "gvt_period": 1_000.0,
     }
-    assert set(off_default) == set(FIELD_BACKENDS)
-    for name, takers in FIELD_BACKENDS.items():
+    carried = set(RUN_BY) & set(Scenario.__dataclass_fields__)
+    assert set(off_default) == set(FIELD_BACKENDS) | carried
+    for name, value in off_default.items():
+        takers = FIELD_BACKENDS.get(name) or RUN_BY[name]
         for backend in BACKENDS:
-            scenario = Scenario(backend=backend, **{name: off_default[name]})
+            scenario = Scenario(backend=backend, **{name: value})
             if backend in takers:
                 scenario.validate()
                 continue
-            pattern = f"{backend!r}.*{name}.*" + ".*".join(sorted(takers))
+            pattern = f"{backend!r}.*{name}.*" + ".*".join(
+                d for d in DRIVERS if d in takers
+            )
             with pytest.raises(ConfigurationError, match=pattern):
                 scenario.validate()
 
 
-def test_a_scenario_cannot_carry_what_the_parallel_config_refuses():
-    carried = set(PARALLEL_UNSUPPORTED) & set(Scenario.__dataclass_fields__)
-    assert carried == {"faults", "time_window", "meta_control"}
-    assert not any("parallel" in FIELD_BACKENDS[name] for name in carried)
-    # the conservative driver refuses the executive's own fields too
-    assert carried <= set(EXECUTIVE_ONLY)
-    assert not any("conservative" in FIELD_BACKENDS[name] for name in carried)
+def test_the_lattice_refuses_only_what_run_by_does_not():
+    # what a backend runs is the config's to refuse: the lattice's own
+    # table names none of RUN_BY's fields, and an axis over one of them
+    # takes its backends from RUN_BY
+    assert BACKENDS == DRIVERS
+    assert not set(FIELD_BACKENDS) & set(RUN_BY)
+    for axis in AXES:
+        if axis.field in RUN_BY:
+            assert axis.backends == RUN_BY[axis.field]
 
 
 def test_from_dict_rejects_unknown_fields_and_schemas():
