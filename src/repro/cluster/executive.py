@@ -94,7 +94,6 @@ class Executive:
         #: resolves object names to ids
         self.steps: dict[int, list[tuple[str, object, object]]] = {}
         self.wallclock = 0.0
-        self.terminated = False
         #: structured observability tracer (repro.trace); set by the kernel
         self.tracer = NULL_TRACER
         #: runtime invariant oracle (repro.oracle); set by the kernel
@@ -183,7 +182,6 @@ class Executive:
         """Re-arm the schedule after a quiescent pause (phased execution):
         wake every LP that has work under the (possibly raised) horizon
         and restart the GVT heartbeat."""
-        self.terminated = False
         for lp in self.lps:
             if lp.has_work():
                 self._schedule_turn(lp)
@@ -343,7 +341,6 @@ class Executive:
             # nothing can be quiescent with a delivery still on the heap
             if not self._pending_deliveries and self._quiescent():
                 break
-        self.terminated = True
 
     def _handle_delivery(self, when: float, message: PhysicalMessage) -> None:
         self._pending_deliveries -= 1

@@ -87,8 +87,6 @@ class AggregateBuffer:
     events: list[Event] = field(default_factory=list)
     opened_at: float = 0.0
     generation: int = 0
-    #: annihilated-in-buffer statistics
-    local_annihilations: int = 0
 
     def open(self, now: float) -> None:
         self.opened_at = now
@@ -106,7 +104,6 @@ class AggregateBuffer:
             buffered = self.events[index]
             if buffered.sign > 0 and buffered.event_id() == eid:
                 del self.events[index]
-                self.local_annihilations += 1
                 return True
         return False
 

@@ -136,8 +136,8 @@ def close_pass(
 
     With retirements, validity becomes ``Σ white_sent + retired_sent ==
     Σ white_received + retired_received`` over the reporting set: retired
-    participants' whites are final (the drain barrier proved their wire
-    empty at retirement) and enter as constants.
+    participants' whites are final (the elastic epoch's drain rounds
+    proved their wire empty at retirement) and enter as constants.
     """
     reports = tuple(sorted(reports, key=attrgetter("shard")))
     white_sent = retired_sent + sum(r.white_sent for r in reports)

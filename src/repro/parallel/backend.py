@@ -49,8 +49,6 @@ from ..stats.counters import RunStats
 from .gvt import GvtCoordinator
 from .shm import RING_CAPACITY, ShmRing, WakeBoard, shm_wire_supported
 from .ipc import (
-    DrainAck,
-    DrainProbe,
     MigrateDone,
     PauseEpoch,
     Reconfigure,
@@ -473,15 +471,26 @@ class ParallelSimulation:
         """One reconfiguration epoch, strictly between GVT rounds.
 
         Protocol (see repro/parallel/ipc.py): pause every active worker,
-        prove the wire empty with drain probes, fork joiners against a
-        pre-move routing snapshot, broadcast the placement delta, wait
-        for every checkpoint handoff, retire drained leavers, resume.
+        drain the wire through GVT rounds on the paused fleet, fork
+        joiners against a pre-move routing snapshot, broadcast the
+        placement delta, wait for every checkpoint handoff, retire drained
+        leavers, resume.
+
+        The drain's rounds commit nothing and end at one in which no
+        shard sent: every white was received, and a paused shard's cut
+        flushes it, so after the cut it sends only in answer to a later
+        receipt, which no one can cause first.  The wire is empty and
+        stays so (docs/parallel.md, "Elastic execution", step 2).
         """
         self._epoch += 1
         epoch = self._epoch
         deadline = time.monotonic() + self.timeout_s
         coordinator.broadcast(PauseEpoch(epoch))
-        self._drain_barrier(coordinator, epoch, deadline)
+        while True:
+            result = coordinator.run_round("elastic epoch", deadline=deadline)
+            if not any(report.red_sent for report in result.reports):
+                break
+            time.sleep(QUIET_SLEEP_S)  # deliveries still rolling back
         for shard in joiners:
             # The joiner's plan snapshots the routing map BEFORE this
             # epoch's moves; the Reconfigure broadcast below (which the
@@ -513,33 +522,6 @@ class ParallelSimulation:
             self.worker_timeline.append(
                 (self._commits, len(coordinator.active))
             )
-
-    def _drain_barrier(self, coordinator, epoch: int, deadline: float) -> None:
-        """Probe the paused fleet until the wire is provably empty.
-
-        A probe succeeds when the retired-corrected lifetime totals
-        balance: every ack was snapshotted with an empty inbox, and a
-        send after a snapshot would need a receive after a snapshot,
-        which inductively needs an uncounted earlier send.
-        """
-        probe_no = 0
-        while True:
-            probe_no += 1
-            coordinator.broadcast(DrainProbe(epoch, probe_no))
-            acks = coordinator.collect(
-                DrainAck, coordinator.active, "elastic epoch",
-                match=lambda m: (m.epoch, m.probe) == (epoch, probe_no),
-                deadline=deadline,
-            )
-            sent = coordinator.retired_sent + sum(
-                ack.total_sent for ack in acks.values()
-            )
-            received = coordinator.retired_received + sum(
-                ack.total_received for ack in acks.values()
-            )
-            if sent == received:
-                return
-            time.sleep(QUIET_SLEEP_S)  # whites still in a pipe; reprobe
 
     # ------------------------------------------------------------------ #
     def _merge(self, payloads: dict[int, dict], final_gvt: float) -> RunStats:

@@ -95,8 +95,8 @@ class GvtCoordinator:
 
         The one wait on the report queue.  A :class:`ShardError`, a dead
         shard or a silent one ends it in a :class:`WorkerFailedError`
-        naming ``phase``; anything else (an ack from an abandoned probe, a
-        stale report) is dropped — the protocol is lockstep per kind.
+        naming ``phase``; anything else (a stale report, a record of
+        another kind) is dropped — the protocol is lockstep per kind.
         Every active shard is watched, not only the expected ones: one
         that reported and then died is dead too, though a worker that
         exits 0 after its ``ShardDone`` is not.
@@ -161,19 +161,26 @@ class GvtCoordinator:
                 expected.discard(message.shard)
         return got
 
-    def run_round(self) -> RoundResult:
+    def run_round(
+        self, phase: str | None = None, *, deadline: float | None = None
+    ) -> RoundResult:
         """One full round: pass until :func:`close_pass` finds the white
-        counts balanced, retired workers' totals included."""
+        counts balanced, retired workers' totals included.  A round run
+        inside a larger ``phase`` (an elastic epoch's drain) is named
+        after it and shares its ``deadline``."""
         self._round += 1
-        deadline = time.monotonic() + self._timeout_s
+        if deadline is None:
+            deadline = time.monotonic() + self._timeout_s
         pass_no = 0
         while True:
             pass_no += 1
             self.passes_total += 1
             start = GvtStart(self._round, pass_no)
             self.broadcast(start)
+            label = f"GVT round {self._round} pass {pass_no}"
             got = self.collect(
-                ShardReport, self.active, f"GVT round {self._round} pass {pass_no}",
+                ShardReport, self.active,
+                label if phase is None else f"{phase} ({label})",
                 match=lambda m: (m.round, m.pass_no) == (start.round, start.pass_no),
                 deadline=deadline,
             )

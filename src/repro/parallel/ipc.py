@@ -22,6 +22,9 @@ coordinator's "fleet ran dry" hint are single bytes on the pipes of
 * shard -> coordinator: :class:`~repro.gvt.mattern.ShardReport` (one
   pass's cut snapshot) and :class:`ShardDone` / :class:`ShardError`
   (terminal payloads).
+* both ways, in an elastic epoch: the records at the end of this
+  module.  Its drain asks no question of its own: it is GVT rounds on
+  the paused fleet that commit nothing.
 
 Batching happens at two levels — DyMA aggregation packs events into
 physical messages (``comm/aggregation.py``), flushed once per look at
@@ -82,10 +85,10 @@ class ShardError:
 # --------------------------------------------------------------------- #
 # elastic reconfiguration (docs/parallel.md, "Elastic worker pool")
 # --------------------------------------------------------------------- #
-# One elastic *epoch* runs strictly between GVT rounds:
-#   PauseEpoch -> DrainProbe/DrainAck (wire proven empty) ->
-#   Reconfigure -> MigrateBatch/MigrateDone -> Retire/ShardDone ->
-#   Resume
+# One elastic *epoch* runs strictly between committing GVT rounds:
+#   PauseEpoch -> GvtStart/ShardReport rounds until one in which no
+#   shard sent (wire proven empty) -> Reconfigure ->
+#   MigrateBatch/MigrateDone -> Retire/ShardDone -> Resume
 # Migration traffic bypasses the coloured data wire on purpose:
 # the wire is provably empty while it flows, so it must not perturb the
 # Mattern accounting.
@@ -95,33 +98,9 @@ class ShardError:
 class PauseEpoch:
     """Coordinator opens elastic epoch ``epoch``: stop forward execution,
     keep draining the inbox (deliveries may still roll back and emit
-    anti-messages), flush all aggregates and the outbox."""
+    anti-messages) and flush what that sends."""
 
     epoch: int
-
-
-@dataclass(frozen=True, slots=True)
-class DrainProbe:
-    """Coordinator asks for a drain snapshot: reply with a DrainAck once
-    the inbox is empty and every buffered message is flushed out."""
-
-    epoch: int
-    probe: int
-
-
-@dataclass(frozen=True, slots=True)
-class DrainAck:
-    """One paused worker's lifetime wire totals, snapshotted with an
-    empty inbox and empty outbox.  When the acks of every active worker
-    satisfy ``sum(total_sent) == sum(total_received)`` the wire is empty:
-    any send after a snapshot would require a receive after a snapshot,
-    which inductively requires an uncounted earlier send."""
-
-    shard: int
-    epoch: int
-    probe: int
-    total_sent: int
-    total_received: int
 
 
 @dataclass(frozen=True, slots=True)

@@ -48,8 +48,6 @@ from ..kernel.simobject import SimulationObject
 from ..trace.tracer import NULL_TRACER, Tracer
 from .ipc import (
     DataBatch,
-    DrainAck,
-    DrainProbe,
     MigrateBatch,
     MigrateDone,
     PauseEpoch,
@@ -216,7 +214,6 @@ class _ShardRuntime:
         # -- elastic-epoch state (docs/parallel.md) ---------------------- #
         #: joiners fork paused inside the epoch that created them
         self._paused_epoch: int | None = plan.join_epoch
-        self._pending_probe: DrainProbe | None = None
         self._reconfig: Reconfigure | None = None
         self._expect_in = 0
         self._got_in = 0
@@ -251,10 +248,14 @@ class _ShardRuntime:
                 break
             if self._paused_epoch is not None:
                 # Elastic epoch: no forward execution, no on_idle (it
-                # expires comparison entries, which are checkpoint state);
-                # just drain, flush, and answer the coordinator.
+                # expires comparison entries, which are checkpoint state).
+                # Deliveries may roll objects back and queue anti-messages:
+                # push them out and re-poll, else wait for the coordinator.
                 since_queue = queue_slice  # paused passes read everything
-                self._elastic_tick(handled)
+                if handled:
+                    self._flush()
+                else:
+                    self._wait_one()
                 continue
             executed = 0
             refresh = self._refresh
@@ -386,15 +387,12 @@ class _ShardRuntime:
             self._stop = message
         elif isinstance(message, PauseEpoch):
             self._paused_epoch = message.epoch
-            self._flush()
             # objects may move: no promise holds until Resume
             self._peers = None
             self._refresh = False
             self.lp.drop_safe_bound()
             if self._clocks is not None:
                 self._clocks[self.shard_id] = _NEG_INF
-        elif isinstance(message, DrainProbe):
-            self._pending_probe = message
         elif isinstance(message, Reconfigure):
             self._apply_reconfigure(message)
         elif isinstance(message, MigrateBatch):
@@ -512,28 +510,6 @@ class _ShardRuntime:
     # ------------------------------------------------------------------ #
     # elastic epochs: pause -> drain -> move -> resume
     # ------------------------------------------------------------------ #
-    def _elastic_tick(self, handled: int) -> None:
-        """One paused-loop iteration: keep the wire moving, answer probes."""
-        if handled:
-            # deliveries may have rolled objects back and queued
-            # anti-messages; push everything out before claiming quiet
-            self._flush()
-            return  # re-poll: more may already be behind what we handled
-        if self._pending_probe is not None:
-            # inbox empty and everything flushed: snapshot the totals
-            self._flush()
-            probe = self._pending_probe
-            self._pending_probe = None
-            self.to_coordinator.put(DrainAck(
-                shard=self.shard_id,
-                epoch=probe.epoch,
-                probe=probe.probe,
-                total_sent=self.agent.total_sent,
-                total_received=self.agent.total_received,
-            ))
-            return
-        self._wait_one()
-
     def _apply_reconfigure(self, msg: Reconfigure) -> None:
         # The routing delta mutates plan.oid_to_shard IN PLACE: that one
         # dict object is simultaneously the CommModule routing table and
@@ -588,10 +564,11 @@ class _ShardRuntime:
     # GVT participation
     # ------------------------------------------------------------------ #
     def _cut(self, start: GvtStart) -> None:
-        # Every message sent so far leaves first, so each white one is in
-        # flight at the cut.  Open aggregates stay put: local_min covers
-        # them, and they leave red at the end of the slice.
-        self._flush_outbox()
+        # Everything sent so far leaves first, open aggregates included,
+        # so each white message is in flight at the cut and a paused shard
+        # sends after it only in answer to a later receipt (the elastic
+        # epoch's drain rests on this).
+        self._flush()
         lp = self.lp
         loads = None
         if self.plan.config.placement == "dynamic":

@@ -305,10 +305,6 @@ class Scenario:
                 )
         if self.aggregation_window <= 0:
             raise ConfigurationError("aggregation_window must be positive")
-        if any(int(lp_id) < 0 for lp_id in self.lp_speed_factors):
-            raise ConfigurationError(
-                f"negative LP id in lp_speed_factors {self.lp_speed_factors}"
-            )
         for name, backends in FIELD_BACKENDS.items():
             if (
                 self.backend not in backends
@@ -358,9 +354,7 @@ class Scenario:
             backend="parallel" if self.backend == "parallel" else "modelled",
             workers=self.workers,
             faults=None if self.faults is None else FaultPlan.from_dict(self.faults),
-            lp_speed_factors={
-                int(k): float(v) for k, v in self.lp_speed_factors.items()
-            },
+            lp_speed_factors=_speed_factors(self.lp_speed_factors),
             script=self.script,
         )
         if self.time_window == "adaptive":
@@ -446,6 +440,19 @@ def _checkpoint_factory(checkpoint: int | str):
     if checkpoint == "dynamic":
         return lambda _obj: DynamicCheckpoint()
     return lambda _obj: StaticCheckpoint(int(checkpoint))
+
+
+def _speed_factors(factors: dict) -> dict[int, float]:
+    """``lp_speed_factors`` keyed by LP id (JSON keys arrive as strings)."""
+    try:
+        typed = {int(k): float(v) for k, v in factors.items()}
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"lp_speed_factors maps LP ids to numbers, got {factors}"
+        ) from None
+    if any(lp_id < 0 for lp_id in typed):
+        raise ConfigurationError(f"negative LP id in lp_speed_factors {factors}")
+    return typed
 
 
 def _aggregation_factory(variant: str, window: float):

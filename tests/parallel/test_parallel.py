@@ -21,7 +21,10 @@ from pathlib import Path
 import pytest
 
 from repro import SimulationConfig, TimeWarpSimulation, make_simulation
+from repro.apps.phold import PHOLDParams, build_phold
 from repro.apps.pingpong import Player
+from repro.comm.aggregation import FixedWindow
+from repro.gvt.mattern import GvtStart, ShardReport
 from repro.kernel.config import RUN_BY
 from repro.kernel.errors import ConfigurationError
 from repro.parallel import (
@@ -30,9 +33,9 @@ from repro.parallel import (
     WorkerFailedError,
     resolve_strategy,
 )
-from repro.parallel.ipc import DrainAck, MigrateDone, ShardDone, ShardError
+from repro.parallel.ipc import MigrateDone, PauseEpoch, ShardDone, ShardError
 from repro.verify import Scenario, run_scenario, sequential_golden
-from tests.helpers import PHOLD
+from tests.helpers import PHOLD, Mailbox, inspection_shard
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -270,6 +273,15 @@ class _FakeProcess:
         return self.exitcode is None
 
 
+def _report(shard, pass_no, total):
+    """A quiet shard's cut for pass ``pass_no`` of round 1."""
+    return ShardReport(
+        shard=shard, round=1, pass_no=pass_no, local_min=0.0,
+        white_sent=total, white_received=total, red_min=float("inf"),
+        red_sent=0, active=False, total_sent=total, total_received=total,
+    )
+
+
 class TestShutdownWait:
     """``GvtCoordinator.collect`` — the one wait on the report queue —
     as a unit over a plain queue (no processes, so no liveness to read)."""
@@ -315,17 +327,18 @@ class TestShutdownWait:
         reports = queue.Queue()
         coordinator = GvtCoordinator([None, None], reports, timeout_s=0.05)
         for record in (
-            DrainAck(shard=0, epoch=1, probe=1, total_sent=9, total_received=9),
+            _report(0, pass_no=1, total=9),
             MigrateDone(shard=0, epoch=1),  # another kind entirely
             ShardDone(5),  # a shard nobody is waiting on
-            DrainAck(shard=0, epoch=1, probe=2, total_sent=3, total_received=3),
-            DrainAck(shard=1, epoch=1, probe=2, total_sent=4, total_received=4),
+            _report(0, pass_no=2, total=3),
+            _report(1, pass_no=2, total=4),
         ):
             reports.put(record)
-        acks = coordinator.collect(
-            DrainAck, {0, 1}, "elastic epoch", match=lambda m: m.probe == 2
+        got = coordinator.collect(
+            ShardReport, {0, 1}, "GVT round 1 pass 2",
+            match=lambda m: m.pass_no == 2,
         )
-        assert {shard: ack.total_sent for shard, ack in acks.items()} == {0: 3, 1: 4}
+        assert {shard: r.total_sent for shard, r in got.items()} == {0: 3, 1: 4}
 
     def test_shard_error_carries_the_phase_and_the_traceback(self):
         reports = queue.Queue()
@@ -342,6 +355,65 @@ class TestShutdownWait:
         coordinator = GvtCoordinator(inboxes, queue.Queue(), active={0, 2})
         coordinator.broadcast("record")
         assert [inbox.qsize() for inbox in inboxes] == [1, 0, 1]
+
+
+class TestElasticDrain:
+    def test_a_shard_dead_while_draining_names_the_elastic_epoch(self):
+        """The epoch's drain is GVT rounds on the paused fleet: shard 0
+        answers the first pass, shard 1 is dead, and the wait ends in an
+        error naming the epoch, not a bare round."""
+        inboxes, reports = [queue.Queue(), queue.Queue()], queue.Queue()
+        sim = ParallelSimulation(
+            PHOLD.build_partition(),
+            SimulationConfig(backend="parallel", workers=2), timeout_s=3.0,
+        )
+        coordinator = GvtCoordinator(
+            inboxes, reports, timeout_s=sim.timeout_s,
+            processes={0: _FakeProcess("repro-shard-0", None),
+                       1: _FakeProcess("repro-shard-1", 9)},
+        )
+        reports.put(_report(0, pass_no=1, total=0))
+        with pytest.raises(
+            WorkerFailedError,
+            match=r"repro-shard-1 died during elastic epoch.*exit code 9",
+        ):
+            sim._elastic_epoch(coordinator, (), (), ())
+        assert [inboxes[1].get_nowait() for _ in range(2)] == [
+            PauseEpoch(1), GvtStart(1, 1),
+        ]
+
+    def test_a_paused_shard_cuts_with_no_aggregate_buffered(self):
+        """A straggler delivered inside an epoch rolls the shard back and
+        buffers anti-messages; the cut that follows sends them before its
+        report leaves, so after the cut the shard only ever sends in
+        answer to a later receipt (what the drain's proof rests on)."""
+        config = SimulationConfig(
+            end_time=500.0, aggregation=lambda _lp: FixedWindow(100.0)
+        )
+        mailboxes = {0: Mailbox(), 1: Mailbox()}
+        buffered_at_report = Mailbox()
+        ahead, behind = shards = [
+            inspection_shard(
+                shard_id, build_phold(PHOLDParams(n_objects=8, n_lps=2)),
+                config, mailboxes=mailboxes, to_coordinator=buffered_at_report,
+            )
+            for shard_id in (0, 1)
+        ]
+        buffered_at_report.put = lambda _record: buffered_at_report.append(
+            ahead.lp.comm.buffered_event_count()
+        )
+        for runtime in shards:
+            runtime.lp.initialize()
+        while ahead.lp.execute_one():
+            pass
+        behind.lp.execute_one()
+        behind._flush()
+        ahead._handle(PauseEpoch(1))
+        for batch in mailboxes[0]:
+            ahead._handle(batch)
+        assert ahead.lp.comm.buffered_event_count() > 0  # antis wait
+        ahead._handle(GvtStart(1, 1))
+        assert buffered_at_report == [0]
 
 
 class _Crasher(Player):

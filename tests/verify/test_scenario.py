@@ -115,6 +115,11 @@ def test_simulation_config_has_no_snapshot_field():
         {"backend": "parallel", "meta_control": "on"},
         # a scenario cannot claim a fleet it does not run
         {"backend": "modelled", "workers": 2},
+        # malformed LP ids and factors
+        {"lp_speed_factors": {"-1": 2.0}},
+        {"lp_speed_factors": {"x": 2.0}},
+        {"lp_speed_factors": {"0": "fast"}},
+        {"lp_speed_factors": {"0": None}},
     ],
 )
 def test_invalid_scenarios_rejected(changes):
