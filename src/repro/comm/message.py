@@ -41,7 +41,8 @@ class PhysicalMessage:
 
     Equality and hashing cover the six public fields.  The wire size is
     charged at send, receive and network transit, so it is computed once
-    here; the comm package reads ``_size`` directly and
+    here, or taken as ``size`` from the wire frame that carried it; the
+    comm package and the wire codec read ``_size`` directly and
     :meth:`size_bytes` returns the same value to everyone else.
     ``colour``, the sender's Mattern round stamped at send, travels
     (pickle, wire frame) but stays out of equality and hashing.
@@ -58,6 +59,7 @@ class PhysicalMessage:
         control: Any = None,
         serial: int | None = None,
         colour: int = 0,
+        size: int | None = None,
     ) -> None:
         self.src_lp = src_lp
         self.dst_lp = dst_lp
@@ -66,13 +68,14 @@ class PhysicalMessage:
         self.control = control
         self.serial = next(_serial_counter) if serial is None else serial
         self.colour = colour
-        if kind is MessageKind.DATA:
-            size = PHYSICAL_HEADER_BYTES
-            for event in events:
-                size += event.size_bytes()
-        else:
-            # Control messages are small and fixed-size.
-            size = PHYSICAL_HEADER_BYTES + 32
+        if size is None:
+            if kind is MessageKind.DATA:
+                size = PHYSICAL_HEADER_BYTES
+                for event in events:
+                    size += event.size_bytes()
+            else:
+                # Control messages are small and fixed-size.
+                size = PHYSICAL_HEADER_BYTES + 32
         self._size = size
 
     def __eq__(self, other: object) -> bool:

@@ -29,6 +29,7 @@ drivers"); this module owns what only a real process can do:
 from __future__ import annotations
 
 import queue as queue_mod
+import select
 import time
 import traceback
 from collections import deque
@@ -135,6 +136,17 @@ def worker_main(shard_id: int, plan: ShardPlan, inbox, to_coordinator,
         to_coordinator.put(ShardError(shard_id, traceback.format_exc()))
 
 
+def inbox_poll(inbox):
+    """A ``poll`` object on the read end of ``inbox``'s pipe: one
+    ``poll(0)`` syscall says whether the queue holds a record.  A shard
+    built only to be inspected has no inbox, or a thread queue with no
+    pipe; nothing is registered then."""
+    ready = select.poll()
+    if hasattr(inbox, "_reader"):
+        ready.register(inbox._reader, select.POLLIN)
+    return ready
+
+
 class _ShardRuntime:
     """One worker's live state: LP, outbox, wire ends."""
 
@@ -143,6 +155,9 @@ class _ShardRuntime:
         self.shard_id = shard_id
         self.plan = plan
         self.inbox = inbox
+        #: looked at before each poll of the queue: an empty
+        #: ``get_nowait`` builds a selector every time
+        self._inbox_ready = inbox_poll(inbox)
         self.to_coordinator = to_coordinator
         self.out_queues = out_queues
         #: the fleet's doorbells (None builds a shard that can be
@@ -320,7 +335,7 @@ class _ShardRuntime:
             if frame is not None:
                 self._frames_received += 1
                 return decode_batch(frame)
-        if not poll_queue:
+        if not poll_queue or not self._inbox_ready.poll(0):
             return None
         try:
             return self.inbox.get_nowait()

@@ -83,11 +83,13 @@ class Mailbox(list):
 
 
 def inspection_shard(shard_id: int, partition, config: SimulationConfig,
-                     n_shards: int = 2, mailboxes=None, to_coordinator=None):
+                     n_shards: int = 2, mailboxes=None, to_coordinator=None,
+                     inbox=None):
     """A process-backend shard built in this process, with no wire and no
     doorbells: it can handle IPC records and be inspected, not run.  Give
     each shard its own ``partition`` (a forked worker has its own copy of
-    the model and of the routing map)."""
+    the model and of the routing map); ``inbox``, a ``multiprocessing``
+    queue, is the one it polls for control records."""
     from repro.kernel.kernel import walk_directory
     from repro.parallel.worker import ShardPlan, _ShardRuntime
 
@@ -96,4 +98,4 @@ def inspection_shard(shard_id: int, partition, config: SimulationConfig,
                      config, n_shards=n_shards)
     if to_coordinator is None:
         to_coordinator = Mailbox()
-    return _ShardRuntime(shard_id, plan, None, to_coordinator, mailboxes or {})
+    return _ShardRuntime(shard_id, plan, inbox, to_coordinator, mailboxes or {})

@@ -62,6 +62,7 @@ class _Endpoint(worker_mod._ShardRuntime):
     def __init__(self, shard_id, rings, wakes, inbox):  # no LP to build
         self.shard_id = shard_id
         self.inbox = inbox
+        self._inbox_ready = worker_mod.inbox_poll(inbox)
         self.out_queues = {}
         self._wakes = wakes
         self._rings_in = {

@@ -11,6 +11,7 @@ delivery across wraparound with honest backpressure (``try_push`` ->
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import queue as queue_mod
 import select
 import struct
@@ -93,14 +94,39 @@ class TestCodecRoundTrip:
         assert type(message.events[0].payload) is type(payload)
 
     @pytest.mark.parametrize("payload", [
-        2**70, -(2**70),          # outside i64: pickle escape hatch
-        {"a": 1},                 # dict: not inline-encodable
+        2**70, -(2**70),          # outside i64
+        {"a": 1},
         frozenset({1, 2}),
+        "\ud800",                 # a lone surrogate: not valid UTF-8
+        (True, 2**70, ("\ud800", (None, b"")), 1.5),
     ])
     def test_escape_hatch_payloads(self, payload):
+        # what wire v2 could not inline and sent through its pickle
+        # escape hatch; v3 pickles every payload the same way
         batch = _roundtrip([_event(payload=payload)])
         (message,) = batch.messages
         assert message.events[0].payload == payload
+        assert type(message.events[0].payload) is type(payload)
+
+    @pytest.mark.parametrize("value", [-0.0, float("nan"), float("-inf")])
+    def test_float_payloads_keep_their_bits(self, value):
+        batch = _roundtrip([_event(payload=value), _event(payload=(value,))])
+        bare, nested = (event.payload for event in batch.messages[0].events)
+        assert struct.pack("<d", bare) == struct.pack("<d", value)
+        assert struct.pack("<d", nested[0]) == struct.pack("<d", value)
+
+    def test_one_payload_object_in_two_events(self):
+        payload = (4, "shared", (2**70,))
+        batch = _roundtrip([_event(serial=0, payload=payload),
+                            _event(serial=1, payload=payload)])
+        assert [event.payload for event in batch.messages[0].events] == [payload] * 2
+
+    def test_message_sizes_ride_the_table(self):
+        events = [_event(serial=s, payload=("x" * s, s)) for s in range(5)]
+        src_shard, (message,) = _batch(events)
+        (decoded,) = decode_batch(encode_batch(src_shard, (message,))).messages
+        assert decoded.size_bytes() == message.size_bytes()
+        assert all(event._size is None for event in decoded.events)  # not re-sized
 
     def test_event_fields_exact(self):
         events = [
@@ -176,6 +202,11 @@ class TestCodecRejections:
         with pytest.raises(WireEncodeError):
             encode_batch(0, (message,))
 
+    def test_unpicklable_payload_falls_back(self):
+        _src, messages = _batch([_event(payload=lambda: None)])
+        with pytest.raises(WireEncodeError, match="unencodable payload"):
+            encode_batch(0, messages)
+
     def test_bad_magic_rejected(self):
         src_shard, messages = _batch([_event()])
         frame = bytearray(encode_batch(src_shard, messages))
@@ -200,8 +231,8 @@ class TestCodecRejections:
 
 
 def _multi_envelope_frame() -> bytes:
-    """Three messages covering every variable-length field: small and
-    large field blocks, and str / bytes / tuple / pickle bodies."""
+    """Three messages with small and large column blocks, and str /
+    bytes / nested tuple / dict payloads in the pickled column."""
     payloads = ["text", b"\x00\x01\x02", (1, "two", (3.0, None)), {"k": 2**70},
                 7, -0.5, None, True]
     messages = tuple(
@@ -218,6 +249,10 @@ def _multi_envelope_frame() -> bytes:
     return encode_batch(1, messages)
 
 
+#: where _multi_envelope_frame's payload column starts
+_COLUMN = 16 + 3 * 20 + 51 * 33
+
+
 class TestTruncatedFrames:
     """Bytes from another process: a frame whose lengths run past its end
     is a typed error at the decoder, not a ``struct.error`` further in."""
@@ -230,13 +265,14 @@ class TestTruncatedFrames:
                 decode_batch(frame[:cut])
 
     # _multi_envelope_frame: k = 3 messages, n = 3 + 40 + 8 = 51 events;
-    # payloads start after the 16-byte header, the 16k-byte message
-    # table and the 33n bytes of columns
+    # the payload column starts after the 16-byte header, the 20k-byte
+    # message table and the 33n bytes of columns, with PROTO 5 and then
+    # a FRAME opcode whose u64 length covers the rest of the pickle
     @pytest.mark.parametrize("offset, value", [
         (8, 3),                        # header: n_messages
         (12, 51),                      # header: n_events
         (16 + 12, 3),                  # message table: first count
-        (16 + 3 * 16 + 51 * 33 + 1, 4),  # first payload: len("text")
+        (_COLUMN + 3, 181),            # payload column: its pickle frame
     ])
     def test_flipped_length_field_rejected(self, offset, value):
         frame = bytearray(_multi_envelope_frame())
@@ -244,6 +280,11 @@ class TestTruncatedFrames:
         frame[offset + 3] ^= 0x40  # + 2**30 in a little-endian u32
         with pytest.raises(WireFormatError):
             decode_batch(bytes(frame))
+
+    def test_column_length_is_the_rest_of_the_frame(self):
+        frame = _multi_envelope_frame()
+        assert frame[_COLUMN:_COLUMN + 3] == b"\x80\x05\x95"  # PROTO 5, FRAME
+        assert len(frame) - _COLUMN - 11 == 181
 
     def test_envelope_counts_must_sum_to_n_events(self):
         frame = bytearray(_multi_envelope_frame())
@@ -254,6 +295,33 @@ class TestTruncatedFrames:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(WireFormatError, match="1 trailing bytes"):
             decode_batch(_multi_envelope_frame() + b"\x00")
+
+    def test_a_second_column_is_trailing_bytes(self):
+        # a whole well-formed pickle after the column is still left over
+        extra = pickle.dumps((None,), pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(WireFormatError, match=f"{len(extra)} trailing bytes"):
+            decode_batch(_multi_envelope_frame() + extra)
+
+    @pytest.mark.parametrize("column", [
+        [None] * 51,        # a list, not a tuple
+        (None,) * 50,       # one payload short
+        (None,) * 52,
+        None,
+    ])
+    def test_column_that_is_not_an_n_tuple_rejected(self, column):
+        frame = _multi_envelope_frame()[:_COLUMN]
+        frame += pickle.dumps(column, pickle.HIGHEST_PROTOCOL)
+        with pytest.raises(WireFormatError, match="not a 51-tuple"):
+            decode_batch(frame)
+
+    def test_v2_frame_refused_by_version(self):
+        # version 2: 16-byte message entries with no size, then one tag
+        # byte per payload (0 = None) in place of the pickled column
+        v2_frame = (struct.pack("<HBBIII", 0x5257, 2, 1, 0, 1, 1)
+                    + struct.pack("<IIII", 0, 3, 7, 1)
+                    + struct.pack("<IIQbdd", 3, 7, 0, 1, 1.5, 2.5) + b"\x00")
+        with pytest.raises(WireFormatError, match="version 2"):
+            decode_batch(v2_frame)
 
     def test_v1_frame_refused_by_version(self):
         # version 1: a 12-byte header with no event count, then per-
@@ -270,13 +338,13 @@ class TestTruncatedFrames:
         src_shard, messages = _batch([_event(payload="hello")])
         frame = bytearray(encode_batch(src_shard, messages))
         frame[frame.index(b"hello")] = 0xFF
-        with pytest.raises(WireFormatError, match="str body at offset"):
+        with pytest.raises(WireFormatError, match="corrupt payload column at offset"):
             decode_batch(bytes(frame))
 
     def test_corrupt_pickle_body_is_a_format_error(self):
         src_shard, messages = _batch([_event(payload={"k": 1})])
         frame = encode_batch(src_shard, messages)
-        with pytest.raises(WireFormatError, match="pickle body at offset"):
+        with pytest.raises(WireFormatError, match="corrupt payload column at offset"):
             decode_batch(frame[:-1] + b"\x00")  # STOP opcode overwritten
 
 
@@ -623,6 +691,8 @@ class _CadenceProbe:
         runtime.shard_id = 0
         runtime.lp = Lp()
         runtime.inbox = Inbox()
+        # the inbox pipe always looks readable: every poll reaches the queue
+        runtime._inbox_ready = types.SimpleNamespace(poll=lambda _timeout: [(0, select.POLLIN)])
         runtime._rings_in = {1: Ring()} if with_ring else {}
         runtime._pending = deque()
         runtime._frames_received = 0
@@ -728,6 +798,37 @@ class TestPollCadence:
 
 def _frame(label):
     return encode_batch(*_batch([_event(payload=label)], src_shard=1))
+
+
+class TestControlPoll:
+    """The control queue is asked for a record only when its pipe is
+    readable: an empty ``mp.Queue.get_nowait`` builds a selector per call,
+    and every shard polls once per EXECUTE_SLICE events."""
+
+    def test_an_empty_inbox_is_looked_at_not_asked(self):
+        inbox = multiprocessing.Queue()
+        try:
+            runtime = inspection_shard(
+                0, build_phold(PHOLDParams(n_objects=4, n_lps=2)),
+                SimulationConfig(backend="parallel", workers=2, end_time=10.0),
+                inbox=inbox,
+            )
+            asked = Mock(wraps=inbox.get_nowait)
+            inbox.get_nowait = asked
+            assert runtime._next_nowait() is None
+            assert not asked.called
+            stop = Stop(final_gvt=1.0, total_sent=2, total_received=2)
+            inbox.put(stop)  # a feeder thread writes it to the pipe
+            deadline = time.monotonic() + 10.0
+            while (record := runtime._next_nowait()) is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            assert record == stop
+            assert asked.call_count == 1
+            assert runtime._next_nowait(poll_queue=False) is None
+        finally:
+            inbox.close()
+            inbox.join_thread()
 
 
 class TestPollCadenceWithChannelClocks:

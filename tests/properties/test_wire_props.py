@@ -21,13 +21,13 @@ from repro.kernel.event import Event
 from repro.parallel.shm import ShmRing
 from repro.parallel.wire import WireFormatError, decode_batch, encode_batch
 
-# inline-encodable scalars, including the pickle escape hatch (huge
-# ints, dicts) and awkward-but-legal strings
+# scalars of every kind a payload column carries, big ints and
+# awkward-but-legal strings included
 _scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**63), max_value=2**63 - 1),
-    st.integers(min_value=2**63, max_value=2**80),       # escape hatch
+    st.integers(min_value=2**63, max_value=2**80),
     st.integers(min_value=-(2**80), max_value=-(2**63) - 1),
     st.floats(allow_nan=False),                          # incl. ±inf
     st.text(max_size=40),
