@@ -17,66 +17,44 @@ Quickstart::
     print(stats.summary())
 """
 
-# NOTE: the kernel package must initialize first; it pulls in the
-# comm/cluster/gvt packages in an order that resolves their cycles.
-from .kernel import (
-    Mode,
-    RecordState,
-    SimulationConfig,
-    SimulationObject,
-    StaticCancellation,
-    StaticCheckpoint,
-    TimeWarpSimulation,
-    make_simulation,
-)
-from .cluster.costmodel import CostModel, NetworkModel
-from .core import (
-    AdaptiveTimeWindow,
-    DynamicCancellation,
-    DynamicCheckpoint,
-    PermanentAggressive,
-    PermanentSet,
-    SAAWPolicy,
-    StaticTimeWindow,
-    single_threshold,
-)
-from .comm.aggregation import FixedWindow, NoAggregation
-from .conservative import ConservativeSimulation
-from .control import MetaController
-from .faults import FaultPlan, FaultRates
-from .oracle import InvariantOracle, InvariantViolation
-from .sequential import SequentialSimulation
-from .stats import RunStats
+# NOTE: the kernel package initializes first and eagerly: every run needs
+# it, and it pulls in the comm/cluster/gvt modules in an order that
+# resolves their cycles.  Every other export is lazy (repro/_lazy.py):
+# ``import repro`` loads only the kernel and what it runs, and a name is
+# imported from its submodule on first access.
+from . import kernel  # noqa: F401
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveTimeWindow",
-    "ConservativeSimulation",
-    "CostModel",
-    "DynamicCancellation",
-    "DynamicCheckpoint",
-    "FaultPlan",
-    "FaultRates",
-    "FixedWindow",
-    "InvariantOracle",
-    "InvariantViolation",
-    "MetaController",
-    "Mode",
-    "NetworkModel",
-    "NoAggregation",
-    "PermanentAggressive",
-    "PermanentSet",
-    "RecordState",
-    "RunStats",
-    "SAAWPolicy",
-    "SequentialSimulation",
-    "SimulationConfig",
-    "SimulationObject",
-    "StaticCancellation",
-    "StaticCheckpoint",
-    "StaticTimeWindow",
-    "TimeWarpSimulation",
-    "make_simulation",
-    "single_threshold",
-]
+_EXPORTS = {
+    ".kernel": (
+        "Mode",
+        "RecordState",
+        "SimulationConfig",
+        "SimulationObject",
+        "StaticCancellation",
+        "StaticCheckpoint",
+        "TimeWarpSimulation",
+        "make_simulation",
+    ),
+    ".cluster.costmodel": ("CostModel", "NetworkModel"),
+    ".core": (
+        "AdaptiveTimeWindow",
+        "DynamicCancellation",
+        "DynamicCheckpoint",
+        "PermanentAggressive",
+        "PermanentSet",
+        "SAAWPolicy",
+        "StaticTimeWindow",
+        "single_threshold",
+    ),
+    ".comm.aggregation": ("FixedWindow", "NoAggregation"),
+    ".conservative": ("ConservativeSimulation",),
+    ".control": ("MetaController",),
+    ".faults": ("FaultPlan", "FaultRates"),
+    ".oracle": ("InvariantOracle", "InvariantViolation"),
+    ".sequential": ("SequentialSimulation",),
+    ".stats": ("RunStats",),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,42 +1,22 @@
 """Bundled simulation models: SMMP, RAID, PHOLD and test workloads."""
 
-from .base import chance, pick, round_robin_partition, token_hash, uniform
-from .logic import (
-    AdderParams,
-    Gate,
-    Probe,
-    VectorSource,
-    adder_vectors,
-    build_ripple_adder,
-    build_xor_chain,
-    read_adder_outputs,
-)
-from .phold import PHOLDObject, PHOLDParams, build_phold
-from .pingpong import Player, build_pingpong
-from .raid import RAIDParams, build_raid
-from .smmp import SMMPParams, build_smmp
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdderParams",
-    "Gate",
-    "PHOLDObject",
-    "PHOLDParams",
-    "Player",
-    "Probe",
-    "RAIDParams",
-    "SMMPParams",
-    "VectorSource",
-    "adder_vectors",
-    "build_phold",
-    "build_raid",
-    "build_ripple_adder",
-    "build_smmp",
-    "build_xor_chain",
-    "read_adder_outputs",
-    "build_pingpong",
-    "chance",
-    "pick",
-    "round_robin_partition",
-    "token_hash",
-    "uniform",
-]
+_EXPORTS = {
+    ".base": ("chance", "pick", "round_robin_partition", "token_hash", "uniform"),
+    ".logic": (
+        "AdderParams",
+        "Gate",
+        "Probe",
+        "VectorSource",
+        "adder_vectors",
+        "build_ripple_adder",
+        "build_xor_chain",
+        "read_adder_outputs",
+    ),
+    ".phold": ("PHOLDObject", "PHOLDParams", "build_phold"),
+    ".pingpong": ("Player", "build_pingpong"),
+    ".raid": ("RAIDParams", "build_raid"),
+    ".smmp": ("SMMPParams", "build_smmp"),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -5,28 +5,25 @@ Use the CLI (``repro-bench figures --fig 5``) or call the functions in
 repository's ``benchmarks/`` directory.
 """
 
-from .harness import (
-    RAID_PROFILE,
-    SMMP_PROFILE,
-    ExperimentProfile,
-    RunResult,
-    run_cell,
-    scaled,
-)
-from .figures import FIGURES, fig5, fig6, fig7, fig8, fig9, baseline_rates
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentProfile",
-    "FIGURES",
-    "RAID_PROFILE",
-    "RunResult",
-    "SMMP_PROFILE",
-    "baseline_rates",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "run_cell",
-    "scaled",
-]
+_EXPORTS = {
+    ".harness": (
+        "RAID_PROFILE",
+        "SMMP_PROFILE",
+        "ExperimentProfile",
+        "RunResult",
+        "run_cell",
+        "scaled",
+    ),
+    ".figures": (
+        "FIGURES",
+        "baseline_rates",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+    ),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -21,11 +21,9 @@ from typing import TYPE_CHECKING
 from ..comm.aggregation import FixedWindow, NoAggregation
 from ..comm.message import MessageKind, PhysicalMessage
 from ..comm.network import Network
-from ..core.window_controller import StaticTimeWindow, WindowObservation
 from ..gvt.manager import GVTAlgorithm
 from ..kernel.errors import SchedulingError, TerminationError
 from ..kernel.lp import LogicalProcess
-from ..kernel.migration import detach_object, restore_object
 from ..oracle.invariants import NULL_ORACLE
 from ..trace.tracer import NULL_TRACER
 
@@ -63,7 +61,15 @@ class Executive:
         self._pending_data = 0
         self._pending_callbacks = 0
         self._executed_events = 0
-        # optional optimism throttling (bounded time windows)
+        # optional optimism throttling (bounded time windows).
+        # :mod:`repro.core.window_controller` is loaded only by a run that
+        # can bound its optimism: a configured window, or a run script
+        # that may set one.
+        self._windows = None
+        if config.time_window is not None or config.script is not None:
+            from ..core import window_controller
+
+            self._windows = window_controller
         self.window_policy = (
             config.time_window() if config.time_window is not None else None
         )
@@ -220,7 +226,7 @@ class Executive:
                 comm.window = value or 0.0
             else:  # time_window: a static width, re-anchored every round
                 self.window_policy = (
-                    None if value is None else StaticTimeWindow(value)
+                    None if value is None else self._windows.StaticTimeWindow(value)
                 )
                 self._window_width = value
                 bound = float("inf") if value is None else self.gvt + value
@@ -239,7 +245,7 @@ class Executive:
         rolled = sum(
             ctx.stats.events_rolled_back for lp in self.lps for ctx in lp.members.values()
         )
-        observation = WindowObservation(
+        observation = self._windows.WindowObservation(
             executed=executed - self._last_window_executed,
             rolled_back=rolled - self._last_window_rolled,
         )
@@ -293,6 +299,8 @@ class Executive:
             return
         if not 0 <= dst_lp < len(self.lps):
             raise SchedulingError(f"no LP {dst_lp} to migrate object {oid} to")
+        from ..kernel.migration import detach_object, restore_object
+
         source = self.lps[src_lp]
         target = self.lps[dst_lp]
         checkpoint = detach_object(source, oid)

@@ -91,7 +91,8 @@ class PhysicalMessage:
         return "PhysicalMessage(" + ", ".join(f"{n}={v!r}" for n, v in pairs) + ")"
 
     def __reduce__(self):
-        return (PhysicalMessage, (*_message_fields(self), self.colour))
+        # the size travels too: a receiver never re-walks the payloads
+        return (PhysicalMessage, (*_message_fields(self), self.colour, self._size))
 
     def size_bytes(self) -> int:
         return self._size

@@ -10,30 +10,22 @@ constraint — and generic machinery consumes the declarations: the
 ``repro-control docs`` renders the reference table in docs/control.md.
 """
 
-from .meta import (
-    META_KNOBS,
-    GvtPeriodController,
-    MetaController,
-    PlacementController,
-)
-from .registry import (
-    KNOBS,
-    dynamic_config_kwargs,
-    get_knob,
-    render_knob_table,
-    static_config_kwargs,
-)
-from .spec import KnobSpec
+from .._lazy import lazy_exports
 
-__all__ = [
-    "KNOBS",
-    "META_KNOBS",
-    "GvtPeriodController",
-    "KnobSpec",
-    "MetaController",
-    "PlacementController",
-    "dynamic_config_kwargs",
-    "get_knob",
-    "render_knob_table",
-    "static_config_kwargs",
-]
+_EXPORTS = {
+    ".meta": (
+        "META_KNOBS",
+        "GvtPeriodController",
+        "MetaController",
+        "PlacementController",
+    ),
+    ".registry": (
+        "KNOBS",
+        "dynamic_config_kwargs",
+        "get_knob",
+        "render_knob_table",
+        "static_config_kwargs",
+    ),
+    ".spec": ("KnobSpec",),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -23,13 +23,10 @@ Generic consumers:
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
 from ..comm.aggregation import FixedWindow, NoAggregation
-from ..core.aggregation_controller import SAAWPolicy
-from ..core.cancellation_controller import DynamicCancellation
-from ..core.checkpoint_controller import DynamicCheckpoint
-from ..core.window_controller import AdaptiveTimeWindow, StaticTimeWindow
 from ..kernel.cancellation import Mode, StaticCancellation
 from ..kernel.checkpointing import MAX_INTERVAL, StaticCheckpoint
 from ..kernel.errors import ConfigurationError
@@ -53,6 +50,14 @@ def get_knob(name: str) -> KnobSpec:
         raise ConfigurationError(
             f"unknown knob {name!r} (registered: {sorted(KNOBS)})"
         ) from None
+
+
+def _policy(module: str, name: str, *args: Any):
+    """A factory of ``repro.core.<module>.<name>(*args)``, one policy per
+    target.  The class is imported when a knob is built, so validating a
+    config loads no controller."""
+    cls = getattr(importlib.import_module(f"..core.{module}", __package__), name)
+    return lambda *_target: cls(*args)
 
 
 # --------------------------------------------------------------------- #
@@ -122,7 +127,7 @@ register(KnobSpec(
     static_values=tuple((f"chi={c}", c) for c in (1, 2, 4, 8, 16, 32, 64)),
     check=_check_checkpoint,
     make_static=lambda chi: (lambda _obj, c=chi: StaticCheckpoint(c)),
-    make_dynamic=lambda: (lambda _obj: DynamicCheckpoint()),
+    make_dynamic=lambda: _policy("checkpoint_controller", "DynamicCheckpoint"),
     doc="Section 4: infrequent state saving trades save cost against "
         "coast-forward cost; the paper's heuristic walks chi by +-1 "
         "toward the U-curve minimum of Ec.",
@@ -147,7 +152,7 @@ register(KnobSpec(
     ),
     check=_check_cancellation,
     make_static=lambda mode: (lambda _obj, m=mode: StaticCancellation(m)),
-    make_dynamic=lambda: (lambda _obj: DynamicCancellation()),
+    make_dynamic=lambda: _policy("cancellation_controller", "DynamicCancellation"),
     doc="Section 5: lazy cancellation wins when rollbacks regenerate the "
         "same messages (high HR); the DC controller monitors HR in both "
         "modes and switches inside a dead zone.",
@@ -178,7 +183,7 @@ register(KnobSpec(
         if w is None
         else (lambda _lp, v=float(w): FixedWindow(v))
     ),
-    make_dynamic=lambda: (lambda _lp: SAAWPolicy()),
+    make_dynamic=lambda: _policy("aggregation_controller", "SAAWPolicy"),
     doc="Section 6 (DyMA): batching events into one physical message "
         "amortizes per-message cost but delays delivery; SAAW adapts the "
         "window to the observed reception rate.",
@@ -205,9 +210,10 @@ register(KnobSpec(
     ),
     check=_check_time_window,
     make_static=lambda w: (
-        None if w is None else (lambda v=float(w): StaticTimeWindow(v))
+        None if w is None
+        else _policy("window_controller", "StaticTimeWindow", float(w))
     ),
-    make_dynamic=lambda: (lambda: AdaptiveTimeWindow()),
+    make_dynamic=lambda: _policy("window_controller", "AdaptiveTimeWindow"),
     doc="Extension: throttle optimism to GVT + W so far-future execution "
         "cannot run ahead and be rolled back; the adaptive policy servos "
         "W on the observed waste ratio.",

@@ -9,35 +9,24 @@ as a ``ctrl.*`` trace record (docs/observability.md).  A controller only
 sets ``last_verdict``; the kernel writes the record.
 """
 
-from .aggregation_controller import SAAWPolicy
-from .cancellation_controller import (
-    DynamicCancellation,
-    PermanentAggressive,
-    PermanentSet,
-    single_threshold,
-)
-from .checkpoint_controller import DynamicCheckpoint, HillClimbCheckpoint
-from .filters import SampleWindow
-from .thresholding import DeadZoneThreshold
-from .window_controller import (
-    AdaptiveTimeWindow,
-    StaticTimeWindow,
-    TimeWindowPolicy,
-    WindowObservation,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeadZoneThreshold",
-    "DynamicCancellation",
-    "DynamicCheckpoint",
-    "HillClimbCheckpoint",
-    "PermanentAggressive",
-    "PermanentSet",
-    "SAAWPolicy",
-    "SampleWindow",
-    "single_threshold",
-    "AdaptiveTimeWindow",
-    "StaticTimeWindow",
-    "TimeWindowPolicy",
-    "WindowObservation",
-]
+_EXPORTS = {
+    ".aggregation_controller": ("SAAWPolicy",),
+    ".cancellation_controller": (
+        "DynamicCancellation",
+        "PermanentAggressive",
+        "PermanentSet",
+        "single_threshold",
+    ),
+    ".checkpoint_controller": ("DynamicCheckpoint", "HillClimbCheckpoint"),
+    ".filters": ("SampleWindow",),
+    ".thresholding": ("DeadZoneThreshold",),
+    ".window_controller": (
+        "AdaptiveTimeWindow",
+        "StaticTimeWindow",
+        "TimeWindowPolicy",
+        "WindowObservation",
+    ),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

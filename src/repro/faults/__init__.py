@@ -7,14 +7,10 @@ top.  :mod:`repro.faults.fuzz` sweeps plans differentially against the
 sequential kernel (``repro-bench faults``).
 """
 
-from .network import FaultCounters, FaultyNetwork
-from .plan import CLEAN, FaultDecision, FaultPlan, FaultRates
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CLEAN",
-    "FaultCounters",
-    "FaultDecision",
-    "FaultPlan",
-    "FaultRates",
-    "FaultyNetwork",
-]
+_EXPORTS = {
+    ".network": ("FaultCounters", "FaultyNetwork"),
+    ".plan": ("CLEAN", "FaultDecision", "FaultPlan", "FaultRates"),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

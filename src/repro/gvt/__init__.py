@@ -1,6 +1,9 @@
 """Global Virtual Time estimation and fossil collection."""
 
-from .manager import GVTAlgorithm, OmniscientGVT, true_global_minimum
-from .mattern import MatternGVT
+from .._lazy import lazy_exports
 
-__all__ = ["GVTAlgorithm", "MatternGVT", "OmniscientGVT", "true_global_minimum"]
+_EXPORTS = {
+    ".manager": ("GVTAlgorithm", "OmniscientGVT", "true_global_minimum"),
+    ".mattern": ("MatternGVT",),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

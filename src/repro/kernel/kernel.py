@@ -16,7 +16,6 @@ from typing import Sequence
 from ..comm.transport import CommModule
 from ..cluster.executive import Executive
 from ..gvt.manager import OmniscientGVT
-from ..gvt.mattern import MatternGVT
 from ..oracle.invariants import NULL_ORACLE
 from ..stats.counters import CommittedTrace, RunStats, TraceRow
 from ..trace.tracer import NULL_TRACER
@@ -172,10 +171,12 @@ class TimeWarpSimulation:
             ))
         self.lps = self.executive.lps
         self.oracle = self.executive.oracle = self.lps[0].oracle
-        gvt_class = (
-            MatternGVT if self.config.gvt_algorithm == "mattern" else OmniscientGVT
-        )
-        self.executive.gvt_algorithm = gvt_class(self.executive)
+        if self.config.gvt_algorithm == "mattern":
+            from ..gvt.mattern import MatternGVT
+
+            self.executive.gvt_algorithm = MatternGVT(self.executive)
+        else:
+            self.executive.gvt_algorithm = OmniscientGVT(self.executive)
 
         # --- the run script's knob settings (DESIGN.md S24) --------------
         for step in (self.config.script or {}).get("steps", ()):

@@ -4,18 +4,15 @@ See :mod:`repro.oracle.invariants` for the invariants checked and
 ``docs/robustness.md`` for the workflow.
 """
 
-from .invariants import (
-    NULL_ORACLE,
-    InvariantOracle,
-    InvariantViolation,
-    NullOracle,
-    state_digest,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NULL_ORACLE",
-    "InvariantOracle",
-    "InvariantViolation",
-    "NullOracle",
-    "state_digest",
-]
+_EXPORTS = {
+    ".invariants": (
+        "NULL_ORACLE",
+        "InvariantOracle",
+        "InvariantViolation",
+        "NullOracle",
+        "state_digest",
+    ),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

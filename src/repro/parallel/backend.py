@@ -32,7 +32,6 @@ from collections import Counter
 from pathlib import Path
 from typing import Callable
 
-from ..control.meta import PlacementController
 from ..gvt.mattern import GvtCommit, RoundResult
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError
@@ -172,10 +171,11 @@ class ParallelSimulation:
         self.migrations_out = 0
         #: ``placement="dynamic"``: the controller the modelled MetaController
         #: drives, fed from ``ShardReport.loads``; ``history`` has its decisions
-        self.placement = (
-            PlacementController(period=BALANCE_PERIOD)
-            if self.config.placement == "dynamic" else None
-        )
+        self.placement = None
+        if self.config.placement == "dynamic":
+            from ..control.meta import PlacementController
+
+            self.placement = PlacementController(period=BALANCE_PERIOD)
 
         #: the wire actually used, observed at run(): "shm" when there is
         #: more than one pool slot, the CPU has the x86-TSO store ordering
@@ -262,7 +262,10 @@ class ParallelSimulation:
         # workers that join later (mp queues cannot be shipped mid-run).
         pool_size = self.workers + self._join_budget
         self._inboxes = [ctx.Queue() for _ in range(pool_size)]
-        self._report_queue = ctx.Queue()
+        # A worker writes its reports itself: an ``mp.Queue`` feeder
+        # thread loses the GIL to a worker busy polling and delivers a
+        # report up to a whole run late (docs/parallel.md).
+        self._report_queue = ctx.SimpleQueue()
         # Likewise one doorbell per slot and one for this coordinator.
         self._wakes = WakeBoard(pool_size)
         # One SPSC ring per directed pair, allocated for the whole
@@ -278,7 +281,7 @@ class ParallelSimulation:
                     for dst in range(pool_size):
                         if src != dst:
                             self._rings[(src, dst)] = ShmRing.create(
-                                RING_CAPACITY
+                                RING_CAPACITY, f"{src}->{dst}"
                             )
                 self.wire = "shm"
             except (OSError, ValueError):
@@ -320,7 +323,7 @@ class ParallelSimulation:
         return self.stats
 
     def _destroy_rings(self) -> None:
-        """Release every shared-memory segment (parent is the creator)."""
+        """Unmap this process's rings (a shard's copies go with it)."""
         if self._rings is not None:
             for ring in self._rings.values():
                 ring.destroy()

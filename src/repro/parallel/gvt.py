@@ -129,7 +129,7 @@ class GvtCoordinator:
                         ],
                         tick,
                     )
-                    message = self._reports.get_nowait()
+                    message = self._get_nowait(reader)
             except queue_mod.Empty:
                 # Only on a silent wake: a traceback queued before dying
                 # wins.  Only active shards: retired leavers are exempt.
@@ -141,7 +141,7 @@ class GvtCoordinator:
                 if not dead:
                     continue
                 try:  # last words written between the tick and the check
-                    message = self._reports.get_nowait()
+                    message = self._get_nowait(reader)
                 except queue_mod.Empty:
                     raise WorkerFailedError(
                         f"{dead[0].name} died during {phase} (exit code "
@@ -160,6 +160,16 @@ class GvtCoordinator:
                 got[message.shard] = message
                 expected.discard(message.shard)
         return got
+
+    def _get_nowait(self, reader):
+        """The next report, or :class:`queue.Empty` if none is readable.
+        Over the worker fleet the reports come through a ``SimpleQueue``
+        (``reader`` is its pipe), which has no ``get_nowait``."""
+        if reader is None:
+            return self._reports.get_nowait()
+        if not reader.poll(0):
+            raise queue_mod.Empty
+        return self._reports.get()
 
     def run_round(
         self, phase: str | None = None, *, deadline: float | None = None

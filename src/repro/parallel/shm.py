@@ -1,16 +1,20 @@
 """SPSC shared-memory ring buffers: the fast inter-shard wire.
 
-One :class:`ShmRing` sits on a single ``multiprocessing.shared_memory``
-segment and carries length-prefixed binary frames from exactly one
-producer process to exactly one consumer process (the parallel backend
-creates one ring per *directed* shard pair before forking, so rings are
-inherited, never pickled).  Handoff is by a pair of monotonically
-increasing byte cursors in the segment header — the producer owns
-``tail``, the consumer owns ``head``, and each side publishes its cursor
-once per operation, as one aligned 8-byte store, *after* the
-corresponding data write, which is the whole synchronization protocol
-(single-producer/single-consumer plus x86-TSO/compiler-barrier-per-
-bytecode store ordering; no locks, no syscalls on the hot path).
+One :class:`ShmRing` sits on a single anonymous shared mapping and
+carries length-prefixed binary frames from exactly one producer process
+to exactly one consumer process (the parallel backend creates one ring
+per *directed* shard pair before forking, so rings are inherited, never
+pickled or attached by name).  An anonymous mapping has no ``/dev/shm``
+entry to leak and needs no resource-tracker process; it also keeps
+``multiprocessing.shared_memory`` out of the process, whose ``secrets``
+import loads ``hashlib`` and with it libcrypto, 3.4 MiB resident in the
+coordinator and every shard (docs/parallel.md).  Handoff is by a pair
+of monotonically increasing byte cursors in the ring header — the
+producer owns ``tail``, the consumer owns ``head``, and each side
+publishes its cursor once per operation, as one aligned 8-byte store,
+*after* the corresponding data write, which is the whole synchronization
+protocol (single-producer/single-consumer plus x86-TSO/compiler-barrier-
+per-bytecode store ordering; no locks, no syscalls on the hot path).
 ``struct`` must never touch a cursor: ``pack_into`` zeroes its
 destination before packing — two stores — and a concurrent reader then
 sees a cursor of 0 (tests/parallel/test_ring_xproc.py hammers this), so
@@ -44,7 +48,7 @@ import mmap
 import os
 import platform
 import struct
-from multiprocessing import connection, shared_memory
+from multiprocessing import connection
 
 from .wire import WireFormatError
 
@@ -96,14 +100,15 @@ class RingCorruptError(WireFormatError):
 class ShmRing:
     """One directed single-producer/single-consumer frame ring."""
 
-    __slots__ = ("_shm", "_buf", "_cursors", "_capacity", "max_record", "_owner")
+    __slots__ = ("name", "_map", "_buf", "_cursors", "_capacity", "max_record")
 
-    def __init__(self, shm: shared_memory.SharedMemory, *, owner: bool = False):
-        self._shm = shm
-        self._buf = shm.buf
+    def __init__(self, capacity: int, name: str) -> None:
+        #: zero-filled, ``MAP_SHARED``: both ends of a fork see one copy
+        self._map = mmap.mmap(-1, _HEADER_BYTES + capacity)
+        self._buf = memoryview(self._map)
         #: the header as u64 slots: item access is one aligned load/store
-        self._cursors = shm.buf[:_HEADER_BYTES].cast("Q")
-        self._capacity = shm.size - _HEADER_BYTES
+        self._cursors = self._buf[:_HEADER_BYTES].cast("Q")
+        self._capacity = capacity
         #: largest pushable record.  Half the capacity (minus the length
         #: prefix) guarantees progress: at any write offset either the
         #: straight run to the physical end fits the record, or the
@@ -111,19 +116,16 @@ class ShmRing:
         #: the ring drains.  Anything bigger can land at an offset where
         #: *neither* path ever fits — even on an empty ring — and wedge
         #: the producer permanently.
-        self.max_record = self._capacity // 2 - 4
-        self._owner = owner
+        self.max_record = capacity // 2 - 4
+        #: names the ring in :class:`RingCorruptError`
+        self.name = name
 
     @classmethod
-    def create(cls, capacity: int = RING_CAPACITY) -> "ShmRing":
+    def create(cls, capacity: int = RING_CAPACITY, name: str = "ring") -> "ShmRing":
         """Allocate a fresh zeroed ring (call :meth:`destroy` when done)."""
         if capacity < 64:
             raise ValueError(f"ring capacity {capacity} is unusably small")
-        shm = shared_memory.SharedMemory(
-            create=True, size=_HEADER_BYTES + capacity
-        )
-        shm.buf[:_HEADER_BYTES] = bytes(_HEADER_BYTES)
-        return cls(shm, owner=True)
+        return cls(capacity, name)
 
     # ------------------------------------------------------------------ #
     # producer side
@@ -224,26 +226,17 @@ class ShmRing:
     def empty(self) -> bool:
         return self.used == 0
 
-    @property
-    def name(self) -> str:
-        return self._shm.name
-
-    def close(self) -> None:
-        self._buf = None
-        self._cursors.release()  # the mmap cannot close under a live view
-        self._shm.close()
-
     def destroy(self) -> None:
-        """Close and unlink (creator side; idempotent best-effort)."""
+        """Unmap this process's view of the ring (idempotent)."""
+        buf, self._buf = self._buf, None
+        if buf is None:
+            return
         try:
-            self.close()
+            self._cursors.release()  # the mmap cannot close under a live view
+            buf.release()
+            self._map.close()
         except BufferError:  # pragma: no cover - exported views outstanding
             pass
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
 
 
 class WakeBoard:

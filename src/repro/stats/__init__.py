@@ -3,15 +3,10 @@
 A run's trajectory over time is not kept here: it is folded from the
 trace (``repro.trace.summarize(...).rounds``, docs/observability.md)."""
 
-from .counters import LPStats, ObjectStats, RunStats
-from .report import class_report, full_report, lp_report, per_class_breakdown
+from .._lazy import lazy_exports
 
-__all__ = [
-    "LPStats",
-    "ObjectStats",
-    "RunStats",
-    "class_report",
-    "full_report",
-    "lp_report",
-    "per_class_breakdown",
-]
+_EXPORTS = {
+    ".counters": ("LPStats", "ObjectStats", "RunStats"),
+    ".report": ("class_report", "full_report", "lp_report", "per_class_breakdown"),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

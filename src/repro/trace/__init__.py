@@ -24,26 +24,17 @@ byte-identical JSONL.  Inspect traces with the ``repro-trace`` CLI;
 row per advancing GVT round.
 """
 
-from .reader import (
-    TraceFormatError,
-    load_trace,
-    read_trace,
-    summarize,
-    validate_trace,
-)
-from .schema import RECORD_TYPES, SCHEMA_VERSION, validate_record
-from .tracer import NULL_TRACER, NullTracer, Tracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "NULL_TRACER",
-    "NullTracer",
-    "RECORD_TYPES",
-    "SCHEMA_VERSION",
-    "TraceFormatError",
-    "Tracer",
-    "load_trace",
-    "read_trace",
-    "summarize",
-    "validate_record",
-    "validate_trace",
-]
+_EXPORTS = {
+    ".reader": (
+        "TraceFormatError",
+        "load_trace",
+        "read_trace",
+        "summarize",
+        "validate_trace",
+    ),
+    ".schema": ("RECORD_TYPES", "SCHEMA_VERSION", "validate_record"),
+    ".tracer": ("NULL_TRACER", "NullTracer", "Tracer"),
+}
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -25,7 +25,6 @@ from collections import deque
 from pathlib import Path
 from typing import IO
 
-from .schema import SCHEMA_VERSION
 
 _INF = float("inf")
 
@@ -136,6 +135,8 @@ class Tracer:
     # -- emission ------------------------------------------------------ #
     @staticmethod
     def _header() -> dict:
+        from .schema import SCHEMA_VERSION
+
         return {"type": "trace.header", "seq": 0, "t": 0.0,
                 "schema": SCHEMA_VERSION, "lib": "repro"}
 

@@ -79,6 +79,26 @@ class TestValueSemantics:
         assert clone.colour == 4
         assert clone.size_bytes() == message.size_bytes()
 
+    def test_unpickling_a_batch_sizes_no_payload(self, monkeypatch):
+        """The queue wire ships whole pickled ``DataBatch``es: the size
+        travels with each message, so no payload is walked again."""
+        from repro.kernel import event as event_mod
+        from repro.parallel.ipc import DataBatch
+
+        events = tuple(make_event(payload=(i, "x" * i), serial=i) for i in range(5))
+        batch = DataBatch(0, (self.message(events=events),))
+        data = pickle.dumps(batch)
+        calls = []
+        real = event_mod.payload_size_bytes
+        monkeypatch.setattr(
+            event_mod, "payload_size_bytes",
+            lambda payload: calls.append(payload) or real(payload),
+        )
+        (clone,) = pickle.loads(data).messages
+        assert calls == []
+        assert clone == batch.messages[0]
+        assert clone.size_bytes() == batch.messages[0].size_bytes()
+
     def test_wire_round_trip_decodes_to_an_equal_message(self):
         from repro.parallel.wire import decode_batch, encode_batch
 

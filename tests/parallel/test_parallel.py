@@ -136,6 +136,48 @@ def test_a_placed_parallel_set_up_imports_neither_numpy_nor_networkx():
     assert out.stdout.strip() == "[]"
 
 
+def test_a_default_modelled_run_imports_no_subsystem_it_does_not_use():
+    # a package names its exports and a subsystem is imported where it is
+    # used (docs/architecture.md): none of these runs in a default run
+    code = (
+        "import sys\n"
+        "from repro import SimulationConfig, TimeWarpSimulation\n"
+        "from repro.apps import PHOLDParams, build_phold\n"
+        "partition = build_phold(PHOLDParams(n_objects=8, n_lps=2, seed=5))\n"
+        "stats = TimeWarpSimulation(partition, SimulationConfig(end_time=500)).run()\n"
+        "assert stats.committed_events > 0\n"
+        "unused = ('repro.faults', 'repro.trace.reader', 'repro.trace.schema',\n"
+        "          'repro.control.meta', 'repro.kernel.migration',\n"
+        "          'repro.conservative', 'repro.stats.report', 'repro.apps.raid',\n"
+        "          'repro.apps.logic', 'repro.apps.pingpong', 'repro.bench.figures')\n"
+        "print(sorted(m for m in sys.modules if m.startswith(unused)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+@needs_fork
+def test_a_ring_wired_run_loads_no_hashlib():
+    # multiprocessing.shared_memory imports secrets, hence hashlib and
+    # libcrypto: 3.4 MiB resident in every process (docs/parallel.md)
+    code = (
+        "import sys, repro\n"
+        "from repro.apps import PHOLDParams, build_phold\n"
+        "from repro.parallel import ParallelSimulation\n"
+        "params = PHOLDParams(n_objects=16, n_lps=2, locality=0.9, seed=5)\n"
+        "config = repro.SimulationConfig(backend='parallel', workers=2, end_time=200)\n"
+        "ParallelSimulation.from_builder(lambda: build_phold(params), config).run()\n"
+        "loaded = {'hashlib', 'secrets', 'multiprocessing.shared_memory'}\n"
+        "print(sorted(loaded & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 @needs_fork
 class TestDirectConstruction:
     def test_make_simulation_run_and_run_once(self):

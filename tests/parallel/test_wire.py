@@ -992,4 +992,4 @@ class TestWireParity:
         sim = _parallel_phold(workers=2)
         sim.run()
         assert sim.wire == "queue" and sim.wire_stats["frames_sent"] == 0
-        assert first.name.lstrip("/") not in os.listdir("/dev/shm")
+        assert first._buf is None  # the ring made before the refusal is unmapped
