@@ -46,7 +46,7 @@ from ..comm.message import PhysicalMessage
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError, TerminationError, TimeWarpError
 from ..kernel.kernel import Partition, committed_trace, finish_lps, host_lp
-from ..kernel.kernel import sorted_trace, walk_directory
+from ..kernel.kernel import sorted_trace, suspend_collector, walk_directory
 from ..stats.counters import RunStats, TraceRow
 from ..trace.tracer import NULL_TRACER
 
@@ -109,6 +109,7 @@ class ConservativeSimulation:
         for lp in self.lps:
             lp.advance_clock_to(resume)
 
+    @suspend_collector
     def run(self) -> RunStats:
         if self._ran:
             raise ConfigurationError("a ConservativeSimulation can only run once")

@@ -11,6 +11,8 @@ main entry point of the library:
 
 from __future__ import annotations
 
+import gc
+from functools import wraps
 from typing import Sequence
 
 from ..comm.transport import CommModule
@@ -148,6 +150,32 @@ def finish_lps(
         lp.finalize()
 
 
+def suspend_collector(loop):
+    """Run the event loop ``loop`` with automatic cyclic garbage collection
+    off, and give the caller back the collector as it was, on every exit.
+
+    A run's history (processed events, snapshots, sent records, lazy
+    comparison entries) stays live until a GVT commit collects it, and
+    the generational collector would rescan it every 700 allocations to
+    free nothing: a run makes no reference cycles (docs/architecture.md,
+    "The event loop and the cyclic collector").  A collector the caller
+    disabled stays disabled, and a nested loop changes nothing: the pause
+    ``timeit`` makes around its timing loop.
+    """
+
+    @wraps(loop)
+    def suspended(*args, **kwargs):
+        if not gc.isenabled():
+            return loop(*args, **kwargs)
+        gc.disable()
+        try:
+            return loop(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return suspended
+
+
 class TimeWarpSimulation:
     """One configured Time Warp run over a partitioned object graph."""
 
@@ -223,6 +251,7 @@ class TimeWarpSimulation:
         return self._objects[self._resolve(name)]
 
     # ------------------------------------------------------------------ #
+    @suspend_collector
     def run(self) -> RunStats:
         """Execute to quiescence and return the run statistics."""
         if self._ran:
@@ -234,6 +263,7 @@ class TimeWarpSimulation:
     # ------------------------------------------------------------------ #
     # phased execution (warped's simulateUntil)
     # ------------------------------------------------------------------ #
+    @suspend_collector
     def advance_to(self, virtual_time: float) -> None:
         """Run until everything at or below ``virtual_time`` is processed.
 
@@ -260,6 +290,7 @@ class TimeWarpSimulation:
             self.executive.resume()
         self.executive.run()
 
+    @suspend_collector
     def finish(self) -> RunStats:
         """Lift the horizon to the configured end time and finalize."""
         if self._finished:

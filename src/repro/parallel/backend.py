@@ -35,7 +35,7 @@ from typing import Callable
 from ..gvt.mattern import GvtCommit, RoundResult
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import ConfigurationError
-from ..kernel.kernel import Partition, walk_directory
+from ..kernel.kernel import Partition, suspend_collector, walk_directory
 from ..oracle.invariants import InvariantViolation
 from ..partition.graph import CommGraph, profile_model
 from ..partition.strategies import (
@@ -242,6 +242,7 @@ class ParallelSimulation:
         return sim
 
     # ------------------------------------------------------------------ #
+    @suspend_collector
     def run(self) -> RunStats:
         """Execute to global quiescence and return merged statistics."""
         if self._ran:
@@ -304,7 +305,7 @@ class ParallelSimulation:
             payloads = {shard: m.payload for shard, m in done.items()}
         except BaseException:
             # BaseException: Ctrl-C must not leave workers looping under
-            # the joins and the ring unlink below
+            # the joins and the ring unmapping below
             for process in self._processes.values():
                 if process.is_alive():
                     process.terminate()

@@ -43,7 +43,7 @@ from ..gvt.mattern import ColourAgent, GvtCommit, GvtStart
 from ..kernel.cancellation import Mode
 from ..kernel.config import SimulationConfig
 from ..kernel.errors import TerminationError
-from ..kernel.kernel import finish_lps, host_lp
+from ..kernel.kernel import finish_lps, host_lp, suspend_collector
 from ..kernel.migration import ObjectCheckpoint, detach_object, restore_object
 from ..kernel.simobject import SimulationObject
 from ..trace.tracer import NULL_TRACER, Tracer
@@ -119,13 +119,16 @@ class ShardPlan:
     join_epoch: int | None = None
 
 
+@suspend_collector
 def worker_main(shard_id: int, plan: ShardPlan, inbox, to_coordinator,
                 out_queues, rings=None, wakes=None) -> None:
     """Process entry point: run the shard, always report home.
 
     ``rings`` is the backend's full ``(src, dst) -> ShmRing`` map (shared
     segments inherited across fork), or ``None`` for the queue wire;
-    ``wakes`` is its :class:`~repro.parallel.shm.WakeBoard`.
+    ``wakes`` is its :class:`~repro.parallel.shm.WakeBoard`.  The
+    process lives for one run, so the cyclic collector stays off for the
+    whole of its life.
     """
     try:
         _ShardRuntime(

@@ -24,6 +24,7 @@ from itertools import islice
 from typing import Sequence
 
 from ..kernel.errors import ConfigurationError
+from ..kernel.kernel import suspend_collector
 from ..kernel.simobject import SimulationObject
 from ..sequential.kernel import SequentialSimulation
 
@@ -88,6 +89,7 @@ class CommGraph:
 PILOT_EVENTS_PER_OBJECT = 128
 
 
+@suspend_collector
 def profile_model(
     objects: Sequence[SimulationObject],
     *,

@@ -26,26 +26,51 @@ from ..kernel.errors import (
     TimeWarpError,
 )
 from ..kernel.event import Event, EventKey, VirtualTime
-from ..kernel.kernel import sorted_trace
+from ..kernel.kernel import sorted_trace, suspend_collector
 from ..kernel.simobject import SimulationObject
 from ..stats.counters import CommittedTrace, RunStats, TraceRow
 
 
 class _SequentialServices:
-    """KernelServices adapter for sequential execution."""
+    """KernelServices adapter for sequential execution.
 
-    __slots__ = ("_kernel", "_oid")
+    It holds the kernel's event list and clocks, not the kernel: an
+    object bound to it then closes no reference cycle through the kernel,
+    so a dropped simulation is freed by reference counting at once, not
+    by a later pass of the cyclic collector (docs/architecture.md, "The
+    event loop and the cyclic collector").
+    """
+
+    __slots__ = ("_oid", "_name_to_oid", "_lvt", "_serials", "_heap")
 
     def __init__(self, kernel: "SequentialSimulation", oid: int) -> None:
-        self._kernel = kernel
         self._oid = oid
+        self._name_to_oid = kernel._name_to_oid
+        self._lvt = kernel._lvt
+        self._serials = kernel._serials
+        self._heap = kernel._heap
 
     @property
     def now(self) -> VirtualTime:
-        return self._kernel._lvt[self._oid]
+        return self._lvt[self._oid]
 
     def send(self, dest: str, delay: VirtualTime, payload: Any) -> None:
-        self._kernel._send(self._oid, dest, delay, payload)
+        try:
+            receiver = self._name_to_oid[dest]
+        except KeyError:
+            raise SchedulingError(f"unknown simulation object {dest!r}") from None
+        sender = self._oid
+        now = self._lvt[sender]
+        event = Event(
+            sender=sender,
+            receiver=receiver,
+            send_time=now,
+            recv_time=now + delay,
+            payload=payload,
+            serial=self._serials[sender],
+        )
+        self._serials[sender] += 1
+        heapq.heappush(self._heap, (event.key(), event))
 
 
 class SequentialSimulation:
@@ -80,23 +105,7 @@ class SequentialSimulation:
         self.trace = CommittedTrace(names) if record_trace else None
         self._ran = False
 
-    # ------------------------------------------------------------------ #
-    def _send(self, sender: int, dest: str, delay: VirtualTime, payload: Any) -> None:
-        try:
-            receiver = self._name_to_oid[dest]
-        except KeyError:
-            raise SchedulingError(f"unknown simulation object {dest!r}") from None
-        event = Event(
-            sender=sender,
-            receiver=receiver,
-            send_time=self._lvt[sender],
-            recv_time=self._lvt[sender] + delay,
-            payload=payload,
-            serial=self._serials[sender],
-        )
-        self._serials[sender] += 1
-        heapq.heappush(self._heap, (event.key(), event))
-
+    @suspend_collector
     def run(self) -> RunStats:
         """Execute the model to ``end_time``; ``max_events`` is a runaway
         guard that raises :class:`SchedulingError` once exceeded.  Every
